@@ -11,6 +11,7 @@
 package voodoo
 
 import (
+	"context"
 	"testing"
 
 	"voodoo/internal/bench"
@@ -163,7 +164,7 @@ func BenchmarkCompiledSelection(b *testing.B) {
 	b.SetBytes(int64(n) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.Run(); err != nil {
+		if _, err := plan.RunWith(context.Background(), compile.RunOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,7 +26,6 @@ import (
 
 	"voodoo/internal/bench"
 	"voodoo/internal/diag"
-	"voodoo/internal/exec"
 	"voodoo/internal/metrics"
 	"voodoo/internal/telemetry"
 	"voodoo/internal/verify"
@@ -41,16 +40,12 @@ func main() {
 	baseline := flag.String("baseline", "BENCH_baseline.json", "ci: committed baseline to compare against")
 	writeBaseline := flag.Bool("write-baseline", false, "ci: rewrite the baseline instead of comparing")
 	diagAddr := flag.String("diag-addr", "", "serve /metrics, pprof and expvar on this address while the benchmarks run (e.g. localhost:6060)")
-	noSpecialize := flag.Bool("no-specialize", false, "disable fragment specialization for every benchmark run (per-element interpreter only)")
 	logLevel := flag.String("log-level", "off", "structured-log threshold on stderr: debug, info, warn, error or off")
 	doVerify := flag.Bool("verify", false, "statically verify programs and compiled plans before execution (voodoo_verify_failures_total counts rejections)")
 	flag.Parse()
 
 	if *doVerify {
 		verify.SetEnabled(true)
-	}
-	if *noSpecialize {
-		exec.SetSpecializeDefault(false)
 	}
 	if err := telemetry.InstallJSON(os.Stderr, *logLevel); err != nil {
 		fatal(err)

@@ -56,7 +56,7 @@ func main() {
 	progFile := flag.String("prog", "", "run a textual Voodoo program (paper SSA notation) from this file")
 	timeout := flag.Duration("timeout", 0, "per-query wall-clock budget (e.g. 500ms; 0 = unlimited)")
 	morsel := flag.Int("morsel", 0, "scheduling granularity of parallel fragments in work items (0 = default)")
-	noSpecialize := flag.Bool("no-specialize", false, "disable fragment specialization (batch primitives and fused fast paths); run every fragment through the per-element interpreter")
+	noSpecialize := flag.Bool("no-specialize", false, "disable fragment specialization (batch primitives); run every fragment through the per-element interpreter")
 	maxMem := flag.String("max-mem", "", "per-query buffer allocation budget (e.g. 64m, 1g; empty = unlimited)")
 	explain := flag.Bool("explain", false, "print the static execution plan (TPC-H -q queries still execute, to drive multi-phase lowering)")
 	analyze := flag.Bool("explain-analyze", false, "run the query and print the plan with measured per-step times, items and bytes")
@@ -146,22 +146,22 @@ func main() {
 			fmt.Print(plan.Explain())
 			return
 		}
-		plan.Limits = limits
 		start := time.Now()
-		var res *compile.Result
-		if *analyze || *traceOut != "" {
-			var tr *trace.Trace
-			res, tr, err = plan.RunTracedContext(ctx)
-			if err != nil {
-				fatal(err)
-			}
+		// The same per-run options the SQL and -q paths get through the
+		// engine.
+		res, err := plan.RunWith(ctx, compile.RunOpts{
+			Limits: e.Limits, MorselSize: e.MorselSize, NoSpecialize: e.NoSpecialize,
+			Trace: *analyze || *traceOut != "",
+		})
+		if err != nil {
+			fatal(err)
+		}
+		if tr := res.Trace; tr != nil {
 			tr.Query = *progFile
 			if *analyze {
 				fmt.Print(tr.String())
 			}
 			writeTraces(*traceOut, []*trace.Trace{tr})
-		} else if res, err = plan.RunContext(ctx); err != nil {
-			fatal(err)
 		}
 		if !*analyze {
 			fmt.Printf("-- %d root value(s) (%.1f ms wall)\n", len(res.Values), msSince(start))

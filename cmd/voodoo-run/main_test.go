@@ -1,0 +1,53 @@
+package main
+
+import (
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestProgHonoursRunOptions is the regression test for `-prog` dropping
+// per-run options: it builds the real binary and runs a one-fragment map
+// over the 25-row nation table, whose traced run takes the batch path and
+// fits one default morsel. -no-specialize must move the fragment to the
+// interpreter and -morsel 7 must split it into four morsels, exactly as
+// they do on the SQL and -q paths.
+func TestProgHonoursRunOptions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("binary smoke test skipped in -short mode")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "voodoo-run")
+	if out, err := exec.Command("go", "build", "-o", bin, "voodoo/cmd/voodoo-run").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	prog := filepath.Join(dir, "map.voo")
+	src := "input := Load(\"nation.n_nationkey\")\ntwo := Constant(2)\ndoubled := Multiply(input, two)\n"
+	if err := os.WriteFile(prog, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	analyze := func(extra ...string) string {
+		t.Helper()
+		cmd := exec.Command(bin, append([]string{"-sf", "0.001", "-prog", prog, "-explain-analyze"}, extra...)...)
+		// Two processors, so the fragment is not forced down the
+		// single-worker path that ignores the morsel size.
+		cmd.Env = append(os.Environ(), "GOMAXPROCS=2")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("voodoo-run %v: %v\n%s", extra, err, out)
+		}
+		return string(out)
+	}
+
+	if out := analyze(); !strings.Contains(out, "spec:batch") || strings.Contains(out, "morsels=") {
+		t.Fatalf("default run should show one single-morsel spec:batch fragment:\n%s", out)
+	}
+	if out := analyze("-no-specialize"); strings.Contains(out, "spec:batch") {
+		t.Errorf("-no-specialize ignored on the -prog path:\n%s", out)
+	}
+	if out := analyze("-morsel", "7"); !strings.Contains(out, "morsels=4") {
+		t.Errorf("-morsel ignored on the -prog path:\n%s", out)
+	}
+}

@@ -87,7 +87,7 @@ func main() {
 	maxExtent := flag.Int("max-extent", 0, "per-request fragment extent cap (0 = unlimited)")
 	concurrency := flag.Int("concurrency", 0, "max queries executing at once (0 = GOMAXPROCS); excess requests queue")
 	morsel := flag.Int("morsel", 0, "scheduling granularity of parallel fragments in work items (0 = default)")
-	noSpecialize := flag.Bool("no-specialize", false, "disable fragment specialization (batch primitives and fused fast paths); run every fragment through the per-element interpreter")
+	noSpecialize := flag.Bool("no-specialize", false, "disable fragment specialization (batch primitives); run every fragment through the per-element interpreter")
 	slowN := flag.Int("slow", 16, "retain full traces of the N slowest queries")
 	planCache := flag.Int("plan-cache", 0, "compiled-plan cache capacity in entries (0 = 256, negative disables)")
 	noPool := flag.Bool("no-pool", false, "disable the kernel-buffer pool (each query allocates fresh)")

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -82,7 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cres, err := plan.Run()
+	cres, err := plan.RunWith(context.Background(), compile.RunOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cres4, err := plan4.Run()
+	cres4, err := plan4.RunWith(context.Background(), compile.RunOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

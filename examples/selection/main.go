@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -72,8 +73,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			plan.CollectStats = true
-			res, err := plan.Run()
+			res, err := plan.RunWith(context.Background(), compile.RunOpts{CollectStats: true})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -153,8 +153,7 @@ func runProgram(p *core.Program, st interp.Storage, opt compile.Options) (*exec.
 	if err != nil {
 		return nil, nil, err
 	}
-	plan.CollectStats = true
-	res, err := plan.Run()
+	res, err := plan.RunWith(context.Background(), compile.RunOpts{CollectStats: true})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -29,11 +29,11 @@ func tracedRun(t *testing.T, prog *core.Program, st interp.Storage, opt compile.
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	_, tr, err := plan.RunTracedContext(context.Background())
+	res, err := plan.RunWith(context.Background(), compile.RunOpts{Trace: true})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return tr
+	return res.Trace
 }
 
 // pin is the set of trace totals a fusion test locks down.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -70,7 +71,7 @@ func ScalingCheck(rep *CIReport) []string {
 				return 0, err
 			}
 			start := time.Now()
-			if err := exec.Run(k, env, workers, nil); err != nil {
+			if err := exec.Run(context.Background(), k, env, exec.Par{Workers: workers}, nil); err != nil {
 				return 0, err
 			}
 			if d := time.Since(start).Seconds(); d < best {

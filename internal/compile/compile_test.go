@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -23,7 +24,7 @@ func diffTest(t *testing.T, b *core.Builder, st interp.MemStorage, opt Options) 
 	if err != nil {
 		t.Fatalf("compile: %v\nprogram:\n%s", err, p)
 	}
-	got, err := plan.Run()
+	got, err := plan.RunWith(context.Background(), RunOpts{})
 	if err != nil {
 		t.Fatalf("run: %v\nprogram:\n%s\nkernel:\n%s", err, p, plan.Kernel())
 	}
@@ -309,7 +310,7 @@ func TestCompilePersist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.Run(); err != nil {
+	if _, err := plan.RunWith(context.Background(), RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	out, err := st.LoadVector("out")
@@ -330,8 +331,7 @@ func TestCompileStatsCollected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan.CollectStats = true
-	res, err := plan.Run()
+	res, err := plan.RunWith(context.Background(), RunOpts{CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,11 +576,11 @@ func TestBreakForcesLoopFission(t *testing.T) {
 		t.Errorf("Break should add a fragment seam: %d vs %d fragments",
 			len(planB.Kernel().Frags), len(planA.Kernel().Frags))
 	}
-	resA, err := planA.Run()
+	resA, err := planA.RunWith(context.Background(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := planB.Run()
+	resB, err := planB.RunWith(context.Background(), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -634,7 +634,7 @@ func TestCompileErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile should succeed, run should fail: %v", err)
 	}
-	if _, err := plan.Run(); err == nil {
+	if _, err := plan.RunWith(context.Background(), RunOpts{}); err == nil {
 		t.Error("expected division-by-zero at run time")
 	}
 }
@@ -651,7 +651,7 @@ func TestCompilePersistUnderBulk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.Run(); err != nil {
+	if _, err := plan.RunWith(context.Background(), RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	v, err := st.LoadVector("out")

@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -86,7 +87,7 @@ func TestBoundedCuckooTable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	got, err := plan.Run()
+	got, err := plan.RunWith(context.Background(), RunOpts{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

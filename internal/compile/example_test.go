@@ -1,6 +1,7 @@
 package compile_test
 
 import (
+	"context"
 	"fmt"
 
 	"voodoo/internal/compile"
@@ -32,7 +33,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := plan.Run()
+	res, err := plan.RunWith(context.Background(), compile.RunOpts{})
 	if err != nil {
 		panic(err)
 	}
@@ -61,7 +62,7 @@ func ExampleOptions_predication() {
 		if err != nil {
 			panic(err)
 		}
-		res, err := plan.Run()
+		res, err := plan.RunWith(context.Background(), compile.RunOpts{})
 		if err != nil {
 			panic(err)
 		}

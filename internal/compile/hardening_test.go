@@ -14,7 +14,7 @@ import (
 )
 
 // sumPlan compiles the Figure-3-style hierarchical sum over n values.
-func sumPlan(t *testing.T, n int, lim exec.Limits) *compile.Plan {
+func sumPlan(t *testing.T, n int) *compile.Plan {
 	t.Helper()
 	vals := make([]int64, n)
 	for i := range vals {
@@ -34,15 +34,14 @@ func sumPlan(t *testing.T, n int, lim exec.Limits) *compile.Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan.Limits = lim
 	return plan
 }
 
 func TestPlanRunContextCancelled(t *testing.T) {
-	plan := sumPlan(t, 1024, exec.Limits{})
+	plan := sumPlan(t, 1024)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := plan.RunContext(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := plan.RunWith(ctx, compile.RunOpts{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -50,14 +49,13 @@ func TestPlanRunContextCancelled(t *testing.T) {
 func TestPlanGovernorMaxBytes(t *testing.T) {
 	// The kernel needs several n-slot buffers; a budget far below n*8
 	// must fail before any work runs.
-	plan := sumPlan(t, 1<<16, exec.Limits{MaxBytes: 1024})
-	_, err := plan.RunContext(context.Background())
+	plan := sumPlan(t, 1<<16)
+	_, err := plan.RunWith(context.Background(), compile.RunOpts{Limits: exec.Limits{MaxBytes: 1024}})
 	if !errors.Is(err, exec.ErrResourceExhausted) {
 		t.Fatalf("err = %v, want ErrResourceExhausted", err)
 	}
-	// A generous budget runs to completion.
-	plan = sumPlan(t, 1<<16, exec.Limits{MaxBytes: 1 << 26})
-	if _, err := plan.RunContext(context.Background()); err != nil {
+	// A generous budget runs to completion — on the same, unmutated plan.
+	if _, err := plan.RunWith(context.Background(), compile.RunOpts{Limits: exec.Limits{MaxBytes: 1 << 26}}); err != nil {
 		t.Fatalf("within budget: %v", err)
 	}
 }
@@ -68,8 +66,8 @@ func TestPlanFragmentPanicIsolated(t *testing.T) {
 	faultinject.With(t, faultinject.Hooks{
 		Item: func(frag string, gid int) { panic("injected plan bug") },
 	})
-	plan := sumPlan(t, 1024, exec.Limits{})
-	_, err := plan.RunContext(context.Background())
+	plan := sumPlan(t, 1024)
+	_, err := plan.RunWith(context.Background(), compile.RunOpts{})
 	var pe *exec.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v (%T), want *exec.PanicError", err, err)
@@ -95,8 +93,8 @@ func TestBulkPlanChargesAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan.Limits = exec.Limits{MaxBytes: 2048}
-	if _, err := plan.RunContext(context.Background()); !errors.Is(err, exec.ErrResourceExhausted) {
+	ro := compile.RunOpts{Limits: exec.Limits{MaxBytes: 2048}}
+	if _, err := plan.RunWith(context.Background(), ro); !errors.Is(err, exec.ErrResourceExhausted) {
 		t.Fatalf("err = %v, want ErrResourceExhausted", err)
 	}
 }

@@ -24,15 +24,6 @@ type Plan struct {
 
 	steps   []step
 	outputs []output
-
-	// CollectStats makes Run count instruction/memory/branch events,
-	// which device cost models convert into simulated times.
-	CollectStats bool
-
-	// Limits is the per-query resource governor: buffer allocations are
-	// charged against MaxBytes, fragment extents checked against
-	// MaxExtent, and Deadline enforced as a context deadline.
-	Limits exec.Limits
 }
 
 // Kernel exposes the generated kernel (fragment listing, OpenCL source
@@ -47,34 +38,45 @@ type output struct {
 // RunOpts are the per-run execution options of a plan. Plans are
 // immutable after Compile and safe to run concurrently; everything that
 // varies per execution — the governor limits, the buffer pool, stats
-// collection — travels here instead of in plan fields, which is what
-// makes a cached plan shareable across requests.
+// collection, tracing — travels here instead of in plan fields, which is
+// what makes a cached plan shareable across requests. The zero value is an
+// ungoverned, unpooled, uncounted, untraced run with specialization on.
 type RunOpts struct {
-	// Limits is the per-run resource governor (see exec.Limits).
+	// Limits is the per-run resource governor (see exec.Limits): buffer
+	// allocations are charged against MaxBytes, fragment extents checked
+	// against MaxExtent, and Deadline enforced as a context deadline.
 	Limits exec.Limits
 	// Pool, when non-nil, supplies the run's kernel buffers and seam
 	// materializations from recycled memory; the run's arena is attached
 	// to the Result and returned to the pool by Result.Release.
 	Pool *vector.Pool
-	// CollectStats enables instruction/memory/branch event counting.
+	// CollectStats enables instruction/memory/branch event counting, which
+	// device cost models convert into simulated times.
 	CollectStats bool
+	// Trace records per-step tracing into Result.Trace: each plan step is
+	// timed and annotated with its fragment provenance and measured work
+	// (items, materialized bytes, fold runs, scatter items). Tracing forces
+	// stats collection for the run regardless of CollectStats.
+	Trace bool
 	// MorselSize overrides the scheduling granularity of parallel
 	// fragments in work items (0 = exec.DefaultMorsel). Results are
 	// bit-identical for every value; the knob trades scheduling overhead
 	// against skew absorption.
 	MorselSize int
-	// Specialize selects how much fragment specialization the executor
-	// applies (default SpecializeAuto: fused fast paths plus batch
-	// primitives). Results are bit-identical across every mode;
-	// exec.SpecializeOff is the -no-specialize escape hatch.
-	Specialize exec.SpecMode
+	// NoSpecialize forces the per-element interpreter for every fragment
+	// (the -no-specialize escape hatch). Results are bit-identical either
+	// way.
+	NoSpecialize bool
 }
 
 // Result holds root values (in the interpreter's padded layout) and, when
-// requested, the execution event counts.
+// requested, the execution event counts and the per-step trace.
 type Result struct {
 	Values map[core.Ref]*vector.Vector
 	Stats  exec.Stats
+	// Trace is the run's per-step trace when RunOpts.Trace was set, else
+	// nil. It is owned by the caller and does not alias pooled memory.
+	Trace *trace.Trace
 
 	arena *vector.Arena
 }
@@ -93,13 +95,12 @@ func (r *Result) Release() {
 
 // runtime is the mutable state of one plan execution.
 type runtime struct {
-	plan   *Plan
-	ctx    context.Context
-	env    *exec.Env
-	stats  *exec.Stats
-	arena  *vector.Arena
-	morsel int
-	spec   exec.SpecMode
+	plan  *Plan
+	ctx   context.Context
+	env   *exec.Env
+	stats *exec.Stats
+	arena *vector.Arena
+	par   exec.Par
 }
 
 type step interface {
@@ -137,8 +138,7 @@ func (s *fragStep) run(rt *runtime) error {
 		})
 		fs = &rt.stats.Frags[len(rt.stats.Frags)-1]
 	}
-	return exec.RunFragmentPar(rt.ctx, s.f, rt.env,
-		exec.Par{Workers: rt.plan.opt.Workers, Morsel: rt.morsel, Spec: rt.spec}, fs)
+	return exec.RunFragment(rt.ctx, s.f, rt.env, rt.par, fs)
 }
 
 func (s *fragStep) stepName() string { return "fragment " + s.f.Name }
@@ -228,55 +228,14 @@ func (s *persistStep) run(rt *runtime) error {
 
 func (s *persistStep) stepName() string { return "persist " + s.name }
 
-// Run executes the plan and returns the root values.
-func (p *Plan) Run() (*Result, error) {
-	return p.RunContext(context.Background())
-}
-
-// RunContext is Run under the hardening contract: the context (and the
-// plan's Deadline limit) cancels between steps and inside fragment loops,
-// buffer allocations are charged against the Limits budget, and a panic
-// in any step is recovered into a *exec.PanicError so one bad kernel
-// fails its query instead of the process.
-func (p *Plan) RunContext(ctx context.Context) (*Result, error) {
-	return p.RunWith(ctx, RunOpts{Limits: p.Limits, CollectStats: p.CollectStats})
-}
-
-// RunWith executes the plan under per-run options, leaving the plan
-// itself untouched — the entry point for shared (cached) plans, which may
-// run concurrently with different limits, pools and stats settings.
-func (p *Plan) RunWith(ctx context.Context, ro RunOpts) (*Result, error) {
-	res, _, err := p.run(ctx, nil, ro)
-	return res, err
-}
-
-// RunTracedContext is RunContext with per-step tracing: each plan step is
-// timed and annotated with its fragment provenance and measured work
-// (items, materialized bytes, fold runs, scatter items). The returned
-// trace is owned by the caller; tracing forces stats collection for this
-// run regardless of CollectStats.
-func (p *Plan) RunTracedContext(ctx context.Context) (*Result, *trace.Trace, error) {
-	return p.RunTracedWith(ctx, RunOpts{Limits: p.Limits, CollectStats: p.CollectStats})
-}
-
-// RunTracedWith is RunWith with per-step tracing.
-func (p *Plan) RunTracedWith(ctx context.Context, ro RunOpts) (*Result, *trace.Trace, error) {
-	backend := "compiled"
-	if p.opt.ForceBulk {
-		backend = "bulk-compiled"
-	}
-	tr := &trace.Trace{Backend: backend, Options: map[string]bool{
-		"predication":     p.opt.Predication,
-		"forcebulk":       p.opt.ForceBulk,
-		"scatterparallel": p.opt.ScatterParallel,
-	}}
-	// A context-carried observer receives each step as it completes (the
-	// diagnostics server's live query progress).
-	tr.OnStep = trace.ObserverFrom(ctx)
-	return p.run(ctx, tr, ro)
-}
-
-func (p *Plan) run(ctx context.Context, tr *trace.Trace, ro RunOpts) (_ *Result, _ *trace.Trace, err error) {
+// RunWith executes the plan under per-run options, leaving the plan itself
+// untouched, so shared (cached) plans may run concurrently with different
+// limits, pools, stats and trace settings. It runs under the hardening
+// contract: the context (and the Deadline limit) cancels between steps and
+// inside fragment loops, buffer allocations are charged against the Limits
+// budget, and a panic in any step is recovered into a *exec.PanicError so
+// one bad kernel fails its query instead of the process.
+func (p *Plan) RunWith(ctx context.Context, ro RunOpts) (_ *Result, err error) {
 	trace.CountQuery()
 	start := time.Now()
 	defer func() {
@@ -312,21 +271,26 @@ func (p *Plan) run(ctx context.Context, tr *trace.Trace, ro RunOpts) (_ *Result,
 	}()
 	env, err := exec.NewEnvPooled(p.kern, ro.Limits, arena)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rt := &runtime{plan: p, ctx: ctx, env: env, arena: arena, morsel: ro.MorselSize, spec: ro.Specialize}
+	rt := &runtime{plan: p, ctx: ctx, env: env, arena: arena,
+		par: exec.Par{Workers: p.opt.Workers, Morsel: ro.MorselSize, NoSpecialize: ro.NoSpecialize}}
 	res := &Result{Values: map[core.Ref]*vector.Vector{}, arena: arena}
+	if ro.Trace {
+		res.Trace = p.newTrace(ctx)
+	}
+	tr := res.Trace
 	if ro.CollectStats || tr != nil {
 		rt.stats = &res.Stats
 	}
 	for _, s := range p.steps {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		base := len(res.Stats.Frags)
 		t0 := time.Now()
 		if err := runStep(s, rt); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if tr != nil {
 			tr.Add(p.traceStep(s, res.Stats.Frags[base:], time.Since(t0)))
@@ -334,12 +298,12 @@ func (p *Plan) run(ctx context.Context, tr *trace.Trace, ro RunOpts) (_ *Result,
 	}
 	for _, o := range p.outputs {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		t0 := time.Now()
 		v, err := convertProtected(o, rt)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		res.Values[o.ref] = v
 		if tr != nil {
@@ -355,7 +319,26 @@ func (p *Plan) run(ctx context.Context, tr *trace.Trace, ro RunOpts) (_ *Result,
 		tr.AllocBytes = env.Allocated()
 		tr.Finish(time.Since(start))
 	}
-	return res, tr, nil
+	return res, nil
+}
+
+// newTrace starts the per-step trace of one run.
+func (p *Plan) newTrace(ctx context.Context) *trace.Trace {
+	backend := "compiled"
+	if p.opt.ForceBulk {
+		backend = "bulk-compiled"
+	}
+	return &trace.Trace{
+		Backend: backend,
+		Options: map[string]bool{
+			"predication":     p.opt.Predication,
+			"forcebulk":       p.opt.ForceBulk,
+			"scatterparallel": p.opt.ScatterParallel,
+		},
+		// A context-carried observer receives each step as it completes (the
+		// diagnostics server's live query progress).
+		OnStep: trace.ObserverFrom(ctx),
+	}
 }
 
 // traceStep converts one executed step plus the fragment stats it appended

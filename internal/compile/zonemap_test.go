@@ -34,7 +34,7 @@ func zoneDiff(t *testing.T, b *core.Builder, cat *storage.Catalog, opt Options) 
 	if err != nil {
 		t.Fatalf("compile: %v\nprogram:\n%s", err, p)
 	}
-	got, err := plan.Run()
+	got, err := plan.RunWith(context.Background(), RunOpts{})
 	if err != nil {
 		t.Fatalf("run: %v\nprogram:\n%s\nkernel:\n%s", err, p, plan.Kernel())
 	}
@@ -154,10 +154,11 @@ func TestZoneMapPrunedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tr, err := plan.RunTracedWith(context.Background(), RunOpts{})
+	res, err := plan.RunWith(context.Background(), RunOpts{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := res.Trace
 	found := false
 	for _, s := range tr.Steps {
 		if s.Kind == trace.KindPruned {

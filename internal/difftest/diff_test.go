@@ -7,7 +7,6 @@ import (
 
 	"voodoo/internal/compile"
 	"voodoo/internal/core"
-	"voodoo/internal/exec"
 	"voodoo/internal/interp"
 	"voodoo/internal/vector"
 )
@@ -27,17 +26,19 @@ var diffPool = vector.NewPool(0)
 // morsel-sweep combo runs with 4 workers across pathological morsel
 // sizes — results must stay bit-identical at every scheduling
 // granularity, or morsel claim order is leaking into results. The
-// specialize-sweep combo crosses specialization modes {off, batch-only,
-// full} with pathological morsel sizes — the interpreter is the
-// specialization layer's oracle, so results must stay bit-identical on
-// every (path, granularity) pair, or a batch primitive or fused fast
-// path diverged from per-element semantics.
+// specialize-sweep combo crosses specialization {off, on} with
+// pathological morsel sizes — the interpreter is the specialization
+// layer's oracle, so results must stay bit-identical on every (path,
+// granularity) pair, or a batch primitive diverged from per-element
+// semantics.
 var configs = []struct {
 	name    string
 	opt     compile.Options
 	pooled  bool
-	morsels []int           // when set, the plan runs once per morsel size
-	specs   []exec.SpecMode // when set, crossed with morsels (default: Auto)
+	morsels []int // when set, the plan runs once per morsel size
+	// noSpecialize, when set, is crossed with morsels (default:
+	// specialization on).
+	noSpecialize []bool
 }{
 	{name: "compiled", opt: compile.Options{}},
 	{name: "predicated", opt: compile.Options{Predication: true}},
@@ -46,14 +47,14 @@ var configs = []struct {
 	{name: "pooled", opt: compile.Options{}, pooled: true},
 	{name: "morsel-sweep", opt: compile.Options{Workers: 4}, morsels: []int{1, 7, 1024, 0}},
 	{name: "specialize-sweep", opt: compile.Options{Workers: 4}, morsels: []int{1, 7, 0},
-		specs: []exec.SpecMode{exec.SpecializeOff, exec.SpecializeBatchOnly, exec.SpecializeAuto}},
+		noSpecialize: []bool{true, false}},
 }
 
-// runPlan executes a compiled plan under the config's memory regime and
-// morsel size; the returned release func recycles pooled buffers and must
+// runPlan executes a compiled plan under the config's memory regime,
+// morsel size and specialization switch; the returned release func recycles pooled buffers and must
 // be called after the result has been compared (never before).
-func runPlan(ctx context.Context, plan *compile.Plan, pooled bool, morsel int, spec exec.SpecMode) (*compile.Result, func(), error) {
-	ro := compile.RunOpts{MorselSize: morsel, Specialize: spec}
+func runPlan(ctx context.Context, plan *compile.Plan, pooled bool, morsel int, noSpecialize bool) (*compile.Result, func(), error) {
+	ro := compile.RunOpts{MorselSize: morsel, NoSpecialize: noSpecialize}
 	if pooled {
 		ro.Pool = diffPool
 	}
@@ -105,15 +106,15 @@ func TestInterpVsCompiled(t *testing.T) {
 			if len(morsels) == 0 {
 				morsels = []int{0}
 			}
-			specs := cfg.specs
-			if len(specs) == 0 {
-				specs = []exec.SpecMode{exec.SpecializeAuto}
+			noSpecs := cfg.noSpecialize
+			if len(noSpecs) == 0 {
+				noSpecs = []bool{false}
 			}
 			if ierr != nil {
 				if cerr != nil {
 					continue
 				}
-				if _, release, rerr := runPlan(ctx, plan, cfg.pooled, morsels[0], specs[0]); rerr == nil {
+				if _, release, rerr := runPlan(ctx, plan, cfg.pooled, morsels[0], noSpecs[0]); rerr == nil {
 					release()
 					t.Errorf("seed %d %s: interpreter rejects the program (%v) but the compiled plan runs:\n%s",
 						seed, cfg.name, ierr, p.Prog)
@@ -127,24 +128,24 @@ func TestInterpVsCompiled(t *testing.T) {
 				continue
 			}
 			for _, morsel := range morsels {
-				for _, spec := range specs {
-					cres, release, rerr := runPlan(ctx, plan, cfg.pooled, morsel, spec)
+				for _, noSpec := range noSpecs {
+					cres, release, rerr := runPlan(ctx, plan, cfg.pooled, morsel, noSpec)
 					if rerr != nil {
-						t.Errorf("seed %d %s (morsel=%d spec=%d): run failed: %v\nprogram:\n%s", seed, cfg.name, morsel, spec, rerr, p.Prog)
+						t.Errorf("seed %d %s (morsel=%d no-specialize=%v): run failed: %v\nprogram:\n%s", seed, cfg.name, morsel, noSpec, rerr, p.Prog)
 						reported++
 						continue
 					}
 					for _, ref := range roots {
 						iv, cv := ires.Value(ref), cres.Values[ref]
 						if cv == nil {
-							t.Errorf("seed %d %s (morsel=%d spec=%d): root v%d missing from compiled result\nprogram:\n%s",
-								seed, cfg.name, morsel, spec, ref, p.Prog)
+							t.Errorf("seed %d %s (morsel=%d no-specialize=%v): root v%d missing from compiled result\nprogram:\n%s",
+								seed, cfg.name, morsel, noSpec, ref, p.Prog)
 							reported++
 							break
 						}
 						if !iv.Equal(cv) {
-							t.Errorf("seed %d %s (morsel=%d spec=%d): root v%d diverges\nprogram:\n%s\ninterp:\n%s\ncompiled:\n%s",
-								seed, cfg.name, morsel, spec, ref, p.Prog, iv, cv)
+							t.Errorf("seed %d %s (morsel=%d no-specialize=%v): root v%d diverges\nprogram:\n%s\ninterp:\n%s\ncompiled:\n%s",
+								seed, cfg.name, morsel, noSpec, ref, p.Prog, iv, cv)
 							reported++
 							break
 						}

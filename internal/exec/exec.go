@@ -48,8 +48,8 @@ var (
 // the governor had a wall-clock deadline installed and the run timed
 // out. Each entry point that installs Limits.Deadline calls it exactly
 // once per failed run (compile plans for the compiling backends, the
-// relational engine for the interpreter, RunContext for direct executor
-// users), so a query is never double-counted.
+// relational engine for the interpreter, Run for direct executor users),
+// so a query is never double-counted.
 func NoteDeadline(lim Limits, err error) {
 	if !lim.Deadline.IsZero() && errors.Is(err, context.DeadlineExceeded) {
 		exhaustedDeadline.Inc()
@@ -307,7 +307,7 @@ type FragStats struct {
 	// Wall is the fragment's measured wall-clock time; Workers is the
 	// number of goroutines that actually executed morsels of it (the
 	// submitter plus any pool workers that claimed work). Both are set by
-	// RunFragmentPar (not merged from workers).
+	// RunFragment (not merged from workers).
 	Wall    time.Duration
 	Workers int
 	// Morsels is the number of scheduling morsels the fragment was split
@@ -317,9 +317,8 @@ type FragStats struct {
 	Morsels   int
 	Imbalance float64
 
-	// Specialized records the execution path this run took ("fused",
-	// "batch" or "interp"); set by RunFragmentPar, not merged from
-	// workers.
+	// Specialized records the execution path this run took ("batch" or
+	// "interp"); set by RunFragment, not merged from workers.
 	Specialized string
 
 	Items int64 // loop iterations executed
@@ -383,30 +382,15 @@ func (fs *FragStats) merge(o *FragStats) {
 // gomaxprocs is the default worker count for the zero Par.Workers.
 func gomaxprocs() int { return runtime.GOMAXPROCS(0) }
 
-// Run executes every fragment of k against env using up to workers
-// goroutines (0 = GOMAXPROCS). When st is non-nil, event counts are
-// accumulated into it.
-func Run(k *kernel.Kernel, env *Env, workers int, st *Stats) error {
-	return RunContext(context.Background(), k, env, workers, st)
-}
-
-// RunContext is Run with cooperative cancellation: the context is checked
-// at every fragment boundary and every checkInterval work items inside
-// fragment loops, so a cancelled or deadline-expired query aborts
-// promptly instead of finishing all morsels. A non-zero env Deadline
-// limit is enforced as a context deadline.
-func RunContext(ctx context.Context, k *kernel.Kernel, env *Env, workers int, st *Stats) error {
-	return RunParContext(ctx, k, env, Par{Workers: workers}, st)
-}
-
-// RunPar is Run with explicit parallelism knobs (worker cap and morsel
-// size).
-func RunPar(k *kernel.Kernel, env *Env, par Par, st *Stats) error {
-	return RunParContext(context.Background(), k, env, par, st)
-}
-
-// RunParContext is RunContext with explicit parallelism knobs.
-func RunParContext(ctx context.Context, k *kernel.Kernel, env *Env, par Par, st *Stats) error {
+// Run executes every fragment of k against env under the parallelism knobs
+// in par (the zero Par means GOMAXPROCS workers, default morsels,
+// specialization on). When st is non-nil, event counts are accumulated into
+// it. Cancellation is cooperative: the context is checked at every fragment
+// boundary and every checkInterval work items inside fragment loops, so a
+// cancelled or deadline-expired query aborts promptly instead of finishing
+// all morsels. A non-zero env Deadline limit is enforced as a context
+// deadline.
+func Run(ctx context.Context, k *kernel.Kernel, env *Env, par Par, st *Stats) error {
 	if d := env.lim.Deadline; !d.IsZero() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, d)
@@ -423,7 +407,7 @@ func RunParContext(ctx context.Context, k *kernel.Kernel, env *Env, par Par, st 
 			})
 			fs = &st.Frags[len(st.Frags)-1]
 		}
-		if err := RunFragmentPar(ctx, f, env, par, fs); err != nil {
+		if err := RunFragment(ctx, f, env, par, fs); err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				NoteDeadline(env.lim, err)
 				return err
@@ -444,25 +428,14 @@ func RunParContext(ctx context.Context, k *kernel.Kernel, env *Env, par Par, st 
 
 // RunFragment executes a single fragment against env, accumulating event
 // counts into fs when non-nil. Used by Run and by the compiled plans, which
-// interleave fragments with bulk steps.
-func RunFragment(f *kernel.Fragment, env *Env, workers int, fs *FragStats) error {
-	return RunFragmentContext(context.Background(), f, env, workers, fs)
-}
-
-// RunFragmentContext is RunFragment with cancellation, panic isolation
-// and extent limiting. A panic in a worker goroutine is recovered into a
-// *PanicError instead of killing the process, and once one worker fails —
-// by error, panic or cancellation — the remaining workers stop at their
-// next checkpoint and no further morsels are claimed.
-func RunFragmentContext(ctx context.Context, f *kernel.Fragment, env *Env, workers int, fs *FragStats) error {
-	return RunFragmentPar(ctx, f, env, Par{Workers: workers}, fs)
-}
-
-// RunFragmentPar is RunFragmentContext with explicit parallelism knobs.
+// interleave fragments with bulk steps. A panic in a worker goroutine is
+// recovered into a *PanicError instead of killing the process, and once one
+// worker fails — by error, panic or cancellation — the remaining workers
+// stop at their next checkpoint and no further morsels are claimed.
 // Non-sequential fragments wider than one morsel run through the shared
 // morsel scheduler (see sched.go); the submitting goroutine always
 // participates, so progress never depends on pool availability.
-func RunFragmentPar(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs *FragStats) error {
+func RunFragment(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs *FragStats) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -489,12 +462,12 @@ func RunFragmentPar(ctx context.Context, f *kernel.Fragment, env *Env, par Par, 
 	}
 	par = par.norm()
 	nregs := maxReg(f) + 1
-	spec, path := resolveSpec(f, par.Spec, fs != nil, faultinject.Enabled())
+	batch, path := resolveSpec(f, par.NoSpecialize, fs != nil, faultinject.Enabled())
 	if fs != nil {
 		fs.Specialized = path
 	}
 	if f.Sequential() || par.Workers == 1 {
-		w := newWorker(ctx, f, env, nregs, fs != nil, nil, spec)
+		w := newWorker(ctx, f, env, nregs, fs != nil, nil, batch)
 		if err := protect(f.Name, func() error { return w.run(0, max(f.Extent, 1)) }); err != nil {
 			w.release()
 			return err
@@ -515,7 +488,7 @@ func RunFragmentPar(ctx context.Context, f *kernel.Fragment, env *Env, par Par, 
 	if f.Extent <= par.Morsel {
 		// A single morsel: the pool could not help, so run it inline and
 		// skip the publish/withdraw round trip.
-		w := newWorker(ctx, f, env, nregs, fs != nil, nil, spec)
+		w := newWorker(ctx, f, env, nregs, fs != nil, nil, batch)
 		err := protect(f.Name, func() error { return w.run(0, f.Extent) })
 		if err == nil && fs != nil {
 			fs.Workers, fs.Morsels, fs.Imbalance = 1, 1, 1
@@ -524,7 +497,7 @@ func RunFragmentPar(ctx context.Context, f *kernel.Fragment, env *Env, par Par, 
 		w.release()
 		return err
 	}
-	return runMorselParallel(ctx, f, env, par, nregs, spec, fs)
+	return runMorselParallel(ctx, f, env, par, nregs, batch, fs)
 }
 
 func maxReg(f *kernel.Fragment) kernel.Reg {
@@ -564,10 +537,9 @@ type worker struct {
 	scratch *scratch
 	count   bool
 	stats   FragStats
-	// batch/fused select the specialized execution path for this run (both
-	// nil = interpret); bst is the batch register-column state.
+	// batch selects the specialized execution path for this run (nil =
+	// interpret); bst is the batch register-column state.
 	batch *batchProg
-	fused fusedRunner
 	bst   bstate
 	// checks gates the checkpoint machinery: false means the fast path
 	// pays a single predictable branch per item and nothing else.
@@ -686,11 +658,11 @@ func (w *worker) release() {
 	w.ri, w.rf, w.locI, w.locF = nil, nil, nil, nil
 }
 
-func newWorker(ctx context.Context, f *kernel.Fragment, env *Env, nregs kernel.Reg, count bool, stop *atomic.Bool, spec specAssign) *worker {
+func newWorker(ctx context.Context, f *kernel.Fragment, env *Env, nregs kernel.Reg, count bool, stop *atomic.Bool, batch *batchProg) *worker {
 	sc := scratchPool.Get().(*scratch)
 	w := &worker{f: f, env: env, scratch: sc,
 		ri: sc.intSlice(&sc.ri, int(nregs)), rf: sc.floatSlice(&sc.rf, int(nregs)), count: count,
-		stop: stop, batch: spec.batch, fused: spec.fused}
+		stop: stop, batch: batch}
 	if ctx.Done() != nil {
 		w.ctx = ctx
 	}
@@ -741,12 +713,8 @@ func (w *worker) resetLocals() {
 }
 
 // run executes work items [lo, hi) through the path resolved for this
-// fragment run: a fused closure, batch primitives, or the per-element
-// interpreter.
+// fragment run: batch primitives or the per-element interpreter.
 func (w *worker) run(lo, hi int) error {
-	if w.fused != nil {
-		return w.fused(w, lo, hi)
-	}
 	if w.batch != nil {
 		return w.runBatch(lo, hi)
 	}
@@ -754,7 +722,7 @@ func (w *worker) run(lo, hi int) error {
 }
 
 // runInterp is the per-element instruction interpreter — the fallback for
-// exotic fragment shapes and the oracle the specialized paths are
+// batch-ineligible fragments and the oracle the batch path is
 // differentially tested against.
 func (w *worker) runInterp(lo, hi int) error {
 	f := w.f

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"voodoo/internal/kernel"
@@ -35,7 +36,7 @@ func runKernel(t *testing.T, k *kernel.Kernel, inputs map[string][]int64, worker
 			t.Fatal(err)
 		}
 	}
-	if err := Run(k, env, workers, st); err != nil {
+	if err := Run(context.Background(), k, env, Par{Workers: workers}, st); err != nil {
 		t.Fatal(err)
 	}
 	return env
@@ -271,7 +272,7 @@ func TestRandomAccessHistogram(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st Stats
-	if err := Run(k, env, 1, &st); err != nil {
+	if err := Run(context.Background(), k, env, Par{Workers: 1}, &st); err != nil {
 		t.Fatal(err)
 	}
 	fs := st.Frags[0]
@@ -306,7 +307,7 @@ func TestOutOfBoundsLoadErrors(t *testing.T) {
 	if err := env.Bind(k, "in", &Buffer{Kind: vector.Int, I: []int64{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Run(k, env, 1, nil); err == nil {
+	if err := Run(context.Background(), k, env, Par{Workers: 1}, nil); err == nil {
 		t.Fatal("expected out-of-bounds error")
 	}
 }

@@ -47,7 +47,7 @@ func TestCancelledContextAbortsBeforeWork(t *testing.T) {
 	bindIn(t, k, env, 1024)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := RunContext(ctx, k, env, 4, nil); !errors.Is(err, context.Canceled) {
+	if err := Run(ctx, k, env, Par{Workers: 4}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -71,7 +71,7 @@ func TestCancelAbortsMultiFragmentRunEarly(t *testing.T) {
 			}
 		},
 	})
-	err := RunContext(ctx, k, env, 4, nil)
+	err := Run(ctx, k, env, Par{Workers: 4}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -94,7 +94,7 @@ func TestDeadlineLimitExpires(t *testing.T) {
 		t.Fatal(err)
 	}
 	bindIn(t, k, env, n)
-	if err := RunContext(context.Background(), k, env, 2, nil); !errors.Is(err, context.DeadlineExceeded) {
+	if err := Run(context.Background(), k, env, Par{Workers: 2}, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -114,7 +114,7 @@ func TestPanicIsolatedToPanicError(t *testing.T) {
 			}
 		},
 	})
-	err := RunContext(context.Background(), k, env, 4, nil)
+	err := Run(context.Background(), k, env, Par{Workers: 4}, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v (%T), want *PanicError", err, err)
@@ -144,7 +144,7 @@ func TestPanicIsolatedSequentialFragment(t *testing.T) {
 	faultinject.With(t, faultinject.Hooks{
 		Item: func(frag string, gid int) { panic("seq bug") },
 	})
-	err := RunContext(context.Background(), k, env, 1, nil)
+	err := Run(context.Background(), k, env, Par{Workers: 1}, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Fragment != "seq" {
 		t.Fatalf("err = %v, want *PanicError in seq", err)
@@ -169,7 +169,7 @@ func TestParallelStopsAfterFailure(t *testing.T) {
 		},
 	})
 	start := time.Now()
-	err := RunContext(context.Background(), k, env, 4, nil)
+	err := Run(context.Background(), k, env, Par{Workers: 4}, nil)
 	elapsed := time.Since(start)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -192,7 +192,7 @@ func TestResourceGovernorMaxBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	bindIn(t, k, env, 1024)
-	if err := RunContext(context.Background(), k, env, 2, nil); err != nil {
+	if err := Run(context.Background(), k, env, Par{Workers: 2}, nil); err != nil {
 		t.Fatalf("within budget: %v", err)
 	}
 }
@@ -204,7 +204,7 @@ func TestResourceGovernorMaxExtent(t *testing.T) {
 		t.Fatal(err)
 	}
 	bindIn(t, k, env, 1024)
-	if err := RunContext(context.Background(), k, env, 2, nil); !errors.Is(err, ErrResourceExhausted) {
+	if err := Run(context.Background(), k, env, Par{Workers: 2}, nil); !errors.Is(err, ErrResourceExhausted) {
 		t.Fatalf("err = %v, want ErrResourceExhausted", err)
 	}
 }
@@ -243,7 +243,7 @@ func TestRunUnchangedWithoutLimits(t *testing.T) {
 	if err := env.Bind(k, "in", &Buffer{Kind: vector.Int, I: vals}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Run(k, env, 3, nil); err != nil {
+	if err := Run(context.Background(), k, env, Par{Workers: 3}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range env.Bufs[1].I {

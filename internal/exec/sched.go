@@ -65,10 +65,10 @@ type Par struct {
 	// trades scheduling overhead (small morsels) against skew absorption
 	// (large morsels).
 	Morsel int
-	// Spec selects how much fragment specialization applies (see
-	// SpecMode). Results are bit-identical across every mode; SpecializeOff
-	// is the -no-specialize escape hatch and the differential-test oracle.
-	Spec SpecMode
+	// NoSpecialize forces the per-element interpreter for every fragment
+	// (the -no-specialize escape hatch and the differential-test oracle).
+	// Results are bit-identical either way.
+	NoSpecialize bool
 }
 
 // norm resolves the zero values.
@@ -78,9 +78,6 @@ func (p Par) norm() Par {
 	}
 	if p.Morsel <= 0 {
 		p.Morsel = DefaultMorsel
-	}
-	if p.Spec == SpecializeAuto && specDefaultOff.Load() {
-		p.Spec = SpecializeOff
 	}
 	return p
 }
@@ -179,9 +176,9 @@ type job struct {
 	count  bool
 	ctx    context.Context
 	morsel int
-	// spec is the fragment's resolved execution path; every participant
-	// (submitter and helpers) runs the same code.
-	spec specAssign
+	// batch is the fragment's resolved execution path (nil = interpret);
+	// every participant (submitter and helpers) runs the same code.
+	batch *batchProg
 	// nMorsels is the ticket space; next is the claim counter.
 	nMorsels int64
 	next     atomic.Int64
@@ -323,7 +320,7 @@ func (s *scheduler) workerLoop() {
 				j.helpers++
 				j.wg.Add(1)
 				s.mu.Unlock()
-				w := newWorker(j.ctx, j.f, j.env, j.nregs, j.count, &j.stop, j.spec)
+				w := newWorker(j.ctx, j.f, j.env, j.nregs, j.count, &j.stop, j.batch)
 				// CPU profiles served from /debug/pprof attribute helper
 				// samples to the fragment being executed.
 				pprof.Do(j.ctx, pprof.Labels("fragment", j.f.Name), func(context.Context) {
@@ -351,11 +348,11 @@ func (s *scheduler) workerLoop() {
 // never depends on pool availability) while up to par.Workers-1 pool
 // workers join it. Caller guarantees par is normalized, par.Workers > 1
 // and the fragment spans more than one morsel.
-func runMorselParallel(ctx context.Context, f *kernel.Fragment, env *Env, par Par, nregs kernel.Reg, spec specAssign, fs *FragStats) error {
+func runMorselParallel(ctx context.Context, f *kernel.Fragment, env *Env, par Par, nregs kernel.Reg, batch *batchProg, fs *FragStats) error {
 	nMorsels := int64((f.Extent + par.Morsel - 1) / par.Morsel)
 	j := &job{
 		f: f, env: env, nregs: nregs, count: fs != nil, ctx: ctx,
-		morsel: par.Morsel, nMorsels: nMorsels, spec: spec,
+		morsel: par.Morsel, nMorsels: nMorsels, batch: batch,
 	}
 	// The submitter occupies one worker slot; helpers beyond the morsel
 	// count could never claim anything.
@@ -364,7 +361,7 @@ func runMorselParallel(ctx context.Context, f *kernel.Fragment, env *Env, par Pa
 		sched.publish(j)
 	}
 
-	w := newWorker(ctx, f, env, nregs, fs != nil, &j.stop, spec)
+	w := newWorker(ctx, f, env, nregs, fs != nil, &j.stop, batch)
 	// Label the submitter's share too, so profiles attribute parallel
 	// fragment execution per fragment regardless of who claims the morsel.
 	pprof.Do(ctx, pprof.Labels("fragment", f.Name), func(context.Context) {

@@ -28,7 +28,7 @@ func staticChunkRun(t *testing.T, f *kernel.Fragment, env *Env, workers int) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			w := newWorker(context.Background(), f, env, nregs, false, &stop, specAssign{})
+			w := newWorker(context.Background(), f, env, nregs, false, &stop, nil)
 			if err := protect(f.Name, func() error { return w.run(lo, hi) }); err != nil {
 				t.Error(err)
 			}
@@ -74,7 +74,7 @@ func TestSkewStressBeatsStaticChunking(t *testing.T) {
 	clear(env.Bufs[1].I)
 	var fs FragStats
 	start = time.Now()
-	if err := RunFragmentPar(context.Background(), f, env, Par{Workers: workers, Morsel: 1024}, &fs); err != nil {
+	if err := RunFragment(context.Background(), f, env, Par{Workers: workers, Morsel: 1024}, &fs); err != nil {
 		t.Fatal(err)
 	}
 	morselElapsed := time.Since(start)
@@ -119,7 +119,7 @@ func TestUniformLoadBalancesMorselCounts(t *testing.T) {
 	})
 
 	var fs FragStats
-	if err := RunFragmentPar(context.Background(), k.Frags[0], env, Par{Workers: workers, Morsel: 1024}, &fs); err != nil {
+	if err := RunFragment(context.Background(), k.Frags[0], env, Par{Workers: workers, Morsel: 1024}, &fs); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("workers=%d morsels=%d imbalance=%.2f", fs.Workers, fs.Morsels, fs.Imbalance)
@@ -148,7 +148,7 @@ func TestMorselSizeDeterminism(t *testing.T) {
 		if err := env.Bind(k, "in", &Buffer{Kind: vector.Int, I: vals}); err != nil {
 			t.Fatal(err)
 		}
-		if err := RunParContext(context.Background(), k, env, Par{Workers: 4, Morsel: morsel}, nil); err != nil {
+		if err := Run(context.Background(), k, env, Par{Workers: 4, Morsel: morsel}, nil); err != nil {
 			t.Fatalf("morsel=%d: %v", morsel, err)
 		}
 		got := env.Bufs[1].I
@@ -191,7 +191,7 @@ func TestConcurrentQueriesSharedPool(t *testing.T) {
 					errc <- err
 					return
 				}
-				if err := RunParContext(context.Background(), k, env, Par{Workers: 4, Morsel: 512}, nil); err != nil {
+				if err := Run(context.Background(), k, env, Par{Workers: 4, Morsel: 512}, nil); err != nil {
 					errc <- err
 					return
 				}
@@ -223,7 +223,7 @@ func TestQuiesceSchedulerStopsAndRestarts(t *testing.T) {
 	run := func() {
 		env := NewEnv(k)
 		bindIn(t, k, env, n)
-		if err := RunParContext(context.Background(), k, env, Par{Workers: 4, Morsel: 512}, nil); err != nil {
+		if err := Run(context.Background(), k, env, Par{Workers: 4, Morsel: 512}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,7 +266,7 @@ func TestQuiesceDuringRun(t *testing.T) {
 	for it := 0; it < 10; it++ {
 		env := NewEnv(k)
 		bindIn(t, k, env, n)
-		if err := RunParContext(context.Background(), k, env, Par{Workers: 4, Morsel: 512}, nil); err != nil {
+		if err := Run(context.Background(), k, env, Par{Workers: 4, Morsel: 512}, nil); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range env.Bufs[1].I {
@@ -300,7 +300,7 @@ func TestMorselClaimFaultHook(t *testing.T) {
 			}
 		},
 	})
-	err := RunParContext(context.Background(), k, env, Par{Workers: 4, Morsel: 1024}, nil)
+	err := Run(context.Background(), k, env, Par{Workers: 4, Morsel: 1024}, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v (%T), want *PanicError", err, err)

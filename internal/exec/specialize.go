@@ -1,24 +1,19 @@
-// Fragment specialization: compiled batch primitives and fused fast paths.
+// Fragment specialization: compiled batch primitives.
 //
 // The interpreter in exec.go dispatches through a switch statement once per
 // instruction per element — O(items × instrs) dispatches. The paper's whole
 // point is that fragments are fused, function-call-free kernels, so this
-// file compiles each fragment once (cached on the *kernel.Fragment,
-// concurrency-safe) into one of two faster forms:
+// file compiles each eligible fragment once (cached on the
+// *kernel.Fragment, concurrency-safe) into batch primitives: one tight Go
+// loop per instruction over a morsel-sized batch of register columns.
+// Dispatch cost drops to O(batches × instrs); the loops are
+// bounds-check-friendly and auto-vectorizable. IGuard is handled by
+// compacting a selection mask, so predication never branches on data inside
+// a primitive.
 //
-//   - batch primitives: one tight Go loop per instruction over a
-//     morsel-sized batch of register columns. Dispatch cost drops to
-//     O(batches × instrs); the loops are bounds-check-friendly and
-//     auto-vectorizable. IGuard is handled by compacting a selection mask,
-//     so predication never branches on data inside a primitive.
-//   - fused fast paths: single hand-fused closures for the hottest shapes
-//     mined from TPC-H traces — load→compare→guard→store selection,
-//     load→arith→store maps, and the FoldSum/FoldMin/FoldMax accumulate
-//     loops.
-//
-// The per-element interpreter remains as the fallback for exotic sequences
-// and as the oracle for differential testing (difftest combo #7 sweeps all
-// modes against it).
+// The per-element interpreter remains as the fallback for ineligible
+// fragments and as the oracle for differential testing (difftest combo #7
+// sweeps specialization on and off against it).
 //
 // Contracts preserved exactly: cancellation checkpoints each ~1024 items
 // (tickN retires a batch's budget at once), governor Limits, panics →
@@ -29,58 +24,27 @@
 //
 // Measurement fidelity: the interpreter's Near/Rand access classification
 // is execution-order-sensitive (an 8-line LRU per buffer), and batch
-// execution visits memory instruction-major instead of element-major. A
-// specialized path is therefore only used for a *counted* run when every
-// memory access it compiles is sequential, where the counts are
-// order-independent; otherwise counted runs fall back to the interpreter
-// so simulated device times never drift. Fault-injection hooks replay
-// per-item state the compiled paths do not model, so any enabled hook also
-// forces the interpreter.
+// execution visits memory instruction-major instead of element-major. The
+// batch path is therefore only used for a *counted* run when every memory
+// access it compiles is sequential, where the counts are order-independent;
+// otherwise counted runs fall back to the interpreter so simulated device
+// times never drift. Fault-injection hooks replay per-item state the batch
+// path does not model, so any enabled hook also forces the interpreter.
 package exec
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"voodoo/internal/kernel"
 	"voodoo/internal/metrics"
 	"voodoo/internal/verify"
 )
 
-// SpecMode selects how much fragment specialization the executor applies.
-type SpecMode uint8
-
-const (
-	// SpecializeAuto (the zero value) uses fused fast paths where a shape
-	// matches, batch primitives where eligible, and the interpreter
-	// otherwise.
-	SpecializeAuto SpecMode = iota
-	// SpecializeOff always interprets — the -no-specialize escape hatch
-	// and the differential-test oracle.
-	SpecializeOff
-	// SpecializeBatchOnly uses batch primitives but never fused closures;
-	// difftest uses it to exercise the batch compiler on hot shapes that
-	// would otherwise take the fused path.
-	SpecializeBatchOnly
-)
-
-// specDefaultOff, when set, resolves SpecializeAuto to SpecializeOff
-// process-wide. It backs the -no-specialize flag of binaries that call
-// the executor through APIs without a per-run mode (voodoo-bench).
-var specDefaultOff atomic.Bool
-
-// SetSpecializeDefault turns fragment specialization on (the default) or
-// off process-wide for runs that leave Par.Spec at SpecializeAuto.
-// Explicit per-run modes are unaffected.
-func SetSpecializeDefault(on bool) { specDefaultOff.Store(!on) }
-
 // Specialization observability: every fragment execution counts the path
-// it actually took. All three series are pre-created so they exist at
-// zero.
+// it actually took. Both series are pre-created so they exist at zero.
 var (
 	specializedVec = metrics.NewCounterVec("voodoo_fragments_specialized_total",
-		"Fragment executions by execution path: fused closure, batch primitives, or the per-element interpreter.", "path")
-	specFusedC  = specializedVec.With("fused")
+		"Fragment executions by execution path: batch primitives or the per-element interpreter.", "path")
 	specBatchC  = specializedVec.With("batch")
 	specInterpC = specializedVec.With("interp")
 )
@@ -90,61 +54,32 @@ var (
 // preserving the interpreter's cancellation latency.
 const specBatchN = checkInterval
 
-// specProgram is the cached compilation of one fragment, stored on the
-// Fragment via kernel.StoreSpec.
-type specProgram struct {
-	batch *batchProg  // nil when the fragment is not batch-eligible
-	fused fusedRunner // nil when no fused shape matched
-	// fusedCountable / batch.countable report whether the path's event
-	// counts are exact (all accesses sequential); counted runs of
-	// non-countable fragments use the interpreter.
-	fusedCountable bool
-}
-
-// fusedRunner executes work items [lo, hi) of a fragment as a single
-// hand-fused loop.
-type fusedRunner func(w *worker, lo, hi int) error
-
-// specAssign is the path resolution for one fragment run, threaded to
-// every participating worker (the submitter and all pool helpers claim
-// morsels of the same job, so all must run the same code).
-type specAssign struct {
-	batch *batchProg
-	fused fusedRunner
-}
-
-// specFor returns the fragment's cached specialization, compiling it on
-// first use. Racing first executions compile redundantly but store
-// identical content.
-func specFor(f *kernel.Fragment) *specProgram {
+// specFor returns the fragment's cached batch compilation (nil when the
+// fragment is not batch-eligible), compiling it on first use. Racing first
+// executions compile redundantly but store identical content.
+func specFor(f *kernel.Fragment) *batchProg {
 	if v := f.LoadSpec(); v != nil {
-		return v.(*specProgram)
+		return v.(*batchProg)
 	}
-	sp := &specProgram{batch: compileBatch(f)}
-	sp.fused, sp.fusedCountable = matchFused(f)
-	f.StoreSpec(sp)
-	return sp
+	bp := compileBatch(f)
+	f.StoreSpec(bp) // a nil *batchProg records "compiled, not eligible"
+	return bp
 }
 
-// resolveSpec picks the execution path for one fragment run and counts it.
+// resolveSpec picks the execution path for one fragment run and counts it:
+// the batch program every participating worker must run (the submitter and
+// all pool helpers claim morsels of the same job), or nil to interpret.
 // counting reports whether this run accumulates FragStats (which demands
 // exact event counts from the chosen path).
-func resolveSpec(f *kernel.Fragment, mode SpecMode, counting, faults bool) (specAssign, string) {
-	if mode == SpecializeOff || faults {
-		specInterpC.Inc()
-		return specAssign{}, "interp"
-	}
-	sp := specFor(f)
-	if sp.fused != nil && mode != SpecializeBatchOnly && (!counting || sp.fusedCountable) {
-		specFusedC.Inc()
-		return specAssign{fused: sp.fused}, "fused"
-	}
-	if sp.batch != nil && (!counting || sp.batch.countable) {
-		specBatchC.Inc()
-		return specAssign{batch: sp.batch}, "batch"
+func resolveSpec(f *kernel.Fragment, noSpecialize, counting, faults bool) (*batchProg, string) {
+	if !noSpecialize && !faults {
+		if bp := specFor(f); bp != nil && (!counting || bp.countable) {
+			specBatchC.Inc()
+			return bp, "batch"
+		}
 	}
 	specInterpC.Inc()
-	return specAssign{}, "interp"
+	return nil, "interp"
 }
 
 // ---------------------------------------------------------------------------
@@ -250,7 +185,7 @@ func (w *worker) attachBatch(bp *batchProg) {
 }
 
 // tickN retires n items' worth of checkpoint budget at once — the batch
-// paths' replacement for per-item tick. Specialized paths never run with
+// path's replacement for per-item tick. The batch path never runs with
 // fault injection enabled (resolveSpec falls back to the interpreter), so
 // the per-item hook is not replayed here.
 func (w *worker) tickN(n int) error {
@@ -315,7 +250,7 @@ func (w *worker) runBatch(lo, hi int) error {
 }
 
 // countSeqAccess mirrors the interpreter's countAccess for the sequential
-// accesses the countable batch paths compile, over lanes active lanes.
+// accesses a countable batch program compiles, over lanes active lanes.
 func (w *worker) countSeqAccess(in kernel.Instr, buf *Buffer, lanes int64) {
 	if !w.count {
 		return

@@ -11,16 +11,16 @@ import (
 )
 
 // specKernel is one differential case: a kernel builder plus its inputs.
-// Builders return fresh kernels so each mode run starts from an
-// uncompiled fragment cache where the test wants that.
+// Builders return fresh kernels so each run starts from an uncompiled
+// fragment cache where the test wants that.
 type specKernel struct {
 	name  string
 	build func() *kernel.Kernel
 	in    map[string]*Buffer
 }
 
-// selectKernel is the canonical TPC-H selection shape the fused path
-// targets: load → compare against a constant → guard → store.
+// selectKernel is the canonical TPC-H selection shape: load → compare
+// against a constant → guard → store.
 func selectKernel(n int, cut int64) *kernel.Kernel {
 	k := &kernel.Kernel{}
 	in := k.AddBuf(kernel.BufDecl{Name: "in", Kind: vector.Int, Size: n, Input: true})
@@ -40,7 +40,7 @@ func selectKernel(n int, cut int64) *kernel.Kernel {
 	return k
 }
 
-// mapFloatKernel is the fused map shape in the float domain.
+// mapFloatKernel is the canonical map shape in the float domain.
 func mapFloatKernel(n int) *kernel.Kernel {
 	k := &kernel.Kernel{}
 	in := k.AddBuf(kernel.BufDecl{Name: "in", Kind: vector.Float, Size: n, Input: true})
@@ -58,11 +58,12 @@ func mapFloatKernel(n int) *kernel.Kernel {
 	return k
 }
 
-// foldKernel is the fused fold shape: Pre seeds an accumulator, the loop
-// accumulates with op, Post stores one partial per work item. With
-// strided set, lane g visits g, g+extent, ...; otherwise runs are
-// blocked. n need not divide evenly (the ragged tail exercises the effN
-// clamp).
+// foldKernel is the fold shape, which has no batch form (the accumulator
+// carries across loop iterations) and so interprets with specialization
+// on: Pre seeds an accumulator, the loop accumulates with op, Post stores
+// one partial per work item. With strided set, lane g visits g, g+extent,
+// ...; otherwise runs are blocked. n need not divide evenly (a ragged
+// tail).
 func foldKernel(n, extent int, op kernel.BinOp, strided bool) *kernel.Kernel {
 	k := &kernel.Kernel{}
 	in := k.AddBuf(kernel.BufDecl{Name: "in", Kind: vector.Int, Size: n, Input: true})
@@ -105,8 +106,7 @@ func gatherKernel(n int) *kernel.Kernel {
 }
 
 // mixedKernel chains validity loads, predicates, branch-free selection,
-// both cast directions, and a second guarded store — a batch-eligible
-// sequence no fused shape matches.
+// both cast directions, and a second guarded store.
 func mixedKernel(n int) *kernel.Kernel {
 	k := &kernel.Kernel{}
 	in := k.AddBuf(kernel.BufDecl{Name: "in", Kind: vector.Int, Size: n, Input: true})
@@ -143,9 +143,9 @@ func seqInts(n int) []int64 {
 	return v
 }
 
-// runSpecMode executes k with par on fresh output buffers and returns the
+// runSpec executes k with par on fresh output buffers and returns the
 // environment.
-func runSpecMode(t *testing.T, k *kernel.Kernel, in map[string]*Buffer, par Par) *Env {
+func runSpec(t *testing.T, k *kernel.Kernel, in map[string]*Buffer, par Par) *Env {
 	t.Helper()
 	env := NewEnv(k)
 	for name, buf := range in {
@@ -153,7 +153,7 @@ func runSpecMode(t *testing.T, k *kernel.Kernel, in map[string]*Buffer, par Par)
 			t.Fatal(err)
 		}
 	}
-	if err := RunPar(k, env, par, nil); err != nil {
+	if err := Run(context.Background(), k, env, par, nil); err != nil {
 		t.Fatal(err)
 	}
 	return env
@@ -188,8 +188,8 @@ func requireSameBufs(t *testing.T, k *kernel.Kernel, want, got *Env, label strin
 }
 
 // TestSpecializeModesBitIdentical is the in-package half of difftest
-// combo #7: for every representative fragment shape, every specialization
-// mode × morsel size × worker count produces buffers bit-identical to the
+// combo #7: for every representative fragment shape, specialization on at
+// every morsel size × worker count produces buffers bit-identical to the
 // interpreter's.
 func TestSpecializeModesBitIdentical(t *testing.T) {
 	n := 3000 // spans multiple 1024-lane batches with a ragged tail
@@ -223,46 +223,43 @@ func TestSpecializeModesBitIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := tc.build()
-			oracle := runSpecMode(t, k, tc.in, Par{Workers: 1, Spec: SpecializeOff})
-			for _, spec := range []SpecMode{SpecializeBatchOnly, SpecializeAuto} {
-				for _, morsel := range []int{1, 7, 0} {
-					for _, workers := range []int{1, 4} {
-						got := runSpecMode(t, k, tc.in, Par{Workers: workers, Morsel: morsel, Spec: spec})
-						requireSameBufs(t, k, oracle, got, tc.name)
-					}
+			oracle := runSpec(t, k, tc.in, Par{Workers: 1, NoSpecialize: true})
+			for _, morsel := range []int{1, 7, 0} {
+				for _, workers := range []int{1, 4} {
+					got := runSpec(t, k, tc.in, Par{Workers: workers, Morsel: morsel})
+					requireSameBufs(t, k, oracle, got, tc.name)
 				}
 			}
 		})
 	}
 }
 
-// TestResolveSpecPaths pins the path-resolution policy: fused beats batch
-// beats interp, BatchOnly skips fused, Off and fault injection force the
-// interpreter, and counted runs refuse paths with inexact event counts.
+// TestResolveSpecPaths pins the path-resolution policy: batch where
+// eligible, NoSpecialize and fault injection force the interpreter, and
+// counted runs refuse a batch program with inexact event counts.
 func TestResolveSpecPaths(t *testing.T) {
 	sel := selectKernel(64, 10).Frags[0]
 	gather := gatherKernel(64).Frags[0]
 	fold := foldKernel(64, 4, kernel.BAdd, false).Frags[0]
 	for _, tc := range []struct {
-		name     string
-		f        *kernel.Fragment
-		mode     SpecMode
-		counting bool
-		faults   bool
-		want     string
+		name         string
+		f            *kernel.Fragment
+		noSpecialize bool
+		counting     bool
+		faults       bool
+		want         string
 	}{
-		{"select-auto", sel, SpecializeAuto, false, false, "fused"},
-		{"select-batch-only", sel, SpecializeBatchOnly, false, false, "batch"},
-		{"select-off", sel, SpecializeOff, false, false, "interp"},
-		{"select-faults", sel, SpecializeAuto, false, true, "interp"},
-		{"select-counted", sel, SpecializeAuto, true, false, "fused"}, // all-seq: counts exact
-		{"gather-auto", gather, SpecializeAuto, false, false, "batch"},
-		{"gather-counted", gather, SpecializeAuto, true, false, "interp"}, // random access: counts order-sensitive
-		{"fold-auto", fold, SpecializeAuto, false, false, "fused"},
-		{"fold-batch-only", fold, SpecializeBatchOnly, false, false, "interp"}, // accumulator carries across items
+		{"select", sel, false, false, false, "batch"},
+		{"select-off", sel, true, false, false, "interp"},
+		{"select-faults", sel, false, false, true, "interp"},
+		{"select-counted", sel, false, true, false, "batch"}, // all-seq: counts exact
+		{"gather", gather, false, false, false, "batch"},
+		{"gather-counted", gather, false, true, false, "interp"}, // random access: counts order-sensitive
+		{"fold", fold, false, false, false, "interp"},            // accumulator carries across items
 	} {
-		if _, got := resolveSpec(tc.f, tc.mode, tc.counting, tc.faults); got != tc.want {
-			t.Errorf("%s: path = %q, want %q", tc.name, got, tc.want)
+		bp, got := resolveSpec(tc.f, tc.noSpecialize, tc.counting, tc.faults)
+		if got != tc.want || (bp != nil) != (tc.want == "batch") {
+			t.Errorf("%s: path = %q (batch program %v), want %q", tc.name, got, bp != nil, tc.want)
 		}
 	}
 }
@@ -318,8 +315,17 @@ func TestSpecializeCacheOnFragment(t *testing.T) {
 	if f.LoadSpec() == nil {
 		t.Error("spec not stored on the fragment")
 	}
-	if sp1.fused == nil || sp1.batch == nil {
-		t.Error("canonical selection should compile both fused and batch forms")
+	if sp1 == nil {
+		t.Error("canonical selection should compile to batch primitives")
+	}
+	// An ineligible fragment caches its rejection too, so it is analysed
+	// once rather than on every execution.
+	fold := foldKernel(64, 4, kernel.BAdd, false).Frags[0]
+	if specFor(fold) != nil {
+		t.Error("fold should not be batch-eligible")
+	}
+	if fold.LoadSpec() == nil {
+		t.Error("ineligibility not cached on the fragment")
 	}
 }
 
@@ -341,7 +347,7 @@ func TestFragmentFingerprint(t *testing.T) {
 	}
 }
 
-// TestSpecializeCancellation: specialized paths honor cancellation at the
+// TestSpecializeCancellation: the batch path honors cancellation at the
 // same checkpoints as the interpreter.
 func TestSpecializeCancellation(t *testing.T) {
 	n := 1 << 16
@@ -352,7 +358,7 @@ func TestSpecializeCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := RunParContext(ctx, k, env, Par{Workers: 2, Spec: SpecializeAuto}, nil)
+	err := Run(ctx, k, env, Par{Workers: 2}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -378,15 +384,15 @@ func TestSpecializeErrorParity(t *testing.T) {
 		})
 		return k
 	}
-	run := func(spec SpecMode) error {
+	run := func(noSpecialize bool) error {
 		k := build()
 		env := NewEnv(k)
 		if err := env.Bind(k, "in", &Buffer{Kind: vector.Int, I: seqInts(n)}); err != nil {
 			t.Fatal(err)
 		}
-		return RunPar(k, env, Par{Workers: 1, Spec: spec}, nil)
+		return Run(context.Background(), k, env, Par{Workers: 1, NoSpecialize: noSpecialize}, nil)
 	}
-	want, got := run(SpecializeOff), run(SpecializeAuto)
+	want, got := run(true), run(false)
 	if want == nil || got == nil {
 		t.Fatalf("both paths should fail: interp=%v batch=%v", want, got)
 	}
@@ -396,25 +402,25 @@ func TestSpecializeErrorParity(t *testing.T) {
 }
 
 // TestSpecializeCountedRunsMatchInterpreter: when a counted run does take
-// a specialized path (all accesses sequential), every event count matches
-// the interpreter's exactly — the device cost models depend on it.
+// the batch path (all accesses sequential), every event count matches the
+// interpreter's exactly — the device cost models depend on it.
 func TestSpecializeCountedRunsMatchInterpreter(t *testing.T) {
 	n := 3000
-	run := func(spec SpecMode) FragStats {
+	run := func(noSpecialize bool) FragStats {
 		k := selectKernel(n, 40)
 		env := NewEnv(k)
 		if err := env.Bind(k, "in", &Buffer{Kind: vector.Int, I: seqInts(n)}); err != nil {
 			t.Fatal(err)
 		}
 		var st Stats
-		if err := RunPar(k, env, Par{Workers: 2, Spec: spec}, &st); err != nil {
+		if err := Run(context.Background(), k, env, Par{Workers: 2, NoSpecialize: noSpecialize}, &st); err != nil {
 			t.Fatal(err)
 		}
 		return st.Frags[0]
 	}
-	want, got := run(SpecializeOff), run(SpecializeAuto)
-	if got.Specialized != "fused" {
-		t.Fatalf("counted all-sequential selection ran %q, want fused", got.Specialized)
+	want, got := run(true), run(false)
+	if got.Specialized != "batch" {
+		t.Fatalf("counted all-sequential selection ran %q, want batch", got.Specialized)
 	}
 	type counts struct {
 		Items, StoreBytes, IntOps, FloatOps, SeqBytes, Rand, Near, Guards, GuardsPass int64
@@ -424,23 +430,6 @@ func TestSpecializeCountedRunsMatchInterpreter(t *testing.T) {
 			fs.SeqBytes, fs.RandAccesses, fs.NearAccesses, fs.Guards, fs.GuardsPass}
 	}
 	if c(want) != c(got) {
-		t.Errorf("event counts diverged:\ninterp: %+v\nfused:  %+v", c(want), c(got))
-	}
-}
-
-// TestSetSpecializeDefault: the process-wide default only rewrites
-// SpecializeAuto; explicit modes are untouched.
-func TestSetSpecializeDefault(t *testing.T) {
-	SetSpecializeDefault(false)
-	defer SetSpecializeDefault(true)
-	if got := (Par{}).norm().Spec; got != SpecializeOff {
-		t.Errorf("norm Spec = %v with default off, want SpecializeOff", got)
-	}
-	if got := (Par{Spec: SpecializeBatchOnly}).norm().Spec; got != SpecializeBatchOnly {
-		t.Errorf("norm rewrote an explicit mode to %v", got)
-	}
-	SetSpecializeDefault(true)
-	if got := (Par{}).norm().Spec; got != SpecializeAuto {
-		t.Errorf("norm Spec = %v with default on, want SpecializeAuto", got)
+		t.Errorf("event counts diverged:\ninterp: %+v\nbatch:  %+v", c(want), c(got))
 	}
 }

@@ -108,10 +108,15 @@ func RunPooledContext(ctx context.Context, p *core.Program, st Storage, pool *ve
 	return res, nil
 }
 
-// RunTracedPooledContext is RunTracedContext with pooled intermediates;
-// see RunPooledContext for the ownership contract.
+// RunTracedPooledContext is RunPooledContext with per-statement tracing:
+// every statement becomes one trace step carrying its wall time, output
+// length, and materialized bytes — the bulk-processing profile the
+// compiling backend's fused fragments are measured against. The returned
+// trace is owned by the caller.
 func RunTracedPooledContext(ctx context.Context, p *core.Program, st Storage, pool *vector.Pool) (*Result, *trace.Trace, error) {
 	ar := pool.NewArena()
+	// A context-carried observer receives each statement's step as it
+	// completes (the diagnostics server's live query progress).
 	res, tr, err := runContext(ctx, p, st,
 		&trace.Trace{Backend: "interpreted", OnStep: trace.ObserverFrom(ctx)}, ar)
 	if err != nil {
@@ -131,17 +136,6 @@ func RunTracedPooledContext(ctx context.Context, p *core.Program, st Storage, po
 func RunContext(ctx context.Context, p *core.Program, st Storage) (res *Result, err error) {
 	res, _, err = runContext(ctx, p, st, nil, nil)
 	return res, err
-}
-
-// RunTracedContext is RunContext with per-statement tracing: every
-// statement becomes one trace step carrying its wall time, output length,
-// and materialized bytes — the bulk-processing profile the compiling
-// backend's fused fragments are measured against. The returned trace is
-// owned by the caller.
-func RunTracedContext(ctx context.Context, p *core.Program, st Storage) (*Result, *trace.Trace, error) {
-	// A context-carried observer receives each statement's step as it
-	// completes (the diagnostics server's live query progress).
-	return runContext(ctx, p, st, &trace.Trace{Backend: "interpreted", OnStep: trace.ObserverFrom(ctx)}, nil)
 }
 
 func runContext(ctx context.Context, p *core.Program, st Storage, tr *trace.Trace, ar *vector.Arena) (res *Result, _ *trace.Trace, err error) {

@@ -53,9 +53,9 @@ type Engine struct {
 	// fragments in work items (0 = exec.DefaultMorsel); compiling
 	// backends only.
 	MorselSize int
-	// NoSpecialize disables fragment specialization (batch primitives and
-	// fused fast paths), forcing every fragment through the per-element
-	// interpreter; compiling backends only.
+	// NoSpecialize disables fragment specialization (batch primitives),
+	// forcing every fragment through the per-element interpreter;
+	// compiling backends only.
 	NoSpecialize bool
 	// Limits is the per-query resource governor (memory budget, extent
 	// cap, deadline); the zero value imposes no limits. The memory and
@@ -220,28 +220,22 @@ func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, st
 		if e.PlanSink != nil {
 			e.PlanSink(pr.plan)
 		}
-		ro := compile.RunOpts{Limits: e.Limits, Pool: e.Pool, CollectStats: e.CollectStats, MorselSize: e.MorselSize}
-		if e.NoSpecialize {
-			ro.Specialize = exec.SpecializeOff
-		}
-		var pres *compile.Result
-		var rerr error
-		if e.TraceSink != nil {
-			var tr *trace.Trace
-			pres, tr, rerr = pr.plan.RunTracedWith(ctx, ro)
-			if tr != nil {
-				tr.Query = pr.q.Name
-				e.TraceSink(tr)
-			}
-		} else {
-			pres, rerr = pr.plan.RunWith(ctx, ro)
-		}
+		// A trace is recorded exactly when a sink wants one.
+		pres, rerr := pr.plan.RunWith(ctx, compile.RunOpts{
+			Limits: e.Limits, Pool: e.Pool, CollectStats: e.CollectStats,
+			MorselSize: e.MorselSize, NoSpecialize: e.NoSpecialize,
+			Trace: e.TraceSink != nil,
+		})
 		if rerr != nil {
 			if lg := telemetry.LoggerFrom(ctx); lg.Enabled(ctx, slog.LevelWarn) {
 				lg.LogAttrs(ctx, slog.LevelWarn, "rel: compiled run failed",
 					slog.String("query", pr.q.Name), slog.String("error", rerr.Error()))
 			}
 			return nil, nil, rerr
+		}
+		if tr := pres.Trace; tr != nil {
+			tr.Query = pr.q.Name
+			e.TraceSink(tr)
 		}
 		release = pres.Release
 		for _, o := range pr.outs {
@@ -361,13 +355,7 @@ func (e *Engine) Plan(prog *core.Program) (*compile.Plan, error) {
 	if e.Backend == BulkCompiled {
 		opt.ForceBulk = true
 	}
-	plan, err := compile.Compile(prog, e.Cat, opt)
-	if err != nil {
-		return nil, err
-	}
-	plan.CollectStats = e.CollectStats
-	plan.Limits = e.Limits
-	return plan, nil
+	return compile.Compile(prog, e.Cat, opt)
 }
 
 // RunTraced runs q and returns its execution traces — one per lowered

@@ -1,0 +1,98 @@
+package tpch
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"voodoo/internal/metrics"
+	"voodoo/internal/rel"
+	"voodoo/internal/trace"
+)
+
+// fragmentPaths reads the process-wide fragment-execution counters: the
+// per-path series the executor increments, and the total of all fragment
+// runs they must add up to.
+func fragmentPaths() (interp, batch, total int64) {
+	vec := metrics.Default.CounterVec("voodoo_fragments_specialized_total", "", "path")
+	return vec.With("interp").Value(), vec.With("batch").Value(), trace.Snapshot()["fragments"]
+}
+
+// TestGoldenPathMix pins which execution path every TPC-H fragment takes:
+// per query, fragment executions by path on a plain run and on a run with
+// a TraceSink (a traced run is a counted run, which refuses the batch path
+// for any fragment with a non-sequential access). A change to batch
+// eligibility, to the counted-run rule or to what tracing turns on shows up
+// here as a reviewable golden diff; a fragment execution on any path other
+// than interp or batch fails outright. Tests in this package do not run in
+// parallel, so deltas of the process-wide counters belong to the query.
+func TestGoldenPathMix(t *testing.T) {
+	cat := Generate(Config{SF: 0.01, Seed: 42})
+	var sb strings.Builder
+	sb.WriteString("query\tinterp\tbatch\tinterp.traced\tbatch.traced\n")
+	var sum [4]int64
+	for _, num := range QueryNumbers {
+		qf, err := Query(num)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var row [4]int64
+		for i, traced := range []bool{false, true} {
+			e := &rel.Engine{Cat: cat, Backend: rel.Compiled}
+			var steps [2]int64 // interp, batch as the trace records them
+			if traced {
+				e.TraceSink = func(tr *trace.Trace) {
+					for _, s := range tr.Steps {
+						switch {
+						case s.Kind != trace.KindFragment:
+						case s.Specialized == "interp":
+							steps[0]++
+						case s.Specialized == "batch":
+							steps[1]++
+						default:
+							t.Errorf("%s: fragment %s ran on unknown path %q", queryName(num), s.Name, s.Specialized)
+						}
+					}
+				}
+			}
+			i0, b0, t0 := fragmentPaths()
+			if _, _, err := qf(e); err != nil {
+				t.Fatalf("%s (traced=%v): %v", queryName(num), traced, err)
+			}
+			i1, b1, t1 := fragmentPaths()
+			interp, batch := i1-i0, b1-b0
+			if interp+batch != t1-t0 {
+				t.Errorf("%s (traced=%v): %d interp + %d batch fragment executions, but %d fragments ran — some took another path",
+					queryName(num), traced, interp, batch, t1-t0)
+			}
+			if traced && (steps[0] != interp || steps[1] != batch) {
+				t.Errorf("%s: trace records %d interp / %d batch steps, counters say %d / %d",
+					queryName(num), steps[0], steps[1], interp, batch)
+			}
+			row[2*i], row[2*i+1] = interp, batch
+		}
+		fmt.Fprintf(&sb, "q%02d\t%d\t%d\t%d\t%d\n", num, row[0], row[1], row[2], row[3])
+		for i := range sum {
+			sum[i] += row[i]
+		}
+	}
+	fmt.Fprintf(&sb, "sum\t%d\t%d\t%d\t%d\n", sum[0], sum[1], sum[2], sum[3])
+
+	got := sb.String()
+	path := filepath.Join("testdata", "golden", "pathmix.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no golden path mix (run `go test ./internal/tpch -run Golden -update` to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("fragment path mix drifted from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}

@@ -56,8 +56,8 @@ type Step struct {
 	Predicated bool `json:"predicated,omitempty"`
 
 	// Specialized records which execution path ran a fragment step:
-	// "fused" (single-closure fast path), "batch" (compiled batch
-	// primitives), or "interp" (per-element interpreter fallback).
+	// "batch" (compiled batch primitives) or "interp" (the per-element
+	// interpreter).
 	Specialized string `json:"specialized,omitempty"`
 
 	// Control-vector shape of a fragment: Extent parallel work items,

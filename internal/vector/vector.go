@@ -24,7 +24,7 @@
 // — the callers are the interpreter and compiler, which type-check
 // operands before touching columns — not conditions reachable from user
 // input. Query execution layers (interp.RunContext, compile
-// Plan.RunContext, exec workers) recover such panics into
+// Plan.RunWith, exec workers) recover such panics into
 // *exec.PanicError, so a latent bug here fails one query, not the
 // process.
 package vector
