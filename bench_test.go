@@ -179,7 +179,7 @@ func BenchmarkInterpretedSelection(b *testing.B) {
 	b.SetBytes(int64(n) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := interp.Run(prog, st); err != nil {
+		if _, err := interp.Run(context.Background(), prog, st, interp.Opts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

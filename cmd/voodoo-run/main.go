@@ -73,7 +73,7 @@ func main() {
 		fatal(err)
 	}
 	if *diagAddr != "" {
-		ds, err := diag.Serve(*diagAddr, metrics.Default, nil, nil, nil)
+		ds, err := diag.Serve(*diagAddr, metrics.Default, nil, nil)
 		if err != nil {
 			fatal(err)
 		}

@@ -98,7 +98,7 @@ func main() {
 	eventSample := flag.Float64("event-sample", telemetry.DefaultSampleRate, "retention probability for ordinary query events (errors, shed and slow queries are always kept)")
 	slowThreshold := flag.Duration("slow-threshold", time.Second, "always retain events for queries at or above this wall time (0 = off)")
 	sloSpec := flag.String("slo", "query=500ms:0.99", "latency objectives, route=latency:target[,...] (empty disables SLO tracking)")
-	spanRetain := flag.Int("spans", 0, "retain span trees of the N most recent queries for /debug/spans (0 = 64, negative disables)")
+	spanRetain := flag.Int("spans", 0, "retain the N most recent queries for /debug/spans (0 = 64, negative disables)")
 	doVerify := flag.Bool("verify", false, "statically verify programs and compiled plans before execution (voodoo_verify_failures_total counts rejections)")
 	flag.Parse()
 
@@ -162,7 +162,7 @@ func main() {
 	})
 
 	if *diagAddr != "" {
-		ds, err := diag.Serve(*diagAddr, metrics.Default, s.QueryRegistry(), s.SpanStore(), s.Health)
+		ds, err := diag.Serve(*diagAddr, metrics.Default, s.QueryRegistry(), s.Health)
 		if err != nil {
 			fatal(err)
 		}

@@ -71,7 +71,7 @@ func main() {
 	fmt.Println(fig3)
 
 	// Reference semantics: the interpreter (paper §3.2).
-	ires, err := interp.Run(fig3, st)
+	ires, err := interp.Run(context.Background(), fig3, st, interp.Opts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func TestEventLogBackpressure(t *testing.T) {
 		go func(e int) {
 			defer wg.Done()
 			for i := 0; i < perEmitter; i++ {
-				l.Emit(telemetry.Event{QueryID: "q", Status: 200, WallNS: 1})
+				l.Emit(&telemetry.QueryRecord{ID: telemetry.MintQueryID(), Status: 200, Wall: 1})
 			}
 		}(e)
 	}

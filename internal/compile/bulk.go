@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -542,7 +543,12 @@ func miniInterp(op core.Op, kp []string, outNames []string, stmtTmpl *core.Stmt,
 		s.Args = refs
 	}
 	target := p.Add(s)
-	res, err := interp.RunArena(&p, st, ar)
+	if ar == nil {
+		// An unpooled plan run has no arena; the zero Arena allocates from
+		// the heap and still marks this as a nested evaluation, not a query.
+		ar = new(vector.Arena)
+	}
+	res, err := interp.Run(context.Background(), &p, st, interp.Opts{Arena: ar})
 	if err != nil {
 		return nil, err
 	}

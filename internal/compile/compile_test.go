@@ -16,7 +16,7 @@ import (
 func diffTest(t *testing.T, b *core.Builder, st interp.MemStorage, opt Options) {
 	t.Helper()
 	p := b.Program()
-	want, err := interp.Run(p, st)
+	want, err := interp.Run(context.Background(), p, st, interp.Opts{})
 	if err != nil {
 		t.Fatalf("interp: %v\nprogram:\n%s", err, p)
 	}

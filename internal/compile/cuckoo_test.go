@@ -79,7 +79,7 @@ func TestBoundedCuckooTable(t *testing.T) {
 	prog := b.Program()
 
 	// The two backends must agree exactly.
-	want, err := interp.Run(prog, st)
+	want, err := interp.Run(context.Background(), prog, st, interp.Opts{})
 	if err != nil {
 		t.Fatalf("interp: %v", err)
 	}

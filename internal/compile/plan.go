@@ -236,10 +236,9 @@ func (s *persistStep) stepName() string { return "persist " + s.name }
 // budget, and a panic in any step is recovered into a *exec.PanicError so
 // one bad kernel fails its query instead of the process.
 func (p *Plan) RunWith(ctx context.Context, ro RunOpts) (_ *Result, err error) {
-	trace.CountQuery()
 	start := time.Now()
 	defer func() {
-		trace.ObserveQueryWall(time.Since(start))
+		trace.CountQuery(time.Since(start))
 		exec.NoteDeadline(ro.Limits, err)
 	}()
 	// Deferred so the one debug record carries the outcome; the Enabled

@@ -26,7 +26,7 @@ func zoneCatalog(n int) *storage.Catalog {
 func zoneDiff(t *testing.T, b *core.Builder, cat *storage.Catalog, opt Options) *Plan {
 	t.Helper()
 	p := b.Program()
-	want, err := interp.Run(p, cat)
+	want, err := interp.Run(context.Background(), p, cat, interp.Opts{})
 	if err != nil {
 		t.Fatalf("interp: %v\nprogram:\n%s", err, p)
 	}

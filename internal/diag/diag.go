@@ -40,23 +40,23 @@ type QuarantinedTable struct {
 //
 //	/metrics         Prometheus text exposition of reg
 //	/debug/pprof/*   the standard pprof handlers (profile, heap, trace, …)
-//	/debug/vars      expvar (the historical "voodoo" counter view)
+//	/debug/vars      expvar (its "voodoo" map is a view of the execution counters on /metrics)
 //	/healthz         liveness/readiness probe
 //	/queries         JSON: in-flight queries (live progress) + slow-query summaries
 //	/queries/slow    JSON: the slow ring with full traces
 //	/queries/cancel  POST ?id=N — cancel an in-flight query
-//	/debug/spans     JSON: ?query_id= one query's span tree; bare, the retained ids
+//	/debug/spans     JSON: ?query_id= one recent query's span tree; bare, the retained ids
 //
 // qr may be nil (one-shot tools expose metrics/pprof without a query
-// registry); the /queries endpoints are mounted only when it is set.
-// spans may be nil; /debug/spans is mounted only when it is set.
+// registry); the /queries endpoints are mounted only when it is set, and
+// /debug/spans only when it also retains recent queries.
 //
 // health may be nil: /healthz then answers a plain 200 "ok" (pure
 // liveness, the right shape for one-shot tools). When set, /healthz
 // reports the process's Health as JSON — 200 while ready or degraded
 // (still serving), 503 while draining so load balancers eject the
 // instance before shutdown completes.
-func NewMux(reg *metrics.Registry, qr *QueryRegistry, spans *telemetry.SpanStore, health func() Health) *http.ServeMux {
+func NewMux(reg *metrics.Registry, qr *QueryRegistry, health func() Health) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -82,35 +82,31 @@ func NewMux(reg *metrics.Registry, qr *QueryRegistry, spans *telemetry.SpanStore
 		mux.HandleFunc("GET /queries", qr.handleList)
 		mux.HandleFunc("GET /queries/slow", qr.handleSlow)
 		mux.HandleFunc("POST /queries/cancel", qr.handleCancel)
-	}
-	if spans != nil {
-		mux.HandleFunc("GET /debug/spans", func(w http.ResponseWriter, req *http.Request) {
-			handleSpans(w, req, spans)
-		})
+		if qr.recent != nil {
+			mux.HandleFunc("GET /debug/spans", qr.handleSpans)
+		}
 	}
 	return mux
 }
 
-// handleSpans serves one query's exportable span tree by query_id, or —
-// without the parameter — the ids still retained, most recent first.
-func handleSpans(w http.ResponseWriter, req *http.Request, spans *telemetry.SpanStore) {
+// handleSpans serves one recent query's exportable span tree by query_id —
+// rendered from its record here, on read — or, without the parameter, the
+// ids still retained, most recent first.
+func (r *QueryRegistry) handleSpans(w http.ResponseWriter, req *http.Request) {
 	id := req.URL.Query().Get("query_id")
 	if id == "" {
-		ids := spans.IDs()
-		if ids == nil {
-			ids = []string{}
-		}
+		ids := r.RecentIDs()
 		writeJSON(w, http.StatusOK, map[string]any{"retained": len(ids), "query_ids": ids})
 		return
 	}
-	qs, ok := spans.Get(id)
+	q, ok := r.Lookup(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, map[string]string{
-			"error": fmt.Sprintf("no retained spans for query_id %q (the store keeps the most recent trees only)", id),
+			"error": fmt.Sprintf("no retained spans for query_id %q (the registry keeps the most recent queries only)", id),
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, qs)
+	writeJSON(w, http.StatusOK, telemetry.BuildSpans(q))
 }
 
 // cancelPath renders the cancel action URL for query id.
@@ -130,22 +126,11 @@ func (r *QueryRegistry) handleList(w http.ResponseWriter, _ *http.Request) {
 	for i := range slow {
 		slow[i].Traces = nil // summaries here; /queries/slow has the full traces
 	}
-	resp := queriesResponse{Active: r.Active(), Slow: slow}
-	if resp.Active == nil {
-		resp.Active = []QueryInfo{}
-	}
-	if resp.Slow == nil {
-		resp.Slow = []SlowQuery{}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, queriesResponse{Active: r.Active(), Slow: slow})
 }
 
 func (r *QueryRegistry) handleSlow(w http.ResponseWriter, _ *http.Request) {
-	slow := r.Slow()
-	if slow == nil {
-		slow = []SlowQuery{}
-	}
-	writeJSON(w, http.StatusOK, slow)
+	writeJSON(w, http.StatusOK, r.Slow())
 }
 
 func (r *QueryRegistry) handleCancel(w http.ResponseWriter, req *http.Request) {
@@ -181,12 +166,12 @@ type Server struct {
 // returns once the listener is bound — the -diag-addr entry point for
 // one-shot tools, which want pprof and /metrics live while they run.
 // health may be nil (plain liveness /healthz).
-func Serve(addr string, reg *metrics.Registry, qr *QueryRegistry, spans *telemetry.SpanStore, health func() Health) (*Server, error) {
+func Serve(addr string, reg *metrics.Registry, qr *QueryRegistry, health func() Health) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{Addr: ln.Addr().String(), srv: &http.Server{Handler: NewMux(reg, qr, spans, health)}}
+	s := &Server{Addr: ln.Addr().String(), srv: &http.Server{Handler: NewMux(reg, qr, health)}}
 	go s.srv.Serve(ln) //nolint:errcheck // ErrServerClosed on Close
 	return s, nil
 }

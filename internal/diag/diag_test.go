@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"voodoo/internal/metrics"
+	"voodoo/internal/telemetry"
 	"voodoo/internal/trace"
 )
 
@@ -31,8 +32,8 @@ func get(t *testing.T, url string) (int, string) {
 func TestDiagEndpointsSmoke(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("smoke_total", "A counter for the smoke test.").Add(7)
-	qr := NewQueryRegistry(4)
-	srv := httptest.NewServer(NewMux(reg, qr, nil, nil))
+	qr := NewQueryRegistry(4, 0)
+	srv := httptest.NewServer(NewMux(reg, qr, nil))
 	defer srv.Close()
 
 	t.Run("metrics", func(t *testing.T) {
@@ -63,10 +64,19 @@ func TestDiagEndpointsSmoke(t *testing.T) {
 		if code != 200 {
 			t.Fatalf("status %d", code)
 		}
-		// The historical expvar "voodoo" map is still published (package
-		// trace is linked into this test binary).
-		if !strings.Contains(body, `"voodoo"`) {
-			t.Errorf("expvar output lacks the voodoo map:\n%.500s", body)
+		// The "voodoo" map is still published (package trace is linked
+		// into this test binary), with its eight historical keys.
+		var vars struct {
+			Voodoo map[string]int64 `json:"voodoo"`
+		}
+		if err := json.Unmarshal([]byte(body), &vars); err != nil {
+			t.Fatalf("bad /debug/vars JSON: %v", err)
+		}
+		for _, k := range []string{"queries", "fragments", "traced_queries", "items",
+			"bytes_allocated", "bytes_materialized", "fold_runs", "scatter_items"} {
+			if _, ok := vars.Voodoo[k]; !ok {
+				t.Errorf("expvar voodoo map lacks %q: %v", k, vars.Voodoo)
+			}
 		}
 	})
 
@@ -103,7 +113,8 @@ func TestDiagEndpointsSmoke(t *testing.T) {
 	t.Run("queries-live", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		q := qr.Begin("SELECT COUNT(*) FROM lineitem", "", cancel)
+		q := &telemetry.QueryRecord{ID: telemetry.MintQueryID(), SQL: "SELECT COUNT(*) FROM lineitem", Cancel: cancel}
+		qr.Begin(q)
 		q.Observe(trace.Step{Kind: trace.KindFragment, Name: "scan_0", Items: 42, MaterializedBytes: 336})
 
 		code, body := get(t, srv.URL+"/queries")
@@ -122,7 +133,7 @@ func TestDiagEndpointsSmoke(t *testing.T) {
 		}
 
 		// Cancel through the HTTP action, as an operator would.
-		resp2, err := http.Post(srv.URL+fmt.Sprintf("/queries/cancel?id=%d", q.ID()), "", nil)
+		resp2, err := http.Post(srv.URL+fmt.Sprintf("/queries/cancel?id=%d", q.Seq), "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +146,21 @@ func TestDiagEndpointsSmoke(t *testing.T) {
 		default:
 			t.Errorf("HTTP cancel did not fire the context")
 		}
-		qr.Finish(q, []*trace.Trace{{Backend: "compiled", Query: "SELECT COUNT(*) FROM lineitem"}}, ctx.Err())
+		q.Traces = []*trace.Trace{{Backend: "compiled", Query: "SELECT COUNT(*) FROM lineitem"}}
+		q.Fail(499, "canceled", ctx.Err())
+		qr.Finish(q)
+
+		// The finished query's span tree is rendered on read, by query id.
+		code, body = get(t, srv.URL+"/debug/spans?query_id="+q.ID.String())
+		if code != 200 || !strings.Contains(body, `"status": "canceled: context canceled"`) {
+			t.Errorf("/debug/spans of the finished query: %d %s", code, body)
+		}
+		if code, body := get(t, srv.URL+"/debug/spans"); code != 200 || !strings.Contains(body, q.ID.String()) {
+			t.Errorf("/debug/spans index: %d %s", code, body)
+		}
+		if code, _ := get(t, srv.URL+"/debug/spans?query_id=nope"); code != http.StatusNotFound {
+			t.Errorf("/debug/spans of an unknown id: status %d, want 404", code)
+		}
 	})
 
 	t.Run("queries-slow", func(t *testing.T) {
@@ -175,7 +200,7 @@ func TestDiagEndpointsSmoke(t *testing.T) {
 // TestServeBindsEphemeral: the background Serve helper binds :0, reports
 // the real address and serves /metrics until closed.
 func TestServeBindsEphemeral(t *testing.T) {
-	s, err := Serve("127.0.0.1:0", metrics.NewRegistry(), nil, nil, nil)
+	s, err := Serve("127.0.0.1:0", metrics.NewRegistry(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

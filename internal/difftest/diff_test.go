@@ -89,7 +89,7 @@ func TestInterpVsCompiled(t *testing.T) {
 	reported, interpErrs := 0, 0
 	for seed := int64(1); seed <= int64(n); seed++ {
 		p := Generate(seed)
-		ires, ierr := interp.RunContext(ctx, p.Prog, p.St)
+		ires, ierr := interp.Run(ctx, p.Prog, p.St, interp.Opts{})
 		if ierr != nil {
 			interpErrs++
 		}
@@ -182,7 +182,7 @@ func TestPooledConcurrentIsolation(t *testing.T) {
 			defer wg.Done()
 			for seed := int64(1 + w*n); seed <= int64((w+1)*n); seed++ {
 				p := Generate(seed)
-				ires, ierr := interp.RunContext(ctx, p.Prog, p.St)
+				ires, ierr := interp.Run(ctx, p.Prog, p.St, interp.Opts{})
 				if ierr != nil {
 					continue // rejection parity is TestInterpVsCompiled's job
 				}

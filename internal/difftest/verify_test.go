@@ -32,7 +32,7 @@ func TestVerifierFrontLine(t *testing.T) {
 		}
 		p := Generate(seed)
 		diags := verify.Program(p.Prog, p.St)
-		_, ierr := interp.RunContext(ctx, p.Prog, p.St)
+		_, ierr := interp.Run(ctx, p.Prog, p.St, interp.Opts{})
 		if ierr == nil {
 			if len(diags) != 0 {
 				t.Errorf("seed %d: interpreter-clean program has %d diagnostics:\n%v\nprogram:\n%s",

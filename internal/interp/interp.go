@@ -49,9 +49,12 @@ func (m MemStorage) PersistVector(name string, v *vector.Vector) error {
 // Result holds the evaluated value of every statement of a program.
 type Result struct {
 	Values []*vector.Vector
+	// Trace is the run's execution trace when Opts.Trace asked for one,
+	// owned by the caller.
+	Trace *trace.Trace
 
-	// arena owns the pooled storage behind Values when the run was pooled
-	// (RunPooledContext); nil otherwise.
+	// arena owns the pooled storage behind Values when the run drew from
+	// Opts.Pool; nil otherwise.
 	arena *vector.Arena
 }
 
@@ -77,70 +80,49 @@ func errf(format string, args ...any) {
 	panic(evalErr{fmt.Errorf("interp: "+format, args...)})
 }
 
-// Run evaluates the program against st and returns every statement's value.
-func Run(p *core.Program, st Storage) (res *Result, err error) {
-	return RunContext(context.Background(), p, st)
+// Opts configures one Run. The zero value is a plain heap-allocating,
+// untraced run.
+type Opts struct {
+	// Pool, when set, backs every intermediate with a fresh arena of the
+	// pool. The arena is attached to the result: the caller must call
+	// Result.Release once done with the values (on error it is released
+	// before returning).
+	Pool *vector.Pool
+	// Arena, when set, is a caller-owned arena backing every intermediate
+	// instead: the result's vectors alias it and live exactly until the
+	// caller releases it. Such a run is a nested evaluation inside a
+	// surrounding plan run — the compiling backend's bulk steps, whose
+	// outputs are adopted into kernel buffers — and is not counted as a
+	// query of its own.
+	Arena *vector.Arena
+	// Trace records one step per statement — wall time, output length,
+	// materialized bytes: the bulk-processing profile the compiling
+	// backend's fused fragments are measured against — into Result.Trace,
+	// streaming each to the context's trace.Observer as it completes.
+	Trace bool
 }
 
-// RunArena is Run drawing every intermediate from a caller-owned arena.
-// The caller keeps ownership: the result's vectors alias arena storage and
-// live exactly until the caller releases the arena. A nil arena degrades
-// to plain heap allocation. This is the entry the compiling backend's bulk
-// steps use, since their outputs are adopted into kernel buffers that must
-// survive to the end of the surrounding plan run.
-func RunArena(p *core.Program, st Storage, ar *vector.Arena) (*Result, error) {
-	res, _, err := runContext(context.Background(), p, st, nil, ar)
-	return res, err
-}
-
-// RunPooledContext is RunContext drawing every intermediate from an arena
-// of pool. The arena is attached to the result: the caller must call
-// Result.Release once done with the values. On error the arena is released
-// before returning. A nil pool degrades to plain heap allocation.
-func RunPooledContext(ctx context.Context, p *core.Program, st Storage, pool *vector.Pool) (*Result, error) {
-	ar := pool.NewArena()
-	res, _, err := runContext(ctx, p, st, nil, ar)
-	if err != nil {
-		ar.Release()
+// Run evaluates the program against st and returns every statement's
+// value. Cancellation is cooperative, checked at every statement boundary
+// (the interpreter materializes per statement, so statements are its
+// natural unit of work). Any panic escaping a statement's evaluation — a
+// malformed program tripping an internal invariant — is recovered into a
+// *exec.PanicError naming the statement, so a bad program fails its query
+// instead of the process.
+func Run(ctx context.Context, p *core.Program, st Storage, o Opts) (res *Result, err error) {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	res.arena = ar
-	return res, nil
-}
-
-// RunTracedPooledContext is RunPooledContext with per-statement tracing:
-// every statement becomes one trace step carrying its wall time, output
-// length, and materialized bytes — the bulk-processing profile the
-// compiling backend's fused fragments are measured against. The returned
-// trace is owned by the caller.
-func RunTracedPooledContext(ctx context.Context, p *core.Program, st Storage, pool *vector.Pool) (*Result, *trace.Trace, error) {
-	ar := pool.NewArena()
-	// A context-carried observer receives each statement's step as it
-	// completes (the diagnostics server's live query progress).
-	res, tr, err := runContext(ctx, p, st,
-		&trace.Trace{Backend: "interpreted", OnStep: trace.ObserverFrom(ctx)}, ar)
-	if err != nil {
-		ar.Release()
-		return nil, nil, err
-	}
-	res.arena = ar
-	return res, tr, nil
-}
-
-// RunContext is Run with cooperative cancellation, checked at every
-// statement boundary (the interpreter materializes per statement, so
-// statements are its natural unit of work). Any panic escaping a
-// statement's evaluation — a malformed program tripping an internal
-// invariant — is recovered into a *exec.PanicError naming the statement,
-// so a bad program fails its query instead of the process.
-func RunContext(ctx context.Context, p *core.Program, st Storage) (res *Result, err error) {
-	res, _, err = runContext(ctx, p, st, nil, nil)
-	return res, err
-}
-
-func runContext(ctx context.Context, p *core.Program, st Storage, tr *trace.Trace, ar *vector.Arena) (res *Result, _ *trace.Trace, err error) {
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
+	ar, nested := o.Arena, o.Arena != nil
+	if !nested {
+		ar = o.Pool.NewArena()
+		// Registered first so it sees the final error, the verifier
+		// cross-check's included.
+		defer func() {
+			if err != nil {
+				ar.Release()
+			}
+		}()
 	}
 	// Verification cross-check (difftest's front line, and the -verify
 	// daemon path): algebra-level Error diagnostics are sound — the
@@ -162,9 +144,14 @@ func runContext(ctx context.Context, p *core.Program, st Storage, tr *trace.Trac
 			res, err = nil, fmt.Errorf("interp: program executed cleanly despite verifier error (%s) — verifier false positive", verifyDiag)
 		}
 	}()
-	trace.CountQuery()
 	start := time.Now()
-	defer func() { trace.ObserveQueryWall(time.Since(start)) }()
+	if !nested {
+		defer func() { trace.CountQuery(time.Since(start)) }()
+	}
+	var tr *trace.Trace
+	if o.Trace {
+		tr = &trace.Trace{Backend: "interpreted", OnStep: trace.ObserverFrom(ctx)}
+	}
 	cur := -1
 	defer func() {
 		if r := recover(); r != nil {
@@ -179,7 +166,7 @@ func runContext(ctx context.Context, p *core.Program, st Storage, tr *trace.Trac
 	e := &evaluator{st: st, vals: make([]*vector.Vector, len(p.Stmts)), ar: ar}
 	for i := range p.Stmts {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cur = i
 		t0 := time.Now()
@@ -196,7 +183,11 @@ func runContext(ctx context.Context, p *core.Program, st Storage, tr *trace.Trac
 		tr.AllocBytes = alloc
 		tr.Finish(time.Since(start))
 	}
-	return &Result{Values: e.vals}, tr, nil
+	res = &Result{Values: e.vals, Trace: tr}
+	if !nested {
+		res.arena = ar
+	}
+	return res, nil
 }
 
 // traceStmt builds the trace record of one interpreted statement. The

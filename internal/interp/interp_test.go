@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"context"
 	"testing"
 
 	"voodoo/internal/core"
@@ -13,7 +14,7 @@ func intVec(name string, vals ...int64) *vector.Vector {
 
 func mustRun(t *testing.T, b *core.Builder, st Storage) *Result {
 	t.Helper()
-	res, err := Run(b.Program(), st)
+	res, err := Run(context.Background(), b.Program(), st, Opts{})
 	if err != nil {
 		t.Fatalf("Run: %v\nprogram:\n%s", err, b.Program())
 	}
@@ -341,7 +342,7 @@ func TestErrorOnMissingAttribute(t *testing.T) {
 	b := core.NewBuilder()
 	in := b.Load("t")
 	b.FoldSum(in, "nope", "v")
-	_, err := Run(b.Program(), MemStorage{"t": intVec("v", 1)})
+	_, err := Run(context.Background(), b.Program(), MemStorage{"t": intVec("v", 1)}, Opts{})
 	if err == nil {
 		t.Fatal("expected error for missing fold attribute")
 	}
@@ -351,7 +352,7 @@ func TestErrorOnDivisionByZero(t *testing.T) {
 	b := core.NewBuilder()
 	in := b.Load("t")
 	b.Divide(in, b.Constant(0))
-	_, err := Run(b.Program(), MemStorage{"t": intVec("v", 1)})
+	_, err := Run(context.Background(), b.Program(), MemStorage{"t": intVec("v", 1)}, Opts{})
 	if err == nil {
 		t.Fatal("expected division-by-zero error")
 	}
@@ -360,7 +361,7 @@ func TestErrorOnDivisionByZero(t *testing.T) {
 func TestErrorOnUnknownTable(t *testing.T) {
 	b := core.NewBuilder()
 	b.Load("missing")
-	_, err := Run(b.Program(), MemStorage{})
+	_, err := Run(context.Background(), b.Program(), MemStorage{}, Opts{})
 	if err == nil {
 		t.Fatal("expected error for unknown table")
 	}

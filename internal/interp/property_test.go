@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -30,7 +31,7 @@ func TestFoldSumPartitionInvariant(t *testing.T) {
 		withFold := b.Zip("v", in, "", "fold", fold, "fold")
 		p := b.FoldSum(withFold, "fold", "v")
 		total := b.GlobalSum(p, "")
-		res, err := Run(b.Program(), MemStorage{"t": intVec("v", vals...)})
+		res, err := Run(context.Background(), b.Program(), MemStorage{"t": intVec("v", vals...)}, Opts{})
 		if err != nil {
 			t.Logf("run error: %v", err)
 			return false
@@ -61,7 +62,7 @@ func TestFoldMinMaxInvariant(t *testing.T) {
 		withFold := b.Zip("v", in, "", "fold", fold, "fold")
 		mn := b.FoldMin(withFold, "fold", "v")
 		mx := b.FoldMax(withFold, "fold", "v")
-		res, err := Run(b.Program(), MemStorage{"t": intVec("v", vals...)})
+		res, err := Run(context.Background(), b.Program(), MemStorage{"t": intVec("v", vals...)}, Opts{})
 		if err != nil {
 			return false
 		}
@@ -105,10 +106,10 @@ func TestScatterGatherInverse(t *testing.T) {
 		posV := b.Load("pos")
 		scattered := b.Scatter(data, data, "", posV, "p")
 		back := b.Gather(scattered, posV, "p")
-		res, err := Run(b.Program(), MemStorage{
+		res, err := Run(context.Background(), b.Program(), MemStorage{
 			"data": intVec("v", vals...),
 			"pos":  intVec("p", pos...),
-		})
+		}, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +142,7 @@ func TestFoldSelectCountsMatchPredicate(t *testing.T) {
 		fold := b.Project("fold", b.Divide(ids, b.Constant(runLen)), "")
 		withFold := b.Zip("p", pred, "", "fold", fold, "fold")
 		sel := b.FoldSelect(withFold, "fold", "p")
-		res, err := Run(b.Program(), MemStorage{"t": intVec("v", vals...)})
+		res, err := Run(context.Background(), b.Program(), MemStorage{"t": intVec("v", vals...)}, Opts{})
 		if err != nil {
 			return false
 		}
@@ -175,7 +176,7 @@ func TestBitShiftAndLogical(t *testing.T) {
 	shl := b.BitShift(in, b.Constant(2))
 	shr := b.BitShift(in, b.Constant(-1))
 	band := b.And(in, b.Constant(1))
-	res, err := Run(b.Program(), MemStorage{"t": intVec("v", 0, 1, 2, 3)})
+	res, err := Run(context.Background(), b.Program(), MemStorage{"t": intVec("v", 0, 1, 2, 3)}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestUpsertReplacesExisting(t *testing.T) {
 	in := b.Load("t")
 	doubled := b.Multiply(b.Project("v", in, "v"), b.Constant(2))
 	replaced := b.Upsert(in, "v", doubled, "")
-	res, err := Run(b.Program(), MemStorage{"t": intVec("v", 1, 2, 3)})
+	res, err := Run(context.Background(), b.Program(), MemStorage{"t": intVec("v", 1, 2, 3)}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestModuloOfNegativeIsNonNegative(t *testing.T) {
 	b := core.NewBuilder()
 	in := b.Load("t")
 	m := b.Modulo(in, b.Constant(5))
-	res, err := Run(b.Program(), MemStorage{"t": intVec("v", -7, -1, 0, 12)})
+	res, err := Run(context.Background(), b.Program(), MemStorage{"t": intVec("v", -7, -1, 0, 12)}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

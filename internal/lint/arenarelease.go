@@ -2,10 +2,11 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // ArenaRelease checks the pooled-memory ownership contract: a value
-// acquired from NewArena, RunPooledContext or RunTracedPooledContext owns
+// acquired from NewArena, or from an interp.Run whose Opts set a Pool, owns
 // pool memory and must be released in the function that acquired it — via
 // a (possibly deferred) Release call — unless ownership visibly escapes
 // (the value is returned, stored, or passed along). Leaked arenas are only
@@ -17,11 +18,13 @@ var ArenaRelease = &Analyzer{
 }
 
 // arenaAcquirers maps callee names to the index of the returned value that
-// owns pool memory.
+// owns pool memory. A package-level function is keyed by its package
+// selector ("interp.Run" — exec.Run and a bare Run never match); a method
+// by its bare name. TestArenaAcquirersExist keeps the table from going
+// stale when an entry point is renamed.
 var arenaAcquirers = map[string]int{
-	"NewArena":               0,
-	"RunPooledContext":       0,
-	"RunTracedPooledContext": 0,
+	"NewArena":   0,
+	"interp.Run": 0,
 }
 
 func runArenaRelease(p *Pass) error {
@@ -39,9 +42,9 @@ func runArenaRelease(p *Pass) error {
 			if !ok {
 				return true
 			}
-			name := calleeName(call)
+			name := qualifiedCallee(p, call)
 			idx, tracked := arenaAcquirers[name]
-			if !tracked || idx >= len(assign.Lhs) {
+			if !tracked || idx >= len(assign.Lhs) || unpooled(call) {
 				return true
 			}
 			owner, ok := assign.Lhs[idx].(*ast.Ident)
@@ -71,6 +74,41 @@ func calleeName(call *ast.CallExpr) string {
 	return ""
 }
 
+// qualifiedCallee is calleeName prefixed with the package's own name (not
+// a local alias) when the callee is selected from an imported package.
+func qualifiedCallee(p *Pass, call *ast.CallExpr) string {
+	name := calleeName(call)
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		if x, ok := sel.X.(*ast.Ident); ok {
+			if pkg, ok := p.Info.Uses[x].(*types.PkgName); ok {
+				return pkg.Imported().Name() + "." + name
+			}
+		}
+	}
+	return name
+}
+
+// unpooled reports whether call's last argument is an options literal that
+// sets no Pool: such a run draws from the heap or from a caller-owned
+// arena, and its result owns nothing.
+func unpooled(call *ast.CallExpr) bool {
+	if len(call.Args) == 0 {
+		return false
+	}
+	lit, ok := call.Args[len(call.Args)-1].(*ast.CompositeLit)
+	if !ok {
+		return false
+	}
+	for _, el := range lit.Elts {
+		if kv, ok := el.(*ast.KeyValueExpr); ok {
+			if k, ok := kv.Key.(*ast.Ident); ok && k.Name == "Pool" {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // enclosingFunc walks up the parent chain to the body of the innermost
 // function declaration or literal containing n.
 func enclosingFunc(parents map[ast.Node]ast.Node, n ast.Node) *ast.BlockStmt {
@@ -86,10 +124,11 @@ func enclosingFunc(parents map[ast.Node]ast.Node, n ast.Node) *ast.BlockStmt {
 }
 
 // releasedOrEscapes scans the function body for uses of the owner object.
-// A use as the receiver of a Release call discharges the obligation; a use
-// as a plain value (returned, assigned on, passed as an argument, compared)
-// transfers ownership out of sight and is accepted conservatively. Field
-// and method access alone does neither.
+// Selecting its Release method — called, deferred, or taken as a method
+// value to be called later — discharges the obligation; a use as a plain
+// value (returned, assigned on, passed as an argument, compared) transfers
+// ownership out of sight and is accepted conservatively. Any other field
+// or method access does neither.
 func releasedOrEscapes(p *Pass, parents map[ast.Node]ast.Node, body *ast.BlockStmt, owner *ast.Ident) bool {
 	obj := p.Info.Defs[owner]
 	if obj == nil {
@@ -115,10 +154,8 @@ func releasedOrEscapes(p *Pass, parents map[ast.Node]ast.Node, body *ast.BlockSt
 			return false
 		}
 		if sel.Sel.Name == "Release" {
-			if call, ok := parents[sel].(*ast.CallExpr); ok && call.Fun == sel {
-				found = true
-				return false
-			}
+			found = true
+			return false
 		}
 		return true
 	})

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -124,6 +125,93 @@ func direct(p *Pool) {
 `
 	diags := analyze(t, "voodoo/internal/fake", src, []*Analyzer{ArenaRelease})
 	wantFindings(t, diags)
+}
+
+// TestArenaReleaseQualified: the interpreter's one entry point is tracked
+// by its package selector, so exec.Run (whose first result owns nothing)
+// never matches, and only a run whose Opts set a Pool acquires anything.
+func TestArenaReleaseQualified(t *testing.T) {
+	src := `package fake
+
+import (
+	"context"
+
+	"voodoo/internal/core"
+	"voodoo/internal/exec"
+	"voodoo/internal/interp"
+	"voodoo/internal/kernel"
+	"voodoo/internal/vector"
+)
+
+func leak(ctx context.Context, p *core.Program, st interp.Storage, pool *vector.Pool) int {
+	res, _ := interp.Run(ctx, p, st, interp.Opts{Pool: pool, Trace: true})
+	return len(res.Values)
+}
+
+func released(ctx context.Context, p *core.Program, st interp.Storage, pool *vector.Pool) int {
+	res, _ := interp.Run(ctx, p, st, interp.Opts{Pool: pool})
+	defer res.Release()
+	return len(res.Values)
+}
+
+func handedOn(ctx context.Context, p *core.Program, st interp.Storage, pool *vector.Pool) func() {
+	res, _ := interp.Run(ctx, p, st, interp.Opts{Pool: pool})
+	release := res.Release
+	return release
+}
+
+func unpooled(ctx context.Context, p *core.Program, st interp.Storage, ar *vector.Arena) int {
+	res, _ := interp.Run(ctx, p, st, interp.Opts{Arena: ar})
+	heap, _ := interp.Run(ctx, p, st, interp.Opts{})
+	return len(res.Values) + len(heap.Values)
+}
+
+func otherRun(ctx context.Context, k *kernel.Kernel, env *exec.Env) string {
+	err := exec.Run(ctx, k, env, exec.Par{}, nil)
+	return err.Error()
+}
+`
+	diags := analyze(t, "voodoo/internal/fake", src, []*Analyzer{ArenaRelease})
+	wantFindings(t, diags, "res from interp.Run is never Released")
+}
+
+// TestArenaAcquirersExist keeps the acquirer table honest: every entry
+// must name a function or method that still exists in the tree, so a
+// renamed entry point fails here instead of silently going unchecked.
+func TestArenaAcquirersExist(t *testing.T) {
+	for name := range arenaAcquirers {
+		pkg, fn, qualified := strings.Cut(name, ".")
+		pattern := "../*/*.go"
+		if qualified {
+			pattern = "../" + pkg + "/*.go"
+		} else {
+			fn = pkg
+		}
+		files, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				// A qualified name is a package-level function of that
+				// package; a bare one is a method (or function) anywhere.
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == fn && (!qualified || fd.Recv == nil) {
+					found = true
+				}
+			}
+		}
+		if !found {
+			t.Errorf("arenaAcquirers tracks %q, which no longer exists under internal/", name)
+		}
+	}
 }
 
 func TestCheckpointLoop(t *testing.T) {

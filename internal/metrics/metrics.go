@@ -7,10 +7,11 @@
 //   - Hot-path cost. A Counter.Add is one atomic add; a Histogram.Observe
 //     is one atomic bucket add plus a CAS-loop float add for the sum.
 //     Nothing on the update path takes a lock or allocates.
-//   - One source of truth. Subsystems that already keep their own atomic
-//     counters (package trace's cumulative execution counters) are bridged
-//     with CounterFunc/GaugeFunc closures that read the existing atomics
-//     at scrape time, so no value is ever double-counted.
+//   - One source of truth. A value lives in exactly one place: counters
+//     are bumped directly; state some other structure already owns (the
+//     event log's sink accounting, the scheduler's worker count, runtime
+//     samples) is read at scrape time through CounterFunc/GaugeFunc
+//     closures, so no value is ever double-counted.
 //   - Deterministic output. WritePrometheus renders families in name
 //     order and labeled children in label order, so the exposition format
 //     can be locked in by a golden test.
@@ -144,7 +145,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time — the bridge for subsystems that keep their own atomics.
+// time — for values another structure already owns.
 // Re-registering replaces the closure.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	f := r.lookup(name, help, typeCounter, nil)
@@ -355,9 +356,6 @@ func (r *Registry) Handler() http.Handler {
 
 // NewCounter registers (or returns) a counter on the Default registry.
 func NewCounter(name, help string) *Counter { return Default.Counter(name, help) }
-
-// NewCounterFunc registers a scrape-time counter on the Default registry.
-func NewCounterFunc(name, help string, fn func() float64) { Default.CounterFunc(name, help, fn) }
 
 // NewCounterVec registers (or returns) a labeled counter family on the
 // Default registry.

@@ -189,18 +189,8 @@ func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, st
 	release := func() {}
 	values := map[core.Ref]*vector.Vector{}
 	if pr.plan == nil {
-		var ires *interp.Result
-		var ierr error
-		if e.TraceSink != nil {
-			var tr *trace.Trace
-			ires, tr, ierr = interp.RunTracedPooledContext(ctx, pr.prog, e.Cat, e.Pool)
-			if tr != nil {
-				tr.Query = pr.q.Name
-				e.TraceSink(tr)
-			}
-		} else {
-			ires, ierr = interp.RunPooledContext(ctx, pr.prog, e.Cat, e.Pool)
-		}
+		// A trace is recorded exactly when a sink wants one.
+		ires, ierr := interp.Run(ctx, pr.prog, e.Cat, interp.Opts{Pool: e.Pool, Trace: e.TraceSink != nil})
 		if ierr != nil {
 			// The compiling backends count governor-deadline aborts inside
 			// the plan runner; the interpreter has no governor of its own,
@@ -211,6 +201,10 @@ func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, st
 					slog.String("query", pr.q.Name), slog.String("error", ierr.Error()))
 			}
 			return nil, nil, ierr
+		}
+		if tr := ires.Trace; tr != nil {
+			tr.Query = pr.q.Name
+			e.TraceSink(tr)
 		}
 		release = ires.Release
 		for _, o := range pr.outs {

@@ -3,9 +3,10 @@
 // runs through the relational engine under the exec resource governor's
 // per-request Limits, instrumented end to end — queue wait under the
 // admission semaphore, SQL parse+plan time, execution time, rows
-// returned — with each in-flight query registered in the diagnostics
-// query registry (live per-step progress, cancel action) and every
-// finished query competing for the slow-query ring.
+// returned — in one telemetry.QueryRecord per request: registered in the
+// diagnostics query registry while it executes (live per-step progress,
+// cancel action) and handed once, when the request ends, to every
+// consumer (see finish).
 //
 // The HTTP surface:
 //
@@ -84,8 +85,8 @@ type Config struct {
 	// Events is the JSONL query-event log (nil = no event log). The
 	// server emits; the owner closes.
 	Events *telemetry.EventLog
-	// SpanRetain is the span-store capacity in span trees (0 = 64;
-	// negative disables /debug/spans).
+	// SpanRetain is how many of the most recent requests stay retained
+	// for /debug/spans (0 = 64; negative disables the endpoint).
 	SpanRetain int
 	// SLO is the latency objectives the server tracks per route
 	// (empty = no SLO tracking). /query traffic observes under route
@@ -119,11 +120,10 @@ type Server struct {
 	queueEWMA atomic.Int64
 	memShed   *memShedder
 
-	// events, spans and slos are the telemetry sinks: the JSONL event
-	// log (owned by the caller), the span-tree ring behind /debug/spans,
-	// and the per-route error budgets surfaced on /healthz. All nil-safe.
+	// events and slos are the telemetry sinks besides the registry: the
+	// JSONL event log (owned by the caller) and the per-route error budgets
+	// surfaced on /healthz. Both nil-safe.
 	events *telemetry.EventLog
-	spans  *telemetry.SpanStore
 	slos   *slo.Tracker
 
 	mQueue   *metrics.Histogram
@@ -149,7 +149,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		reg:     cfg.Registry,
-		qreg:    diag.NewQueryRegistry(cfg.SlowQueries),
+		qreg:    diag.NewQueryRegistry(cfg.SlowQueries, cfg.SpanRetain),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		cache:   newPlanCache(cfg.PlanCache, cfg.Registry),
 		memShed: newMemShedder(cfg.MemHighWater),
@@ -175,9 +175,6 @@ func New(cfg Config) *Server {
 		s.pool = vector.NewPool(0)
 	}
 	s.events = cfg.Events
-	if cfg.SpanRetain >= 0 {
-		s.spans = telemetry.NewSpanStore(cfg.SpanRetain)
-	}
 	if len(cfg.SLO) > 0 {
 		s.slos = slo.New(cfg.Registry, 0, cfg.SLO...)
 	}
@@ -191,14 +188,10 @@ func New(cfg Config) *Server {
 // tests share it).
 func (s *Server) QueryRegistry() *diag.QueryRegistry { return s.qreg }
 
-// SpanStore exposes the retained span trees (nil when disabled) — the
-// daemon hands it to a standalone diagnostics listener.
-func (s *Server) SpanStore() *telemetry.SpanStore { return s.spans }
-
 // Mux returns the server's full HTTP surface: the query endpoints
 // mounted over the diagnostics mux.
 func (s *Server) Mux() *http.ServeMux {
-	mux := diag.NewMux(s.reg, s.qreg, s.spans, s.Health)
+	mux := diag.NewMux(s.reg, s.qreg, s.Health)
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/{$}", s.handleIndex)
 	return mux
@@ -229,9 +222,9 @@ type queryResponse struct {
 	Stats queryStats       `json:"stats"`
 }
 
-// queryStats is the per-request instrumentation echoed to the client;
-// the same numbers feed the server's histograms. PlanLookupNS is the
-// plan-cache lookup; CompileNS is parse+plan+compile and is ~0 when
+// queryStats is the response's view of the request's record, echoed to
+// the client; the same numbers feed the server's histograms. PlanLookupNS
+// is the plan-cache lookup; CompileNS is parse+plan+compile and is ~0 when
 // Cached (the plan came from the cache).
 type queryStats struct {
 	// QueryID is the telemetry correlation id, also echoed in the
@@ -251,41 +244,45 @@ type queryError struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	// Identity first: every request — including the ones the admission
-	// gates refuse — gets a query id, echoed on the response and carried
-	// by every record the request leaves behind.
-	qt := s.beginTelemetry(w, r)
-	fail := func(code int, kind string, err error) {
-		qt.finish(code, kind, err, nil)
-		s.fail(w, code, kind, err)
-	}
-	shed := func(reason string, err error) {
-		s.mShed.With(reason).Inc()
-		w.Header().Set("Retry-After", "1")
-		fail(http.StatusServiceUnavailable, "shed-"+reason, err)
-	}
-
-	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		fail(http.StatusMethodNotAllowed, "method", fmt.Errorf("use GET or POST"))
-		return
-	}
+	// Counted in flight from the first instruction to the last, finish
+	// included: Shutdown waits for zero, and the daemon closes the event
+	// log right after it.
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
+	// Identity first: every request — including the ones the admission
+	// gates refuse — gets a record with a query id, echoed on the response
+	// and carried by every view the request leaves behind. Every exit
+	// below reports through this one deferred finish, which runs while the
+	// request still holds its execution slot.
+	rec := beginRecord(w, r)
+	var resp queryResponse
+	admitted := false
+	defer func() {
+		s.finish(w, rec, &resp)
+		if admitted {
+			<-s.sem
+		}
+	}()
+
+	if r.Method != http.MethodGet && r.Method != http.MethodPost {
+		rec.Fail(http.StatusMethodNotAllowed, "method", fmt.Errorf("use GET or POST"))
+		return
+	}
+
 	// Admission gate 1: a draining server refuses new work outright.
 	if s.draining.Load() {
-		shed("draining", fmt.Errorf("server is draining for shutdown"))
+		rec.Fail(http.StatusServiceUnavailable, "shed-draining", fmt.Errorf("server is draining for shutdown"))
 		return
 	}
 	// Admission gate 2: above the live-heap watermark every new query is
 	// shed — the process is closer to the OOM killer than to spare
 	// capacity, and refusals are the only load it can still take.
 	if s.memShed.over() {
-		shed("memory", fmt.Errorf("server heap above the load-shedding watermark"))
+		rec.Fail(http.StatusServiceUnavailable, "shed-memory", fmt.Errorf("server heap above the load-shedding watermark"))
 		return
 	}
 
-	arrived := qt.arrived
 	// Every request derives from baseCtx so a forced drain can cancel all
 	// in-flight queries at once, and from the client connection so a
 	// disconnect cancels just this one.
@@ -295,34 +292,33 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer stopAfter()
 	var deadline time.Time
 	if s.cfg.Timeout > 0 {
-		deadline = arrived.Add(s.cfg.Timeout)
+		deadline = rec.Arrived.Add(s.cfg.Timeout)
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
 	if dl, ok := ctx.Deadline(); ok {
-		qt.deadline = dl.Sub(arrived)
+		rec.Deadline = dl.Sub(rec.Arrived)
 	}
-	ctx = qt.context(ctx)
+	ctx = queryContext(ctx, rec.ID)
 
 	src, qnum, err := s.requestQuery(r)
 	if err != nil {
-		fail(http.StatusBadRequest, "parse", err)
+		rec.Fail(http.StatusBadRequest, "parse", err)
 		return
 	}
-	qt.sql = src
+	rec.SQL = src
 
 	// Admission gate 3: a request whose remaining deadline budget is
 	// already smaller than the measured queue wait is doomed — unless a
 	// slot is free right now, refuse it instead of queueing it to die.
-	admitted := false
 	if dl, ok := ctx.Deadline(); ok {
 		if est := s.expectedQueueWait(); est > 0 && time.Until(dl) < est {
 			select {
 			case s.sem <- struct{}{}:
 				admitted = true
 			default:
-				shed("deadline", fmt.Errorf(
+				rec.Fail(http.StatusServiceUnavailable, "shed-deadline", fmt.Errorf(
 					"deadline budget %v is below the expected queue wait %v",
 					time.Until(dl).Round(time.Millisecond), est.Round(time.Millisecond)))
 				return
@@ -334,17 +330,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !admitted {
 		select {
 		case s.sem <- struct{}{}:
+			admitted = true
 		case <-ctx.Done():
-			fail(http.StatusServiceUnavailable, "queue",
+			rec.Fail(http.StatusServiceUnavailable, "queue",
 				fmt.Errorf("timed out waiting for an execution slot: %w", ctx.Err()))
 			return
 		}
 	}
-	defer func() { <-s.sem }()
-	queueWait := time.Since(arrived)
-	s.mQueue.Observe(queueWait.Seconds())
-	s.noteQueueWait(queueWait)
-	qt.queueWait = queueWait
+	rec.QueueWait = time.Since(rec.Arrived)
+	s.noteQueueWait(rec.QueueWait)
 
 	// The catalog pointer is pinned here for the whole request: a
 	// concurrent SwapCatalog must never mix two catalogs in one query.
@@ -372,18 +366,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	failPlan := func(err error) {
 		var ce *storage.CorruptError
 		if errors.As(err, &ce) {
-			fail(http.StatusServiceUnavailable, "quarantined", err)
+			rec.Fail(http.StatusServiceUnavailable, "quarantined", err)
 			return
 		}
-		fail(http.StatusBadRequest, "plan", err)
+		rec.Fail(http.StatusBadRequest, "plan", err)
 	}
 	if qnum > 0 {
 		if qf, err = tpch.Query(qnum); err != nil {
-			fail(http.StatusBadRequest, "parse", err)
+			rec.Fail(http.StatusBadRequest, "parse", err)
 			return
 		}
-		src = fmt.Sprintf("TPC-H Q%d", qnum)
-		qt.sql = src
+		rec.SQL = fmt.Sprintf("TPC-H Q%d", qnum)
 	} else {
 		norm := normalizeSQL(src)
 		lookupStart := time.Now()
@@ -393,7 +386,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			compileStart := time.Now()
 			stmt, perr := sql.Parse(src)
 			if perr != nil {
-				fail(http.StatusBadRequest, "parse", perr)
+				rec.Fail(http.StatusBadRequest, "parse", perr)
 				return
 			}
 			var q rel.Query
@@ -410,22 +403,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.cache.put(cat, norm, pr)
 		}
 	}
-	s.mCompile.Observe(compileDur.Seconds())
-	qt.planLookup, qt.compile, qt.cached = lookupDur, compileDur, cached
+	// The plan phases enter the record only once the plan is in hand, in
+	// one piece and before registration makes them visible to scrapers.
+	rec.PlanLookup, rec.Compile, rec.Cached = lookupDur, compileDur, cached
 
 	// Execute under a cancellable context registered for the /queries
 	// cancel action, with completed trace steps streaming into the
-	// registry entry as live progress.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	aq := s.qreg.Begin(src, qt.qid.String(), cancel)
-	aq.SetPlanTiming(lookupDur.Nanoseconds(), compileDur.Nanoseconds(), cached)
-	aq.SetAdmission(queueWait.Nanoseconds(), qt.deadline.Nanoseconds())
-	ctx = trace.WithObserver(ctx, aq.Observe)
+	// record as live progress.
+	ctx, rec.Cancel = context.WithCancel(ctx)
+	defer rec.Cancel()
+	s.qreg.Begin(rec)
+	ctx = trace.WithObserver(ctx, rec.Observe)
 
-	var traces []*trace.Trace
 	e.BaseContext = ctx
-	e.TraceSink = func(t *trace.Trace) { traces = append(traces, t) }
+	e.TraceSink = func(t *trace.Trace) { rec.Traces = append(rec.Traces, t) }
 
 	execStart := time.Now()
 	var res *rel.Result
@@ -434,19 +425,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		res, _, err = e.RunPrepared(ctx, pr)
 	}
-	execDur := time.Since(execStart)
-	s.qreg.Finish(aq, traces, err)
-	s.mExec.Observe(execDur.Seconds())
-	qt.exec = execDur
-
+	rec.Exec = time.Since(execStart)
 	if err != nil {
 		code, kind := statusFor(err)
-		qt.finish(code, kind, err, traces)
-		s.fail(w, code, kind, err)
+		rec.Fail(code, kind, err)
 		return
 	}
 
-	resp := queryResponse{Cols: res.Cols, Rows: make([]map[string]any, 0, len(res.Rows))}
+	resp.Cols, resp.Rows = res.Cols, make([]map[string]any, 0, len(res.Rows))
 	for _, row := range res.Rows {
 		out := make(map[string]any, len(row))
 		for _, c := range res.Cols {
@@ -460,17 +446,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Rows = append(resp.Rows, out)
 	}
-	resp.Stats = queryStats{
-		QueryID: qt.qid.String(),
-		QueueNS: queueWait.Nanoseconds(), PlanLookupNS: lookupDur.Nanoseconds(),
-		CompileNS: compileDur.Nanoseconds(), ExecNS: execDur.Nanoseconds(),
-		Rows: len(resp.Rows), Cached: cached,
-	}
-	qt.rows = len(resp.Rows)
-	qt.finish(http.StatusOK, "", nil, traces)
-	s.mRows.Add(int64(len(resp.Rows)))
-	s.count(http.StatusOK)
-	writeJSON(w, http.StatusOK, resp)
+	rec.Status, rec.Rows = http.StatusOK, len(resp.Rows)
 }
 
 // requestQuery extracts the SQL text or TPC-H query number from the
@@ -523,13 +499,6 @@ func statusFor(err error) (int, string) {
 		return http.StatusInternalServerError, "internal"
 	}
 }
-
-func (s *Server) fail(w http.ResponseWriter, code int, kind string, err error) {
-	s.count(code)
-	writeJSON(w, code, queryError{Error: err.Error(), Kind: kind})
-}
-
-func (s *Server) count(code int) { s.mReqs.With(strconv.Itoa(code)).Inc() }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")

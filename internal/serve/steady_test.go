@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"fmt"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"voodoo/internal/compile"
@@ -159,6 +161,38 @@ func TestSteadyStateAllocDrop(t *testing.T) {
 	if warmAllocs > coldAllocs/5 {
 		t.Errorf("steady state allocates %.0f/op vs %.0f/op cold — less than the required 80%% drop",
 			warmAllocs, coldAllocs)
+	}
+}
+
+// TestUnreadSpanViewIsFree: retaining a request for /debug/spans costs the
+// request path nothing — the span tree is rendered when somebody asks for
+// it, not when the query finishes. A plan-cache hit through handleQuery
+// allocates no more with the default SpanRetain than with retention off
+// (a small fixed slack absorbs the runtime's own noise).
+func TestUnreadSpanViewIsFree(t *testing.T) {
+	allocs := func(spanRetain int) float64 {
+		s := New(Config{
+			Cat: testCat, Opt: compile.Options{Workers: 1},
+			Registry: metrics.NewRegistry(), SpanRetain: spanRetain,
+		})
+		do := func() {
+			w := httptest.NewRecorder()
+			s.handleQuery(w, httptest.NewRequest("POST", "/query",
+				strings.NewReader("SELECT n_regionkey, COUNT(*) AS n FROM nation GROUP BY n_regionkey")))
+			if w.Code != 200 {
+				t.Fatalf("status %d: %s", w.Code, w.Body)
+			}
+		}
+		do() // compile into the plan cache
+		do() // warm the buffer pool
+		return testing.AllocsPerRun(20, do)
+	}
+	on, off := allocs(0), allocs(-1)
+	t.Logf("plan-cache hit: %.0f allocs/op retaining spans, %.0f with SpanRetain -1", on, off)
+	const slack = 3
+	if on > off+slack {
+		t.Errorf("retaining the request for /debug/spans costs %.0f allocs/op (%.0f vs %.0f); the unread view must be free",
+			on-off, on, off)
 	}
 }
 

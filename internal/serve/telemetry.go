@@ -4,40 +4,20 @@ import (
 	"context"
 	"log/slog"
 	"net/http"
+	"strconv"
+	"strings"
 	"time"
 
 	"voodoo/internal/telemetry"
-	"voodoo/internal/trace"
 )
 
-// queryTelemetry is one request's telemetry identity and timings. It is
-// created before the first admission gate so even refused requests carry
-// a query id, and finish fans the completed record out to every sink —
-// event log, span store, SLO tracker, structured log — exactly once.
-type queryTelemetry struct {
-	s   *Server
-	qid telemetry.QueryID
-	sql string
-
-	arrived  time.Time
-	deadline time.Duration // remaining budget at arrival (0 = none)
-
-	queueWait  time.Duration
-	planLookup time.Duration
-	compile    time.Duration
-	exec       time.Duration
-	cached     bool
-	rows       int
-
-	done bool
-}
-
-// beginTelemetry resolves the request's identity: an inbound W3C
-// traceparent is adopted (same trace id, caller's span as parent), any
-// other request gets a freshly minted id. Both the traceparent and the
-// bare query id echo on the response before any body is written, so a
-// client can always correlate its request with the server's telemetry.
-func (s *Server) beginTelemetry(w http.ResponseWriter, r *http.Request) *queryTelemetry {
+// beginRecord opens the request's record and resolves its identity: an
+// inbound W3C traceparent is adopted (same trace id, caller's span as
+// parent), any other request gets a freshly minted id. Both the
+// traceparent and the bare query id echo on the response before any body
+// is written, so a client can always correlate its request with the
+// server's telemetry.
+func beginRecord(w http.ResponseWriter, r *http.Request) *telemetry.QueryRecord {
 	qid, ok := telemetry.ParseTraceparent(r.Header.Get("traceparent"))
 	if !ok {
 		qid = telemetry.MintQueryID()
@@ -45,84 +25,85 @@ func (s *Server) beginTelemetry(w http.ResponseWriter, r *http.Request) *queryTe
 	h := w.Header()
 	h.Set("Traceparent", qid.Traceparent())
 	h.Set("X-Voodoo-Query-Id", qid.String())
-	return &queryTelemetry{s: s, qid: qid, arrived: time.Now()}
+	return &telemetry.QueryRecord{ID: qid, Arrived: time.Now()}
 }
 
-// context threads the query id — and, when the process logger is live, a
-// logger pre-bound to it — into ctx for the engine layers. The Enabled
-// guard keeps the disabled path allocation-free.
-func (qt *queryTelemetry) context(ctx context.Context) context.Context {
-	ctx = telemetry.WithQueryID(ctx, qt.qid)
+// queryContext threads a logger pre-bound to the query id into ctx for the
+// engine layers when the process logger is live. The Enabled guard keeps
+// the disabled path allocation-free.
+func queryContext(ctx context.Context, qid telemetry.QueryID) context.Context {
 	if lg := telemetry.Default(); lg.Enabled(ctx, slog.LevelError) {
-		ctx = telemetry.WithLogger(ctx, lg.With("query_id", qt.qid.String()))
+		ctx = telemetry.WithLogger(ctx, lg.With("query_id", qid.String()))
 	}
 	return ctx
 }
 
-// finish records the request's outcome everywhere it is observable:
-// the SLO budget, the JSONL event log (which applies its own sampling),
-// the span store, and the process log. kind is the error-kind label
-// ("" on success); err may be nil.
-func (qt *queryTelemetry) finish(status int, kind string, err error, traces []*trace.Trace) {
-	if qt.done {
-		return
-	}
-	qt.done = true
-	s := qt.s
-	wall := time.Since(qt.arrived)
+// finish is the single exit of every request: it closes the record and
+// hands it, once, to everything that observes a request's outcome — the
+// query registry (which publishes it to /queries/slow and /debug/spans),
+// the histograms and counters, the SLO budget, the JSONL event log (which
+// applies its own sampling), the process log — and last the client, so
+// whoever reads the response finds every other view already in place.
+func (s *Server) finish(w http.ResponseWriter, rec *telemetry.QueryRecord, resp *queryResponse) {
+	rec.Wall = time.Since(rec.Arrived)
+	s.qreg.Finish(rec)
 
+	// Phase histograms take the phases the request reached: the queue wait
+	// of every admitted request, plan and execution time of every request
+	// that got a plan (Seq is set when execution is registered).
+	if rec.QueueWait > 0 {
+		s.mQueue.Observe(rec.QueueWait.Seconds())
+	}
+	if rec.Seq != 0 {
+		s.mCompile.Observe(rec.Compile.Seconds())
+		s.mExec.Observe(rec.Exec.Seconds())
+	}
+	s.mReqs.With(strconv.Itoa(rec.Status)).Inc()
+	s.mRows.Add(int64(rec.Rows))
+	if reason, shed := strings.CutPrefix(rec.Kind, "shed-"); shed {
+		s.mShed.With(reason).Inc()
+		w.Header().Set("Retry-After", "1")
+	}
 	// Only server-side failures burn error budget at any latency; client
 	// errors and cancellations count as good when they return in time.
-	s.slos.Observe("query", wall, status >= 500)
-
-	e := telemetry.Event{
-		Time: qt.arrived, QueryID: qt.qid.String(), SQL: qt.sql,
-		Status: status, Kind: kind,
-		WallNS: wall.Nanoseconds(), QueueNS: qt.queueWait.Nanoseconds(),
-		PlanLookupNS: qt.planLookup.Nanoseconds(), CompileNS: qt.compile.Nanoseconds(),
-		ExecNS: qt.exec.Nanoseconds(), Rows: qt.rows, Cached: qt.cached,
-		DeadlineNS: qt.deadline.Nanoseconds(),
-	}
-	if err != nil {
-		e.Error = err.Error()
-	}
-	s.events.Emit(e)
-
-	if s.spans != nil {
-		m := telemetry.QueryMeta{
-			ID: qt.qid, SQL: qt.sql, Start: qt.arrived, End: qt.arrived.Add(wall),
-			QueueWait: qt.queueWait, PlanLookup: qt.planLookup,
-			Compile: qt.compile, Cached: qt.cached,
-		}
-		if err != nil {
-			m.Status = kind + ": " + err.Error()
-		}
-		s.spans.Put(telemetry.BuildSpans(m, traces))
-	}
+	s.slos.Observe("query", rec.Wall, rec.Status >= 500)
+	s.events.Emit(rec)
 
 	lg := telemetry.Default()
 	lvl := slog.LevelInfo
-	if status >= 500 {
+	if rec.Status >= 500 {
 		lvl = slog.LevelWarn
 	}
 	if lg.Enabled(context.Background(), lvl) {
 		attrs := []slog.Attr{
-			slog.String("query_id", qt.qid.String()),
-			slog.Int("status", status),
-			slog.Duration("wall", wall),
-			slog.Duration("queue_wait", qt.queueWait),
-			slog.Int("rows", qt.rows),
-			slog.Bool("cached_plan", qt.cached),
+			slog.String("query_id", rec.ID.String()),
+			slog.Int("status", rec.Status),
+			slog.Duration("wall", rec.Wall),
+			slog.Duration("queue_wait", rec.QueueWait),
+			slog.Int("rows", rec.Rows),
+			slog.Bool("cached_plan", rec.Cached),
 		}
-		if qt.sql != "" {
-			attrs = append(attrs, slog.String("sql", qt.sql))
+		if rec.SQL != "" {
+			attrs = append(attrs, slog.String("sql", rec.SQL))
 		}
-		if kind != "" {
-			attrs = append(attrs, slog.String("kind", kind))
+		if rec.Kind != "" {
+			attrs = append(attrs, slog.String("kind", rec.Kind))
 		}
-		if err != nil {
-			attrs = append(attrs, slog.String("error", err.Error()))
+		if rec.Error != "" {
+			attrs = append(attrs, slog.String("error", rec.Error))
 		}
 		lg.LogAttrs(context.Background(), lvl, "query", attrs...)
 	}
+
+	if rec.Status != http.StatusOK {
+		writeJSON(w, rec.Status, queryError{Error: rec.Error, Kind: rec.Kind})
+		return
+	}
+	resp.Stats = queryStats{
+		QueryID: rec.ID.String(),
+		QueueNS: rec.QueueWait.Nanoseconds(), PlanLookupNS: rec.PlanLookup.Nanoseconds(),
+		CompileNS: rec.Compile.Nanoseconds(), ExecNS: rec.Exec.Nanoseconds(),
+		Rows: rec.Rows, Cached: rec.Cached,
+	}
+	writeJSON(w, http.StatusOK, resp)
 }

@@ -25,7 +25,8 @@ import (
 //   - Close is flush-on-quiesce: every event accepted into the buffer is
 //     written before Close returns, so a SIGTERM drain loses nothing.
 
-// Event is one query's JSONL record.
+// Event is the JSONL line of one query: the wire view of its QueryRecord
+// (cmd/voodoo-trace parses it back).
 type Event struct {
 	Time    time.Time `json:"time"`
 	QueryID string    `json:"query_id"`
@@ -120,13 +121,13 @@ func NewEventLog(cfg EventLogConfig) *EventLog {
 
 // sampleReason decides retention: errors, shed requests and slow
 // queries always; ordinary queries probabilistically.
-func (l *EventLog) sampleReason(e *Event) (string, bool) {
+func (l *EventLog) sampleReason(r *QueryRecord) (string, bool) {
 	switch {
-	case strings.HasPrefix(e.Kind, "shed"):
+	case strings.HasPrefix(r.Kind, "shed"):
 		return "shed", true
-	case e.Error != "" || e.Status >= 400:
+	case r.Error != "" || r.Status >= 400:
 		return "error", true
-	case l.cfg.SlowThreshold > 0 && e.WallNS >= l.cfg.SlowThreshold.Nanoseconds():
+	case l.cfg.SlowThreshold > 0 && r.Wall >= l.cfg.SlowThreshold:
 		return "slow", true
 	case l.cfg.SampleRate > 0 && rand.Float64() < l.cfg.SampleRate:
 		return "random", true
@@ -134,20 +135,26 @@ func (l *EventLog) sampleReason(e *Event) (string, bool) {
 	return "", false
 }
 
-// Emit offers one event to the log. It never blocks: unsampled events
-// return after one branch, and a full buffer drops the event into the
-// drop counter. Nil-safe.
-func (l *EventLog) Emit(e Event) {
+// Emit offers one finished query to the log. It never blocks: an unsampled
+// query returns after one branch — its Event is never built — and a full
+// buffer drops the event into the drop counter. Nil-safe.
+func (l *EventLog) Emit(r *QueryRecord) {
 	if l == nil || l.closed.Load() {
 		return
 	}
-	reason, keep := l.sampleReason(&e)
+	reason, keep := l.sampleReason(r)
 	if !keep {
 		l.sampled.Add(1)
 		return
 	}
-	e.Sampled = reason
-	b, err := json.Marshal(&e)
+	b, err := json.Marshal(&Event{
+		Time: r.Arrived, QueryID: r.ID.String(), SQL: r.SQL,
+		Status: r.Status, Kind: r.Kind, Error: r.Error,
+		WallNS: r.Wall.Nanoseconds(), QueueNS: r.QueueWait.Nanoseconds(),
+		PlanLookupNS: r.PlanLookup.Nanoseconds(), CompileNS: r.Compile.Nanoseconds(),
+		ExecNS: r.Exec.Nanoseconds(), Rows: r.Rows, Cached: r.Cached,
+		DeadlineNS: r.Deadline.Nanoseconds(), Sampled: reason,
+	})
 	if err != nil {
 		l.dropped.Add(1)
 		return

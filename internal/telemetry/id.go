@@ -9,19 +9,19 @@
 // The package is pure stdlib. Its pieces:
 //
 //   - QueryID (this file): trace identity — parse, mint, render.
+//   - record.go: the QueryRecord, the one per-request record every other
+//     shape (event, spans, registry entries, response stats) is a view of.
 //   - log.go: a context-threaded *slog.Logger so every layer of the
 //     stack (serve, rel, compile, exec, storage) emits records carrying
 //     query_id without new parameter plumbing.
-//   - span.go / store.go: converts the execution stack's trace.Trace
-//     records into exportable spans and retains recent span trees for
-//     the /debug/spans endpoint.
+//   - span.go: renders a record and its trace.Trace records as an
+//     exportable span tree, on demand, for the /debug/spans endpoint.
 //   - events.go: the sampled JSONL query-event log behind an async
 //     bounded buffer whose backpressure is absorbed by a drop counter,
 //     never by blocking the serving path.
 package telemetry
 
 import (
-	"context"
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
@@ -131,18 +131,4 @@ func fill(b []byte) {
 	if allZero {
 		b[len(b)-1] = 1
 	}
-}
-
-type queryIDKey struct{}
-
-// WithQueryID returns a context carrying id; LoggerFrom and the engine
-// layers read it back to correlate their records.
-func WithQueryID(ctx context.Context, id QueryID) context.Context {
-	return context.WithValue(ctx, queryIDKey{}, id)
-}
-
-// QueryIDFrom extracts the query id carried by ctx (zero when absent).
-func QueryIDFrom(ctx context.Context) QueryID {
-	id, _ := ctx.Value(queryIDKey{}).(QueryID)
-	return id
 }

@@ -4,9 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash/fnv"
-	"time"
-
-	"voodoo/internal/trace"
 )
 
 // Span is one exportable span: flat, OTLP-shaped JSON (ids as lowercase
@@ -32,49 +29,37 @@ type QuerySpans struct {
 	Spans   []Span `json:"spans"`
 }
 
-// QueryMeta describes the request-level phases of one query; BuildSpans
-// combines it with the execution traces into the span tree.
-type QueryMeta struct {
-	ID    QueryID
-	SQL   string
-	Start time.Time // request arrival
-	End   time.Time // response written
-
-	QueueWait  time.Duration // admission-semaphore wait
-	PlanLookup time.Duration // plan-cache probe
-	Compile    time.Duration // parse+plan+compile (0 on a cache hit)
-	Cached     bool
-
-	Status string // "" on success, else the error kind + message
-}
-
-// BuildSpans converts a finished query — its admission/plan phases plus
-// the execution traces the engine produced (one per lowered program) —
-// into an exportable span tree rooted at the query's root span.
+// BuildSpans renders a finished query's record — its admission/plan phases
+// plus the execution traces the engine produced (one per lowered program)
+// — as an exportable span tree rooted at the query's root span. It is the
+// /debug/spans view and is built when somebody asks for it, never on the
+// request path.
 //
 // trace.Step records carry durations, not timestamps; steps of one
 // program run sequentially in plan order, so each step span's start is
 // the cumulative wall of its predecessors. Parallelism inside a step
 // (workers, morsels) stays attribute-level, which is exactly how the
 // paper's figures reason about fragments too.
-func BuildSpans(m QueryMeta, traces []*trace.Trace) QuerySpans {
-	qs := QuerySpans{QueryID: m.ID.String(), SQL: m.SQL}
-	tid := m.ID.String()
-	root := m.ID.SpanIDString()
-	start := m.Start.UnixNano()
+func BuildSpans(r *QueryRecord) QuerySpans {
+	qs := QuerySpans{QueryID: r.ID.String(), SQL: r.SQL}
+	tid := r.ID.String()
+	root := r.ID.SpanIDString()
+	start := r.Arrived.UnixNano()
 
 	rootSpan := Span{
-		TraceID: tid, SpanID: root, ParentSpanID: m.ID.ParentString(),
-		Name: "query", StartUnixNS: start, EndUnixNS: m.End.UnixNano(),
-		Status: m.Status,
-		Attrs:  map[string]any{"sql": m.SQL, "cached_plan": m.Cached},
+		TraceID: tid, SpanID: root, ParentSpanID: r.ID.ParentString(),
+		Name: "query", StartUnixNS: start, EndUnixNS: r.Arrived.Add(r.Wall).UnixNano(),
+		Attrs: map[string]any{"sql": r.SQL, "cached_plan": r.Cached},
+	}
+	if r.Error != "" {
+		rootSpan.Status = r.Kind + ": " + r.Error
 	}
 	qs.Spans = append(qs.Spans, rootSpan)
 
 	seq := 0
 	child := func(name string, parent string, startNS, durNS int64, attrs map[string]any) string {
 		seq++
-		id := deriveSpanID(m.ID, seq)
+		id := deriveSpanID(r.ID, seq)
 		qs.Spans = append(qs.Spans, Span{
 			TraceID: tid, SpanID: id, ParentSpanID: parent, Name: name,
 			StartUnixNS: startNS, EndUnixNS: startNS + durNS, Attrs: attrs,
@@ -83,25 +68,25 @@ func BuildSpans(m QueryMeta, traces []*trace.Trace) QuerySpans {
 	}
 
 	cursor := start
-	if m.QueueWait > 0 {
-		child("admission.wait", root, cursor, m.QueueWait.Nanoseconds(), nil)
-		cursor += m.QueueWait.Nanoseconds()
+	if r.QueueWait > 0 {
+		child("admission.wait", root, cursor, r.QueueWait.Nanoseconds(), nil)
+		cursor += r.QueueWait.Nanoseconds()
 	}
-	if m.PlanLookup > 0 || m.Compile > 0 {
-		child("plan", root, cursor, (m.PlanLookup + m.Compile).Nanoseconds(),
-			map[string]any{"cache_lookup_ns": m.PlanLookup.Nanoseconds(),
-				"compile_ns": m.Compile.Nanoseconds(), "cached": m.Cached})
-		cursor += (m.PlanLookup + m.Compile).Nanoseconds()
+	if r.PlanLookup > 0 || r.Compile > 0 {
+		child("plan", root, cursor, (r.PlanLookup + r.Compile).Nanoseconds(),
+			map[string]any{"cache_lookup_ns": r.PlanLookup.Nanoseconds(),
+				"compile_ns": r.Compile.Nanoseconds(), "cached": r.Cached})
+		cursor += (r.PlanLookup + r.Compile).Nanoseconds()
 	}
 
-	for pi, t := range traces {
+	for pi, t := range r.Traces {
 		attrs := map[string]any{
 			"backend": t.Backend, "fragments": t.Fragments, "bulk_steps": t.BulkSteps,
 			"items": t.Items, "materialized_bytes": t.MaterializedBytes,
 			"alloc_bytes": t.AllocBytes,
 		}
 		phase := child("exec", root, cursor, t.WallNS, attrs)
-		if pi > 0 || len(traces) > 1 {
+		if pi > 0 || len(r.Traces) > 1 {
 			qs.Spans[len(qs.Spans)-1].Attrs["phase"] = pi
 		}
 		stepCursor := cursor

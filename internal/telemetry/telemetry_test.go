@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"log/slog"
 	"strings"
 	"sync"
@@ -72,13 +73,10 @@ func TestMintQueryID(t *testing.T) {
 	}
 }
 
-// TestContextPlumbing: query id and logger travel via context, and the
+// TestContextPlumbing: the query's logger travels via context, and the
 // fallback logger is the allocation-free discard.
 func TestContextPlumbing(t *testing.T) {
 	ctx := context.Background()
-	if got := QueryIDFrom(ctx); !got.IsZero() {
-		t.Errorf("empty context carries query id %v", got)
-	}
 	if l := LoggerFrom(ctx); l != Discard {
 		t.Errorf("empty context logger is not the discard fallback")
 	}
@@ -89,10 +87,7 @@ func TestContextPlumbing(t *testing.T) {
 	id := MintQueryID()
 	var buf bytes.Buffer
 	lg := slog.New(slog.NewJSONHandler(&buf, nil)).With("query_id", id.String())
-	ctx = WithQueryID(WithLogger(ctx, lg), id)
-	if got := QueryIDFrom(ctx); got != id {
-		t.Errorf("query id did not round-trip: %v", got)
-	}
+	ctx = WithLogger(ctx, lg)
 	LoggerFrom(ctx).Info("hello")
 	if !strings.Contains(buf.String(), id.String()) {
 		t.Errorf("log record missing query_id: %s", buf.String())
@@ -120,12 +115,12 @@ func TestBuildSpans(t *testing.T) {
 		Items: 100, Workers: 2, Morsels: 4, Fused: true, Stmts: []int{1, 2}})
 	tr.Finish(5 * time.Millisecond)
 
-	m := QueryMeta{
-		ID: q, SQL: "SELECT 1", Start: start, End: start.Add(10 * time.Millisecond),
+	rec := &QueryRecord{
+		ID: q, SQL: "SELECT 1", Arrived: start, Wall: 10 * time.Millisecond,
 		QueueWait: time.Millisecond, PlanLookup: time.Microsecond,
-		Compile: 2 * time.Millisecond,
+		Compile: 2 * time.Millisecond, Traces: []*trace.Trace{tr},
 	}
-	qs := BuildSpans(m, []*trace.Trace{tr})
+	qs := BuildSpans(rec)
 	if qs.QueryID != q.String() {
 		t.Fatalf("span tree query id %q", qs.QueryID)
 	}
@@ -136,6 +131,9 @@ func TestBuildSpans(t *testing.T) {
 	root := qs.Spans[0]
 	if root.Name != "query" || root.ParentSpanID != "b7ad6b7169203331" || root.TraceID != q.String() {
 		t.Errorf("bad root span: %+v", root)
+	}
+	if root.StartUnixNS != start.UnixNano() || root.EndUnixNS != start.Add(10*time.Millisecond).UnixNano() || root.Status != "" {
+		t.Errorf("root span does not cover arrival to outcome: %+v", root)
 	}
 	byName := map[string]Span{}
 	for _, s := range qs.Spans {
@@ -164,35 +162,17 @@ func TestBuildSpans(t *testing.T) {
 	}
 
 	// Determinism: rebuilding yields identical ids.
-	qs2 := BuildSpans(m, []*trace.Trace{tr})
+	qs2 := BuildSpans(rec)
 	for i := range qs.Spans {
 		if qs.Spans[i].SpanID != qs2.Spans[i].SpanID {
 			t.Errorf("span %d id not deterministic: %q vs %q", i, qs.Spans[i].SpanID, qs2.Spans[i].SpanID)
 		}
 	}
-}
 
-// TestSpanStore: ring retention with eviction of the oldest tree.
-func TestSpanStore(t *testing.T) {
-	st := NewSpanStore(2)
-	st.Put(QuerySpans{QueryID: "a"})
-	st.Put(QuerySpans{QueryID: "b"})
-	st.Put(QuerySpans{QueryID: "c"}) // evicts a
-	if _, ok := st.Get("a"); ok {
-		t.Error("oldest tree not evicted")
-	}
-	for _, id := range []string{"b", "c"} {
-		if got, ok := st.Get(id); !ok || got.QueryID != id {
-			t.Errorf("tree %q lost", id)
-		}
-	}
-	if st.Len() != 2 {
-		t.Errorf("store holds %d, want 2", st.Len())
-	}
-	var nilStore *SpanStore
-	nilStore.Put(QuerySpans{QueryID: "x"}) // must not panic
-	if _, ok := nilStore.Get("x"); ok {
-		t.Error("nil store returned a hit")
+	// A failed query's root span carries kind and message as its status.
+	rec.Fail(500, "panic", errors.New("boom"))
+	if got := BuildSpans(rec).Spans[0].Status; got != "panic: boom" {
+		t.Errorf("failed root span status = %q", got)
 	}
 }
 
@@ -223,11 +203,12 @@ func TestEventLogPolicy(t *testing.T) {
 		W: &buf, SampleRate: 0, SlowThreshold: 100 * time.Millisecond,
 		Registry: metrics.NewRegistry(),
 	})
-	l.Emit(Event{QueryID: "q-ok", Status: 200, WallNS: 1e6})                                       // sampled out
-	l.Emit(Event{QueryID: "q-err", Status: 500, Error: "boom", WallNS: 1e6})                       // error
-	l.Emit(Event{QueryID: "q-shed", Status: 503, Kind: "shed-memory"})                             // shed
-	l.Emit(Event{QueryID: "q-slow", Status: 200, WallNS: (200 * 1e6)})                             // slow
-	l.Emit(Event{QueryID: "q-canceled", Status: 499, Kind: "canceled", Error: "context canceled"}) // error
+	ok, failed, shed, slow, canceled := MintQueryID(), MintQueryID(), MintQueryID(), MintQueryID(), MintQueryID()
+	l.Emit(&QueryRecord{ID: ok, Status: 200, Wall: time.Millisecond})                            // sampled out
+	l.Emit(&QueryRecord{ID: failed, Status: 500, Error: "boom", Wall: time.Millisecond})         // error
+	l.Emit(&QueryRecord{ID: shed, Status: 503, Kind: "shed-memory"})                             // shed
+	l.Emit(&QueryRecord{ID: slow, Status: 200, Wall: 200 * time.Millisecond})                    // slow
+	l.Emit(&QueryRecord{ID: canceled, Status: 499, Kind: "canceled", Error: "context canceled"}) // error
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +220,7 @@ func TestEventLogPolicy(t *testing.T) {
 	if len(lines) != 4 {
 		t.Fatalf("got %d JSONL lines, want 4:\n%s", len(lines), buf.String())
 	}
-	wantReason := map[string]string{"q-err": "error", "q-shed": "shed", "q-slow": "slow", "q-canceled": "error"}
+	wantReason := map[string]string{failed.String(): "error", shed.String(): "shed", slow.String(): "slow", canceled.String(): "error"}
 	for _, line := range lines {
 		var e Event
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
@@ -254,7 +235,7 @@ func TestEventLogPolicy(t *testing.T) {
 		t.Errorf("events missing from the log: %v", wantReason)
 	}
 	// Emit after Close is a silent no-op, not a panic or a block.
-	l.Emit(Event{QueryID: "late", Status: 500, Error: "x"})
+	l.Emit(&QueryRecord{ID: MintQueryID(), Status: 500, Error: "x"})
 }
 
 // TestEventLogSampling: rate 1.0 retains everything with reason random.
@@ -262,7 +243,7 @@ func TestEventLogSampling(t *testing.T) {
 	var buf syncBuffer
 	l := NewEventLog(EventLogConfig{W: &buf, SampleRate: 1.0, Registry: metrics.NewRegistry()})
 	for i := 0; i < 50; i++ {
-		l.Emit(Event{QueryID: "q", Status: 200, WallNS: 1})
+		l.Emit(&QueryRecord{ID: MintQueryID(), Status: 200, Wall: 1})
 	}
 	l.Close()
 	if l.Written() != 50 {
@@ -285,7 +266,7 @@ func TestEventLogBackpressure(t *testing.T) {
 	start := time.Now()
 	const n = 100
 	for i := 0; i < n; i++ {
-		l.Emit(Event{QueryID: "q", Status: 500, Error: "x"})
+		l.Emit(&QueryRecord{ID: MintQueryID(), Status: 500, Error: "x"})
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("Emit blocked on a stalled sink: %v for %d emits", elapsed, n)

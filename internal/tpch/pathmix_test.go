@@ -10,6 +10,7 @@ import (
 	"voodoo/internal/metrics"
 	"voodoo/internal/rel"
 	"voodoo/internal/trace"
+	"voodoo/internal/vector"
 )
 
 // fragmentPaths reads the process-wide fragment-execution counters: the
@@ -94,5 +95,42 @@ func TestGoldenPathMix(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("fragment path mix drifted from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
+// TestBulkStepsAreNotQueries: a bulk step evaluates one operator through
+// the interpreter inside a plan run; it is not a program execution of its
+// own. One BulkCompiled run of Q6 must move voodoo_queries_total and the
+// voodoo_query_wall_seconds observation count by exactly the number of
+// lowered programs, pooled or not.
+func TestBulkStepsAreNotQueries(t *testing.T) {
+	cat := Generate(Config{SF: 0.01, Seed: 42})
+	qf, err := Query(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := metrics.Default.Histogram("voodoo_query_wall_seconds", "", nil)
+	for _, pool := range []*vector.Pool{nil, vector.NewPool(0)} {
+		var programs, bulkSteps int64
+		e := &rel.Engine{Cat: cat, Backend: rel.BulkCompiled, Pool: pool}
+		e.TraceSink = func(tr *trace.Trace) {
+			programs++
+			bulkSteps += int64(tr.BulkSteps)
+		}
+		q0, w0 := trace.Snapshot()["queries"], wall.Count()
+		if _, _, err := qf(e); err != nil {
+			t.Fatal(err)
+		}
+		if bulkSteps == 0 {
+			t.Fatal("the bulk backend ran Q6 without a single bulk step; the test checks nothing")
+		}
+		if got := trace.Snapshot()["queries"] - q0; got != programs {
+			t.Errorf("pooled=%v: voodoo_queries_total moved by %d for %d lowered programs (%d bulk steps)",
+				pool != nil, got, programs, bulkSteps)
+		}
+		if got := wall.Count() - w0; got != programs {
+			t.Errorf("pooled=%v: voodoo_query_wall_seconds took %d observations for %d lowered programs",
+				pool != nil, got, programs)
+		}
 	}
 }

@@ -7,8 +7,9 @@
 // Collection is opt-in and near-zero cost when disabled: the executor's
 // per-item counting stays behind its existing stats gate, and the only
 // always-on instrumentation is one atomic add per fragment and per query
-// (see Counters). Traces are per-query objects owned by their caller, so
-// concurrent queries on one engine never share mutable trace state.
+// (see CountQuery, CountFragment). Traces are per-query objects owned by
+// their caller, so concurrent queries on one engine never share mutable
+// trace state.
 package trace
 
 import (
@@ -17,7 +18,6 @@ import (
 	"expvar"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"voodoo/internal/metrics"
@@ -154,7 +154,7 @@ func (t *Trace) Add(s Step) {
 }
 
 // Finish totals the steps, records the query wall time, and folds the
-// query into the process-wide cumulative counters.
+// query into the process-wide traced-query counters.
 func (t *Trace) Finish(wall time.Duration) {
 	t.WallNS = wall.Nanoseconds()
 	t.Fragments, t.BulkSteps = 0, 0
@@ -172,7 +172,12 @@ func (t *Trace) Finish(wall time.Duration) {
 		t.FoldRuns += s.FoldRuns
 		t.ScatterItems += s.ScatterItems
 	}
-	countTrace(t)
+	cTraced.Inc()
+	cItems.Add(t.Items)
+	cAllocated.Add(t.AllocBytes)
+	cMaterialized.Add(t.MaterializedBytes)
+	cFoldRuns.Add(t.FoldRuns)
+	cScatterItems.Add(t.ScatterItems)
 }
 
 // JSON renders the trace as indented JSON (the -trace artifact).
@@ -252,88 +257,55 @@ func (t *Trace) String() string {
 	return sb.String()
 }
 
-// Counters are the process-wide cumulative execution counters, exported
-// via expvar under "voodoo". Queries and Fragments count every execution
-// (one atomic add each — cheap enough to stay always on); the remaining
-// counters accumulate only from traced queries, whose per-item numbers
-// exist.
-type Counters struct {
-	Queries           atomic.Int64
-	Fragments         atomic.Int64
-	TracedQueries     atomic.Int64
-	Items             atomic.Int64
-	BytesAllocated    atomic.Int64
-	BytesMaterialized atomic.Int64
-	FoldRuns          atomic.Int64
-	ScatterItems      atomic.Int64
-}
-
-var global Counters
-
-// CountQuery bumps the always-on per-query counter. Backends call it once
-// per execution, traced or not.
-func CountQuery() { global.Queries.Add(1) }
-
-// CountFragment bumps the always-on per-fragment counter; the executor
-// calls it once per fragment run.
-func CountFragment() { global.Fragments.Add(1) }
-
-// countTrace folds a finished trace's totals into the cumulative counters.
-func countTrace(t *Trace) {
-	global.TracedQueries.Add(1)
-	global.Items.Add(t.Items)
-	global.BytesAllocated.Add(t.AllocBytes)
-	global.BytesMaterialized.Add(t.MaterializedBytes)
-	global.FoldRuns.Add(t.FoldRuns)
-	global.ScatterItems.Add(t.ScatterItems)
-}
-
-// Snapshot returns the current cumulative counter values.
-func Snapshot() map[string]int64 {
-	return map[string]int64{
-		"queries":            global.Queries.Load(),
-		"fragments":          global.Fragments.Load(),
-		"traced_queries":     global.TracedQueries.Load(),
-		"items":              global.Items.Load(),
-		"bytes_allocated":    global.BytesAllocated.Load(),
-		"bytes_materialized": global.BytesMaterialized.Load(),
-		"fold_runs":          global.FoldRuns.Load(),
-		"scatter_items":      global.ScatterItems.Load(),
-	}
-}
+// The process-wide cumulative execution counters, registered on
+// metrics.Default and keyed here by their historical expvar names. queries
+// and fragments count every execution (one atomic add each — cheap enough
+// to stay always on); the remaining counters accumulate only from traced
+// queries, whose per-item numbers exist.
+var (
+	cQueries      = metrics.NewCounter("voodoo_queries_total", "Programs executed (every backend, traced or not).")
+	cFragments    = metrics.NewCounter("voodoo_fragments_total", "Kernel fragments executed.")
+	cTraced       = metrics.NewCounter("voodoo_traced_queries_total", "Programs executed with tracing enabled.")
+	cItems        = metrics.NewCounter("voodoo_items_total", "Loop items executed by traced queries.")
+	cAllocated    = metrics.NewCounter("voodoo_bytes_allocated_total", "Buffer bytes allocated by traced queries.")
+	cMaterialized = metrics.NewCounter("voodoo_bytes_materialized_total", "Bytes materialized at fragment seams by traced queries.")
+	cFoldRuns     = metrics.NewCounter("voodoo_fold_runs_total", "Aggregation runs produced by traced queries.")
+	cScatterItems = metrics.NewCounter("voodoo_scatter_items_total", "Elements moved by materialized scatters in traced queries.")
+)
 
 // queryWall is the always-on end-to-end latency histogram: exactly one
-// observation per program execution, made by the backends next to their
-// CountQuery call. Together with the two always-on atomic counters this
-// is the entire hot-path cost of process observability.
+// observation per program execution, made together with the queries
+// counter. With the per-fragment counter this is the entire hot-path cost
+// of process observability.
 var queryWall = metrics.NewHistogram("voodoo_query_wall_seconds",
 	"End-to-end wall time of each executed program (every backend, traced or not).",
 	metrics.DefBuckets)
 
-// ObserveQueryWall records one query's wall time in the always-on
-// latency histogram. Backends call it once per execution.
-func ObserveQueryWall(d time.Duration) { queryWall.Observe(d.Seconds()) }
+// CountQuery records one executed program: the always-on queries counter
+// and its wall time in the latency histogram. Backends call it once per
+// execution, traced or not.
+func CountQuery(wall time.Duration) {
+	cQueries.Inc()
+	queryWall.Observe(wall.Seconds())
+}
 
-func init() {
-	// The atomics in global are the single source of truth. expvar keeps
-	// its historical "voodoo" map as a read-only view, and the Prometheus
-	// registry bridges the same atomics through scrape-time closures —
-	// no counter is ever double-counted.
-	expvar.Publish("voodoo", expvar.Func(func() any { return Snapshot() }))
-	for _, b := range []struct {
-		name, help string
-		v          *atomic.Int64
-	}{
-		{"voodoo_queries_total", "Programs executed (every backend, traced or not).", &global.Queries},
-		{"voodoo_fragments_total", "Kernel fragments executed.", &global.Fragments},
-		{"voodoo_traced_queries_total", "Programs executed with tracing enabled.", &global.TracedQueries},
-		{"voodoo_items_total", "Loop items executed by traced queries.", &global.Items},
-		{"voodoo_bytes_allocated_total", "Buffer bytes allocated by traced queries.", &global.BytesAllocated},
-		{"voodoo_bytes_materialized_total", "Bytes materialized at fragment seams by traced queries.", &global.BytesMaterialized},
-		{"voodoo_fold_runs_total", "Aggregation runs produced by traced queries.", &global.FoldRuns},
-		{"voodoo_scatter_items_total", "Elements moved by materialized scatters in traced queries.", &global.ScatterItems},
-	} {
-		v := b.v
-		metrics.NewCounterFunc(b.name, b.help, func() float64 { return float64(v.Load()) })
+// CountFragment bumps the always-on per-fragment counter; the executor
+// calls it once per fragment run.
+func CountFragment() { cFragments.Inc() }
+
+// Snapshot returns the current cumulative counter values — the "voodoo"
+// map of /debug/vars.
+func Snapshot() map[string]int64 {
+	return map[string]int64{
+		"queries":            cQueries.Value(),
+		"fragments":          cFragments.Value(),
+		"traced_queries":     cTraced.Value(),
+		"items":              cItems.Value(),
+		"bytes_allocated":    cAllocated.Value(),
+		"bytes_materialized": cMaterialized.Value(),
+		"fold_runs":          cFoldRuns.Value(),
+		"scatter_items":      cScatterItems.Value(),
 	}
 }
+
+func init() { expvar.Publish("voodoo", expvar.Func(func() any { return Snapshot() })) }

@@ -38,7 +38,7 @@ func TestFinishTotalsSteps(t *testing.T) {
 func TestCumulativeCounters(t *testing.T) {
 	before := Snapshot()
 
-	CountQuery()
+	CountQuery(0)
 	CountFragment()
 	CountFragment()
 

@@ -199,8 +199,9 @@ func (p *Pool) getBools(n int) []bool {
 // may allocate from an arena (all plan-level allocation happens on the
 // plan goroutine; kernel workers only write into already-allocated
 // buffers), and Release must not be called before every consumer of the
-// run's results is done with them. A nil *Arena is valid and falls back
-// to plain make(), so unpooled callers need no branches.
+// run's results is done with them. A nil *Arena — and the zero Arena,
+// which has no pool — is valid and falls back to plain make(), so
+// unpooled callers need no branches.
 type Arena struct {
 	pool   *Pool
 	ints   [][]int64
@@ -210,7 +211,7 @@ type Arena struct {
 
 // Ints returns a zeroed []int64 of length n owned by the arena.
 func (a *Arena) Ints(n int) []int64 {
-	if a == nil {
+	if a == nil || a.pool == nil {
 		return make([]int64, n)
 	}
 	s := a.pool.getInts(n)
@@ -220,7 +221,7 @@ func (a *Arena) Ints(n int) []int64 {
 
 // Floats returns a zeroed []float64 of length n owned by the arena.
 func (a *Arena) Floats(n int) []float64 {
-	if a == nil {
+	if a == nil || a.pool == nil {
 		return make([]float64, n)
 	}
 	s := a.pool.getFloats(n)
@@ -230,7 +231,7 @@ func (a *Arena) Floats(n int) []float64 {
 
 // Bools returns a zeroed []bool of length n owned by the arena.
 func (a *Arena) Bools(n int) []bool {
-	if a == nil {
+	if a == nil || a.pool == nil {
 		return make([]bool, n)
 	}
 	s := a.pool.getBools(n)

@@ -23,7 +23,7 @@
 // attribute, out-of-range slice): these are internal invariant violations
 // — the callers are the interpreter and compiler, which type-check
 // operands before touching columns — not conditions reachable from user
-// input. Query execution layers (interp.RunContext, compile
+// input. Query execution layers (interp.Run, compile
 // Plan.RunWith, exec workers) recover such panics into
 // *exec.PanicError, so a latent bug here fails one query, not the
 // process.

@@ -149,7 +149,7 @@ func FuzzVerifyThenRun(f *testing.F) {
 				t.Fatalf("diagnostic position %v outside program of %d statements: %v", d.Pos, len(p.Stmts), d)
 			}
 		}
-		_, err := interp.RunContext(ctx, p, st)
+		_, err := interp.Run(ctx, p, st, interp.Opts{})
 		if verify.HasErrors(diags) && err == nil {
 			t.Fatalf("program executes cleanly despite verifier errors\ndiagnostics: %v\nprogram:\n%s", diags, p)
 		}
