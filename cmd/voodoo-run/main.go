@@ -34,6 +34,7 @@ import (
 	"voodoo/internal/core"
 	"voodoo/internal/diag"
 	"voodoo/internal/exec"
+	"voodoo/internal/interp"
 	"voodoo/internal/metrics"
 	"voodoo/internal/opencl"
 	"voodoo/internal/rel"
@@ -42,6 +43,7 @@ import (
 	"voodoo/internal/telemetry"
 	"voodoo/internal/tpch"
 	"voodoo/internal/trace"
+	"voodoo/internal/vector"
 	"voodoo/internal/verify"
 )
 
@@ -92,7 +94,6 @@ func main() {
 	if *timeout > 0 {
 		limits.Deadline = time.Now().Add(*timeout)
 	}
-	ctx := context.Background()
 
 	var cat *storage.Catalog
 	var err error
@@ -130,9 +131,17 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		plan, err := compile.Compile(prog, cat, e.Opt)
-		if err != nil {
-			fatal(err)
+		// -backend picks the engine here as on the SQL and -q paths: interp
+		// is the reference interpreter, bulk the compiler with fusion off
+		// (not Engine.Plan, whose ScatterParallel is only safe for lowered
+		// queries).
+		var plan *compile.Plan
+		if e.Backend != rel.Interpreted || *showKernel || *showCL {
+			opt := e.Opt
+			opt.ForceBulk = e.Backend == rel.BulkCompiled
+			if plan, err = compile.Compile(prog, cat, opt); err != nil {
+				fatal(err)
+			}
 		}
 		if *showKernel {
 			fmt.Println("-- kernel fragments:")
@@ -143,20 +152,48 @@ func main() {
 			fmt.Println(opencl.Generate(plan.Kernel()))
 		}
 		if *explain {
-			fmt.Print(plan.Explain())
+			if e.Backend == rel.Interpreted {
+				fmt.Println("-- interpreted backend: one bulk step per statement")
+				fmt.Print(prog)
+			} else {
+				fmt.Print(plan.Explain())
+			}
 			return
 		}
+		traced := *analyze || *traceOut != ""
 		start := time.Now()
-		// The same per-run options the SQL and -q paths get through the
-		// engine.
-		res, err := plan.RunWith(ctx, compile.RunOpts{
-			Limits: e.Limits, MorselSize: e.MorselSize, NoSpecialize: e.NoSpecialize,
-			Trace: *analyze || *traceOut != "",
-		})
-		if err != nil {
-			fatal(err)
+		var values map[core.Ref]*vector.Vector
+		var tr *trace.Trace
+		ctx := context.Background()
+		if e.Backend == rel.Interpreted {
+			// The compiled plan enforces the governor's deadline itself; the
+			// interpreter has no governor.
+			if !limits.Deadline.IsZero() {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithDeadline(ctx, limits.Deadline)
+				defer cancel()
+			}
+			res, err := interp.Run(ctx, prog, cat, interp.Opts{Trace: traced})
+			if err != nil {
+				fatal(err)
+			}
+			tr, values = res.Trace, map[core.Ref]*vector.Vector{}
+			for _, ref := range prog.Roots() {
+				values[ref] = res.Value(ref)
+			}
+		} else {
+			// The same per-run options the SQL and -q paths get through the
+			// engine.
+			res, err := plan.RunWith(ctx, compile.RunOpts{
+				Limits: e.Limits, MorselSize: e.MorselSize, NoSpecialize: e.NoSpecialize,
+				Trace: traced,
+			})
+			if err != nil {
+				fatal(err)
+			}
+			tr, values = res.Trace, res.Values
 		}
-		if tr := res.Trace; tr != nil {
+		if tr != nil {
 			tr.Query = *progFile
 			if *analyze {
 				fmt.Print(tr.String())
@@ -164,8 +201,8 @@ func main() {
 			writeTraces(*traceOut, []*trace.Trace{tr})
 		}
 		if !*analyze {
-			fmt.Printf("-- %d root value(s) (%.1f ms wall)\n", len(res.Values), msSince(start))
-			for ref, v := range res.Values {
+			fmt.Printf("-- %d root value(s) (%.1f ms wall)\n", len(values), msSince(start))
+			for ref, v := range values {
 				fmt.Printf("%s =\n%s", prog.Stmts[ref].Label, v)
 			}
 		}
@@ -256,25 +293,21 @@ func main() {
 		return
 	}
 
-	start := time.Now()
-	var res *rel.Result
+	var traces []*trace.Trace
 	if *analyze || *traceOut != "" {
-		var traces []*trace.Trace
-		res, traces, err = e.RunTraced(ctx, q)
-		if err != nil {
-			fatal(err)
-		}
-		if *analyze {
-			for _, t := range traces {
-				fmt.Print(t.String())
-			}
-		}
-		writeTraces(*traceOut, traces)
-		if *analyze {
-			return
-		}
-	} else if res, _, err = e.RunContext(ctx, q); err != nil {
+		e.TraceSink = func(t *trace.Trace) { traces = append(traces, t) }
+	}
+	start := time.Now()
+	res, _, err := e.Run(q)
+	if err != nil {
 		fatal(err)
+	}
+	writeTraces(*traceOut, traces)
+	if *analyze {
+		for _, t := range traces {
+			fmt.Print(t.String())
+		}
+		return
 	}
 	fmt.Printf("-- %d rows (%.1f ms wall)\n%s", len(res.Rows), msSince(start), renderDecoded(res))
 }

@@ -10,10 +10,12 @@ import (
 
 // TestProgHonoursRunOptions is the regression test for `-prog` dropping
 // per-run options: it builds the real binary and runs a one-fragment map
-// over the 25-row nation table, whose traced run takes the batch path and
-// fits one default morsel. -no-specialize must move the fragment to the
-// interpreter and -morsel 7 must split it into four morsels, exactly as
-// they do on the SQL and -q paths.
+// over the 25-row nation table, which takes the batch path and fits one
+// default morsel. -no-specialize must move the fragment to the interpreter
+// and say why, -morsel 7 must split it into four morsels, and -backend must
+// pick the engine — the reference interpreter runs no fragment at all, the
+// bulk compiler only bulk steps — exactly as they do on the SQL and -q
+// paths.
 func TestProgHonoursRunOptions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary smoke test skipped in -short mode")
@@ -44,10 +46,18 @@ func TestProgHonoursRunOptions(t *testing.T) {
 	if out := analyze(); !strings.Contains(out, "spec:batch") || strings.Contains(out, "morsels=") {
 		t.Fatalf("default run should show one single-morsel spec:batch fragment:\n%s", out)
 	}
-	if out := analyze("-no-specialize"); strings.Contains(out, "spec:batch") {
+	if out := analyze("-no-specialize"); !strings.Contains(out, "spec:interp(no-specialize)") {
 		t.Errorf("-no-specialize ignored on the -prog path:\n%s", out)
 	}
 	if out := analyze("-morsel", "7"); !strings.Contains(out, "morsels=4") {
 		t.Errorf("-morsel ignored on the -prog path:\n%s", out)
+	}
+	if out := analyze("-backend", "interp"); !strings.Contains(out, "interpreted backend") ||
+		!strings.Contains(out, " stmt ") || strings.Contains(out, " fragment ") {
+		t.Errorf("-backend interp ignored on the -prog path (want stmt steps, no fragment):\n%s", out)
+	}
+	if out := analyze("-backend", "bulk"); !strings.Contains(out, "bulk-compiled backend") ||
+		!strings.Contains(out, " bulk ") || strings.Contains(out, " fragment ") {
+		t.Errorf("-backend bulk ignored on the -prog path (want bulk steps, no fragment):\n%s", out)
 	}
 }

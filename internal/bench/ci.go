@@ -179,12 +179,6 @@ func CompareCI(cur, base *CIReport, tol float64) []string {
 		if isAllocKey(name) {
 			continue // soft-gated by CompareCIAllocs
 		}
-		if strings.HasPrefix(name, "scaling/") {
-			continue // real wall clock, soft-gated by ScalingCheck
-		}
-		if strings.HasPrefix(name, "specialize/") {
-			continue // real wall clock, soft-gated by SpecializeCheck
-		}
 		bv := base.Medians[name]
 		cv, ok := cur.Medians[name]
 		if !ok {

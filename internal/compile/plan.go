@@ -51,12 +51,14 @@ type RunOpts struct {
 	// to the Result and returned to the pool by Result.Release.
 	Pool *vector.Pool
 	// CollectStats enables instruction/memory/branch event counting, which
-	// device cost models convert into simulated times.
+	// device cost models convert into simulated times. Only the per-element
+	// interpreter counts, so a counted run interprets every fragment.
 	CollectStats bool
 	// Trace records per-step tracing into Result.Trace: each plan step is
-	// timed and annotated with its fragment provenance and measured work
-	// (items, materialized bytes, fold runs, scatter items). Tracing forces
-	// stats collection for the run regardless of CollectStats.
+	// timed and annotated with its fragment provenance, its execution path
+	// and measured work (items, materialized bytes, fold runs, scatter
+	// items). A trace does not make the run counted: it executes exactly
+	// the code an untraced run executes.
 	Trace bool
 	// MorselSize overrides the scheduling granularity of parallel
 	// fragments in work items (0 = exec.DefaultMorsel). Results are
@@ -73,7 +75,10 @@ type RunOpts struct {
 // requested, the execution event counts and the per-step trace.
 type Result struct {
 	Values map[core.Ref]*vector.Vector
-	Stats  exec.Stats
+	// Stats holds one record per fragment and bulk step when CollectStats
+	// or Trace was set; its device-model event counters are filled only
+	// under CollectStats.
+	Stats exec.Stats
 	// Trace is the run's per-step trace when RunOpts.Trace was set, else
 	// nil. It is owned by the caller and does not alias pooled memory.
 	Trace *trace.Trace
@@ -95,10 +100,13 @@ func (r *Result) Release() {
 
 // runtime is the mutable state of one plan execution.
 type runtime struct {
-	plan  *Plan
-	ctx   context.Context
-	env   *exec.Env
+	plan *Plan
+	ctx  context.Context
+	env  *exec.Env
+	// stats, when non-nil, receives a record per executed step; count
+	// additionally asks fragments for the device-model event counters.
 	stats *exec.Stats
+	count bool
 	arena *vector.Arena
 	par   exec.Par
 }
@@ -138,7 +146,7 @@ func (s *fragStep) run(rt *runtime) error {
 		})
 		fs = &rt.stats.Frags[len(rt.stats.Frags)-1]
 	}
-	return exec.RunFragment(rt.ctx, s.f, rt.env, rt.par, fs)
+	return exec.RunFragment(rt.ctx, s.f, rt.env, rt.par, fs, rt.count)
 }
 
 func (s *fragStep) stepName() string { return "fragment " + s.f.Name }
@@ -272,14 +280,15 @@ func (p *Plan) RunWith(ctx context.Context, ro RunOpts) (_ *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &runtime{plan: p, ctx: ctx, env: env, arena: arena,
+	rt := &runtime{plan: p, ctx: ctx, env: env, arena: arena, count: ro.CollectStats,
 		par: exec.Par{Workers: p.opt.Workers, Morsel: ro.MorselSize, NoSpecialize: ro.NoSpecialize}}
 	res := &Result{Values: map[core.Ref]*vector.Vector{}, arena: arena}
 	if ro.Trace {
 		res.Trace = p.newTrace(ctx)
 	}
 	tr := res.Trace
-	if ro.CollectStats || tr != nil {
+	if rt.count || tr != nil {
+		// Someone reads the step records; only rt.count makes them counted.
 		rt.stats = &res.Stats
 	}
 	for _, s := range p.steps {
@@ -369,11 +378,9 @@ func (p *Plan) traceStep(s step, frags []exec.FragStats, wall time.Duration) tra
 			ts.Workers = fs.Workers
 			ts.Morsels = int64(fs.Morsels)
 			ts.Imbalance = fs.Imbalance
-			ts.Specialized = fs.Specialized
+			ts.Specialized, ts.Reason = fs.Specialized, fs.Reason
 			ts.Items = fs.Items
 			ts.MaterializedBytes = fs.StoreBytes
-			ts.IntOps, ts.FloatOps = fs.IntOps, fs.FloatOps
-			ts.SeqBytes, ts.RandAccesses = fs.SeqBytes, fs.RandAccesses
 		}
 		switch pv.Kind {
 		case "fold", "filter-fold", "scan", "group-reduce":
@@ -391,8 +398,6 @@ func (p *Plan) traceStep(s step, frags []exec.FragStats, wall time.Duration) tra
 			ts.Items = fs.Items
 			ts.MaterializedBytes = fs.StoreBytes
 			ts.AllocBytes = fs.StoreBytes
-			ts.IntOps, ts.FloatOps = fs.IntOps, fs.FloatOps
-			ts.SeqBytes, ts.RandAccesses = fs.SeqBytes, fs.RandAccesses
 			if x.name == core.OpScatter.String() {
 				ts.ScatterItems = fs.Items
 			}

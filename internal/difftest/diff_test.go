@@ -8,6 +8,8 @@ import (
 	"voodoo/internal/compile"
 	"voodoo/internal/core"
 	"voodoo/internal/interp"
+	"voodoo/internal/metrics"
+	"voodoo/internal/trace"
 	"voodoo/internal/vector"
 )
 
@@ -30,7 +32,10 @@ var diffPool = vector.NewPool(0)
 // pathological morsel sizes — the interpreter is the specialization
 // layer's oracle, so results must stay bit-identical on every (path,
 // granularity) pair, or a batch primitive diverged from per-element
-// semantics.
+// semantics. It also runs every pair a second time traced: a trace must
+// not change which path a fragment takes, so the traced run's values stay
+// bit-identical and its fragment steps report exactly the path mix the
+// untraced run's counters saw.
 var configs = []struct {
 	name    string
 	opt     compile.Options
@@ -39,6 +44,8 @@ var configs = []struct {
 	// noSpecialize, when set, is crossed with morsels (default:
 	// specialization on).
 	noSpecialize []bool
+	// traced repeats each run with RunOpts.Trace and checks path parity.
+	traced bool
 }{
 	{name: "compiled", opt: compile.Options{}},
 	{name: "predicated", opt: compile.Options{Predication: true}},
@@ -47,14 +54,22 @@ var configs = []struct {
 	{name: "pooled", opt: compile.Options{}, pooled: true},
 	{name: "morsel-sweep", opt: compile.Options{Workers: 4}, morsels: []int{1, 7, 1024, 0}},
 	{name: "specialize-sweep", opt: compile.Options{Workers: 4}, morsels: []int{1, 7, 0},
-		noSpecialize: []bool{true, false}},
+		noSpecialize: []bool{true, false}, traced: true},
+}
+
+// fragmentPaths reads the executor's process-wide per-path fragment
+// counters (interp, batch); tests in this package run one at a time, so a
+// delta around a run belongs to that run.
+func fragmentPaths() [2]int64 {
+	vec := metrics.Default.CounterVec("voodoo_fragments_specialized_total", "", "path")
+	return [2]int64{vec.With("interp").Value(), vec.With("batch").Value()}
 }
 
 // runPlan executes a compiled plan under the config's memory regime,
-// morsel size and specialization switch; the returned release func recycles pooled buffers and must
+// morsel size, specialization switch and tracing; the returned release func recycles pooled buffers and must
 // be called after the result has been compared (never before).
-func runPlan(ctx context.Context, plan *compile.Plan, pooled bool, morsel int, noSpecialize bool) (*compile.Result, func(), error) {
-	ro := compile.RunOpts{MorselSize: morsel, NoSpecialize: noSpecialize}
+func runPlan(ctx context.Context, plan *compile.Plan, pooled bool, morsel int, noSpecialize, traced bool) (*compile.Result, func(), error) {
+	ro := compile.RunOpts{MorselSize: morsel, NoSpecialize: noSpecialize, Trace: traced}
 	if pooled {
 		ro.Pool = diffPool
 	}
@@ -114,7 +129,7 @@ func TestInterpVsCompiled(t *testing.T) {
 				if cerr != nil {
 					continue
 				}
-				if _, release, rerr := runPlan(ctx, plan, cfg.pooled, morsels[0], noSpecs[0]); rerr == nil {
+				if _, release, rerr := runPlan(ctx, plan, cfg.pooled, morsels[0], noSpecs[0], false); rerr == nil {
 					release()
 					t.Errorf("seed %d %s: interpreter rejects the program (%v) but the compiled plan runs:\n%s",
 						seed, cfg.name, ierr, p.Prog)
@@ -127,30 +142,57 @@ func TestInterpVsCompiled(t *testing.T) {
 				reported++
 				continue
 			}
+			tracings := []bool{false}
+			if cfg.traced {
+				tracings = []bool{false, true}
+			}
 			for _, morsel := range morsels {
 				for _, noSpec := range noSpecs {
-					cres, release, rerr := runPlan(ctx, plan, cfg.pooled, morsel, noSpec)
-					if rerr != nil {
-						t.Errorf("seed %d %s (morsel=%d no-specialize=%v): run failed: %v\nprogram:\n%s", seed, cfg.name, morsel, noSpec, rerr, p.Prog)
-						reported++
-						continue
-					}
-					for _, ref := range roots {
-						iv, cv := ires.Value(ref), cres.Values[ref]
-						if cv == nil {
-							t.Errorf("seed %d %s (morsel=%d no-specialize=%v): root v%d missing from compiled result\nprogram:\n%s",
-								seed, cfg.name, morsel, noSpec, ref, p.Prog)
+					var untracedMix [2]int64
+					for _, traced := range tracings {
+						before := fragmentPaths()
+						cres, release, rerr := runPlan(ctx, plan, cfg.pooled, morsel, noSpec, traced)
+						if rerr != nil {
+							t.Errorf("seed %d %s (morsel=%d no-specialize=%v traced=%v): run failed: %v\nprogram:\n%s", seed, cfg.name, morsel, noSpec, traced, rerr, p.Prog)
 							reported++
-							break
+							continue
 						}
-						if !iv.Equal(cv) {
-							t.Errorf("seed %d %s (morsel=%d no-specialize=%v): root v%d diverges\nprogram:\n%s\ninterp:\n%s\ncompiled:\n%s",
-								seed, cfg.name, morsel, noSpec, ref, p.Prog, iv, cv)
-							reported++
-							break
+						if after := fragmentPaths(); !traced {
+							untracedMix = [2]int64{after[0] - before[0], after[1] - before[1]}
+						} else {
+							var mix [2]int64
+							for _, st := range cres.Trace.Steps {
+								switch {
+								case st.Kind != trace.KindFragment:
+								case st.Specialized == "interp":
+									mix[0]++
+								case st.Specialized == "batch":
+									mix[1]++
+								}
+							}
+							if mix != untracedMix {
+								t.Errorf("seed %d %s (morsel=%d no-specialize=%v): traced run took %d interp / %d batch fragments, untraced took %d / %d\nprogram:\n%s",
+									seed, cfg.name, morsel, noSpec, mix[0], mix[1], untracedMix[0], untracedMix[1], p.Prog)
+								reported++
+							}
 						}
+						for _, ref := range roots {
+							iv, cv := ires.Value(ref), cres.Values[ref]
+							if cv == nil {
+								t.Errorf("seed %d %s (morsel=%d no-specialize=%v traced=%v): root v%d missing from compiled result\nprogram:\n%s",
+									seed, cfg.name, morsel, noSpec, traced, ref, p.Prog)
+								reported++
+								break
+							}
+							if !iv.Equal(cv) {
+								t.Errorf("seed %d %s (morsel=%d no-specialize=%v traced=%v): root v%d diverges\nprogram:\n%s\ninterp:\n%s\ncompiled:\n%s",
+									seed, cfg.name, morsel, noSpec, traced, ref, p.Prog, iv, cv)
+								reported++
+								break
+							}
+						}
+						release()
 					}
-					release()
 				}
 			}
 		}

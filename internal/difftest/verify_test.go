@@ -16,7 +16,7 @@ import (
 //     ZERO diagnostics (warnings included) at the algebra level;
 //   - algebra-level Error diagnostics are sound, so a flagged program must
 //     be rejected by the interpreter (the enabled-mode cross-check inside
-//     RunContext enforces the same thing from the other side);
+//     interp.Run enforces the same thing from the other side);
 //   - every plan that compiles — under all seven option combos — must
 //     verify with ZERO diagnostics before execution.
 func TestVerifierFrontLine(t *testing.T) {

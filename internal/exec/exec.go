@@ -6,7 +6,9 @@
 // given a *Stats, it counts instructions by class (integer ALU, float ALU,
 // sequential and random memory traffic, data-dependent branch outcomes),
 // which the device cost models (package device) convert into simulated
-// times for hardware this host does not have.
+// times for hardware this host does not have. Only the per-element
+// interpreter counts, so a counted run interprets every fragment; a run
+// that is merely recorded (a trace) takes the path an unobserved run takes.
 package exec
 
 import (
@@ -297,7 +299,10 @@ type Stats struct {
 	Frags []FragStats
 }
 
-// FragStats counts the events of one fragment execution.
+// FragStats is the record of one fragment execution. The first group is
+// the cheap record both execution tiers fill whenever a caller hands
+// RunFragment a FragStats; the event counters after it are the device-model
+// inputs, which only a counted run (interpreter tier) collects.
 type FragStats struct {
 	Name       string
 	Extent     int
@@ -318,14 +323,20 @@ type FragStats struct {
 	Imbalance float64
 
 	// Specialized records the execution path this run took ("batch" or
-	// "interp"); set by RunFragment, not merged from workers.
+	// "interp") and Reason why an interpreted run did not batch: the
+	// verifier's eligibility reject, or a run-time cause ("counted",
+	// "fault-hooks", "no-specialize"). Set by RunFragment, not merged from
+	// workers.
 	Specialized string
+	Reason      string
 
 	Items int64 // loop iterations executed
 	// StoreBytes counts bytes written to global buffers — the
 	// materialization at this fragment's seam (8 per scalar store plus a
 	// validity byte when the buffer carries a mask).
-	StoreBytes   int64
+	StoreBytes int64
+
+	// Device-model event counters (counted runs only).
 	IntOps       int64
 	FloatOps     int64
 	SeqBytes     int64 // coalesced loads+stores
@@ -384,8 +395,9 @@ func gomaxprocs() int { return runtime.GOMAXPROCS(0) }
 
 // Run executes every fragment of k against env under the parallelism knobs
 // in par (the zero Par means GOMAXPROCS workers, default morsels,
-// specialization on). When st is non-nil, event counts are accumulated into
-// it. Cancellation is cooperative: the context is checked at every fragment
+// specialization on). A non-nil st makes the run counted: every fragment
+// interprets and its event counts are accumulated into st. Cancellation is
+// cooperative: the context is checked at every fragment
 // boundary and every checkInterval work items inside fragment loops, so a
 // cancelled or deadline-expired query aborts promptly instead of finishing
 // all morsels. A non-zero env Deadline limit is enforced as a context
@@ -407,7 +419,7 @@ func Run(ctx context.Context, k *kernel.Kernel, env *Env, par Par, st *Stats) er
 			})
 			fs = &st.Frags[len(st.Frags)-1]
 		}
-		if err := RunFragment(ctx, f, env, par, fs); err != nil {
+		if err := RunFragment(ctx, f, env, par, fs, fs != nil); err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				NoteDeadline(env.lim, err)
 				return err
@@ -426,8 +438,11 @@ func Run(ctx context.Context, k *kernel.Kernel, env *Env, par Par, st *Stats) er
 	return nil
 }
 
-// RunFragment executes a single fragment against env, accumulating event
-// counts into fs when non-nil. Used by Run and by the compiled plans, which
+// RunFragment executes a single fragment against env. A non-nil fs
+// receives the cheap record (wall, workers, morsels, path and reason, items,
+// store bytes), which does not influence the execution path; count
+// additionally collects the device-model event counters into fs and
+// therefore interprets. Used by Run and by the compiled plans, which
 // interleave fragments with bulk steps. A panic in a worker goroutine is
 // recovered into a *PanicError instead of killing the process, and once one
 // worker fails — by error, panic or cancellation — the remaining workers
@@ -435,7 +450,7 @@ func Run(ctx context.Context, k *kernel.Kernel, env *Env, par Par, st *Stats) er
 // Non-sequential fragments wider than one morsel run through the shared
 // morsel scheduler (see sched.go); the submitting goroutine always
 // participates, so progress never depends on pool availability.
-func RunFragment(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs *FragStats) error {
+func RunFragment(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs *FragStats, count bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -462,12 +477,15 @@ func RunFragment(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs 
 	}
 	par = par.norm()
 	nregs := maxReg(f) + 1
-	batch, path := resolveSpec(f, par.NoSpecialize, fs != nil, faultinject.Enabled())
+	batch, reason := resolveSpec(f, par.NoSpecialize, count, faultinject.Enabled())
 	if fs != nil {
-		fs.Specialized = path
+		fs.Specialized, fs.Reason = "batch", reason
+		if batch == nil {
+			fs.Specialized = "interp"
+		}
 	}
 	if f.Sequential() || par.Workers == 1 {
-		w := newWorker(ctx, f, env, nregs, fs != nil, nil, batch)
+		w := newWorker(ctx, f, env, nregs, count, nil, batch)
 		if err := protect(f.Name, func() error { return w.run(0, max(f.Extent, 1)) }); err != nil {
 			w.release()
 			return err
@@ -488,7 +506,7 @@ func RunFragment(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs 
 	if f.Extent <= par.Morsel {
 		// A single morsel: the pool could not help, so run it inline and
 		// skip the publish/withdraw round trip.
-		w := newWorker(ctx, f, env, nregs, fs != nil, nil, batch)
+		w := newWorker(ctx, f, env, nregs, count, nil, batch)
 		err := protect(f.Name, func() error { return w.run(0, f.Extent) })
 		if err == nil && fs != nil {
 			fs.Workers, fs.Morsels, fs.Imbalance = 1, 1, 1
@@ -497,7 +515,7 @@ func RunFragment(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs 
 		w.release()
 		return err
 	}
-	return runMorselParallel(ctx, f, env, par, nregs, batch, fs)
+	return runMorselParallel(ctx, f, env, par, nregs, batch, fs, count)
 }
 
 func maxReg(f *kernel.Fragment) kernel.Reg {
@@ -535,8 +553,10 @@ type worker struct {
 	locI    []int64
 	locF    []float64
 	scratch *scratch
-	count   bool
-	stats   FragStats
+	// stats always carries Items and StoreBytes (an add apiece); count
+	// gates the device-model event counters, interpreter only.
+	count bool
+	stats FragStats
 	// batch selects the specialized execution path for this run (nil =
 	// interpret); bst is the batch register-column state.
 	batch *batchProg
@@ -769,9 +789,7 @@ func (w *worker) runInterp(lo, hi int) error {
 				if err := w.exec(loop.Body); err != nil {
 					return err
 				}
-				if w.count {
-					w.stats.Items++
-				}
+				w.stats.Items++
 			}
 		}
 		if err := w.exec(f.Post); err != nil {
@@ -853,7 +871,9 @@ func (w *worker) exec(instrs []kernel.Instr) error {
 			} else {
 				ri[in.Dst] = buf.I[i]
 			}
-			w.countAccess(in, buf)
+			if w.count {
+				w.countAccess(in, buf)
+			}
 		case kernel.ILoadValid:
 			buf := w.env.Bufs[in.Buf]
 			i := ri[in.A]
@@ -864,7 +884,9 @@ func (w *worker) exec(instrs []kernel.Instr) error {
 			} else {
 				ri[in.Dst] = 0
 			}
-			w.countAccess(in, buf)
+			if w.count {
+				w.countAccess(in, buf)
+			}
 		case kernel.IStore:
 			buf := w.env.Bufs[in.Buf]
 			i := ri[in.A]
@@ -890,10 +912,15 @@ func (w *worker) exec(instrs []kernel.Instr) error {
 			} else {
 				buf.I[i] = val
 			}
+			// Bytes materialized at this fragment's seam.
+			w.stats.StoreBytes += 8
 			if buf.Valid != nil {
 				buf.Valid[i] = valid
+				w.stats.StoreBytes++
 			}
-			w.countAccess(in, buf)
+			if w.count {
+				w.countAccess(in, buf)
+			}
 		case kernel.IGuard:
 			if w.count {
 				w.stats.Guards++
@@ -941,17 +968,8 @@ func (w *worker) exec(instrs []kernel.Instr) error {
 	return nil
 }
 
+// countAccess classifies one global-memory access of a counted run.
 func (w *worker) countAccess(in kernel.Instr, buf *Buffer) {
-	if !w.count {
-		return
-	}
-	if in.Op == kernel.IStore {
-		// Bytes materialized at this fragment's seam.
-		w.stats.StoreBytes += 8
-		if buf.Valid != nil {
-			w.stats.StoreBytes++
-		}
-	}
 	// Validity masks are byte-sized; a validity probe against a buffer
 	// with no mask is just a bounds check — pure arithmetic the paper's
 	// compiler emits inline (or removes with static knowledge).

@@ -348,10 +348,10 @@ func (s *scheduler) workerLoop() {
 // never depends on pool availability) while up to par.Workers-1 pool
 // workers join it. Caller guarantees par is normalized, par.Workers > 1
 // and the fragment spans more than one morsel.
-func runMorselParallel(ctx context.Context, f *kernel.Fragment, env *Env, par Par, nregs kernel.Reg, batch *batchProg, fs *FragStats) error {
+func runMorselParallel(ctx context.Context, f *kernel.Fragment, env *Env, par Par, nregs kernel.Reg, batch *batchProg, fs *FragStats, count bool) error {
 	nMorsels := int64((f.Extent + par.Morsel - 1) / par.Morsel)
 	j := &job{
-		f: f, env: env, nregs: nregs, count: fs != nil, ctx: ctx,
+		f: f, env: env, nregs: nregs, count: count, ctx: ctx,
 		morsel: par.Morsel, nMorsels: nMorsels, batch: batch,
 	}
 	// The submitter occupies one worker slot; helpers beyond the morsel
@@ -361,7 +361,7 @@ func runMorselParallel(ctx context.Context, f *kernel.Fragment, env *Env, par Pa
 		sched.publish(j)
 	}
 
-	w := newWorker(ctx, f, env, nregs, fs != nil, &j.stop, batch)
+	w := newWorker(ctx, f, env, nregs, count, &j.stop, batch)
 	// Label the submitter's share too, so profiles attribute parallel
 	// fragment execution per fragment regardless of who claims the morsel.
 	pprof.Do(ctx, pprof.Labels("fragment", f.Name), func(context.Context) {

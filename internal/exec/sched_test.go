@@ -74,7 +74,7 @@ func TestSkewStressBeatsStaticChunking(t *testing.T) {
 	clear(env.Bufs[1].I)
 	var fs FragStats
 	start = time.Now()
-	if err := RunFragment(context.Background(), f, env, Par{Workers: workers, Morsel: 1024}, &fs); err != nil {
+	if err := RunFragment(context.Background(), f, env, Par{Workers: workers, Morsel: 1024}, &fs, false); err != nil {
 		t.Fatal(err)
 	}
 	morselElapsed := time.Since(start)
@@ -119,7 +119,7 @@ func TestUniformLoadBalancesMorselCounts(t *testing.T) {
 	})
 
 	var fs FragStats
-	if err := RunFragment(context.Background(), k.Frags[0], env, Par{Workers: workers, Morsel: 1024}, &fs); err != nil {
+	if err := RunFragment(context.Background(), k.Frags[0], env, Par{Workers: workers, Morsel: 1024}, &fs, false); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("workers=%d morsels=%d imbalance=%.2f", fs.Workers, fs.Morsels, fs.Imbalance)

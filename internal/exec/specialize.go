@@ -22,14 +22,14 @@
 // rejects fragments whose registers carry values across work items, and
 // a single-store-per-buffer rule rejects load/store interleaving hazards).
 //
-// Measurement fidelity: the interpreter's Near/Rand access classification
-// is execution-order-sensitive (an 8-line LRU per buffer), and batch
-// execution visits memory instruction-major instead of element-major. The
-// batch path is therefore only used for a *counted* run when every memory
-// access it compiles is sequential, where the counts are order-independent;
-// otherwise counted runs fall back to the interpreter so simulated device
-// times never drift. Fault-injection hooks replay per-item state the batch
-// path does not model, so any enabled hook also forces the interpreter.
+// One rule picks the path, and observing is not part of it: a fragment
+// batches when it is eligible, unless the caller disabled specialization,
+// asked for the device-model event counters (only the interpreter counts —
+// its Near/Rand classification is element-order-sensitive, and a second
+// copy of the counting rules would have to be proved equal to the first), or
+// enabled a fault-injection hook (hooks replay per-item state the batch
+// path does not model). The cheap record a trace wants — items and store
+// bytes — is kept by both tiers unconditionally.
 package exec
 
 import (
@@ -41,45 +41,74 @@ import (
 )
 
 // Specialization observability: every fragment execution counts the path
-// it actually took. Both series are pre-created so they exist at zero.
+// it actually took, and every interpreted one the reason it did not batch.
+// The path series and the run-time reasons are pre-created so they exist at
+// zero; eligibility reasons appear with the first fragment they reject.
 var (
 	specializedVec = metrics.NewCounterVec("voodoo_fragments_specialized_total",
 		"Fragment executions by execution path: batch primitives or the per-element interpreter.", "path")
 	specBatchC  = specializedVec.With("batch")
 	specInterpC = specializedVec.With("interp")
+
+	rejectVec = metrics.NewCounterVec("voodoo_fragment_reject_total",
+		"Interpreted fragment executions by the reason they did not take the batch path.", "reason")
+	rejectNoSpecialize = newReject("no-specialize")
+	rejectFaults       = newReject("fault-hooks")
+	rejectCounted      = newReject("counted")
 )
+
+// reject is one reason a fragment interprets, with its counter resolved
+// once so the per-fragment cost is an atomic add.
+type reject struct {
+	reason string
+	c      *metrics.Counter
+}
+
+func newReject(reason string) *reject { return &reject{reason, rejectVec.With(reason)} }
 
 // specBatchN is the lane count of one register-column batch. It equals
 // checkInterval so every batch boundary is a cancellation checkpoint,
 // preserving the interpreter's cancellation latency.
 const specBatchN = checkInterval
 
-// specFor returns the fragment's cached batch compilation (nil when the
-// fragment is not batch-eligible), compiling it on first use. Racing first
-// executions compile redundantly but store identical content.
+// specFor returns the fragment's cached batch compilation — a program, or
+// the reason the fragment is not batch-eligible — compiling it on first
+// use. Racing first executions compile redundantly but store identical
+// content.
 func specFor(f *kernel.Fragment) *batchProg {
 	if v := f.LoadSpec(); v != nil {
 		return v.(*batchProg)
 	}
 	bp := compileBatch(f)
-	f.StoreSpec(bp) // a nil *batchProg records "compiled, not eligible"
+	f.StoreSpec(bp)
 	return bp
 }
 
 // resolveSpec picks the execution path for one fragment run and counts it:
 // the batch program every participating worker must run (the submitter and
-// all pool helpers claim morsels of the same job), or nil to interpret.
-// counting reports whether this run accumulates FragStats (which demands
-// exact event counts from the chosen path).
-func resolveSpec(f *kernel.Fragment, noSpecialize, counting, faults bool) (*batchProg, string) {
-	if !noSpecialize && !faults {
-		if bp := specFor(f); bp != nil && (!counting || bp.countable) {
+// all pool helpers claim morsels of the same job), or nil to interpret,
+// with the reason. count reports whether the caller asked for the device
+// counters; whether anyone records the run is deliberately not an input.
+func resolveSpec(f *kernel.Fragment, noSpecialize, count, faults bool) (*batchProg, string) {
+	var rej *reject
+	switch {
+	case noSpecialize:
+		rej = rejectNoSpecialize
+	case faults:
+		rej = rejectFaults
+	case count:
+		rej = rejectCounted
+	default:
+		bp := specFor(f)
+		if bp.ineligible == nil {
 			specBatchC.Inc()
-			return bp, "batch"
+			return bp, ""
 		}
+		rej = bp.ineligible
 	}
 	specInterpC.Inc()
-	return nil, "interp"
+	rej.c.Inc()
+	return nil, rej.reason
 }
 
 // ---------------------------------------------------------------------------
@@ -98,9 +127,9 @@ type batchProg struct {
 	intRegs []kernel.Reg
 	fltRegs []kernel.Reg
 	nregs   int
-	// countable marks every compiled memory access sequential, making the
-	// batch's event counts exact (see the package comment).
-	countable bool
+	// ineligible, when set, is why the fragment has no batch program
+	// (verify.Facts.Reason); the other fields are then empty.
+	ineligible *reject
 }
 
 // bstate is a worker's per-batch register-column state. Columns live in
@@ -122,8 +151,8 @@ func (b *bstate) active() int {
 	return len(b.sel)
 }
 
-// compileBatch translates the fragment into batch primitives, or returns
-// nil when it is not eligible. Eligibility is decided entirely by the
+// compileBatch translates the fragment into batch primitives, or records
+// why it is not eligible. Eligibility is decided entirely by the
 // verifier's fragment facts (verify.BatchFacts) — the single source of
 // truth for def-before-use, store/load disjointness and loop-shape rules —
 // so the specializer only translates instructions; it no longer re-derives
@@ -132,14 +161,9 @@ func (b *bstate) active() int {
 func compileBatch(f *kernel.Fragment) *batchProg {
 	facts := verify.BatchFacts(f)
 	if !facts.BatchEligible {
-		return nil
+		return &batchProg{ineligible: newReject(facts.Reason)}
 	}
-	bp := &batchProg{
-		countable: facts.Countable,
-		intRegs:   facts.IntRegs,
-		fltRegs:   facts.FltRegs,
-		nregs:     facts.NRegs,
-	}
+	bp := &batchProg{intRegs: facts.IntRegs, fltRegs: facts.FltRegs, nregs: facts.NRegs}
 	for _, l := range f.Loops {
 		var seg []batchPrim
 		for _, in := range l.Body {
@@ -148,7 +172,7 @@ func compileBatch(f *kernel.Fragment) *batchProg {
 				// Unreachable for fact-eligible fragments (the whitelist
 				// matches compilePrim's coverage); kept as a belt against
 				// the two drifting apart.
-				return nil
+				return &batchProg{ineligible: newReject("instruction without a batch primitive")}
 			}
 			seg = append(seg, p)
 		}
@@ -241,35 +265,10 @@ func (w *worker) runBatch(lo, hi int) error {
 					break // every lane guarded off: skip the rest of the segment
 				}
 			}
-			if w.count {
-				w.stats.Items += int64(n)
-			}
+			w.stats.Items += int64(n)
 		}
 	}
 	return nil
-}
-
-// countSeqAccess mirrors the interpreter's countAccess for the sequential
-// accesses a countable batch program compiles, over lanes active lanes.
-func (w *worker) countSeqAccess(in kernel.Instr, buf *Buffer, lanes int64) {
-	if !w.count {
-		return
-	}
-	if in.Op == kernel.IStore {
-		w.stats.StoreBytes += 8 * lanes
-		if buf.Valid != nil {
-			w.stats.StoreBytes += lanes
-		}
-	}
-	width := int64(8)
-	if in.Op == kernel.ILoadValid {
-		if buf.Valid == nil {
-			w.stats.IntOps += 2 * lanes
-			return
-		}
-		width = 1
-	}
-	w.stats.SeqBytes += width * lanes
 }
 
 // compilePrim builds the batch primitive for one instruction, or nil when
@@ -337,11 +336,8 @@ func compilePrim(in kernel.Instr) batchPrim {
 		return primBinI(in)
 	case kernel.ISel:
 		dst, a, bb, cc, flt := in.Dst, in.A, in.B, in.C, in.Float
-		return func(w *worker, b *bstate) error {
+		return func(_ *worker, b *bstate) error {
 			cond := b.ri[a]
-			if w.count {
-				w.stats.IntOps += int64(b.active())
-			}
 			if flt {
 				d, x, y := b.rf[dst], b.rf[bb], b.rf[cc]
 				if s := b.sel; s != nil {
@@ -391,11 +387,8 @@ func compilePrim(in kernel.Instr) batchPrim {
 		return primStore(in)
 	case kernel.IGuard:
 		a := in.A
-		return func(w *worker, b *bstate) error {
+		return func(_ *worker, b *bstate) error {
 			cond := b.ri[a]
-			if w.count {
-				w.stats.Guards += int64(b.active())
-			}
 			if s := b.sel; s != nil {
 				// In-place compaction: writes trail reads.
 				out := s[:0]
@@ -413,9 +406,6 @@ func compilePrim(in kernel.Instr) batchPrim {
 					}
 				}
 				b.sel = out
-			}
-			if w.count {
-				w.stats.GuardsPass += int64(len(b.sel))
 			}
 			return nil
 		}
@@ -459,11 +449,8 @@ func compilePrim(in kernel.Instr) batchPrim {
 // error messages match the interpreter exactly.
 func primBinI(in kernel.Instr) batchPrim {
 	op, dr, ar, br := in.BOp, in.Dst, in.A, in.B
-	return func(w *worker, b *bstate) error {
+	return func(_ *worker, b *bstate) error {
 		d, x, y := b.ri[dr], b.ri[ar], b.ri[br]
-		if w.count {
-			w.stats.IntOps += int64(b.active())
-		}
 		s := b.sel
 		switch op {
 		case kernel.BAdd:
@@ -593,11 +580,8 @@ func primBinI(in kernel.Instr) batchPrim {
 // primBinI.
 func primBinF(in kernel.Instr) batchPrim {
 	op, dr, ar, br := in.BOp, in.Dst, in.A, in.B
-	return func(w *worker, b *bstate) error {
+	return func(_ *worker, b *bstate) error {
 		d, x, y := b.rf[dr], b.rf[ar], b.rf[br]
-		if w.count {
-			w.stats.FloatOps += int64(b.active())
-		}
 		s := b.sel
 		switch op {
 		case kernel.BAdd:
@@ -657,7 +641,6 @@ func primBinF(in kernel.Instr) batchPrim {
 // batch reduce to a bounds-checked copy.
 func primLoad(in kernel.Instr) batchPrim {
 	dr, ar, bi, flt := in.Dst, in.A, in.Buf, in.Float
-	instr := in
 	return func(w *worker, b *bstate) error {
 		buf := w.env.Bufs[bi]
 		ln := int64(buf.Len())
@@ -712,7 +695,6 @@ func primLoad(in kernel.Instr) batchPrim {
 				}
 			}
 		}
-		w.countSeqAccess(instr, buf, int64(b.active()))
 		return nil
 	}
 }
@@ -721,7 +703,6 @@ func primLoad(in kernel.Instr) batchPrim {
 // buffers yield 1, exactly like the interpreter.
 func primLoadValid(in kernel.Instr) batchPrim {
 	dr, ar, bi := in.Dst, in.A, in.Buf
-	instr := in
 	return func(w *worker, b *bstate) error {
 		buf := w.env.Bufs[bi]
 		ln := int64(buf.Len())
@@ -751,7 +732,6 @@ func primLoadValid(in kernel.Instr) batchPrim {
 				}
 			}
 		}
-		w.countSeqAccess(instr, buf, int64(b.active()))
 		return nil
 	}
 }
@@ -760,7 +740,6 @@ func primLoadValid(in kernel.Instr) batchPrim {
 // protocol (empty slots store the reserved zero representation).
 func primStore(in kernel.Instr) batchPrim {
 	ar, br, cr, bi, flt := in.A, in.B, in.C, in.Buf, in.Float
-	instr := in
 	return func(w *worker, b *bstate) error {
 		buf := w.env.Bufs[bi]
 		ln := int64(buf.Len())
@@ -847,7 +826,13 @@ func primStore(in kernel.Instr) batchPrim {
 				}
 			}
 		}
-		w.countSeqAccess(instr, buf, int64(b.active()))
+		// Bytes materialized at this fragment's seam, as the interpreter
+		// counts them: 8 per stored lane plus the validity byte.
+		per := int64(8)
+		if buf.Valid != nil {
+			per = 9
+		}
+		w.stats.StoreBytes += per * int64(b.active())
 		return nil
 	}
 }

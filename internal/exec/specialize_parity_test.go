@@ -14,29 +14,28 @@ import (
 // compileBatch performed before the duplicated logic was deleted in favor
 // of verify.BatchFacts. It pins that the verifier-computed facts make
 // exactly the decisions the specializer historically made.
-func legacyBatchEligibility(f *kernel.Fragment) (eligible, countable bool, intRegs, fltRegs []kernel.Reg, nregs int) {
+func legacyBatchEligibility(f *kernel.Fragment) (eligible bool, intRegs, fltRegs []kernel.Reg, nregs int) {
 	if f.Locals != 0 || len(f.Pre) != 0 || len(f.Post) != 0 || len(f.PostLoopBody) != 0 {
-		return false, false, nil, nil, 0
+		return false, nil, nil, 0
 	}
 	if len(f.Loops) == 0 {
-		return false, false, nil, nil, 0
+		return false, nil, nil, 0
 	}
 	if f.Intent != 1 && !f.Strided {
-		return false, false, nil, nil, 0
+		return false, nil, nil, 0
 	}
 	for _, l := range f.Loops {
 		if l.BoundReg > 0 {
-			return false, false, nil, nil, 0
+			return false, nil, nil, 0
 		}
 		bound := l.Bound
 		if bound <= 0 {
 			bound = f.Intent
 		}
 		if bound != 1 {
-			return false, false, nil, nil, 0
+			return false, nil, nil, 0
 		}
 	}
-	countable = true
 	usedI := map[kernel.Reg]bool{kernel.RegGID: true, kernel.RegIV: true, kernel.RegIdx: true}
 	usedF := map[kernel.Reg]bool{}
 	loaded := map[int]bool{}
@@ -50,41 +49,35 @@ func legacyBatchEligibility(f *kernel.Fragment) (eligible, countable bool, intRe
 				kernel.ILoad, kernel.ILoadValid, kernel.IStore, kernel.IGuard,
 				kernel.ICastIF, kernel.ICastFI:
 			default:
-				return false, false, nil, nil, 0
+				return false, nil, nil, 0
 			}
 			for _, u := range in.Uses() {
 				if u.R < 0 {
-					return false, false, nil, nil, 0
+					return false, nil, nil, 0
 				}
 				if u.Float {
 					if !defF[u.R] {
-						return false, false, nil, nil, 0
+						return false, nil, nil, 0
 					}
 				} else if !defI[u.R] {
-					return false, false, nil, nil, 0
+					return false, nil, nil, 0
 				}
 			}
 			switch in.Op {
 			case kernel.ILoad, kernel.ILoadValid:
 				if stored[in.Buf] {
-					return false, false, nil, nil, 0
+					return false, nil, nil, 0
 				}
 				loaded[in.Buf] = true
-				if !in.Seq {
-					countable = false
-				}
 			case kernel.IStore:
 				if stored[in.Buf] || loaded[in.Buf] {
-					return false, false, nil, nil, 0
+					return false, nil, nil, 0
 				}
 				stored[in.Buf] = true
-				if !in.Seq {
-					countable = false
-				}
 			}
 			if r, flt, ok := in.Def(); ok {
 				if r < kernel.FirstFree {
-					return false, false, nil, nil, 0
+					return false, nil, nil, 0
 				}
 				if flt {
 					defF[r], usedF[r] = true, true
@@ -108,7 +101,7 @@ func legacyBatchEligibility(f *kernel.Fragment) (eligible, countable bool, intRe
 	}
 	sort.Slice(intRegs, func(i, j int) bool { return intRegs[i] < intRegs[j] })
 	sort.Slice(fltRegs, func(i, j int) bool { return fltRegs[i] < fltRegs[j] })
-	return true, countable, intRegs, fltRegs, nregs
+	return true, intRegs, fltRegs, nregs
 }
 
 func regsEqual(a, b []kernel.Reg) bool {
@@ -126,7 +119,7 @@ func regsEqual(a, b []kernel.Reg) bool {
 // TestBatchFactsMatchLegacyEligibility sweeps the difftest corpus through
 // the compiler under the fragment-shaping option combos and asserts
 // verify.BatchFacts reproduces the legacy eligibility decision — and the
-// derived register/countability facts — for every generated fragment.
+// derived register facts — for every generated fragment.
 func TestBatchFactsMatchLegacyEligibility(t *testing.T) {
 	seeds := int64(200)
 	if testing.Short() {
@@ -144,18 +137,15 @@ func TestBatchFactsMatchLegacyEligibility(t *testing.T) {
 			for _, f := range plan.Kernel().Frags {
 				frags++
 				facts := verify.BatchFacts(f)
-				eligible, countable, intRegs, fltRegs, nregs := legacyBatchEligibility(f)
+				eligible, intRegs, fltRegs, nregs := legacyBatchEligibility(f)
 				if facts.BatchEligible != eligible {
 					t.Fatalf("seed %d frag %s: eligibility %v, legacy says %v (reason %q)\n%s",
-						seed, f.Name, facts.BatchEligible, eligible, facts.Reason, f.Fingerprint())
+						seed, f.Name, facts.BatchEligible, eligible, facts.Reason, plan.Kernel())
 				}
 				if !eligible {
 					continue
 				}
 				eligibleFrags++
-				if facts.Countable != countable {
-					t.Fatalf("seed %d frag %s: countable %v, legacy says %v", seed, f.Name, facts.Countable, countable)
-				}
 				if !regsEqual(facts.IntRegs, intRegs) || !regsEqual(facts.FltRegs, fltRegs) || facts.NRegs != nregs {
 					t.Fatalf("seed %d frag %s: regs int=%v flt=%v n=%d, legacy int=%v flt=%v n=%d",
 						seed, f.Name, facts.IntRegs, facts.FltRegs, facts.NRegs, intRegs, fltRegs, nregs)

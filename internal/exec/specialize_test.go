@@ -17,6 +17,7 @@ type specKernel struct {
 	name  string
 	build func() *kernel.Kernel
 	in    map[string]*Buffer
+	path  string // the tier the fragment takes with specialization on
 }
 
 // selectKernel is the canonical TPC-H selection shape: load → compare
@@ -87,7 +88,7 @@ func foldKernel(n, extent int, op kernel.BinOp, strided bool) *kernel.Kernel {
 }
 
 // gatherKernel loads through an index column — a non-sequential access
-// the batch compiler accepts but must mark non-countable.
+// the batch compiler accepts.
 func gatherKernel(n int) *kernel.Kernel {
 	k := &kernel.Kernel{}
 	idx := k.AddBuf(kernel.BufDecl{Name: "idx", Kind: vector.Int, Size: n, Input: true})
@@ -143,9 +144,10 @@ func seqInts(n int) []int64 {
 	return v
 }
 
-// runSpec executes k with par on fresh output buffers and returns the
-// environment.
-func runSpec(t *testing.T, k *kernel.Kernel, in map[string]*Buffer, par Par) *Env {
+// runSpec executes k's single fragment with par on fresh output buffers,
+// recorded but not counted — what a traced run asks of the executor — and
+// returns the environment and the record.
+func runSpec(t *testing.T, k *kernel.Kernel, in map[string]*Buffer, par Par) (*Env, FragStats) {
 	t.Helper()
 	env := NewEnv(k)
 	for name, buf := range in {
@@ -153,10 +155,11 @@ func runSpec(t *testing.T, k *kernel.Kernel, in map[string]*Buffer, par Par) *En
 			t.Fatal(err)
 		}
 	}
-	if err := Run(context.Background(), k, env, par, nil); err != nil {
+	var fs FragStats
+	if err := RunFragment(context.Background(), k.Frags[0], env, par, &fs, false); err != nil {
 		t.Fatal(err)
 	}
-	return env
+	return env, fs
 }
 
 // requireSameBufs asserts every non-input buffer (values and validity) is
@@ -190,7 +193,9 @@ func requireSameBufs(t *testing.T, k *kernel.Kernel, want, got *Env, label strin
 // TestSpecializeModesBitIdentical is the in-package half of difftest
 // combo #7: for every representative fragment shape, specialization on at
 // every morsel size × worker count produces buffers bit-identical to the
-// interpreter's.
+// interpreter's, and the record of the run — which both tiers keep — reports
+// the interpreter's Items and StoreBytes from whichever tier the fragment
+// takes unobserved.
 func TestSpecializeModesBitIdentical(t *testing.T) {
 	n := 3000 // spans multiple 1024-lane batches with a ragged tail
 	withValid := &Buffer{Kind: vector.Int, I: seqInts(n), Valid: make([]bool, n)}
@@ -208,35 +213,54 @@ func TestSpecializeModesBitIdentical(t *testing.T) {
 	}
 	cases := []specKernel{
 		{"select", func() *kernel.Kernel { return selectKernel(n, 40) },
-			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}},
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+		{"select-masked", func() *kernel.Kernel {
+			k := selectKernel(n, 40)
+			k.Bufs[1].Valid = true // stores also write a validity byte
+			return k
+		}, map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
 		{"map-float", func() *kernel.Kernel { return mapFloatKernel(n) },
-			map[string]*Buffer{"in": {Kind: vector.Float, F: floats}}},
+			map[string]*Buffer{"in": {Kind: vector.Float, F: floats}}, "batch"},
 		{"fold-sum-blocked", func() *kernel.Kernel { return foldKernel(n, 7, kernel.BAdd, false) },
-			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}},
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "interp"},
 		{"fold-min-strided", func() *kernel.Kernel { return foldKernel(n, 4, kernel.BMin, true) },
-			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}},
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "interp"},
 		{"gather", func() *kernel.Kernel { return gatherKernel(n) },
-			map[string]*Buffer{"idx": {Kind: vector.Int, I: idx}, "in": {Kind: vector.Int, I: seqInts(n)}}},
+			map[string]*Buffer{"idx": {Kind: vector.Int, I: idx}, "in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
 		{"mixed", func() *kernel.Kernel { return mixedKernel(n) },
-			map[string]*Buffer{"in": withValid}},
+			map[string]*Buffer{"in": withValid}, "batch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := tc.build()
-			oracle := runSpec(t, k, tc.in, Par{Workers: 1, NoSpecialize: true})
+			oracle, want := runSpec(t, k, tc.in, Par{Workers: 1, NoSpecialize: true})
+			if want.Specialized != "interp" || want.Reason != "no-specialize" || want.Items == 0 || want.StoreBytes == 0 {
+				t.Fatalf("oracle record = %+v, want a non-empty interp(no-specialize) record", want)
+			}
 			for _, morsel := range []int{1, 7, 0} {
 				for _, workers := range []int{1, 4} {
-					got := runSpec(t, k, tc.in, Par{Workers: workers, Morsel: morsel})
+					got, rec := runSpec(t, k, tc.in, Par{Workers: workers, Morsel: morsel})
 					requireSameBufs(t, k, oracle, got, tc.name)
+					if rec.Specialized != tc.path {
+						t.Errorf("morsel=%d workers=%d: recorded run took %q, want %q", morsel, workers, rec.Specialized, tc.path)
+					}
+					if rec.Items != want.Items || rec.StoreBytes != want.StoreBytes {
+						t.Errorf("morsel=%d workers=%d (%s): items=%d store_bytes=%d, interpreter reports %d / %d",
+							morsel, workers, rec.Specialized, rec.Items, rec.StoreBytes, want.Items, want.StoreBytes)
+					}
+					if rec.IntOps != 0 || rec.SeqBytes != 0 || rec.Guards != 0 {
+						t.Errorf("morsel=%d workers=%d: an uncounted run collected device counters: %+v", morsel, workers, rec)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestResolveSpecPaths pins the path-resolution policy: batch where
-// eligible, NoSpecialize and fault injection force the interpreter, and
-// counted runs refuse a batch program with inexact event counts.
+// TestResolveSpecPaths pins the path-resolution policy and the reason it
+// reports: batch where eligible; NoSpecialize, fault injection and a request
+// for the device counters each force the interpreter; an ineligible
+// fragment interprets for the verifier's reason.
 func TestResolveSpecPaths(t *testing.T) {
 	sel := selectKernel(64, 10).Frags[0]
 	gather := gatherKernel(64).Frags[0]
@@ -245,21 +269,25 @@ func TestResolveSpecPaths(t *testing.T) {
 		name         string
 		f            *kernel.Fragment
 		noSpecialize bool
-		counting     bool
+		count        bool
 		faults       bool
-		want         string
+		reason       string // "" = batch
 	}{
-		{"select", sel, false, false, false, "batch"},
-		{"select-off", sel, true, false, false, "interp"},
-		{"select-faults", sel, false, false, true, "interp"},
-		{"select-counted", sel, false, true, false, "batch"}, // all-seq: counts exact
-		{"gather", gather, false, false, false, "batch"},
-		{"gather-counted", gather, false, true, false, "interp"}, // random access: counts order-sensitive
-		{"fold", fold, false, false, false, "interp"},            // accumulator carries across items
+		{"select", sel, false, false, false, ""},
+		{"select-off", sel, true, false, false, "no-specialize"},
+		{"select-faults", sel, false, false, true, "fault-hooks"},
+		{"select-counted", sel, false, true, false, "counted"},
+		{"gather", gather, false, false, false, ""},
+		{"gather-counted", gather, false, true, false, "counted"},
+		{"fold", fold, false, false, false, "per-item prologue, epilogue or scratch array"}, // the verifier's reason
 	} {
-		bp, got := resolveSpec(tc.f, tc.noSpecialize, tc.counting, tc.faults)
-		if got != tc.want || (bp != nil) != (tc.want == "batch") {
-			t.Errorf("%s: path = %q (batch program %v), want %q", tc.name, got, bp != nil, tc.want)
+		rejected := rejectVec.With(tc.reason).Value()
+		bp, got := resolveSpec(tc.f, tc.noSpecialize, tc.count, tc.faults)
+		if got != tc.reason || (bp != nil) != (tc.reason == "") {
+			t.Errorf("%s: reason = %q (batch program %v), want %q", tc.name, got, bp != nil, tc.reason)
+		}
+		if tc.reason != "" && rejectVec.With(tc.reason).Value() != rejected+1 {
+			t.Errorf("%s: voodoo_fragment_reject_total{reason=%q} did not move", tc.name, tc.reason)
 		}
 	}
 }
@@ -269,13 +297,13 @@ func TestResolveSpecPaths(t *testing.T) {
 // aliasing, and multi-iteration loops all fall back to the interpreter.
 func TestSpecializeBatchEligibility(t *testing.T) {
 	base := func() *kernel.Fragment { return selectKernel(64, 10).Frags[0] }
-	if compileBatch(base()) == nil {
+	if compileBatch(base()).ineligible != nil {
 		t.Fatal("canonical selection should be batch-eligible")
 	}
 
 	locals := base()
 	locals.Locals = 4
-	if compileBatch(locals) != nil {
+	if compileBatch(locals).ineligible == nil {
 		t.Error("fragment with locals must not batch")
 	}
 
@@ -283,19 +311,19 @@ func TestSpecializeBatchEligibility(t *testing.T) {
 	// Read a register never defined in the body: the interpreter would
 	// observe a sibling item's leftover value.
 	carry.Loops[0].Body[2].A = kernel.FirstFree + 9
-	if compileBatch(carry) != nil {
+	if compileBatch(carry).ineligible == nil {
 		t.Error("read-before-def register carry must not batch")
 	}
 
 	alias := base()
 	// Store to the buffer the fragment also loads: batch order differs.
 	alias.Loops[0].Body[4].Buf = alias.Loops[0].Body[1].Buf
-	if compileBatch(alias) != nil {
+	if compileBatch(alias).ineligible == nil {
 		t.Error("store aliasing a loaded buffer must not batch")
 	}
 
 	multi := foldKernel(64, 4, kernel.BAdd, false).Frags[0]
-	if compileBatch(multi) != nil {
+	if compileBatch(multi).ineligible == nil {
 		t.Error("multi-iteration blocked loop must not batch")
 	}
 }
@@ -315,35 +343,17 @@ func TestSpecializeCacheOnFragment(t *testing.T) {
 	if f.LoadSpec() == nil {
 		t.Error("spec not stored on the fragment")
 	}
-	if sp1 == nil {
+	if sp1.ineligible != nil {
 		t.Error("canonical selection should compile to batch primitives")
 	}
 	// An ineligible fragment caches its rejection too, so it is analysed
 	// once rather than on every execution.
 	fold := foldKernel(64, 4, kernel.BAdd, false).Frags[0]
-	if specFor(fold) != nil {
+	if specFor(fold).ineligible == nil {
 		t.Error("fold should not be batch-eligible")
 	}
 	if fold.LoadSpec() == nil {
 		t.Error("ineligibility not cached on the fragment")
-	}
-}
-
-// TestFragmentFingerprint: structurally identical fragments fingerprint
-// identically; changing one opcode changes the fingerprint.
-func TestFragmentFingerprint(t *testing.T) {
-	a := selectKernel(64, 10).Frags[0]
-	b := selectKernel(64, 99).Frags[0] // different constant, same structure
-	if a.Fingerprint() != a.Fingerprint() {
-		t.Error("fingerprint not deterministic")
-	}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Error("same-shape fragments should share a fingerprint")
-	}
-	c := selectKernel(64, 10).Frags[0]
-	c.Loops[0].Body[2].BOp = kernel.BGe
-	if a.Fingerprint() == c.Fingerprint() {
-		t.Error("different comparison op should change the fingerprint")
 	}
 }
 
@@ -401,35 +411,38 @@ func TestSpecializeErrorParity(t *testing.T) {
 	}
 }
 
-// TestSpecializeCountedRunsMatchInterpreter: when a counted run does take
-// the batch path (all accesses sequential), every event count matches the
-// interpreter's exactly — the device cost models depend on it.
-func TestSpecializeCountedRunsMatchInterpreter(t *testing.T) {
+// TestCountedRunInterprets: the device-model event counters live in the
+// interpreter tier only, so a counted run interprets every fragment —
+// batch-eligible or not — and says so.
+func TestCountedRunInterprets(t *testing.T) {
 	n := 3000
-	run := func(noSpecialize bool) FragStats {
-		k := selectKernel(n, 40)
+	idx := make([]int64, n)
+	for i := range idx {
+		idx[i] = int64((i * 379) % n)
+	}
+	for _, tc := range []specKernel{
+		{name: "select", build: func() *kernel.Kernel { return selectKernel(n, 40) },
+			in: map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}},
+		{name: "gather", build: func() *kernel.Kernel { return gatherKernel(n) },
+			in: map[string]*Buffer{"idx": {Kind: vector.Int, I: idx}, "in": {Kind: vector.Int, I: seqInts(n)}}},
+	} {
+		k := tc.build()
 		env := NewEnv(k)
-		if err := env.Bind(k, "in", &Buffer{Kind: vector.Int, I: seqInts(n)}); err != nil {
-			t.Fatal(err)
+		for name, buf := range tc.in {
+			if err := env.Bind(k, name, buf); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var st Stats
-		if err := Run(context.Background(), k, env, Par{Workers: 2, NoSpecialize: noSpecialize}, &st); err != nil {
+		if err := Run(context.Background(), k, env, Par{Workers: 2}, &st); err != nil {
 			t.Fatal(err)
 		}
-		return st.Frags[0]
-	}
-	want, got := run(true), run(false)
-	if got.Specialized != "batch" {
-		t.Fatalf("counted all-sequential selection ran %q, want batch", got.Specialized)
-	}
-	type counts struct {
-		Items, StoreBytes, IntOps, FloatOps, SeqBytes, Rand, Near, Guards, GuardsPass int64
-	}
-	c := func(fs FragStats) counts {
-		return counts{fs.Items, fs.StoreBytes, fs.IntOps, fs.FloatOps,
-			fs.SeqBytes, fs.RandAccesses, fs.NearAccesses, fs.Guards, fs.GuardsPass}
-	}
-	if c(want) != c(got) {
-		t.Errorf("event counts diverged:\ninterp: %+v\nbatch:  %+v", c(want), c(got))
+		fs := st.Frags[0]
+		if fs.Specialized != "interp" || fs.Reason != "counted" {
+			t.Errorf("%s: counted run took %s(%s), want interp(counted)", tc.name, fs.Specialized, fs.Reason)
+		}
+		if fs.Items != int64(n) || fs.SeqBytes == 0 {
+			t.Errorf("%s: counted run collected items=%d seq_bytes=%d", tc.name, fs.Items, fs.SeqBytes)
+		}
 	}
 }

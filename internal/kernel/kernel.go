@@ -387,50 +387,3 @@ func (in Instr) Def() (r Reg, float bool, ok bool) {
 	}
 	return NoReg, false, false
 }
-
-// opMnemos are the compact opcode names Fingerprint uses.
-var opMnemos = [...]string{"ci", "cf", "mov", "bin", "sel", "ld", "ldv", "st", "grd", "i2f", "f2i", "ldl", "stl"}
-
-// Fingerprint returns a compact structural signature of the fragment's
-// instruction shape — opcode mnemonics per section, binops spelled out,
-// sequential accesses marked — for fast-path diagnostics and tests. Two
-// fragments with equal fingerprints have the same instruction skeleton
-// (registers and buffer bindings may differ).
-func (f *Fragment) Fingerprint() string {
-	var sb strings.Builder
-	section := func(tag string, instrs []Instr) {
-		if len(instrs) == 0 {
-			return
-		}
-		sb.WriteString(tag)
-		sb.WriteByte(':')
-		for i, in := range instrs {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			if int(in.Op) < len(opMnemos) {
-				sb.WriteString(opMnemos[in.Op])
-			} else {
-				fmt.Fprintf(&sb, "op%d", in.Op)
-			}
-			if in.Op == IBin {
-				sb.WriteByte('.')
-				sb.WriteString(in.BOp.String())
-			}
-			if (in.Op == ILoad || in.Op == IStore) && in.Seq {
-				sb.WriteString(".s")
-			}
-			if in.Float {
-				sb.WriteString(".f")
-			}
-		}
-		sb.WriteByte(';')
-	}
-	section("pre", f.Pre)
-	for _, l := range f.Loops {
-		section("loop", l.Body)
-	}
-	section("post", f.Post)
-	section("postloop", f.PostLoopBody)
-	return sb.String()
-}

@@ -64,9 +64,8 @@ type Engine struct {
 	Limits exec.Limits
 	// TraceSink, when set, receives the execution trace of every query
 	// this engine runs (one call per lowered program, so multi-phase
-	// queries deliver several traces). Engines are value-copied by
-	// RunTraced to give each concurrent query its own sink, so shared
-	// engines stay race-free.
+	// queries deliver several traces). Callers that share an engine across
+	// concurrent queries set the sink on a per-query copy of it.
 	TraceSink func(*trace.Trace)
 	// PlanSink, when set, receives every compiled plan just before it
 	// executes (EXPLAIN tooling; multi-phase queries deliver one plan per
@@ -76,7 +75,7 @@ type Engine struct {
 	// entry point) executes under. Callers that drive ctx-less call paths
 	// — the TPC-H QueryFuncs, the benchmark drivers — set it on a
 	// per-request engine copy so cancellation and deadlines still thread
-	// through. RunContext ignores it: an explicit context wins.
+	// through. RunPrepared ignores it: an explicit context wins.
 	BaseContext context.Context
 	// Pool, when set, recycles kernel buffers and interpreter
 	// intermediates across queries: each run draws its working memory
@@ -89,22 +88,14 @@ type Engine struct {
 // Catalog implements Runner.
 func (e *Engine) Catalog() *storage.Catalog { return e.Cat }
 
-// Run lowers, executes and assembles one query. Stats is nil unless
-// CollectStats is set and the backend is a compiling one.
+// Run lowers, executes and assembles one query under BaseContext (or the
+// background context). Stats is nil unless CollectStats is set and the
+// backend is a compiling one.
 func (e *Engine) Run(q Query) (res *Result, stats *exec.Stats, err error) {
 	ctx := context.Background()
 	if e.BaseContext != nil {
 		ctx = e.BaseContext
 	}
-	return e.RunContext(ctx, q)
-}
-
-// RunContext is Run with cooperative cancellation and the engine's
-// resource governor: the context (and the Limits deadline, when set)
-// aborts execution at statement/fragment boundaries and inside fragment
-// loops, buffer allocations are charged against Limits.MaxBytes, and
-// panics below the engine surface as *exec.PanicError.
-func (e *Engine) RunContext(ctx context.Context, q Query) (*Result, *exec.Stats, error) {
 	pr, err := e.Prepare(q)
 	if err != nil {
 		return nil, nil, err
@@ -167,8 +158,13 @@ func (e *Engine) Prepare(q Query) (pr *Prepared, err error) {
 }
 
 // RunPrepared executes a prepared query under the engine's per-run
-// configuration (limits, pool, stats, sinks). The prepared plan itself is
-// never mutated, so concurrent RunPrepared calls on one Prepared are safe.
+// configuration (limits, pool, stats, sinks), with cooperative cancellation
+// and the resource governor: the context (and the Limits deadline, when
+// set) aborts execution at statement/fragment boundaries and inside
+// fragment loops, buffer allocations are charged against Limits.MaxBytes,
+// and panics below the engine surface as *exec.PanicError. The prepared
+// plan itself is never mutated, so concurrent RunPrepared calls on one
+// Prepared are safe.
 func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, stats *exec.Stats, err error) {
 	if d := e.Limits.Deadline; !d.IsZero() {
 		var cancel context.CancelFunc
@@ -341,7 +337,7 @@ func (r *Result) Decode(col string, v float64) string {
 }
 
 // Plan compiles a lowered program with the engine's backend options — the
-// same configuration RunContext executes, exposed so tools can EXPLAIN the
+// same configuration Prepare compiles, exposed so tools can EXPLAIN the
 // exact plan a query would run.
 func (e *Engine) Plan(prog *core.Program) (*compile.Plan, error) {
 	opt := e.Opt
@@ -350,18 +346,6 @@ func (e *Engine) Plan(prog *core.Program) (*compile.Plan, error) {
 		opt.ForceBulk = true
 	}
 	return compile.Compile(prog, e.Cat, opt)
-}
-
-// RunTraced runs q and returns its execution traces — one per lowered
-// program, so multi-phase queries deliver several. The engine is copied
-// with a private sink, so concurrent RunTraced calls on one shared engine
-// never share mutable trace state.
-func (e *Engine) RunTraced(ctx context.Context, q Query) (*Result, []*trace.Trace, error) {
-	eng := *e
-	var traces []*trace.Trace
-	eng.TraceSink = func(t *trace.Trace) { traces = append(traces, t) }
-	res, _, err := eng.RunContext(ctx, q)
-	return res, traces, err
 }
 
 // Lower exposes the Voodoo program a query lowers to, for inspection tools

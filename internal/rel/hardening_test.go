@@ -17,11 +17,12 @@ func hardeningQuery() Query {
 	}}
 }
 
-func TestEngineRunContextCancelled(t *testing.T) {
+func TestEngineRunCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, e := range engines(testCatalog()) {
-		if _, _, err := e.RunContext(ctx, hardeningQuery()); !errors.Is(err, context.Canceled) {
+		e.BaseContext = ctx
+		if _, _, err := e.Run(hardeningQuery()); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
 	}

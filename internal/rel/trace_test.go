@@ -1,7 +1,6 @@
 package rel
 
 import (
-	"context"
 	"sync"
 	"testing"
 
@@ -21,10 +20,21 @@ func traceQuery() Query {
 	}
 }
 
+// runTraced runs q on a copy of e with a private sink — what a caller
+// sharing one engine across concurrent queries does — and returns the
+// traces, one per lowered program.
+func runTraced(e *Engine, q Query) (*Result, []*trace.Trace, error) {
+	eng := *e
+	var traces []*trace.Trace
+	eng.TraceSink = func(t *trace.Trace) { traces = append(traces, t) }
+	res, _, err := eng.Run(q)
+	return res, traces, err
+}
+
 func TestRunTracedCompiled(t *testing.T) {
 	e := &Engine{Cat: testCatalog(), Backend: Compiled}
 	before := trace.Snapshot()
-	res, traces, err := e.RunTraced(context.Background(), traceQuery())
+	res, traces, err := runTraced(e, traceQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +88,7 @@ func TestRunTracedCompiled(t *testing.T) {
 
 func TestRunTracedInterp(t *testing.T) {
 	e := &Engine{Cat: testCatalog(), Backend: Interpreted}
-	_, traces, err := e.RunTraced(context.Background(), traceQuery())
+	_, traces, err := runTraced(e, traceQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +126,7 @@ func TestTracedMatchesUntraced(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		traced, _, err := e.RunTraced(context.Background(), traceQuery())
+		traced, _, err := runTraced(e, traceQuery())
 		if err != nil {
 			t.Fatalf("%s traced: %v", name, err)
 		}
@@ -155,7 +165,7 @@ func TestConcurrentTracedQueries(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				res, traces, err := e.RunTraced(context.Background(), traceQuery())
+				res, traces, err := runTraced(e, traceQuery())
 				if err != nil {
 					errs <- err
 					return

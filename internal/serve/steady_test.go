@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -119,7 +121,7 @@ func TestSteadyStateAllocDrop(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := &rel.Engine{Cat: testCat, Opt: opt}
-		res, _, err := e.RunContext(ctx, q)
+		res, _, err := e.Run(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,5 +222,41 @@ func BenchmarkSteadyStateQuery(b *testing.B) {
 		if _, _, err := e.RunPrepared(ctx, pr); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestServedPathMixMatchesGolden: the daemon installs a trace sink on every
+// request, and a sink must not change which code executes a query. One
+// ?q=N sweep through handleQuery moves the executor's per-path fragment
+// counters by exactly the mix internal/tpch pins for plain, unobserved
+// runs of the same queries on the same data (69 interp / 27 batch in sum).
+func TestServedPathMixMatchesGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "tpch", "testdata", "golden", "pathmix.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, Config{Registry: testRegistry(t)})
+	vec := metrics.Default.CounterVec("voodoo_fragments_specialized_total", "", "path")
+	paths := func() [2]int64 { return [2]int64{vec.With("interp").Value(), vec.With("batch").Value()} }
+	queries := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		var num int
+		var want [2]int64
+		if n, _ := fmt.Sscanf(line, "q%d\t%d\t%d", &num, &want[0], &want[1]); n != 3 {
+			continue // header and sum rows
+		}
+		queries++
+		before := paths()
+		if code, body := getBody(t, fmt.Sprintf("%s/query?q=%d", srv.URL, num)); code != 200 {
+			t.Fatalf("q%d: status %d: %s", num, code, body)
+		}
+		after := paths()
+		if got := [2]int64{after[0] - before[0], after[1] - before[1]}; got != want {
+			t.Errorf("q%02d served took %d interp / %d batch fragments, unobserved runs take %d / %d",
+				num, got[0], got[1], want[0], want[1])
+		}
+	}
+	if queries != 14 {
+		t.Fatalf("golden path mix lists %d queries, want the 14 of the sweep", queries)
 	}
 }

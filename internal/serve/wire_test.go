@@ -143,8 +143,14 @@ func TestWireShapes(t *testing.T) {
 		want, ok := wantSpan[span["name"].(string)]
 		if !ok {
 			steps++ // a plan step span; its attrs depend on the step kind
-			if _, ok := span["attrs"].(map[string]any)["kind"]; !ok {
+			attrs := span["attrs"].(map[string]any)
+			if _, ok := attrs["kind"]; !ok {
 				t.Errorf("step span without a kind attr: %v", span)
+			}
+			// The held query runs under a fault hook, which forces the
+			// interpreter; an interpreted step says why.
+			if attrs["specialized"] == "interp" && attrs["reason"] != "fault-hooks" {
+				t.Errorf("interpreted step span has reason %v, want fault-hooks: %v", attrs["reason"], span)
 			}
 			continue
 		}

@@ -121,6 +121,9 @@ func BuildSpans(r *QueryRecord) QuerySpans {
 			if s.Specialized != "" {
 				sa["specialized"] = s.Specialized
 			}
+			if s.Reason != "" {
+				sa["reason"] = s.Reason
+			}
 			child(s.Kind+" "+s.Name, phase, stepCursor, s.WallNS, sa)
 			stepCursor += s.WallNS
 		}

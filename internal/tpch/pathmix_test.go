@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -22,24 +23,26 @@ func fragmentPaths() (interp, batch, total int64) {
 }
 
 // TestGoldenPathMix pins which execution path every TPC-H fragment takes:
-// per query, fragment executions by path on a plain run and on a run with
-// a TraceSink (a traced run is a counted run, which refuses the batch path
-// for any fragment with a non-sequential access). A change to batch
-// eligibility, to the counted-run rule or to what tracing turns on shows up
-// here as a reviewable golden diff; a fragment execution on any path other
-// than interp or batch fails outright. Tests in this package do not run in
+// per query, fragment executions by path — and requires a run with a
+// TraceSink to take exactly the paths the plain run takes, because
+// observing a query must not change which code executes it. A change to
+// batch eligibility shows up here as a reviewable golden diff; a sink that
+// forks the path, or a fragment execution on any path other than interp or
+// batch, fails outright. The log carries the reject histogram: why each
+// interpreted fragment did not batch. Tests in this package do not run in
 // parallel, so deltas of the process-wide counters belong to the query.
 func TestGoldenPathMix(t *testing.T) {
 	cat := Generate(Config{SF: 0.01, Seed: 42})
 	var sb strings.Builder
-	sb.WriteString("query\tinterp\tbatch\tinterp.traced\tbatch.traced\n")
-	var sum [4]int64
+	sb.WriteString("query\tinterp\tbatch\n")
+	var sum [2]int64
+	rejects := map[string]int{}
 	for _, num := range QueryNumbers {
 		qf, err := Query(num)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var row [4]int64
+		var rows [2][2]int64 // plain, traced × interp, batch
 		for i, traced := range []bool{false, true} {
 			e := &rel.Engine{Cat: cat, Backend: rel.Compiled}
 			var steps [2]int64 // interp, batch as the trace records them
@@ -50,6 +53,10 @@ func TestGoldenPathMix(t *testing.T) {
 						case s.Kind != trace.KindFragment:
 						case s.Specialized == "interp":
 							steps[0]++
+							rejects[s.Reason]++
+							if s.Reason == "" {
+								t.Errorf("%s: fragment %s interpreted without a reason", queryName(num), s.Name)
+							}
 						case s.Specialized == "batch":
 							steps[1]++
 						default:
@@ -72,14 +79,25 @@ func TestGoldenPathMix(t *testing.T) {
 				t.Errorf("%s: trace records %d interp / %d batch steps, counters say %d / %d",
 					queryName(num), steps[0], steps[1], interp, batch)
 			}
-			row[2*i], row[2*i+1] = interp, batch
+			rows[i] = [2]int64{interp, batch}
 		}
-		fmt.Fprintf(&sb, "q%02d\t%d\t%d\t%d\t%d\n", num, row[0], row[1], row[2], row[3])
-		for i := range sum {
-			sum[i] += row[i]
+		if rows[0] != rows[1] {
+			t.Errorf("%s: %d interp / %d batch plain but %d / %d behind a TraceSink — observing changed the path",
+				queryName(num), rows[0][0], rows[0][1], rows[1][0], rows[1][1])
 		}
+		fmt.Fprintf(&sb, "q%02d\t%d\t%d\n", num, rows[0][0], rows[0][1])
+		sum[0] += rows[0][0]
+		sum[1] += rows[0][1]
 	}
-	fmt.Fprintf(&sb, "sum\t%d\t%d\t%d\t%d\n", sum[0], sum[1], sum[2], sum[3])
+	fmt.Fprintf(&sb, "sum\t%d\t%d\n", sum[0], sum[1])
+	reasons := make([]string, 0, len(rejects))
+	for r := range rejects {
+		reasons = append(reasons, r)
+	}
+	sort.Slice(reasons, func(a, b int) bool { return rejects[reasons[a]] > rejects[reasons[b]] })
+	for _, r := range reasons {
+		t.Logf("reject %3d  %s", rejects[r], r)
+	}
 
 	got := sb.String()
 	path := filepath.Join("testdata", "golden", "pathmix.golden")

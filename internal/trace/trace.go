@@ -4,12 +4,13 @@
 // fragment seams — the quantities the paper's Figures 14–16 argue about
 // (fusion, empty-slot suppression, virtual scatter).
 //
-// Collection is opt-in and near-zero cost when disabled: the executor's
-// per-item counting stays behind its existing stats gate, and the only
-// always-on instrumentation is one atomic add per fragment and per query
-// (see CountQuery, CountFragment). Traces are per-query objects owned by
-// their caller, so concurrent queries on one engine never share mutable
-// trace state.
+// Collection is opt-in and costs one record per plan step: a trace never
+// turns on the executor's per-item event counting (that is the figure
+// harness's RunOpts.CollectStats) and never changes which code runs a
+// fragment. The only always-on instrumentation is one atomic add per
+// fragment and per query (see CountQuery, CountFragment). Traces are
+// per-query objects owned by their caller, so concurrent queries on one
+// engine never share mutable trace state.
 package trace
 
 import (
@@ -57,8 +58,11 @@ type Step struct {
 
 	// Specialized records which execution path ran a fragment step:
 	// "batch" (compiled batch primitives) or "interp" (the per-element
-	// interpreter).
+	// interpreter); Reason says why an interpreted fragment did not batch
+	// (the verifier's eligibility reject, or "counted", "fault-hooks",
+	// "no-specialize").
 	Specialized string `json:"specialized,omitempty"`
+	Reason      string `json:"reason,omitempty"`
 
 	// Control-vector shape of a fragment: Extent parallel work items,
 	// Intent sequential iterations each, over N guarded elements.
@@ -90,15 +94,10 @@ type Step struct {
 	// A virtual scatter moves nothing — that is the point.
 	FoldRuns     int64 `json:"fold_runs,omitempty"`
 	ScatterItems int64 `json:"scatter_items,omitempty"`
-
-	IntOps       int64 `json:"int_ops,omitempty"`
-	FloatOps     int64 `json:"float_ops,omitempty"`
-	SeqBytes     int64 `json:"seq_bytes,omitempty"`
-	RandAccesses int64 `json:"rand_accesses,omitempty"`
 }
 
-// Trace is the execution record of one query. It is owned by the caller of
-// the Run*Traced entry point that produced it and is never shared.
+// Trace is the execution record of one query. It is owned by the caller
+// that asked for it and is never shared.
 type Trace struct {
 	Query   string          `json:"query,omitempty"`
 	Backend string          `json:"backend"`
@@ -124,8 +123,8 @@ type Trace struct {
 	OnStep Observer `json:"-"`
 }
 
-// Observer receives completed steps of an in-flight query. The Run*Traced
-// entry points pick it up from their context (WithObserver), so callers
+// Observer receives completed steps of an in-flight query. Traced runs
+// pick it up from their context (WithObserver), so callers
 // that only have a context — an HTTP request serving a query — can watch
 // progress without new plumbing through the backends.
 type Observer func(Step)
@@ -243,7 +242,10 @@ func (t *Trace) String() string {
 		if s.Predicated {
 			flags = append(flags, "predicated")
 		}
-		if s.Specialized != "" && s.Specialized != "interp" {
+		switch {
+		case s.Reason != "":
+			flags = append(flags, fmt.Sprintf("spec:%s(%s)", s.Specialized, s.Reason))
+		case s.Specialized != "":
 			flags = append(flags, "spec:"+s.Specialized)
 		}
 		if len(flags) > 0 {

@@ -89,8 +89,9 @@ func TestStringRendering(t *testing.T) {
 	}
 	tr.Add(Step{Kind: KindFragment, Name: "ffold_3", Stmts: []int{1, 2, 3},
 		Fused: true, Suppressed: true, Predicated: true,
-		Extent: 8, Intent: 128, Items: 1024, MaterializedBytes: 64, FoldRuns: 8})
-	tr.Add(Step{Kind: KindFragment, Name: "scat_4", Virtual: true})
+		Extent: 8, Intent: 128, Items: 1024, MaterializedBytes: 64, FoldRuns: 8,
+		Specialized: "interp", Reason: "per-item prologue, epilogue or scratch array"})
+	tr.Add(Step{Kind: KindFragment, Name: "scat_4", Virtual: true, Specialized: "batch"})
 	tr.Finish(time.Millisecond)
 
 	s := tr.String()
@@ -99,6 +100,7 @@ func TestStringRendering(t *testing.T) {
 		"ffold_3", "shape=8x128/blocked",
 		"items=1024", "mat=64B", "folds=8",
 		"fused:3", "suppress", "predicated", "virtual",
+		"spec:interp(per-item prologue, epilogue or scratch array)", "spec:batch]",
 		"total:", "fragments=2",
 	} {
 		if !strings.Contains(s, want) {

@@ -366,9 +366,6 @@ type Facts struct {
 	BatchEligible bool
 	// Reason explains ineligibility ("" when eligible).
 	Reason string
-	// Countable marks every memory access sequential, making batch event
-	// counts order-independent and therefore exact.
-	Countable bool
 	// IntRegs/FltRegs list the registers needing a column in each file,
 	// ascending; NRegs bounds both index spaces.
 	IntRegs []kernel.Reg
@@ -408,7 +405,6 @@ func BatchFacts(f *kernel.Fragment) Facts {
 			return ineligible("loop iterates more than once per work item")
 		}
 	}
-	countable := true
 	usedI := map[kernel.Reg]bool{kernel.RegGID: true, kernel.RegIV: true, kernel.RegIdx: true}
 	usedF := map[kernel.Reg]bool{}
 	loaded := map[int]bool{}
@@ -447,17 +443,11 @@ func BatchFacts(f *kernel.Fragment) Facts {
 					return ineligible("load after store of the same buffer")
 				}
 				loaded[in.Buf] = true
-				if !in.Seq {
-					countable = false
-				}
 			case kernel.IStore:
 				if stored[in.Buf] || loaded[in.Buf] {
 					return ineligible("store overlaps an earlier access of the same buffer")
 				}
 				stored[in.Buf] = true
-				if !in.Seq {
-					countable = false
-				}
 			}
 			if r, flt, ok := in.Def(); ok {
 				if r < kernel.FirstFree {
@@ -471,7 +461,7 @@ func BatchFacts(f *kernel.Fragment) Facts {
 			}
 		}
 	}
-	fa := Facts{BatchEligible: true, Countable: countable}
+	fa := Facts{BatchEligible: true}
 	for r := range usedI {
 		fa.IntRegs = append(fa.IntRegs, r)
 		if int(r)+1 > fa.NRegs {
