@@ -35,7 +35,9 @@ var diffPool = vector.NewPool(0)
 // semantics. It also runs every pair a second time traced: a trace must
 // not change which path a fragment takes, so the traced run's values stay
 // bit-identical and its fragment steps report exactly the path mix the
-// untraced run's counters saw.
+// untraced run's counters saw. The sweep runs under default options and
+// again under predication, the only way the compiler emits the two-loop
+// filter-fold (scratch positions, dynamic second bound) the batch tier runs.
 var configs = []struct {
 	name    string
 	opt     compile.Options
@@ -54,6 +56,8 @@ var configs = []struct {
 	{name: "pooled", opt: compile.Options{}, pooled: true},
 	{name: "morsel-sweep", opt: compile.Options{Workers: 4}, morsels: []int{1, 7, 1024, 0}},
 	{name: "specialize-sweep", opt: compile.Options{Workers: 4}, morsels: []int{1, 7, 0},
+		noSpecialize: []bool{true, false}, traced: true},
+	{name: "specialize-sweep-predicated", opt: compile.Options{Workers: 4, Predication: true}, morsels: []int{1, 7, 0},
 		noSpecialize: []bool{true, false}, traced: true},
 }
 

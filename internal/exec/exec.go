@@ -476,8 +476,9 @@ func RunFragment(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs 
 		}
 	}
 	par = par.norm()
-	nregs := maxReg(f) + 1
-	batch, reason := resolveSpec(f, par.NoSpecialize, count, faultinject.Enabled())
+	bp := specFor(f)
+	nregs := kernel.Reg(bp.nregs)
+	batch, reason := resolveSpec(bp, par.NoSpecialize, count, faultinject.Enabled())
 	if fs != nil {
 		fs.Specialized, fs.Reason = "batch", reason
 		if batch == nil {
@@ -518,26 +519,6 @@ func RunFragment(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs 
 	return runMorselParallel(ctx, f, env, par, nregs, batch, fs, count)
 }
 
-func maxReg(f *kernel.Fragment) kernel.Reg {
-	m := kernel.FirstFree
-	scan := func(instrs []kernel.Instr) {
-		for _, in := range instrs {
-			for _, r := range [4]kernel.Reg{in.Dst, in.A, in.B, in.C} {
-				if r > m {
-					m = r
-				}
-			}
-		}
-	}
-	scan(f.Pre)
-	for _, l := range f.Loops {
-		scan(l.Body)
-	}
-	scan(f.Post)
-	scan(f.PostLoopBody)
-	return m
-}
-
 // checkInterval is how many work items a worker executes between
 // cooperative checkpoints (context cancellation, sibling-failure abort,
 // fault-injection hooks). Items are nanosecond-scale, so 1024 items keeps
@@ -558,7 +539,8 @@ type worker struct {
 	count bool
 	stats FragStats
 	// batch selects the specialized execution path for this run (nil =
-	// interpret); bst is the batch register-column state.
+	// interpret); bst is the batch register-column state, attached by the
+	// first runLanes.
 	batch *batchProg
 	bst   bstate
 	// checks gates the checkpoint machinery: false means the fast path
@@ -619,14 +601,18 @@ type scratch struct {
 	rf   []float64
 	locI []int64
 	locF []float64
-	// Batch-primitive state: register-column slabs, the selection mask and
-	// the per-register column tables. Slabs are not zeroed on reuse — the
-	// batch compiler proves def-before-use (see specialize.go).
+	// Batch-primitive state: register-column slabs, the selection vector,
+	// the per-register column tables and the scratch-array slabs. Columns
+	// are not zeroed on reuse — the verifier proves every read dominated by
+	// a definition (see specialize.go) — and the driver fills the scratch
+	// slab per batch.
 	bcols  []int64
 	bfcols []float64
 	bsel   []int32
 	bri    [][]int64
 	brf    [][]float64
+	blocI  []int64
+	blocF  []float64
 }
 
 // grow returns a slice of exactly n elements backed by *buf, reusing its
@@ -696,9 +682,6 @@ func newWorker(ctx context.Context, f *kernel.Fragment, env *Env, nregs kernel.R
 		} else {
 			w.locI = sc.intSlice(&sc.locI, f.Locals)
 		}
-	}
-	if w.batch != nil {
-		w.attachBatch(w.batch)
 	}
 	return w
 }

@@ -1,0 +1,353 @@
+package exec
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"testing"
+
+	"voodoo/internal/kernel"
+	"voodoo/internal/vector"
+	"voodoo/internal/verify"
+)
+
+// FuzzBatchVsInterp fuzzes the batch tier against its oracle with
+// byte-decoded fragments that use the whole fragment IR: prologue, one or
+// two loops with static and dynamic bounds, guards anywhere, a scratch
+// array, epilogue and post-loop body, blocked or strided, with a ragged N.
+// Whatever the verifier passes must leave every buffer, Items and
+// StoreBytes bit-identical on both tiers at one worker and — work items
+// being independent — at three workers over two-item morsels; when the
+// interpreter faults, the batch tier must report the same error text.
+// Fragments BatchFacts rejects run interpreted on both sides, which checks
+// nothing but costs nothing; the decoder is built so that most are
+// eligible.
+func FuzzBatchVsInterp(f *testing.F) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 96; i++ {
+		seed := make([]byte, 96)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		k, in := decodeFragment(data)
+		frag := k.Frags[0]
+		for _, d := range verify.Fragment(frag, k.Bufs) {
+			if d.Level == verify.Error {
+				t.Skip(d)
+			}
+		}
+		run := func(par Par) (*Env, FragStats, error) {
+			env := NewEnv(k)
+			for name, buf := range in {
+				if err := env.Bind(k, name, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var fs FragStats
+			err := RunFragment(context.Background(), frag, env, par, &fs, false)
+			return env, fs, err
+		}
+		oracle, want, werr := run(Par{Workers: 1, NoSpecialize: true})
+		got, rec, gerr := run(Par{Workers: 1})
+		if werr != nil || gerr != nil {
+			if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+				t.Fatalf("errors differ (%s):\ninterp: %v\nbatch:  %v\n%s", rec.Specialized, werr, gerr, k)
+			}
+			return
+		}
+		requireSameBufs(t, k, oracle, got, "workers=1\n"+k.String())
+		if rec.Items != want.Items || rec.StoreBytes != want.StoreBytes {
+			t.Fatalf("%s: items=%d store_bytes=%d, interpreter reports %d / %d\n%s",
+				rec.Specialized, rec.Items, rec.StoreBytes, want.Items, want.StoreBytes, k)
+		}
+		par, prec, perr := run(Par{Workers: 3, Morsel: 2})
+		if perr != nil {
+			t.Fatalf("parallel run failed: %v\n%s", perr, k)
+		}
+		requireSameBufs(t, k, oracle, par, "workers=3 morsel=2\n"+k.String())
+		if prec.Items != want.Items || prec.StoreBytes != want.StoreBytes {
+			t.Fatalf("parallel %s: items=%d store_bytes=%d, interpreter reports %d / %d\n%s",
+				prec.Specialized, prec.Items, prec.StoreBytes, want.Items, want.StoreBytes, k)
+		}
+	})
+}
+
+// fragDecoder maps a byte string onto one fragment. It tracks, per register
+// file, the registers defined on every path to the instruction being
+// emitted — the dominance BatchFacts demands — and draws operands from
+// those, so most decoded fragments are eligible; now and then it draws from
+// every register ever defined instead, which the verifier or BatchFacts
+// must then reject.
+type fragDecoder struct {
+	data []byte
+	pos  int
+
+	k    *kernel.Kernel
+	f    *kernel.Fragment
+	defI []kernel.Reg // dominating definitions, integer file
+	defF []kernel.Reg
+	allI []kernel.Reg // every register ever defined
+	allF []kernel.Reg
+	next kernel.Reg
+
+	elems        int // extent × intent: the index space of RegIdx
+	inI, inF     int
+	elemI, elemF int // one slot per element, stored at RegIdx
+	itemI, itemF int // one slot per work item, stored at RegGID
+	slotF        int // one slot per (work item, scratch slot), post-loop body only
+}
+
+func (d *fragDecoder) byte() int {
+	if d.pos >= len(d.data) {
+		return 0
+	}
+	b := d.data[d.pos]
+	d.pos++
+	return int(b)
+}
+
+func (d *fragDecoder) fresh() kernel.Reg {
+	d.next++
+	return d.next - 1
+}
+
+// section is which part of the fragment is being decoded; it decides which
+// special registers are readable and where stores may go.
+type section int
+
+const (
+	secPre section = iota
+	secLoop
+	secPost
+	secPostLoop
+)
+
+// intOperand picks a readable integer register.
+func (d *fragDecoder) intOperand(sec section) kernel.Reg {
+	pool := append([]kernel.Reg{kernel.RegGID}, d.defI...)
+	switch sec {
+	case secLoop:
+		pool = append(pool, kernel.RegIV, kernel.RegIdx)
+	case secPostLoop:
+		pool = append(pool, kernel.RegJ)
+	}
+	if len(d.allI) > 0 && d.byte()%24 == 0 {
+		pool = d.allI // possibly undominated
+	}
+	return pool[d.byte()%len(pool)]
+}
+
+// fltOperand picks a readable float register, defining a constant first
+// when there is none.
+func (d *fragDecoder) fltOperand(out *[]kernel.Instr) kernel.Reg {
+	if len(d.defF) == 0 {
+		r := d.fresh()
+		*out = append(*out, kernel.Instr{Op: kernel.IConstF, Dst: r, FImm: float64(d.byte()%7) - 2.5})
+		d.defF, d.allF = append(d.defF, r), append(d.allF, r)
+	}
+	return d.defF[d.byte()%len(d.defF)]
+}
+
+// dst picks the register an instruction defines: a new one, or — which is
+// what makes accumulators and cursors — one already defined.
+func (d *fragDecoder) dst(flt bool) kernel.Reg {
+	defs, all := &d.defI, &d.allI
+	if flt {
+		defs, all = &d.defF, &d.allF
+	}
+	if len(*defs) > 0 && d.byte()%3 == 0 {
+		return (*defs)[d.byte()%len(*defs)]
+	}
+	r := d.fresh()
+	*defs, *all = append(*defs, r), append(*all, r)
+	return r
+}
+
+// bounded emits r = x mod m for a readable x, an in-range index for a
+// buffer or scratch array of m slots.
+func (d *fragDecoder) bounded(out *[]kernel.Instr, sec section, m int) kernel.Reg {
+	x := d.intOperand(sec)
+	c, r := d.fresh(), d.fresh()
+	*out = append(*out,
+		kernel.Instr{Op: kernel.IConstI, Dst: c, Imm: int64(m)},
+		kernel.Instr{Op: kernel.IBin, BOp: kernel.BMod, Dst: r, A: x, B: c})
+	d.allI = append(d.allI, c, r)
+	d.defI = append(d.defI, c, r)
+	return r
+}
+
+var fuzzIntOps = []kernel.BinOp{kernel.BAdd, kernel.BSub, kernel.BMul, kernel.BGt, kernel.BGe, kernel.BEq,
+	kernel.BMin, kernel.BMax, kernel.BAnd, kernel.BOr, kernel.BAdd, kernel.BGt, kernel.BMod, kernel.BDiv, kernel.BShl}
+var fuzzFltOps = []kernel.BinOp{kernel.BAdd, kernel.BSub, kernel.BMul, kernel.BGt, kernel.BGe, kernel.BEq,
+	kernel.BMin, kernel.BMax, kernel.BDiv, kernel.BAnd}
+
+// instrs decodes up to n instructions of one section. Definitions made
+// behind a guard stop dominating at the end of the section; the caller
+// restores its own view.
+func (d *fragDecoder) instrs(sec section, n int) []kernel.Instr {
+	var out []kernel.Instr
+	for i := 0; i < n; i++ {
+		switch op := d.byte() % 20; op {
+		case 0:
+			out = append(out, kernel.Instr{Op: kernel.IConstI, Dst: d.dst(false), Imm: int64(d.byte()%9) - 2})
+		case 1:
+			out = append(out, kernel.Instr{Op: kernel.IConstF, Dst: d.dst(true), FImm: float64(d.byte()%9)/2 - 1})
+		case 2:
+			a := d.intOperand(sec)
+			out = append(out, kernel.Instr{Op: kernel.IMov, Dst: d.dst(false), A: a})
+		case 3, 4, 5:
+			a, b := d.intOperand(sec), d.intOperand(sec)
+			out = append(out, kernel.Instr{Op: kernel.IBin, BOp: fuzzIntOps[d.byte()%len(fuzzIntOps)], Dst: d.dst(false), A: a, B: b})
+		case 6, 7:
+			a, b := d.fltOperand(&out), d.fltOperand(&out)
+			out = append(out, kernel.Instr{Op: kernel.IBin, BOp: fuzzFltOps[d.byte()%len(fuzzFltOps)], Dst: d.dst(true), A: a, B: b, Float: true})
+		case 8:
+			c, a, b := d.intOperand(sec), d.intOperand(sec), d.intOperand(sec)
+			out = append(out, kernel.Instr{Op: kernel.ISel, Dst: d.dst(false), A: c, B: a, C: b})
+		case 9:
+			c, a, b := d.intOperand(sec), d.fltOperand(&out), d.fltOperand(&out)
+			out = append(out, kernel.Instr{Op: kernel.ISel, Dst: d.dst(true), A: c, B: a, C: b, Float: true})
+		case 10:
+			a := d.intOperand(sec)
+			out = append(out, kernel.Instr{Op: kernel.ICastIF, Dst: d.dst(true), A: a})
+		case 11:
+			a := d.fltOperand(&out)
+			out = append(out, kernel.Instr{Op: kernel.ICastFI, Dst: d.dst(false), A: a})
+		case 12, 13: // load: sequential inside loops, else a gather
+			a, seq := kernel.RegIdx, true
+			if sec != secLoop || d.byte()%3 == 0 {
+				a, seq = d.bounded(&out, sec, d.elems), false
+			}
+			switch d.byte() % 3 {
+			case 0:
+				out = append(out, kernel.Instr{Op: kernel.ILoad, Dst: d.dst(false), A: a, Buf: d.inI, Seq: seq})
+			case 1:
+				out = append(out, kernel.Instr{Op: kernel.ILoad, Dst: d.dst(true), A: a, Buf: d.inF, Seq: seq, Float: true})
+			default:
+				out = append(out, kernel.Instr{Op: kernel.ILoadValid, Dst: d.dst(false), A: a, Buf: d.inI, Seq: seq})
+			}
+		case 14:
+			out = append(out, kernel.Instr{Op: kernel.IGuard, A: d.intOperand(sec)})
+		case 15, 16: // scratch array
+			if d.f.Locals == 0 {
+				continue
+			}
+			a := d.bounded(&out, sec, d.f.Locals)
+			if d.byte()%2 == 0 {
+				out = append(out, kernel.Instr{Op: kernel.ILoadLoc, Dst: d.dst(true), A: a, Float: true})
+			} else {
+				b := d.fltOperand(&out)
+				out = append(out, kernel.Instr{Op: kernel.IStoreLoc, A: a, B: b, Float: true})
+			}
+		default: // store, to a slot no other work item writes
+			flt := d.byte()%2 == 0
+			a, bufI, bufF := kernel.RegGID, d.itemI, d.itemF
+			switch {
+			case sec == secLoop && d.byte()%3 != 0:
+				a, bufI, bufF = kernel.RegIdx, d.elemI, d.elemF
+			case sec == secPostLoop:
+				w, at := d.fresh(), d.fresh()
+				out = append(out,
+					kernel.Instr{Op: kernel.IConstI, Dst: w, Imm: int64(d.f.Locals)},
+					kernel.Instr{Op: kernel.IBin, BOp: kernel.BMul, Dst: at, A: kernel.RegGID, B: w},
+					kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: at, A: at, B: kernel.RegJ})
+				d.allI = append(d.allI, w, at)
+				d.defI = append(d.defI, w, at)
+				a, flt, bufF = at, true, d.slotF
+			}
+			if flt {
+				out = append(out, kernel.Instr{Op: kernel.IStore, A: a, B: d.fltOperand(&out), Buf: bufF, Seq: true, Float: true})
+			} else {
+				st := kernel.Instr{Op: kernel.IStore, A: a, B: d.intOperand(sec), Buf: bufI, Seq: true}
+				if d.byte()%2 == 0 {
+					st.C = d.intOperand(sec) // conditional validity
+					if st.C < kernel.FirstFree {
+						st.C = 0
+					}
+				}
+				out = append(out, st)
+			}
+		}
+	}
+	return out
+}
+
+// dominating returns the definitions that dominate whatever follows body:
+// the first before entries of defs, which dominated its entry, plus what
+// body defines in the given file ahead of its first guard.
+func dominating(body []kernel.Instr, flt bool, before int, defs []kernel.Reg) []kernel.Reg {
+	keep := append([]kernel.Reg{}, defs[:before]...)
+	for _, in := range body {
+		if in.Op == kernel.IGuard {
+			break
+		}
+		if r, f, ok := in.Def(); ok && f == flt {
+			keep = append(keep, r)
+		}
+	}
+	return keep
+}
+
+func decodeFragment(data []byte) (*kernel.Kernel, map[string]*Buffer) {
+	d := &fragDecoder{data: data, k: &kernel.Kernel{}, next: kernel.FirstFree}
+	extent := 1 + d.byte()%23
+	if d.byte()%8 != 0 {
+		extent += 3 // mostly enough work items for lanes
+	}
+	intent := 1 + d.byte()%7
+	d.elems = extent * intent
+	n := d.elems - d.byte()%(2*intent+1)
+	f := &kernel.Fragment{Name: "fuzz", Extent: extent, Intent: intent, N: max(n, 0), Strided: d.byte()%4 == 0}
+	if d.byte()%2 == 0 {
+		f.Locals, f.LocalsFloat, f.LocalsInit = 1+d.byte()%5, true, float64(d.byte()%3)-0.5
+	}
+	d.f = f
+	decl := func(name string, kind vector.Kind, size int, valid, input bool) int {
+		return d.k.AddBuf(kernel.BufDecl{Name: name, Kind: kind, Size: size, Valid: valid, Input: input})
+	}
+	d.inI = decl("inI", vector.Int, d.elems, false, true)
+	d.inF = decl("inF", vector.Float, d.elems, false, true)
+	d.elemI = decl("elemI", vector.Int, d.elems, d.byte()%2 == 0, false)
+	d.elemF = decl("elemF", vector.Float, d.elems, false, false)
+	d.itemI = decl("itemI", vector.Int, extent, d.byte()%2 == 0, false)
+	d.itemF = decl("itemF", vector.Float, extent, false, false)
+	d.slotF = decl("slotF", vector.Float, extent*max(f.Locals, 1), false, false)
+
+	f.Pre = d.instrs(secPre, d.byte()%5)
+	preI := dominating(f.Pre, false, 0, d.defI)
+	preF := dominating(f.Pre, true, 0, d.defF)
+	for l := 0; l < 1+d.byte()%2; l++ {
+		d.defI, d.defF = append([]kernel.Reg{}, preI...), append([]kernel.Reg{}, preF...)
+		loop := kernel.Loop{Bound: d.byte() % (intent + 1)}
+		if len(preI) > 0 && d.byte()%3 == 0 {
+			loop.BoundReg = preI[d.byte()%len(preI)]
+		}
+		loop.Body = d.instrs(secLoop, 1+d.byte()%9)
+		f.Loops = append(f.Loops, loop)
+	}
+	d.defI, d.defF = append([]kernel.Reg{}, preI...), append([]kernel.Reg{}, preF...)
+	f.Post = d.instrs(secPost, d.byte()%4)
+	if f.Locals > 0 && d.byte()%2 == 0 {
+		d.defI = dominating(f.Post, false, len(preI), d.defI)
+		d.defF = dominating(f.Post, true, len(preF), d.defF)
+		f.PostLoopBody = d.instrs(secPostLoop, 1+d.byte()%4)
+	}
+	d.k.Frags = []*kernel.Fragment{f}
+
+	ints, flts := make([]int64, d.elems), make([]float64, d.elems)
+	valid := make([]bool, d.elems)
+	for i := range ints {
+		ints[i] = int64((i*37+d.byte())%29) - 6
+		flts[i] = float64((i*13)%11)/4 - 1
+		valid[i] = (i+d.byte())%5 != 0
+	}
+	if d.elems > 3 {
+		flts[1], flts[3] = math.NaN(), math.Inf(1)
+	}
+	inI := &Buffer{Kind: vector.Int, I: ints}
+	if d.byte()%2 == 0 {
+		inI.Valid = valid
+	}
+	return d.k, map[string]*Buffer{"inI": inI, "inF": {Kind: vector.Float, F: flts}}
+}

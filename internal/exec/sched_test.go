@@ -19,7 +19,7 @@ import (
 // test measures the morsel scheduler against.
 func staticChunkRun(t *testing.T, f *kernel.Fragment, env *Env, workers int) {
 	t.Helper()
-	nregs := maxReg(f) + 1
+	nregs := kernel.Reg(f.NumRegs())
 	chunk := (f.Extent + workers - 1) / workers
 	var stop atomic.Bool
 	var wg sync.WaitGroup

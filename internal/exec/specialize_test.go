@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"voodoo/internal/kernel"
@@ -59,12 +61,12 @@ func mapFloatKernel(n int) *kernel.Kernel {
 	return k
 }
 
-// foldKernel is the fold shape, which has no batch form (the accumulator
-// carries across loop iterations) and so interprets with specialization
-// on: Pre seeds an accumulator, the loop accumulates with op, Post stores
-// one partial per work item. With strided set, lane g visits g, g+extent,
-// ...; otherwise runs are blocked. n need not divide evenly (a ragged
-// tail).
+// foldKernel is the fold shape: Pre seeds an accumulator, the loop
+// accumulates with op — the register carries across the iterations of its
+// own work item, which is a lane's column persisting across steps — and
+// Post stores one partial per work item. With strided set, lane g visits g,
+// g+extent, ...; otherwise runs are blocked. n need not divide evenly (a
+// ragged tail).
 func foldKernel(n, extent int, op kernel.BinOp, strided bool) *kernel.Kernel {
 	k := &kernel.Kernel{}
 	in := k.AddBuf(kernel.BufDecl{Name: "in", Kind: vector.Int, Size: n, Input: true})
@@ -132,6 +134,123 @@ func mixedKernel(n int) *kernel.Kernel {
 			{Op: kernel.IGuard, A: r2},
 			{Op: kernel.IStore, A: kernel.RegIdx, B: r0, Buf: hits, Seq: true},
 		}}},
+	})
+	return k
+}
+
+// filterKernel is the cursor filter TPC-H selections compile to: each work
+// item packs the elements of its run that exceed cut to the front of its
+// own output block and reports how many it kept. Branching, a guard skips
+// the store and the cursor bump; predicated, every element is stored at the
+// cursor (a rejected one is overwritten by the next) and the cursor
+// advances by the predicate.
+func filterKernel(n, extent int, cut int64, predicated bool) *kernel.Kernel {
+	k := &kernel.Kernel{}
+	intent := (n + extent - 1) / extent
+	in := k.AddBuf(kernel.BufDecl{Name: "in", Kind: vector.Int, Size: n, Input: true})
+	out := k.AddBuf(kernel.BufDecl{Name: "out", Kind: vector.Int, Size: extent * intent, Valid: true})
+	cnt := k.AddBuf(kernel.BufDecl{Name: "count", Kind: vector.Int, Size: extent})
+	cur := kernel.FirstFree
+	rc, v, keep, w, pos, one := cur+1, cur+2, cur+3, cur+4, cur+5, cur+6
+	body := []kernel.Instr{
+		{Op: kernel.IConstI, Dst: rc, Imm: cut},
+		{Op: kernel.ILoad, Dst: v, A: kernel.RegIdx, Buf: in, Seq: true},
+		{Op: kernel.IBin, BOp: kernel.BGt, Dst: keep, A: v, B: rc},
+		{Op: kernel.IConstI, Dst: w, Imm: int64(intent)},
+		{Op: kernel.IBin, BOp: kernel.BMul, Dst: pos, A: kernel.RegGID, B: w},
+		{Op: kernel.IBin, BOp: kernel.BAdd, Dst: pos, A: pos, B: cur},
+	}
+	if predicated {
+		body = append(body,
+			kernel.Instr{Op: kernel.IStore, A: pos, B: v, C: keep, Buf: out},
+			kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: cur, A: cur, B: keep})
+	} else {
+		body = append(body,
+			kernel.Instr{Op: kernel.IGuard, A: keep},
+			kernel.Instr{Op: kernel.IStore, A: pos, B: v, Buf: out},
+			kernel.Instr{Op: kernel.IConstI, Dst: one, Imm: 1},
+			kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: cur, A: cur, B: one})
+	}
+	k.Frags = append(k.Frags, &kernel.Fragment{
+		Name: "filt", Extent: extent, Intent: intent, N: n,
+		Prov:  kernel.Prov{Kind: "filter", Predicated: predicated},
+		Pre:   []kernel.Instr{{Op: kernel.IConstI, Dst: cur, Imm: 0}},
+		Loops: []kernel.Loop{{Body: body}},
+		Post:  []kernel.Instr{{Op: kernel.IStore, A: kernel.RegGID, B: cur, Buf: cnt, Seq: true}},
+	})
+	return k
+}
+
+// filterFoldKernel is the predicated filter-fold: loop 0 collects the
+// positions of qualifying elements in the work item's scratch array behind
+// a cursor, loop 1 — bounded by that cursor, a dynamic bound read once at
+// loop entry — gathers and sums them. Work items past the data (extent ×
+// intent overshoots n by whole items) run no iteration of either loop.
+func filterFoldKernel(n, extent, intent int, cut int64) *kernel.Kernel {
+	k := &kernel.Kernel{}
+	in := k.AddBuf(kernel.BufDecl{Name: "in", Kind: vector.Int, Size: n, Input: true})
+	out := k.AddBuf(kernel.BufDecl{Name: "partial", Kind: vector.Int, Size: extent})
+	acc := kernel.FirstFree
+	cur, rc, v, keep, p, x := acc+1, acc+2, acc+3, acc+4, acc+5, acc+6
+	k.Frags = append(k.Frags, &kernel.Fragment{
+		Name: "ffold", Extent: extent, Intent: intent, N: n, Locals: intent,
+		Prov: kernel.Prov{Kind: "filter-fold", Predicated: true},
+		Pre: []kernel.Instr{
+			{Op: kernel.IConstI, Dst: acc, Imm: 0},
+			{Op: kernel.IConstI, Dst: cur, Imm: 0},
+		},
+		Loops: []kernel.Loop{
+			{Body: []kernel.Instr{
+				{Op: kernel.IConstI, Dst: rc, Imm: cut},
+				{Op: kernel.ILoad, Dst: v, A: kernel.RegIdx, Buf: in, Seq: true},
+				{Op: kernel.IBin, BOp: kernel.BGt, Dst: keep, A: v, B: rc},
+				{Op: kernel.IStoreLoc, A: cur, B: kernel.RegIdx},
+				{Op: kernel.IBin, BOp: kernel.BAdd, Dst: cur, A: cur, B: keep},
+			}},
+			{BoundReg: cur, Body: []kernel.Instr{
+				{Op: kernel.ILoadLoc, Dst: p, A: kernel.RegIV},
+				{Op: kernel.ILoad, Dst: x, A: p, Buf: in},
+				{Op: kernel.IBin, BOp: kernel.BAdd, Dst: acc, A: acc, B: x},
+			}},
+		},
+		Post: []kernel.Instr{{Op: kernel.IStore, A: kernel.RegGID, B: acc, Buf: out, Seq: true}},
+	})
+	return k
+}
+
+// groupFoldKernel is the grouped aggregation shape: each work item sums its
+// run into a float scratch array indexed by the element's group, behind a
+// guard on the element's validity, and the post-loop body flushes the
+// array, one slot per RegJ.
+func groupFoldKernel(n, extent, groups int) *kernel.Kernel {
+	k := &kernel.Kernel{}
+	intent := (n + extent - 1) / extent
+	in := k.AddBuf(kernel.BufDecl{Name: "in", Kind: vector.Int, Size: n, Input: true})
+	out := k.AddBuf(kernel.BufDecl{Name: "sums", Kind: vector.Float, Size: extent * groups})
+	rg, ok, v, g := kernel.FirstFree, kernel.FirstFree+1, kernel.FirstFree+2, kernel.FirstFree+3
+	fv, fs := kernel.FirstFree, kernel.FirstFree+1 // float file
+	k.Frags = append(k.Frags, &kernel.Fragment{
+		Name: "gfold", Extent: extent, Intent: intent, N: n,
+		Locals: groups, LocalsFloat: true, LocalsInit: 0.5,
+		Prov: kernel.Prov{Kind: "group-fold", Virtual: true},
+		Loops: []kernel.Loop{{Body: []kernel.Instr{
+			{Op: kernel.ILoadValid, Dst: ok, A: kernel.RegIdx, Buf: in, Seq: true},
+			{Op: kernel.IGuard, A: ok},
+			{Op: kernel.ILoad, Dst: v, A: kernel.RegIdx, Buf: in, Seq: true},
+			{Op: kernel.IConstI, Dst: rg, Imm: int64(groups)},
+			{Op: kernel.IBin, BOp: kernel.BMod, Dst: g, A: v, B: rg},
+			{Op: kernel.ICastIF, Dst: fv, A: v},
+			{Op: kernel.ILoadLoc, Dst: fs, A: g, Float: true},
+			{Op: kernel.IBin, BOp: kernel.BAdd, Dst: fs, A: fs, B: fv, Float: true},
+			{Op: kernel.IStoreLoc, A: g, B: fs, Float: true},
+		}}},
+		PostLoopBody: []kernel.Instr{
+			{Op: kernel.IConstI, Dst: rg, Imm: int64(groups)},
+			{Op: kernel.IBin, BOp: kernel.BMul, Dst: g, A: kernel.RegGID, B: rg},
+			{Op: kernel.IBin, BOp: kernel.BAdd, Dst: g, A: g, B: kernel.RegJ},
+			{Op: kernel.ILoadLoc, Dst: fs, A: kernel.RegJ, Float: true},
+			{Op: kernel.IStore, A: g, B: fs, Buf: out, Seq: true, Float: true},
+		},
 	})
 	return k
 }
@@ -222,9 +341,33 @@ func TestSpecializeModesBitIdentical(t *testing.T) {
 		{"map-float", func() *kernel.Kernel { return mapFloatKernel(n) },
 			map[string]*Buffer{"in": {Kind: vector.Float, F: floats}}, "batch"},
 		{"fold-sum-blocked", func() *kernel.Kernel { return foldKernel(n, 7, kernel.BAdd, false) },
-			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "interp"},
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
 		{"fold-min-strided", func() *kernel.Kernel { return foldKernel(n, 4, kernel.BMin, true) },
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+		{"fold-extent-1", func() *kernel.Kernel { return foldKernel(n, 1, kernel.BAdd, false) },
 			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "interp"},
+		{"fold-ragged", func() *kernel.Kernel {
+			// 64 × 59 overshoots n by 13 whole work items: they run no
+			// iteration but still seed and store their partial.
+			k := foldKernel(n, 64, kernel.BAdd, false)
+			k.Frags[0].Intent = 59
+			return k
+		}, map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+		{"filter-branching", func() *kernel.Kernel { return filterKernel(n, 51, 40, false) },
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+		{"filter-predicated", func() *kernel.Kernel { return filterKernel(n, 51, 40, true) },
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+		{"filter-fold-two-loop", func() *kernel.Kernel { return filterFoldKernel(n, 64, 59, 40) },
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+		{"group-fold-locals", func() *kernel.Kernel { return groupFoldKernel(n, 13, 5) },
+			map[string]*Buffer{"in": withValid}, "batch"},
+		{"mat-recut", func() *kernel.Kernel {
+			// The map over 200 × 15 blocked work items: carry-free, so it
+			// runs as 3000 element lanes.
+			k := mapFloatKernel(n)
+			k.Frags[0].Extent, k.Frags[0].Intent = 200, 15
+			return k
+		}, map[string]*Buffer{"in": {Kind: vector.Float, F: floats}}, "batch"},
 		{"gather", func() *kernel.Kernel { return gatherKernel(n) },
 			map[string]*Buffer{"idx": {Kind: vector.Int, I: idx}, "in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
 		{"mixed", func() *kernel.Kernel { return mixedKernel(n) },
@@ -265,6 +408,7 @@ func TestResolveSpecPaths(t *testing.T) {
 	sel := selectKernel(64, 10).Frags[0]
 	gather := gatherKernel(64).Frags[0]
 	fold := foldKernel(64, 4, kernel.BAdd, false).Frags[0]
+	fold1 := foldKernel(64, 1, kernel.BAdd, false).Frags[0]
 	for _, tc := range []struct {
 		name         string
 		f            *kernel.Fragment
@@ -279,10 +423,12 @@ func TestResolveSpecPaths(t *testing.T) {
 		{"select-counted", sel, false, true, false, "counted"},
 		{"gather", gather, false, false, false, ""},
 		{"gather-counted", gather, false, true, false, "counted"},
-		{"fold", fold, false, false, false, "per-item prologue, epilogue or scratch array"}, // the verifier's reason
+		{"fold", fold, false, false, false, ""},
+		{"fold-counted", fold, false, true, false, "counted"},
+		{"fold-extent-1", fold1, false, false, false, "fewer than 4 work items to run as lanes"}, // the verifier's reason
 	} {
 		rejected := rejectVec.With(tc.reason).Value()
-		bp, got := resolveSpec(tc.f, tc.noSpecialize, tc.count, tc.faults)
+		bp, got := resolveSpec(specFor(tc.f), tc.noSpecialize, tc.count, tc.faults)
 		if got != tc.reason || (bp != nil) != (tc.reason == "") {
 			t.Errorf("%s: reason = %q (batch program %v), want %q", tc.name, got, bp != nil, tc.reason)
 		}
@@ -292,39 +438,70 @@ func TestResolveSpecPaths(t *testing.T) {
 	}
 }
 
-// TestSpecializeBatchEligibility pins the conservative rejections of the
-// batch compiler: locals, register carry across work items, store/load
-// aliasing, and multi-iteration loops all fall back to the interpreter.
+// TestSpecializeBatchEligibility pins the rejections that remain now that
+// the batch tier runs whole fragments: a register read no definition of
+// the same work item dominates, a buffer both loaded and stored, and too
+// few work items to be worth lanes. Each reports its own reason.
 func TestSpecializeBatchEligibility(t *testing.T) {
-	base := func() *kernel.Fragment { return selectKernel(64, 10).Frags[0] }
-	if compileBatch(base()).ineligible != nil {
-		t.Fatal("canonical selection should be batch-eligible")
-	}
-
-	locals := base()
-	locals.Locals = 4
-	if compileBatch(locals).ineligible == nil {
-		t.Error("fragment with locals must not batch")
-	}
-
-	carry := base()
-	// Read a register never defined in the body: the interpreter would
-	// observe a sibling item's leftover value.
-	carry.Loops[0].Body[2].A = kernel.FirstFree + 9
-	if compileBatch(carry).ineligible == nil {
-		t.Error("read-before-def register carry must not batch")
-	}
-
-	alias := base()
-	// Store to the buffer the fragment also loads: batch order differs.
-	alias.Loops[0].Body[4].Buf = alias.Loops[0].Body[1].Buf
-	if compileBatch(alias).ineligible == nil {
-		t.Error("store aliasing a loaded buffer must not batch")
-	}
-
-	multi := foldKernel(64, 4, kernel.BAdd, false).Frags[0]
-	if compileBatch(multi).ineligible == nil {
-		t.Error("multi-iteration blocked loop must not batch")
+	const undominated = "register read without a dominating definition in its work item"
+	sel := func() *kernel.Fragment { return selectKernel(64, 10).Frags[0] }
+	fold := func() *kernel.Fragment { return foldKernel(64, 8, kernel.BAdd, false).Frags[0] }
+	for _, tc := range []struct {
+		name   string
+		f      *kernel.Fragment
+		mutate func(f *kernel.Fragment)
+		reason string // "" = eligible
+	}{
+		{"select", sel(), nil, ""},
+		{"fold", fold(), nil, ""},
+		{"filter-fold", filterFoldKernel(640, 8, 80, 10).Frags[0], nil, ""},
+		{"group-fold", groupFoldKernel(640, 8, 5).Frags[0], nil, ""},
+		{"never-defined", sel(), func(f *kernel.Fragment) {
+			// The interpreter would observe a sibling item's leftover.
+			f.Loops[0].Body[2].A = kernel.FirstFree + 9
+		}, undominated},
+		{"accumulator-without-seed", fold(), func(f *kernel.Fragment) {
+			// Defined in the loop only: its first read sees the previous
+			// work item's total.
+			f.Pre = nil
+		}, undominated},
+		{"post-reads-loop-def", fold(), func(f *kernel.Fragment) {
+			// The loop may run zero times, so its definitions do not reach
+			// the epilogue.
+			f.Post[0].B = kernel.FirstFree + 1
+		}, undominated},
+		{"post-reads-idx", fold(), func(f *kernel.Fragment) {
+			f.Post[0].A = kernel.RegIdx
+		}, undominated},
+		{"def-behind-guard", fold(), func(f *kernel.Fragment) {
+			// A guard ahead of the seed may skip it.
+			f.Pre = append([]kernel.Instr{{Op: kernel.IGuard, A: kernel.RegGID}}, f.Pre...)
+		}, undominated},
+		{"bound-from-loop", filterFoldKernel(640, 8, 80, 10).Frags[0], func(f *kernel.Fragment) {
+			f.Pre = f.Pre[:1] // the cursor is no longer seeded before loop 1 reads it as its bound
+		}, undominated},
+		{"load-store-overlap", sel(), func(f *kernel.Fragment) {
+			// Store to the buffer the fragment also loads: lanes run
+			// step-major, so a load could see a store too early.
+			f.Loops[0].Body[4].Buf = f.Loops[0].Body[1].Buf
+		}, "buffer both loaded and stored"},
+		{"too-few-work-items", foldKernel(64, 3, kernel.BAdd, false).Frags[0], nil,
+			"fewer than 4 work items to run as lanes"},
+		{"few-work-items-many-elements", mapFloatKernel(64).Frags[0], func(f *kernel.Fragment) {
+			f.Extent, f.Intent = 2, 32 // carry-free: its 64 elements are the lanes
+		}, ""},
+	} {
+		if tc.mutate != nil {
+			tc.mutate(tc.f)
+		}
+		bp := compileBatch(tc.f)
+		got := ""
+		if bp.ineligible != nil {
+			got = bp.ineligible.reason
+		}
+		if got != tc.reason {
+			t.Errorf("%s: reject reason %q, want %q", tc.name, got, tc.reason)
+		}
 	}
 }
 
@@ -348,66 +525,154 @@ func TestSpecializeCacheOnFragment(t *testing.T) {
 	}
 	// An ineligible fragment caches its rejection too, so it is analysed
 	// once rather than on every execution.
-	fold := foldKernel(64, 4, kernel.BAdd, false).Frags[0]
+	fold := foldKernel(64, 1, kernel.BAdd, false).Frags[0]
 	if specFor(fold).ineligible == nil {
-		t.Error("fold should not be batch-eligible")
+		t.Error("a single-work-item fold should not be batch-eligible")
 	}
 	if fold.LoadSpec() == nil {
 		t.Error("ineligibility not cached on the fragment")
 	}
 }
 
+// countingCtx counts the checkpoints a run makes: every one asks Err.
+type countingCtx struct {
+	context.Context
+	checks atomic.Int64
+}
+
+func (c *countingCtx) Err() error {
+	c.checks.Add(1)
+	return c.Context.Err()
+}
+
 // TestSpecializeCancellation: the batch path honors cancellation at the
-// same checkpoints as the interpreter.
+// interpreter's cadence — an already-cancelled run stops before any work,
+// single-step and multi-iteration fragments alike, and a running one
+// reaches a checkpoint at least every checkInterval lane-steps.
 func TestSpecializeCancellation(t *testing.T) {
 	n := 1 << 16
-	k := selectKernel(n, 40)
-	env := NewEnv(k)
-	if err := env.Bind(k, "in", &Buffer{Kind: vector.Int, I: seqInts(n)}); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := Run(ctx, k, env, Par{Workers: 2}, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	in := &Buffer{Kind: vector.Int, I: seqInts(n)}
+	for name, k := range map[string]*kernel.Kernel{
+		"select":      selectKernel(n, 40),
+		"fold":        foldKernel(n, 1013, kernel.BAdd, false),
+		"filter-fold": filterFoldKernel(n, 1111, 59, 40),
+		"group-fold":  groupFoldKernel(n, 64, 189),
+	} {
+		env := NewEnv(k)
+		if err := env.Bind(k, "in", in); err != nil {
+			t.Fatal(err)
+		}
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := Run(cancelled, k, env, Par{Workers: 2}, nil); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+		}
+
+		live, stop := context.WithCancel(context.Background())
+		ctx := &countingCtx{Context: live}
+		var fs FragStats
+		if err := RunFragment(ctx, k.Frags[0], env, Par{Workers: 1}, &fs, false); err != nil {
+			t.Fatal(err)
+		}
+		stop()
+		if fs.Specialized != "batch" {
+			t.Fatalf("%s ran %s(%s), want batch", name, fs.Specialized, fs.Reason)
+		}
+		if got, want := ctx.checks.Load(), fs.Items/checkInterval; got < want {
+			t.Errorf("%s: %d checkpoints over %d lane-steps, want one at least every %d (%d)",
+				name, got, fs.Items, checkInterval, want)
+		}
 	}
 }
 
-// TestSpecializeErrorParity: a mid-run bounds fault reports the same
-// error from the batch path as from the interpreter.
+// TestSpecializeErrorParity: a mid-run bounds fault reports the same error
+// from the batch path as from the interpreter, text included — also when
+// lanes reach a different fault first. In the multi-iteration case element
+// 5 (work item 0, iteration 5) and element 17 (work item 2, iteration 1)
+// both gather out of range: the interpreter, element-major, dies on
+// element 5; the lanes, step-major, get to element 17 four steps earlier.
 func TestSpecializeErrorParity(t *testing.T) {
-	n := 100
-	build := func() *kernel.Kernel {
+	gather := func(extent, intent int) *kernel.Kernel {
+		n := extent * intent
 		k := &kernel.Kernel{}
+		off := k.AddBuf(kernel.BufDecl{Name: "off", Kind: vector.Int, Size: n, Input: true})
 		in := k.AddBuf(kernel.BufDecl{Name: "in", Kind: vector.Int, Size: n, Input: true})
-		out := k.AddBuf(kernel.BufDecl{Name: "out", Kind: vector.Int, Size: n})
-		rc, ri, r0 := kernel.FirstFree, kernel.FirstFree+1, kernel.FirstFree+2
+		out := k.AddBuf(kernel.BufDecl{Name: "out", Kind: vector.Int, Size: extent})
+		acc, ro, ri, r0 := kernel.FirstFree, kernel.FirstFree+1, kernel.FirstFree+2, kernel.FirstFree+3
 		k.Frags = append(k.Frags, &kernel.Fragment{
-			Name: "oob", Extent: n, Intent: 1, N: n,
+			Name: "oob", Extent: extent, Intent: intent, N: n,
+			Pre: []kernel.Instr{{Op: kernel.IConstI, Dst: acc, Imm: 0}},
 			Loops: []kernel.Loop{{Body: []kernel.Instr{
-				{Op: kernel.IConstI, Dst: rc, Imm: 60},
-				{Op: kernel.IBin, BOp: kernel.BAdd, Dst: ri, A: kernel.RegIdx, B: rc},
+				{Op: kernel.ILoad, Dst: ro, A: kernel.RegIdx, Buf: off, Seq: true},
+				{Op: kernel.IBin, BOp: kernel.BAdd, Dst: ri, A: kernel.RegIdx, B: ro},
 				{Op: kernel.ILoad, Dst: r0, A: ri, Buf: in},
-				{Op: kernel.IStore, A: kernel.RegIdx, B: r0, Buf: out, Seq: true},
+				{Op: kernel.IBin, BOp: kernel.BAdd, Dst: acc, A: acc, B: r0},
 			}}},
+			Post: []kernel.Instr{{Op: kernel.IStore, A: kernel.RegGID, B: acc, Buf: out, Seq: true}},
 		})
 		return k
 	}
-	run := func(noSpecialize bool) error {
-		k := build()
-		env := NewEnv(k)
-		if err := env.Bind(k, "in", &Buffer{Kind: vector.Int, I: seqInts(n)}); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name           string
+		extent, intent int
+		faults         map[int]int64 // element → offset added to its gather index
+		want           string
+	}{
+		{"one-step", 100, 1, map[int]int64{40: 60, 70: 900}, "idx 100 len 100"},
+		{"lane-order-differs", 4, 8, map[int]int64{5: 1000, 17: 2000}, "idx 1005 len 32"},
+	} {
+		run := func(noSpecialize bool) (error, FragStats) {
+			k := gather(tc.extent, tc.intent)
+			n := tc.extent * tc.intent
+			off := make([]int64, n)
+			for e, o := range tc.faults {
+				off[e] = o
+			}
+			env := NewEnv(k)
+			for name, buf := range map[string]*Buffer{"off": {Kind: vector.Int, I: off}, "in": {Kind: vector.Int, I: seqInts(n)}} {
+				if err := env.Bind(k, name, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var fs FragStats
+			return RunFragment(context.Background(), k.Frags[0], env, Par{Workers: 1, NoSpecialize: noSpecialize}, &fs, false), fs
 		}
-		return Run(context.Background(), k, env, Par{Workers: 1, NoSpecialize: noSpecialize}, nil)
+		want, _ := run(true)
+		got, rec := run(false)
+		if want == nil || got == nil {
+			t.Fatalf("%s: both paths should fail: interp=%v batch=%v", tc.name, want, got)
+		}
+		if rec.Specialized != "batch" {
+			t.Fatalf("%s ran %s(%s), want batch", tc.name, rec.Specialized, rec.Reason)
+		}
+		if want.Error() != got.Error() || !strings.Contains(got.Error(), tc.want) {
+			t.Errorf("%s: error mismatch (want it to name %q):\ninterp: %v\nbatch:  %v", tc.name, tc.want, want, got)
+		}
 	}
-	want, got := run(true), run(false)
-	if want == nil || got == nil {
-		t.Fatalf("both paths should fail: interp=%v batch=%v", want, got)
+}
+
+// TestBlockedLanesAreNotUnitStride is the regression test for the
+// contiguous-copy path of primLoad/primStore: it is only valid when
+// neighbouring lanes hold neighbouring elements. With blocked work items of
+// Intent > 1 as lanes, lane g's element at step iv is g*Intent+iv, and a
+// copy from idx[0] would hand lane 1 element 1 instead of element Intent.
+func TestBlockedLanesAreNotUnitStride(t *testing.T) {
+	const extent, intent = 7, 431
+	n := extent*intent - 5 // ragged: the last work item stops short
+	data := seqInts(n)
+	k := foldKernel(n, extent, kernel.BAdd, false)
+	env, rec := runSpec(t, k, map[string]*Buffer{"in": {Kind: vector.Int, I: data}}, Par{Workers: 1})
+	if rec.Specialized != "batch" {
+		t.Fatalf("ran %s(%s), want batch", rec.Specialized, rec.Reason)
 	}
-	if want.Error() != got.Error() {
-		t.Errorf("error mismatch:\ninterp: %v\nbatch:  %v", want, got)
+	for g := 0; g < extent; g++ {
+		var want int64
+		for _, v := range data[g*intent : min((g+1)*intent, n)] {
+			want += v
+		}
+		if got := env.Bufs[1].I[g]; got != want {
+			t.Errorf("work item %d summed %d, want %d", g, got, want)
+		}
 	}
 }
 

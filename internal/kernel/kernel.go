@@ -211,6 +211,28 @@ func (f *Fragment) StoreSpec(v any) { f.spec.Store(v) }
 // Sequential reports whether the fragment runs on a single work item.
 func (f *Fragment) Sequential() bool { return f.Extent <= 1 }
 
+// NumRegs returns the size of the fragment's register index space: one
+// more than the highest register any instruction or loop bound names, and
+// never less than FirstFree. It scans every instruction; callers that need
+// it per execution cache it (the executor does, beside the fragment's
+// compiled specialization).
+func (f *Fragment) NumRegs() int {
+	m := FirstFree - 1
+	scan := func(instrs []Instr) {
+		for _, in := range instrs {
+			m = max(m, in.Dst, in.A, in.B, in.C)
+		}
+	}
+	scan(f.Pre)
+	for _, l := range f.Loops {
+		m = max(m, l.BoundReg)
+		scan(l.Body)
+	}
+	scan(f.Post)
+	scan(f.PostLoopBody)
+	return int(m) + 1
+}
+
 // StaticBodyOps counts the ALU instructions one full loop iteration
 // executes (all loops combined), split by domain. SIMT cost models charge
 // guard-divergent fragments the full body per iteration regardless of the
@@ -340,34 +362,33 @@ type RegUse struct {
 	Float bool
 }
 
-// Uses returns the registers the instruction reads, with their domains.
-// Guard conditions, load indices and select conditions always read the
-// integer file; value operands follow the instruction's Float flag. Used
-// by the executor's specializer for def-before-use analysis; not a hot
-// path.
-func (in Instr) Uses() []RegUse {
+// Uses returns the registers the instruction reads — the first n entries
+// of u — with their domains. Guard conditions, load indices and select
+// conditions always read the integer file; value operands follow the
+// instruction's Float flag. It allocates nothing: the verifier calls it for
+// every instruction of every fragment on the fragment's first execution.
+func (in Instr) Uses() (u [3]RegUse, n int) {
 	switch in.Op {
-	case IConstI, IConstF:
-		return nil
-	case IMov, IBin:
-		if in.Op == IMov {
-			return []RegUse{{in.A, in.Float}}
-		}
-		return []RegUse{{in.A, in.Float}, {in.B, in.Float}}
+	case IMov:
+		return [3]RegUse{{in.A, in.Float}}, 1
+	case IBin:
+		return [3]RegUse{{in.A, in.Float}, {in.B, in.Float}}, 2
 	case ISel:
-		return []RegUse{{in.A, false}, {in.B, in.Float}, {in.C, in.Float}}
+		return [3]RegUse{{in.A, false}, {in.B, in.Float}, {in.C, in.Float}}, 3
 	case ILoad, ILoadValid, IGuard, ICastIF, ILoadLoc:
-		return []RegUse{{in.A, false}}
+		return [3]RegUse{{in.A, false}}, 1
 	case ICastFI:
-		return []RegUse{{in.A, true}}
-	case IStore, IStoreLoc:
-		u := []RegUse{{in.A, false}, {in.B, in.Float}}
-		if in.Op == IStore && in.C > 0 {
-			u = append(u, RegUse{in.C, false})
+		return [3]RegUse{{in.A, true}}, 1
+	case IStoreLoc:
+		return [3]RegUse{{in.A, false}, {in.B, in.Float}}, 2
+	case IStore:
+		u = [3]RegUse{{in.A, false}, {in.B, in.Float}, {in.C, false}}
+		if in.C > 0 {
+			return u, 3
 		}
-		return u
+		return u, 2
 	}
-	return nil
+	return u, 0
 }
 
 // Def returns the register the instruction writes and its domain, or

@@ -221,7 +221,8 @@ func (v *fragVerifier) section(name string, body []kernel.Instr, loopBody bool) 
 			v.diags = errorf(v.diags, pos, RuleBadInstr, "unknown opcode %d", in.Op)
 			continue
 		}
-		for _, u := range in.Uses() {
+		uses, nuses := in.Uses()
+		for _, u := range uses[:nuses] {
 			if u.R < 0 {
 				v.diags = errorf(v.diags, pos, RuleBadInstr,
 					"%s reads negative register r%d", in, u.R)
@@ -354,127 +355,197 @@ func (v *fragVerifier) applyClass(in kernel.Instr) {
 // ---------------------------------------------------------------------------
 // Batch specialization facts
 
+// MinLanes is the fewest lanes worth a batch: below it the per-primitive
+// dispatch of the batch tier costs more than the per-element interpreter it
+// replaces (measured on the TPC-H fragment shapes, see DESIGN.md §15).
+const MinLanes = 4
+
 // Facts are the fragment eligibility facts the executor's batch specializer
-// consumes (exec.compileBatch). They mirror the specializer's historical
-// eligibility rules exactly; the pinning test in package exec asserts the
-// decisions are unchanged over the difftest corpus.
+// consumes (exec.compileBatch). The batch tier runs a fragment with work
+// items as lock-step lanes: register columns persist across the steps of a
+// work item's loops, so the rules below are exactly what makes that
+// reordering — step-major across the lanes of a batch instead of
+// element-major — unobservable.
 type Facts struct {
 	// BatchEligible reports whether the fragment can run as batch
-	// primitives: loop-bodies-only, one iteration per work item, straight
-	// whitelisted instructions, strict per-body def-before-use, and
-	// single-store/load-disjoint buffer access.
+	// primitives: whitelisted opcodes, every register read dominated by a
+	// definition inside its own work item, no buffer both loaded and
+	// stored, and enough lanes to be worth batching.
 	BatchEligible bool
 	// Reason explains ineligibility ("" when eligible).
 	Reason string
+	// Recut marks a carry-free blocked fragment (no prologue, epilogue or
+	// scratch array, every loop running the full Intent, one store
+	// instruction per buffer): its iterations are independent, so the batch
+	// tier runs them as Extent·Intent lanes of one step each, in element
+	// order, instead of Extent lanes of Intent steps.
+	Recut bool
 	// IntRegs/FltRegs list the registers needing a column in each file,
-	// ascending; NRegs bounds both index spaces.
+	// ascending.
 	IntRegs []kernel.Reg
 	FltRegs []kernel.Reg
-	NRegs   int
 }
 
 // ineligible builds the not-eligible result.
 func ineligible(reason string) Facts { return Facts{Reason: reason} }
 
+// regList returns the members of a register set in ascending order.
+func regList(set []bool) []kernel.Reg {
+	var out []kernel.Reg
+	for r, in := range set {
+		if in {
+			out = append(out, kernel.Reg(r))
+		}
+	}
+	return out
+}
+
+// batchFacts is the walk BatchFacts makes over a fragment. def holds, per
+// register file, the registers a definition dominates at the instruction
+// being checked; used those any instruction defines (they need a column).
+// Both are indexed by register; index 0 is the integer file, 1 the float
+// file.
+type batchFacts struct {
+	def, used [2][]bool
+	// undo lists the definitions to retract when the current sequence
+	// ends: those of a loop or post-loop body, and those behind a guard.
+	undo           []kernel.RegUse
+	loaded, stored map[int]bool
+	multiStore     bool // some buffer is the target of two store instructions
+}
+
+func fileOf(float bool) int {
+	if float {
+		return 1
+	}
+	return 0
+}
+
+// section checks one instruction sequence against the definitions that
+// dominate its entry and returns the first rule it fails. A guard may leave
+// the sequence early, so only the definitions ahead of its first guard
+// still dominate once it ends — and none of them when scoped, for a body
+// that may run zero times.
+func (bf *batchFacts) section(body []kernel.Instr, scoped bool) (reason string) {
+	for _, ins := range body {
+		switch ins.Op {
+		case kernel.IConstI, kernel.IConstF, kernel.IMov, kernel.IBin, kernel.ISel,
+			kernel.ILoad, kernel.ILoadValid, kernel.IStore, kernel.IGuard,
+			kernel.ICastIF, kernel.ICastFI, kernel.ILoadLoc, kernel.IStoreLoc:
+		default:
+			return "opcode outside the batch vocabulary"
+		}
+		uses, n := ins.Uses()
+		for _, u := range uses[:n] {
+			if u.R < 0 {
+				return "negative register operand"
+			}
+			if !bf.def[fileOf(u.Float)][u.R] {
+				// The interpreter's register file persists across work
+				// items, so such a read observes a sibling item's leftovers
+				// (a loop that ran zero times, a guard that skipped the
+				// definition); a lane's column holds something else.
+				return "register read without a dominating definition in its work item"
+			}
+		}
+		switch ins.Op {
+		case kernel.ILoad, kernel.ILoadValid:
+			bf.loaded[ins.Buf] = true
+		case kernel.IStore:
+			if bf.stored[ins.Buf] {
+				bf.multiStore = true
+			}
+			bf.stored[ins.Buf] = true
+		case kernel.IGuard:
+			scoped = true
+		}
+		if r, flt, ok := ins.Def(); ok {
+			if r < kernel.FirstFree {
+				return "writes a special register"
+			}
+			file := fileOf(flt)
+			bf.used[file][r] = true
+			if !bf.def[file][r] {
+				bf.def[file][r] = true
+				if scoped {
+					bf.undo = append(bf.undo, kernel.RegUse{R: r, Float: flt})
+				}
+			}
+		}
+	}
+	for _, u := range bf.undo {
+		bf.def[fileOf(u.Float)][u.R] = false
+	}
+	bf.undo = bf.undo[:0]
+	return ""
+}
+
 // BatchFacts computes the batch-specialization eligibility facts for one
-// fragment. The rules are conservative: a rejected fragment simply
-// interprets.
+// fragment, returning the first rule it fails. The rules are conservative:
+// a rejected fragment simply interprets.
+//
+// Dominance follows the work item's control flow: the prologue runs once,
+// every loop may run zero times and a guard may cut any sequence short, so
+// a loop body sees the prologue's definitions plus its own earlier ones,
+// the epilogue the prologue's plus its own, the post-loop body those plus
+// its own. RegGID is defined throughout, RegIV and RegIdx inside loop bodies
+// only (afterwards they hold whatever the last iteration of any work item
+// left), RegJ inside the post-loop body only.
 func BatchFacts(f *kernel.Fragment) Facts {
-	// Whole-lane execution must reduce to the loop bodies: any per-item
-	// prologue/epilogue or scratch array needs element-major order.
-	if f.Locals != 0 || len(f.Pre) != 0 || len(f.Post) != 0 || len(f.PostLoopBody) != 0 {
-		return ineligible("per-item prologue, epilogue or scratch array")
+	n := f.NumRegs()
+	flags := make([]bool, 4*n)
+	bf := &batchFacts{
+		def:    [2][]bool{flags[:n], flags[n : 2*n]},
+		used:   [2][]bool{flags[2*n : 3*n], flags[3*n:]},
+		loaded: map[int]bool{}, stored: map[int]bool{},
 	}
-	if len(f.Loops) == 0 {
-		return ineligible("no loops")
+	defI, usedI := bf.def[0], bf.used[0]
+	usedI[kernel.RegGID], usedI[kernel.RegIV], usedI[kernel.RegIdx], usedI[kernel.RegJ] = true, true, true, true
+	defI[kernel.RegGID] = true
+	if reason := bf.section(f.Pre, false); reason != "" {
+		return ineligible(reason)
 	}
-	// Each loop must run exactly one iteration with idx == gid, so a batch
-	// of consecutive gids is a batch of consecutive idxs.
-	if f.Intent != 1 && !f.Strided {
-		return ineligible("blocked index mapping with intent != 1")
-	}
+	recut := !f.Strided && f.Intent > 1 && f.Locals == 0 &&
+		len(f.Pre) == 0 && len(f.Post) == 0 && len(f.PostLoopBody) == 0
 	for _, l := range f.Loops {
-		if l.BoundReg > 0 {
-			return ineligible("dynamic loop bound")
+		// The bound is read at loop entry, where only the prologue's
+		// definitions stand.
+		if l.BoundReg > 0 && !defI[l.BoundReg] {
+			return ineligible("register read without a dominating definition in its work item")
 		}
-		bound := l.Bound
-		if bound <= 0 {
-			bound = f.Intent
+		if l.BoundReg > 0 || (l.Bound > 0 && l.Bound != f.Intent) {
+			recut = false
 		}
-		if bound != 1 {
-			return ineligible("loop iterates more than once per work item")
-		}
-	}
-	usedI := map[kernel.Reg]bool{kernel.RegGID: true, kernel.RegIV: true, kernel.RegIdx: true}
-	usedF := map[kernel.Reg]bool{}
-	loaded := map[int]bool{}
-	stored := map[int]bool{}
-	for _, l := range f.Loops {
-		// Registers may not carry values across work items: the
-		// interpreter's register file persists across gids, so a read
-		// before a definition (within this loop body) would observe a
-		// sibling item's leftovers and diverge. Specials are defined by
-		// the batch prologue.
-		defI := map[kernel.Reg]bool{kernel.RegGID: true, kernel.RegIV: true, kernel.RegIdx: true}
-		defF := map[kernel.Reg]bool{}
-		for _, in := range l.Body {
-			switch in.Op {
-			case kernel.IConstI, kernel.IConstF, kernel.IMov, kernel.IBin, kernel.ISel,
-				kernel.ILoad, kernel.ILoadValid, kernel.IStore, kernel.IGuard,
-				kernel.ICastIF, kernel.ICastFI:
-			default:
-				return ineligible("opcode outside the batch vocabulary") // locals and unknown opcodes stay interpreted
-			}
-			for _, u := range in.Uses() {
-				if u.R < 0 {
-					return ineligible("negative register operand")
-				}
-				if u.Float {
-					if !defF[u.R] {
-						return ineligible("register value carried across work items")
-					}
-				} else if !defI[u.R] {
-					return ineligible("register value carried across work items")
-				}
-			}
-			switch in.Op {
-			case kernel.ILoad, kernel.ILoadValid:
-				if stored[in.Buf] {
-					return ineligible("load after store of the same buffer")
-				}
-				loaded[in.Buf] = true
-			case kernel.IStore:
-				if stored[in.Buf] || loaded[in.Buf] {
-					return ineligible("store overlaps an earlier access of the same buffer")
-				}
-				stored[in.Buf] = true
-			}
-			if r, flt, ok := in.Def(); ok {
-				if r < kernel.FirstFree {
-					return ineligible("writes a special register")
-				}
-				if flt {
-					defF[r], usedF[r] = true, true
-				} else {
-					defI[r], usedI[r] = true, true
-				}
-			}
+		defI[kernel.RegIV], defI[kernel.RegIdx] = true, true
+		reason := bf.section(l.Body, true)
+		defI[kernel.RegIV], defI[kernel.RegIdx] = false, false
+		if reason != "" {
+			return ineligible(reason)
 		}
 	}
-	fa := Facts{BatchEligible: true}
-	for r := range usedI {
-		fa.IntRegs = append(fa.IntRegs, r)
-		if int(r)+1 > fa.NRegs {
-			fa.NRegs = int(r) + 1
+	if reason := bf.section(f.Post, false); reason != "" {
+		return ineligible(reason)
+	}
+	defI[kernel.RegJ] = true
+	if reason := bf.section(f.PostLoopBody, true); reason != "" {
+		return ineligible(reason)
+	}
+	for b := range bf.stored {
+		if bf.loaded[b] {
+			// Lanes run step-major, so a load could observe a store the
+			// interpreter's element-major order has not made yet.
+			return ineligible("buffer both loaded and stored")
 		}
 	}
-	for r := range usedF {
-		fa.FltRegs = append(fa.FltRegs, r)
-		if int(r)+1 > fa.NRegs {
-			fa.NRegs = int(r) + 1
-		}
+	// Two store instructions into one buffer keep their order within a work
+	// item, not across the elements a re-cut spreads over lanes.
+	recut = recut && !bf.multiStore
+	lanes := f.Extent
+	if recut {
+		lanes *= f.Intent
 	}
-	sort.Slice(fa.IntRegs, func(i, j int) bool { return fa.IntRegs[i] < fa.IntRegs[j] })
-	sort.Slice(fa.FltRegs, func(i, j int) bool { return fa.FltRegs[i] < fa.FltRegs[j] })
-	return fa
+	if lanes < MinLanes {
+		return ineligible(fmt.Sprintf("fewer than %d work items to run as lanes", MinLanes))
+	}
+	return Facts{BatchEligible: true, Recut: recut, IntRegs: regList(bf.used[0]), FltRegs: regList(bf.used[1])}
 }
