@@ -1,14 +1,19 @@
-// Command voodoo-run executes a SQL query through the Voodoo stack against
-// a TPC-H catalog (generated on the fly or loaded from disk) and prints the
-// result — optionally together with the generated kernel listing and the
-// OpenCL C source the paper's backend would ship.
+// Command voodoo-run executes one query through the Voodoo stack against a
+// TPC-H catalog (generated on the fly or loaded from disk) and prints the
+// result — optionally together with the plan, the generated kernel listing
+// and the OpenCL C source the paper's backend would ship. The query is a SQL
+// string, a TPC-H query number (-q) or a textual Voodoo program (-prog);
+// every flag means the same on all three.
 //
 // Usage:
 //
-//	voodoo-run [-sf SF] [-data DIR] [-backend compiled|interp|bulk]
-//	           [-predicate] [-show-kernel] [-show-opencl]
+//	voodoo-run [-sf SF] [-data DIR]
+//	           [-engine compiled|compiled-interp|interp|bulk] [-predicate]
+//	           [-show-kernel] [-show-opencl]
 //	           [-explain] [-explain-analyze] [-trace out.json]
-//	           [-diag-addr ADDR] [-q N] 'SELECT ...'
+//	           [-timeout D] [-max-mem SIZE] [-verify]
+//	           [-diag-addr ADDR] [-log-level LEVEL]
+//	           'SELECT ...' | -q N | -prog FILE
 //
 // Examples:
 //
@@ -16,6 +21,7 @@
 //	voodoo-run -q 6                # run TPC-H query 6
 //	voodoo-run -explain 'SELECT SUM(l_extendedprice) AS rev FROM lineitem WHERE l_quantity < 24'
 //	voodoo-run -explain-analyze -q 6
+//	voodoo-run -engine bulk -explain-analyze -q 6
 //	voodoo-run -trace q6.json -q 6
 //	voodoo-run -show-opencl 'SELECT SUM(l_extendedprice*l_discount) AS rev FROM lineitem WHERE l_quantity < 24'
 package main
@@ -26,14 +32,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"voodoo/internal/compile"
 	"voodoo/internal/core"
 	"voodoo/internal/diag"
-	"voodoo/internal/exec"
 	"voodoo/internal/interp"
 	"voodoo/internal/metrics"
 	"voodoo/internal/opencl"
@@ -50,15 +54,13 @@ import (
 func main() {
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor for the generated catalog")
 	data := flag.String("data", "", "load the catalog from this directory instead of generating")
-	backend := flag.String("backend", "compiled", "compiled, interp or bulk")
+	engine := flag.String("engine", "compiled", "compiled, compiled-interp (compiled plans, every fragment through the per-element interpreter), interp (reference interpreter) or bulk (compiler with fusion off)")
 	predicate := flag.Bool("predicate", false, "compile selections branch-free (predication)")
-	showKernel := flag.Bool("show-kernel", false, "print the kernel fragment listing")
-	showCL := flag.Bool("show-opencl", false, "print the generated OpenCL C")
+	showKernel := flag.Bool("show-kernel", false, "print the kernel fragment listing of every plan that runs")
+	showCL := flag.Bool("show-opencl", false, "print the generated OpenCL C of every plan that runs")
 	qnum := flag.Int("q", 0, "run this TPC-H query number instead of a SQL string")
 	progFile := flag.String("prog", "", "run a textual Voodoo program (paper SSA notation) from this file")
 	timeout := flag.Duration("timeout", 0, "per-query wall-clock budget (e.g. 500ms; 0 = unlimited)")
-	morsel := flag.Int("morsel", 0, "scheduling granularity of parallel fragments in work items (0 = default)")
-	noSpecialize := flag.Bool("no-specialize", false, "disable fragment specialization (batch primitives); run every fragment through the per-element interpreter")
 	maxMem := flag.String("max-mem", "", "per-query buffer allocation budget (e.g. 64m, 1g; empty = unlimited)")
 	explain := flag.Bool("explain", false, "print the static execution plan (TPC-H -q queries still execute, to drive multi-phase lowering)")
 	analyze := flag.Bool("explain-analyze", false, "run the query and print the plan with measured per-step times, items and bytes")
@@ -68,9 +70,30 @@ func main() {
 	doVerify := flag.Bool("verify", false, "statically verify programs and compiled plans before execution (voodoo_verify_failures_total counts rejections)")
 	flag.Parse()
 
-	if *doVerify {
-		verify.SetEnabled(true)
+	// Exactly one source says how the plan(s) come to exist; everything
+	// after this is the same for all three.
+	var name string
+	var given []source
+	if *progFile != "" {
+		name, given = *progFile, append(given, progSource(*progFile))
 	}
+	if *qnum > 0 {
+		name, given = fmt.Sprintf("TPC-H Q%d", *qnum), append(given, tpchSource(*qnum))
+	}
+	if sqlText := strings.TrimSpace(strings.Join(flag.Args(), " ")); sqlText != "" {
+		name, given = sqlText, append(given, sqlSource(sqlText))
+	}
+	if len(given) != 1 {
+		usage(fmt.Errorf("want one query — a SQL string, -q N or -prog FILE — got %d", len(given)))
+	}
+	e := &rel.Engine{Opt: compile.Options{Predication: *predicate}}
+	var err error
+	if e.Backend, e.NoSpecialize, err = rel.ParseEngine(*engine); err != nil {
+		usage(err)
+	}
+	out := output{kernel: *showKernel, opencl: *showCL, explain: *explain, analyze: *analyze, traceFile: *traceOut}
+
+	verify.SetEnabled(*doVerify)
 	if err := telemetry.InstallJSON(os.Stderr, *logLevel); err != nil {
 		fatal(err)
 	}
@@ -83,233 +106,181 @@ func main() {
 		fmt.Fprintf(os.Stderr, "voodoo-run: diagnostics on http://%s\n", ds.Addr)
 	}
 
-	var limits exec.Limits
-	if *maxMem != "" {
-		n, err := parseSize(*maxMem)
-		if err != nil {
-			fatal(err)
-		}
-		limits.MaxBytes = n
+	if e.Limits.MaxBytes, err = rel.ParseSize(*maxMem); err != nil {
+		fatal(err)
 	}
 	if *timeout > 0 {
-		limits.Deadline = time.Now().Add(*timeout)
+		e.Limits.Deadline = time.Now().Add(*timeout)
 	}
-
-	var cat *storage.Catalog
-	var err error
 	if *data != "" {
-		cat, err = storage.Load(*data)
+		e.Cat, err = storage.Load(*data)
 	} else {
-		cat = tpch.Generate(tpch.Config{SF: *sf, Seed: 42})
+		e.Cat = tpch.Generate(tpch.Config{SF: *sf, Seed: 42})
 	}
 	if err != nil {
 		fatal(err)
 	}
 
-	e := &rel.Engine{Cat: cat}
-	switch *backend {
-	case "compiled":
-		e.Backend = rel.Compiled
-	case "interp":
-		e.Backend = rel.Interpreted
-	case "bulk":
-		e.Backend = rel.BulkCompiled
-	default:
-		fatal(fmt.Errorf("unknown backend %q", *backend))
+	// The engine's sinks are the pipeline: every plan is displayed as it is
+	// about to run (so what is shown is what executes), every run is traced
+	// when a trace is wanted.
+	e.PlanSink = out.plan
+	if e.Backend == rel.Interpreted && (out.kernel || out.opencl || out.explain) {
+		fmt.Println("-- interp engine: the reference interpreter compiles no plan and no kernel; -explain-analyze lists the statements it runs")
 	}
-	e.Opt = compile.Options{Predication: *predicate}
-	e.Limits = limits
-	e.MorselSize = *morsel
-	e.NoSpecialize = *noSpecialize
+	var traces []*trace.Trace
+	if out.analyze || out.traceFile != "" {
+		e.TraceSink = func(t *trace.Trace) {
+			t.Query = name
+			traces = append(traces, t)
+		}
+	}
+	start := time.Now()
+	summary, body, err := given[0](e, !out.explain)
+	if err != nil {
+		fatal(err)
+	}
+	writeTraces(out.traceFile, traces)
+	switch {
+	case out.analyze:
+		for _, t := range traces {
+			fmt.Print(t.String())
+		}
+	case !out.explain:
+		fmt.Printf("-- %s (%.1f ms wall)\n%s", summary, float64(time.Since(start).Microseconds())/1000, body)
+	}
+}
 
-	if *progFile != "" {
-		src, err := os.ReadFile(*progFile)
+// output is what a run prints besides (or instead of) its result: each field
+// is one flag, read once in main.
+type output struct {
+	kernel, opencl, explain, analyze bool
+	traceFile                        string
+}
+
+// plan displays one compiled plan; it is the engine's PlanSink.
+func (o output) plan(p *compile.Plan) {
+	if o.kernel {
+		fmt.Println("-- kernel fragments:")
+		fmt.Println(p.Kernel())
+	}
+	if o.opencl {
+		fmt.Println("-- generated OpenCL C:")
+		fmt.Println(opencl.Generate(p.Kernel()))
+	}
+	if o.explain {
+		fmt.Print(p.Explain())
+	}
+}
+
+// A source is one way a query's plans come to exist on the engine. Every
+// plan reaches e.PlanSink as it is compiled, before it runs, and every trace
+// e.TraceSink; the result comes back as a one-line summary and a body. With
+// execute unset the source stops once the plan exists (a static -explain).
+type source func(e *rel.Engine, execute bool) (summary, body string, err error)
+
+// progSource parses and compiles a textual Voodoo program.
+func progSource(file string) source {
+	return func(e *rel.Engine, execute bool) (string, string, error) {
+		text, err := os.ReadFile(file)
 		if err != nil {
-			fatal(err)
+			return "", "", err
 		}
-		prog, err := core.Parse(string(src))
+		prog, err := core.Parse(string(text))
 		if err != nil {
-			fatal(err)
+			return "", "", err
 		}
-		// -backend picks the engine here as on the SQL and -q paths: interp
-		// is the reference interpreter, bulk the compiler with fusion off
-		// (not Engine.Plan, whose ScatterParallel is only safe for lowered
-		// queries).
+		// The engine's compile options, but not Engine.Plan: its
+		// ScatterParallel is only safe for lowered queries.
 		var plan *compile.Plan
-		if e.Backend != rel.Interpreted || *showKernel || *showCL {
+		if e.Backend != rel.Interpreted {
 			opt := e.Opt
 			opt.ForceBulk = e.Backend == rel.BulkCompiled
-			if plan, err = compile.Compile(prog, cat, opt); err != nil {
-				fatal(err)
+			if plan, err = compile.Compile(prog, e.Cat, opt); err != nil {
+				return "", "", err
 			}
+			e.PlanSink(plan)
 		}
-		if *showKernel {
-			fmt.Println("-- kernel fragments:")
-			fmt.Println(plan.Kernel())
+		if !execute {
+			return "", "", nil
 		}
-		if *showCL {
-			fmt.Println("-- generated OpenCL C:")
-			fmt.Println(opencl.Generate(plan.Kernel()))
-		}
-		if *explain {
-			if e.Backend == rel.Interpreted {
-				fmt.Println("-- interpreted backend: one bulk step per statement")
-				fmt.Print(prog)
-			} else {
-				fmt.Print(plan.Explain())
-			}
-			return
-		}
-		traced := *analyze || *traceOut != ""
-		start := time.Now()
-		var values map[core.Ref]*vector.Vector
-		var tr *trace.Trace
 		ctx := context.Background()
-		if e.Backend == rel.Interpreted {
-			// The compiled plan enforces the governor's deadline itself; the
-			// interpreter has no governor.
-			if !limits.Deadline.IsZero() {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithDeadline(ctx, limits.Deadline)
-				defer cancel()
-			}
-			res, err := interp.Run(ctx, prog, cat, interp.Opts{Trace: traced})
+		if d := e.Limits.Deadline; !d.IsZero() {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithDeadline(ctx, d)
+			defer cancel()
+		}
+		var tr *trace.Trace
+		values := map[core.Ref]*vector.Vector{}
+		if plan == nil {
+			res, err := interp.Run(ctx, prog, e.Cat, interp.Opts{Trace: e.TraceSink != nil})
 			if err != nil {
-				fatal(err)
+				return "", "", err
 			}
-			tr, values = res.Trace, map[core.Ref]*vector.Vector{}
+			tr = res.Trace
 			for _, ref := range prog.Roots() {
 				values[ref] = res.Value(ref)
 			}
 		} else {
-			// The same per-run options the SQL and -q paths get through the
-			// engine.
-			res, err := plan.RunWith(ctx, compile.RunOpts{
-				Limits: e.Limits, MorselSize: e.MorselSize, NoSpecialize: e.NoSpecialize,
-				Trace: traced,
-			})
+			res, err := plan.RunWith(ctx, e.RunOpts())
 			if err != nil {
-				fatal(err)
+				return "", "", err
 			}
 			tr, values = res.Trace, res.Values
 		}
 		if tr != nil {
-			tr.Query = *progFile
-			if *analyze {
-				fmt.Print(tr.String())
-			}
-			writeTraces(*traceOut, []*trace.Trace{tr})
+			e.TraceSink(tr)
 		}
-		if !*analyze {
-			fmt.Printf("-- %d root value(s) (%.1f ms wall)\n", len(values), msSince(start))
-			for ref, v := range values {
-				fmt.Printf("%s =\n%s", prog.Stmts[ref].Label, v)
-			}
+		var body strings.Builder
+		for ref, v := range values {
+			fmt.Fprintf(&body, "%s =\n%s", prog.Stmts[ref].Label, v)
 		}
-		return
+		return fmt.Sprintf("%d root value(s)", len(values)), body.String(), nil
 	}
+}
 
-	if *qnum > 0 {
-		qf, err := tpch.Query(*qnum)
+// sqlSource parses, plans and prepares one SQL statement.
+func sqlSource(text string) source {
+	return func(e *rel.Engine, execute bool) (string, string, error) {
+		stmt, err := sql.Parse(text)
 		if err != nil {
-			fatal(err)
+			return "", "", err
 		}
-		if *explain {
-			e.PlanSink = func(p *compile.Plan) { fmt.Print(p.Explain()) }
+		q, err := sql.Plan(stmt, e.Cat)
+		if err != nil {
+			return "", "", err
 		}
-		var traces []*trace.Trace
-		if *analyze || *traceOut != "" {
-			e.TraceSink = func(t *trace.Trace) {
-				t.Query = fmt.Sprintf("TPC-H Q%d", *qnum)
-				traces = append(traces, t)
-			}
+		q.Name = text
+		pr, err := e.Prepare(q)
+		if err != nil {
+			return "", "", err
 		}
-		start := time.Now()
+		if !execute {
+			return "", "", nil
+		}
+		res, _, err := e.RunPrepared(context.Background(), pr)
+		if err != nil {
+			return "", "", err
+		}
+		return fmt.Sprintf("%d rows", len(res.Rows)), res.String(), nil
+	}
+}
+
+// tpchSource runs a prebuilt TPC-H query, whose phases reach the sinks
+// through the engine. It always executes: later phases are lowered from the
+// results of earlier ones.
+func tpchSource(n int) source {
+	return func(e *rel.Engine, _ bool) (string, string, error) {
+		qf, err := tpch.Query(n)
+		if err != nil {
+			return "", "", err
+		}
 		res, _, err := qf(e)
 		if err != nil {
-			fatal(err)
+			return "", "", err
 		}
-		if *analyze {
-			for _, t := range traces {
-				fmt.Print(t.String())
-			}
-		}
-		writeTraces(*traceOut, traces)
-		if !*analyze && !*explain {
-			fmt.Printf("-- TPC-H Q%d (%.1f ms wall)\n%s", *qnum, msSince(start), res)
-		}
-		return
+		return fmt.Sprintf("TPC-H Q%d", n), res.String(), nil
 	}
-
-	src := strings.Join(flag.Args(), " ")
-	if strings.TrimSpace(src) == "" {
-		fatal(fmt.Errorf("no query given (pass a SQL string or -q N)"))
-	}
-	stmt, err := sql.Parse(src)
-	if err != nil {
-		fatal(err)
-	}
-	q, err := sql.Plan(stmt, cat)
-	if err != nil {
-		fatal(err)
-	}
-
-	if *showKernel || *showCL {
-		// Compile once more standalone to show the artifacts.
-		prog, err := lowerForDisplay(e, q)
-		if err != nil {
-			fatal(err)
-		}
-		plan, err := compile.Compile(prog, cat, e.Opt)
-		if err != nil {
-			fatal(err)
-		}
-		if *showKernel {
-			fmt.Println("-- kernel fragments:")
-			fmt.Println(plan.Kernel())
-		}
-		if *showCL {
-			fmt.Println("-- generated OpenCL C:")
-			fmt.Println(opencl.Generate(plan.Kernel()))
-		}
-	}
-
-	q.Name = src
-	if *explain {
-		prog, err := rel.Lower(q, cat)
-		if err != nil {
-			fatal(err)
-		}
-		if e.Backend == rel.Interpreted {
-			fmt.Println("-- interpreted backend: one bulk step per statement")
-			fmt.Print(prog)
-		} else {
-			plan, err := e.Plan(prog)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Print(plan.Explain())
-		}
-		return
-	}
-
-	var traces []*trace.Trace
-	if *analyze || *traceOut != "" {
-		e.TraceSink = func(t *trace.Trace) { traces = append(traces, t) }
-	}
-	start := time.Now()
-	res, _, err := e.Run(q)
-	if err != nil {
-		fatal(err)
-	}
-	writeTraces(*traceOut, traces)
-	if *analyze {
-		for _, t := range traces {
-			fmt.Print(t.String())
-		}
-		return
-	}
-	fmt.Printf("-- %d rows (%.1f ms wall)\n%s", len(res.Rows), msSince(start), renderDecoded(res))
 }
 
 // writeTraces writes the collected traces as JSON: one object for a single
@@ -334,54 +305,14 @@ func writeTraces(path string, traces []*trace.Trace) {
 	fmt.Fprintf(os.Stderr, "voodoo-run: wrote trace to %s\n", path)
 }
 
-// lowerForDisplay exposes the Voodoo program of a query via the engine's
-// public lowering (rel.Lower).
-func lowerForDisplay(e *rel.Engine, q rel.Query) (*core.Program, error) {
-	return rel.Lower(q, e.Cat)
-}
-
-// renderDecoded renders the result with dictionary columns decoded.
-func renderDecoded(res *rel.Result) string {
-	var sb strings.Builder
-	for _, c := range res.Cols {
-		fmt.Fprintf(&sb, "%-20s", c)
-	}
-	sb.WriteString("\n")
-	for _, row := range res.Rows {
-		for _, c := range res.Cols {
-			if s := res.Decode(c, row[c]); s != fmt.Sprintf("%g", row[c]) {
-				fmt.Fprintf(&sb, "%-20s", s)
-			} else {
-				fmt.Fprintf(&sb, "%-20.4f", row[c])
-			}
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
-}
-
-func msSince(t time.Time) float64 { return float64(time.Since(t).Microseconds()) / 1000 }
-
-// parseSize parses a byte count with an optional k/m/g suffix (powers of
-// 1024): "512", "64m", "1g".
-func parseSize(s string) (int64, error) {
-	mult := int64(1)
-	switch strings.ToLower(s[len(s)-1:]) {
-	case "k":
-		mult, s = 1<<10, s[:len(s)-1]
-	case "m":
-		mult, s = 1<<20, s[:len(s)-1]
-	case "g":
-		mult, s = 1<<30, s[:len(s)-1]
-	}
-	n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("bad size %q (want e.g. 512, 64m, 1g)", s)
-	}
-	return n * mult, nil
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "voodoo-run:", err)
 	os.Exit(1)
+}
+
+// usage reports a command-line mistake and exits 2, as the flag package
+// does for the mistakes it finds itself.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "voodoo-run:", err)
+	os.Exit(2)
 }

@@ -1,22 +1,30 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestProgHonoursRunOptions is the regression test for `-prog` dropping
-// per-run options: it builds the real binary and runs a one-fragment map
-// over the 25-row nation table, which takes the batch path and fits one
-// default morsel. -no-specialize must move the fragment to the interpreter
-// and say why, -morsel 7 must split it into four morsels, and -backend must
-// pick the engine — the reference interpreter runs no fragment at all, the
-// bulk compiler only bulk steps — exactly as they do on the SQL and -q
-// paths.
-func TestProgHonoursRunOptions(t *testing.T) {
+var (
+	kernelFragRE  = regexp.MustCompile(`(?m)^fragment (\S+)`)
+	explainFragRE = regexp.MustCompile(`(?m)^ *\d+\. fragment (\S+)`)
+)
+
+// TestEveryFlagOnEverySource builds the real binary and drives the three
+// sources — a textual program, SQL text, a prebuilt TPC-H query — through
+// each of the four engines: -engine must pick the code that runs
+// (-explain-analyze shows it) and -show-kernel must list exactly the
+// fragments of the plans -explain shows, which are the plans that execute.
+// It is the regression test for a source dropping or reinterpreting a flag:
+// SQL under -engine bulk once listed the fused kernel of a second, compiled
+// plan, and -q once printed no kernel at all.
+func TestEveryFlagOnEverySource(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary smoke test skipped in -short mode")
 	}
@@ -26,38 +34,99 @@ func TestProgHonoursRunOptions(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	prog := filepath.Join(dir, "map.voo")
-	src := "input := Load(\"nation.n_nationkey\")\ntwo := Constant(2)\ndoubled := Multiply(input, two)\n"
-	if err := os.WriteFile(prog, []byte(src), 0o644); err != nil {
+	text := "input := Load(\"nation.n_nationkey\")\ntwo := Constant(2)\ndoubled := Multiply(input, two)\n"
+	if err := os.WriteFile(prog, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	analyze := func(extra ...string) string {
+	run := func(t *testing.T, args ...string) string {
 		t.Helper()
-		cmd := exec.Command(bin, append([]string{"-sf", "0.001", "-prog", prog, "-explain-analyze"}, extra...)...)
-		// Two processors, so the fragment is not forced down the
-		// single-worker path that ignores the morsel size.
-		cmd.Env = append(os.Environ(), "GOMAXPROCS=2")
-		out, err := cmd.CombinedOutput()
+		out, err := exec.Command(bin, append([]string{"-sf", "0.001"}, args...)...).CombinedOutput()
 		if err != nil {
-			t.Fatalf("voodoo-run %v: %v\n%s", extra, err, out)
+			t.Fatalf("voodoo-run %v: %v\n%s", args, err, out)
 		}
 		return string(out)
 	}
 
-	if out := analyze(); !strings.Contains(out, "spec:batch") || strings.Contains(out, "morsels=") {
-		t.Fatalf("default run should show one single-morsel spec:batch fragment:\n%s", out)
+	sources := []struct {
+		name string
+		args []string
+	}{
+		{"prog", []string{"-prog", prog}},
+		{"sql", []string{"SELECT SUM(l_extendedprice) AS rev FROM lineitem WHERE l_quantity < 24"}},
+		{"q6", []string{"-q", "6"}},
 	}
-	if out := analyze("-no-specialize"); !strings.Contains(out, "spec:interp(no-specialize)") {
-		t.Errorf("-no-specialize ignored on the -prog path:\n%s", out)
+	engines := []struct {
+		name          string
+		want, wantNot []string // substrings of the -explain-analyze output
+		fragments     bool     // whether the engine's plans have fragments
+	}{
+		{"compiled", []string{"compiled backend", " fragment ", "spec:batch"}, []string{" stmt ", " bulk ", "no-specialize"}, true},
+		{"compiled-interp", []string{"compiled backend", " fragment ", "spec:interp(no-specialize)"}, []string{" stmt ", " bulk ", "spec:batch"}, true},
+		{"interp", []string{"interpreted backend", " stmt "}, []string{" fragment ", " bulk ", "spec:"}, false},
+		{"bulk", []string{"bulk-compiled backend", " bulk "}, []string{" fragment ", " stmt ", "spec:"}, false},
 	}
-	if out := analyze("-morsel", "7"); !strings.Contains(out, "morsels=4") {
-		t.Errorf("-morsel ignored on the -prog path:\n%s", out)
+	for _, src := range sources {
+		for _, eng := range engines {
+			t.Run(src.name+"/"+eng.name, func(t *testing.T) {
+				flags := func(extra ...string) []string {
+					return append(append([]string{"-engine", eng.name}, extra...), src.args...)
+				}
+				out := run(t, flags("-explain-analyze")...)
+				for _, w := range eng.want {
+					if !strings.Contains(out, w) {
+						t.Errorf("-explain-analyze lacks %q:\n%s", w, out)
+					}
+				}
+				for _, w := range eng.wantNot {
+					if strings.Contains(out, w) {
+						t.Errorf("-explain-analyze has %q:\n%s", w, out)
+					}
+				}
+
+				out = run(t, flags("-show-kernel", "-explain")...)
+				listed, planned := fragNames(kernelFragRE, out), fragNames(explainFragRE, out)
+				if !slices.Equal(listed, planned) {
+					t.Errorf("-show-kernel lists fragments %v, -explain plans %v:\n%s", listed, planned, out)
+				}
+				if got := len(planned) > 0; got != eng.fragments {
+					t.Errorf("plans with fragments = %v, want %v:\n%s", got, eng.fragments, out)
+				}
+			})
+		}
 	}
-	if out := analyze("-backend", "interp"); !strings.Contains(out, "interpreted backend") ||
-		!strings.Contains(out, " stmt ") || strings.Contains(out, " fragment ") {
-		t.Errorf("-backend interp ignored on the -prog path (want stmt steps, no fragment):\n%s", out)
+
+	// Conflicting or missing inputs and an unknown engine are usage errors,
+	// not a silent preference for one of them.
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"prog+q", []string{"-prog", prog, "-q", "6"}, "want one query"},
+		{"prog+sql", []string{"-prog", prog, "SELECT COUNT(*) AS n FROM nation"}, "want one query"},
+		{"q+sql", []string{"-q", "6", "SELECT COUNT(*) AS n FROM nation"}, "want one query"},
+		{"none", nil, "want one query"},
+		{"engine", []string{"-engine", "fused", "-q", "6"}, "compiled, compiled-interp, interp or bulk"},
+	} {
+		t.Run("usage/"+tc.name, func(t *testing.T) {
+			out, err := exec.Command(bin, tc.args...).CombinedOutput()
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+				t.Fatalf("voodoo-run %v: err = %v, want exit status 2\n%s", tc.args, err, out)
+			}
+			if !strings.Contains(string(out), tc.want) {
+				t.Errorf("voodoo-run %v: message lacks %q:\n%s", tc.args, tc.want, out)
+			}
+		})
 	}
-	if out := analyze("-backend", "bulk"); !strings.Contains(out, "bulk-compiled backend") ||
-		!strings.Contains(out, " bulk ") || strings.Contains(out, " fragment ") {
-		t.Errorf("-backend bulk ignored on the -prog path (want bulk steps, no fragment):\n%s", out)
+}
+
+// fragNames returns the sorted fragment names re captures in out.
+func fragNames(re *regexp.Regexp, out string) []string {
+	var names []string
+	for _, m := range re.FindAllStringSubmatch(out, -1) {
+		names = append(names, m[1])
 	}
+	slices.Sort(names)
+	return names
 }

@@ -6,12 +6,11 @@
 //
 // Usage:
 //
-//	voodoo-serve [-addr :8080] [-diag-addr ADDR]
-//	             [-sf SF] [-data DIR] [-backend compiled|interp|bulk] [-predicate]
+//	voodoo-serve [-addr :8080] [-diag-addr ADDR] [-sf SF] [-data DIR]
+//	             [-engine compiled|compiled-interp|interp|bulk]
 //	             [-timeout 30s] [-max-mem 1g] [-max-extent N] [-max-heap 4g]
-//	             [-concurrency N] [-morsel N] [-slow N] [-plan-cache N] [-no-pool]
-//	             [-no-specialize]
-//	             [-drain-timeout 10s]
+//	             [-concurrency N] [-slow N] [-plan-cache N]
+//	             [-drain-timeout 10s] [-verify]
 //	             [-log-level info] [-events FILE] [-event-sample 0.01]
 //	             [-slow-threshold 1s] [-slo query=500ms:0.99] [-spans N]
 //
@@ -57,12 +56,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"voodoo/internal/compile"
 	"voodoo/internal/diag"
 	"voodoo/internal/exec"
 	"voodoo/internal/metrics"
@@ -80,17 +77,13 @@ func main() {
 	diagAddr := flag.String("diag-addr", "", "additionally serve the diagnostics endpoints on this address (e.g. localhost:6060)")
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor for the generated catalog")
 	data := flag.String("data", "", "load the catalog from this directory instead of generating")
-	backend := flag.String("backend", "compiled", "compiled, interp or bulk")
-	predicate := flag.Bool("predicate", false, "compile selections branch-free (predication)")
+	engine := flag.String("engine", "compiled", "compiled, compiled-interp (compiled plans, every fragment through the per-element interpreter), interp (reference interpreter) or bulk (compiler with fusion off)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request wall-clock budget, queue wait included (0 = unlimited)")
 	maxMem := flag.String("max-mem", "", "per-request buffer allocation budget (e.g. 64m, 1g; empty = unlimited)")
 	maxExtent := flag.Int("max-extent", 0, "per-request fragment extent cap (0 = unlimited)")
 	concurrency := flag.Int("concurrency", 0, "max queries executing at once (0 = GOMAXPROCS); excess requests queue")
-	morsel := flag.Int("morsel", 0, "scheduling granularity of parallel fragments in work items (0 = default)")
-	noSpecialize := flag.Bool("no-specialize", false, "disable fragment specialization (batch primitives); run every fragment through the per-element interpreter")
 	slowN := flag.Int("slow", 16, "retain full traces of the N slowest queries")
 	planCache := flag.Int("plan-cache", 0, "compiled-plan cache capacity in entries (0 = 256, negative disables)")
-	noPool := flag.Bool("no-pool", false, "disable the kernel-buffer pool (each query allocates fresh)")
 	maxHeap := flag.String("max-heap", "", "live-heap watermark above which new queries are shed with 503 (e.g. 4g; empty = disabled)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long a SIGTERM drain waits for in-flight queries before cancelling them")
 	logLevel := flag.String("log-level", "info", "structured-log threshold on stderr: debug, info, warn, error or off")
@@ -102,9 +95,12 @@ func main() {
 	doVerify := flag.Bool("verify", false, "statically verify programs and compiled plans before execution (voodoo_verify_failures_total counts rejections)")
 	flag.Parse()
 
-	if *doVerify {
-		verify.SetEnabled(true)
+	backend, noSpecialize, err := rel.ParseEngine(*engine)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "voodoo-serve:", err)
+		os.Exit(2)
 	}
+	verify.SetEnabled(*doVerify)
 	if err := telemetry.InstallJSON(os.Stderr, *logLevel); err != nil {
 		fatal(err)
 	}
@@ -123,38 +119,26 @@ func main() {
 		})
 	}
 
-	var limits exec.Limits
-	if *maxMem != "" {
-		n, err := parseSize(*maxMem)
-		if err != nil {
-			fatal(err)
-		}
-		limits.MaxBytes = n
+	limits := exec.Limits{MaxExtent: *maxExtent}
+	if limits.MaxBytes, err = rel.ParseSize(*maxMem); err != nil {
+		fatal(err)
 	}
-	limits.MaxExtent = *maxExtent
-	var highWater int64
-	if *maxHeap != "" {
-		n, err := parseSize(*maxHeap)
-		if err != nil {
-			fatal(err)
-		}
-		highWater = n
+	highWater, err := rel.ParseSize(*maxHeap)
+	if err != nil {
+		fatal(err)
 	}
 
 	cat := loadCatalog(*data, *sf)
 
 	s := serve.New(serve.Config{
 		Cat:           cat,
-		Backend:       backendFor(*backend),
-		Opt:           compile.Options{Predication: *predicate},
+		Backend:       backend,
 		Limits:        limits,
 		Timeout:       *timeout,
 		MaxConcurrent: *concurrency,
-		MorselSize:    *morsel,
-		NoSpecialize:  *noSpecialize,
+		NoSpecialize:  noSpecialize,
 		SlowQueries:   *slowN,
 		PlanCache:     *planCache,
-		NoPool:        *noPool,
 		MemHighWater:  highWater,
 		Events:        events,
 		SpanRetain:    *spanRetain,
@@ -252,44 +236,12 @@ func loadCatalog(data string, sf float64) *storage.Catalog {
 	return cat
 }
 
-func backendFor(name string) rel.Backend {
-	switch name {
-	case "compiled":
-		return rel.Compiled
-	case "interp":
-		return rel.Interpreted
-	case "bulk":
-		return rel.BulkCompiled
-	}
-	fatal(fmt.Errorf("unknown backend %q", name))
-	panic("unreachable")
-}
-
 func catalogSummary(cat *storage.Catalog) string {
 	var parts []string
 	for _, name := range cat.Tables() {
 		parts = append(parts, fmt.Sprintf("%s:%d", name, cat.Table(name).N))
 	}
 	return strings.Join(parts, " ")
-}
-
-// parseSize parses a byte count with an optional k/m/g suffix (powers of
-// 1024): "512", "64m", "1g".
-func parseSize(s string) (int64, error) {
-	mult := int64(1)
-	switch strings.ToLower(s[len(s)-1:]) {
-	case "k":
-		mult, s = 1<<10, s[:len(s)-1]
-	case "m":
-		mult, s = 1<<20, s[:len(s)-1]
-	case "g":
-		mult, s = 1<<30, s[:len(s)-1]
-	}
-	n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("bad size %q (want e.g. 512, 64m, 1g)", s)
-	}
-	return n * mult, nil
 }
 
 func fatal(err error) {

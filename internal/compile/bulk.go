@@ -138,7 +138,7 @@ func (c *compiler) bufferizeWithCtrl(d *desc, ctrl foldCtrl) *desc {
 		return d
 	}
 
-	extent := min(c.opt.defaultExtent(), max(1, d.n))
+	extent := min(defaultExtent, max(1, d.n))
 	if !ctrl.unknown {
 		extent = ctrl.numRuns(d.n)
 	}
@@ -486,7 +486,7 @@ func (c *compiler) realScatter(s *core.Stmt) *desc {
 func (c *compiler) scatterFragment(src *desc, pos attr, n2 int, parallel bool) *desc {
 	extent := 1
 	if parallel {
-		extent = min(c.opt.defaultExtent(), max(1, src.n))
+		extent = min(defaultExtent, max(1, src.n))
 	}
 	f := &kernel.Fragment{
 		Name:   fmt.Sprintf("scatter_%d", len(c.kern.Frags)),

@@ -30,31 +30,18 @@ type Options struct {
 	// safe when scatter positions are unique (e.g. building a unique-key
 	// join table); the relational frontend enables it for such plans.
 	ScatterParallel bool
-	// DefaultExtent bounds the parallelism of fragments whose extent is
-	// not dictated by a control vector (materializations, scatters).
-	// 0 means the package default (4096).
-	DefaultExtent int
-	// GroupExtent is the number of parallel work items (each with a
-	// private accumulator array) used for grouped aggregations.
-	// 0 means the package default (64).
-	GroupExtent int
 	// Workers caps the goroutines used at execution time (0 = GOMAXPROCS).
 	Workers int
 }
 
-func (o Options) defaultExtent() int {
-	if o.DefaultExtent > 0 {
-		return o.DefaultExtent
-	}
-	return 4096
-}
-
-func (o Options) groupExtent() int {
-	if o.GroupExtent > 0 {
-		return o.GroupExtent
-	}
-	return 64
-}
+const (
+	// defaultExtent bounds the parallelism of fragments whose extent is
+	// not dictated by a control vector (materializations, scatters).
+	defaultExtent = 4096
+	// groupExtent is the number of parallel work items (each with a
+	// private accumulator array) used for grouped aggregations.
+	groupExtent = 64
+)
 
 // Compile lowers p into an executable Plan. Storage is consulted at compile
 // time: as in the paper, data sizes are compile-time constants.

@@ -559,7 +559,7 @@ func (c *compiler) groupedFold(s *core.Stmt, d *desc) *desc {
 		lkind = vector.Float
 	}
 
-	P := min(c.opt.groupExtent(), max(1, srcN/max(k, 1)))
+	P := min(groupExtent, max(1, srcN/max(k, 1)))
 	if P < 1 {
 		P = 1
 	}

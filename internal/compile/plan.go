@@ -66,7 +66,7 @@ type RunOpts struct {
 	// against skew absorption.
 	MorselSize int
 	// NoSpecialize forces the per-element interpreter for every fragment
-	// (the -no-specialize escape hatch). Results are bit-identical either
+	// (the compiled-interp engine). Results are bit-identical either
 	// way.
 	NoSpecialize bool
 }

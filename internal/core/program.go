@@ -53,9 +53,6 @@ func (p *Program) Add(s Stmt) Ref {
 	return s.ID
 }
 
-// Stmt returns the statement identified by r.
-func (p *Program) Stmt(r Ref) *Stmt { return &p.Stmts[r] }
-
 // Roots returns the refs of statements whose result no other statement
 // consumes. Backends evaluate programs for their roots (and Persist side
 // effects).

@@ -311,3 +311,66 @@ func TestGeneratorCoversAlgebra(t *testing.T) {
 		}
 	}
 }
+
+// TestPersistSurvivesRelease covers the one value that outlives a pooled
+// run: a Persist writes into storage, so both backends must copy the vector
+// off the run's arena (vector.UnpooledCopy) before Release recycles it. Each
+// backend persists from a pooled run, releases, and runs a second pooled
+// query that draws the recycled arena; the stored vector must still hold its
+// values. Under -tags voodoo_poison the release alone overwrites a vector
+// that was not copied.
+func TestPersistSurvivesRelease(t *testing.T) {
+	const n = 5000
+	in := make([]int64, n)
+	want := make([]int64, n)
+	for i := range in {
+		in[i], want[i] = int64(i), int64(i)*3
+	}
+	b := core.NewBuilder()
+	b.Persist("tripled", b.Multiply(b.Load("input"), b.Constant(3)))
+	prog := b.Program()
+	ctx := context.Background()
+
+	backends := map[string]func(st interp.MemStorage) (release func(), err error){
+		"interp": func(st interp.MemStorage) (func(), error) {
+			res, err := interp.Run(ctx, prog, st, interp.Opts{Pool: diffPool})
+			if err != nil {
+				return nil, err
+			}
+			return res.Release, nil
+		},
+		"compiled": func(st interp.MemStorage) (func(), error) {
+			plan, err := compile.Compile(prog, st, compile.Options{})
+			if err != nil {
+				return nil, err
+			}
+			res, err := plan.RunWith(ctx, compile.RunOpts{Pool: diffPool})
+			if err != nil {
+				return nil, err
+			}
+			return res.Release, nil
+		},
+	}
+	for name, run := range backends {
+		t.Run(name, func(t *testing.T) {
+			st := interp.MemStorage{"input": vector.New(n).Set("val", vector.NewInt(in))}
+			// The second run, over other data and into a storage of its own,
+			// recycles the first one's arena.
+			other := interp.MemStorage{"input": vector.New(n).Set("val", vector.NewInt(make([]int64, n)))}
+			for _, into := range []interp.MemStorage{st, other} {
+				release, err := run(into)
+				if err != nil {
+					t.Fatal(err)
+				}
+				release()
+			}
+			got := st["tripled"]
+			if got == nil {
+				t.Fatal("Persist stored nothing")
+			}
+			if !got.Equal(vector.New(n).Set("val", vector.NewInt(want))) {
+				t.Errorf("persisted vector changed after its run's arena was recycled: %v", got)
+			}
+		})
+	}
+}

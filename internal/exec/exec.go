@@ -249,9 +249,6 @@ func NewEnvPooled(k *kernel.Kernel, lim Limits, ar *vector.Arena) (*Env, error) 
 	return e, nil
 }
 
-// Limits returns the governor limits the environment was created with.
-func (e *Env) Limits() Limits { return e.lim }
-
 // Allocated returns the total buffer bytes charged against this
 // environment so far (static kernel buffers plus runtime bulk outputs).
 func (e *Env) Allocated() int64 { return e.allocated }

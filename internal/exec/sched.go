@@ -66,7 +66,7 @@ type Par struct {
 	// (large morsels).
 	Morsel int
 	// NoSpecialize forces the per-element interpreter for every fragment
-	// (the -no-specialize escape hatch and the differential-test oracle).
+	// (the compiled-interp engine and the differential-test oracle).
 	// Results are bit-identical either way.
 	NoSpecialize bool
 }

@@ -363,17 +363,8 @@ func NewCounterVec(name, help string, labelNames ...string) *CounterVec {
 	return Default.CounterVec(name, help, labelNames...)
 }
 
-// NewGauge registers (or returns) a gauge on the Default registry.
-func NewGauge(name, help string) *Gauge { return Default.Gauge(name, help) }
-
 // NewGaugeFunc registers a scrape-time gauge on the Default registry.
 func NewGaugeFunc(name, help string, fn func() float64) { Default.GaugeFunc(name, help, fn) }
-
-// NewGaugeVec registers (or returns) a labeled gauge family on the
-// Default registry.
-func NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return Default.GaugeVec(name, help, labelNames...)
-}
 
 // NewHistogram registers (or returns) a histogram on the Default registry.
 func NewHistogram(name, help string, bounds []float64) *Histogram {

@@ -45,14 +45,8 @@ type Engine struct {
 	Backend Backend
 	// Opt tunes the compiling backend (predication etc.).
 	Opt compile.Options
-	// Grain is the number of parallel runs selections expose (0 = 1024).
-	Grain int
 	// CollectStats enables event counting for the device cost models.
 	CollectStats bool
-	// MorselSize overrides the scheduling granularity of parallel
-	// fragments in work items (0 = exec.DefaultMorsel); compiling
-	// backends only.
-	MorselSize int
 	// NoSpecialize disables fragment specialization (batch primitives),
 	// forcing every fragment through the per-element interpreter;
 	// compiling backends only.
@@ -67,9 +61,10 @@ type Engine struct {
 	// queries deliver several traces). Callers that share an engine across
 	// concurrent queries set the sink on a per-query copy of it.
 	TraceSink func(*trace.Trace)
-	// PlanSink, when set, receives every compiled plan just before it
-	// executes (EXPLAIN tooling; multi-phase queries deliver one plan per
-	// phase). Interpreted queries compile nothing and deliver none.
+	// PlanSink, when set, receives every plan Prepare compiles, which is
+	// the plan RunPrepared then executes (EXPLAIN tooling; multi-phase
+	// queries deliver one plan per phase). Interpreted queries compile
+	// nothing and deliver none.
 	PlanSink func(*compile.Plan)
 	// BaseContext, when set, is the context Run (the context-less Runner
 	// entry point) executes under. Callers that drive ctx-less call paths
@@ -116,45 +111,42 @@ type Prepared struct {
 	plan *compile.Plan // nil for the interpreted backend
 }
 
-// Query returns the relational query this plan was prepared from.
-func (pr *Prepared) Query() Query { return pr.q }
-
 // Plan returns the compiled plan, nil when the backend interprets.
 func (pr *Prepared) Plan() *compile.Plan { return pr.plan }
 
 // Prepare lowers q and, unless the engine interprets, compiles it. The
 // result depends only on the query, the catalog, and the engine's backend
 // options — never on per-run state — so it may be cached and shared.
-func (e *Engine) Prepare(q Query) (pr *Prepared, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if le, ok := r.(lowerErr); ok {
-				pr, err = nil, le.err
-				return
-			}
-			panic(r)
-		}
-	}()
-
-	grain := e.Grain
-	if grain <= 0 {
-		grain = defaultGrain
+func (e *Engine) Prepare(q Query) (*Prepared, error) {
+	prog, outs, err := lower(q, e.Cat)
+	if err != nil {
+		return nil, err
 	}
-	l := &lowerer{b: core.NewBuilder(), cat: e.Cat, grain: grain}
-	l.lower(q.Root)
-	prog := l.b.Program()
-	if len(l.outs) == 0 {
+	if len(outs) == 0 {
 		return nil, fmt.Errorf("rel: query has no aggregate outputs (the root must be a GroupAgg)")
 	}
-	pr = &Prepared{q: q, prog: prog, outs: l.outs}
+	pr := &Prepared{q: q, prog: prog, outs: outs}
 	if e.Backend != Interpreted {
-		plan, cerr := e.Plan(prog)
-		if cerr != nil {
-			return nil, cerr
+		if pr.plan, err = e.Plan(prog); err != nil {
+			return nil, err
 		}
-		pr.plan = plan
+		if e.PlanSink != nil {
+			e.PlanSink(pr.plan)
+		}
 	}
 	return pr, nil
+}
+
+// RunOpts is the per-run configuration the engine hands a compiled plan:
+// the one mapping from Engine fields to compile.RunOpts, shared by
+// RunPrepared and by tools that run a plan of their own under the engine's
+// settings (voodoo-run -prog). A trace is recorded exactly when a sink wants
+// one.
+func (e *Engine) RunOpts() compile.RunOpts {
+	return compile.RunOpts{
+		Limits: e.Limits, Pool: e.Pool, CollectStats: e.CollectStats,
+		NoSpecialize: e.NoSpecialize, Trace: e.TraceSink != nil,
+	}
 }
 
 // RunPrepared executes a prepared query under the engine's per-run
@@ -207,15 +199,7 @@ func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, st
 			values[o.ref] = ires.Value(o.ref)
 		}
 	} else {
-		if e.PlanSink != nil {
-			e.PlanSink(pr.plan)
-		}
-		// A trace is recorded exactly when a sink wants one.
-		pres, rerr := pr.plan.RunWith(ctx, compile.RunOpts{
-			Limits: e.Limits, Pool: e.Pool, CollectStats: e.CollectStats,
-			MorselSize: e.MorselSize, NoSpecialize: e.NoSpecialize,
-			Trace: e.TraceSink != nil,
-		})
+		pres, rerr := pr.plan.RunWith(ctx, e.RunOpts())
 		if rerr != nil {
 			if lg := telemetry.LoggerFrom(ctx); lg.Enabled(ctx, slog.LevelWarn) {
 				lg.LogAttrs(ctx, slog.LevelWarn, "rel: compiled run failed",
@@ -350,17 +334,23 @@ func (e *Engine) Plan(prog *core.Program) (*compile.Plan, error) {
 
 // Lower exposes the Voodoo program a query lowers to, for inspection tools
 // (kernel listings, OpenCL source) — execution goes through Engine.Run.
-func Lower(q Query, cat *storage.Catalog) (prog *core.Program, err error) {
+func Lower(q Query, cat *storage.Catalog) (*core.Program, error) {
+	prog, _, err := lower(q, cat)
+	return prog, err
+}
+
+// lower runs the lowerer over q, turning its panics into errors.
+func lower(q Query, cat *storage.Catalog) (prog *core.Program, outs []aggOut, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if le, ok := r.(lowerErr); ok {
-				prog, err = nil, le.err
-				return
+			le, ok := r.(lowerErr)
+			if !ok {
+				panic(r)
 			}
-			panic(r)
+			prog, outs, err = nil, nil, le.err
 		}
 	}()
-	l := &lowerer{b: core.NewBuilder(), cat: cat, grain: defaultGrain}
+	l := &lowerer{b: core.NewBuilder(), cat: cat}
 	l.lower(q.Root)
-	return l.b.Program(), nil
+	return l.b.Program(), l.outs, nil
 }

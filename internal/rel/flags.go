@@ -1,0 +1,45 @@
+package rel
+
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
+
+// ParseEngine maps the value of the CLIs' -engine flag to the Engine
+// settings it stands for. An engine is a backend plus, for the compiler,
+// which fragment tier runs: "compiled" batches every eligible fragment,
+// "compiled-interp" runs the same plans through the per-element fragment
+// interpreter, "interp" is the reference interpreter (no plan at all) and
+// "bulk" the compiler with fusion off.
+func ParseEngine(name string) (b Backend, noSpecialize bool, err error) {
+	switch name {
+	case "compiled":
+		return Compiled, false, nil
+	case "compiled-interp":
+		return Compiled, true, nil
+	case "interp":
+		return Interpreted, false, nil
+	case "bulk":
+		return BulkCompiled, false, nil
+	}
+	return 0, false, fmt.Errorf("unknown engine %q (want compiled, compiled-interp, interp or bulk)", name)
+}
+
+// ParseSize parses the CLIs' -max-mem and -max-heap values: a byte count
+// with an optional k/m/g suffix (powers of 1024) — "512", "64m", "1g" — or
+// the empty string, which is 0 (no limit).
+func ParseSize(s string) (int64, error) {
+	if s == "" {
+		return 0, nil
+	}
+	num, mult := s, int64(1)
+	if i := strings.IndexByte("kKmMgG", s[len(s)-1]); i >= 0 {
+		num, mult = s[:len(s)-1], 1<<(10*(i/2+1))
+	}
+	n, err := strconv.ParseInt(strings.TrimSpace(num), 10, 64)
+	if err != nil || n <= 0 {
+		return 0, fmt.Errorf("bad size %q (want e.g. 512, 64m, 1g)", s)
+	}
+	return n * mult, nil
+}

@@ -47,13 +47,12 @@ type aggOut struct {
 type lowerer struct {
 	b     *core.Builder
 	cat   *storage.Catalog
-	grain int
 	outs  []aggOut
 	nLive int // match-column counter
 }
 
-// Grain is the default number of parallel work items selections expose.
-const defaultGrain = 1024
+// grain is the number of parallel runs selections expose.
+const grain = 1024
 
 func (l *lowerer) errf(format string, args ...any) {
 	panic(lowerErr{fmt.Errorf("rel: "+format, args...)})
@@ -192,7 +191,7 @@ func (l *lowerer) lowerFilter(f Filter) *lowered {
 // of every visible column (the compiler fuses these, paper Figure 8).
 func (l *lowerer) filterByPred(cur *lowered, pred core.Ref) *lowered {
 	b := l.b
-	runLen := (cur.n + l.grain - 1) / l.grain
+	runLen := (cur.n + grain - 1) / grain
 	if runLen < 1 {
 		runLen = 1
 	}

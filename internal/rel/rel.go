@@ -8,6 +8,7 @@ package rel
 
 import (
 	"fmt"
+	"strings"
 )
 
 // Expr is a scalar expression over the columns of a relation.
@@ -183,17 +184,23 @@ type Result struct {
 	decoders map[string]decoder
 }
 
+// String renders the result table, dictionary-encoded key columns decoded
+// back to their strings.
 func (r *Result) String() string {
-	s := ""
+	var sb strings.Builder
 	for _, c := range r.Cols {
-		s += fmt.Sprintf("%-18s", c)
+		fmt.Fprintf(&sb, "%-20s", c)
 	}
-	s += "\n"
+	sb.WriteString("\n")
 	for _, row := range r.Rows {
 		for _, c := range r.Cols {
-			s += fmt.Sprintf("%-18.4f", row[c])
+			if d, ok := r.decoders[c]; ok {
+				fmt.Fprintf(&sb, "%-20s", d(row[c]))
+			} else {
+				fmt.Fprintf(&sb, "%-20.4f", row[c])
+			}
 		}
-		s += "\n"
+		sb.WriteString("\n")
 	}
-	return s
+	return sb.String()
 }

@@ -46,9 +46,6 @@ func (s *Server) SwapCatalog(cat *storage.Catalog) {
 // unaffected. Draining is one-way; call it when shutdown has begun.
 func (s *Server) StartDraining() { s.draining.Store(true) }
 
-// Draining reports whether StartDraining has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Shutdown drains the server: it stops admitting queries, waits for the
 // in-flight ones to finish, and — if ctx expires first — cancels them
 // through the per-request context plumbing and waits (bounded) for the
@@ -104,11 +101,6 @@ func (s *Server) Health() diag.Health {
 	return h
 }
 
-// PoolStats snapshots the server's buffer pool (zero when pooling is
-// disabled). The chaos harness gates on LiveArenas == 0 after a drain.
-func (s *Server) PoolStats() vector.PoolStats {
-	if s.pool == nil {
-		return vector.PoolStats{}
-	}
-	return s.pool.Stats()
-}
+// PoolStats snapshots the server's buffer pool. The chaos harness gates on
+// LiveArenas == 0 after a drain.
+func (s *Server) PoolStats() vector.PoolStats { return s.pool.Stats() }

@@ -63,9 +63,6 @@ type Config struct {
 	// MaxConcurrent bounds the queries executing at once; excess requests
 	// queue (and their wait is measured). 0 = GOMAXPROCS.
 	MaxConcurrent int
-	// MorselSize overrides the scheduling granularity of parallel
-	// fragments in work items (0 = exec.DefaultMorsel).
-	MorselSize int
 	// NoSpecialize disables fragment specialization, forcing every
 	// fragment through the per-element interpreter.
 	NoSpecialize bool
@@ -74,9 +71,6 @@ type Config struct {
 	// PlanCache is the compiled-plan cache capacity in entries
 	// (0 = 256; negative disables caching).
 	PlanCache int
-	// NoPool disables the kernel-buffer pool; every query then allocates
-	// fresh working memory and leaves it to the garbage collector.
-	NoPool bool
 	// MemHighWater is the live-heap watermark in bytes above which new
 	// queries are shed with 503 + Retry-After (0 = shedding disabled).
 	MemHighWater int64
@@ -171,9 +165,7 @@ func New(cfg Config) *Server {
 	}
 	s.cat.Store(cfg.Cat)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	if !cfg.NoPool {
-		s.pool = vector.NewPool(0)
-	}
+	s.pool = vector.NewPool(0)
 	s.events = cfg.Events
 	if len(cfg.SLO) > 0 {
 		s.slos = slo.New(cfg.Registry, 0, cfg.SLO...)
@@ -351,7 +343,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Cat: cat, Backend: s.cfg.Backend, Opt: s.cfg.Opt,
 		Limits:       s.cfg.Limits,
 		Pool:         s.pool,
-		MorselSize:   s.cfg.MorselSize,
 		NoSpecialize: s.cfg.NoSpecialize,
 	}
 	e.Limits.Deadline = deadline

@@ -357,7 +357,7 @@ func (v *fragVerifier) applyClass(in kernel.Instr) {
 
 // MinLanes is the fewest lanes worth a batch: below it the per-primitive
 // dispatch of the batch tier costs more than the per-element interpreter it
-// replaces (measured on the TPC-H fragment shapes, see DESIGN.md §15).
+// replaces (measured on the TPC-H fragment shapes, see DESIGN.md §13).
 const MinLanes = 4
 
 // Facts are the fragment eligibility facts the executor's batch specializer

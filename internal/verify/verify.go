@@ -85,7 +85,7 @@ func (p Pos) String() string {
 }
 
 // Diagnostic is one verification finding: a rule identifier (see the
-// catalogue in DESIGN.md §16), a position inside the verified artifact,
+// catalogue in DESIGN.md §14), a position inside the verified artifact,
 // and a human-readable message.
 type Diagnostic struct {
 	Level Level
@@ -100,7 +100,7 @@ func (d Diagnostic) String() string {
 }
 
 // Rule identifiers. Stable: tests pin mutations to rule ids and DESIGN.md
-// §16 catalogues them.
+// §14 catalogues them.
 const (
 	// Algebra level.
 	RuleUnknownOp   = "VA001" // operator not in the Table 2 vocabulary
