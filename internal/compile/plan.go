@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime/debug"
+	"strconv"
 	"time"
 
 	"voodoo/internal/core"
@@ -379,6 +380,9 @@ func (p *Plan) traceStep(s step, frags []exec.FragStats, wall time.Duration) tra
 			ts.Morsels = int64(fs.Morsels)
 			ts.Imbalance = fs.Imbalance
 			ts.Specialized, ts.Reason = fs.Specialized, fs.Reason
+			if fs.TileLanes > 0 {
+				ts.Tile = strconv.Itoa(fs.TileLanes) + "x" + strconv.Itoa(fs.TileIters)
+			}
 			ts.Items = fs.Items
 			ts.MaterializedBytes = fs.StoreBytes
 		}

@@ -327,6 +327,11 @@ type FragStats struct {
 	Specialized string
 	Reason      string
 
+	// TileLanes × TileIters is the geometry of the batch tier's first tile:
+	// work items side by side × consecutive iterations of each (zero on the
+	// interpreter, and for a fragment without loops).
+	TileLanes, TileIters int
+
 	Items int64 // loop iterations executed
 	// StoreBytes counts bytes written to global buffers — the
 	// materialization at this fragment's seam (8 per scalar store plus a
@@ -364,6 +369,9 @@ type RandCount struct {
 }
 
 func (fs *FragStats) merge(o *FragStats) {
+	if fs.TileLanes == 0 {
+		fs.TileLanes, fs.TileIters = o.TileLanes, o.TileIters
+	}
 	fs.Items += o.Items
 	fs.StoreBytes += o.StoreBytes
 	fs.IntOps += o.IntOps
@@ -536,10 +544,10 @@ type worker struct {
 	count bool
 	stats FragStats
 	// batch selects the specialized execution path for this run (nil =
-	// interpret); bst is the batch register-column state, attached by the
-	// first runLanes.
+	// interpret); bst is the batch register-column state, which lives in
+	// the pooled scratch and is attached by the first runLanes.
 	batch *batchProg
-	bst   bstate
+	bst   *bstate
 	// checks gates the checkpoint machinery: false means the fast path
 	// pays a single predictable branch per item and nothing else.
 	checks bool
@@ -610,6 +618,10 @@ type scratch struct {
 	brf    [][]float64
 	blocI  []int64
 	blocF  []float64
+	bsnaps []snapshot
+	bwinI  [][]int64
+	bwinF  [][]float64
+	bst    bstate
 }
 
 // grow returns a slice of exactly n elements backed by *buf, reusing its
@@ -657,7 +669,7 @@ func (w *worker) release() {
 		return
 	}
 	scratchPool.Put(w.scratch)
-	w.scratch = nil
+	w.scratch, w.bst = nil, nil
 	w.ri, w.rf, w.locI, w.locF = nil, nil, nil, nil
 }
 
@@ -665,7 +677,8 @@ func newWorker(ctx context.Context, f *kernel.Fragment, env *Env, nregs kernel.R
 	sc := scratchPool.Get().(*scratch)
 	w := &worker{f: f, env: env, scratch: sc,
 		ri: sc.intSlice(&sc.ri, int(nregs)), rf: sc.floatSlice(&sc.rf, int(nregs)), count: count,
-		stop: stop, batch: batch}
+		stop: stop, batch: batch, bst: &sc.bst}
+	sc.bst.locLanes = 0 // whatever fragment the scratch served last: attach anew
 	if ctx.Done() != nil {
 		w.ctx = ctx
 	}

@@ -15,6 +15,12 @@ import (
 // byte-decoded fragments that use the whole fragment IR: prologue, one or
 // two loops with static and dynamic bounds, guards anywhere, a scratch
 // array, epilogue and post-loop body, blocked or strided, with a ragged N.
+// A quarter of them are one to three work items of a long Intent, so that
+// tiles batch along iterations, and the decoder goes out of its way to emit
+// what a tile can get wrong: accumulators, registers redefined after a
+// carried read, scratch read-modify-write chains on a handful of slots (keys
+// collide inside a tile and across chains), guards on free and on carried
+// values between them, and dynamic bounds far shorter than a tile.
 // Whatever the verifier passes must leave every buffer, Items and
 // StoreBytes bit-identical on both tiers at one worker and — work items
 // being independent — at three workers over two-item morsels; when the
@@ -188,7 +194,7 @@ var fuzzFltOps = []kernel.BinOp{kernel.BAdd, kernel.BSub, kernel.BMul, kernel.BG
 func (d *fragDecoder) instrs(sec section, n int) []kernel.Instr {
 	var out []kernel.Instr
 	for i := 0; i < n; i++ {
-		switch op := d.byte() % 20; op {
+		switch op := d.byte() % 24; op {
 		case 0:
 			out = append(out, kernel.Instr{Op: kernel.IConstI, Dst: d.dst(false), Imm: int64(d.byte()%9) - 2})
 		case 1:
@@ -240,6 +246,30 @@ func (d *fragDecoder) instrs(sec section, n int) []kernel.Instr {
 				b := d.fltOperand(&out)
 				out = append(out, kernel.Instr{Op: kernel.IStoreLoc, A: a, B: b, Float: true})
 			}
+		case 17: // accumulate: a reduction while nothing else touches the register
+			if len(d.defI) == 0 {
+				continue
+			}
+			acc := d.defI[d.byte()%len(d.defI)]
+			out = append(out, kernel.Instr{Op: kernel.IBin, BOp: fuzzIntOps[d.byte()%len(fuzzIntOps)], Dst: acc, A: acc, B: d.intOperand(sec)})
+		case 18, 19: // scratch read-modify-write chain on a data-dependent slot
+			if d.f.Locals == 0 {
+				continue
+			}
+			a, x := d.bounded(&out, sec, d.f.Locals), d.dst(true)
+			out = append(out,
+				kernel.Instr{Op: kernel.ILoadLoc, Dst: x, A: a, Float: true},
+				kernel.Instr{Op: kernel.IBin, BOp: fuzzFltOps[d.byte()%len(fuzzFltOps)], Dst: x, A: x, B: d.fltOperand(&out), Float: true},
+				kernel.Instr{Op: kernel.IStoreLoc, A: a, B: x, Float: true})
+		case 20: // guard on a value read back from the scratch array
+			if d.f.Locals == 0 {
+				continue
+			}
+			a, x, t := d.bounded(&out, sec, d.f.Locals), d.dst(true), d.dst(false)
+			out = append(out,
+				kernel.Instr{Op: kernel.ILoadLoc, Dst: x, A: a, Float: true},
+				kernel.Instr{Op: kernel.ICastFI, Dst: t, A: x},
+				kernel.Instr{Op: kernel.IGuard, A: t})
 		default: // store, to a slot no other work item writes
 			flt := d.byte()%2 == 0
 			a, bufI, bufF := kernel.RegGID, d.itemI, d.itemF
@@ -291,11 +321,11 @@ func dominating(body []kernel.Instr, flt bool, before int, defs []kernel.Reg) []
 
 func decodeFragment(data []byte) (*kernel.Kernel, map[string]*Buffer) {
 	d := &fragDecoder{data: data, k: &kernel.Kernel{}, next: kernel.FirstFree}
-	extent := 1 + d.byte()%23
-	if d.byte()%8 != 0 {
-		extent += 3 // mostly enough work items for lanes
+	extent, intent := 4+d.byte()%23, 1+d.byte()%7
+	if d.byte()%4 == 0 {
+		// A few work items of many iterations: tiles batch along Intent.
+		extent, intent = 1+extent%3, 1+(intent*53+extent*7)%400
 	}
-	intent := 1 + d.byte()%7
 	d.elems = extent * intent
 	n := d.elems - d.byte()%(2*intent+1)
 	f := &kernel.Fragment{Name: "fuzz", Extent: extent, Intent: intent, N: max(n, 0), Strided: d.byte()%4 == 0}

@@ -1,20 +1,28 @@
-// Fragment specialization: compiled batch primitives, work items as lanes.
+// Fragment specialization: compiled batch primitives over tiles of work
+// items × iterations.
 //
 // The interpreter in exec.go dispatches through a switch statement once per
 // instruction per element — O(items × instrs) dispatches. The paper's
 // fragments are fused, function-call-free kernels whose Extent is the
 // data-parallel dimension and whose Intent is the sequential iterations
-// each work item makes, and its OpenCL backend runs work items as lock-step
-// lanes. This file does the same on the CPU: it compiles each eligible
-// fragment once (cached on the *kernel.Fragment, concurrency-safe) into
-// batch primitives — one tight Go loop per instruction over a column of up
-// to specBatchN lanes — and one driver (runLanes) walks the whole fragment
-// IR over them: prologue, every loop as an outer loop over iv, epilogue,
-// post-loop body. A lane is a work item; its registers are a lane of each
-// column and its scratch array a column of a slab, and both simply persist
-// from step to step. Dispatch cost drops to O(steps × instrs). IGuard
-// compacts a selection vector, so predication never branches on data
-// inside a primitive.
+// each work item makes — one iteration space, whose cut is a tuning
+// decision. This file compiles each eligible fragment once (cached on the
+// *kernel.Fragment, concurrency-safe) into batch primitives — one tight Go
+// loop per instruction over a column of up to specBatchN pseudo-lanes — and
+// one driver (runLanes) walks the whole fragment IR over them: prologue,
+// every loop, epilogue, post-loop body. The unit of a loop is a tile: L work
+// items side by side × K consecutive iterations of each, pseudo-lane k·L + l.
+// When the morsel offers a column's worth of work items K is 1 and the lanes
+// run in lock step, as the paper's OpenCL backend runs them; when it offers
+// one work item the column is all iterations. What a tile may not reorder is
+// a dataflow fact (verify.LoopFacts): the free slice of a loop body — no
+// input from another iteration — runs once per tile at full width, the
+// carried slice iteration by iteration over the L lanes on the window of the
+// free columns that is its iteration, and an accumulator nothing else reads
+// folds its K values in one call, in order. Registers are columns and a work
+// item's scratch array a column of a slab; both simply persist from tile to
+// tile. Dispatch cost drops to O(tiles × instrs). IGuard compacts a selection
+// vector, so predication never branches on data inside a primitive.
 //
 // The per-element interpreter remains as the fallback for ineligible
 // fragments and as the oracle for differential testing (difftest's
@@ -24,11 +32,12 @@
 // checkInterval lane-steps (tickN), governor Limits, panics → *PanicError
 // with cross-worker abort, scratch from the pooled arena, the
 // interpreter's error on a fault, and bit-identical results at any morsel
-// size and worker count. The last is what verify.BatchFacts decides: lanes
-// run step-major where the interpreter runs element-major, which nothing
-// can observe when every register read is dominated by a definition in its
-// own work item and no buffer is both loaded and stored (work items write
-// disjoint slots by the algebra's contract, see sched.go).
+// size and worker count. The last is what verify.BatchFacts decides: tiles
+// run ahead of the interpreter's element-major order, which nothing can
+// observe when every register read is dominated by a definition in its own
+// work item, no buffer is both loaded and stored (work items write disjoint
+// slots by the algebra's contract, see sched.go), and whatever does see
+// another iteration stays in the carried slice.
 //
 // One rule picks the path, and observing is not part of it: a fragment
 // batches when it is eligible, unless the caller disabled specialization,
@@ -74,9 +83,18 @@ type reject struct {
 
 func newReject(reason string) *reject { return &reject{reason, rejectVec.With(reason)} }
 
-// specBatchN is the most lanes one batch holds. It equals checkInterval, so
-// no step is longer than the interpreter's cancellation latency.
+// specBatchN is the most pseudo-lanes one tile holds. It equals
+// checkInterval, so no tile is longer than the interpreter's cancellation
+// latency.
 const specBatchN = checkInterval
+
+// tileBytes bounds the register-column footprint of a tile that batches
+// along iterations: a fragment with many registers gets narrower columns, so
+// the column set a tile's primitives stream through stays cache resident
+// (Q1's grouped fold has ~225 registers; at 1024 pseudo-lanes its columns
+// would be 1.8 MB). It does not narrow a batch of work items below what the
+// morsel offers — that width is what PR 17 measured.
+const tileBytes = 256 << 10
 
 // specFor returns the fragment's cached batch compilation — a program, or
 // the reason the fragment is not batch-eligible — compiling it on first
@@ -118,35 +136,54 @@ func resolveSpec(bp *batchProg, noSpecialize, count, faults bool) (*batchProg, s
 // ---------------------------------------------------------------------------
 // Batch primitives
 
-// batchPrim executes one instruction over the active lanes of a batch: the
+// batchPrim executes one instruction over the active pseudo-lanes: the
 // primitive for its opcode and domain (primFor), applied to the
-// instruction.
+// instruction. snap names a selection snapshot of the tile: the one a guard
+// of the wide pass leaves behind, or the one in effect at a carried
+// primitive's program position (0 = the tile's own selection).
 type batchPrim struct {
-	fn func(w *worker, b *bstate, in *kernel.Instr) error
-	in kernel.Instr
+	fn   func(w *worker, b *bstate, in *kernel.Instr) error
+	in   *kernel.Instr // in the fragment, which is immutable once compiled
+	snap int
 }
 
-// batchLoop is one compiled loop: its body, and the iteration bound each
-// lane observes — static (Loop.Bound, or the fragment's Intent), capped per
-// lane by the value boundReg holds at loop entry when boundReg > 0.
-type batchLoop struct {
-	body     []batchPrim
-	bound    int
-	boundReg kernel.Reg
+// batchSeq is one compiled instruction sequence. wide holds, in program
+// order, what runs once per tile at full width: the free slice, the
+// reductions and the guards among them. carried holds what runs iteration by
+// iteration (verify.Carried); the prologue and epilogue have none. A loop
+// also has the iteration bound each lane observes — static (Loop.Bound, the
+// fragment's Intent, or Locals for the post-loop body), capped per lane by
+// the value boundReg holds at loop entry when boundReg > 0.
+type batchSeq struct {
+	wide, carried []batchPrim
+	lf            *verify.LoopFacts // of a loop: the registers to window and to spread
+	bound         int
+	boundReg      kernel.Reg
+	postLoop      bool // iterates RegJ over the scratch slots, not RegIV/RegIdx
+	// elements: a blocked loop over the full Intent whose iterations are
+	// independent (verify.LoopFacts.Independent). Nothing observes the order
+	// its tiles enumerate them in, so they take element order — work item by
+	// work item — in which blocked accesses are contiguous.
+	elements bool
 }
 
 // batchProg is a fragment compiled to batch primitives, one sequence per
-// section of the fragment IR, executed over batches of up to specBatchN
-// lanes (see runLanes).
+// section of the fragment IR (see runLanes).
 type batchProg struct {
-	pre, post, postLoop []batchPrim
-	loops               []batchLoop
-	// recut: lanes are the fragment's elements rather than its work items
-	// (verify.Facts.Recut).
-	recut bool
+	pre, post, postLoop batchSeq
+	loops               []batchSeq
+	// consts are the constants with one definition in the fragment: their
+	// columns are filled when a worker attaches, not on every step.
+	consts []*kernel.Instr
 	// intRegs/fltRegs are the registers needing a column in each file.
 	intRegs []kernel.Reg
 	fltRegs []kernel.Reg
+	// width is the most pseudo-lanes a tile of several iterations holds
+	// (tileBytes over the column count); iters the most iterations any loop
+	// can make; snaps the most selection snapshots a tile keeps, wins the
+	// most registers its carried pass windows, per file.
+	width, iters, snaps int
+	wins                [2]int
 	// nregs bounds the register index space of the fragment, for the
 	// column tables and the interpreter's register file alike; computed
 	// once here, whether or not the fragment is eligible.
@@ -156,36 +193,60 @@ type batchProg struct {
 	ineligible *reject
 }
 
+// snapshot is the selection at one program position of a tile: the listed
+// pseudo-lanes, ascending, or all of [0, n) when sel is nil. cur is how far
+// the carried pass has consumed sel.
+type snapshot struct {
+	sel []int32
+	n   int
+	cur int
+}
+
 // bstate is a worker's register-column state. Columns live in the worker's
-// pooled scratch and persist across the steps of a batch: lane i of every
-// column belongs to the batch's i-th work item for the whole of its
-// prologue, loops and epilogue. Within one step lanes [0, n) are live;
-// sel == nil means all of them are active, otherwise sel lists the active
-// lane offsets in ascending order.
+// pooled scratch and persist across the tiles of a batch. A batch is lanes
+// consecutive work items; a tile is rows consecutive iterations of them,
+// pseudo-lane k·lanes + l holding iteration k of work item l. Within one
+// primitive call pseudo-lanes [0, n) are live; sel == nil means all of them
+// are active, otherwise sel lists the active ones in ascending order. Row 0
+// of a column — its first lanes entries — is where a register's value
+// stands between sections and where carried registers live.
 type bstate struct {
 	n      int
 	sel    []int32
 	selBuf []int32
-	ri     [][]int64
-	rf     [][]float64
-	// unit: the RegIdx column is unit-stride over the lanes (lane i holds
-	// idx[0]+i), so a dense access indexed by it is a contiguous range.
-	// True for intent-1, strided and re-cut geometries; false for blocked
-	// lanes with Intent > 1, whose neighbours are Intent elements apart.
+	// ri/rf are the columns primitives index. During the carried pass the
+	// entries of the windowed registers are cut to the iteration's window;
+	// winI/winF hold their full columns meanwhile.
+	ri, winI [][]int64
+	rf, winF [][]float64
+	// unit: the RegIdx column is unit-stride over the pseudo-lanes of the
+	// tile, so a dense access indexed by it is a contiguous range.
 	unit bool
-	// stride is the lane capacity the columns are currently cut for.
+	// stride is the width the columns are cut to.
 	stride int
-	// Scratch arrays: slot s of lane i is loc[s*lanes+i], lanes being the
-	// lane count of the current batch; one of locI/locF is in use.
-	lanes int
-	nloc  int
-	locI  []int64
-	locF  []float64
+	// lanes is the work-item count of the current batch and rows the most
+	// iterations a tile of the current loop holds. lane backs laneOf, valid
+	// for laneRows rows of laneLanes lanes.
+	lanes, rows         int
+	lane                []int32
+	laneLanes, laneRows int
+	// Scratch arrays: slot s of lane l is loc[s*lanes+l] — the iterations
+	// of a work item share its array; one of locI/locF is in use, cut for
+	// locLanes lanes.
+	locLanes int
+	nloc     int
+	locI     []int64
+	locF     []float64
 	// bnd holds the per-lane iteration bounds of a dynamic-bound loop.
 	bnd []int64
+	// sels backs the selection vectors of a tile, stride entries each:
+	// region 0 the tile's own, then one per snapshot, then the one the
+	// carried pass and unrecorded guards write.
+	sels  []int32
+	snaps []snapshot
 }
 
-// active returns the live lane count of the step.
+// active returns the active pseudo-lane count of the step.
 func (b *bstate) active() int {
 	if b.sel == nil {
 		return b.n
@@ -193,36 +254,114 @@ func (b *bstate) active() int {
 	return len(b.sel)
 }
 
+// laneOf returns the work item of every pseudo-lane of the current loop's
+// tiles, lane[p] = p mod lanes. Few primitives need it (a reduction under a
+// selection, a scratch load in the free slice), so it is built on first use.
+func (b *bstate) laneOf() []int32 {
+	if b.laneLanes != b.lanes || b.laneRows < b.rows {
+		b.laneLanes, b.laneRows = b.lanes, b.rows
+		for p, l := 0, 0; p < b.rows*b.lanes; p++ {
+			b.lane[p] = int32(l)
+			if l++; l == b.lanes {
+				l = 0
+			}
+		}
+	}
+	return b.lane
+}
+
+// region returns selection region i, empty.
+func (b *bstate) region(i int) []int32 {
+	return b.sels[i*b.stride : i*b.stride : (i+1)*b.stride]
+}
+
 // compileBatch translates the fragment into batch primitives, or records
-// why it is not eligible. Eligibility is decided entirely by the
-// verifier's fragment facts (verify.BatchFacts) — the single source of
-// truth for the dominance, store/load disjointness and lane-count rules —
-// so the specializer only translates instructions. Eligibility is
-// conservative: every rejected fragment simply interprets.
+// why it is not eligible. Eligibility and the split of every loop body into
+// its free and carried slices are decided entirely by the verifier's
+// fragment facts (verify.BatchFacts) — the single source of truth — so the
+// specializer only translates instructions. Eligibility is conservative:
+// every rejected fragment simply interprets.
 func compileBatch(f *kernel.Fragment) *batchProg {
-	bp := &batchProg{nregs: f.NumRegs()}
+	bp := &batchProg{nregs: f.NumRegs(), iters: 1}
 	facts := verify.BatchFacts(f)
 	if !facts.BatchEligible {
 		bp.ineligible = newReject(facts.Reason)
 		return bp
 	}
-	bp.intRegs, bp.fltRegs, bp.recut = facts.IntRegs, facts.FltRegs, facts.Recut
+	bp.intRegs, bp.fltRegs = facts.IntRegs, facts.FltRegs
+	bp.width = max(1, min(specBatchN, tileBytes/(8*(len(bp.intRegs)+len(bp.fltRegs)))))
 	ok := true
-	seg := func(instrs []kernel.Instr) []batchPrim {
-		out := make([]batchPrim, len(instrs))
-		for i, in := range instrs {
-			out[i] = batchPrim{primFor(&in), in}
-			ok = ok && out[i].fn != nil
-		}
-		return out
-	}
-	bp.pre, bp.post, bp.postLoop = seg(f.Pre), seg(f.Post), seg(f.PostLoopBody)
+	// One backing for every sequence's primitives: each instruction of the
+	// fragment becomes at most one.
+	total := len(f.Pre) + len(f.Post) + len(f.PostLoopBody)
 	for _, l := range f.Loops {
+		total += len(l.Body)
+	}
+	prims := make([]batchPrim, 0, total)
+	seq := func(instrs []kernel.Instr, lf *verify.LoopFacts, bound int) batchSeq {
+		s := batchSeq{bound: bound}
+		carried := 0
+		if lf != nil {
+			s.lf = lf
+			bp.wins[0], bp.wins[1] = max(bp.wins[0], len(lf.Win[0])), max(bp.wins[1], len(lf.Win[1]))
+			for _, c := range lf.Class {
+				if c == verify.Carried {
+					carried++
+				}
+			}
+			bp.iters = max(bp.iters, bound)
+		}
+		at := len(prims)
+		prims = prims[:at+len(instrs)]
+		s.wide = prims[at : at : at+len(instrs)-carried]
+		s.carried = prims[at+len(instrs)-carried : at+len(instrs)-carried : at+len(instrs)]
+		snap := 0
+		for i := range instrs {
+			in := &instrs[i]
+			if facts.Hoisted(in) {
+				bp.consts = append(bp.consts, in)
+				continue
+			}
+			p := batchPrim{fn: primFor(in), in: in}
+			class := verify.Free
+			if lf != nil {
+				class = lf.Class[i]
+			}
+			switch {
+			case class == verify.Carried:
+				p.snap = snap
+				s.carried = append(s.carried, p)
+			case class == verify.Reduce:
+				p.fn = foldFor(in)
+				s.wide = append(s.wide, p)
+			default:
+				if in.Op == kernel.IGuard && carried > 0 {
+					// The carried pass needs the selection as it stood here.
+					snap++
+					p.snap = snap
+				}
+				s.wide = append(s.wide, p)
+			}
+			ok = ok && p.fn != nil
+		}
+		bp.snaps = max(bp.snaps, snap)
+		return s
+	}
+	bp.pre = seq(f.Pre, nil, 1)
+	for li, l := range f.Loops {
 		bound := l.Bound
 		if bound <= 0 {
 			bound = f.Intent
 		}
-		bp.loops = append(bp.loops, batchLoop{seg(l.Body), bound, l.BoundReg})
+		s := seq(l.Body, &facts.Loops[li], bound)
+		s.boundReg = l.BoundReg
+		s.elements = facts.Loops[li].Independent && !f.Strided && f.Intent > 1 && bound == f.Intent && l.BoundReg <= 0
+		bp.loops = append(bp.loops, s)
+	}
+	bp.post = seq(f.Post, nil, 1)
+	if len(f.PostLoopBody) > 0 {
+		bp.postLoop = seq(f.PostLoopBody, &facts.Loops[len(f.Loops)], f.Locals)
+		bp.postLoop.postLoop = true
 	}
 	if !ok {
 		// Unreachable for fact-eligible fragments (the whitelist matches
@@ -233,12 +372,14 @@ func compileBatch(f *kernel.Fragment) *batchProg {
 	return bp
 }
 
-// attachBatch cuts the worker's pooled scratch into register columns of
-// stride lanes for bp. Columns are not zeroed: the verifier proved every
-// read is dominated by a definition in the same work item, which is the
-// same lane.
-func (w *worker) attachBatch(bp *batchProg, stride int) {
-	sc := w.scratch
+// attachBatch cuts the worker's pooled scratch into register columns for bp
+// wide enough for lanes work items: as wide as a tile of several iterations
+// may get when the fragment has that many to offer. Columns are not zeroed —
+// the verifier proved every read is dominated by a definition in the same
+// work item — except that the hoisted constants are filled here, once.
+func (w *worker) attachBatch(bp *batchProg, lanes int) {
+	f, sc := w.f, w.scratch
+	stride := max(lanes, min(bp.width, lanes*bp.iters))
 	ints := grow(&sc.bcols, (len(bp.intRegs)+1)*stride)
 	flts := grow(&sc.bfcols, len(bp.fltRegs)*stride)
 	if cap(sc.bri) < bp.nregs {
@@ -249,28 +390,50 @@ func (w *worker) attachBatch(bp *batchProg, stride int) {
 	sc.brf = sc.brf[:bp.nregs]
 	clear(sc.bri)
 	clear(sc.brf)
+	b := w.bst
+	*b = bstate{ri: sc.bri, rf: sc.brf, stride: stride, locLanes: lanes, nloc: f.Locals,
+		bnd: ints[len(bp.intRegs)*stride:]}
 	for i, r := range bp.intRegs {
-		sc.bri[r] = ints[i*stride : (i+1)*stride]
+		b.ri[r] = ints[i*stride : (i+1)*stride]
 	}
 	for i, r := range bp.fltRegs {
-		sc.brf[r] = flts[i*stride : (i+1)*stride]
+		b.rf[r] = flts[i*stride : (i+1)*stride]
 	}
-	if cap(sc.bsel) < stride {
-		sc.bsel = make([]int32, stride)
+	if cap(sc.bwinI) < bp.wins[0] || cap(sc.bwinF) < bp.wins[1] {
+		sc.bwinI, sc.bwinF = make([][]int64, bp.wins[0]), make([][]float64, bp.wins[1])
 	}
-	f := w.f
-	w.bst = bstate{ri: sc.bri, rf: sc.brf, selBuf: sc.bsel[:0], stride: stride,
-		bnd:  ints[len(bp.intRegs)*stride:],
-		unit: bp.recut || f.Strided || f.Intent == 1, nloc: f.Locals}
+	b.winI, b.winF = sc.bwinI[:bp.wins[0]], sc.bwinF[:bp.wins[1]]
+	for _, in := range bp.consts {
+		if in.Op == kernel.IConstI {
+			fill(b.ri[in.Dst], in.Imm)
+		} else {
+			fill(b.rf[in.Dst], in.FImm)
+		}
+	}
+	if n := (bp.snaps + 3) * stride; cap(sc.bsel) < n {
+		sc.bsel = make([]int32, n)
+	}
+	b.lane = sc.bsel[:stride]
+	b.sels = sc.bsel[stride : (bp.snaps+3)*stride]
+	if cap(sc.bsnaps) < bp.snaps+1 {
+		sc.bsnaps = make([]snapshot, bp.snaps+1)
+	}
+	b.snaps = sc.bsnaps[:bp.snaps+1]
 	if f.LocalsFloat {
-		w.bst.locF = grow(&sc.blocF, f.Locals*stride)
+		b.locF = grow(&sc.blocF, f.Locals*lanes)
 	} else {
-		w.bst.locI = grow(&sc.blocI, f.Locals*stride)
+		b.locI = grow(&sc.blocI, f.Locals*lanes)
+	}
+}
+
+func fill[T any](s []T, v T) {
+	for i := range s {
+		s[i] = v
 	}
 }
 
 // tickN retires n lane-steps of checkpoint budget at once — the batch
-// path's replacement for per-item tick — checking before a step would take
+// path's replacement for per-item tick — checking before a tile would take
 // the run past checkInterval lane-steps since the last check. The batch
 // path never runs with fault injection enabled (resolveSpec falls back to
 // the interpreter), so the per-item hook is not replayed here.
@@ -293,8 +456,8 @@ func (w *worker) tickN(n int) error {
 
 // runBatch executes work items [lo, hi) through the batch primitives. When
 // a primitive faults, the range is run again interpreted and that run's
-// error is reported: lanes reach a fault in step order, the interpreter in
-// element order, and callers are promised the interpreter's error. An
+// error is reported: tiles reach a fault in their own order, the interpreter
+// in element order, and callers are promised the interpreter's error. An
 // eligible fragment never loads a buffer it stores, so the second run reads
 // what the first read and gets to its own first fault.
 func (w *worker) runBatch(lo, hi int) error {
@@ -308,8 +471,8 @@ func (w *worker) runBatch(lo, hi int) error {
 }
 
 // liveLanes reports how many of the n lanes starting at work item base
-// still have idx < N at step iv. idx grows with the lane and with iv, so
-// the live lanes are a prefix and a lane that left stays out.
+// still have idx < N at iteration iv. idx grows with the lane and with iv,
+// so the live lanes are a prefix and a lane that left stays out.
 func liveLanes(f *kernel.Fragment, base, n, iv int) int {
 	if f.N <= 0 {
 		return n
@@ -326,163 +489,332 @@ func liveLanes(f *kernel.Fragment, base, n, iv int) int {
 	return max(0, min(n, m))
 }
 
-// runLanes is the batch tier's one driver: the whole fragment IR with work
-// items as lock-step lanes. A batch is up to specBatchN consecutive work
-// items. The prologue runs once over the lanes; each loop runs as an outer
-// loop over iv whose body primitives run over the lanes still iterating (a
-// lane leaves when idx >= N or iv reaches its bound, and IGuard's selection
-// lasts one step); then the epilogue, then the post-loop body once per
-// scratch slot. Register columns and the scratch slab simply persist across
-// steps, so fold accumulators, filter cursors and dynamic bounds need no
-// recognition. An intent-1 fragment is the one-step case; a re-cut fragment
-// is run as the intent-1 fragment over its elements that it is equivalent
-// to. fault reports that err came from a primitive rather than a
-// checkpoint.
+// runLanes is the batch tier's one driver: the whole fragment IR over tiles
+// of work items × iterations. A batch is up to specBatchN consecutive work
+// items — the lanes. The prologue runs once over them; each loop runs as
+// tiles of as many consecutive iterations as the columns hold beside the
+// lanes (one, when the morsel fills a column with work items: then a tile is
+// a step and the lanes run in lock step; all of them, when nothing is
+// carried and the columns are long enough); then the epilogue, then the
+// post-loop body tiled the same way over the scratch slots. Register columns
+// and the scratch slab simply persist, so fold accumulators, filter cursors
+// and dynamic bounds need no recognition. fault reports that err came from a
+// primitive rather than a checkpoint.
 func (w *worker) runLanes(lo, hi int) (fault bool, err error) {
 	bp, f := w.batch, w.f
-	if bp.recut {
-		lo, hi = lo*f.Intent, hi*f.Intent
-		if f.N > 0 {
-			hi = min(hi, f.N)
-		}
-	}
 	if hi <= lo {
 		return false, nil
 	}
-	if need := min(specBatchN, hi-lo); need > w.bst.stride {
+	if need := min(specBatchN, hi-lo); need > w.bst.locLanes {
 		w.attachBatch(bp, need)
 	}
-	b := &w.bst
-	gidc, ivc, idxc, jc := b.ri[kernel.RegGID], b.ri[kernel.RegIV], b.ri[kernel.RegIdx], b.ri[kernel.RegJ]
-	// step runs one primitive sequence over lanes [0, m): all of them, or
-	// those sel lists. A checkpoint precedes it; fault tells a primitive's
-	// error from the checkpoint's.
-	step := func(prims []batchPrim, m int, sel []int32) (bool, error) {
-		if len(prims) == 0 {
-			return false, nil
-		}
-		b.n, b.sel = m, sel
-		if w.checks {
-			if err := w.tickN(b.active()); err != nil {
-				return false, err
-			}
-		}
-		for i := range prims {
-			if err := prims[i].fn(w, b, &prims[i].in); err != nil {
-				return true, err
-			}
-			if b.sel != nil && len(b.sel) == 0 {
-				break // every lane guarded off: skip the rest of the sequence
-			}
-		}
-		return false, nil
-	}
+	b := w.bst
 	for base := lo; base < hi; base += specBatchN {
 		n := min(specBatchN, hi-base)
-		b.lanes = n
-		if bp.recut {
-			g, v := int64(base/f.Intent), int64(base%f.Intent)
-			for i := 0; i < n; i++ {
-				gidc[i], ivc[i], idxc[i] = g, v, int64(base+i)
-				if v++; v == int64(f.Intent) {
-					g, v = g+1, 0
-				}
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				gidc[i] = int64(base + i)
-			}
+		b.lanes, b.rows = n, 1
+		for i, gid := 0, b.ri[kernel.RegGID]; i < n; i++ {
+			gid[i] = int64(base + i)
 		}
 		if f.LocalsFloat {
-			for i := range b.locF[:f.Locals*n] {
-				b.locF[i] = f.LocalsInit
-			}
+			fill(b.locF[:f.Locals*n], f.LocalsInit)
 		} else {
-			for i := range b.locI[:f.Locals*n] {
-				b.locI[i] = int64(f.LocalsInit)
-			}
+			fill(b.locI[:f.Locals*n], int64(f.LocalsInit))
 		}
-		if fault, err := step(bp.pre, n, nil); err != nil {
+		if fault, err := w.runTile(&bp.pre, n, nil, 1); err != nil {
 			return fault, err
 		}
 		for li := range bp.loops {
-			l := &bp.loops[li]
-			// Every lane runs steps [0, dense); from there to steps the
-			// per-lane bounds decide.
-			steps, dense := l.bound, l.bound
-			if bp.recut {
-				steps, dense = 1, 1
-			}
-			var bnd []int64
-			if l.boundReg > 0 {
-				// Read once, at loop entry, as the interpreter reads it.
-				bnd = b.bnd[:n]
-				least, most := int64(l.bound), int64(0)
-				for i, v := range b.ri[l.boundReg][:n] {
-					v = min(v, int64(l.bound))
-					bnd[i] = v
-					least, most = min(least, v), max(most, v)
-				}
-				steps, dense = int(most), int(least)
-			}
-			for iv := 0; iv < steps; iv++ {
-				m := n
-				if !bp.recut {
-					m = liveLanes(f, base, n, iv)
-					if f.Strided {
-						x := int64(iv*f.Extent + base)
-						for i := 0; i < m; i++ {
-							idxc[i], ivc[i] = x+int64(i), int64(iv)
-						}
-					} else {
-						x := int64(base*f.Intent + iv)
-						for i := 0; i < m; i++ {
-							idxc[i], ivc[i] = x, int64(iv)
-							x += int64(f.Intent)
-						}
-					}
-				}
-				var sel []int32
-				if iv >= dense {
-					sel = b.selBuf[:0]
-					for i, v := range bnd[:m] {
-						if int64(iv) < v {
-							sel = append(sel, int32(i))
-						}
-					}
-					if len(sel) == 0 {
-						m = 0
-					}
-				}
-				if m == 0 {
-					break // lanes only ever leave a loop
-				}
-				if fault, err := step(l.body, m, sel); err != nil {
-					return fault, err
-				}
-				// Iterations executed, guarded off or not; sel still has
-				// the length it was built with.
-				if sel != nil {
-					m = len(sel)
-				}
-				w.stats.Items += int64(m)
+			if fault, err := w.runLoop(&bp.loops[li], base); err != nil {
+				return fault, err
 			}
 		}
-		if fault, err := step(bp.post, n, nil); err != nil {
+		if fault, err := w.runTile(&bp.post, n, nil, 1); err != nil {
 			return fault, err
 		}
-		if len(bp.postLoop) > 0 {
-			for j := 0; j < f.Locals; j++ {
-				for i := 0; i < n; i++ {
-					jc[i] = int64(j)
-				}
-				if fault, err := step(bp.postLoop, n, nil); err != nil {
-					return fault, err
-				}
+		if len(f.PostLoopBody) > 0 {
+			if fault, err := w.runLoop(&bp.postLoop, base); err != nil {
+				return fault, err
 			}
 		}
 	}
 	return false, nil
+}
+
+// runLoop runs one loop (or the post-loop body) of the current batch, whose
+// first work item is base, as tiles of consecutive iterations. While every
+// lane is inside its bound a tile is dense: whole rows, the last of them
+// possibly a prefix (idx < N leaves a prefix of the lanes live). Past the
+// smallest dynamic bound the tile's selection lists the pseudo-lanes still
+// iterating. Lanes only ever leave a loop, so it ends with the first tile
+// that has none.
+func (w *worker) runLoop(l *batchSeq, base int) (fault bool, err error) {
+	b, f := w.bst, w.f
+	lanes := b.lanes
+	if l.elements {
+		return w.runElements(l, base)
+	}
+	live := func(iv int) int {
+		if l.postLoop {
+			return lanes
+		}
+		return liveLanes(f, base, lanes, iv)
+	}
+	// Every lane runs iterations [0, dense); from there to steps the
+	// per-lane bounds decide.
+	steps, dense := l.bound, l.bound
+	var bnd []int64
+	if l.boundReg > 0 {
+		// Read once, at loop entry, as the interpreter reads it.
+		bnd = b.bnd[:lanes]
+		least, most := int64(l.bound), int64(0)
+		for i, v := range b.ri[l.boundReg][:lanes] {
+			v = min(v, int64(l.bound))
+			bnd[i] = v
+			least, most = min(least, v), max(most, v)
+		}
+		steps, dense = int(most), int(least)
+	}
+	// As many rows as fit beside the lanes: in the columns, and in the
+	// footprint bound — which a tail batch of few lanes would otherwise
+	// exceed, its columns having been cut for a full one.
+	depth := max(1, min(min(b.stride, max(w.batch.width, lanes))/lanes, steps))
+	b.rows = depth
+	if depth > 1 {
+		for _, r := range l.lf.Spread[0] {
+			spread(b.ri[r], lanes, depth)
+		}
+		for _, r := range l.lf.Spread[1] {
+			spread(b.rf[r], lanes, depth)
+		}
+	}
+	ivc, idxc, jc := b.ri[kernel.RegIV], b.ri[kernel.RegIdx], b.ri[kernel.RegJ]
+	for iv0 := 0; iv0 < steps; {
+		rows := min(depth, steps-iv0)
+		// The tile spans pseudo-lanes [0, n), active of them active.
+		var sel []int32
+		var n, active int
+		if iv0 < dense {
+			rows = min(rows, dense-iv0)
+			if live(iv0+rows-1) < lanes {
+				// Up to and including the first row some lane has left.
+				rows = 1
+				for live(iv0+rows-1) == lanes {
+					rows++
+				}
+			}
+			n = (rows-1)*lanes + live(iv0+rows-1)
+			active = n
+		} else {
+			sel = b.region(0)
+			for k := 0; k < rows; k++ {
+				for i, v := range bnd[:live(iv0+k)] {
+					if int64(iv0+k) < v {
+						sel = append(sel, int32(k*lanes+i))
+					}
+				}
+			}
+			n, active = rows*lanes, len(sel)
+		}
+		if active == 0 {
+			break
+		}
+		if w.stats.TileLanes == 0 {
+			w.stats.TileLanes, w.stats.TileIters = lanes, rows
+		}
+		for k := 0; k < rows; k++ {
+			row := k * lanes
+			switch {
+			case l.postLoop:
+				fill(jc[row:row+lanes], int64(iv0+k))
+			case f.Strided:
+				x := int64((iv0+k)*f.Extent + base)
+				for i := 0; i < lanes; i++ {
+					idxc[row+i], ivc[row+i] = x+int64(i), int64(iv0+k)
+				}
+			default:
+				x := int64(base*f.Intent + iv0 + k)
+				for i := 0; i < lanes; i++ {
+					idxc[row+i], ivc[row+i] = x, int64(iv0+k)
+					x += int64(f.Intent)
+				}
+			}
+		}
+		// Neighbouring pseudo-lanes hold neighbouring elements when a row
+		// is a run of the index space and the rows follow each other in it.
+		if f.Strided {
+			b.unit = rows == 1 || lanes == f.Extent
+		} else {
+			b.unit = lanes == 1 || f.Intent == 1
+		}
+		if fault, err := w.runTile(l, n, sel, rows); err != nil {
+			return fault, err
+		}
+		if !l.postLoop {
+			// Loop iterations executed, guarded off or not.
+			w.stats.Items += int64(active)
+		}
+		iv0 += rows
+	}
+	return false, nil
+}
+
+// runElements runs an independent blocked loop of the current batch in
+// element order: a tile is a run of consecutive elements, whole work items
+// and all their iterations when the columns hold that many. The work-item
+// ids of row 0 are put back afterwards.
+func (w *worker) runElements(l *batchSeq, base int) (fault bool, err error) {
+	b, f := w.bst, w.f
+	gidc, ivc, idxc := b.ri[kernel.RegGID], b.ri[kernel.RegIV], b.ri[kernel.RegIdx]
+	lo, hi := base*f.Intent, (base+b.lanes)*f.Intent
+	if f.N > 0 {
+		hi = min(hi, f.N)
+	}
+	b.unit = true
+	for e := lo; e < hi && err == nil; e += b.stride {
+		n := min(b.stride, hi-e)
+		if w.stats.TileLanes == 0 {
+			w.stats.TileLanes, w.stats.TileIters = max(1, n/f.Intent), min(n, f.Intent)
+		}
+		for i := 0; i < n; {
+			g, v := (e+i)/f.Intent, (e+i)%f.Intent
+			run := min(n-i, f.Intent-v)
+			for j := 0; j < run; j++ {
+				gidc[i+j], ivc[i+j], idxc[i+j] = int64(g), int64(v+j), int64(e+i+j)
+			}
+			i += run
+		}
+		fault, err = w.runTile(l, n, nil, 1)
+		w.stats.Items += int64(n)
+	}
+	for i := 0; i < b.lanes; i++ {
+		gidc[i] = int64(base + i)
+	}
+	return fault, err
+}
+
+// spread repeats the first lanes entries of col over rows rows.
+func spread[T any](col []T, lanes, rows int) {
+	for k := 1; k < rows; k++ {
+		copy(col[k*lanes:(k+1)*lanes], col[:lanes])
+	}
+}
+
+// runTile runs one instruction sequence over a tile of rows iterations of
+// the batch's lanes: pseudo-lanes [0, n), all of them or those sel lists. The wide pass
+// runs the free slice once over all of them; the carried pass then runs the
+// carried slice once per iteration, in program order and in one pass — two
+// scratch chains may alias across iterations — over the lanes of that
+// iteration, finding the free registers it reads in the iteration's window
+// of their columns and the selection as it stood at each primitive's program
+// position (sel is ascending and rows are contiguous, so the window of a
+// snapshot is a contiguous run of it). A checkpoint precedes the tile; fault
+// tells a primitive's error from the checkpoint's.
+func (w *worker) runTile(s *batchSeq, n int, sel []int32, rows int) (fault bool, err error) {
+	if len(s.wide)+len(s.carried) == 0 {
+		return false, nil
+	}
+	b := w.bst
+	b.n, b.sel = n, sel
+	if w.checks {
+		if err := w.tickN(b.active()); err != nil {
+			return false, err
+		}
+	}
+	last := len(b.snaps)
+	b.snaps[0] = snapshot{sel: sel, n: n}
+	clear(b.snaps[1:]) // nothing gets as far as a guard the wide pass does not reach
+	b.selBuf = b.region(last)
+	for i := range s.wide {
+		p := &s.wide[i]
+		if p.snap > 0 {
+			b.selBuf = b.region(p.snap)
+		}
+		if err := p.fn(w, b, p.in); err != nil {
+			return true, err
+		}
+		if p.snap > 0 {
+			b.snaps[p.snap] = snapshot{sel: b.sel, n: b.n}
+			b.selBuf = b.region(last)
+		}
+		if b.sel != nil && len(b.sel) == 0 {
+			break // every pseudo-lane guarded off: skip the rest of the slice
+		}
+	}
+	if len(s.carried) == 0 {
+		return false, nil
+	}
+	lanes := b.lanes
+	if rows > 1 {
+		for j, r := range s.lf.Win[0] {
+			b.winI[j] = b.ri[r]
+		}
+		for j, r := range s.lf.Win[1] {
+			b.winF[j] = b.rf[r]
+		}
+	}
+	for k := 0; k < rows && err == nil; k++ {
+		lo := k * lanes
+		if rows > 1 {
+			for j, r := range s.lf.Win[0] {
+				b.ri[r] = b.winI[j][lo:]
+			}
+			for j, r := range s.lf.Win[1] {
+				b.rf[r] = b.winF[j][lo:]
+			}
+		}
+		at := -1
+		for i := range s.carried {
+			p := &s.carried[i]
+			if p.snap != at {
+				at = p.snap
+				if !b.window(&b.snaps[at], lo, lanes) {
+					break // snapshots only shrink: nothing later is selected either
+				}
+			}
+			if err = p.fn(w, b, p.in); err != nil {
+				break
+			}
+			if b.sel != nil && len(b.sel) == 0 {
+				break
+			}
+		}
+	}
+	if rows > 1 {
+		for j, r := range s.lf.Win[0] {
+			b.ri[r] = b.winI[j]
+		}
+		for j, r := range s.lf.Win[1] {
+			b.rf[r] = b.winF[j]
+		}
+	}
+	return err != nil, err
+}
+
+// window makes the pseudo-lanes of s in [lo, lo+lanes) — one iteration of
+// the tile — the active lanes, as offsets into that window, and reports
+// whether there are any.
+func (b *bstate) window(s *snapshot, lo, lanes int) bool {
+	if s.sel == nil {
+		b.n, b.sel = min(lanes, s.n-lo), nil
+		return b.n > 0
+	}
+	from, to := s.cur, len(s.sel)
+	if to > from && int(s.sel[to-1]) >= lo+lanes {
+		for to = from; int(s.sel[to]) < lo+lanes; to++ {
+		}
+	}
+	s.cur = to
+	b.n, b.sel = lanes, s.sel[from:to]
+	if lo > 0 {
+		// Later iterations rebase into the carried pass's own region; the
+		// first one already holds offsets.
+		out := b.selBuf[:0]
+		for _, p := range b.sel {
+			out = append(out, p-int32(lo))
+		}
+		b.sel = out
+	}
+	return to > from
 }
 
 // primFor returns the batch primitive for an instruction's opcode and
@@ -570,10 +902,7 @@ func primConst[T int64 | float64](regs [][]T, imm T, b *bstate, in *kernel.Instr
 		}
 		return nil
 	}
-	d = d[:b.n]
-	for i := range d {
-		d[i] = imm
-	}
+	fill(d[:b.n], imm)
 	return nil
 }
 
@@ -630,13 +959,14 @@ func primSel[T int64 | float64](regs [][]T, b *bstate, in *kernel.Instr) error {
 	return nil
 }
 
-// primGuard compiles IGuard: the lanes whose predicate is zero leave the
-// selection for the rest of the step.
+// primGuard compiles IGuard: the pseudo-lanes whose predicate is zero leave
+// the selection for the rest of the sequence. The survivors are written to
+// selBuf, which the driver points at the region to keep them in; when that
+// is where the selection already lives, writes trail reads.
 func primGuard(_ *worker, b *bstate, in *kernel.Instr) error {
 	cond := b.ri[in.A]
+	out := b.selBuf[:0]
 	if s := b.sel; s != nil {
-		// In-place compaction: writes trail reads.
-		out := s[:0]
 		for _, i := range s {
 			if cond[i] != 0 {
 				out = append(out, i)
@@ -645,7 +975,6 @@ func primGuard(_ *worker, b *bstate, in *kernel.Instr) error {
 		b.sel = out
 		return nil
 	}
-	out := b.selBuf[:0]
 	for i, c := range cond[:b.n] {
 		if c != 0 {
 			out = append(out, int32(i))
@@ -788,6 +1117,79 @@ func primLogic(_ *worker, b *bstate, in *kernel.Instr) error {
 	return nil
 }
 
+// foldFor returns the primitive for a reduction (verify.Reduce).
+func foldFor(in *kernel.Instr) func(*worker, *bstate, *kernel.Instr) error {
+	if in.Float {
+		return func(_ *worker, b *bstate, in *kernel.Instr) error { return primFold(b.rf, fbin, b, in) }
+	}
+	return func(_ *worker, b *bstate, in *kernel.Instr) error { return primFold(b.ri, ibin, b, in) }
+}
+
+// primFold compiles acc = op(acc, x) over a whole tile: the accumulator
+// stays at lane width and each lane folds the x of its pseudo-lanes in
+// ascending order — iteration order, operand order and all, so a float sum
+// rounds exactly as the interpreter's. The dense walk is lane-major (a
+// register-resident accumulator per lane); a selection is walked as listed.
+func primFold[T int64 | float64](regs [][]T, slow func(kernel.BinOp, T, T) (T, error), b *bstate, in *kernel.Instr) error {
+	op := in.BOp
+	acc, x := regs[in.Dst], regs[in.B]
+	if s := b.sel; s != nil {
+		lane := b.laneOf()
+		switch op {
+		case kernel.BAdd:
+			for _, p := range s {
+				acc[lane[p]] += x[p]
+			}
+		case kernel.BMin:
+			for _, p := range s {
+				acc[lane[p]] = min(acc[lane[p]], x[p])
+			}
+		case kernel.BMax:
+			for _, p := range s {
+				acc[lane[p]] = max(acc[lane[p]], x[p])
+			}
+		default:
+			for _, p := range s {
+				v, err := slow(op, acc[lane[p]], x[p])
+				if err != nil {
+					return err
+				}
+				acc[lane[p]] = v
+			}
+		}
+		return nil
+	}
+	x = x[:b.n]
+	lanes := b.lanes
+	for l := 0; l < lanes && l < len(x); l++ {
+		a := acc[l]
+		switch op {
+		case kernel.BAdd:
+			for p := l; p < len(x); p += lanes {
+				a += x[p]
+			}
+		case kernel.BMin:
+			for p := l; p < len(x); p += lanes {
+				a = min(a, x[p])
+			}
+		case kernel.BMax:
+			for p := l; p < len(x); p += lanes {
+				a = max(a, x[p])
+			}
+		default:
+			for p := l; p < len(x); p += lanes {
+				v, err := slow(op, a, x[p])
+				if err != nil {
+					return err
+				}
+				a = v
+			}
+		}
+		acc[l] = a
+	}
+	return nil
+}
+
 // primLoad compiles ILoad from src, the value slice of buf in the
 // instruction's domain. A dense step indexed directly by RegIdx whose idx
 // column is unit-stride (bstate.unit) reads consecutive slots: one range
@@ -894,31 +1296,49 @@ func primStore[T int64 | float64](w *worker, regs [][]T, dst []T, buf *Buffer, b
 }
 
 // primLoadLoc compiles ILoadLoc: each lane reads its own scratch array, a
-// column of the per-batch slab loc (slot s of lane i at s*lanes+i).
+// column of the per-batch slab loc (slot s of lane l at s*lanes+l), whichever
+// iteration of the tile the pseudo-lane is. The post-loop body reads slot
+// RegJ, and its tiles are whole rows of consecutive slots: slab order.
 func primLoadLoc[T int64 | float64](regs [][]T, loc []T, b *bstate, in *kernel.Instr) error {
 	d, a := regs[in.Dst], b.ri[in.A]
 	lanes, size := int64(b.lanes), uint64(b.nloc)
+	var lane []int32 // nil in a tile of one row, where the pseudo-lane is the lane
+	if b.n > b.lanes {
+		lane = b.laneOf()
+	}
 	if s := b.sel; s != nil {
 		for _, i := range s {
-			ix := a[i]
+			ix, l := a[i], int64(i)
 			if uint64(ix) >= size {
 				return fmt.Errorf("local load out of bounds: idx %d size %d", ix, size)
 			}
-			d[i] = loc[ix*lanes+int64(i)]
+			if lane != nil {
+				l = int64(lane[i])
+			}
+			d[i] = loc[ix*lanes+l]
 		}
 		return nil
 	}
 	d = d[:b.n]
+	if n := len(d); in.A == kernel.RegJ && n > 0 && a[0] >= 0 && uint64(a[n-1]) < size {
+		copy(d, loc[a[0]*lanes:])
+		return nil
+	}
 	for i, ix := range a[:len(d)] {
+		l := int64(i)
 		if uint64(ix) >= size {
 			return fmt.Errorf("local load out of bounds: idx %d size %d", ix, size)
 		}
-		d[i] = loc[ix*lanes+int64(i)]
+		if lane != nil {
+			l = int64(lane[i])
+		}
+		d[i] = loc[ix*lanes+l]
 	}
 	return nil
 }
 
-// primStoreLoc compiles IStoreLoc, the mirror of primLoadLoc.
+// primStoreLoc compiles IStoreLoc. A store to the scratch array is always in
+// the carried slice, so the pseudo-lanes are the lanes of one iteration.
 func primStoreLoc[T int64 | float64](regs [][]T, loc []T, b *bstate, in *kernel.Instr) error {
 	src, a := regs[in.B], b.ri[in.A]
 	lanes, size := int64(b.lanes), uint64(b.nloc)

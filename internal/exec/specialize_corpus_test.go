@@ -1,7 +1,6 @@
 package exec_test
 
 import (
-	"sort"
 	"testing"
 
 	"voodoo/internal/compile"
@@ -14,20 +13,19 @@ import (
 // verify.BatchFacts decides about what comes out. Results cannot show a
 // fragment silently falling back to the interpreter — the tiers are
 // bit-identical — so this is where an eligibility rule turning too strict
-// fails: every fragment is either eligible or rejected for one of the
-// reasons that remain, and most are eligible.
+// fails: every fragment the compiler emits is eligible. The rules that remain
+// ("buffer both loaded and stored", "register read without a dominating
+// definition in its work item") reject only what lowering never produces,
+// and none is about a fragment's geometry, since a tile cuts work items ×
+// iterations whichever way the morsel offers them. It also requires the
+// corpus to exercise every class of the tiling facts.
 func TestCompilerFragmentsBatch(t *testing.T) {
 	seeds := int64(200)
 	if testing.Short() {
 		seeds = 50
 	}
-	known := map[string]bool{
-		"fewer than 4 work items to run as lanes":                        true,
-		"buffer both loaded and stored":                                  true,
-		"register read without a dominating definition in its work item": true,
-	}
-	frags, eligible, recut := 0, 0, 0
-	rejects := map[string]int{}
+	frags := 0
+	classes := map[verify.Class]int{}
 	for seed := int64(1); seed <= seeds; seed++ {
 		p := difftest.Generate(seed)
 		for _, opt := range []compile.Options{{}, {Predication: true}} {
@@ -38,31 +36,22 @@ func TestCompilerFragmentsBatch(t *testing.T) {
 			for _, f := range plan.Kernel().Frags {
 				frags++
 				facts := verify.BatchFacts(f)
-				switch {
-				case facts.BatchEligible:
-					eligible++
-					if facts.Recut {
-						recut++
-					}
-				case !known[facts.Reason]:
-					t.Fatalf("seed %d frag %s: rejected for %q, not a reason the batch tier still has\n%s",
+				if !facts.BatchEligible {
+					t.Fatalf("seed %d frag %s: rejected for %q; every compiler-emitted fragment batches\n%s",
 						seed, f.Name, facts.Reason, plan.Kernel())
-				default:
-					rejects[facts.Reason]++
+				}
+				for _, l := range facts.Loops {
+					for _, c := range l.Class {
+						classes[c]++
+					}
 				}
 			}
 		}
 	}
-	reasons := make([]string, 0, len(rejects))
-	for r := range rejects {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	for _, r := range reasons {
-		t.Logf("reject %4d  %s", rejects[r], r)
-	}
-	t.Logf("%d fragments: %d eligible (%d re-cut)", frags, eligible, recut)
-	if frags < 100 || eligible*2 < frags || recut == 0 {
-		t.Fatalf("%d of %d compiler fragments batch-eligible (%d re-cut): want at least half (the corpus is full of tiny vectors), and some of each kind", eligible, frags, recut)
+	t.Logf("%d fragments, all eligible; loop instructions free/carried/reduce = %d/%d/%d",
+		frags, classes[verify.Free], classes[verify.Carried], classes[verify.Reduce])
+	if frags < 100 || classes[verify.Free] == 0 || classes[verify.Carried] == 0 || classes[verify.Reduce] == 0 {
+		t.Fatalf("%d fragments with free/carried/reduce = %d/%d/%d loop instructions: want a corpus with some of each",
+			frags, classes[verify.Free], classes[verify.Carried], classes[verify.Reduce])
 	}
 }

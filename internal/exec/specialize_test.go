@@ -10,6 +10,7 @@ import (
 
 	"voodoo/internal/kernel"
 	"voodoo/internal/vector"
+	"voodoo/internal/verify"
 )
 
 // specKernel is one differential case: a kernel builder plus its inputs.
@@ -255,6 +256,95 @@ func groupFoldKernel(n, extent, groups int) *kernel.Kernel {
 	return k
 }
 
+// redefKernel is the predicated cursor filter with a hazard of running the
+// free slice ahead of the carried one: the value register is redefined
+// (doubled, and stored per element) after the carried store has read it. The
+// IR is not SSA, so a tile that computed all of v's definitions first would
+// pack doubled values.
+func redefKernel(n, extent int, cut int64) *kernel.Kernel {
+	k := filterKernel(n, extent, cut, true)
+	f := k.Frags[0]
+	dbl := k.AddBuf(kernel.BufDecl{Name: "dbl", Kind: vector.Int, Size: extent * f.Intent})
+	v := kernel.FirstFree + 2
+	f.Loops[0].Body = append(f.Loops[0].Body,
+		kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: v, A: v, B: v},
+		kernel.Instr{Op: kernel.IStore, A: kernel.RegIdx, B: v, Buf: dbl, Seq: true})
+	return k
+}
+
+// twoChainKernel has two scratch read-modify-write chains with a free guard
+// between them: chain 1 adds the element to the slot of its group, chain 2 —
+// for valid elements only — counts into the slot of the next group, which is
+// chain 1's slot of a neighbouring element. With a handful of groups the
+// keys collide inside every tile, and across the two chains.
+func twoChainKernel(n, extent, groups int) *kernel.Kernel {
+	k := &kernel.Kernel{}
+	intent := (n + extent - 1) / extent
+	in := k.AddBuf(kernel.BufDecl{Name: "in", Kind: vector.Int, Size: n, Input: true})
+	out := k.AddBuf(kernel.BufDecl{Name: "sums", Kind: vector.Int, Size: extent * groups})
+	v := kernel.FirstFree
+	rg, g, one, g2, a, ok, b, at := v+1, v+2, v+3, v+4, v+5, v+6, v+7, v+8
+	k.Frags = append(k.Frags, &kernel.Fragment{
+		Name: "chains", Extent: extent, Intent: intent, N: n, Locals: groups,
+		Loops: []kernel.Loop{{Body: []kernel.Instr{
+			{Op: kernel.ILoad, Dst: v, A: kernel.RegIdx, Buf: in, Seq: true},
+			{Op: kernel.IConstI, Dst: rg, Imm: int64(groups)},
+			{Op: kernel.IBin, BOp: kernel.BMod, Dst: g, A: v, B: rg},
+			{Op: kernel.IConstI, Dst: one, Imm: 1},
+			{Op: kernel.IBin, BOp: kernel.BAdd, Dst: g2, A: g, B: one},
+			{Op: kernel.IBin, BOp: kernel.BMod, Dst: g2, A: g2, B: rg},
+			{Op: kernel.ILoadLoc, Dst: a, A: g},
+			{Op: kernel.IBin, BOp: kernel.BAdd, Dst: a, A: a, B: v},
+			{Op: kernel.IStoreLoc, A: g, B: a},
+			{Op: kernel.ILoadValid, Dst: ok, A: kernel.RegIdx, Buf: in, Seq: true},
+			{Op: kernel.IGuard, A: ok},
+			{Op: kernel.ILoadLoc, Dst: b, A: g2},
+			{Op: kernel.IBin, BOp: kernel.BAdd, Dst: b, A: b, B: one},
+			{Op: kernel.IStoreLoc, A: g2, B: b},
+		}}},
+		PostLoopBody: []kernel.Instr{
+			{Op: kernel.IConstI, Dst: at, Imm: int64(groups)},
+			{Op: kernel.IBin, BOp: kernel.BMul, Dst: at, A: kernel.RegGID, B: at},
+			{Op: kernel.IBin, BOp: kernel.BAdd, Dst: at, A: at, B: kernel.RegJ},
+			{Op: kernel.ILoadLoc, Dst: a, A: kernel.RegJ},
+			{Op: kernel.IStore, A: at, B: a, Buf: out, Seq: true},
+		},
+	})
+	return k
+}
+
+// firstFewKernel keeps the first three elements of every group: a guard on a
+// count read back from the scratch array — a carried guard — ahead of the
+// count's update and of two stores per element, one of which (the element
+// itself) depends on nothing carried but the guard.
+func firstFewKernel(n, extent, groups int) *kernel.Kernel {
+	k := &kernel.Kernel{}
+	intent := (n + extent - 1) / extent
+	in := k.AddBuf(kernel.BufDecl{Name: "in", Kind: vector.Int, Size: n, Input: true})
+	out := k.AddBuf(kernel.BufDecl{Name: "rank", Kind: vector.Int, Size: extent * intent, Valid: true})
+	kept := k.AddBuf(kernel.BufDecl{Name: "kept", Kind: vector.Int, Size: extent * intent, Valid: true})
+	v := kernel.FirstFree
+	rg, g, c, lim, t, one := v+1, v+2, v+3, v+4, v+5, v+6
+	k.Frags = append(k.Frags, &kernel.Fragment{
+		Name: "firstfew", Extent: extent, Intent: intent, N: n, Locals: groups,
+		Loops: []kernel.Loop{{Body: []kernel.Instr{
+			{Op: kernel.ILoad, Dst: v, A: kernel.RegIdx, Buf: in, Seq: true},
+			{Op: kernel.IConstI, Dst: rg, Imm: int64(groups)},
+			{Op: kernel.IBin, BOp: kernel.BMod, Dst: g, A: v, B: rg},
+			{Op: kernel.ILoadLoc, Dst: c, A: g},
+			{Op: kernel.IConstI, Dst: lim, Imm: 3},
+			{Op: kernel.IBin, BOp: kernel.BGt, Dst: t, A: lim, B: c},
+			{Op: kernel.IGuard, A: t},
+			{Op: kernel.IConstI, Dst: one, Imm: 1},
+			{Op: kernel.IBin, BOp: kernel.BAdd, Dst: c, A: c, B: one},
+			{Op: kernel.IStoreLoc, A: g, B: c},
+			{Op: kernel.IStore, A: kernel.RegIdx, B: c, Buf: out, Seq: true},
+			{Op: kernel.IStore, A: kernel.RegIdx, B: v, Buf: kept, Seq: true},
+		}}},
+	})
+	return k
+}
+
 func seqInts(n int) []int64 {
 	v := make([]int64, n)
 	for i := range v {
@@ -330,6 +420,15 @@ func TestSpecializeModesBitIdentical(t *testing.T) {
 	for i := range idx {
 		idx[i] = int64((i * 379) % n)
 	}
+	// Six runs of 50 with five qualifying elements each, nine in the last:
+	// once the other lanes have left loop 1 its tiles have a single active
+	// pseudo-lane per row, in rows past the first.
+	lopsided := make([]int64, 300)
+	for g := 0; g < 6; g++ {
+		for i := 0; i < 5+4*(g/5); i++ {
+			lopsided[g*50+i] = 100 + int64(i)
+		}
+	}
 	cases := []specKernel{
 		{"select", func() *kernel.Kernel { return selectKernel(n, 40) },
 			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
@@ -344,8 +443,26 @@ func TestSpecializeModesBitIdentical(t *testing.T) {
 			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
 		{"fold-min-strided", func() *kernel.Kernel { return foldKernel(n, 4, kernel.BMin, true) },
 			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+		// One to three work items of a long Intent: tiles batch along
+		// iterations, and the accumulator folds once per tile.
 		{"fold-extent-1", func() *kernel.Kernel { return foldKernel(n, 1, kernel.BAdd, false) },
-			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "interp"},
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+		{"fold-3-strided", func() *kernel.Kernel { return foldKernel(n, 3, kernel.BMax, true) },
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+		{"filter-2-branching", func() *kernel.Kernel { return filterKernel(n, 2, 40, false) },
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+		{"redefined-after-carried-read", func() *kernel.Kernel { return redefKernel(n, 3, 40) },
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+		{"two-chains-free-guard", func() *kernel.Kernel { return twoChainKernel(n, 3, 5) },
+			map[string]*Buffer{"in": withValid}, "batch"},
+		{"carried-guard", func() *kernel.Kernel { return firstFewKernel(n, 2, 7) },
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+		// Loop 1's dynamic bound — a few dozen qualifying positions per work
+		// item — is far shorter than the 341 iterations a 3-lane tile holds.
+		{"bound-shorter-than-tile", func() *kernel.Kernel { return filterFoldKernel(n, 3, 1000, 85) },
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+		{"bound-one-lane-outlasts", func() *kernel.Kernel { return filterFoldKernel(300, 6, 50, 40) },
+			map[string]*Buffer{"in": {Kind: vector.Int, I: lopsided}}, "batch"},
 		{"fold-ragged", func() *kernel.Kernel {
 			// 64 × 59 overshoots n by 13 whole work items: they run no
 			// iteration but still seed and store their partial.
@@ -361,9 +478,9 @@ func TestSpecializeModesBitIdentical(t *testing.T) {
 			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
 		{"group-fold-locals", func() *kernel.Kernel { return groupFoldKernel(n, 13, 5) },
 			map[string]*Buffer{"in": withValid}, "batch"},
-		{"mat-recut", func() *kernel.Kernel {
-			// The map over 200 × 15 blocked work items: carry-free, so it
-			// runs as 3000 element lanes.
+		{"mat-independent", func() *kernel.Kernel {
+			// The map over 200 × 15 blocked work items: nothing carried, so
+			// its tiles take the 3000 elements in element order.
 			k := mapFloatKernel(n)
 			k.Frags[0].Extent, k.Frags[0].Intent = 200, 15
 			return k
@@ -409,6 +526,8 @@ func TestResolveSpecPaths(t *testing.T) {
 	gather := gatherKernel(64).Frags[0]
 	fold := foldKernel(64, 4, kernel.BAdd, false).Frags[0]
 	fold1 := foldKernel(64, 1, kernel.BAdd, false).Frags[0]
+	overlap := selectKernel(64, 10).Frags[0]
+	overlap.Loops[0].Body[4].Buf = overlap.Loops[0].Body[1].Buf
 	for _, tc := range []struct {
 		name         string
 		f            *kernel.Fragment
@@ -425,7 +544,8 @@ func TestResolveSpecPaths(t *testing.T) {
 		{"gather-counted", gather, false, true, false, "counted"},
 		{"fold", fold, false, false, false, ""},
 		{"fold-counted", fold, false, true, false, "counted"},
-		{"fold-extent-1", fold1, false, false, false, "fewer than 4 work items to run as lanes"}, // the verifier's reason
+		{"fold-extent-1", fold1, false, false, false, ""},
+		{"load-store-overlap", overlap, false, false, false, "buffer both loaded and stored"}, // the verifier's reason
 	} {
 		rejected := rejectVec.With(tc.reason).Value()
 		bp, got := resolveSpec(specFor(tc.f), tc.noSpecialize, tc.count, tc.faults)
@@ -438,10 +558,13 @@ func TestResolveSpecPaths(t *testing.T) {
 	}
 }
 
-// TestSpecializeBatchEligibility pins the rejections that remain now that
-// the batch tier runs whole fragments: a register read no definition of
-// the same work item dominates, a buffer both loaded and stored, and too
-// few work items to be worth lanes. Each reports its own reason.
+// TestSpecializeBatchEligibility pins what verify.BatchFacts decides. The
+// rejections that remain now that a tile cuts work items × iterations either
+// way: a register read no definition of the same work item dominates, and a
+// buffer both loaded and stored, each with its own reason. And the tiling
+// facts of an eligible fragment's first loop, one letter per instruction
+// (f free, c carried, r reduce): which instructions see the previous
+// iteration is a dataflow fact, and each row below is one rule of it.
 func TestSpecializeBatchEligibility(t *testing.T) {
 	const undominated = "register read without a dominating definition in its work item"
 	sel := func() *kernel.Fragment { return selectKernel(64, 10).Frags[0] }
@@ -451,56 +574,89 @@ func TestSpecializeBatchEligibility(t *testing.T) {
 		f      *kernel.Fragment
 		mutate func(f *kernel.Fragment)
 		reason string // "" = eligible
+		tiling string // classes of loop 0; "" = not checked
 	}{
-		{"select", sel(), nil, ""},
-		{"fold", fold(), nil, ""},
-		{"filter-fold", filterFoldKernel(640, 8, 80, 10).Frags[0], nil, ""},
-		{"group-fold", groupFoldKernel(640, 8, 5).Frags[0], nil, ""},
+		// Nothing carried: const, load, compare, guard, store.
+		{"select", sel(), nil, "", "fffff"},
+		// The reduction mark: the accumulator is read and written by one
+		// instruction only.
+		{"fold", fold(), nil, "", "fr"},
+		{"fold-one-work-item", foldKernel(64, 1, kernel.BAdd, false).Frags[0], nil, "", "fr"},
+		{"accumulator-read-twice", fold(), func(f *kernel.Fragment) {
+			// acc = acc + acc: every iteration needs the last one's value.
+			f.Loops[0].Body[1].B = f.Loops[0].Body[1].Dst
+		}, "", "fc"},
+		// The carried set: the cursor (defined before the loop and in it),
+		// the position computed from it — both of its definitions — and the
+		// store through it; the guard is free, the constant after it is not
+		// control-dependent on anything carried.
+		{"filter-branching", filterKernel(640, 8, 10, false).Frags[0], nil, "", "ffffccfcfc"},
+		{"filter-predicated", filterKernel(640, 8, 10, true).Frags[0], nil, "", "ffffcccc"},
+		// A free register a carried instruction reads — the value the filter
+		// packs — has two definitions in the body: both join the carried
+		// slice, and with them the predicate computed from the first and the
+		// store of the second.
+		{"free-register-redefined", redefKernel(640, 8, 10).Frags[0], nil, "", "fccfcccccc"},
+		// Scratch chains are carried, and so is everything behind a guard
+		// that is — here even the store of a free value.
+		{"carried-guard", firstFewKernel(640, 8, 5).Frags[0], nil, "", "fffcfccccccc"},
+		{"filter-fold", filterFoldKernel(640, 8, 80, 10).Frags[0], nil, "", "fffcc"},
+		{"group-fold", groupFoldKernel(640, 8, 5).Frags[0], nil, "", "ffffffccc"},
+		{"two-stores-one-buffer", mixedKernel(64).Frags[0], func(f *kernel.Fragment) {
+			// Iterations of a work item may hit the same slot through either
+			// store: they keep the interpreter's order.
+			f.Loops[0].Body[11].Buf = f.Loops[0].Body[9].Buf
+		}, "", "fffffffffcfc"},
 		{"never-defined", sel(), func(f *kernel.Fragment) {
 			// The interpreter would observe a sibling item's leftover.
 			f.Loops[0].Body[2].A = kernel.FirstFree + 9
-		}, undominated},
+		}, undominated, ""},
 		{"accumulator-without-seed", fold(), func(f *kernel.Fragment) {
 			// Defined in the loop only: its first read sees the previous
 			// work item's total.
 			f.Pre = nil
-		}, undominated},
+		}, undominated, ""},
 		{"post-reads-loop-def", fold(), func(f *kernel.Fragment) {
 			// The loop may run zero times, so its definitions do not reach
 			// the epilogue.
 			f.Post[0].B = kernel.FirstFree + 1
-		}, undominated},
+		}, undominated, ""},
 		{"post-reads-idx", fold(), func(f *kernel.Fragment) {
 			f.Post[0].A = kernel.RegIdx
-		}, undominated},
+		}, undominated, ""},
 		{"def-behind-guard", fold(), func(f *kernel.Fragment) {
 			// A guard ahead of the seed may skip it.
 			f.Pre = append([]kernel.Instr{{Op: kernel.IGuard, A: kernel.RegGID}}, f.Pre...)
-		}, undominated},
+		}, undominated, ""},
 		{"bound-from-loop", filterFoldKernel(640, 8, 80, 10).Frags[0], func(f *kernel.Fragment) {
 			f.Pre = f.Pre[:1] // the cursor is no longer seeded before loop 1 reads it as its bound
-		}, undominated},
+		}, undominated, ""},
 		{"load-store-overlap", sel(), func(f *kernel.Fragment) {
-			// Store to the buffer the fragment also loads: lanes run
-			// step-major, so a load could see a store too early.
+			// Store to the buffer the fragment also loads: tiles run ahead
+			// of element order, so a load could see a store too early.
 			f.Loops[0].Body[4].Buf = f.Loops[0].Body[1].Buf
-		}, "buffer both loaded and stored"},
-		{"too-few-work-items", foldKernel(64, 3, kernel.BAdd, false).Frags[0], nil,
-			"fewer than 4 work items to run as lanes"},
-		{"few-work-items-many-elements", mapFloatKernel(64).Frags[0], func(f *kernel.Fragment) {
-			f.Extent, f.Intent = 2, 32 // carry-free: its 64 elements are the lanes
-		}, ""},
+		}, "buffer both loaded and stored", ""},
 	} {
 		if tc.mutate != nil {
 			tc.mutate(tc.f)
 		}
-		bp := compileBatch(tc.f)
-		got := ""
-		if bp.ineligible != nil {
-			got = bp.ineligible.reason
+		facts := verify.BatchFacts(tc.f)
+		if facts.Reason != tc.reason || facts.BatchEligible != (tc.reason == "") {
+			t.Errorf("%s: eligible=%v reason %q, want reason %q", tc.name, facts.BatchEligible, facts.Reason, tc.reason)
+			continue
 		}
-		if got != tc.reason {
-			t.Errorf("%s: reject reason %q, want %q", tc.name, got, tc.reason)
+		if bp := compileBatch(tc.f); (bp.ineligible == nil) != facts.BatchEligible {
+			t.Errorf("%s: compileBatch and BatchFacts disagree on eligibility", tc.name)
+		}
+		if tc.tiling == "" {
+			continue
+		}
+		got := ""
+		for _, c := range facts.Loops[0].Class {
+			got += string("fcr"[c])
+		}
+		if got != tc.tiling {
+			t.Errorf("%s: loop 0 tiles as %q, want %q\n%s", tc.name, got, tc.tiling, (&kernel.Kernel{Frags: []*kernel.Fragment{tc.f}}).String())
 		}
 	}
 }
@@ -525,41 +681,57 @@ func TestSpecializeCacheOnFragment(t *testing.T) {
 	}
 	// An ineligible fragment caches its rejection too, so it is analysed
 	// once rather than on every execution.
-	fold := foldKernel(64, 1, kernel.BAdd, false).Frags[0]
-	if specFor(fold).ineligible == nil {
-		t.Error("a single-work-item fold should not be batch-eligible")
+	overlap := selectKernel(64, 10).Frags[0]
+	overlap.Loops[0].Body[4].Buf = overlap.Loops[0].Body[1].Buf
+	if specFor(overlap).ineligible == nil {
+		t.Error("a fragment that loads the buffer it stores should not be batch-eligible")
 	}
-	if fold.LoadSpec() == nil {
+	if overlap.LoadSpec() == nil {
 		t.Error("ineligibility not cached on the fragment")
 	}
 }
 
-// countingCtx counts the checkpoints a run makes: every one asks Err.
+// countingCtx counts the checkpoints a run makes: every one asks Err. With
+// cancelAt > 0 the cancelAt-th of them, and all after it, find the context
+// cancelled.
 type countingCtx struct {
 	context.Context
-	checks atomic.Int64
+	checks   atomic.Int64
+	cancelAt int64
 }
 
 func (c *countingCtx) Err() error {
-	c.checks.Add(1)
+	if n := c.checks.Add(1); c.cancelAt > 0 && n >= c.cancelAt {
+		return context.Canceled
+	}
 	return c.Context.Err()
 }
 
 // TestSpecializeCancellation: the batch path honors cancellation at the
 // interpreter's cadence — an already-cancelled run stops before any work,
-// single-step and multi-iteration fragments alike, and a running one
-// reaches a checkpoint at least every checkInterval lane-steps.
+// single-step and multi-iteration fragments alike; a running one reaches a
+// checkpoint at least every checkInterval lane-steps, whether its tiles are
+// a thousand work items of one iteration or one work item of a thousand
+// iterations; and a run cancelled mid-fragment starts no further tile.
 func TestSpecializeCancellation(t *testing.T) {
 	n := 1 << 16
 	in := &Buffer{Kind: vector.Int, I: seqInts(n)}
+	long := 1 << 21
 	for name, k := range map[string]*kernel.Kernel{
-		"select":      selectKernel(n, 40),
-		"fold":        foldKernel(n, 1013, kernel.BAdd, false),
-		"filter-fold": filterFoldKernel(n, 1111, 59, 40),
-		"group-fold":  groupFoldKernel(n, 64, 189),
+		"select":          selectKernel(n, 40),
+		"fold":            foldKernel(n, 1013, kernel.BAdd, false),
+		"filter-fold":     filterFoldKernel(n, 1111, 59, 40),
+		"group-fold":      groupFoldKernel(n, 64, 189),
+		"fold-1x2M":       foldKernel(long, 1, kernel.BAdd, false),
+		"group-fold-3":    groupFoldKernel(n, 3, 189),
+		"two-chains-of-3": twoChainKernel(n, 3, 5),
 	} {
 		env := NewEnv(k)
-		if err := env.Bind(k, "in", in); err != nil {
+		bound := in
+		if k.Bufs[0].Size == long {
+			bound = &Buffer{Kind: vector.Int, I: seqInts(long)}
+		}
+		if err := env.Bind(k, "in", bound); err != nil {
 			t.Fatal(err)
 		}
 		cancelled, cancel := context.WithCancel(context.Background())
@@ -574,23 +746,64 @@ func TestSpecializeCancellation(t *testing.T) {
 		if err := RunFragment(ctx, k.Frags[0], env, Par{Workers: 1}, &fs, false); err != nil {
 			t.Fatal(err)
 		}
-		stop()
 		if fs.Specialized != "batch" {
 			t.Fatalf("%s ran %s(%s), want batch", name, fs.Specialized, fs.Reason)
 		}
-		if got, want := ctx.checks.Load(), fs.Items/checkInterval; got < want {
+		total := ctx.checks.Load()
+		if want := fs.Items / checkInterval; total < want {
 			t.Errorf("%s: %d checkpoints over %d lane-steps, want one at least every %d (%d)",
-				name, got, fs.Items, checkInterval, want)
+				name, total, fs.Items, checkInterval, want)
 		}
+
+		// Cancelled at the checkpoint halfway through: that check is the
+		// last thing the run does — every tile begins with one.
+		mid := &countingCtx{Context: live, cancelAt: total / 2}
+		if err := RunFragment(mid, k.Frags[0], env, Par{Workers: 1}, nil, false); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled mid-fragment: err = %v, want context.Canceled", name, err)
+		}
+		if got := mid.checks.Load(); got != mid.cancelAt {
+			t.Errorf("%s: %d checkpoints after cancellation at the %d-th: a tile started on a cancelled run", name, got-mid.cancelAt, mid.cancelAt)
+		}
+		stop()
 	}
 }
 
-// TestSpecializeErrorParity: a mid-run bounds fault reports the same error
-// from the batch path as from the interpreter, text included — also when
-// lanes reach a different fault first. In the multi-iteration case element
-// 5 (work item 0, iteration 5) and element 17 (work item 2, iteration 1)
-// both gather out of range: the interpreter, element-major, dies on
-// element 5; the lanes, step-major, get to element 17 four steps earlier.
+// TestTiledScratchSlabIsPerWorkItem: the iterations a tile batches share
+// their work item's scratch array, so a grouped fold over three work items
+// keeps a slab of Locals × 3 slots however many iterations a tile holds —
+// TPC-H Q20's 7 × 40005 must not become 1024 × 40005.
+func TestTiledScratchSlabIsPerWorkItem(t *testing.T) {
+	const n, extent, groups = 1 << 14, 3, 4001
+	k := groupFoldKernel(n, extent, groups)
+	env := NewEnv(k)
+	if err := env.Bind(k, "in", &Buffer{Kind: vector.Int, I: seqInts(n)}); err != nil {
+		t.Fatal(err)
+	}
+	f := k.Frags[0]
+	bp := specFor(f)
+	w := newWorker(context.Background(), f, env, kernel.Reg(bp.nregs), false, nil, bp)
+	defer w.release()
+	w.scratch.blocF = nil // whatever an earlier fragment left in the pooled scratch
+	if err := w.run(0, extent); err != nil {
+		t.Fatal(err)
+	}
+	if w.stats.TileLanes != extent || w.stats.TileIters < 100 {
+		t.Fatalf("tile = %dx%d, want %d work items by hundreds of iterations", w.stats.TileLanes, w.stats.TileIters, extent)
+	}
+	if got, want := cap(w.scratch.blocF), groups*extent; got != want {
+		t.Errorf("scratch slab holds %d slots, want Locals × work items = %d", got, want)
+	}
+}
+
+// TestSpecializeErrorParity: a mid-run fault reports the same error from the
+// batch path as from the interpreter, text included — also when the batch
+// path reaches a different fault first. In the multi-iteration case element 5
+// (work item 0, iteration 5) and element 17 (work item 2, iteration 1) both
+// gather out of range: the interpreter, element-major, dies on element 5; the
+// lanes, step-major, get to element 17 four steps earlier. In the tiled case
+// — one work item, 4096 iterations — the free slice of the first tile gathers
+// out of range at iteration 900 before its carried slice has run at all,
+// where iteration 5 divides by zero: the interpreter's error is the division.
 func TestSpecializeErrorParity(t *testing.T) {
 	gather := func(extent, intent int) *kernel.Kernel {
 		n := extent * intent
@@ -598,15 +811,20 @@ func TestSpecializeErrorParity(t *testing.T) {
 		off := k.AddBuf(kernel.BufDecl{Name: "off", Kind: vector.Int, Size: n, Input: true})
 		in := k.AddBuf(kernel.BufDecl{Name: "in", Kind: vector.Int, Size: n, Input: true})
 		out := k.AddBuf(kernel.BufDecl{Name: "out", Kind: vector.Int, Size: extent})
-		acc, ro, ri, r0 := kernel.FirstFree, kernel.FirstFree+1, kernel.FirstFree+2, kernel.FirstFree+3
+		acc, ro, ri, r0, q, d := kernel.FirstFree, kernel.FirstFree+1, kernel.FirstFree+2, kernel.FirstFree+3, kernel.FirstFree+4, kernel.FirstFree+5
 		k.Frags = append(k.Frags, &kernel.Fragment{
 			Name: "oob", Extent: extent, Intent: intent, N: n,
-			Pre: []kernel.Instr{{Op: kernel.IConstI, Dst: acc, Imm: 0}},
+			Pre: []kernel.Instr{{Op: kernel.IConstI, Dst: acc, Imm: 0}, {Op: kernel.IConstI, Dst: q, Imm: 1 << 40}},
 			Loops: []kernel.Loop{{Body: []kernel.Instr{
 				{Op: kernel.ILoad, Dst: ro, A: kernel.RegIdx, Buf: off, Seq: true},
 				{Op: kernel.IBin, BOp: kernel.BAdd, Dst: ri, A: kernel.RegIdx, B: ro},
 				{Op: kernel.ILoad, Dst: r0, A: ri, Buf: in},
 				{Op: kernel.IBin, BOp: kernel.BAdd, Dst: acc, A: acc, B: r0},
+				// A carried division: q = max(q, q / in[idx]) reads q twice,
+				// so it is no reduction.
+				{Op: kernel.ILoad, Dst: d, A: kernel.RegIdx, Buf: in, Seq: true},
+				{Op: kernel.IBin, BOp: kernel.BDiv, Dst: d, A: q, B: d},
+				{Op: kernel.IBin, BOp: kernel.BMax, Dst: q, A: q, B: d},
 			}}},
 			Post: []kernel.Instr{{Op: kernel.IStore, A: kernel.RegGID, B: acc, Buf: out, Seq: true}},
 		})
@@ -616,20 +834,28 @@ func TestSpecializeErrorParity(t *testing.T) {
 		name           string
 		extent, intent int
 		faults         map[int]int64 // element → offset added to its gather index
+		zero           int           // element whose divisor is zero, or -1
 		want           string
 	}{
-		{"one-step", 100, 1, map[int]int64{40: 60, 70: 900}, "idx 100 len 100"},
-		{"lane-order-differs", 4, 8, map[int]int64{5: 1000, 17: 2000}, "idx 1005 len 32"},
+		{"one-step", 100, 1, map[int]int64{40: 60, 70: 900}, -1, "idx 100 len 100"},
+		{"lane-order-differs", 4, 8, map[int]int64{5: 1000, 17: 2000}, -1, "idx 1005 len 32"},
+		{"free-slice-faults-first", 1, 4096, map[int]int64{900: 5000}, 5, "integer division by zero"},
 	} {
 		run := func(noSpecialize bool) (error, FragStats) {
 			k := gather(tc.extent, tc.intent)
 			n := tc.extent * tc.intent
-			off := make([]int64, n)
+			off, data := make([]int64, n), make([]int64, n)
 			for e, o := range tc.faults {
 				off[e] = o
 			}
+			for i := range data {
+				data[i] = int64(i%7) + 1
+			}
+			if tc.zero >= 0 {
+				data[tc.zero] = 0
+			}
 			env := NewEnv(k)
-			for name, buf := range map[string]*Buffer{"off": {Kind: vector.Int, I: off}, "in": {Kind: vector.Int, I: seqInts(n)}} {
+			for name, buf := range map[string]*Buffer{"off": {Kind: vector.Int, I: off}, "in": {Kind: vector.Int, I: data}} {
 				if err := env.Bind(k, name, buf); err != nil {
 					t.Fatal(err)
 				}

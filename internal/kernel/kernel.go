@@ -367,7 +367,7 @@ type RegUse struct {
 // conditions always read the integer file; value operands follow the
 // instruction's Float flag. It allocates nothing: the verifier calls it for
 // every instruction of every fragment on the fragment's first execution.
-func (in Instr) Uses() (u [3]RegUse, n int) {
+func (in *Instr) Uses() (u [3]RegUse, n int) {
 	switch in.Op {
 	case IMov:
 		return [3]RegUse{{in.A, in.Float}}, 1
@@ -393,7 +393,7 @@ func (in Instr) Uses() (u [3]RegUse, n int) {
 
 // Def returns the register the instruction writes and its domain, or
 // ok=false for instructions with no register result (stores, guards).
-func (in Instr) Def() (r Reg, float bool, ok bool) {
+func (in *Instr) Def() (r Reg, float bool, ok bool) {
 	switch in.Op {
 	case IConstI:
 		return in.Dst, false, true

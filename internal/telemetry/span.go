@@ -124,6 +124,9 @@ func BuildSpans(r *QueryRecord) QuerySpans {
 			if s.Reason != "" {
 				sa["reason"] = s.Reason
 			}
+			if s.Tile != "" {
+				sa["tile"] = s.Tile
+			}
 			child(s.Kind+" "+s.Name, phase, stepCursor, s.WallNS, sa)
 			stepCursor += s.WallNS
 		}

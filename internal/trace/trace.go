@@ -63,6 +63,11 @@ type Step struct {
 	// "no-specialize").
 	Specialized string `json:"specialized,omitempty"`
 	Reason      string `json:"reason,omitempty"`
+	// Tile is the geometry of a batch fragment's first tile, "LxK": L work
+	// items side by side × K consecutive iterations of each in one
+	// primitive call. 1013x1 is a step of lock-step lanes; 1x1024 a single
+	// work item batched along its iterations.
+	Tile string `json:"tile,omitempty"`
 
 	// Control-vector shape of a fragment: Extent parallel work items,
 	// Intent sequential iterations each, over N guarded elements.
@@ -245,6 +250,8 @@ func (t *Trace) String() string {
 		switch {
 		case s.Reason != "":
 			flags = append(flags, fmt.Sprintf("spec:%s(%s)", s.Specialized, s.Reason))
+		case s.Tile != "":
+			flags = append(flags, fmt.Sprintf("spec:%s(%s)", s.Specialized, s.Tile))
 		case s.Specialized != "":
 			flags = append(flags, "spec:"+s.Specialized)
 		}

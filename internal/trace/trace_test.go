@@ -92,6 +92,7 @@ func TestStringRendering(t *testing.T) {
 		Extent: 8, Intent: 128, Items: 1024, MaterializedBytes: 64, FoldRuns: 8,
 		Specialized: "interp", Reason: "per-item prologue, epilogue or scratch array"})
 	tr.Add(Step{Kind: KindFragment, Name: "scat_4", Virtual: true, Specialized: "batch"})
+	tr.Add(Step{Kind: KindFragment, Name: "gfold_5", Specialized: "batch", Tile: "7x146"})
 	tr.Finish(time.Millisecond)
 
 	s := tr.String()
@@ -100,8 +101,8 @@ func TestStringRendering(t *testing.T) {
 		"ffold_3", "shape=8x128/blocked",
 		"items=1024", "mat=64B", "folds=8",
 		"fused:3", "suppress", "predicated", "virtual",
-		"spec:interp(per-item prologue, epilogue or scratch array)", "spec:batch]",
-		"total:", "fragments=2",
+		"spec:interp(per-item prologue, epilogue or scratch array)", "spec:batch]", "spec:batch(7x146)]",
+		"total:", "fragments=3",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() missing %q in:\n%s", want, s)

@@ -355,63 +355,151 @@ func (v *fragVerifier) applyClass(in kernel.Instr) {
 // ---------------------------------------------------------------------------
 // Batch specialization facts
 
-// MinLanes is the fewest lanes worth a batch: below it the per-primitive
-// dispatch of the batch tier costs more than the per-element interpreter it
-// replaces (measured on the TPC-H fragment shapes, see DESIGN.md §13).
-const MinLanes = 4
+// Class is how the batch tier runs one loop-body instruction over a tile of
+// L work items × K consecutive iterations (pseudo-lane k·L + l).
+type Class uint8
+
+const (
+	// Free: no loop-carried input, so the K iterations of a tile are
+	// independent and the instruction runs once at full tile width.
+	Free Class = iota
+	// Carried: may observe the previous iteration (a register live across
+	// iterations, the scratch array, a store that must stay ordered, a guard
+	// that does), so it runs iteration by iteration over the L lanes.
+	Carried
+	// Reduce: acc = op(acc, x) with x free and acc otherwise untouched in
+	// the loop. Nothing in the loop observes the intermediate values, so the
+	// K values of a lane fold in one call, in iteration order.
+	Reduce
+)
+
+// LoopFacts are the tiling facts of one loop body (or the post-loop body,
+// a loop over RegJ).
+type LoopFacts struct {
+	// Class classifies every instruction of the body.
+	Class []Class
+	// Win lists, per register file (0 integer, 1 float), the free and
+	// special registers a Carried instruction reads: iteration k finds them
+	// in window [k·L, (k+1)·L) of their column.
+	Win [2][]kernel.Reg
+	// Spread lists the registers defined before the loop that a Free or
+	// Reduce instruction reads: their L values are repeated over the K rows
+	// of a tile at loop entry.
+	Spread [2][]kernel.Reg
+	// Independent: every instruction is Free and none reads the scratch
+	// array or a register defined before the loop other than RegGID, so
+	// nothing can observe the order the (work item, iteration) pairs are
+	// enumerated in.
+	Independent bool
+}
 
 // Facts are the fragment eligibility facts the executor's batch specializer
-// consumes (exec.compileBatch). The batch tier runs a fragment with work
-// items as lock-step lanes: register columns persist across the steps of a
-// work item's loops, so the rules below are exactly what makes that
-// reordering — step-major across the lanes of a batch instead of
-// element-major — unobservable.
+// consumes (exec.compileBatch). The batch tier runs a fragment in tiles of
+// work items × iterations whose register columns persist from tile to tile,
+// so the rules below are exactly what makes that reordering — tile-major
+// instead of element-major — unobservable.
 type Facts struct {
 	// BatchEligible reports whether the fragment can run as batch
 	// primitives: whitelisted opcodes, every register read dominated by a
-	// definition inside its own work item, no buffer both loaded and
-	// stored, and enough lanes to be worth batching.
+	// definition inside its own work item, no buffer both loaded and stored.
 	BatchEligible bool
 	// Reason explains ineligibility ("" when eligible).
 	Reason string
-	// Recut marks a carry-free blocked fragment (no prologue, epilogue or
-	// scratch array, every loop running the full Intent, one store
-	// instruction per buffer): its iterations are independent, so the batch
-	// tier runs them as Extent·Intent lanes of one step each, in element
-	// order, instead of Extent lanes of Intent steps.
-	Recut bool
 	// IntRegs/FltRegs list the registers needing a column in each file,
 	// ascending.
 	IntRegs []kernel.Reg
 	FltRegs []kernel.Reg
+	// Loops holds the tiling facts of every loop in order, then those of
+	// the post-loop body when there is one.
+	Loops []LoopFacts
+
+	regs [2][]uint8 // batchFacts.regs: regKonst marks the hoistable constants
+}
+
+// Hoisted reports whether in defines a constant into a register nothing
+// else in the fragment defines: the column can be filled once, ahead of
+// every section, instead of on each step.
+func (f *Facts) Hoisted(in *kernel.Instr) bool {
+	switch in.Op {
+	case kernel.IConstI:
+		return f.regs[0][in.Dst]&regKonst != 0
+	case kernel.IConstF:
+		return f.regs[1][in.Dst]&regKonst != 0
+	}
+	return false
 }
 
 // ineligible builds the not-eligible result.
 func ineligible(reason string) Facts { return Facts{Reason: reason} }
 
-// regList returns the members of a register set in ascending order.
-func regList(set []bool) []kernel.Reg {
-	var out []kernel.Reg
-	for r, in := range set {
-		if in {
-			out = append(out, kernel.Reg(r))
-		}
-	}
-	return out
-}
+// Register marks of the BatchFacts walk, one byte per register and file.
+// The first group lasts the whole fragment, the second is reset per loop
+// body by the tiling analysis.
+const (
+	regDef   uint8 = 1 << iota // a definition dominates the instruction being checked
+	regUsed                    // some instruction defines it: it needs a column
+	regKonst                   // its one definition in the fragment is a constant
 
-// batchFacts is the walk BatchFacts makes over a fragment. def holds, per
-// register file, the registers a definition dominates at the instruction
-// being checked; used those any instruction defines (they need a column).
-// Both are indexed by register; index 0 is the integer file, 1 the float
-// file.
+	regBody    // defined in the loop body
+	regMulti   // defined more than once in the body
+	regRead    // read in the body
+	regReread  // read more than once in the body
+	regCarried // every definition in the body is Carried
+
+	regLoop = regBody | regMulti | regRead | regReread | regCarried
+)
+
+// batchFacts is the walk BatchFacts makes over a fragment. regs holds the
+// marks above, indexed by file (0 the integer file, 1 the float file) and
+// register.
 type batchFacts struct {
-	def, used [2][]bool
+	regs [2][]uint8
 	// undo lists the definitions to retract when the current sequence
 	// ends: those of a loop or post-loop body, and those behind a guard.
-	undo           []kernel.RegUse
-	loaded, stored map[int]bool
-	multiStore     bool // some buffer is the target of two store instructions
+	undo []kernel.RegUse
+	// loaded and stored list the buffers the fragment reads and writes.
+	loaded, stored []int
+	// classes and lists back every LoopFacts' slices.
+	classes []Class
+	lists   []kernel.Reg
+	// What section noted about the loop body it walked last, for tile: does
+	// it touch and does it store to the scratch array, which buffers does it
+	// store to through two instructions, and can anything in it be carried
+	// at all.
+	scratch, storesScratch, seeded bool
+	storedOnce, storedTwice        []int
+	// readsOuter: the body reads a register other than RegIV/RegIdx/RegJ
+	// that a definition before the loop dominates.
+	readsOuter bool
+	// Inline backing for the short lists above: BatchFacts runs for every
+	// fragment of every plan that misses the plan cache, and each list that
+	// starts on the heap is two or three allocations there.
+	undoBuf                           [8]kernel.RegUse
+	loadBuf, stBuf, onceBuf, twiceBuf [4]int
+	listBuf                           [12]kernel.Reg
+}
+
+func hasBuf(list []int, b int) bool {
+	for _, have := range list {
+		if have == b {
+			return true
+		}
+	}
+	return false
+}
+
+// noteBuf adds buffer b to list.
+func noteBuf(list []int, b int) []int {
+	if hasBuf(list, b) {
+		return list
+	}
+	return append(list, b)
+}
+
+// perIteration reports whether u is a register the driver sets for every
+// iteration: its value differs from row to row of a tile.
+func perIteration(u kernel.RegUse) bool {
+	return !u.Float && (u.R == kernel.RegIV || u.R == kernel.RegIdx || u.R == kernel.RegJ)
 }
 
 func fileOf(float bool) int {
@@ -424,10 +512,16 @@ func fileOf(float bool) int {
 // section checks one instruction sequence against the definitions that
 // dominate its entry and returns the first rule it fails. A guard may leave
 // the sequence early, so only the definitions ahead of its first guard
-// still dominate once it ends — and none of them when scoped, for a body
-// that may run zero times.
-func (bf *batchFacts) section(body []kernel.Instr, scoped bool) (reason string) {
-	for _, ins := range body {
+// still dominate once it ends — and none of them when loop is set, for a
+// body that may run zero times. For a loop body it also takes the notes tile
+// starts from: decoding an instruction costs more than anything a pass does
+// with it, and this runs for every fragment of every plan-cache miss.
+func (bf *batchFacts) section(body []kernel.Instr, loop bool) (reason string) {
+	scoped := loop
+	bf.scratch, bf.storesScratch, bf.seeded, bf.readsOuter = false, false, false, false
+	bf.storedOnce, bf.storedTwice = bf.onceBuf[:0], bf.twiceBuf[:0]
+	for i := range body {
+		ins := &body[i]
 		switch ins.Op {
 		case kernel.IConstI, kernel.IConstF, kernel.IMov, kernel.IBin, kernel.ISel,
 			kernel.ILoad, kernel.ILoadValid, kernel.IStore, kernel.IGuard,
@@ -440,33 +534,66 @@ func (bf *batchFacts) section(body []kernel.Instr, scoped bool) (reason string) 
 			if u.R < 0 {
 				return "negative register operand"
 			}
-			if !bf.def[fileOf(u.Float)][u.R] {
+			m := &bf.regs[fileOf(u.Float)][u.R]
+			if *m&regDef == 0 {
 				// The interpreter's register file persists across work
 				// items, so such a read observes a sibling item's leftovers
 				// (a loop that ran zero times, a guard that skipped the
 				// definition); a lane's column holds something else.
 				return "register read without a dominating definition in its work item"
 			}
+			if loop {
+				if *m&regRead != 0 {
+					*m |= regReread
+				}
+				*m |= regRead
+				bf.readsOuter = bf.readsOuter || (*m&regBody == 0 && !perIteration(u))
+			}
 		}
 		switch ins.Op {
 		case kernel.ILoad, kernel.ILoadValid:
-			bf.loaded[ins.Buf] = true
+			bf.loaded = noteBuf(bf.loaded, ins.Buf)
 		case kernel.IStore:
-			if bf.stored[ins.Buf] {
-				bf.multiStore = true
+			bf.stored = noteBuf(bf.stored, ins.Buf)
+			if loop {
+				if hasBuf(bf.storedOnce, ins.Buf) {
+					bf.storedTwice, bf.seeded = noteBuf(bf.storedTwice, ins.Buf), true
+				}
+				bf.storedOnce = noteBuf(bf.storedOnce, ins.Buf)
 			}
-			bf.stored[ins.Buf] = true
 		case kernel.IGuard:
 			scoped = true
+		case kernel.ILoadLoc:
+			bf.scratch = true
+		case kernel.IStoreLoc:
+			bf.scratch, bf.storesScratch, bf.seeded = true, true, true
 		}
 		if r, flt, ok := ins.Def(); ok {
 			if r < kernel.FirstFree {
 				return "writes a special register"
 			}
-			file := fileOf(flt)
-			bf.used[file][r] = true
-			if !bf.def[file][r] {
-				bf.def[file][r] = true
+			m := &bf.regs[fileOf(flt)][r]
+			// A constant is hoistable while it is the register's only
+			// definition anywhere in the fragment.
+			if *m&regUsed == 0 && (ins.Op == kernel.IConstI || ins.Op == kernel.IConstF) {
+				*m |= regKonst
+			} else {
+				*m &^= regKonst
+			}
+			*m |= regUsed
+			if loop {
+				// Defined before the loop and in it: live across iterations.
+				switch {
+				case *m&regBody != 0:
+					*m |= regMulti
+				case *m&regDef != 0:
+					*m |= regCarried
+					bf.seeded = true
+				}
+				*m |= regBody
+			}
+			if *m&regDef == 0 {
+				*m |= regDef
 				if scoped {
 					bf.undo = append(bf.undo, kernel.RegUse{R: r, Float: flt})
 				}
@@ -474,10 +601,147 @@ func (bf *batchFacts) section(body []kernel.Instr, scoped bool) (reason string) 
 		}
 	}
 	for _, u := range bf.undo {
-		bf.def[fileOf(u.Float)][u.R] = false
+		bf.regs[fileOf(u.Float)][u.R] &^= regDef
 	}
 	bf.undo = bf.undo[:0]
 	return ""
+}
+
+// tile classifies the instructions of one loop body for tiling, given the
+// definitions that dominate the loop's entry (regDef). It is a dataflow
+// fixpoint, not a shape match. A register is carried when the loop may
+// observe or leave behind a value of it from another iteration: it is
+// defined both before the loop and in the body (accumulators, cursors, and
+// anything read afterwards), or a Carried instruction defines it. An
+// instruction is Carried when it reads or defines a carried register,
+// touches a scratch array the body also stores to, follows a Carried guard,
+// or stores to a buffer another instruction of the body stores to as well
+// (iterations may hit one slot through either). The tile runs the Free slice
+// of all its iterations ahead of the Carried one, and the IR is not SSA: a
+// free register with several definitions in the body would show a Carried
+// reader its last one, so all its definitions become Carried. A reduction
+// is exempt from both ends of that rule — it runs in the Free slice's pass,
+// at its program position. Win and Spread are left unfiltered for hoisted
+// constants (which are known only once every section has been walked);
+// BatchFacts drops those.
+func (bf *batchFacts) tile(body []kernel.Instr) LoopFacts {
+	base := len(bf.classes)
+	bf.classes = append(bf.classes, make([]Class, len(body))...)
+	lf := LoopFacts{Class: bf.classes[base:]}
+	class := lf.Class
+
+	// Most bodies (selections, maps, scatters) have no register live across
+	// iterations, no scratch store and no buffer stored twice — section
+	// found no seed — and are Free throughout.
+	scratch, storesScratch, storedTwice := bf.scratch, bf.storesScratch, bf.storedTwice
+	carried := func(u kernel.RegUse) bool { return bf.regs[fileOf(u.Float)][u.R]&regCarried != 0 }
+	allFree := true
+	for changed := bf.seeded; changed; {
+		changed = false
+		guarded := false // behind a Carried guard
+		for i := range body {
+			in := &body[i]
+			if class[i] == Carried {
+				// Settled in an earlier pass, its registers with it.
+				guarded = guarded || in.Op == kernel.IGuard
+				continue
+			}
+			uses, n := in.Uses()
+			def, flt, hasDef := in.Def()
+			// A reduction has the form acc = op(acc, x), x free, acc neither
+			// read nor defined by anything else in the body.
+			if in.Op == kernel.IBin && in.Dst == in.A && in.B != in.Dst && !guarded &&
+				bf.regs[fileOf(in.Float)][in.Dst]&(regMulti|regReread) == 0 && !carried(uses[1]) {
+				class[i] = Reduce
+				continue
+			}
+			c := guarded || (hasDef && carried(kernel.RegUse{R: def, Float: flt}))
+			switch in.Op {
+			case kernel.ILoadLoc, kernel.IStoreLoc:
+				c = c || storesScratch
+			case kernel.IStore:
+				c = c || hasBuf(storedTwice, in.Buf)
+			}
+			for _, u := range uses[:n] {
+				c = c || carried(u)
+			}
+			if !c {
+				continue
+			}
+			class[i], allFree = Carried, false
+			guarded = guarded || in.Op == kernel.IGuard
+			if hasDef && !carried(kernel.RegUse{R: def, Float: flt}) {
+				bf.regs[fileOf(flt)][def] |= regCarried
+				changed = true
+			}
+			for _, u := range uses[:n] {
+				if m := &bf.regs[fileOf(u.Float)][u.R]; *m&(regMulti|regCarried) == regMulti {
+					*m |= regCarried
+					changed = true
+				}
+			}
+		}
+	}
+	// Reductions are not Free either.
+	for _, c := range class {
+		allFree = allFree && c == Free
+	}
+
+	// The registers the two slices exchange: what a Carried instruction
+	// reads of the free and per-iteration registers (Win), and what the
+	// other instructions read of those defined before the loop (Spread).
+	// A register enters its list at its first such read: regRead is dropped
+	// as the marker, nothing below needs it. The four lists are carved out
+	// of one backing once their lengths are known.
+	const isWin, isFloat = 1 << 30, 1 << 29
+	var found []kernel.Reg // the register, tagged with its list
+	var foundBuf [16]kernel.Reg
+	found = foundBuf[:0]
+	var counts [4]int
+	for i := 0; i < len(body) && (!allFree || bf.readsOuter); i++ {
+		uses, n := body[i].Uses()
+		for _, u := range uses[:n] {
+			m := &bf.regs[fileOf(u.Float)][u.R]
+			if *m&regRead == 0 || *m&regCarried != 0 {
+				continue
+			}
+			inBody := *m&regBody != 0 || perIteration(u)
+			if (class[i] == Carried) != inBody {
+				continue // the other slice may still read it
+			}
+			*m &^= regRead
+			tag := kernel.Reg(0)
+			if inBody {
+				tag |= isWin
+			}
+			if u.Float {
+				tag |= isFloat
+			}
+			found = append(found, u.R|tag)
+			counts[tag>>29]++
+		}
+	}
+	if len(found) > 0 {
+		at := len(bf.lists)
+		bf.lists = append(bf.lists, make([]kernel.Reg, len(found))...)
+		var into [4][]kernel.Reg
+		for which, n := range counts {
+			into[which] = bf.lists[at : at : at+n]
+			at += n
+		}
+		for _, r := range found {
+			into[r>>29] = append(into[r>>29], r&^(isWin|isFloat))
+		}
+		lf.Spread, lf.Win = [2][]kernel.Reg{into[0], into[1]}, [2][]kernel.Reg{into[2], into[3]}
+	}
+	lf.Independent = allFree && !scratch // and reads nothing but RegGID from before the loop: BatchFacts
+
+	for file := range bf.regs {
+		for r := range bf.regs[file] {
+			bf.regs[file][r] &^= regLoop
+		}
+	}
+	return lf
 }
 
 // BatchFacts computes the batch-specialization eligibility facts for one
@@ -493,59 +757,92 @@ func (bf *batchFacts) section(body []kernel.Instr, scoped bool) (reason string) 
 // left), RegJ inside the post-loop body only.
 func BatchFacts(f *kernel.Fragment) Facts {
 	n := f.NumRegs()
-	flags := make([]bool, 4*n)
-	bf := &batchFacts{
-		def:    [2][]bool{flags[:n], flags[n : 2*n]},
-		used:   [2][]bool{flags[2*n : 3*n], flags[3*n:]},
-		loaded: map[int]bool{}, stored: map[int]bool{},
+	marks := make([]uint8, 2*n)
+	bf := &batchFacts{regs: [2][]uint8{marks[:n], marks[n:]}}
+	bf.undo, bf.lists = bf.undoBuf[:0], bf.listBuf[:0]
+	bf.loaded, bf.stored = bf.loadBuf[:0], bf.stBuf[:0]
+	bodies := len(f.PostLoopBody)
+	for _, l := range f.Loops {
+		bodies += len(l.Body)
 	}
-	defI, usedI := bf.def[0], bf.used[0]
-	usedI[kernel.RegGID], usedI[kernel.RegIV], usedI[kernel.RegIdx], usedI[kernel.RegJ] = true, true, true, true
-	defI[kernel.RegGID] = true
+	bf.classes = make([]Class, 0, bodies)
+	loops := make([]LoopFacts, 0, len(f.Loops)+1)
+
+	ints := bf.regs[0]
+	for _, r := range [...]kernel.Reg{kernel.RegGID, kernel.RegIV, kernel.RegIdx, kernel.RegJ} {
+		ints[r] |= regUsed
+	}
+	ints[kernel.RegGID] |= regDef
 	if reason := bf.section(f.Pre, false); reason != "" {
 		return ineligible(reason)
 	}
-	recut := !f.Strided && f.Intent > 1 && f.Locals == 0 &&
-		len(f.Pre) == 0 && len(f.Post) == 0 && len(f.PostLoopBody) == 0
 	for _, l := range f.Loops {
 		// The bound is read at loop entry, where only the prologue's
 		// definitions stand.
-		if l.BoundReg > 0 && !defI[l.BoundReg] {
+		if l.BoundReg > 0 && ints[l.BoundReg]&regDef == 0 {
 			return ineligible("register read without a dominating definition in its work item")
 		}
-		if l.BoundReg > 0 || (l.Bound > 0 && l.Bound != f.Intent) {
-			recut = false
-		}
-		defI[kernel.RegIV], defI[kernel.RegIdx] = true, true
+		ints[kernel.RegIV] |= regDef
+		ints[kernel.RegIdx] |= regDef
 		reason := bf.section(l.Body, true)
-		defI[kernel.RegIV], defI[kernel.RegIdx] = false, false
+		ints[kernel.RegIV] &^= regDef
+		ints[kernel.RegIdx] &^= regDef
 		if reason != "" {
 			return ineligible(reason)
 		}
+		loops = append(loops, bf.tile(l.Body))
 	}
 	if reason := bf.section(f.Post, false); reason != "" {
 		return ineligible(reason)
 	}
-	defI[kernel.RegJ] = true
+	ints[kernel.RegJ] |= regDef
 	if reason := bf.section(f.PostLoopBody, true); reason != "" {
 		return ineligible(reason)
 	}
-	for b := range bf.stored {
-		if bf.loaded[b] {
-			// Lanes run step-major, so a load could observe a store the
-			// interpreter's element-major order has not made yet.
+	if len(f.PostLoopBody) > 0 {
+		loops = append(loops, bf.tile(f.PostLoopBody))
+	}
+	for _, b := range bf.stored {
+		if hasBuf(bf.loaded, b) {
+			// Tiles run ahead of the interpreter's element-major order, so
+			// a load could observe a store it has not made yet.
 			return ineligible("buffer both loaded and stored")
 		}
 	}
-	// Two store instructions into one buffer keep their order within a work
-	// item, not across the elements a re-cut spreads over lanes.
-	recut = recut && !bf.multiStore
-	lanes := f.Extent
-	if recut {
-		lanes *= f.Intent
+	// Now that every definition has been seen: a hoisted constant is the
+	// same in every row and every window, so no slice needs it moved.
+	for li := range loops {
+		lf := &loops[li]
+		for file := range lf.Win {
+			lf.Win[file] = bf.dropKonst(lf.Win[file], file)
+			lf.Spread[file] = bf.dropKonst(lf.Spread[file], file)
+		}
+		onlyGID := len(lf.Spread[1]) == 0 && (len(lf.Spread[0]) == 0 || (len(lf.Spread[0]) == 1 && lf.Spread[0][0] == kernel.RegGID))
+		lf.Independent = lf.Independent && onlyGID
 	}
-	if lanes < MinLanes {
-		return ineligible(fmt.Sprintf("fewer than %d work items to run as lanes", MinLanes))
+	facts := Facts{BatchEligible: true, Loops: loops, regs: bf.regs}
+	for file, list := range [...]*[]kernel.Reg{&facts.IntRegs, &facts.FltRegs} {
+		used := 0
+		for _, m := range bf.regs[file] {
+			used += int(m & regUsed / regUsed)
+		}
+		*list = make([]kernel.Reg, 0, used)
+		for r, m := range bf.regs[file] {
+			if m&regUsed != 0 {
+				*list = append(*list, kernel.Reg(r))
+			}
+		}
 	}
-	return Facts{BatchEligible: true, Recut: recut, IntRegs: regList(bf.used[0]), FltRegs: regList(bf.used[1])}
+	return facts
+}
+
+// dropKonst removes the hoistable constants from list, in place.
+func (bf *batchFacts) dropKonst(list []kernel.Reg, file int) []kernel.Reg {
+	keep := list[:0]
+	for _, r := range list {
+		if bf.regs[file][r]&regKonst == 0 {
+			keep = append(keep, r)
+		}
+	}
+	return keep
 }
