@@ -83,9 +83,15 @@ type Report struct {
 	LeakedArenas int64    // pooled arenas still live after the drain
 	// LeakedWorkers counts morsel-pool goroutines still alive after the
 	// post-drain scheduler quiesce; StuckJobs counts fragments still
-	// published to the pool. Both must be zero after a clean drain.
+	// published to the pool; BusySlots counts participant slots the cut
+	// rule would still see as taken (a leak there would leave every later
+	// fragment "saturated"). All three must be zero after a clean drain.
+	// Morsels is how many ranges the storm's queries ran through the pool:
+	// zero would mean nothing ever split and the gate held vacuously.
 	LeakedWorkers int
 	StuckJobs     int
+	BusySlots     int
+	Morsels       int64
 
 	// Event-log accounting after the drain. Accepted events must all be
 	// written once Close returns (flush-on-quiesce); LostEvents is the
@@ -115,6 +121,9 @@ func (r *Report) Err() error {
 	}
 	if r.StuckJobs > 0 {
 		probs = append(probs, fmt.Sprintf("%d jobs stuck in the scheduler", r.StuckJobs))
+	}
+	if r.BusySlots > 0 {
+		probs = append(probs, fmt.Sprintf("%d scheduler slots still counted busy", r.BusySlots))
 	}
 	if r.LostEvents > 0 {
 		probs = append(probs, fmt.Sprintf("%d accepted events lost by the drain", r.LostEvents))
@@ -226,6 +235,8 @@ func Storm(cfg Config) (*Report, error) {
 	})
 	srv := httptest.NewServer(s.Mux())
 	defer srv.Close()
+
+	morsels0 := exec.SchedulerStats().Morsels
 
 	// Golden capture: every query once, faults off.
 	goldens := make([]string, len(cfg.Queries))
@@ -391,5 +402,7 @@ func Storm(cfg Config) (*Report, error) {
 	sst := exec.SchedulerStats()
 	rep.LeakedWorkers = sst.Workers
 	rep.StuckJobs = sst.ActiveJobs
+	rep.BusySlots = sst.Busy
+	rep.Morsels = sst.Morsels - morsels0
 	return &rep, nil
 }

@@ -75,6 +75,11 @@ func TestChaosStorm(t *testing.T) {
 	if rep.Failed == 0 && rep.ClientAbort == 0 {
 		t.Error("no request failed or aborted — the storm injected nothing")
 	}
+	// The scheduler gate (no worker, job or busy slot left) means something
+	// only after fragments that really split and were really helped.
+	if rep.Morsels == 0 {
+		t.Error("no fragment of the storm was cut into ranges — the scheduler gate held vacuously")
+	}
 	// The event log ran at sample rate 1, so the storm must have pushed
 	// events through it (Err already asserted none were lost).
 	if rep.EventsAccepted == 0 {

@@ -26,9 +26,14 @@ type Options struct {
 	// bulk-processing execution model of MonetDB/Ocelot and backs the
 	// Ocelot baseline in the evaluation.
 	ForceBulk bool
-	// ScatterParallel executes materialized scatters data-parallel. Only
-	// safe when scatter positions are unique (e.g. building a unique-key
-	// join table); the relational frontend enables it for such plans.
+	// ScatterParallel gives materialized scatters a data-parallel shape
+	// (up to defaultExtent work items instead of one). With repeated
+	// positions the batch tier's tile order then decides which write lands
+	// last, so it suits scatters whose positions are unique (building a
+	// unique-key join table) or whose repeats store the same value (a semi
+	// join's flag); the relational frontend enables it. The executor never
+	// spreads a scatter fragment over participants (exec's cut rule), so a
+	// repeat is never a race.
 	ScatterParallel bool
 	// Workers caps the goroutines used at execution time (0 = GOMAXPROCS).
 	Workers int

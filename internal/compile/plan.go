@@ -61,10 +61,9 @@ type RunOpts struct {
 	// items). A trace does not make the run counted: it executes exactly
 	// the code an untraced run executes.
 	Trace bool
-	// MorselSize overrides the scheduling granularity of parallel
-	// fragments in work items (0 = exec.DefaultMorsel). Results are
-	// bit-identical for every value; the knob trades scheduling overhead
-	// against skew absorption.
+	// MorselSize, when positive, overrides the executor's cut rule with
+	// ranges of exactly that many work items (exec.Par.Morsel). Results are
+	// bit-identical for every value; the bit-identity sweeps turn it.
 	MorselSize int
 	// NoSpecialize forces the per-element interpreter for every fragment
 	// (the compiled-interp engine). Results are bit-identical either
@@ -378,7 +377,7 @@ func (p *Plan) traceStep(s step, frags []exec.FragStats, wall time.Duration) tra
 			}
 			ts.Workers = fs.Workers
 			ts.Morsels = int64(fs.Morsels)
-			ts.Imbalance = fs.Imbalance
+			ts.Imbalance, ts.Uncut = fs.Imbalance, fs.Uncut
 			ts.Specialized, ts.Reason = fs.Specialized, fs.Reason
 			if fs.TileLanes > 0 {
 				ts.Tile = strconv.Itoa(fs.TileLanes) + "x" + strconv.Itoa(fs.TileIters)

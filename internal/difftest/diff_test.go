@@ -21,8 +21,8 @@ var diffPool = vector.NewPool(0)
 // configs is every option combination of the compiling backend the
 // differential test checks against the interpreter. ScatterParallel
 // stays off: parallel scatter resolves write conflicts in a
-// backend-specific order, so it is only enabled by frontends that prove
-// position uniqueness. The pooled combo runs the default options with
+// backend-specific order, so it is only enabled by the relational frontend,
+// whose join builds have unique keys. The pooled combo runs the default options with
 // recycled kernel buffers — results must stay bit-identical to the heap
 // combos, or buffer reuse is leaking state between queries. The
 // morsel-sweep combo runs with 4 workers across pathological morsel

@@ -312,12 +312,16 @@ type FragStats struct {
 	// RunFragment (not merged from workers).
 	Wall    time.Duration
 	Workers int
-	// Morsels is the number of scheduling morsels the fragment was split
-	// into (1 for sequential and single-morsel runs); Imbalance is the
-	// busiest participant's morsel count over an even share (1.0 =
-	// perfectly balanced, higher = skew absorbed unevenly).
+	// Morsels is the number of ranges the cut rule split the fragment into
+	// (1 for a run on one participant); Imbalance is the busiest
+	// participant's range count over an even share (1.0 = perfectly
+	// balanced, higher = skew absorbed unevenly).
 	Morsels   int
 	Imbalance float64
+	// Uncut is the cut rule's verdict for a fragment that ran as one range
+	// although Workers allowed more: "extent-1", "scatter", "small",
+	// "few-items", "saturated", "counted" or "morsel-override". Set by RunFragment.
+	Uncut string
 
 	// Specialized records the execution path this run took ("batch" or
 	// "interp") and Reason why an interpreted run did not batch: the
@@ -399,7 +403,7 @@ func (fs *FragStats) merge(o *FragStats) {
 func gomaxprocs() int { return runtime.GOMAXPROCS(0) }
 
 // Run executes every fragment of k against env under the parallelism knobs
-// in par (the zero Par means GOMAXPROCS workers, default morsels,
+// in par (the zero Par means GOMAXPROCS workers, ranges cut by the rule,
 // specialization on). A non-nil st makes the run counted: every fragment
 // interprets and its event counts are accumulated into st. Cancellation is
 // cooperative: the context is checked at every fragment
@@ -452,14 +456,18 @@ func Run(ctx context.Context, k *kernel.Kernel, env *Env, par Par, st *Stats) er
 // recovered into a *PanicError instead of killing the process, and once one
 // worker fails — by error, panic or cancellation — the remaining workers
 // stop at their next checkpoint and no further morsels are claimed.
-// Non-sequential fragments wider than one morsel run through the shared
-// morsel scheduler (see sched.go); the submitting goroutine always
-// participates, so progress never depends on pool availability.
+// A fragment the cut rule splits (see sched.go) runs through the shared
+// morsel scheduler; the submitting goroutine always participates, so
+// progress never depends on pool availability.
 func RunFragment(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs *FragStats, count bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	trace.CountFragment()
+	// In flight from here on: what another submitter's cut sees as a taken
+	// participant slot.
+	sched.busy.Add(1)
+	defer sched.busy.Add(-1)
 	if fs != nil {
 		start := time.Now()
 		defer func() { fs.Wall = time.Since(start) }()
@@ -480,7 +488,6 @@ func RunFragment(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs 
 			return err
 		}
 	}
-	par = par.norm()
 	bp := specFor(f)
 	nregs := kernel.Reg(bp.nregs)
 	batch, reason := resolveSpec(bp, par.NoSpecialize, count, faultinject.Enabled())
@@ -490,44 +497,25 @@ func RunFragment(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs 
 			fs.Specialized = "interp"
 		}
 	}
-	if f.Sequential() || par.Workers == 1 {
-		w := newWorker(ctx, f, env, nregs, count, nil, batch)
-		if err := protect(f.Name, func() error { return w.run(0, max(f.Extent, 1)) }); err != nil {
-			w.release()
-			return err
-		}
-		if fs != nil {
-			fs.Workers, fs.Morsels, fs.Imbalance = 1, 1, 1
-			fs.merge(&w.stats)
-		}
-		w.release()
-		return nil
+	width, parts, verdict := cut(f, par, count, int(sched.busy.Load()))
+	if width > 0 {
+		return runMorselParallel(ctx, f, env, parts, width, nregs, batch, fs, count)
 	}
-	if f.Extent == 0 {
-		if fs != nil {
-			fs.Workers = 0
-		}
-		return nil
+	// One range: the pool could not help, or is not worth asking.
+	w := newWorker(ctx, f, env, nregs, count, nil, batch)
+	err := protect(f.Name, func() error { return w.run(0, max(f.Extent, 1)) })
+	if err == nil && fs != nil {
+		fs.Workers, fs.Morsels, fs.Imbalance, fs.Uncut = 1, 1, 1, verdict
+		fs.merge(&w.stats)
 	}
-	if f.Extent <= par.Morsel {
-		// A single morsel: the pool could not help, so run it inline and
-		// skip the publish/withdraw round trip.
-		w := newWorker(ctx, f, env, nregs, count, nil, batch)
-		err := protect(f.Name, func() error { return w.run(0, f.Extent) })
-		if err == nil && fs != nil {
-			fs.Workers, fs.Morsels, fs.Imbalance = 1, 1, 1
-			fs.merge(&w.stats)
-		}
-		w.release()
-		return err
-	}
-	return runMorselParallel(ctx, f, env, par, nregs, batch, fs, count)
+	w.release()
+	return err
 }
 
 // checkInterval is how many work items a worker executes between
 // cooperative checkpoints (context cancellation, sibling-failure abort,
-// fault-injection hooks). Items are nanosecond-scale, so 1024 items keeps
-// cancellation latency in the microseconds while amortizing the check.
+// fault-injection hooks): often enough that cancellation is prompt, rarely
+// enough that the check is amortized.
 const checkInterval = 1024
 
 // worker executes a contiguous range of work items of one fragment.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,7 +24,8 @@ import (
 // values between them, and dynamic bounds far shorter than a tile.
 // Whatever the verifier passes must leave every buffer, Items and
 // StoreBytes bit-identical on both tiers at one worker and — work items
-// being independent — at three workers over two-item morsels; when the
+// being independent — at three workers, over two-item morsels and under the
+// cut rule; when the
 // interpreter faults, the batch tier must report the same error text.
 // Fragments BatchFacts rejects run interpreted on both sides, which checks
 // nothing but costs nothing; the decoder is built so that most are
@@ -67,14 +69,19 @@ func FuzzBatchVsInterp(f *testing.F) {
 			t.Fatalf("%s: items=%d store_bytes=%d, interpreter reports %d / %d\n%s",
 				rec.Specialized, rec.Items, rec.StoreBytes, want.Items, want.StoreBytes, k)
 		}
-		par, prec, perr := run(Par{Workers: 3, Morsel: 2})
-		if perr != nil {
-			t.Fatalf("parallel run failed: %v\n%s", perr, k)
-		}
-		requireSameBufs(t, k, oracle, par, "workers=3 morsel=2\n"+k.String())
-		if prec.Items != want.Items || prec.StoreBytes != want.StoreBytes {
-			t.Fatalf("parallel %s: items=%d store_bytes=%d, interpreter reports %d / %d\n%s",
-				prec.Specialized, prec.Items, prec.StoreBytes, want.Items, want.StoreBytes, k)
+		// Three workers, cut two ways: two-item morsels, and whatever the cut
+		// rule makes of the shape (most decoded fragments sit below its floor
+		// and run as one range; the big ones are cut by declared work).
+		for _, p := range []Par{{Workers: 3, Morsel: 2}, {Workers: 3}} {
+			par, prec, perr := run(p)
+			if perr != nil {
+				t.Fatalf("parallel run %+v failed: %v\n%s", p, perr, k)
+			}
+			requireSameBufs(t, k, oracle, par, fmt.Sprintf("%+v\n%s", p, k))
+			if prec.Items != want.Items || prec.StoreBytes != want.StoreBytes {
+				t.Fatalf("parallel %+v %s: items=%d store_bytes=%d, interpreter reports %d / %d\n%s",
+					p, prec.Specialized, prec.Items, prec.StoreBytes, want.Items, want.StoreBytes, k)
+			}
 		}
 	})
 }

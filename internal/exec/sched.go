@@ -2,41 +2,37 @@
 //
 // The paper makes the *degree* of parallelism declarative — extent × intent
 // — but how those work items map onto OS threads is the executor's
-// business. The original executor cut every fragment into one static chunk
-// per worker and spawned fresh goroutines for each fragment, which has two
-// production problems: a skewed chunk (all the expensive work items landing
-// in one contiguous range) serializes the whole fragment behind one worker,
-// and a daemon running thousands of fragments per second pays goroutine
-// spawn/teardown per fragment while concurrent queries oversubscribe the
-// machine with workers × queries goroutines.
-//
-// This file replaces that with morsel-driven scheduling (à la HyPer's
-// morsel-driven parallelism): a process-wide persistent worker pool whose
-// workers park when idle, and fragments published as jobs whose work items
-// are claimed in fixed-size morsels from an atomic ticket counter. Fast
-// workers absorb skew by simply claiming more morsels; concurrent queries
-// share one pool instead of each spawning their own workers.
+// business. This file is that mapping: morsel-driven scheduling (à la
+// HyPer's morsel-driven parallelism) over a process-wide persistent worker
+// pool whose workers park when idle. A fragment is cut into contiguous
+// ranges of work items — morsels — sized by the work the fragment's control
+// vectors declared (cut, below), published as a job, and the ranges are
+// claimed from an atomic ticket counter by the submitting goroutine and by
+// whichever pool workers a free core lets run. Help is elastic: a range
+// nobody else claims is simply run by the submitter, fast participants
+// absorb skew by claiming more ranges, and concurrent queries share one pool
+// instead of each spawning their own workers.
 //
 // Determinism: a fragment's work items write disjoint output slots (that is
 // the algebra's data-parallel contract — folds combine *within* a work item
 // along the intent axis, never across work items), so results are
-// bit-identical for every morsel size and claim order. The only cross-
-// morsel combining is of measurement partials (FragStats), which are merged
-// in first-claimed-morsel order so even traces are reproducible.
+// bit-identical for every cut and claim order. The only cross-range
+// combining is of measurement partials (FragStats), which are additive; a
+// counted run, whose device-model classifier keeps per-participant state,
+// is never cut by the rule.
 //
-// Lifecycle: the pool starts lazily at the first parallel fragment and is
+// Lifecycle: the pool starts lazily at the first cut fragment and is
 // sized by demand up to GOMAXPROCS-sized jobs (an explicit Par.Workers
 // above GOMAXPROCS grows it, preserving the old "up to N goroutines"
 // contract that sleep-bound tests rely on). QuiesceScheduler parks nothing
 // — it stops every pool worker and waits for them to exit, which is what a
 // draining daemon calls so the process leaves no goroutines behind; the
-// next parallel fragment restarts the pool transparently.
+// next cut fragment restarts the pool transparently.
 package exec
 
 import (
 	"context"
 	"runtime/pprof"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,24 +42,15 @@ import (
 	"voodoo/internal/metrics"
 )
 
-// DefaultMorsel is the default morsel size in work items. Items are
-// nanosecond-scale, so 16K items keeps a morsel in the tens of
-// microseconds: coarse enough that the ticket-counter atomics and the
-// per-morsel bookkeeping disappear in the noise, fine enough that a
-// GOMAXPROCS-wide pool balances even a fragment whose cost is concentrated
-// in one narrow range of work items.
-const DefaultMorsel = 16384
-
 // Par are the per-run parallelism knobs of the executor.
 type Par struct {
 	// Workers caps the goroutines executing one fragment, the submitting
 	// goroutine included (0 = GOMAXPROCS). Values above GOMAXPROCS grow
 	// the shared pool, preserving the historical Run contract.
 	Workers int
-	// Morsel is the scheduling granularity in work items (0 =
-	// DefaultMorsel). Results are bit-identical for every value; the knob
-	// trades scheduling overhead (small morsels) against skew absorption
-	// (large morsels).
+	// Morsel, when positive, overrides the cut rule with ranges of exactly
+	// that many work items. Results are bit-identical for every value; it
+	// exists for the sweeps that prove so.
 	Morsel int
 	// NoSpecialize forces the per-element interpreter for every fragment
 	// (the compiled-interp engine and the differential-test oracle).
@@ -71,15 +58,120 @@ type Par struct {
 	NoSpecialize bool
 }
 
-// norm resolves the zero values.
-func (p Par) norm() Par {
+// The cut rule's constants, all in units the fragment declares.
+const (
+	// cutFloor is the work — work items × (iterations + scratch slots
+	// flushed) — below which a fragment runs inline. A parked pool worker's
+	// first claim lands ~170 µs after publication on the reference VM (mean
+	// over a TPC-H sweep: the second vCPU has to be woken), and a unit of
+	// work costs 5–60 ns here, so a fragment much smaller than this is
+	// nearly done by the time help arrives. 8192–32768 measured alike on
+	// TPC-H; the high end keeps small queries from paying for wake-ups.
+	cutFloor = 32768
+	// cutPerParticipant is how many ranges each participant gets when the
+	// fragment has work items to spare, so that a helper arriving late, or
+	// a range costlier than its neighbours, shifts ranges between
+	// participants instead of leaving one waiting on the other. On uniform
+	// TPC-H 1, 2, 4 and 8 measure alike; a filter whose matches sit in the
+	// first fifth of lineitem ran 1.18 ms at 1 and 0.97 ms at 4.
+	cutPerParticipant = 4
+	// cutMinItems is the narrowest range worth more than one per
+	// participant. The batch tier dispatches a loop's carried slice once
+	// per iteration over the work items of the range it was handed, so
+	// narrow ranges multiply that dispatch: on one participant Q1's
+	// 64 × 941 grouped fold ran 9.0 ms whole, 8.1 ms as 32 + 32 and 35.8 ms
+	// as 64 one-lane ranges, Q20's 7 × 8602 one 4.5, 4.6 (4 + 3) and 6.6 ms
+	// (seven). A fragment with fewer work items than that per participant
+	// is cut once per participant and no further — and never below
+	// cutMinRange work items a range: Q11's 3 × 2667 fold ran 0.35 ms whole
+	// and 0.40 ms as 2 + 1 on two cores (0.62 ms when no helper came).
+	cutMinItems = 64
+	cutMinRange = 2
+)
+
+// Verdicts of the cut rule for a fragment that ran as one range although
+// Workers allowed more (FragStats.Uncut).
+const (
+	uncutExtent1   = "extent-1"        // a single work item: nothing to cut
+	uncutOverride  = "morsel-override" // Par.Morsel covers the whole extent
+	uncutCounted   = "counted"         // device-model counters keep per-participant state
+	uncutScatter   = "scatter"         // store positions are data: nothing the executor sees keeps them apart
+	uncutSmall     = "small"           // less work than cutFloor
+	uncutFewItems  = "few-items"       // two or three work items: a range of one pays the per-iteration dispatch alone
+	uncutSaturated = "saturated"       // every participant slot already runs a fragment
+)
+
+// cut is the one rule that decides how a fragment run is split: the width,
+// in work items, of the contiguous ranges participants claim and how many
+// participants (the submitter included) may claim them, or width 0 and the
+// verdict when the fragment runs as one range on its submitter. It reads
+// only what the executor can observe: the fragment's shape, the knobs in
+// par, whether the run is counted, and busy — the goroutines executing
+// fragment work right now, this submitter included.
+func cut(f *kernel.Fragment, par Par, count bool, busy int) (width, parts int, verdict string) {
+	workers := par.workers()
+	switch {
+	case workers == 1:
+		return 0, 1, ""
+	case f.Extent <= 1:
+		return 0, 1, uncutExtent1
+	case f.Prov.Kind == "scatter":
+		// What makes every other cut safe — work items write disjoint
+		// slots — holds for a materialized scatter only if its positions
+		// are distinct, and those are data. The frontend vouches for join
+		// builds it could not disprove (rel.BuildKeyError) and a semi join's
+		// build repeats keys by design; on one participant a repeat is a
+		// deterministic last-writer-wins, never a race. Not even Par.Morsel
+		// cuts one: the knob sizes ranges, it does not vouch.
+		return 0, 1, uncutScatter
+	case par.Morsel > 0:
+		if f.Extent <= par.Morsel {
+			return 0, 1, uncutOverride
+		}
+		return par.Morsel, workers, ""
+	case count:
+		// A counted run measures a device model, not this machine, and its
+		// Near/Rand classification depends on which accesses one
+		// participant sees in sequence.
+		return 0, 1, uncutCounted
+	case fragWork(f) < cutFloor:
+		return 0, 1, uncutSmall
+	case f.Extent < 2*cutMinRange:
+		return 0, 1, uncutFewItems
+	}
+	// One participant per free slot, the submitter's own included.
+	parts = workers - (busy - 1)
+	if parts < 2 {
+		return 0, 1, uncutSaturated
+	}
+	ranges := min(max(f.Extent/cutMinItems, parts), parts*cutPerParticipant, f.Extent/cutMinRange)
+	return (f.Extent + ranges - 1) / ranges, parts, ""
+}
+
+// fragWork is the work a fragment's control vectors declare: per work item,
+// the iterations of its loops plus the scratch slots its post-loop body
+// flushes.
+func fragWork(f *kernel.Fragment) int {
+	per := 0
+	for _, l := range f.Loops {
+		if l.Bound > 0 {
+			per += l.Bound
+		} else {
+			per += f.Intent
+		}
+	}
+	if len(f.PostLoopBody) > 0 {
+		per += f.Locals
+	}
+	return f.Extent * max(per, 1)
+}
+
+// workers resolves the zero Workers.
+func (p Par) workers() int {
 	if p.Workers <= 0 {
-		p.Workers = gomaxprocs()
+		return gomaxprocs()
 	}
-	if p.Morsel <= 0 {
-		p.Morsel = DefaultMorsel
-	}
-	return p
+	return p.Workers
 }
 
 // Scheduler observability: morsel throughput, pool-saturation wait, and a
@@ -109,6 +201,10 @@ type scheduler struct {
 	idle    int    // pool goroutines parked on cond
 	active  int    // jobs published and not yet withdrawn
 	quiesce bool   // workers exit instead of parking; no helpers attach
+	// busy counts the goroutines executing fragment work right now:
+	// submitters inside RunFragment plus pool workers attached to a job. It
+	// is what the cut rule reads to tell a free core from a taken one.
+	busy atomic.Int64
 }
 
 func newScheduler() *scheduler {
@@ -119,11 +215,12 @@ func newScheduler() *scheduler {
 
 // SchedStats is a point-in-time snapshot of the shared worker pool, for
 // goroutine accounting (the chaos harness asserts Workers == 0 after a
-// quiesced drain and ActiveJobs == 0 after any drain).
+// quiesced drain and ActiveJobs == 0 and Busy == 0 after any drain).
 type SchedStats struct {
 	Workers    int   // pool goroutines alive (parked or serving)
 	Idle       int   // pool goroutines parked waiting for work
 	ActiveJobs int   // fragments currently published to the pool
+	Busy       int   // goroutines executing fragment work: what the cut rule counts as taken slots
 	Morsels    int64 // morsels executed through the pool since process start
 }
 
@@ -135,6 +232,7 @@ func SchedulerStats() SchedStats {
 		Workers:    sched.workers,
 		Idle:       sched.idle,
 		ActiveJobs: sched.active,
+		Busy:       int(sched.busy.Load()),
 		Morsels:    morselsTotal.Value(),
 	}
 }
@@ -166,16 +264,18 @@ func init() {
 		func() float64 { return float64(SchedulerStats().ActiveJobs) })
 }
 
-// job is one parallel fragment published to the pool: an atomic ticket
-// counter over ceil(extent/morsel) morsels, claimed by the submitting
-// goroutine and up to maxHelpers pool workers.
+// job is one cut fragment published to the pool: an atomic ticket counter
+// over its ceil(extent/width) ranges, claimed by the submitting goroutine
+// and up to maxHelpers pool workers.
 type job struct {
-	f      *kernel.Fragment
-	env    *Env
-	nregs  kernel.Reg
-	count  bool
-	ctx    context.Context
-	morsel int
+	f     *kernel.Fragment
+	env   *Env
+	nregs kernel.Reg
+	count bool
+	ctx   context.Context
+	// width is the range width in work items; range m is work items
+	// [m·width, min((m+1)·width, extent)).
+	width int
 	// batch is the fragment's resolved execution path (nil = interpret);
 	// every participant (submitter and helpers) runs the same code.
 	batch *batchProg
@@ -190,17 +290,15 @@ type job struct {
 	helpers    int            // pool workers ever attached; guarded by sched.mu
 	wg         sync.WaitGroup // attached helpers still running
 
+	// What participants leave behind, under mu: the first real failure,
+	// their merged measurement partials (additive, so the order they finish
+	// in does not show), how many of them ran a range and the most ranges
+	// any one ran.
 	mu       sync.Mutex
 	firstErr error
-	parts    []partial
-}
-
-// partial is one participant's share of a job, for deterministic stats
-// merging (ordered by first claimed morsel) and imbalance accounting.
-type partial struct {
-	first   int64 // first morsel this participant claimed
-	morsels int   // morsels it executed
-	stats   FragStats
+	stats    FragStats
+	parts    int
+	busiest  int
 }
 
 // claim hands out the next morsel index, or -1 when the job is exhausted
@@ -230,24 +328,24 @@ func (j *job) fail(err error) {
 
 // runMorsels is the claim loop every participant runs: claim a ticket,
 // execute its work-item range under panic isolation, repeat. The worker w
-// accumulates stats across all morsels it executes; the per-participant
-// partial is attached to the job at the end.
+// accumulates stats across all morsels it executes and merges them into
+// the job at the end.
 func (j *job) runMorsels(w *worker, isHelper bool) {
-	p := partial{first: -1}
+	morsels, first := 0, int64(-1)
 	for {
 		m := j.claim()
 		if m < 0 {
 			break
 		}
-		if p.first < 0 {
-			p.first = m
+		if morsels == 0 {
+			first = m
 			if isHelper {
 				morselWaitNS.Add(time.Since(j.published).Nanoseconds())
 			}
 		}
-		p.morsels++
-		lo := int(m) * j.morsel
-		hi := min(lo+j.morsel, j.f.Extent)
+		morsels++
+		lo := int(m) * j.width
+		hi := min(lo+j.width, j.f.Extent)
 		err := protect(j.f.Name, func() error {
 			faultinject.MorselClaim(j.f.Name, int(m))
 			return w.run(lo, hi)
@@ -257,10 +355,16 @@ func (j *job) runMorsels(w *worker, isHelper bool) {
 			break
 		}
 	}
-	if p.morsels > 0 {
-		p.stats = w.stats
+	if morsels > 0 {
 		j.mu.Lock()
-		j.parts = append(j.parts, p)
+		j.stats.merge(&w.stats)
+		if first == 0 {
+			// The tile a record shows is the first tile of range 0,
+			// whoever finishes first.
+			j.stats.TileLanes, j.stats.TileIters = w.stats.TileLanes, w.stats.TileIters
+		}
+		j.parts++
+		j.busiest = max(j.busiest, morsels)
 		j.mu.Unlock()
 	}
 	w.release()
@@ -320,12 +424,14 @@ func (s *scheduler) workerLoop() {
 				j.helpers++
 				j.wg.Add(1)
 				s.mu.Unlock()
+				s.busy.Add(1)
 				w := newWorker(j.ctx, j.f, j.env, j.nregs, j.count, &j.stop, j.batch)
 				// CPU profiles served from /debug/pprof attribute helper
 				// samples to the fragment being executed.
 				pprof.Do(j.ctx, pprof.Labels("fragment", j.f.Name), func(context.Context) {
 					j.runMorsels(w, true)
 				})
+				s.busy.Add(-1)
 				j.wg.Done()
 				s.mu.Lock()
 				continue
@@ -343,23 +449,21 @@ func (s *scheduler) workerLoop() {
 	}
 }
 
-// runMorselParallel executes one non-sequential fragment through the
-// shared pool: the submitting goroutine claims morsels itself (so progress
-// never depends on pool availability) while up to par.Workers-1 pool
-// workers join it. Caller guarantees par is normalized, par.Workers > 1
-// and the fragment spans more than one morsel.
-func runMorselParallel(ctx context.Context, f *kernel.Fragment, env *Env, par Par, nregs kernel.Reg, batch *batchProg, fs *FragStats, count bool) error {
-	nMorsels := int64((f.Extent + par.Morsel - 1) / par.Morsel)
+// runMorselParallel executes one fragment cut into ranges of width work
+// items through the shared pool: the submitting goroutine claims ranges
+// itself (so progress never depends on pool availability) while up to
+// parts-1 pool workers join it. Caller guarantees parts > 1 and
+// width < f.Extent.
+func runMorselParallel(ctx context.Context, f *kernel.Fragment, env *Env, parts, width int, nregs kernel.Reg, batch *batchProg, fs *FragStats, count bool) error {
+	nMorsels := int64((f.Extent + width - 1) / width)
 	j := &job{
 		f: f, env: env, nregs: nregs, count: count, ctx: ctx,
-		morsel: par.Morsel, nMorsels: nMorsels, batch: batch,
+		width: width, nMorsels: nMorsels, batch: batch,
 	}
-	// The submitter occupies one worker slot; helpers beyond the morsel
+	// The submitter is one of the participants; helpers beyond the morsel
 	// count could never claim anything.
-	j.maxHelpers = min(par.Workers-1, int(nMorsels)-1)
-	if j.maxHelpers > 0 {
-		sched.publish(j)
-	}
+	j.maxHelpers = min(parts-1, int(nMorsels)-1)
+	sched.publish(j)
 
 	w := newWorker(ctx, f, env, nregs, count, &j.stop, batch)
 	// Label the submitter's share too, so profiles attribute parallel
@@ -368,34 +472,17 @@ func runMorselParallel(ctx context.Context, f *kernel.Fragment, env *Env, par Pa
 		j.runMorsels(w, false)
 	})
 
-	if j.maxHelpers > 0 {
-		sched.withdraw(j)
-	}
+	sched.withdraw(j)
 	j.wg.Wait()
 
-	// Merge measurement partials in first-claimed-morsel order: the counts
-	// are additive so any order yields the same totals, but a fixed order
-	// makes traces reproducible run to run.
-	j.mu.Lock()
-	parts := j.parts
-	j.mu.Unlock()
-	sort.Slice(parts, func(a, b int) bool { return parts[a].first < parts[b].first })
-	busiest := 0
-	for i := range parts {
-		if parts[i].morsels > busiest {
-			busiest = parts[i].morsels
-		}
-		if fs != nil {
-			fs.merge(&parts[i].stats)
-		}
-	}
 	imb := 1.0
-	if len(parts) > 0 && nMorsels > 0 {
-		imb = float64(busiest) * float64(len(parts)) / float64(nMorsels)
+	if j.parts > 0 {
+		imb = float64(j.busiest) * float64(j.parts) / float64(nMorsels)
 	}
 	fragImbalance.Observe(imb)
 	if fs != nil {
-		fs.Workers = len(parts)
+		fs.merge(&j.stats)
+		fs.Workers = j.parts
 		fs.Morsels = int(nMorsels)
 		fs.Imbalance = imb
 	}

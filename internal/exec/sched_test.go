@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -298,6 +299,9 @@ func TestMorselClaimFaultHook(t *testing.T) {
 			if morsel == 3 {
 				panic("injected claim-boundary bug")
 			}
+			// Recovering the panic takes longer than a morsel of this
+			// kernel: give the abort time to reach the ticket counter.
+			time.Sleep(2 * time.Millisecond)
 		},
 	})
 	err := Run(context.Background(), k, env, Par{Workers: 4, Morsel: 1024}, nil)
@@ -313,5 +317,198 @@ func TestMorselClaimFaultHook(t *testing.T) {
 	}
 	if claims.Load() >= n/1024 {
 		t.Errorf("all %d morsels were claimed despite the morsel-3 panic; abort did not propagate", claims.Load())
+	}
+}
+
+// shapeFrag is a fragment of the given control-vector shape for the cut
+// rule's table: extent work items × intent iterations, locals scratch slots
+// flushed by a post-loop body when locals > 0.
+func shapeFrag(kind string, extent, intent, locals int) *kernel.Fragment {
+	f := &kernel.Fragment{Name: "f", Extent: extent, Intent: intent, Locals: locals,
+		Prov:  kernel.Prov{Kind: kind},
+		Loops: []kernel.Loop{{Body: []kernel.Instr{{Op: kernel.IConstI, Dst: kernel.FirstFree}}}}}
+	if locals > 0 {
+		f.PostLoopBody = []kernel.Instr{{Op: kernel.IConstI, Dst: kernel.FirstFree}}
+	}
+	return f
+}
+
+// TestCutRule is the rule as a table: fragment shape, workers, goroutines
+// already executing fragment work (this submitter included), knobs → how
+// many ranges of what width, or the verdict for running as one.
+func TestCutRule(t *testing.T) {
+	cases := []struct {
+		name                   string
+		kind                   string
+		extent, intent, locals int
+		workers, morsel        int
+		count                  bool
+		busy                   int
+		wantRanges, wantWidth  int
+		wantVerdict            string
+	}{
+		// One worker is not a verdict: nothing was decided.
+		{name: "workers-1", extent: 1013, intent: 59, workers: 1, busy: 1},
+		{name: "extent-1 fold", extent: 1, intent: 59755, workers: 2, busy: 1, wantVerdict: "extent-1"},
+		{name: "small map", extent: 4096, intent: 2, workers: 2, busy: 1, wantVerdict: "small"},
+		{name: "scratch flush counts as work", extent: 64, intent: 125, locals: 4096, workers: 2, busy: 1, wantRanges: 2, wantWidth: 32},
+		{name: "filter 1013x59", extent: 1013, intent: 59, workers: 2, busy: 1, wantRanges: 8, wantWidth: 127},
+		{name: "map 4096x15", extent: 4096, intent: 15, workers: 2, busy: 1, wantRanges: 8, wantWidth: 512},
+		{name: "map 4096x15 on four", extent: 4096, intent: 15, workers: 4, busy: 1, wantRanges: 16, wantWidth: 256},
+		// Few-lane carried fragments: never more ranges than participants.
+		{name: "gfold 7x8537", extent: 7, intent: 8537, workers: 2, busy: 1, wantRanges: 2, wantWidth: 4},
+		{name: "gfold 7x8537 on four", extent: 7, intent: 8537, workers: 4, busy: 1, wantRanges: 3, wantWidth: 3},
+		{name: "gfold 3x2667", extent: 3, intent: 2667, locals: 9000, workers: 4, busy: 1, wantVerdict: "few-items"},
+		{name: "gfold 5x2000 on four", extent: 5, intent: 20000, workers: 4, busy: 1, wantRanges: 2, wantWidth: 3},
+		{name: "gfold 64x934", extent: 64, intent: 934, workers: 2, busy: 1, wantRanges: 2, wantWidth: 32},
+		{name: "gfold 64x934 on four", extent: 64, intent: 934, workers: 4, busy: 1, wantRanges: 4, wantWidth: 16},
+		{name: "between: ranges stay 64 wide", extent: 300, intent: 200, workers: 2, busy: 1, wantRanges: 4, wantWidth: 75},
+		// No free core: every slot is taken by somebody's fragment.
+		{name: "saturated", extent: 1013, intent: 59, workers: 2, busy: 2, wantVerdict: "saturated"},
+		{name: "oversubscribed", extent: 1013, intent: 59, workers: 2, busy: 5, wantVerdict: "saturated"},
+		{name: "half free", extent: 4096, intent: 15, workers: 4, busy: 3, wantRanges: 8, wantWidth: 512},
+		{name: "counted", extent: 4096, intent: 15, workers: 4, count: true, busy: 1, wantVerdict: "counted"},
+		{name: "scatter", kind: "scatter", extent: 4096, intent: 15, workers: 2, busy: 1, wantVerdict: "scatter"},
+		{name: "scatter under override", kind: "scatter", extent: 4096, intent: 15, workers: 2, morsel: 1, busy: 1, wantVerdict: "scatter"},
+		// Par.Morsel overrides everything else the rule would have said.
+		{name: "override cuts small", extent: 100, intent: 1, workers: 2, morsel: 1, busy: 2, wantRanges: 100, wantWidth: 1},
+		{name: "override cuts counted", extent: 4096, intent: 15, workers: 4, morsel: 512, count: true, busy: 1, wantRanges: 8, wantWidth: 512},
+		{name: "override covers extent", extent: 4096, intent: 15, workers: 4, morsel: 16384, busy: 1, wantVerdict: "morsel-override"},
+	}
+	for _, tc := range cases {
+		f := shapeFrag(tc.kind, tc.extent, tc.intent, tc.locals)
+		width, parts, verdict := cut(f, Par{Workers: tc.workers, Morsel: tc.morsel}, tc.count, tc.busy)
+		// Participants: every free slot when the rule cuts, every worker
+		// under the override, the submitter alone otherwise.
+		wantParts := 1
+		if tc.wantRanges > 0 {
+			wantParts = tc.workers - (tc.busy - 1)
+			if tc.morsel > 0 {
+				wantParts = tc.workers
+			}
+		}
+		if parts != wantParts {
+			t.Errorf("%s: %d participants, want %d", tc.name, parts, wantParts)
+		}
+		ranges := 0
+		if width > 0 {
+			ranges = (tc.extent + width - 1) / width
+		}
+		if width != tc.wantWidth || ranges != tc.wantRanges || verdict != tc.wantVerdict {
+			t.Errorf("%s: cut = %d ranges of %d, verdict %q; want %d of %d, %q",
+				tc.name, ranges, width, verdict, tc.wantRanges, tc.wantWidth, tc.wantVerdict)
+		}
+	}
+}
+
+// TestSaturatedSubmittersPublishNothing: when as many submitters as there
+// are worker slots arrive together, every one of them runs its fragment as
+// one range — nothing is published, no pool worker wakes. Two hooks make
+// "together" exact: fragment start holds each submitter, already counted in
+// flight, until all have arrived, and the first work item holds it until all
+// have decided their cut, so every cut sees the full house.
+func TestSaturatedSubmittersPublishNothing(t *testing.T) {
+	const (
+		workers = 3
+		n       = 1 << 16
+	)
+	k := busyKernel(n, 1)
+	var arrived, decided sync.WaitGroup
+	arrived.Add(workers)
+	decided.Add(workers)
+	faultinject.With(t, faultinject.Hooks{
+		FragmentStart: func(string) { arrived.Done(); arrived.Wait() },
+		Item: func(_ string, gid int) {
+			if gid == 0 {
+				decided.Done()
+				decided.Wait()
+			}
+		},
+	})
+	before := SchedulerStats().Morsels
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		env := NewEnv(k)
+		bindIn(t, k, env, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var fs FragStats
+			if err := RunFragment(context.Background(), k.Frags[0], env, Par{Workers: workers}, &fs, false); err != nil {
+				t.Error(err)
+			}
+			if fs.Workers != 1 || fs.Uncut != "saturated" {
+				t.Errorf("workers=%d uncut=%q, want 1 and saturated", fs.Workers, fs.Uncut)
+			}
+		}()
+	}
+	wg.Wait()
+	if d := SchedulerStats().Morsels - before; d != 0 {
+		t.Errorf("%d morsels published by %d concurrent submitters with %d worker slots, want 0", d, workers, workers)
+	}
+	// Alone, the same fragment is cut.
+	faultinject.Clear()
+	env := NewEnv(k)
+	bindIn(t, k, env, n)
+	var fs FragStats
+	if err := RunFragment(context.Background(), k.Frags[0], env, Par{Workers: workers}, &fs, false); err != nil {
+		t.Fatal(err)
+	}
+	if fs.Morsels != workers*cutPerParticipant || fs.Uncut != "" {
+		t.Errorf("alone: morsels=%d uncut=%q, want %d ranges", fs.Morsels, fs.Uncut, workers*cutPerParticipant)
+	}
+	if got := sched.busy.Load(); got != 0 {
+		t.Errorf("busy = %d with nothing running, want 0", got)
+	}
+}
+
+// TestCountedRunIsOneDeterministicCut: the device-model classifier keeps a
+// per-participant LRU of cache lines, so who claimed which range would show
+// in the Near/Rand counts. A counted run is therefore never cut by the rule,
+// and its record repeats exactly however many workers are allowed.
+func TestCountedRunIsOneDeterministicCut(t *testing.T) {
+	const n = 1 << 15
+	k := &kernel.Kernel{}
+	pos := k.AddBuf(kernel.BufDecl{Name: "pos", Kind: vector.Int, Size: n, Input: true})
+	data := k.AddBuf(kernel.BufDecl{Name: "data", Kind: vector.Int, Size: n, Input: true})
+	out := k.AddBuf(kernel.BufDecl{Name: "out", Kind: vector.Int, Size: n})
+	r0, r1 := kernel.FirstFree, kernel.FirstFree+1
+	k.Frags = append(k.Frags, &kernel.Fragment{Name: "gather", Extent: 4096, Intent: n / 4096, N: n,
+		Loops: []kernel.Loop{{Body: []kernel.Instr{
+			{Op: kernel.ILoad, Dst: r0, A: kernel.RegIdx, Buf: pos, Seq: true},
+			{Op: kernel.ILoad, Dst: r1, A: r0, Buf: data},
+			{Op: kernel.IStore, A: kernel.RegIdx, B: r1, Buf: out, Seq: true},
+		}}}})
+	posv, datav := make([]int64, n), make([]int64, n)
+	for i := range posv {
+		// Far strides, each visited three times running: far and hot lines.
+		posv[i] = int64((i / 3 * 7919) % n)
+		datav[i] = int64(i)
+	}
+	var want FragStats
+	for run := 0; run < 20; run++ {
+		env := NewEnv(k)
+		for name, v := range map[string][]int64{"pos": posv, "data": datav} {
+			if err := env.Bind(k, name, &Buffer{Kind: vector.Int, I: v}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var st Stats
+		if err := Run(context.Background(), k, env, Par{Workers: 4}, &st); err != nil {
+			t.Fatal(err)
+		}
+		fs := st.Frags[0]
+		if fs.Workers != 1 || fs.Uncut != "counted" {
+			t.Fatalf("run %d: workers=%d uncut=%q, want one participant, verdict counted", run, fs.Workers, fs.Uncut)
+		}
+		fs.Wall = 0
+		if run == 0 {
+			want = fs
+			if want.RandAccesses == 0 || want.NearAccesses == 0 {
+				t.Fatalf("kernel does not exercise the classifier: %+v", want)
+			}
+		} else if !reflect.DeepEqual(fs, want) {
+			t.Fatalf("run %d: counted record differs from run 0:\n got %+v\nwant %+v", run, fs, want)
+		}
 	}
 }

@@ -325,7 +325,10 @@ func (r *Result) Decode(col string, v float64) string {
 // exact plan a query would run.
 func (e *Engine) Plan(prog *core.Program) (*compile.Plan, error) {
 	opt := e.Opt
-	opt.ScatterParallel = true // join builds scatter unique keys
+	// Join builds scatter unique keys (lowering rejects the builds whose
+	// metadata says otherwise, BuildKeyError; repeats inside a sparse domain
+	// are assumed away) and semi joins a constant flag.
+	opt.ScatterParallel = true
 	if e.Backend == BulkCompiled {
 		opt.ForceBulk = true
 	}

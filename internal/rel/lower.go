@@ -60,6 +60,21 @@ func (l *lowerer) errf(format string, args ...any) {
 
 type lowerErr struct{ err error }
 
+// BuildKeyError is the plan error for a join whose build side has more rows
+// than its key has values: the key cannot be unique there, and an index
+// join keeps one build row per key.
+type BuildKeyError struct {
+	Key      string
+	Rows     int
+	Min, Max int64
+}
+
+func (e *BuildKeyError) Error() string {
+	return fmt.Sprintf("rel: join build key %q is not unique: %d rows over the %d values %d..%d; "+
+		"build on the side whose key is unique (in SQL, put that table in the JOIN clause and the other in FROM)",
+		e.Key, e.Rows, e.Max-e.Min+1, e.Min, e.Max)
+}
+
 // lower produces the Voodoo statements for node n.
 func (l *lowerer) lower(n Node) *lowered {
 	switch x := n.(type) {
@@ -241,6 +256,13 @@ func (l *lowerer) lowerJoin(j IndexJoin) *lowered {
 	size := maxK - minK + 1
 	if size <= 0 || size > 1<<28 {
 		l.errf("join key domain of %q is unusable (%d..%d)", j.BuildKey, minK, maxK)
+	}
+	// The open table holds one row per key, so a build key must be unique.
+	// More rows than key values is the one case the metadata decides
+	// (pigeonhole): reject it rather than let the last writer per key win.
+	// An existence test only stores a flag and is indifferent to repeats.
+	if !j.Semi && int64(build.n) > size {
+		panic(lowerErr{&BuildKeyError{Key: j.BuildKey, Rows: build.n, Min: minK, Max: maxK}})
 	}
 
 	// Build: scatter carried columns plus a match flag into the open

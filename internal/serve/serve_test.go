@@ -295,3 +295,30 @@ func TestServeIndex(t *testing.T) {
 		t.Errorf("unknown path: status %d, want 404", code)
 	}
 }
+
+// TestServeNonUniqueBuildKeyIs400: a join that builds on a repeated key is
+// the client's mistake — a plan error with the fix in it, not a wrong answer
+// and not a 500; the orientation that builds on the unique key serves.
+func TestServeNonUniqueBuildKeyIs400(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	code, _, body := postQuery(t, srv.URL, `SELECT c_mktsegment, COUNT(*) AS n FROM customer
+		JOIN orders ON c_custkey = o_custkey GROUP BY c_mktsegment`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", code, body)
+	}
+	if !strings.Contains(body, `"kind": "plan"`) || !strings.Contains(body, "o_custkey") || !strings.Contains(body, "JOIN clause") {
+		t.Errorf("error body does not say plan / o_custkey / the fix: %s", body)
+	}
+	code, qr, body := postQuery(t, srv.URL, `SELECT c_mktsegment, COUNT(*) AS n FROM orders
+		JOIN customer ON o_custkey = c_custkey GROUP BY c_mktsegment`)
+	if code != http.StatusOK {
+		t.Fatalf("status %d, want 200: %s", code, body)
+	}
+	var n float64
+	for _, row := range qr.Rows {
+		n += row["n"].(float64)
+	}
+	if want := float64(testCat.Table("orders").N); n != want {
+		t.Errorf("orders JOIN customer counts %g rows, want %g", n, want)
+	}
+}

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -269,5 +270,56 @@ func TestBareCountStar(t *testing.T) {
 	want := float64(cat.Table("orders").N)
 	if got := res.Rows[0]["n"]; got != want {
 		t.Fatalf("COUNT(*) = %v, want %v", got, want)
+	}
+}
+
+// TestJoinBuildKeyMustBeUnique: an index join keeps one build row per key,
+// so the JOIN-clause table must be the side whose key is unique. The
+// orientation that builds on orders' repeated o_custkey used to return the
+// last order per customer silently (counts summing to the customers, not the
+// orders); it is a typed plan error naming the fix, and the other
+// orientation counts every order.
+func TestJoinBuildKeyMustBeUnique(t *testing.T) {
+	total := func(res *rel.Result) (n float64) {
+		for _, r := range res.Rows {
+			n += r["n"]
+		}
+		return n
+	}
+	good := run(t, `SELECT c_mktsegment, COUNT(*) AS n FROM orders
+		JOIN customer ON o_custkey = c_custkey GROUP BY c_mktsegment`)
+	if got, want := total(good), float64(cat.Table("orders").N); got != want {
+		t.Errorf("orders JOIN customer counts %g rows, want every order (%g)", got, want)
+	}
+
+	stmt, err := Parse(`SELECT c_mktsegment, COUNT(*) AS n FROM customer
+		JOIN orders ON c_custkey = o_custkey GROUP BY c_mktsegment`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Plan(stmt, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []rel.Backend{rel.Compiled, rel.Interpreted, rel.BulkCompiled} {
+		_, _, err = (&rel.Engine{Cat: cat, Backend: backend}).Run(q)
+		var bke *rel.BuildKeyError
+		if !errors.As(err, &bke) {
+			t.Fatalf("backend %v: customer JOIN orders: err = %v, want *rel.BuildKeyError", backend, err)
+		}
+		if bke.Key != "o_custkey" || bke.Rows != cat.Table("orders").N {
+			t.Errorf("error names key %q over %d rows, want o_custkey over %d", bke.Key, bke.Rows, cat.Table("orders").N)
+		}
+		if !strings.Contains(err.Error(), "JOIN clause") {
+			t.Errorf("error does not name the fix: %v", err)
+		}
+	}
+
+	// The benchmark's join statements build on unique keys and still plan.
+	for _, src := range []string{
+		`SELECT o_orderpriority, COUNT(*) AS n FROM lineitem JOIN orders ON l_orderkey = o_orderkey GROUP BY o_orderpriority`,
+		`SELECT n_name, COUNT(*) AS n FROM supplier JOIN nation ON s_nationkey = n_nationkey GROUP BY n_name`,
+	} {
+		run(t, src)
 	}
 }

@@ -100,6 +100,9 @@ func BuildSpans(r *QueryRecord) QuerySpans {
 				sa["morsels"] = s.Morsels
 				sa["imbalance"] = s.Imbalance
 			}
+			if s.Uncut != "" {
+				sa["uncut"] = s.Uncut
+			}
 			if s.MaterializedBytes > 0 {
 				sa["materialized_bytes"] = s.MaterializedBytes
 			}

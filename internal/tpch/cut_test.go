@@ -1,0 +1,274 @@
+package tpch
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"voodoo/internal/compile"
+	"voodoo/internal/core"
+	"voodoo/internal/exec"
+	"voodoo/internal/faultinject"
+	"voodoo/internal/rel"
+	"voodoo/internal/storage"
+	"voodoo/internal/trace"
+	"voodoo/internal/vector"
+)
+
+// cutCat is the SF 0.01 catalog the scheduler tests share: the scale whose
+// fragment shapes DESIGN §12 measures (filt_0 1013 × 59, gfold_90 64 × 934).
+var cutCat = sync.OnceValue(func() *storage.Catalog { return Generate(Config{SF: 0.01, Seed: 42}) })
+
+// bits renders every root vector of a plan run down to the bit: attribute by
+// attribute, slot by slot, ε as "e".
+func bits(vals map[core.Ref]*vector.Vector) string {
+	refs := make([]int, 0, len(vals))
+	for r := range vals {
+		refs = append(refs, int(r))
+	}
+	sort.Ints(refs)
+	var sb strings.Builder
+	for _, r := range refs {
+		v := vals[core.Ref(r)]
+		names := append([]string(nil), v.Names()...)
+		sort.Strings(names)
+		for _, name := range names {
+			c := v.Col(name)
+			fmt.Fprintf(&sb, "v%d.%s:", r, name)
+			for i := 0; i < c.Len(); i++ {
+				switch {
+				case !c.Valid(i):
+					sb.WriteString(" e")
+				case c.Kind() == vector.Int:
+					fmt.Fprintf(&sb, " %x", c.Int(i))
+				default:
+					fmt.Fprintf(&sb, " %x", math.Float64bits(c.Float(i)))
+				}
+			}
+			sb.WriteByte('\n')
+		}
+	}
+	return sb.String()
+}
+
+// TestCutBitIdentity: however a fragment is cut, the answer is the same to
+// the bit — work items write disjoint slots and folds combine only inside a
+// work item. Every TPC-H query's assembled answer at Workers 2 and 4 equals
+// the one-worker answer byte for byte, and every plan it compiled, run again
+// under the cut rule and under one-item morsels, leaves the same root
+// vectors as its one-worker run.
+func TestCutBitIdentity(t *testing.T) {
+	cat := cutCat()
+	for _, num := range QueryNumbers {
+		qf, err := Query(num)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want string
+		var wantBits []string
+		for _, workers := range []int{1, 2, 4} {
+			e := &rel.Engine{Cat: cat, Backend: rel.Compiled, Opt: compile.Options{Workers: workers}}
+			var plans []*compile.Plan
+			e.PlanSink = func(p *compile.Plan) { plans = append(plans, p) }
+			res, _, err := qf(e)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", queryName(num), workers, err)
+			}
+			if got := formatResult(res); workers == 1 {
+				want = got
+			} else if got != want {
+				t.Errorf("%s workers=%d: answer differs from workers=1:\ngot:\n%s\nwant:\n%s", queryName(num), workers, got, want)
+			}
+			if len(plans) == 0 {
+				t.Fatalf("%s workers=%d: no plan reached the sink", queryName(num), workers)
+			}
+			for pi, p := range plans {
+				for _, morsel := range []int{0, 1} {
+					if workers == 1 && morsel == 1 {
+						continue // one worker runs one range whatever the morsel
+					}
+					pres, err := p.RunWith(context.Background(), compile.RunOpts{MorselSize: morsel})
+					if err != nil {
+						t.Fatalf("%s plan %d workers=%d morsel=%d: %v", queryName(num), pi, workers, morsel, err)
+					}
+					got := bits(pres.Values)
+					if workers == 1 {
+						wantBits = append(wantBits, got)
+					} else if got != wantBits[pi] {
+						t.Errorf("%s plan %d workers=%d morsel=%d: root vectors differ from the one-worker run", queryName(num), pi, workers, morsel)
+					}
+				}
+			}
+		}
+	}
+}
+
+// fragmentSteps runs query num once traced at the given worker count and
+// returns its fragment steps by name.
+func fragmentSteps(t *testing.T, num, workers int) map[string]trace.Step {
+	t.Helper()
+	qf, err := Query(num)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := map[string]trace.Step{}
+	e := &rel.Engine{Cat: cutCat(), Backend: rel.Compiled, Opt: compile.Options{Workers: workers}}
+	e.TraceSink = func(tr *trace.Trace) {
+		for _, s := range tr.Steps {
+			if s.Kind == trace.KindFragment {
+				steps[s.Name] = s
+			}
+		}
+	}
+	if _, _, err := qf(e); err != nil {
+		t.Fatalf("%s workers=%d: %v", queryName(num), workers, err)
+	}
+	return steps
+}
+
+// TestBigFragmentsSplit pins what the cut rule does to the fragments §12
+// names. With two workers the big ones are cut into several ranges and a
+// second participant takes some (a pool worker must wake in time for that,
+// so the test allows it a few runs); a few-lane grouped fold is never cut
+// into more ranges than participants, nor into ranges of one work item — the
+// carried slice of a range dispatches once per iteration, however few lanes
+// the range has — and a fragment left whole says why.
+func TestBigFragmentsSplit(t *testing.T) {
+	type shape struct {
+		query          int
+		name           string
+		extent, intent int
+	}
+	for _, s := range []shape{
+		{1, "filt_0", 1013, 59}, {1, "gfold_90", 64, 934}, {7, "mat_4", 4096, 15},
+	} {
+		helped := false
+		for try := 0; try < 200 && !helped; try++ {
+			st, ok := fragmentSteps(t, s.query, 2)[s.name]
+			if !ok || st.Extent != s.extent || st.Intent != s.intent {
+				t.Fatalf("%s: no fragment %s of shape %dx%d (got %+v)", queryName(s.query), s.name, s.extent, s.intent, st)
+			}
+			if st.Morsels < 2 || st.Uncut != "" {
+				t.Fatalf("%s %s: morsels=%d uncut=%q, want a cut", queryName(s.query), s.name, st.Morsels, st.Uncut)
+			}
+			helped = st.Workers == 2
+		}
+		if !helped {
+			t.Errorf("%s %s: cut, but no run in 200 reported workers=2", queryName(s.query), s.name)
+		}
+	}
+	for _, workers := range []int{2, 4} {
+		st, ok := fragmentSteps(t, 20, workers)["gfold_50"]
+		if !ok || st.Extent != 7 || st.Intent != 8537 {
+			t.Fatalf("q20: no fragment gfold_50 of shape 7x8537 (got %+v)", st)
+		}
+		if st.Morsels < 2 || int(st.Morsels) > workers {
+			t.Errorf("q20 gfold_50 workers=%d: cut into %d ranges, want 2..%d", workers, st.Morsels, workers)
+		}
+		st, ok = fragmentSteps(t, 11, workers)["gfold_67"]
+		if !ok || st.Extent != 3 || st.Intent != 2667 {
+			t.Fatalf("q11: no fragment gfold_67 of shape 3x2667 (got %+v)", st)
+		}
+		if st.Morsels != 1 || st.Uncut != "few-items" {
+			t.Errorf("q11 gfold_67 workers=%d: morsels=%d uncut=%q, want whole, few-items", workers, st.Morsels, st.Uncut)
+		}
+	}
+	// What is left whole carries the verdict; one worker carries none.
+	q6 := fragmentSteps(t, 6, 2)
+	if got := q6["reduce_43"].Uncut; got != "extent-1" {
+		t.Errorf("q6 reduce_43: uncut=%q, want extent-1", got)
+	}
+	if got := fragmentSteps(t, 1, 2)["mat_1"].Uncut; got != "small" {
+		t.Errorf("q1 mat_1: uncut=%q, want small", got)
+	}
+	if got := fragmentSteps(t, 4, 2)["scatter_1"].Uncut; got != "scatter" {
+		t.Errorf("q4 scatter_1 (a semi join's build repeats keys): uncut=%q, want scatter", got)
+	}
+	for name, st := range fragmentSteps(t, 6, 1) {
+		if st.Uncut != "" || st.Workers != 1 {
+			t.Errorf("q6 %s at one worker: workers=%d uncut=%q, want 1 and no verdict", name, st.Workers, st.Uncut)
+		}
+	}
+}
+
+// TestSplitQ1FailsLikeOneWorker: cancellation, an injected panic and a
+// governor deadline in the middle of Q1's grouped fold return the same typed
+// error whether the fragment runs as one range or split over two
+// participants, the run's arena goes back to the pool, and no job stays
+// published. (Fault hooks put the fragments on the interpreter tier; the cut
+// does not depend on the tier.)
+func TestSplitQ1FailsLikeOneWorker(t *testing.T) {
+	const frag = "gfold_90"
+	qf, err := Query(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// setup arms the engine and returns what the hook does mid-fragment.
+	failures := []struct {
+		name  string
+		setup func(e *rel.Engine) (hook func())
+		want  string
+		is    func(err error) bool
+	}{
+		{"cancel", func(e *rel.Engine) func() {
+			ctx, cancel := context.WithCancel(context.Background())
+			t.Cleanup(cancel)
+			e.BaseContext = ctx
+			return cancel
+		}, "context.Canceled", func(err error) bool { return errors.Is(err, context.Canceled) }},
+		{"panic", func(*rel.Engine) func() {
+			return func() { panic("injected mid-fragment bug") }
+		}, "*exec.PanicError in " + frag, func(err error) bool {
+			var pe *exec.PanicError
+			return errors.As(err, &pe) && pe.Fragment == frag
+		}},
+		{"deadline", func(e *rel.Engine) func() {
+			e.Limits = exec.Limits{Deadline: time.Now().Add(300 * time.Millisecond)}
+			return func() { time.Sleep(350 * time.Millisecond) }
+		}, "context.DeadlineExceeded", func(err error) bool { return errors.Is(err, context.DeadlineExceeded) }},
+	}
+	// The hooks are process-global: hold the hook-setting tests' lock.
+	faultinject.With(t, faultinject.Hooks{})
+	for _, f := range failures {
+		for _, workers := range []int{1, 2} {
+			pool := vector.NewPool(0)
+			e := &rel.Engine{Cat: cutCat(), Backend: rel.Compiled, Pool: pool, Opt: compile.Options{Workers: workers}}
+			hook := f.setup(e)
+			var claims atomic.Int64
+			faultinject.Set(faultinject.Hooks{
+				// Not the first checkpoint of a range: the fragment is under way.
+				Item: func(name string, gid int) {
+					if name == frag && gid%32 != 0 {
+						hook()
+					}
+				},
+				MorselClaim: func(name string, _ int) {
+					if name == frag {
+						claims.Add(1)
+					}
+				},
+			})
+			_, _, err := qf(e)
+			faultinject.Clear()
+			if !f.is(err) {
+				t.Errorf("%s workers=%d: err = %v (%T), want %s", f.name, workers, err, err, f.want)
+			}
+			if split := claims.Load() > 0; split != (workers > 1) {
+				t.Errorf("%s workers=%d: %d ranges of %s claimed", f.name, workers, claims.Load(), frag)
+			}
+			if live := pool.Stats().LiveArenas; live != 0 {
+				t.Errorf("%s workers=%d: %d arenas not released", f.name, workers, live)
+			}
+			if st := exec.SchedulerStats(); st.ActiveJobs != 0 {
+				t.Errorf("%s workers=%d: %d jobs still published", f.name, workers, st.ActiveJobs)
+			}
+		}
+	}
+}

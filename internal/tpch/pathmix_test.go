@@ -32,7 +32,7 @@ func fragmentPaths() (interp, batch, total int64) {
 // interpreted fragment did not batch. Tests in this package do not run in
 // parallel, so deltas of the process-wide counters belong to the query.
 func TestGoldenPathMix(t *testing.T) {
-	cat := Generate(Config{SF: 0.01, Seed: 42})
+	cat := cutCat()
 	var sb strings.Builder
 	sb.WriteString("query\tinterp\tbatch\n")
 	var sum [2]int64

@@ -83,6 +83,11 @@ type Step struct {
 	// an even share (1.0 = balanced).
 	Morsels   int64   `json:"morsels,omitempty"`
 	Imbalance float64 `json:"imbalance,omitempty"`
+	// Uncut says why a fragment ran on one participant although the run's
+	// worker count allowed more — the scheduler's verdict: "extent-1",
+	// "scatter", "small", "few-items", "saturated", "counted" or
+	// "morsel-override".
+	Uncut string `json:"uncut,omitempty"`
 	// Items is the number of loop iterations (work items) executed.
 	Items int64 `json:"items"`
 	// MaterializedBytes counts the bytes this step wrote at a fragment
@@ -221,6 +226,9 @@ func (t *Trace) String() string {
 		}
 		if s.Morsels > 1 {
 			fmt.Fprintf(&sb, " morsels=%d imb=%.2f", s.Morsels, s.Imbalance)
+		}
+		if s.Uncut != "" {
+			fmt.Fprintf(&sb, " uncut=%s", s.Uncut)
 		}
 		if s.Items > 0 {
 			fmt.Fprintf(&sb, " items=%d", s.Items)
