@@ -67,7 +67,7 @@ func main() {
 	traceOut := flag.String("trace", "", "run the query and write its execution trace as JSON to this file")
 	diagAddr := flag.String("diag-addr", "", "serve /metrics, pprof and expvar on this address for the process lifetime (e.g. localhost:6060)")
 	logLevel := flag.String("log-level", "off", "structured-log threshold on stderr: debug, info, warn, error or off")
-	doVerify := flag.Bool("verify", false, "statically verify programs and compiled plans before execution (voodoo_verify_failures_total counts rejections)")
+	doVerify := flag.Bool("verify", false, "statically verify programs and compiled plans before execution (voodoo_verify_failures_total counts rejections) and list their warnings")
 	flag.Parse()
 
 	// Exactly one source says how the plan(s) come to exist; everything
@@ -158,8 +158,14 @@ type output struct {
 	traceFile                        string
 }
 
-// plan displays one compiled plan; it is the engine's PlanSink.
+// plan displays one compiled plan; it is the engine's PlanSink. Under
+// -verify it lists the plan's warnings: a plan with errors never gets here.
 func (o output) plan(p *compile.Plan) {
+	if verify.Enabled() {
+		for _, d := range p.Verify() {
+			fmt.Fprintln(os.Stderr, "voodoo-run:", d)
+		}
+	}
 	if o.kernel {
 		fmt.Println("-- kernel fragments:")
 		fmt.Println(p.Kernel())

@@ -95,6 +95,12 @@ func TestEveryFlagOnEverySource(t *testing.T) {
 		}
 	}
 
+	// -verify lists a plan's warnings: Q1's filter stores the column only its
+	// predicate reads.
+	if out := run(t, "-verify", "-q", "1"); !regexp.MustCompile(`warn: VP008: .*l_shipdate`).MatchString(out) {
+		t.Errorf("-verify -q 1 lists no dead store of l_shipdate:\n%s", out)
+	}
+
 	// Conflicting or missing inputs and an unknown engine are usage errors,
 	// not a silent preference for one of them.
 	for _, tc := range []struct {

@@ -128,7 +128,8 @@ func (c *compiler) bufferizeWithCtrl(d *desc, ctrl foldCtrl) *desc {
 		}
 		if a.validEx != nil {
 			lv, ok := a.validEx.(*eLoadValid)
-			if !ok || lv.buf != ld.buf || lv.idx != expr(theIdx) {
+			same, shared := c.sameMask[ld.buf]
+			if !ok || (lv.buf != ld.buf && !(shared && same == lv.buf)) || lv.idx != expr(theIdx) {
 				direct = false
 				break
 			}
@@ -270,8 +271,20 @@ func (c *compiler) spillFilt(fi *filtInfo) *desc {
 		em.push(kernel.Instr{Op: kernel.IGuard, A: pred})
 	}
 	em.memo[expr(thePos)] = kernel.RegIdx
+	// A column with no ε of its own is valid exactly in the slots the
+	// selection writes, whichever column it is: all such columns share the
+	// validity of the first, so consumers test it once.
+	var written *eLoadValid
 	for _, a := range fi.attrs {
 		buf := c.addBuf("filt."+a.name, a.kind(), fi.sel.srcN, true, false)
+		valid := &eLoadValid{buf: buf, idx: theIdx}
+		if a.validEx == nil {
+			if written == nil {
+				written = valid
+			}
+			valid = written
+			c.sameMask[buf] = written.buf
+		}
 		v := em.emitAs(a.ex, a.kind())
 		st := kernel.Instr{Op: kernel.IStore, Buf: buf, A: addr, B: v,
 			Float: a.kind() == vector.Float}
@@ -289,8 +302,7 @@ func (c *compiler) spillFilt(fi *filtInfo) *desc {
 		}
 		em.push(st)
 		out.attrs = append(out.attrs, attr{name: a.name,
-			ex:      &eLoad{buf: buf, k: a.kind(), idx: theIdx},
-			validEx: &eLoadValid{buf: buf, idx: theIdx}})
+			ex: &eLoad{buf: buf, k: a.kind(), idx: theIdx}, validEx: valid})
 	}
 	if c.opt.Predication {
 		em.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: cursor, A: cursor, B: pred})

@@ -66,6 +66,7 @@ func Compile(p *core.Program, st Storage, opt Options) (*Plan, error) {
 		descs:     make([]*desc, len(p.Stmts)),
 		plan:      &Plan{prog: p, st: st, opt: opt},
 		foldCache: map[core.Ref]*desc{},
+		sameMask:  map[int]int{},
 	}
 	c.plan.kern = c.kern
 	if err := c.run(); err != nil {
@@ -108,6 +109,10 @@ type compiler struct {
 	// storage exposes column statistics (see zonemap.go); nil when the
 	// storage provides none.
 	ranges map[int]valRange
+	// sameMask maps a buffer to another whose validity mask always equals
+	// its own — columns a filter wrote through one selection — so an
+	// attribute may test the other's (spillFilt).
+	sameMask map[int]int
 }
 
 type compileErr struct{ err error }
@@ -349,7 +354,7 @@ func (c *compiler) compileArith(s *core.Stmt) *desc {
 
 func andValid(a, b expr) expr {
 	switch {
-	case a == nil:
+	case a == nil || a == b:
 		return b
 	case b == nil:
 		return a

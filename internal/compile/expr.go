@@ -168,7 +168,23 @@ func binExpr(op kernel.BinOp, a, b expr) expr {
 			}
 		}
 	}
-	// Constant folding keeps emitted kernels lean.
+	// x > x is 0 for every value, NaN included: what a count sums (rel
+	// lowers it as NOT (x > x) = (0 == 0), 1 wherever x is not ε). The fold
+	// drops x, so only where x cannot fault: the interpreter evaluates it.
+	if a == b && op == kernel.BGt && !mayFault(a) {
+		return constI(0)
+	}
+	// Constant folding keeps emitted kernels lean. An integer x ± 0 is x;
+	// an integer x * 0 is 0 where x cannot fault: the liveness anchors rel
+	// adds (x + live*0) and the key shifts it subtracts (x - 0).
+	if cb, ok := b.(*eConst); ok && !cb.isF && cb.i == 0 && a.kind() == vector.Int {
+		switch {
+		case op == kernel.BAdd || op == kernel.BSub:
+			return a
+		case op == kernel.BMul && !mayFault(a):
+			return b
+		}
+	}
 	if ca, ok := a.(*eConst); ok && !ca.isF {
 		if cb, ok2 := b.(*eConst); ok2 && !cb.isF {
 			if v, ok3 := foldConstI(op, ca.i, cb.i); ok3 {
@@ -177,6 +193,32 @@ func binExpr(op kernel.BinOp, a, b expr) expr {
 		}
 	}
 	return &eBin{op: op, a: a, b: b}
+}
+
+// mayFault reports whether evaluating e can fail at run time: it divides
+// or takes a modulo by something other than a nonzero constant, or holds a
+// placeholder whose computation is not known here.
+func mayFault(e expr) bool {
+	switch x := e.(type) {
+	case *eIdx, *eConst, *eGen, *ePos, *eGID:
+		return false
+	case *eLoad:
+		return mayFault(x.idx)
+	case *eLoadValid:
+		return mayFault(x.idx)
+	case *eBin:
+		if x.op == kernel.BDiv || x.op == kernel.BMod {
+			if c, ok := x.b.(*eConst); !ok || (c.i == 0 && c.f == 0) {
+				return true
+			}
+		}
+		return mayFault(x.a) || mayFault(x.b)
+	case *eSel:
+		return mayFault(x.c) || mayFault(x.a) || mayFault(x.b)
+	case *eCast:
+		return mayFault(x.a)
+	}
+	return true
 }
 
 func propagateMeta(op kernel.BinOp, m vector.RunMeta, c int64) (vector.RunMeta, bool) {
@@ -228,6 +270,11 @@ func foldConstI(op kernel.BinOp, a, b int64) (int64, bool) {
 			m += b
 		}
 		return m, true
+	case kernel.BEq:
+		if a == b {
+			return 1, true
+		}
+		return 0, true
 	}
 	return 0, false
 }
@@ -345,6 +392,9 @@ func (em *emitter) emitNew(e expr) kernel.Reg {
 func (em *emitter) emitAs(e expr, k vector.Kind) kernel.Reg {
 	if e.kind() == k {
 		return em.emit(e)
+	}
+	if c, ok := e.(*eConst); ok && k == vector.Float {
+		return em.emit(constF(float64(c.i)))
 	}
 	return em.emit(&eCast{toF: k == vector.Float, a: e})
 }

@@ -563,11 +563,25 @@ func (c *compiler) groupedFold(s *core.Stmt, d *desc) *desc {
 	if P < 1 {
 		P = 1
 	}
-	// Per work item: for each aggregate, k sums then k counts; then k raw
-	// occupancy slots counting every scattered row (including ε rows,
+	// Per work item: k sums for each aggregate; k counts for each distinct
+	// input validity (aggregates whose inputs are ε alike count alike); then
+	// k raw occupancy slots counting every scattered row (including ε rows,
 	// which the interpreter places in the zero-valued partition) so the
-	// padded layout expands exactly as the interpreter's.
-	width := 2*k*nA + k
+	// padded layout expands exactly as the interpreter's. The accumulators
+	// see only rows whose group id is valid (the guard below), so an input
+	// valid exactly where the group id is counts as having no ε.
+	valid := make([]expr, nA)
+	cntOf := map[expr]int{} // input validity (nil: none) → its block of counts
+	for ai, sp := range specs {
+		if sp.val.validEx != ctrlAttr.validEx {
+			valid[ai] = sp.val.validEx
+		}
+		if _, ok := cntOf[valid[ai]]; !ok {
+			cntOf[valid[ai]] = nA + len(cntOf)
+		}
+	}
+	occOff := k * (nA + len(cntOf))
+	width := occOff + k
 	partials := c.addBuf("gpart", lkind, P*width, false, false)
 	f := &kernel.Fragment{
 		Name:   fmt.Sprintf("gfold_%d", s.ID),
@@ -579,27 +593,35 @@ func (c *compiler) groupedFold(s *core.Stmt, d *desc) *desc {
 	}
 	var body []kernel.Instr
 	em := newEmitter(&body)
+	// Every table update below is t = loc[i]; u = op(t, x); loc[i] = u with
+	// i and x computed from the row alone: a scratch reduction, which the
+	// batch tier runs a tile at a time (verify.LoopFacts.Chains).
+	load := func(i kernel.Reg) kernel.Reg {
+		t := em.alloc()
+		em.push(kernel.Instr{Op: kernel.ILoadLoc, Dst: t, A: i, Float: anyFloat})
+		return t
+	}
+	update := func(bop kernel.BinOp, t, x kernel.Reg) kernel.Reg {
+		u := em.alloc()
+		em.push(kernel.Instr{Op: kernel.IBin, BOp: bop, Dst: u, A: t, B: x, Float: anyFloat})
+		return u
+	}
+	store := func(i, u kernel.Reg) {
+		em.push(kernel.Instr{Op: kernel.IStoreLoc, A: i, B: u, Float: anyFloat})
+	}
+	slotOf := func(g expr, off int) kernel.Reg { return em.emit(binExpr(kernel.BAdd, g, constI(int64(off)))) }
+	var one expr = constI(1)
+	if anyFloat {
+		one = constF(1)
+	}
 	// Raw occupancy first (before any guard): ε rows read group zero, as
 	// the interpreter's Partition does.
 	g0ex := gp.part.valEx
 	if ctrlAttr.validEx != nil {
 		g0ex = &eSel{c: ctrlAttr.validEx, a: gp.part.valEx, b: constI(0)}
 	}
-	g0 := em.emitAs(g0ex, vector.Int)
-	occBase := em.emit(constI(int64(2 * k * nA)))
-	occIdx := em.alloc()
-	em.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: occIdx, A: occBase, B: g0})
-	occOld := em.alloc()
-	em.push(kernel.Instr{Op: kernel.ILoadLoc, Dst: occOld, A: occIdx, Float: anyFloat})
-	occOne := em.emit(constI(1))
-	occInc := occOne
-	if anyFloat {
-		occInc = em.alloc()
-		em.push(kernel.Instr{Op: kernel.ICastIF, Dst: occInc, A: occOne})
-	}
-	occNew := em.alloc()
-	em.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: occNew, A: occOld, B: occInc, Float: anyFloat})
-	em.push(kernel.Instr{Op: kernel.IStoreLoc, A: occIdx, B: occNew, Float: anyFloat})
+	occIdx := slotOf(g0ex, occOff)
+	store(occIdx, update(kernel.BAdd, load(occIdx), em.emit(one)))
 	// Rows whose group id is ε (padding from an upstream selection, or a
 	// missed join) belong to no group: skip them before touching the
 	// aggregate accumulators.
@@ -607,36 +629,37 @@ func (c *compiler) groupedFold(s *core.Stmt, d *desc) *desc {
 		gv := em.emit(ctrlAttr.validEx)
 		em.push(kernel.Instr{Op: kernel.IGuard, A: gv})
 	}
-	g := em.emit(gp.part.valEx)
 
+	counted := map[expr]kernel.Reg{} // input validity → its count before this row
 	for ai, sp := range specs {
-		iI, iF := foldIdentity(sp.op, lkind)
-		bop := foldOpBin(sp.op)
-		base := em.emit(constI(int64(2 * k * ai)))
-		slot := em.alloc()
-		em.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: slot, A: base, B: g})
-		kOff := em.emit(constI(int64(k)))
-		cntIdx := em.alloc()
-		em.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: cntIdx, A: slot, B: kOff})
-		cnt := em.alloc()
-		em.push(kernel.Instr{Op: kernel.ILoadLoc, Dst: cnt, A: cntIdx, Float: anyFloat})
+		cnt, ok := counted[valid[ai]]
+		if !ok {
+			inc := em.emit(one)
+			if valid[ai] != nil {
+				inc = em.emitAs(valid[ai], lkind)
+			}
+			cntIdx := slotOf(gp.part.valEx, k*cntOf[valid[ai]])
+			cnt = load(cntIdx)
+			store(cntIdx, update(kernel.BAdd, cnt, inc))
+			counted[valid[ai]] = cnt
+		}
 
-		validR := kernel.NoReg
 		ex := sp.val.ex
-		if sp.val.validEx != nil {
-			validR = em.emit(sp.val.validEx)
+		if valid[ai] != nil {
+			iI, iF := foldIdentity(sp.op, lkind)
 			var ident expr = constI(iI)
 			if lkind == vector.Float {
 				ident = constF(iF)
 			}
-			ex = &eSel{c: sp.val.validEx, a: sp.val.ex, b: ident}
+			ex = &eSel{c: valid[ai], a: sp.val.ex, b: ident}
 		}
 		v := em.emitAs(ex, lkind)
-		old := em.alloc()
-		em.push(kernel.Instr{Op: kernel.ILoadLoc, Dst: old, A: slot, Float: anyFloat})
-		merged := em.alloc()
-		em.push(kernel.Instr{Op: kernel.IBin, BOp: bop, Dst: merged, A: old, B: v, Float: anyFloat})
-		if sp.op != core.OpFoldSum {
+		slot := slotOf(gp.part.valEx, k*ai)
+		merged := update(foldOpBin(sp.op), load(slot), v)
+		// A min or max takes the first value a slot sees rather than fold
+		// it into the slot's initial 0 — except a max of the partition id
+		// itself: ids lie in [0, k), so max(0, id) is the id.
+		if sp.op != core.OpFoldSum && !(sp.op == core.OpFoldMax && sp.val.ex == gp.part.valEx) {
 			cntI := cnt
 			if anyFloat {
 				cntI = em.alloc()
@@ -644,19 +667,7 @@ func (c *compiler) groupedFold(s *core.Stmt, d *desc) *desc {
 			}
 			em.push(kernel.Instr{Op: kernel.ISel, Dst: merged, A: cntI, B: merged, C: v, Float: anyFloat})
 		}
-		em.push(kernel.Instr{Op: kernel.IStoreLoc, A: slot, B: merged, Float: anyFloat})
-		inc := em.emit(constI(1))
-		if validR != kernel.NoReg {
-			inc = validR
-		}
-		if anyFloat {
-			fi := em.alloc()
-			em.push(kernel.Instr{Op: kernel.ICastIF, Dst: fi, A: inc})
-			inc = fi
-		}
-		newCnt := em.alloc()
-		em.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: newCnt, A: cnt, B: inc, Float: anyFloat})
-		em.push(kernel.Instr{Op: kernel.IStoreLoc, A: cntIdx, B: newCnt, Float: anyFloat})
+		store(slot, merged)
 	}
 	f.Loops = []kernel.Loop{{Body: body}}
 
@@ -705,23 +716,35 @@ func (c *compiler) groupedFold(s *core.Stmt, d *desc) *desc {
 	wR := rem.emit(constI(int64(width)))
 	base := rem.alloc()
 	rem.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BMul, Dst: base, A: kernel.RegIV, B: wR})
+	// partial loads slot off + gid of work item iv's table; count loads a
+	// count as an integer.
+	partial := func(off int) kernel.Reg {
+		offR := rem.emit(constI(int64(off)))
+		i := rem.alloc()
+		rem.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: i, A: base, B: offR})
+		rem.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: i, A: i, B: kernel.RegGID})
+		v := rem.alloc()
+		rem.push(kernel.Instr{Op: kernel.ILoad, Dst: v, A: i, Buf: partials, Float: anyFloat, Seq: true})
+		return v
+	}
+	count := func(off int) kernel.Reg {
+		v := partial(off)
+		if !anyFloat {
+			return v
+		}
+		n := rem.alloc()
+		rem.push(kernel.Instr{Op: kernel.ICastFI, Dst: n, A: v})
+		return n
+	}
+	partCnt := map[int]kernel.Reg{} // count block → this partial's count
 	for ai, sp := range specs {
 		o := &gouts[ai]
-		off := rem.emit(constI(int64(2 * k * ai)))
-		vi := rem.alloc()
-		rem.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: vi, A: base, B: off})
-		rem.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: vi, A: vi, B: kernel.RegGID})
-		rv := rem.alloc()
-		rem.push(kernel.Instr{Op: kernel.ILoad, Dst: rv, A: vi, Buf: partials, Float: anyFloat, Seq: true})
-		kR := rem.emit(constI(int64(k)))
-		ci := rem.alloc()
-		rem.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: ci, A: vi, B: kR})
-		rc := rem.alloc()
-		rem.push(kernel.Instr{Op: kernel.ILoad, Dst: rc, A: ci, Buf: partials, Float: anyFloat, Seq: true})
-		rcI := rc
-		if anyFloat {
-			rcI = rem.alloc()
-			rem.push(kernel.Instr{Op: kernel.ICastFI, Dst: rcI, A: rc})
+		rv := partial(k * ai)
+		cb := cntOf[valid[ai]]
+		rcI, ok := partCnt[cb]
+		if !ok {
+			rcI = count(k * cb)
+			partCnt[cb] = rcI
 		}
 		rem.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: o.any, A: o.any, B: rcI})
 		merged := rem.alloc()
@@ -743,18 +766,7 @@ func (c *compiler) groupedFold(s *core.Stmt, d *desc) *desc {
 	// Occupancy reduce: counts[g] = Σ over work items of occ[g].
 	occAcc := rem.alloc()
 	rf.Pre = append(rf.Pre, kernel.Instr{Op: kernel.IConstI, Dst: occAcc, Imm: 0})
-	occOff := rem.emit(constI(int64(2 * k * nA)))
-	oi := rem.alloc()
-	rem.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: oi, A: base, B: occOff})
-	rem.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: oi, A: oi, B: kernel.RegGID})
-	ov := rem.alloc()
-	rem.push(kernel.Instr{Op: kernel.ILoad, Dst: ov, A: oi, Buf: partials, Float: anyFloat, Seq: true})
-	ovI := ov
-	if anyFloat {
-		ovI = rem.alloc()
-		rem.push(kernel.Instr{Op: kernel.ICastFI, Dst: ovI, A: ov})
-	}
-	rem.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: occAcc, A: occAcc, B: ovI})
+	rem.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: occAcc, A: occAcc, B: count(occOff)})
 	rf.Loops = []kernel.Loop{{Body: rbody}}
 	rf.Post = append(rf.Post, kernel.Instr{Op: kernel.IStore, Buf: counts, A: kernel.RegGID,
 		B: occAcc, Seq: true})

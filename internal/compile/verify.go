@@ -3,7 +3,9 @@
 // buffer inputs must be resolved before they are read, bulk steps must keep
 // their attribute/buffer schemas aligned across the fragment boundary,
 // zone-map pruned steps must leave outputs that read back as all-ε, and
-// scatter provenance must match the access patterns actually emitted.
+// scatter provenance must match the access patterns actually emitted. A
+// buffer a fragment stores and nothing reads is reported as a warning: the
+// plan is correct, the materialization is waste.
 package compile
 
 import (
@@ -25,6 +27,10 @@ func (p *Plan) Verify() []verify.Diagnostic {
 	// executor, so reading them early is suspicious but defined; reading
 	// an unbound Input buffer dereferences a nil buffer.
 	written := make([]bool, nbufs)
+	// read and storedBy track, for the dead-store rule, every buffer some
+	// step, output or persist reads and the first fragment storing each.
+	read := make([]bool, nbufs)
+	storedBy := make([]string, nbufs)
 
 	stepPos := func(s step) verify.Pos {
 		return verify.Pos{Stmt: -1, Index: -1, Step: s.stepName()}
@@ -35,6 +41,7 @@ func (p *Plan) Verify() []verify.Diagnostic {
 				Msg: fmt.Sprintf("%s reads buf %d outside the kernel's %d declarations", what, buf, nbufs)})
 			return
 		}
+		read[buf] = true
 		if written[buf] {
 			return
 		}
@@ -67,6 +74,9 @@ func (p *Plan) Verify() []verify.Diagnostic {
 			}
 			for _, b := range writes {
 				markWritten(pos, b, "fragment store")
+				if b >= 0 && b < nbufs && storedBy[b] == "" {
+					storedBy[b] = pos.Step
+				}
 			}
 			diags = append(diags, checkScatterProv(x.f)...)
 		case *bulkStep:
@@ -109,6 +119,13 @@ func (p *Plan) Verify() []verify.Diagnostic {
 		pos := verify.Pos{Stmt: -1, Index: -1, Step: fmt.Sprintf("output v%d", o.ref)}
 		for _, b := range o.conv.bufs {
 			checkRead(pos, b, "output")
+		}
+	}
+	for b, step := range storedBy {
+		if step != "" && !read[b] {
+			diags = append(diags, verify.Diagnostic{Level: verify.Warn,
+				Pos: verify.Pos{Stmt: -1, Index: -1, Step: step}, Rule: verify.RuleDeadStore,
+				Msg: fmt.Sprintf("stores buf %d (%s), which no step, output or persist reads", b, p.kern.Bufs[b].Name)})
 		}
 	}
 	return diags

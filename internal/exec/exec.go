@@ -335,6 +335,11 @@ type FragStats struct {
 	// work items side by side × consecutive iterations of each (zero on the
 	// interpreter, and for a fragment without loops).
 	TileLanes, TileIters int
+	// AccWide and AccCarried count the batch tier's tiles of a loop whose
+	// carried slice is scratch reductions (verify.LoopFacts.Chains): those
+	// that ran them one primitive each, and those whose slots met so that
+	// they ran iteration by iteration (zero for other fragments).
+	AccWide, AccCarried int64
 
 	Items int64 // loop iterations executed
 	// StoreBytes counts bytes written to global buffers — the
@@ -376,6 +381,8 @@ func (fs *FragStats) merge(o *FragStats) {
 	if fs.TileLanes == 0 {
 		fs.TileLanes, fs.TileIters = o.TileLanes, o.TileIters
 	}
+	fs.AccWide += o.AccWide
+	fs.AccCarried += o.AccCarried
 	fs.Items += o.Items
 	fs.StoreBytes += o.StoreBytes
 	fs.IntOps += o.IntOps

@@ -21,20 +21,21 @@ import (
 // what a tile can get wrong: accumulators, registers redefined after a
 // carried read, scratch read-modify-write chains on a handful of slots (keys
 // collide inside a tile and across chains), guards on free and on carried
-// values between them, and dynamic bounds far shorter than a tile.
+// values between them, and dynamic bounds far shorter than a tile. Half the
+// loops with a scratch array are bodies of scratch reductions alone, into
+// slot ranges that are disjoint or shared, so tiles take both the
+// reductions' tile-wide path and its fallback.
 // Whatever the verifier passes must leave every buffer, Items and
 // StoreBytes bit-identical on both tiers at one worker and — work items
 // being independent — at three workers, over two-item morsels and under the
 // cut rule; when the
 // interpreter faults, the batch tier must report the same error text.
 // Fragments BatchFacts rejects run interpreted on both sides, which checks
-// nothing but costs nothing; the decoder is built so that most are
-// eligible.
+// little but costs nothing; the decoder is built so that most are eligible.
+// Those it rejects for a register read without a dominating definition run
+// at one worker only.
 func FuzzBatchVsInterp(f *testing.F) {
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 96; i++ {
-		seed := make([]byte, 96)
-		rng.Read(seed)
+	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -45,6 +46,12 @@ func FuzzBatchVsInterp(f *testing.F) {
 				t.Skip(d)
 			}
 		}
+		// A register read no definition of its work item dominates sees
+		// whatever the previous work item on the same worker left there, so
+		// what such a fragment leaves depends on how work items fall to
+		// workers: only one worker is comparable. Every other fragment —
+		// eligible or rejected for another reason — runs at three as well.
+		undominated := verify.BatchFacts(frag).Reason == "register read without a dominating definition in its work item"
 		run := func(par Par) (*Env, FragStats, error) {
 			env := NewEnv(k)
 			for name, buf := range in {
@@ -69,6 +76,9 @@ func FuzzBatchVsInterp(f *testing.F) {
 			t.Fatalf("%s: items=%d store_bytes=%d, interpreter reports %d / %d\n%s",
 				rec.Specialized, rec.Items, rec.StoreBytes, want.Items, want.StoreBytes, k)
 		}
+		if undominated {
+			return
+		}
 		// Three workers, cut two ways: two-item morsels, and whatever the cut
 		// rule makes of the shape (most decoded fragments sit below its floor
 		// and run as one range; the big ones are cut by declared work).
@@ -86,6 +96,46 @@ func FuzzBatchVsInterp(f *testing.F) {
 	})
 }
 
+// fuzzSeeds is FuzzBatchVsInterp's seed corpus, which plain go test runs.
+func fuzzSeeds() [][]byte {
+	rng := rand.New(rand.NewSource(17))
+	seeds := make([][]byte, 128)
+	for i := range seeds {
+		seeds[i] = make([]byte, 96)
+		rng.Read(seeds[i])
+	}
+	return seeds
+}
+
+// TestFuzzSeedsReachBothReductionPaths: the seed corpus alone — what plain
+// go test runs of FuzzBatchVsInterp — decodes loop bodies whose scratch
+// reductions run a tile at a time and bodies whose reductions meet in a slot
+// and fall back to the carried pass, so both are checked against the
+// interpreter on every run of the suite.
+func TestFuzzSeedsReachBothReductionPaths(t *testing.T) {
+	var wide, carried int64
+	for _, seed := range fuzzSeeds() {
+		k, in := decodeFragment(seed)
+		if verify.HasErrors(verify.Fragment(k.Frags[0], k.Bufs)) {
+			continue
+		}
+		env := NewEnv(k)
+		for name, buf := range in {
+			if err := env.Bind(k, name, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var fs FragStats
+		if RunFragment(context.Background(), k.Frags[0], env, Par{Workers: 1}, &fs, false) == nil {
+			wide, carried = wide+min(fs.AccWide, 1), carried+min(fs.AccCarried, 1)
+		}
+	}
+	t.Logf("seeds: %d ran reductions wide, %d fell back", wide, carried)
+	if wide == 0 || carried == 0 {
+		t.Errorf("seed corpus: %d seeds ran scratch reductions wide and %d fell back; want both", wide, carried)
+	}
+}
+
 // fragDecoder maps a byte string onto one fragment. It tracks, per register
 // file, the registers defined on every path to the instruction being
 // emitted — the dominance BatchFacts demands — and draws operands from
@@ -95,6 +145,7 @@ func FuzzBatchVsInterp(f *testing.F) {
 type fragDecoder struct {
 	data []byte
 	pos  int
+	tpos int // bytes tail has read
 
 	k    *kernel.Kernel
 	f    *kernel.Fragment
@@ -109,6 +160,9 @@ type fragDecoder struct {
 	elemI, elemF int // one slot per element, stored at RegIdx
 	itemI, itemF int // one slot per work item, stored at RegGID
 	slotF        int // one slot per (work item, scratch slot), post-loop body only
+	// regions > 0 decodes a loop body of scratch reductions into that many
+	// disjoint slot ranges, with nothing else carried beside them.
+	regions int
 }
 
 func (d *fragDecoder) byte() int {
@@ -118,6 +172,17 @@ func (d *fragDecoder) byte() int {
 	b := d.data[d.pos]
 	d.pos++
 	return int(b)
+}
+
+// tail reads from the other end of data, past whatever byte reads: choices
+// drawn from it leave the rest of the decoding as it was without them, so
+// the seed corpus keeps its older fragments.
+func (d *fragDecoder) tail() int {
+	if d.tpos >= len(d.data) {
+		return 0
+	}
+	d.tpos++
+	return int(d.data[len(d.data)-d.tpos])
 }
 
 func (d *fragDecoder) fresh() kernel.Reg {
@@ -195,12 +260,55 @@ var fuzzIntOps = []kernel.BinOp{kernel.BAdd, kernel.BSub, kernel.BMul, kernel.BG
 var fuzzFltOps = []kernel.BinOp{kernel.BAdd, kernel.BSub, kernel.BMul, kernel.BGt, kernel.BGe, kernel.BEq,
 	kernel.BMin, kernel.BMax, kernel.BDiv, kernel.BAnd}
 
+// reduction decodes one instruction of a scratch-reduction body: mostly
+// reductions t = loc[i]; u = op(t, x); loc[i] = u into one of the slot
+// ranges — two chains in one range may meet in a slot, in two they cannot —
+// and otherwise free instructions that define fresh registers only.
+func (d *fragDecoder) reduction(out *[]kernel.Instr, sec section) {
+	fresh := func(flt bool) kernel.Reg {
+		r := d.fresh()
+		if flt {
+			d.defF, d.allF = append(d.defF, r), append(d.allF, r)
+		} else {
+			d.defI, d.allI = append(d.defI, r), append(d.allI, r)
+		}
+		return r
+	}
+	switch d.byte() % 6 {
+	case 0:
+		a, b := d.intOperand(sec), d.intOperand(sec)
+		*out = append(*out, kernel.Instr{Op: kernel.IBin, BOp: fuzzIntOps[d.byte()%8], Dst: fresh(false), A: a, B: b})
+	case 1:
+		a, b := d.fltOperand(out), d.fltOperand(out)
+		*out = append(*out, kernel.Instr{Op: kernel.IBin, BOp: fuzzFltOps[d.byte()%8], Dst: fresh(true), A: a, B: b, Float: true})
+	case 2:
+		*out = append(*out, kernel.Instr{Op: kernel.ILoad, Dst: fresh(true), A: kernel.RegIdx, Buf: d.inF, Seq: true, Float: true})
+	default:
+		w := max(1, d.f.Locals/d.regions)
+		x, r := d.intOperand(sec), d.byte()%d.regions
+		c, m, o, i := d.fresh(), d.fresh(), d.fresh(), d.fresh()
+		tt, u := d.fresh(), d.fresh() // read by the chain alone: in no pool
+		*out = append(*out,
+			kernel.Instr{Op: kernel.IConstI, Dst: c, Imm: int64(w)},
+			kernel.Instr{Op: kernel.IBin, BOp: kernel.BMod, Dst: m, A: x, B: c},
+			kernel.Instr{Op: kernel.IConstI, Dst: o, Imm: int64(r * w)},
+			kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: i, A: m, B: o},
+			kernel.Instr{Op: kernel.ILoadLoc, Dst: tt, A: i, Float: true},
+			kernel.Instr{Op: kernel.IBin, BOp: fuzzFltOps[d.byte()%5], Dst: u, A: tt, B: d.fltOperand(out), Float: true},
+			kernel.Instr{Op: kernel.IStoreLoc, A: i, B: u, Float: true})
+	}
+}
+
 // instrs decodes up to n instructions of one section. Definitions made
 // behind a guard stop dominating at the end of the section; the caller
 // restores its own view.
 func (d *fragDecoder) instrs(sec section, n int) []kernel.Instr {
 	var out []kernel.Instr
 	for i := 0; i < n; i++ {
+		if sec == secLoop && d.regions > 0 {
+			d.reduction(&out, sec)
+			continue
+		}
 		switch op := d.byte() % 24; op {
 		case 0:
 			out = append(out, kernel.Instr{Op: kernel.IConstI, Dst: d.dst(false), Imm: int64(d.byte()%9) - 2})
@@ -360,7 +468,11 @@ func decodeFragment(data []byte) (*kernel.Kernel, map[string]*Buffer) {
 		if len(preI) > 0 && d.byte()%3 == 0 {
 			loop.BoundReg = preI[d.byte()%len(preI)]
 		}
+		if f.Locals > 0 && d.tail()%2 == 0 {
+			d.regions = 1 + d.tail()%min(3, f.Locals)
+		}
 		loop.Body = d.instrs(secLoop, 1+d.byte()%9)
+		d.regions = 0
 		f.Loops = append(f.Loops, loop)
 	}
 	d.defI, d.defF = append([]kernel.Reg{}, preI...), append([]kernel.Reg{}, preF...)

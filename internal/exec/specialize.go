@@ -51,6 +51,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"voodoo/internal/kernel"
 	"voodoo/internal/metrics"
@@ -156,10 +157,14 @@ type batchPrim struct {
 // the value boundReg holds at loop entry when boundReg > 0.
 type batchSeq struct {
 	wide, carried []batchPrim
-	lf            *verify.LoopFacts // of a loop: the registers to window and to spread
-	bound         int
-	boundReg      kernel.Reg
-	postLoop      bool // iterates RegJ over the scratch slots, not RegIV/RegIdx
+	// chains are the carried slice as scratch reductions when that is all
+	// it holds (verify.LoopFacts.Chains): a tile whose chains touch disjoint
+	// slots runs each as one primitive instead of the carried pass.
+	chains   []batchChain
+	lf       *verify.LoopFacts // of a loop: the registers to window and to spread
+	bound    int
+	boundReg kernel.Reg
+	postLoop bool // iterates RegJ over the scratch slots, not RegIV/RegIdx
 	// elements: a blocked loop over the full Intent whose iterations are
 	// independent (verify.LoopFacts.Independent). Nothing observes the order
 	// its tiles enumerate them in, so they take element order — work item by
@@ -316,6 +321,11 @@ func compileBatch(f *kernel.Fragment) *batchProg {
 		s.wide = prims[at : at : at+len(instrs)-carried]
 		s.carried = prims[at+len(instrs)-carried : at+len(instrs)-carried : at+len(instrs)]
 		snap := 0
+		var chains []verify.Chain
+		if lf != nil && lf.Chains != nil {
+			chains = lf.Chains
+			s.chains = make([]batchChain, 0, len(chains))
+		}
 		for i := range instrs {
 			in := &instrs[i]
 			if facts.Hoisted(in) {
@@ -331,6 +341,14 @@ func compileBatch(f *kernel.Fragment) *batchProg {
 			case class == verify.Carried:
 				p.snap = snap
 				s.carried = append(s.carried, p)
+				if len(chains) > 0 && chains[0].Store == i {
+					// At its store: a lane takes part in the update when it
+					// gets this far.
+					op := &instrs[chains[0].Op]
+					s.chains = append(s.chains, batchChain{float: op.Float,
+						i: in.A, x: op.B, op: op.BOp, snap: snap})
+					chains = chains[1:]
+				}
 			case class == verify.Reduce:
 				p.fn = foldFor(in)
 				s.wide = append(s.wide, p)
@@ -743,6 +761,21 @@ func (w *worker) runTile(s *batchSeq, n int, sel []int32, rows int) (fault bool,
 	if len(s.carried) == 0 {
 		return false, nil
 	}
+	if s.chains != nil {
+		if b.disjoint(s.chains) {
+			for i := range s.chains {
+				c := &s.chains[i]
+				if c.float {
+					primChain(b.rf, b.locF, b, c)
+				} else {
+					primChain(b.ri, b.locI, b, c)
+				}
+			}
+			w.stats.AccWide++
+			return false, nil
+		}
+		w.stats.AccCarried++
+	}
 	lanes := b.lanes
 	if rows > 1 {
 		for j, r := range s.lf.Win[0] {
@@ -788,6 +821,86 @@ func (w *worker) runTile(s *batchSeq, n int, sel []int32, rows int) (fault bool,
 		}
 	}
 	return err != nil, err
+}
+
+// batchChain is a scratch reduction (verify.Chain) compiled to one
+// primitive: loc[i] = op(loc[i], x) for the pseudo-lanes of the selection
+// snapshot in effect at its store.
+type batchChain struct {
+	float bool // the scratch array's domain
+	i, x  kernel.Reg
+	op    kernel.BinOp
+	snap  int
+}
+
+// disjoint reports whether the scratch reductions of the tile touch
+// pairwise disjoint intervals of in-range slots: then no two meet in a slot
+// of any lane, and each may run over the whole tile on its own. Otherwise
+// the carried pass runs them, and reports any slot out of range.
+func (b *bstate) disjoint(chains []batchChain) bool {
+	var buf [16][2]int64
+	spans := buf[:0]
+	for i := range chains {
+		c := &chains[i]
+		s, idx := &b.snaps[c.snap], b.ri[c.i]
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		if s.sel != nil {
+			for _, p := range s.sel {
+				lo, hi = min(lo, idx[p]), max(hi, idx[p])
+			}
+		} else {
+			for _, v := range idx[:s.n] {
+				lo, hi = min(lo, v), max(hi, v)
+			}
+		}
+		if lo > hi {
+			continue // no lane gets as far as this chain
+		}
+		if lo < 0 || hi >= int64(b.nloc) {
+			return false
+		}
+		for _, sp := range spans {
+			if lo <= sp[1] && sp[0] <= hi {
+				return false
+			}
+		}
+		spans = append(spans, [2]int64{lo, hi})
+	}
+	return true
+}
+
+// primChain runs one scratch reduction over its snapshot in pseudo-lane
+// order, which for each lane is iteration order: a float sum rounds as the
+// interpreter's. disjoint has checked every slot is in range.
+func primChain[T int64 | float64](regs [][]T, loc []T, b *bstate, c *batchChain) {
+	s, idx, x, lane := &b.snaps[c.snap], b.ri[c.i], regs[c.x], b.laneOf()
+	lanes, op := int64(b.lanes), c.op
+	if s.sel != nil {
+		for _, p := range s.sel {
+			j := idx[p]*lanes + int64(lane[p])
+			loc[j] = reduce(op, loc[j], x[p])
+		}
+		return
+	}
+	for p := range s.n {
+		j := idx[p]*lanes + int64(lane[p])
+		loc[j] = reduce(op, loc[j], x[p])
+	}
+}
+
+// reduce applies a scratch reduction's operator as ibin and fbin do.
+func reduce[T int64 | float64](op kernel.BinOp, a, b T) T {
+	switch op {
+	case kernel.BAdd:
+		return a + b
+	case kernel.BSub:
+		return a - b
+	case kernel.BMul:
+		return a * b
+	case kernel.BMin:
+		return min(a, b)
+	}
+	return max(a, b)
 }
 
 // window makes the pseudo-lanes of s in [lo, lo+lanes) — one iteration of

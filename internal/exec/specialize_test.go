@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -21,6 +22,9 @@ type specKernel struct {
 	build func() *kernel.Kernel
 	in    map[string]*Buffer
 	path  string // the tier the fragment takes with specialization on
+	// acc is what the batch tier does with the scratch reductions: "wide"
+	// in every tile, "fallback" in some, "" when there are none.
+	acc string
 }
 
 // selectKernel is the canonical TPC-H selection shape: load → compare
@@ -345,6 +349,70 @@ func firstFewKernel(n, extent, groups int) *kernel.Kernel {
 	return k
 }
 
+// chainSpec is one scratch reduction of reduceKernel: loc[off + g] =
+// op(loc[off + g], float(v)) with g = v mod groups.
+type chainSpec struct {
+	off int
+	op  kernel.BinOp
+}
+
+// reduceKernel is the grouped-fold body the compiler emits: every scratch
+// update is a reduction t = loc[i]; u = op(t, x); loc[i] = u with i and x
+// computed from the element alone (verify.Chain). Chains whose offsets lie
+// groups apart touch disjoint slots; closer ones alias. From chain guardAt on
+// (-1: none) the chains sit behind a guard on the element's validity. The
+// post-loop body flushes the scratch array.
+func reduceKernel(n, extent, groups int, chains []chainSpec, guardAt int) *kernel.Kernel {
+	k := &kernel.Kernel{}
+	intent := (n + extent - 1) / extent
+	locals := groups
+	for _, c := range chains {
+		locals = max(locals, c.off+groups)
+	}
+	in := k.AddBuf(kernel.BufDecl{Name: "in", Kind: vector.Int, Size: n, Input: true})
+	out := k.AddBuf(kernel.BufDecl{Name: "table", Kind: vector.Float, Size: extent * locals})
+	next, nextF := kernel.FirstFree, kernel.FirstFree
+	reg := func() kernel.Reg { next++; return next - 1 }
+	freg := func() kernel.Reg { nextF++; return nextF - 1 }
+	v, rg, g, fv := reg(), reg(), reg(), freg()
+	body := []kernel.Instr{
+		{Op: kernel.ILoad, Dst: v, A: kernel.RegIdx, Buf: in, Seq: true},
+		{Op: kernel.IConstI, Dst: rg, Imm: int64(groups)},
+		{Op: kernel.IBin, BOp: kernel.BMod, Dst: g, A: v, B: rg},
+		{Op: kernel.ICastIF, Dst: fv, A: v},
+	}
+	for c, ch := range chains {
+		if c == guardAt {
+			ok := reg()
+			body = append(body,
+				kernel.Instr{Op: kernel.ILoadValid, Dst: ok, A: kernel.RegIdx, Buf: in, Seq: true},
+				kernel.Instr{Op: kernel.IGuard, A: ok})
+		}
+		off, i, t, u := reg(), reg(), freg(), freg()
+		body = append(body,
+			kernel.Instr{Op: kernel.IConstI, Dst: off, Imm: int64(ch.off)},
+			kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: i, A: g, B: off},
+			kernel.Instr{Op: kernel.ILoadLoc, Dst: t, A: i, Float: true},
+			kernel.Instr{Op: kernel.IBin, BOp: ch.op, Dst: u, A: t, B: fv, Float: true},
+			kernel.Instr{Op: kernel.IStoreLoc, A: i, B: u, Float: true})
+	}
+	w, at, x := reg(), reg(), freg()
+	k.Frags = append(k.Frags, &kernel.Fragment{
+		Name: "reduce", Extent: extent, Intent: intent, N: n,
+		Locals: locals, LocalsFloat: true, LocalsInit: 0.5,
+		Prov:  kernel.Prov{Kind: "group-fold", Virtual: true},
+		Loops: []kernel.Loop{{Body: body}},
+		PostLoopBody: []kernel.Instr{
+			{Op: kernel.IConstI, Dst: w, Imm: int64(locals)},
+			{Op: kernel.IBin, BOp: kernel.BMul, Dst: at, A: kernel.RegGID, B: w},
+			{Op: kernel.IBin, BOp: kernel.BAdd, Dst: at, A: at, B: kernel.RegJ},
+			{Op: kernel.ILoadLoc, Dst: x, A: kernel.RegJ, Float: true},
+			{Op: kernel.IStore, A: at, B: x, Buf: out, Seq: true, Float: true},
+		},
+	})
+	return k
+}
+
 func seqInts(n int) []int64 {
 	v := make([]int64, n)
 	for i := range v {
@@ -431,64 +499,89 @@ func TestSpecializeModesBitIdentical(t *testing.T) {
 	}
 	cases := []specKernel{
 		{"select", func() *kernel.Kernel { return selectKernel(n, 40) },
-			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch", ""},
 		{"select-masked", func() *kernel.Kernel {
 			k := selectKernel(n, 40)
 			k.Bufs[1].Valid = true // stores also write a validity byte
 			return k
-		}, map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+		}, map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch", ""},
 		{"map-float", func() *kernel.Kernel { return mapFloatKernel(n) },
-			map[string]*Buffer{"in": {Kind: vector.Float, F: floats}}, "batch"},
+			map[string]*Buffer{"in": {Kind: vector.Float, F: floats}}, "batch", ""},
 		{"fold-sum-blocked", func() *kernel.Kernel { return foldKernel(n, 7, kernel.BAdd, false) },
-			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch", ""},
 		{"fold-min-strided", func() *kernel.Kernel { return foldKernel(n, 4, kernel.BMin, true) },
-			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch", ""},
 		// One to three work items of a long Intent: tiles batch along
 		// iterations, and the accumulator folds once per tile.
 		{"fold-extent-1", func() *kernel.Kernel { return foldKernel(n, 1, kernel.BAdd, false) },
-			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch", ""},
 		{"fold-3-strided", func() *kernel.Kernel { return foldKernel(n, 3, kernel.BMax, true) },
-			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch", ""},
 		{"filter-2-branching", func() *kernel.Kernel { return filterKernel(n, 2, 40, false) },
-			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch", ""},
 		{"redefined-after-carried-read", func() *kernel.Kernel { return redefKernel(n, 3, 40) },
-			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch", ""},
 		{"two-chains-free-guard", func() *kernel.Kernel { return twoChainKernel(n, 3, 5) },
-			map[string]*Buffer{"in": withValid}, "batch"},
+			map[string]*Buffer{"in": withValid}, "batch", ""},
 		{"carried-guard", func() *kernel.Kernel { return firstFewKernel(n, 2, 7) },
-			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch", ""},
 		// Loop 1's dynamic bound — a few dozen qualifying positions per work
 		// item — is far shorter than the 341 iterations a 3-lane tile holds.
 		{"bound-shorter-than-tile", func() *kernel.Kernel { return filterFoldKernel(n, 3, 1000, 85) },
-			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch", ""},
 		{"bound-one-lane-outlasts", func() *kernel.Kernel { return filterFoldKernel(300, 6, 50, 40) },
-			map[string]*Buffer{"in": {Kind: vector.Int, I: lopsided}}, "batch"},
+			map[string]*Buffer{"in": {Kind: vector.Int, I: lopsided}}, "batch", ""},
 		{"fold-ragged", func() *kernel.Kernel {
 			// 64 × 59 overshoots n by 13 whole work items: they run no
 			// iteration but still seed and store their partial.
 			k := foldKernel(n, 64, kernel.BAdd, false)
 			k.Frags[0].Intent = 59
 			return k
-		}, map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+		}, map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch", ""},
 		{"filter-branching", func() *kernel.Kernel { return filterKernel(n, 51, 40, false) },
-			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch", ""},
 		{"filter-predicated", func() *kernel.Kernel { return filterKernel(n, 51, 40, true) },
-			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch", ""},
 		{"filter-fold-two-loop", func() *kernel.Kernel { return filterFoldKernel(n, 64, 59, 40) },
-			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+			map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}, "batch", ""},
 		{"group-fold-locals", func() *kernel.Kernel { return groupFoldKernel(n, 13, 5) },
-			map[string]*Buffer{"in": withValid}, "batch"},
+			map[string]*Buffer{"in": withValid}, "batch", ""},
+		// Scratch reductions: disjoint ones run a tile at a time, ones whose
+		// slots meet fall back to the carried pass; a guard between chains
+		// gives the later ones a narrower selection; 7 × 429 leaves the last
+		// work item's last tile row partial.
+		{"chains-disjoint", func() *kernel.Kernel {
+			return reduceKernel(n, 3, 5, []chainSpec{{0, kernel.BAdd}, {5, kernel.BMax}, {10, kernel.BSub}}, -1)
+		}, map[string]*Buffer{"in": withValid}, "batch", "wide"},
+		{"chains-aliasing", func() *kernel.Kernel {
+			return reduceKernel(n, 3, 5, []chainSpec{{0, kernel.BAdd}, {2, kernel.BMul}}, -1)
+		}, map[string]*Buffer{"in": withValid}, "batch", "fallback"},
+		{"chains-guard-between", func() *kernel.Kernel {
+			return reduceKernel(n, 3, 5, []chainSpec{{0, kernel.BAdd}, {5, kernel.BMin}, {10, kernel.BAdd}}, 1)
+		}, map[string]*Buffer{"in": withValid}, "batch", "wide"},
+		{"chains-partial-row", func() *kernel.Kernel {
+			return reduceKernel(n, 7, 4, []chainSpec{{0, kernel.BAdd}, {4, kernel.BMul}}, 1)
+		}, map[string]*Buffer{"in": withValid}, "batch", "wide"},
+		{"chains-x-from-prologue", func() *kernel.Kernel {
+			// Chain 0 folds in a register the prologue defines and nothing
+			// free reads: its tile-wide primitive needs it in every row.
+			k := reduceKernel(n, 3, 5, []chainSpec{{0, kernel.BAdd}, {5, kernel.BMax}}, -1)
+			f, x := k.Frags[0], kernel.FirstFree+20
+			f.Pre = []kernel.Instr{{Op: kernel.ICastIF, Dst: x, A: kernel.RegGID}}
+			f.Loops[0].Body[7].B = x
+			return k
+		}, map[string]*Buffer{"in": withValid}, "batch", "wide"},
 		{"mat-independent", func() *kernel.Kernel {
 			// The map over 200 × 15 blocked work items: nothing carried, so
 			// its tiles take the 3000 elements in element order.
 			k := mapFloatKernel(n)
 			k.Frags[0].Extent, k.Frags[0].Intent = 200, 15
 			return k
-		}, map[string]*Buffer{"in": {Kind: vector.Float, F: floats}}, "batch"},
+		}, map[string]*Buffer{"in": {Kind: vector.Float, F: floats}}, "batch", ""},
 		{"gather", func() *kernel.Kernel { return gatherKernel(n) },
-			map[string]*Buffer{"idx": {Kind: vector.Int, I: idx}, "in": {Kind: vector.Int, I: seqInts(n)}}, "batch"},
+			map[string]*Buffer{"idx": {Kind: vector.Int, I: idx}, "in": {Kind: vector.Int, I: seqInts(n)}}, "batch", ""},
 		{"mixed", func() *kernel.Kernel { return mixedKernel(n) },
-			map[string]*Buffer{"in": withValid}, "batch"},
+			map[string]*Buffer{"in": withValid}, "batch", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -510,6 +603,17 @@ func TestSpecializeModesBitIdentical(t *testing.T) {
 					}
 					if rec.IntOps != 0 || rec.SeqBytes != 0 || rec.Guards != 0 {
 						t.Errorf("morsel=%d workers=%d: an uncounted run collected device counters: %+v", morsel, workers, rec)
+					}
+					var acc string
+					switch {
+					case rec.AccCarried > 0:
+						acc = "fallback"
+					case rec.AccWide > 0:
+						acc = "wide"
+					}
+					if acc != tc.acc {
+						t.Errorf("morsel=%d workers=%d: scratch reductions ran %d tiles wide, %d carried; want %q",
+							morsel, workers, rec.AccWide, rec.AccCarried, tc.acc)
 					}
 				}
 			}
@@ -657,6 +761,79 @@ func TestSpecializeBatchEligibility(t *testing.T) {
 		}
 		if got != tc.tiling {
 			t.Errorf("%s: loop 0 tiles as %q, want %q\n%s", tc.name, got, tc.tiling, (&kernel.Kernel{Frags: []*kernel.Fragment{tc.f}}).String())
+		}
+	}
+}
+
+// TestScratchReductionFacts pins which loop bodies verify.BatchFacts reports
+// as scratch reductions (LoopFacts.Chains): accepted shapes, and the
+// rejected ones, each for its own reason — whatever else a body carries, a
+// rejected one keeps the carried pass. The base is reduceKernel's two chains
+// (body: load, const, mod, cast, then const, add, load-loc, op, store-loc per
+// chain; integer registers v=4 g=6, chain 0's i=8 and t, u = f5, f6, chain
+// 1's t, u = f7, f8, the element as float f4).
+func TestScratchReductionFacts(t *testing.T) {
+	base := func() *kernel.Fragment {
+		return reduceKernel(64, 8, 4, []chainSpec{{0, kernel.BAdd}, {4, kernel.BMax}}, -1).Frags[0]
+	}
+	const f4, f5, f8 = kernel.FirstFree, kernel.FirstFree + 1, kernel.FirstFree + 4
+	const g, i0, spare = kernel.FirstFree + 2, kernel.FirstFree + 4, kernel.FirstFree + 20
+	insert := func(f *kernel.Fragment, at int, ins ...kernel.Instr) {
+		body := f.Loops[0].Body
+		f.Loops[0].Body = append(append(append([]kernel.Instr{}, body[:at]...), ins...), body[at:]...)
+	}
+	for _, tc := range []struct {
+		name   string
+		f      *kernel.Fragment
+		mutate func(f *kernel.Fragment)
+		chains []verify.Chain // nil: rejected
+	}{
+		{"two-disjoint", base(), nil, []verify.Chain{{Load: 6, Op: 7, Store: 8}, {Load: 11, Op: 12, Store: 13}}},
+		{"guard-between", reduceKernel(64, 8, 4, []chainSpec{{0, kernel.BAdd}, {4, kernel.BSub}}, 1).Frags[0], nil,
+			[]verify.Chain{{Load: 6, Op: 7, Store: 8}, {Load: 13, Op: 14, Store: 15}}},
+		// Whether the chains' slots meet is the executor's per-tile check,
+		// not a fact: aliasing chains are chains.
+		{"aliasing", reduceKernel(64, 8, 4, []chainSpec{{0, kernel.BAdd}, {1, kernel.BMul}}, -1).Frags[0], nil,
+			[]verify.Chain{{Load: 6, Op: 7, Store: 8}, {Load: 11, Op: 12, Store: 13}}},
+		{"t-read-twice", base(), func(f *kernel.Fragment) {
+			f.Loops[0].Body[12].B = f5 // chain 1 folds in chain 0's t
+		}, nil},
+		{"first-seen-select", base(), func(f *kernel.Fragment) {
+			// The min/max idiom: take the value when the slot's count, chain
+			// 0's t, is still 0 — u is defined twice and t read twice.
+			insert(f, 13,
+				kernel.Instr{Op: kernel.ICastFI, Dst: spare, A: f5},
+				kernel.Instr{Op: kernel.ISel, Dst: f8, A: spare, B: f8, C: f4, Float: true})
+		}, nil},
+		{"op-div", base(), func(f *kernel.Fragment) { f.Loops[0].Body[7].BOp = kernel.BDiv }, nil},
+		{"i-redefined", base(), func(f *kernel.Fragment) {
+			insert(f, 7, kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: i0, A: i0, B: g})
+		}, nil},
+		{"extra-scratch-load", base(), func(f *kernel.Fragment) {
+			insert(f, 14, kernel.Instr{Op: kernel.ILoadLoc, Dst: spare, A: g, Float: true})
+		}, nil},
+		{"extra-scratch-store", base(), func(f *kernel.Fragment) {
+			insert(f, 14, kernel.Instr{Op: kernel.IStoreLoc, A: g, B: f4, Float: true})
+		}, nil},
+		{"behind-carried-guard", base(), func(f *kernel.Fragment) {
+			// A counter live across iterations, read twice: its update and
+			// the guard on it are carried, and chain 1 sits behind the guard.
+			f.Pre = []kernel.Instr{{Op: kernel.IConstI, Dst: spare, Imm: 1}}
+			insert(f, 9,
+				kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: spare, A: spare, B: g},
+				kernel.Instr{Op: kernel.IGuard, A: spare})
+		}, nil},
+	} {
+		if tc.mutate != nil {
+			tc.mutate(tc.f)
+		}
+		facts := verify.BatchFacts(tc.f)
+		if !facts.BatchEligible {
+			t.Errorf("%s: not batch-eligible: %s", tc.name, facts.Reason)
+			continue
+		}
+		if got := facts.Loops[0].Chains; !slices.Equal(got, tc.chains) {
+			t.Errorf("%s: chains %v, want %v\n%s", tc.name, got, tc.chains, (&kernel.Kernel{Frags: []*kernel.Fragment{tc.f}}).String())
 		}
 	}
 }

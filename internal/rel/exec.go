@@ -195,8 +195,8 @@ func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, st
 			e.TraceSink(tr)
 		}
 		release = ires.Release
-		for _, o := range pr.outs {
-			values[o.ref] = ires.Value(o.ref)
+		for _, ref := range pr.refs() {
+			values[ref] = ires.Value(ref)
 		}
 	} else {
 		pres, rerr := pr.plan.RunWith(ctx, e.RunOpts())
@@ -212,13 +212,13 @@ func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, st
 			e.TraceSink(tr)
 		}
 		release = pres.Release
-		for _, o := range pr.outs {
-			v, ok := pres.Values[o.ref]
+		for _, ref := range pr.refs() {
+			v, ok := pres.Values[ref]
 			if !ok {
 				pres.Release()
-				return nil, nil, fmt.Errorf("rel: output v%d not produced", o.ref)
+				return nil, nil, fmt.Errorf("rel: output v%d not produced", ref)
 			}
-			values[o.ref] = v
+			values[ref] = v
 		}
 		if e.CollectStats {
 			stats = &pres.Stats
@@ -246,6 +246,19 @@ func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, st
 	return res, stats, nil
 }
 
+// refs lists the values assembling the result reads: every output and the
+// counts averages divide by.
+func (pr *Prepared) refs() []core.Ref {
+	refs := make([]core.Ref, 0, len(pr.outs))
+	for _, o := range pr.outs {
+		refs = append(refs, o.ref)
+		if o.div >= 0 {
+			refs = append(refs, o.div)
+		}
+	}
+	return refs
+}
+
 // assemble turns the padded fold outputs into a result table: valid slots
 // of the outputs are aligned (all folds share the grouping), keys first.
 func assemble(outs []aggOut, values map[core.Ref]*vector.Vector) *Result {
@@ -268,45 +281,59 @@ func assemble(outs []aggOut, values map[core.Ref]*vector.Vector) *Result {
 		}
 	}
 	for _, o := range aggOuts {
-		if !o.hidden {
-			res.Cols = append(res.Cols, o.name)
+		res.Cols = append(res.Cols, o.name)
+	}
+	col := func(ref core.Ref) *vector.Column {
+		if ref < 0 {
+			return nil
 		}
+		return values[ref].SingleCol()
+	}
+	vals, divs := make([]*vector.Column, len(aggOuts)), make([]*vector.Column, len(aggOuts))
+	for j, o := range aggOuts {
+		vals[j], divs[j] = col(o.ref), col(o.div)
 	}
 
-	// Row positions come from the first output's validity. A global
-	// aggregate always produces exactly one row — over an empty input its
-	// sums read as zero (slot 0 is ε but still the row's position).
-	first := values[outs[0].ref].SingleCol()
+	// Row positions come from the first output's validity — for grouped
+	// aggregation the group-id fold, valid for a group with a live row. A
+	// global aggregate always produces exactly one row — over an empty input
+	// its sums read as zero (slot 0 is ε but still the row's position).
+	var first *vector.Column
 	if len(keyOuts) > 0 {
-		first = values[keyOuts[0].ref].SingleCol()
+		first = col(keyOuts[0].ref)
+	} else {
+		first = vals[0]
 	}
 	for i := 0; i < first.Len(); i++ {
 		if !first.Valid(i) && !(len(keyOuts) == 0 && i == 0) {
 			continue
 		}
 		row := Row{}
-		for _, o := range keyOuts {
-			// The key fold aggregates the raw key values, so no shift
-			// correction applies.
-			c := values[o.ref].SingleCol()
-			row[o.name] = c.Float(i)
-		}
-		for _, o := range aggOuts {
-			c := values[o.ref].SingleCol()
-			if c.Valid(i) {
-				row[o.name] = c.Float(i)
-			} else {
-				row[o.name] = 0
+		if len(keyOuts) > 0 {
+			g := int64(first.Float(i))
+			for _, o := range keyOuts {
+				row[o.name] = float64(o.shift + g/o.stride%o.card)
 			}
 		}
-		for _, o := range aggOuts {
-			if o.divideBy != "" && row[o.divideBy] != 0 {
-				row[o.name] /= row[o.divideBy]
+		for j, o := range aggOuts {
+			row[o.name] = valueAt(vals[j], i)
+			if divs[j] != nil {
+				if d := valueAt(divs[j], i); d != 0 {
+					row[o.name] /= d
+				}
 			}
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res
+}
+
+// valueAt reads slot i of c, ε as 0.
+func valueAt(c *vector.Column, i int) float64 {
+	if c.Valid(i) {
+		return c.Float(i)
+	}
+	return 0
 }
 
 type decoder func(float64) string

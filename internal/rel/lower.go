@@ -2,6 +2,8 @@ package rel
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"voodoo/internal/core"
 	"voodoo/internal/storage"
@@ -31,16 +33,18 @@ type lowered struct {
 }
 
 // aggOut describes one output column of the final aggregation for the
-// result assembler.
+// result assembler: an aggregate, or a group key.
 type aggOut struct {
-	name     string
-	ref      core.Ref
-	fn       AggFunc
-	divideBy string // Avg: name of the hidden count column
-	hidden   bool   // not shown in the result (Avg count companions)
-	isKey    bool
-	table    *storage.Table // key decoding (dictionary) — nil for plain values
-	col      string
+	name string
+	ref  core.Ref
+	// div is the count an Avg divides its sum by; -1 for other outputs.
+	div core.Ref
+	// A group key is decoded from the group-id fold ref as
+	// shift + (g / stride) mod card.
+	isKey               bool
+	shift, stride, card int64
+	table               *storage.Table // key decoding (dictionary) — nil for plain values
+	col                 string
 }
 
 // lowerer lowers one query; it is single-use.
@@ -161,7 +165,10 @@ func (l *lowerer) expr(cur *lowered, e Expr) core.Ref {
 		return b.And(ge, le)
 	case Bin:
 		lv := l.expr(cur, x.L)
-		rv := l.expr(cur, x.R)
+		rv := lv // equal operands are one value: a count's e > e folds away
+		if !exprEqual(x.L, x.R) {
+			rv = l.expr(cur, x.R)
+		}
 		switch x.Op {
 		case Add:
 			return b.Add(lv, rv)
@@ -346,6 +353,62 @@ func filtered(n Node) bool {
 	return true
 }
 
+// scanCol reports whether column c of n's output is a column of the scan at
+// the root of n's probe chain, passed through unchanged: ε there exactly
+// where every other such column is, at the rows a filter dropped.
+func scanCol(n Node, c string) (string, bool) {
+	switch x := n.(type) {
+	case Scan:
+		return x.Table, has(x.Cols, c)
+	case Filter:
+		return scanCol(x.In, c)
+	case Map:
+		for _, o := range x.Outs {
+			if o.Name == c {
+				return "", false
+			}
+		}
+		return scanCol(x.In, c)
+	case IndexJoin:
+		if !x.Semi && has(x.Cols, c) {
+			return "", false
+		}
+		return scanCol(x.Probe, c)
+	}
+	return "", false
+}
+
+// exprEqual compares two expressions structurally. Plans are lowered on
+// every plan-cache miss, so this walks the trees instead of formatting them.
+func exprEqual(a, b Expr) bool {
+	switch x := a.(type) {
+	case nil:
+		return b == nil
+	case Col:
+		y, ok := b.(Col)
+		return ok && x == y
+	case IntLit:
+		y, ok := b.(IntLit)
+		return ok && x == y
+	case FloatLit:
+		y, ok := b.(FloatLit)
+		return ok && math.Float64bits(x.V) == math.Float64bits(y.V)
+	case Bin:
+		y, ok := b.(Bin)
+		return ok && x.Op == y.Op && exprEqual(x.L, y.L) && exprEqual(x.R, y.R)
+	case Not:
+		y, ok := b.(Not)
+		return ok && exprEqual(x.E, y.E)
+	case InList:
+		y, ok := b.(InList)
+		return ok && exprEqual(x.E, y.E) && slices.Equal(x.Vs, y.Vs)
+	case Between:
+		y, ok := b.(Between)
+		return ok && exprEqual(x.E, y.E) && exprEqual(x.Lo, y.Lo) && exprEqual(x.Hi, y.Hi)
+	}
+	return false
+}
+
 // firstDataCol finds a visible base column of a subtree, used to anchor
 // count(*) expressions so that ε-padded rows never count.
 func firstDataCol(n Node) string {
@@ -367,56 +430,72 @@ func firstDataCol(n Node) string {
 	return ""
 }
 
+// aggIn is one distinct aggregate a GroupAgg folds: Sum, Count, Min or Max
+// of an input expression, nil for a count of rows.
+type aggIn struct {
+	fn  AggFunc
+	e   Expr
+	col string   // the input column
+	ref core.Ref // the fold
+}
+
 func (l *lowerer) lowerGroupAgg(g GroupAgg) *lowered {
 	b := l.b
 
-	// Expand Avg into a Sum plus a hidden Count companion; rewrite every
-	// count as an ε-aware sum (0*col + 1) so padding and missed joins
-	// never count.
-	type aggIn struct {
-		spec     AggSpec
-		col      string
-		divideBy string
-		hidden   bool
-	}
-	anchor := firstDataCol(g.In)
-	var ins []aggIn
-	for _, a := range g.Aggs {
-		if a.Func == Avg {
-			ins = append(ins,
-				aggIn{spec: AggSpec{Func: Sum, E: a.E, As: a.As}, divideBy: a.As + "__cnt"},
-				aggIn{spec: AggSpec{Func: Count, E: a.E, As: a.As + "__cnt"}, hidden: true})
-			continue
+	// One fold per distinct (function, input): an Avg is a Sum and a Count
+	// that reuse equal ones of the query's own, and a count of a column that
+	// is ε exactly where the row is counts rows.
+	var ins []*aggIn
+	intern := func(fn AggFunc, e Expr) *aggIn {
+		if c, ok := e.(Col); ok && fn == Count && l.countsRows(g.In, c.Name) {
+			e = nil
 		}
-		ins = append(ins, aggIn{spec: a})
+		for _, in := range ins {
+			if in.fn == fn && exprEqual(in.e, e) {
+				return in
+			}
+		}
+		in := &aggIn{fn: fn, e: e, col: fmt.Sprintf("__a%d", len(ins))}
+		ins = append(ins, in)
+		return in
 	}
-	var named []NamedExpr
-	for i := range ins {
-		col := fmt.Sprintf("__a%d", i)
-		a := ins[i].spec
-		e := a.E
-		if a.Func == Count {
-			base := a.E
-			if base == nil {
+	vals := make([]*aggIn, len(g.Aggs))
+	divs := make([]*aggIn, len(g.Aggs))
+	for i, a := range g.Aggs {
+		if a.Func == Avg {
+			vals[i], divs[i] = intern(Sum, a.E), intern(Count, a.E)
+		} else {
+			vals[i] = intern(a.Func, a.E)
+		}
+	}
+	// A count sums an integer 1 that is ε exactly where its input is, and
+	// computes nothing from the value: e > e is 0 for every value, ±Inf and
+	// NaN included. A count of rows counts a scan column's.
+	anchor := firstDataCol(g.In)
+	named := make([]NamedExpr, len(ins))
+	for i, in := range ins {
+		e := in.e
+		if in.fn == Count {
+			if e == nil {
 				if anchor == "" {
 					// No base column anywhere under this aggregate (a
 					// zero-column Scan): an error, not a crash — the sql
 					// planner always seeds at least one scanned column.
 					panic(lowerErr{fmt.Errorf("rel: count(*) over a scan with no columns")})
 				}
-				base = Col{Name: anchor}
+				e = Col{Name: anchor}
 			}
-			e = Bin{Op: Add, L: Bin{Op: Mul, L: base, R: IntLit{V: 0}}, R: IntLit{V: 1}}
+			e = Not{E: Bin{Op: Gt, L: e, R: e}}
 		}
-		named = append(named, NamedExpr{Name: col, E: e})
-		ins[i].col = col
+		named[i] = NamedExpr{Name: in.col, E: e}
 	}
 
 	// Push the aggregate input (and group id) computation below a
 	// terminal filter: the compiler then fuses predicate evaluation,
 	// selection and aggregation into one fragment (paper Figure 8).
 	in := g.In
-	if f, ok := in.(Filter); ok && len(g.Keys) == 0 {
+	f, pushed := in.(Filter)
+	if pushed = pushed && len(g.Keys) == 0; pushed {
 		// Global aggregation: pushing the aggregate inputs below the
 		// filter lets the compiler fuse predicate, selection and
 		// aggregation into one fragment. For grouped aggregation the
@@ -447,16 +526,86 @@ func (l *lowerer) lowerGroupAgg(g GroupAgg) *lowered {
 	}
 
 	if len(g.Keys) == 0 {
-		// Global aggregation: one controlled fold per aggregate.
-		for _, in := range ins {
-			ref := l.globalFold(cur, in.spec, in.col)
-			l.outs = append(l.outs, aggOut{name: in.spec.As, ref: ref,
-				fn: in.spec.Func, divideBy: in.divideBy, hidden: in.hidden})
-		}
-		return cur
+		// Fused, the filter-fold folds the selection's runs already.
+		l.globalFolds(cur, ins, pushed && cur.live == "")
+	} else {
+		l.groupedFolds(g, cur, ins)
 	}
+	for i, a := range g.Aggs {
+		o := aggOut{name: a.As, ref: vals[i].ref, div: -1}
+		if divs[i] != nil {
+			o.div = divs[i].ref
+		}
+		l.outs = append(l.outs, o)
+	}
+	return cur
+}
 
-	// Grouped: identity-hash the keys into a dense group id.
+// countsRows reports whether COUNT(c) over n counts n's rows: c is a scan
+// column passed through unchanged whose stored values have no ε.
+func (l *lowerer) countsRows(n Node, c string) bool {
+	name, ok := scanCol(n, c)
+	if !ok {
+		return false
+	}
+	t := l.cat.Table(name)
+	if t == nil {
+		return false
+	}
+	col := t.Col(c)
+	return col != nil && col.AllValid()
+}
+
+// fold lowers one controlled fold of an aggregate function; a count sums
+// its ones.
+func (l *lowerer) fold(fn AggFunc, v core.Ref, kp, col string) core.Ref {
+	switch fn {
+	case Min:
+		return l.b.FoldMin(v, kp, col)
+	case Max:
+		return l.b.FoldMax(v, kp, col)
+	}
+	return l.b.FoldSum(v, kp, col)
+}
+
+// globalFolds lowers the global aggregates. Over more than 2 × grain rows
+// they fold hierarchically, as the paper's global aggregates do: a
+// controlled fold over about grain runs of ⌈n/grain⌉ rows each — work items
+// the executor can spread over cores — then a global fold of the partials. The program
+// fixes the summation order, so every engine sums alike. A fused
+// filter-fold folds over the selection's runs already.
+func (l *lowerer) globalFolds(cur *lowered, ins []*aggIn, fused bool) {
+	b := l.b
+	if fused || cur.n <= 2*grain {
+		for _, in := range ins {
+			in.ref = l.fold(in.fn, cur.ref, "", in.col)
+		}
+		return
+	}
+	runLen := (cur.n + grain - 1) / grain
+	runs := b.Upsert(cur.ref, "__run", b.Divide(b.Range(cur.ref), b.Constant(int64(runLen))), "")
+	var parts core.Ref
+	for i, in := range ins {
+		p := l.fold(in.fn, runs, "__run", in.col)
+		if i == 0 {
+			parts = b.Project(in.col, p, "")
+		} else {
+			parts = b.Upsert(parts, in.col, p, "")
+		}
+	}
+	for _, in := range ins {
+		in.ref = l.fold(in.fn, parts, "", in.col)
+	}
+}
+
+// groupedFolds lowers grouped aggregation: the keys identity-hash into a
+// dense group id, a virtual scatter partitions the rows by it, and one
+// controlled fold per aggregate runs over the partitions (the paper's
+// Figure 10/11). The keys come back from the group id itself: a max of the
+// id, ε for a group without a live row, from which the assembler decodes
+// every key — instead of one fold per key.
+func (l *lowerer) groupedFolds(g GroupAgg, cur *lowered, ins []*aggIn) {
+	b := l.b
 	var gid core.Ref
 	K := int64(1)
 	shifts := make([]int64, len(g.Keys))
@@ -487,68 +636,26 @@ func (l *lowerer) lowerGroupAgg(g GroupAgg) *lowered {
 		// Dead rows must not land in any group.
 		gid = b.Add(gid, b.Arith(core.OpMultiply, "z", cur.ref, cur.live, b.Constant(0), ""))
 	}
-	// Anchored key-recovery columns must exist before the scatter.
-	keyCols := make([]string, len(g.Keys))
-	copy(keyCols, g.Keys)
-	if cur.live != "" {
-		for i, k := range g.Keys {
-			kc := fmt.Sprintf("__k%d", i)
-			anchored := b.Add(
-				b.Project("val", cur.ref, k),
-				b.Arith(core.OpMultiply, "z", cur.ref, cur.live, b.Constant(0), ""))
-			cur = &lowered{ref: b.Upsert(cur.ref, kc, anchored, ""),
-				cols: append(cur.cols, kc), origins: cur.origins, n: cur.n, live: cur.live}
-			keyCols[i] = kc
-		}
-	}
 	withG := b.Upsert(cur.ref, "__g", gid, "")
 	pivots := b.RangeN(0, int(K), 1)
 	pos := b.Partition("__p", withG, "__g", pivots, "")
 	withPos := b.Upsert(withG, "__p", pos, "__p")
 	scattered := b.Scatter(withG, withG, "", withPos, "__p")
-
-	// One controlled fold per aggregate over the (virtually) scattered
-	// vector — the paper's Figure 10/11.
 	for _, in := range ins {
-		var ref core.Ref
-		switch in.spec.Func {
-		case Min:
-			ref = b.FoldMin(scattered, "__g", in.col)
-		case Max:
-			ref = b.FoldMax(scattered, "__g", in.col)
-		default: // Sum, Count, Avg(sum part)
-			ref = b.FoldSum(scattered, "__g", in.col)
-		}
-		l.outs = append(l.outs, aggOut{name: in.spec.As, ref: ref,
-			fn: in.spec.Func, divideBy: in.divideBy, hidden: in.hidden})
+		in.ref = l.fold(in.fn, scattered, "__g", in.col)
 	}
-	// Key recovery: fold the (liveness-anchored) key per group so dead
-	// rows cannot conjure phantom groups.
+	groups := b.FoldMax(scattered, "__g", "__g")
+	stride := K
 	for i, k := range g.Keys {
-		ref := b.FoldMin(scattered, "__g", keyCols[i])
-		_ = k
+		stride /= cards[i]
 		o := cur.origins[k]
 		var tbl *storage.Table
 		col := k
 		if o.table != nil {
 			tbl, col = o.table, o.col
 		}
-		l.outs = append(l.outs, aggOut{name: k, ref: ref, isKey: true,
-			table: tbl, col: col})
-	}
-	return cur
-}
-
-// globalFold lowers one global aggregate.
-func (l *lowerer) globalFold(cur *lowered, spec AggSpec, col string) core.Ref {
-	b := l.b
-	switch spec.Func {
-	case Min:
-		return b.FoldMin(cur.ref, "", col)
-	case Max:
-		return b.FoldMax(cur.ref, "", col)
-	default:
-		return b.FoldSum(cur.ref, "", col)
+		l.outs = append(l.outs, aggOut{name: k, ref: groups, div: -1, isKey: true,
+			shift: shifts[i], stride: stride, card: cards[i], table: tbl, col: col})
 	}
 }
 

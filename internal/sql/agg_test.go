@@ -1,0 +1,316 @@
+package sql
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"strings"
+	"testing"
+
+	"voodoo/internal/baseline/hyper"
+	"voodoo/internal/core"
+	"voodoo/internal/rel"
+	"voodoo/internal/storage"
+)
+
+// aggEngines are the four ways a query runs: the compiled plan on the batch
+// tier and on the per-element interpreter, the reference interpreter of the
+// algebra, and the HyPer-style baseline, which shares none of their code.
+func aggEngines(cat *storage.Catalog) map[string]rel.Runner {
+	return map[string]rel.Runner{
+		"compiled":        &rel.Engine{Cat: cat, Backend: rel.Compiled},
+		"compiled-interp": &rel.Engine{Cat: cat, Backend: rel.Compiled, NoSpecialize: true},
+		"interp":          &rel.Engine{Cat: cat, Backend: rel.Interpreted},
+		"hyper":           &hyper.Engine{Cat: cat},
+	}
+}
+
+// planSQL parses and plans one statement.
+func planSQL(t *testing.T, cat *storage.Catalog, text string) rel.Query {
+	t.Helper()
+	stmt, err := Parse(text)
+	if err != nil {
+		t.Fatalf("parse %q: %v", text, err)
+	}
+	q, err := Plan(stmt, cat)
+	if err != nil {
+		t.Fatalf("plan %q: %v", text, err)
+	}
+	return q
+}
+
+// rows renders a result one line per row, columns in order, rows sorted:
+// engines need not agree on the order of groups a query does not order.
+func rows(res *rel.Result, tol float64) []string {
+	var out []string
+	for _, r := range res.Rows {
+		var sb strings.Builder
+		for _, c := range res.Cols {
+			v := r[c]
+			if tol > 0 && !math.IsNaN(v) && !math.IsInf(v, 0) && v != 0 {
+				// Rounded to the tolerance, in relative terms.
+				e := math.Pow(10, math.Floor(math.Log10(math.Abs(v))))
+				v = math.Round(v/e/tol) * e * tol
+			}
+			fmt.Fprintf(&sb, "%s=%v ", c, v)
+		}
+		out = append(out, sb.String())
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestCountIgnoresInfAndNaN: a count counts rows, whatever they hold. It
+// used to be lowered as value*0 + 1, which is NaN for a value of ±Inf or
+// NaN, so COUNT(*), COUNT(x) and AVG(x) came out NaN on every Voodoo engine.
+func TestCountIgnoresInfAndNaN(t *testing.T) {
+	tbl := storage.NewTable("t")
+	tbl.AddFloat("x", []float64{1, math.Inf(1), 3, math.NaN()})
+	tbl.AddInt("g", []int64{0, 0, 1, 1})
+	cat := storage.NewCatalog().Add(tbl)
+	byG := func(a, b rel.Row) bool { return a["g"] < b["g"] }
+	grouped := rel.GroupAgg{In: rel.Scan{Table: "t", Cols: []string{"x", "g"}}, Keys: []string{"g"},
+		Aggs: []rel.AggSpec{
+			{Func: rel.Count, As: "n"},
+			{Func: rel.Count, E: rel.C("x"), As: "nx"},
+			{Func: rel.Avg, E: rel.C("x"), As: "av"},
+		}}
+	global := rel.GroupAgg{In: rel.Scan{Table: "t", Cols: []string{"x", "g"}},
+		Aggs: []rel.AggSpec{{Func: rel.Count, As: "n"}, {Func: rel.Count, E: rel.C("x"), As: "nx"}}}
+	for _, tc := range []struct {
+		name string
+		q    rel.Query
+		want string
+	}{
+		{"rel-grouped", rel.Query{Root: grouped, OrderBy: byG},
+			"g=0 n=2 nx=2 av=+Inf |g=1 n=2 nx=2 av=NaN "},
+		{"rel-global", rel.Query{Root: global}, "n=4 nx=4 "},
+		{"sql-grouped", planSQL(t, cat, "SELECT g, COUNT(*) AS n, COUNT(x) AS nx, AVG(x) AS av FROM t GROUP BY g ORDER BY g"),
+			"g=0 n=2 nx=2 av=+Inf |g=1 n=2 nx=2 av=NaN "},
+		{"sql-global", planSQL(t, cat, "SELECT COUNT(*) AS n, COUNT(x) AS nx FROM t"), "n=4 nx=4 "},
+	} {
+		for name, e := range aggEngines(cat) {
+			res, _, err := e.Run(tc.q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, name, err)
+			}
+			if got := strings.Join(rows(res, 0), "|"); got != tc.want {
+				t.Errorf("%s %s:\ngot  %s\nwant %s", tc.name, name, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestCountOfFaultingExpression: a count computes nothing from its input's
+// value, but the input is still evaluated — the interpreter runs every
+// statement — so a count of a division by zero fails on every engine, not
+// only on those that cannot fold the value away.
+func TestCountOfFaultingExpression(t *testing.T) {
+	tbl := storage.NewTable("t")
+	tbl.AddInt("a", []int64{4, 6, 8, 9})
+	tbl.AddInt("b", []int64{2, 0, 4, 3})
+	tbl.AddFloat("x", []float64{1, 2, 3, 4})
+	tbl.AddFloat("y", []float64{1, 1, 0, 2})
+	tbl.AddInt("g", []int64{0, 0, 1, 1})
+	cat := storage.NewCatalog().Add(tbl)
+	for _, text := range []string{
+		"SELECT COUNT(a / b) AS n FROM t",
+		"SELECT g, COUNT(a / b) AS n FROM t GROUP BY g",
+		"SELECT g, COUNT(a % b) AS n, SUM(a) AS s FROM t GROUP BY g",
+		"SELECT g, COUNT(x / y) AS n FROM t GROUP BY g",
+		"SELECT AVG(x / y) AS av FROM t",
+	} {
+		q := planSQL(t, cat, text)
+		for name, e := range aggEngines(cat) {
+			if name == "hyper" {
+				continue // the baseline's integer modulo panics on a zero divisor
+			}
+			res, _, err := e.Run(q)
+			if err == nil || !strings.Contains(err.Error(), "by zero") {
+				t.Errorf("%s on %s: err %v, result %v; want a division by zero", text, name, err, res)
+			}
+		}
+	}
+}
+
+// aggCatalog is the GROUP BY parity catalog: a fact table with a key whose
+// domain has gaps (k, in 0..20 by 5), a dictionary string, a float, and a
+// foreign key — odd for h = 0, even for h = 1 — some rows of which find no
+// dim row: outside dim's key range, or in a hole of it.
+func aggCatalog() *storage.Catalog {
+	const n = 600
+	k, h, fk := make([]int64, n), make([]int64, n), make([]int64, n)
+	s, x := make([]string, n), make([]float64, n)
+	colors := []string{"red", "green", "blue"}
+	for i := range n {
+		k[i] = int64(i%5) * 5
+		h[i] = int64(i % 2)
+		fk[i] = int64(i%21)*2 + 1 + h[i] // dim holds 1..40 but not the multiples of 7
+		s[i] = colors[(i/3)%3]
+		x[i] = float64(i%17)*0.37 - 1.5 + float64(i)/7
+	}
+	fact := storage.NewTable("fact")
+	fact.AddInt("k", k)
+	fact.AddInt("h", h)
+	fact.AddInt("fk", fk)
+	fact.AddString("s", s)
+	fact.AddFloat("x", x)
+	var dk, dv []int64
+	for key := int64(1); key <= 40; key++ {
+		if key%7 != 0 {
+			dk, dv = append(dk, key), append(dv, key%4)
+		}
+	}
+	dim := storage.NewTable("dim")
+	dim.AddInt("dk", dk)
+	dim.AddInt("dv", dv)
+	return storage.NewCatalog().Add(fact).Add(dim)
+}
+
+// folds counts the controlled folds (other than selections) a query lowers
+// to.
+func folds(t *testing.T, cat *storage.Catalog, q rel.Query) int {
+	t.Helper()
+	prog, err := rel.Lower(q, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, s := range prog.Stmts {
+		if s.Op.IsFold() && s.Op != core.OpFoldSelect {
+			n++
+		}
+	}
+	return n
+}
+
+// TestGroupByParity runs GROUP BY shapes the aggregate lowering handles
+// specially through sql → rel on every engine: duplicate aggregates, an AVG
+// beside a SUM of one column (one fold each, shared), COUNT of a column a
+// join leaves ε against COUNT(*), three keys — a dictionary string and a key
+// domain with gaps among them — decoded from one group id, and groups whose
+// every row a filtered join drops (SQL cannot filter a join's build side, so
+// that one is a rel plan). The Voodoo engines agree to 1e-9 — the batch tier
+// sums a group's partials per work item — and HyPer-style does too where its
+// join semantics match; the fold counts pin the dedupe.
+func TestGroupByParity(t *testing.T) {
+	cat := aggCatalog()
+	dropped := rel.Query{Root: rel.GroupAgg{
+		In: rel.IndexJoin{
+			Probe: rel.Scan{Table: "fact", Cols: []string{"fk", "h", "x"}}, ProbeKey: "fk",
+			// h = 1 rows have even fk, whose dim rows the filter drops.
+			Build:    rel.Filter{In: rel.Scan{Table: "dim", Cols: []string{"dk", "dv"}}, Pred: rel.B(rel.Eq, rel.B(rel.Mod, rel.C("dk"), rel.I(2)), rel.I(1))},
+			BuildKey: "dk", Cols: []string{"dv"},
+		},
+		Keys: []string{"h"},
+		Aggs: []rel.AggSpec{{Func: rel.Count, As: "n"}, {Func: rel.Sum, E: rel.C("x"), As: "sx"}, {Func: rel.Avg, E: rel.C("dv"), As: "adv"}},
+	}}
+	for _, tc := range []struct {
+		name  string
+		q     rel.Query
+		folds int
+		hyper bool // HyPer-style drops unmatched probe rows; Voodoo keeps them with ε build columns
+		check func(t *testing.T, res *rel.Result)
+	}{
+		{"duplicates", planSQL(t, cat, "SELECT h, SUM(x) AS a, SUM(x) AS b, COUNT(*) AS n, COUNT(*) AS m, COUNT(h) AS c FROM fact GROUP BY h"),
+			3, true, nil}, // SUM(x), COUNT(*) = COUNT(h), the group id
+		{"avg-beside-sum", planSQL(t, cat, "SELECT h, AVG(x) AS av, SUM(x) AS s, COUNT(x) AS c, MIN(x) AS lo, MAX(x) AS hi FROM fact GROUP BY h"),
+			5, true, nil}, // SUM(x), COUNT(*), MIN, MAX, the group id
+		{"count-col-across-join", planSQL(t, cat, "SELECT h, COUNT(*) AS n, COUNT(dv) AS nd, SUM(dv) AS sd, AVG(dv) AS ad FROM fact JOIN dim ON fk = dk GROUP BY h"),
+			4, false, func(t *testing.T, res *rel.Result) { // COUNT(*), COUNT(dv), SUM(dv), the group id
+				for _, r := range res.Rows {
+					if r["nd"] >= r["n"] || r["nd"] == 0 {
+						t.Errorf("h=%v: COUNT(dv) = %v beside COUNT(*) = %v: every group has rows without a dim match", r["h"], r["nd"], r["n"])
+					}
+				}
+			}},
+		{"three-keys", planSQL(t, cat, "SELECT k, s, h, SUM(x) AS sx, COUNT(*) AS n FROM fact GROUP BY k, s, h"),
+			3, true, func(t *testing.T, res *rel.Result) {
+				if len(res.Rows) != 5*3*2 {
+					t.Errorf("%d groups, want 30", len(res.Rows))
+				}
+			}},
+		{"dead-groups", dropped, 5, true, func(t *testing.T, res *rel.Result) { // COUNT(*), SUM(x), SUM(dv), COUNT(dv), the group id
+			if len(res.Rows) != 1 || res.Rows[0]["h"] != 0 {
+				t.Errorf("groups %v, want h = 0 alone: every h = 1 row's join partner is filtered out", res.Rows)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := folds(t, cat, tc.q); got != tc.folds {
+				t.Errorf("%d folds, want %d", got, tc.folds)
+			}
+			ref, _, err := (&rel.Engine{Cat: cat, Backend: rel.Interpreted}).Run(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.check != nil {
+				tc.check(t, ref)
+			}
+			want := strings.Join(rows(ref, 1e-9), "\n")
+			for name, e := range aggEngines(cat) {
+				if name == "hyper" && !tc.hyper {
+					continue
+				}
+				res, _, err := e.Run(tc.q)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := strings.Join(rows(res, 1e-9), "\n"); got != want {
+					t.Errorf("%s disagrees with interp:\ngot\n%s\nwant\n%s", name, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestGlobalFoldThreshold: a global aggregate over more than 2 × 1024 rows
+// folds hierarchically — about 1024 runs of ⌈n/1024⌉ rows, then the partials —
+// and one over 2048 rows in a single run. Either way the program fixes the
+// order of every float sum, so the compiled engines and the interpreter
+// agree to the bit, and HyPer-style, summing row by row, to 1e-9.
+func TestGlobalFoldThreshold(t *testing.T) {
+	for _, n := range []int{2048, 2049} {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = 1/float64(i+3) + float64(i%13)*1e6
+		}
+		tbl := storage.NewTable("big")
+		tbl.AddFloat("x", x)
+		cat := storage.NewCatalog().Add(tbl)
+		q := planSQL(t, cat, "SELECT SUM(x) AS s, COUNT(*) AS n, MIN(x) AS lo, MAX(x) AS hi, AVG(x) AS av FROM big")
+		// Single: SUM, COUNT, MIN, MAX. Hierarchical: each twice.
+		if got, want := folds(t, cat, q), map[int]int{2048: 4, 2049: 8}[n]; got != want {
+			t.Errorf("n=%d: %d folds, want %d", n, got, want)
+		}
+		exact := ""
+		for _, name := range []string{"interp", "compiled", "compiled-interp", "hyper"} {
+			res, _, err := aggEngines(cat)[name].Run(q)
+			if err != nil {
+				t.Fatalf("n=%d %s: %v", n, name, err)
+			}
+			r := res.Rows[0]
+			got := fmt.Sprintf("%x %v %v %v %x", math.Float64bits(r["s"]), r["n"], r["lo"], r["hi"], math.Float64bits(r["av"]))
+			switch {
+			case exact == "":
+				exact = got
+			case name == "hyper":
+				if rel := math.Abs(r["s"]/res0(t, cat, q) - 1); rel > 1e-9 || r["n"] != float64(n) {
+					t.Errorf("n=%d hyper: sum off by %g relative, count %v", n, rel, r["n"])
+				}
+			case got != exact:
+				t.Errorf("n=%d %s: %s, interp %s", n, name, got, exact)
+			}
+		}
+	}
+}
+
+// res0 is the interpreter's SUM of q.
+func res0(t *testing.T, cat *storage.Catalog, q rel.Query) float64 {
+	t.Helper()
+	res, _, err := (&rel.Engine{Cat: cat, Backend: rel.Interpreted}).Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Rows[0]["s"]
+}

@@ -130,6 +130,9 @@ func BuildSpans(r *QueryRecord) QuerySpans {
 			if s.Tile != "" {
 				sa["tile"] = s.Tile
 			}
+			if s.AccWide+s.AccCarried > 0 {
+				sa["acc"] = s.Acc()
+			}
 			child(s.Kind+" "+s.Name, phase, stepCursor, s.WallNS, sa)
 			stepCursor += s.WallNS
 		}

@@ -113,7 +113,7 @@ func TestBuildSpans(t *testing.T) {
 	tr.Add(trace.Step{Kind: trace.KindBind, Name: "lineitem", WallNS: 1e6})
 	tr.Add(trace.Step{Kind: trace.KindFragment, Name: "sel_fused", WallNS: 4e6,
 		Items: 100, Workers: 2, Morsels: 4, Fused: true, Stmts: []int{1, 2},
-		Specialized: "batch", Tile: "7x146"})
+		Specialized: "batch", Tile: "7x146", AccWide: 12})
 	tr.Finish(5 * time.Millisecond)
 
 	rec := &QueryRecord{
@@ -153,7 +153,7 @@ func TestBuildSpans(t *testing.T) {
 	if frag.ParentSpanID != byName["exec"].SpanID {
 		t.Errorf("fragment span not under exec phase: %+v", frag)
 	}
-	if frag.Attrs["workers"] != 2 || frag.Attrs["fused_stmts"] != 2 || frag.Attrs["specialized"] != "batch" || frag.Attrs["tile"] != "7x146" {
+	if frag.Attrs["workers"] != 2 || frag.Attrs["fused_stmts"] != 2 || frag.Attrs["specialized"] != "batch" || frag.Attrs["tile"] != "7x146" || frag.Attrs["acc"] != "12/12" {
 		t.Errorf("fragment attrs lost: %+v", frag.Attrs)
 	}
 	// Steps are sequential: the fragment starts where the bind ended.

@@ -23,7 +23,8 @@ import (
 )
 
 // cutCat is the SF 0.01 catalog the scheduler tests share: the scale whose
-// fragment shapes DESIGN §12 measures (filt_0 1013 × 59, gfold_90 64 × 934).
+// fragment shapes DESIGN §12 measures (Q1's filter 1013 × 59, its grouped
+// fold 64 × 934).
 var cutCat = sync.OnceValue(func() *storage.Catalog { return Generate(Config{SF: 0.01, Seed: 42}) })
 
 // bits renders every root vector of a plan run down to the bit: attribute by
@@ -110,6 +111,32 @@ func TestCutBitIdentity(t *testing.T) {
 	}
 }
 
+// fragmentNamed returns the name of query num's one fragment of the given
+// provenance kind and extent × intent shape: the scheduler tests pick a
+// fragment by what it is, not by the SSA id lowering happens to number it.
+func fragmentNamed(t *testing.T, num int, kind string, extent, intent int) string {
+	t.Helper()
+	qf, err := Query(num)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	e := &rel.Engine{Cat: cutCat(), Backend: rel.Compiled, PlanSink: func(p *compile.Plan) {
+		for _, f := range p.Kernel().Frags {
+			if f.Prov.Kind == kind && f.Extent == extent && f.Intent == intent {
+				names = append(names, f.Name)
+			}
+		}
+	}}
+	if _, _, err := qf(e); err != nil {
+		t.Fatalf("%s: %v", queryName(num), err)
+	}
+	if len(names) != 1 {
+		t.Fatalf("%s: %d %s fragments of shape %dx%d (%v), want one", queryName(num), len(names), kind, extent, intent, names)
+	}
+	return names[0]
+}
+
 // fragmentSteps runs query num once traced at the given worker count and
 // returns its fragment steps by name.
 func fragmentSteps(t *testing.T, num, workers int) map[string]trace.Step {
@@ -143,53 +170,54 @@ func fragmentSteps(t *testing.T, num, workers int) map[string]trace.Step {
 func TestBigFragmentsSplit(t *testing.T) {
 	type shape struct {
 		query          int
-		name           string
+		kind           string
 		extent, intent int
 	}
 	for _, s := range []shape{
-		{1, "filt_0", 1013, 59}, {1, "gfold_90", 64, 934}, {7, "mat_4", 4096, 15},
+		{1, "filter", 1013, 59}, {1, "group-fold", 64, 934}, {7, "mat", 4096, 15},
+		// Q14's global fold, hierarchical: about grain (1013) runs of 59 rows.
+		{14, "fold", 1013, 59},
 	} {
+		name := fragmentNamed(t, s.query, s.kind, s.extent, s.intent)
 		helped := false
 		for try := 0; try < 200 && !helped; try++ {
-			st, ok := fragmentSteps(t, s.query, 2)[s.name]
+			st, ok := fragmentSteps(t, s.query, 2)[name]
 			if !ok || st.Extent != s.extent || st.Intent != s.intent {
-				t.Fatalf("%s: no fragment %s of shape %dx%d (got %+v)", queryName(s.query), s.name, s.extent, s.intent, st)
+				t.Fatalf("%s: no fragment %s of shape %dx%d (got %+v)", queryName(s.query), name, s.extent, s.intent, st)
 			}
 			if st.Morsels < 2 || st.Uncut != "" {
-				t.Fatalf("%s %s: morsels=%d uncut=%q, want a cut", queryName(s.query), s.name, st.Morsels, st.Uncut)
+				t.Fatalf("%s %s: morsels=%d uncut=%q, want a cut", queryName(s.query), name, st.Morsels, st.Uncut)
 			}
 			helped = st.Workers == 2
 		}
 		if !helped {
-			t.Errorf("%s %s: cut, but no run in 200 reported workers=2", queryName(s.query), s.name)
+			t.Errorf("%s %s: cut, but no run in 200 reported workers=2", queryName(s.query), name)
 		}
 	}
+	q20 := fragmentNamed(t, 20, "group-fold", 7, 8537)
 	for _, workers := range []int{2, 4} {
-		st, ok := fragmentSteps(t, 20, workers)["gfold_50"]
-		if !ok || st.Extent != 7 || st.Intent != 8537 {
-			t.Fatalf("q20: no fragment gfold_50 of shape 7x8537 (got %+v)", st)
-		}
+		st := fragmentSteps(t, 20, workers)[q20]
 		if st.Morsels < 2 || int(st.Morsels) > workers {
-			t.Errorf("q20 gfold_50 workers=%d: cut into %d ranges, want 2..%d", workers, st.Morsels, workers)
-		}
-		st, ok = fragmentSteps(t, 11, workers)["gfold_67"]
-		if !ok || st.Extent != 3 || st.Intent != 2667 {
-			t.Fatalf("q11: no fragment gfold_67 of shape 3x2667 (got %+v)", st)
-		}
-		if st.Morsels != 1 || st.Uncut != "few-items" {
-			t.Errorf("q11 gfold_67 workers=%d: morsels=%d uncut=%q, want whole, few-items", workers, st.Morsels, st.Uncut)
+			t.Errorf("q20 %s workers=%d: cut into %d ranges, want 2..%d", q20, workers, st.Morsels, workers)
 		}
 	}
 	// What is left whole carries the verdict; one worker carries none.
-	q6 := fragmentSteps(t, 6, 2)
-	if got := q6["reduce_43"].Uncut; got != "extent-1" {
-		t.Errorf("q6 reduce_43: uncut=%q, want extent-1", got)
-	}
-	if got := fragmentSteps(t, 1, 2)["mat_1"].Uncut; got != "small" {
-		t.Errorf("q1 mat_1: uncut=%q, want small", got)
-	}
-	if got := fragmentSteps(t, 4, 2)["scatter_1"].Uncut; got != "scatter" {
-		t.Errorf("q4 scatter_1 (a semi join's build repeats keys): uncut=%q, want scatter", got)
+	for _, s := range []struct {
+		shape
+		uncut string
+	}{
+		{shape{6, "reduce", 1, 1013}, "extent-1"},
+		{shape{14, "fold", 1, 1013}, "extent-1"}, // the second level of Q14's fold
+		{shape{1, "mat", 6, 1}, "small"},
+		// 3 × (2667 iterations + 8004 slots flushed): below the floor before
+		// few-items (exec's TestCutRule) is asked.
+		{shape{11, "group-fold", 3, 2667}, "small"},
+		{shape{4, "scatter", 4096, 15}, "scatter"}, // a semi join's build repeats keys
+	} {
+		name := fragmentNamed(t, s.query, s.kind, s.extent, s.intent)
+		if got := fragmentSteps(t, s.query, 2)[name].Uncut; got != s.uncut {
+			t.Errorf("%s %s: uncut=%q, want %s", queryName(s.query), name, got, s.uncut)
+		}
 	}
 	for name, st := range fragmentSteps(t, 6, 1) {
 		if st.Uncut != "" || st.Workers != 1 {
@@ -205,7 +233,7 @@ func TestBigFragmentsSplit(t *testing.T) {
 // published. (Fault hooks put the fragments on the interpreter tier; the cut
 // does not depend on the tier.)
 func TestSplitQ1FailsLikeOneWorker(t *testing.T) {
-	const frag = "gfold_90"
+	frag := fragmentNamed(t, 1, "group-fold", 64, 934)
 	qf, err := Query(1)
 	if err != nil {
 		t.Fatal(err)

@@ -9,15 +9,19 @@ import (
 	"voodoo/internal/exec"
 	"voodoo/internal/rel"
 	"voodoo/internal/storage"
+	"voodoo/internal/verify"
 )
 
 // verifyingRunner wraps an Engine so that every plan a query compiles —
 // including the several plans of multi-phase queries like Q11, Q15 and
-// Q20 — passes through the static verifier before it executes.
+// Q20 — passes through the static verifier before it executes. Dead stores
+// (VP008, a warning) are counted rather than failed: they are waste, not a
+// contract violation.
 type verifyingRunner struct {
 	t     *testing.T
 	e     *rel.Engine
 	plans int
+	dead  int
 }
 
 func (r *verifyingRunner) Catalog() *storage.Catalog { return r.e.Cat }
@@ -30,17 +34,28 @@ func (r *verifyingRunner) Run(q rel.Query) (*rel.Result, *exec.Stats, error) {
 	if plan := pr.Plan(); plan != nil {
 		r.plans++
 		for _, d := range plan.Verify() {
+			if d.Rule == verify.RuleDeadStore {
+				r.dead++
+				continue
+			}
 			r.t.Errorf("query %q: %s", q.Name, d)
 		}
 	}
 	return r.e.RunPrepared(context.Background(), pr)
 }
 
+// deadStores pins, per TPC-H query, the buffers its compiled plans store and
+// never read (VP008) — the materialization ROADMAP direction 2 is to remove:
+// Q19's join materializes ten columns its filter-fold reads one of, and a
+// filter stores its predicate-only column (Q1's l_shipdate).
+var deadStores = map[int]int{1: 2, 4: 4, 5: 8, 6: 4, 7: 8, 8: 12, 9: 5, 10: 3, 11: 3, 12: 5, 14: 2, 15: 2, 19: 10, 20: 8}
+
 // TestGoldenPlansVerify compiles every TPC-H query under each compiled
 // backend configuration and requires the verifier to accept every plan
-// with zero diagnostics. This is the "golden plans" half of the CI
-// verification gate: the difftest corpus covers generated programs, this
-// covers the hand-lowered relational workload.
+// with no diagnostic but dead stores, whose count on the default engine is
+// pinned. This is the "golden plans" half of the CI verification gate: the
+// difftest corpus covers generated programs, this covers the hand-lowered
+// relational workload.
 func TestGoldenPlansVerify(t *testing.T) {
 	engines := map[string]*rel.Engine{
 		"compiled":        {Cat: testCat, Backend: rel.Compiled},
@@ -63,6 +78,11 @@ func TestGoldenPlansVerify(t *testing.T) {
 					}
 					if vr.plans == 0 {
 						t.Fatalf("q%d compiled no plans; the verifier saw nothing", num)
+					}
+					if name == "compiled" {
+						if vr.dead != deadStores[num] {
+							t.Errorf("q%d: %d dead stores, want %d", num, vr.dead, deadStores[num])
+						}
 					}
 				})
 			}

@@ -68,6 +68,12 @@ type Step struct {
 	// primitive call. 1013x1 is a step of lock-step lanes; 1x1024 a single
 	// work item batched along its iterations.
 	Tile string `json:"tile,omitempty"`
+	// AccWide and AccCarried count the tiles of a batch fragment whose
+	// scratch reductions (a grouped fold's table updates) ran one primitive
+	// each, and those that fell back to the iteration-by-iteration carried
+	// pass because their slots met. Both zero when the fragment has none.
+	AccWide    int64 `json:"acc_wide,omitempty"`
+	AccCarried int64 `json:"acc_carried,omitempty"`
 
 	// Control-vector shape of a fragment: Extent parallel work items,
 	// Intent sequential iterations each, over N guarded elements.
@@ -104,6 +110,12 @@ type Step struct {
 	// A virtual scatter moves nothing — that is the point.
 	FoldRuns     int64 `json:"fold_runs,omitempty"`
 	ScatterItems int64 `json:"scatter_items,omitempty"`
+}
+
+// Acc renders the scratch-reduction tile counts as "W/T": W of the T tiles
+// that had any ran them wide.
+func (s *Step) Acc() string {
+	return fmt.Sprintf("%d/%d", s.AccWide, s.AccWide+s.AccCarried)
 }
 
 // Trace is the execution record of one query. It is owned by the caller
@@ -258,6 +270,8 @@ func (t *Trace) String() string {
 		switch {
 		case s.Reason != "":
 			flags = append(flags, fmt.Sprintf("spec:%s(%s)", s.Specialized, s.Reason))
+		case s.Tile != "" && s.AccWide+s.AccCarried > 0:
+			flags = append(flags, fmt.Sprintf("spec:%s(%s,acc %s)", s.Specialized, s.Tile, s.Acc()))
 		case s.Tile != "":
 			flags = append(flags, fmt.Sprintf("spec:%s(%s)", s.Specialized, s.Tile))
 		case s.Specialized != "":

@@ -93,6 +93,7 @@ func TestStringRendering(t *testing.T) {
 		Specialized: "interp", Reason: "per-item prologue, epilogue or scratch array"})
 	tr.Add(Step{Kind: KindFragment, Name: "scat_4", Virtual: true, Specialized: "batch"})
 	tr.Add(Step{Kind: KindFragment, Name: "gfold_5", Specialized: "batch", Tile: "7x146"})
+	tr.Add(Step{Kind: KindFragment, Name: "gfold_6", Specialized: "batch", Tile: "7x85", AccWide: 11, AccCarried: 1})
 	tr.Finish(time.Millisecond)
 
 	s := tr.String()
@@ -102,7 +103,7 @@ func TestStringRendering(t *testing.T) {
 		"items=1024", "mat=64B", "folds=8",
 		"fused:3", "suppress", "predicated", "virtual",
 		"spec:interp(per-item prologue, epilogue or scratch array)", "spec:batch]", "spec:batch(7x146)]",
-		"total:", "fragments=3",
+		"spec:batch(7x85,acc 11/12)]", "total:", "fragments=4",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() missing %q in:\n%s", want, s)

@@ -391,6 +391,19 @@ type LoopFacts struct {
 	// nothing can observe the order the (work item, iteration) pairs are
 	// enumerated in.
 	Independent bool
+	// Chains lists the body's scratch reductions, in program order, when
+	// its Carried slice consists of nothing else; nil otherwise. Per lane
+	// such a chain observes only its own slots, so over a tile whose chains
+	// touch disjoint slots each chain can run on its own, in iteration order.
+	Chains []Chain
+}
+
+// Chain is a scratch reduction t = loc[i]; u = op(t, x); loc[i] = u, by
+// the instruction indices of its three steps in the loop body: i and x are
+// free, t and u are defined once in the body and read by the chain alone,
+// and op is add, sub, mul, min or max in the scratch array's domain.
+type Chain struct {
+	Load, Op, Store int
 }
 
 // Facts are the fragment eligibility facts the executor's batch specializer
@@ -471,6 +484,8 @@ type batchFacts struct {
 	// readsOuter: the body reads a register other than RegIV/RegIdx/RegJ
 	// that a definition before the loop dominates.
 	readsOuter bool
+	// localsFloat is the domain of the fragment's scratch array.
+	localsFloat bool
 	// Inline backing for the short lists above: BatchFacts runs for every
 	// fragment of every plan that misses the plan cache, and each list that
 	// starts on the heap is two or three allocations there.
@@ -687,10 +702,15 @@ func (bf *batchFacts) tile(body []kernel.Instr) LoopFacts {
 		allFree = allFree && c == Free
 	}
 
+	if !allFree {
+		lf.Chains = bf.chains(body, class)
+	}
+
 	// The registers the two slices exchange: what a Carried instruction
 	// reads of the free and per-iteration registers (Win), and what the
-	// other instructions read of those defined before the loop (Spread).
-	// A register enters its list at its first such read: regRead is dropped
+	// other instructions — and the scratch reductions, which run over a
+	// whole tile — read of those defined before the loop (Spread). A
+	// register enters its list at its first such read: regRead is dropped
 	// as the marker, nothing below needs it. The four lists are carved out
 	// of one backing once their lengths are known.
 	const isWin, isFloat = 1 << 30, 1 << 29
@@ -706,7 +726,7 @@ func (bf *batchFacts) tile(body []kernel.Instr) LoopFacts {
 				continue
 			}
 			inBody := *m&regBody != 0 || perIteration(u)
-			if (class[i] == Carried) != inBody {
+			if (class[i] == Carried) != inBody && (inBody || !inChain(lf.Chains, i)) {
 				continue // the other slice may still read it
 			}
 			*m &^= regRead
@@ -744,6 +764,79 @@ func (bf *batchFacts) tile(body []kernel.Instr) LoopFacts {
 	return lf
 }
 
+// chains returns the scratch reductions of a classified loop body when they
+// are all its Carried slice holds (LoopFacts.Chains), else nil. It reads the
+// marks tile leaves: regDef for what the loop's entry sees, the per-body
+// marks for the rest.
+func (bf *batchFacts) chains(body []kernel.Instr, class []Class) []Chain {
+	carried := 0
+	for _, c := range class {
+		if c == Carried {
+			carried++
+		}
+	}
+	if carried%3 != 0 {
+		return nil
+	}
+	// once: defined in the body only, and once; read at most once there.
+	once := func(r kernel.Reg, flt bool) bool {
+		return bf.regs[fileOf(flt)][r]&(regDef|regBody|regMulti|regReread) == regBody
+	}
+	free := func(r kernel.Reg, flt bool) bool { return bf.regs[fileOf(flt)][r]&regCarried == 0 }
+	chains := make([]Chain, 0, carried/3)
+	for s := range body {
+		st := &body[s]
+		if st.Op != kernel.IStoreLoc {
+			continue
+		}
+		flt := st.Float
+		o := defBefore(body, s, st.B, flt)
+		if o < 0 || flt != bf.localsFloat || !once(st.B, flt) || !free(st.A, false) {
+			return nil
+		}
+		op := &body[o]
+		switch op.BOp {
+		case kernel.BAdd, kernel.BSub, kernel.BMul, kernel.BMin, kernel.BMax:
+		default:
+			return nil
+		}
+		if op.Op != kernel.IBin || op.Float != flt || op.B == op.A || !once(op.A, flt) || !free(op.B, flt) {
+			return nil
+		}
+		ld := defBefore(body, o, op.A, flt)
+		if ld < 0 || body[ld].Op != kernel.ILoadLoc || body[ld].A != st.A ||
+			class[ld] != Carried || class[o] != Carried || class[s] != Carried {
+			return nil
+		}
+		chains = append(chains, Chain{Load: ld, Op: o, Store: s})
+	}
+	if len(chains) == 0 || 3*len(chains) != carried {
+		return nil // something else is Carried as well
+	}
+	return chains
+}
+
+// inChain reports whether instruction i is a step of one of the chains.
+func inChain(chains []Chain, i int) bool {
+	for _, c := range chains {
+		if c.Load == i || c.Op == i || c.Store == i {
+			return true
+		}
+	}
+	return false
+}
+
+// defBefore returns the index of the last instruction ahead of at that
+// defines r in the given file, or -1.
+func defBefore(body []kernel.Instr, at int, r kernel.Reg, flt bool) int {
+	for i := at - 1; i >= 0; i-- {
+		if d, f, ok := body[i].Def(); ok && d == r && f == flt {
+			return i
+		}
+	}
+	return -1
+}
+
 // BatchFacts computes the batch-specialization eligibility facts for one
 // fragment, returning the first rule it fails. The rules are conservative:
 // a rejected fragment simply interprets.
@@ -758,7 +851,7 @@ func (bf *batchFacts) tile(body []kernel.Instr) LoopFacts {
 func BatchFacts(f *kernel.Fragment) Facts {
 	n := f.NumRegs()
 	marks := make([]uint8, 2*n)
-	bf := &batchFacts{regs: [2][]uint8{marks[:n], marks[n:]}}
+	bf := &batchFacts{regs: [2][]uint8{marks[:n], marks[n:]}, localsFloat: f.LocalsFloat}
 	bf.undo, bf.lists = bf.undoBuf[:0], bf.listBuf[:0]
 	bf.loaded, bf.stored = bf.loadBuf[:0], bf.stBuf[:0]
 	bodies := len(f.PostLoopBody)

@@ -143,6 +143,7 @@ const (
 	RuleVirtualStore  = "VP005" // virtual (dissolved-scatter) fragment stores randomly
 	RuleScatterSeq    = "VP006" // real scatter fragment without a random store
 	RuleUseBeforeProd = "VP007" // buffer read before any producing step
+	RuleDeadStore     = "VP008" // fragment stores a buffer no step, output or persist reads (warning)
 )
 
 // HasErrors reports whether any diagnostic is Error-level.
