@@ -7,12 +7,15 @@
 // Usage:
 //
 //	voodoo-serve [-addr :8080] [-diag-addr ADDR] [-sf SF] [-data DIR]
-//	             [-engine compiled|compiled-interp|interp|bulk]
 //	             [-timeout 30s] [-max-mem 1g] [-max-extent N] [-max-heap 4g]
 //	             [-concurrency N] [-slow N] [-plan-cache N]
 //	             [-drain-timeout 10s] [-verify]
 //	             [-log-level info] [-events FILE] [-event-sample 0.01]
 //	             [-slow-threshold 1s] [-slo query=500ms:0.99] [-spans N]
+//
+// Every query runs on the compiled engine, every fragment as batch
+// primitives; the other engines (-engine compiled-interp, interp, bulk) are
+// voodoo-run's.
 //
 // Telemetry: every query gets one id (the inbound W3C traceparent's
 // trace id when present, minted otherwise) that appears in the
@@ -77,7 +80,6 @@ func main() {
 	diagAddr := flag.String("diag-addr", "", "additionally serve the diagnostics endpoints on this address (e.g. localhost:6060)")
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor for the generated catalog")
 	data := flag.String("data", "", "load the catalog from this directory instead of generating")
-	engine := flag.String("engine", "compiled", "compiled, compiled-interp (compiled plans, every fragment through the per-element interpreter), interp (reference interpreter) or bulk (compiler with fusion off)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request wall-clock budget, queue wait included (0 = unlimited)")
 	maxMem := flag.String("max-mem", "", "per-request buffer allocation budget (e.g. 64m, 1g; empty = unlimited)")
 	maxExtent := flag.Int("max-extent", 0, "per-request fragment extent cap (0 = unlimited)")
@@ -95,11 +97,6 @@ func main() {
 	doVerify := flag.Bool("verify", false, "statically verify programs and compiled plans before execution (voodoo_verify_failures_total counts rejections)")
 	flag.Parse()
 
-	backend, noSpecialize, err := rel.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "voodoo-serve:", err)
-		os.Exit(2)
-	}
 	verify.SetEnabled(*doVerify)
 	if err := telemetry.InstallJSON(os.Stderr, *logLevel); err != nil {
 		fatal(err)
@@ -132,11 +129,9 @@ func main() {
 
 	s := serve.New(serve.Config{
 		Cat:           cat,
-		Backend:       backend,
 		Limits:        limits,
 		Timeout:       *timeout,
 		MaxConcurrent: *concurrency,
-		NoSpecialize:  noSpecialize,
 		SlowQueries:   *slowN,
 		PlanCache:     *planCache,
 		MemHighWater:  highWater,

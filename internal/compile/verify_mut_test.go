@@ -163,13 +163,31 @@ func floatDefs(f *kernel.Fragment) map[kernel.Reg]bool {
 	return defs
 }
 
+// hasRule reports whether ds flags rule at the level the catalogue gives
+// it: every rule is an Error but VP007, which is a warning.
 func hasRule(ds []verify.Diagnostic, rule string) bool {
+	level := verify.Error
+	if rule == verify.RuleUseBeforeProd {
+		level = verify.Warn
+	}
 	for _, d := range ds {
-		if d.Rule == rule {
+		if d.Rule == rule && d.Level == level {
 			return true
 		}
 	}
 	return false
+}
+
+// defines counts the instructions of f that define r in the given file.
+func defines(f *kernel.Fragment, r kernel.Reg, flt bool) int {
+	n := 0
+	eachInstr(&kernel.Kernel{Frags: []*kernel.Fragment{f}}, func(_ *kernel.Fragment, in *kernel.Instr) bool {
+		if d, df, ok := in.Def(); ok && d == r && df == flt {
+			n++
+		}
+		return false
+	})
+	return n
 }
 
 type mutation struct {
@@ -195,6 +213,57 @@ func mutations() []mutation {
 					in.A = 200
 					return true
 				})
+			}},
+		{"read-before-body-def", verify.RuleUseBeforeDef, sel,
+			func(p *Plan) bool {
+				// Move a loop body's only definition of a register behind its
+				// first reader in the body: that read sees the previous
+				// iteration's value, and the first iteration's sees whatever
+				// the last work item on the worker left.
+				for _, f := range p.kern.Frags {
+					for li := range f.Loops {
+						body := f.Loops[li].Body
+						for q := range body {
+							r, flt, ok := body[q].Def()
+							if !ok || defines(f, r, flt) != 1 {
+								continue
+							}
+							for at := q + 1; at < len(body); at++ {
+								uses, n := body[at].Uses()
+								for _, u := range uses[:n] {
+									if u.R == r && u.Float == flt {
+										def := body[q]
+										copy(body[q:at], body[q+1:at+1])
+										body[at] = def
+										return true
+									}
+								}
+							}
+						}
+					}
+				}
+				return false
+			}},
+		{"load-store-one-buffer", verify.RuleRWOverlap, sel,
+			func(p *Plan) bool {
+				// Store into a buffer the same fragment loads.
+				for _, f := range p.kern.Frags {
+					var load, store *kernel.Instr
+					eachInstr(&kernel.Kernel{Frags: []*kernel.Fragment{f}}, func(_ *kernel.Fragment, in *kernel.Instr) bool {
+						switch {
+						case in.Op == kernel.ILoad && load == nil:
+							load = in
+						case in.Op == kernel.IStore && store == nil:
+							store = in
+						}
+						return false
+					})
+					if load != nil && store != nil && load.Float == store.Float {
+						store.Buf = load.Buf
+						return true
+					}
+				}
+				return false
 			}},
 		{"write-special-register", verify.RuleSpecialWrite, sel,
 			func(p *Plan) bool {

@@ -28,6 +28,7 @@ import (
 	"voodoo/internal/telemetry"
 	"voodoo/internal/trace"
 	"voodoo/internal/vector"
+	"voodoo/internal/verify"
 )
 
 // Governor and panic-isolation visibility: operators watching /metrics
@@ -92,6 +93,21 @@ type PanicError struct {
 
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("exec: panic in %s: %v", e.Fragment, e.Value)
+}
+
+// ContractError is RunFragment's refusal of a fragment that breaks the
+// fragment contract verify.BatchFacts checks: a register read no definition
+// in its own work item dominates, a buffer both loaded and stored, or an
+// instruction the executor has no meaning for. What such a fragment leaves
+// would depend on how its work items fall to workers, so no path runs it —
+// batch, interpreted or counted — and no work item starts. Diag is the
+// verifier's diagnostic for it; Diag.Rule names the rule.
+type ContractError struct {
+	Diag verify.Diagnostic
+}
+
+func (e *ContractError) Error() string {
+	return fmt.Sprintf("exec: %s breaks the fragment contract: %s: %s", e.Diag.Pos, e.Diag.Rule, e.Diag.Msg)
 }
 
 // NewPanicError builds the *PanicError for a freshly recovered panic and
@@ -324,9 +340,8 @@ type FragStats struct {
 	Uncut string
 
 	// Specialized records the execution path this run took ("batch" or
-	// "interp") and Reason why an interpreted run did not batch: the
-	// verifier's eligibility reject, or a run-time cause ("counted",
-	// "fault-hooks", "no-specialize"). Set by RunFragment, not merged from
+	// "interp") and Reason why an interpreted run did not batch: "counted",
+	// "fault-hooks" or "no-specialize". Set by RunFragment, not merged from
 	// workers.
 	Specialized string
 	Reason      string
@@ -465,10 +480,16 @@ func Run(ctx context.Context, k *kernel.Kernel, env *Env, par Par, st *Stats) er
 // stop at their next checkpoint and no further morsels are claimed.
 // A fragment the cut rule splits (see sched.go) runs through the shared
 // morsel scheduler; the submitting goroutine always participates, so
-// progress never depends on pool availability.
+// progress never depends on pool availability. A fragment that breaks the
+// fragment contract is refused with a *ContractError on every path before
+// anything of it runs.
 func RunFragment(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs *FragStats, count bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	bp := specFor(f)
+	if bp.refused != nil {
+		return bp.refused
 	}
 	trace.CountFragment()
 	// In flight from here on: what another submitter's cut sees as a taken
@@ -495,7 +516,6 @@ func RunFragment(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs 
 			return err
 		}
 	}
-	bp := specFor(f)
 	nregs := kernel.Reg(bp.nregs)
 	batch, reason := resolveSpec(bp, par.NoSpecialize, count, faultinject.Enabled())
 	if fs != nil {
@@ -729,9 +749,9 @@ func (w *worker) run(lo, hi int) error {
 	return w.runInterp(lo, hi)
 }
 
-// runInterp is the per-element instruction interpreter — the fallback for
-// batch-ineligible fragments and the oracle the batch path is
-// differentially tested against.
+// runInterp is the per-element instruction interpreter — the oracle the
+// batch path is differentially tested against, and the path of counted,
+// fault-hook and NoSpecialize runs and of the batch tier's fault re-run.
 func (w *worker) runInterp(lo, hi int) error {
 	f := w.f
 	for gid := lo; gid < hi; gid++ {

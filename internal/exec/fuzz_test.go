@@ -2,9 +2,11 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"voodoo/internal/kernel"
@@ -28,12 +30,11 @@ import (
 // Whatever the verifier passes must leave every buffer, Items and
 // StoreBytes bit-identical on both tiers at one worker and — work items
 // being independent — at three workers, over two-item morsels and under the
-// cut rule; when the
-// interpreter faults, the batch tier must report the same error text.
-// Fragments BatchFacts rejects run interpreted on both sides, which checks
-// little but costs nothing; the decoder is built so that most are eligible.
-// Those it rejects for a register read without a dominating definition run
-// at one worker only.
+// cut rule; when the interpreter faults, the batch tier must report the same
+// error text. The decoder is built so that most fragments meet the fragment
+// contract; one that breaks it must be refused on every path with the
+// verifier's diagnostic, and one the verifier rejects for another rule is
+// skipped.
 func FuzzBatchVsInterp(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -41,17 +42,19 @@ func FuzzBatchVsInterp(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k, in := decodeFragment(data)
 		frag := k.Frags[0]
-		for _, d := range verify.Fragment(frag, k.Bufs) {
+		diags := verify.Fragment(frag, k.Bufs)
+		if v := verify.BatchFacts(frag).Violation; v != nil {
+			if !slices.Contains(diags, *v) {
+				t.Fatalf("verify.Fragment reports %v, not the contract violation %v\n%s", diags, *v, k)
+			}
+			requireRefused(t, k, in, *v)
+			return
+		}
+		for _, d := range diags {
 			if d.Level == verify.Error {
 				t.Skip(d)
 			}
 		}
-		// A register read no definition of its work item dominates sees
-		// whatever the previous work item on the same worker left there, so
-		// what such a fragment leaves depends on how work items fall to
-		// workers: only one worker is comparable. Every other fragment —
-		// eligible or rejected for another reason — runs at three as well.
-		undominated := verify.BatchFacts(frag).Reason == "register read without a dominating definition in its work item"
 		run := func(par Par) (*Env, FragStats, error) {
 			env := NewEnv(k)
 			for name, buf := range in {
@@ -76,9 +79,6 @@ func FuzzBatchVsInterp(f *testing.F) {
 			t.Fatalf("%s: items=%d store_bytes=%d, interpreter reports %d / %d\n%s",
 				rec.Specialized, rec.Items, rec.StoreBytes, want.Items, want.StoreBytes, k)
 		}
-		if undominated {
-			return
-		}
 		// Three workers, cut two ways: two-item morsels, and whatever the cut
 		// rule makes of the shape (most decoded fragments sit below its floor
 		// and run as one range; the big ones are cut by declared work).
@@ -94,6 +94,48 @@ func FuzzBatchVsInterp(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestContractAgreesOnFuzzSeeds: on every FuzzBatchVsInterp seed the
+// verifier and the executor agree on the fragment contract — RunFragment
+// refuses exactly the fragments verify.Fragment reports a contract rule for,
+// with that diagnostic, and runs the rest — and the seeds hold both kinds.
+func TestContractAgreesOnFuzzSeeds(t *testing.T) {
+	contract := map[string]bool{verify.RuleUseBeforeDef: true, verify.RuleSpecialWrite: true,
+		verify.RuleRWOverlap: true, verify.RuleBadInstr: true}
+	refused, ran := 0, 0
+	for i, seed := range fuzzSeeds() {
+		k, in := decodeFragment(seed)
+		var broken []verify.Diagnostic
+		for _, d := range verify.Fragment(k.Frags[0], k.Bufs) {
+			if contract[d.Rule] {
+				broken = append(broken, d)
+			}
+		}
+		env := NewEnv(k)
+		for name, buf := range in {
+			if err := env.Bind(k, name, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := RunFragment(context.Background(), k.Frags[0], env, Par{Workers: 1}, nil, false)
+		var ce *ContractError
+		switch {
+		case errors.As(err, &ce):
+			refused++
+			if len(broken) != 1 || broken[0] != ce.Diag {
+				t.Errorf("seed %d: RunFragment refuses with %v, verify.Fragment reports %v", i, ce.Diag, broken)
+			}
+		case len(broken) > 0:
+			t.Errorf("seed %d: verify.Fragment reports %v, RunFragment ran it (error %v)", i, broken, err)
+		default:
+			ran++
+		}
+	}
+	t.Logf("seeds: %d refused, %d ran", refused, ran)
+	if refused == 0 || ran == 0 {
+		t.Errorf("seed corpus: %d refused and %d ran; want both", refused, ran)
+	}
 }
 
 // fuzzSeeds is FuzzBatchVsInterp's seed corpus, which plain go test runs.
@@ -138,10 +180,10 @@ func TestFuzzSeedsReachBothReductionPaths(t *testing.T) {
 
 // fragDecoder maps a byte string onto one fragment. It tracks, per register
 // file, the registers defined on every path to the instruction being
-// emitted — the dominance BatchFacts demands — and draws operands from
-// those, so most decoded fragments are eligible; now and then it draws from
-// every register ever defined instead, which the verifier or BatchFacts
-// must then reject.
+// emitted — the dominance the fragment contract demands — and draws operands
+// from those, so most decoded fragments meet it; now and then it draws from
+// every register ever defined instead, which the verifier must then reject
+// and the executor refuse.
 type fragDecoder struct {
 	data []byte
 	pos  int

@@ -49,7 +49,7 @@ func TestSkewStressBeatsStaticChunking(t *testing.T) {
 	const (
 		n       = 1 << 16
 		workers = 4
-		delay   = 5 * time.Millisecond
+		delay   = 20 * time.Millisecond
 	)
 	k := busyKernel(n, 1)
 	f := k.Frags[0]
@@ -58,7 +58,9 @@ func TestSkewStressBeatsStaticChunking(t *testing.T) {
 
 	// All the cost sits in the first quarter — exactly static worker 0's
 	// chunk. The hook fires at checkpoint cadence, so the expensive region
-	// holds ~32 sleeps: ~160ms serialized, ~40ms spread over 4 workers.
+	// holds ~32 sleeps: ~640ms serialized, ~160ms spread over 4 workers.
+	// The sleeps must dwarf the items' own work, which the race detector
+	// and a loaded 2-CPU box stretch to ~60ms of either run.
 	faultinject.With(t, faultinject.Hooks{
 		Item: func(frag string, gid int) {
 			if gid < n/4 {

@@ -6,7 +6,7 @@
 // fragments are fused, function-call-free kernels whose Extent is the
 // data-parallel dimension and whose Intent is the sequential iterations
 // each work item makes — one iteration space, whose cut is a tuning
-// decision. This file compiles each eligible fragment once (cached on the
+// decision. This file compiles each fragment once (cached on the
 // *kernel.Fragment, concurrency-safe) into batch primitives — one tight Go
 // loop per instruction over a column of up to specBatchN pseudo-lanes — and
 // one driver (runLanes) walks the whole fragment IR over them: prologue,
@@ -24,29 +24,31 @@
 // tile. Dispatch cost drops to O(tiles × instrs). IGuard compacts a selection
 // vector, so predication never branches on data inside a primitive.
 //
-// The per-element interpreter remains as the fallback for ineligible
-// fragments and as the oracle for differential testing (difftest's
-// specialize sweeps and FuzzBatchVsInterp run both tiers against it).
+// The per-element interpreter remains as the oracle for differential testing
+// (difftest's specialize sweeps and FuzzBatchVsInterp run both tiers against
+// it), for counted runs, under fault hooks, and for the fault re-run.
 //
 // Contracts preserved exactly: a cancellation checkpoint at least every
 // checkInterval lane-steps (tickN), governor Limits, panics → *PanicError
 // with cross-worker abort, scratch from the pooled arena, the
 // interpreter's error on a fault, and bit-identical results at any morsel
-// size and worker count. The last is what verify.BatchFacts decides: tiles
-// run ahead of the interpreter's element-major order, which nothing can
-// observe when every register read is dominated by a definition in its own
-// work item, no buffer is both loaded and stored (work items write disjoint
-// slots by the algebra's contract, see sched.go), and whatever does see
-// another iteration stays in the carried slice.
+// size and worker count. The last is the fragment contract verify.BatchFacts
+// checks: tiles run ahead of the interpreter's element-major order, which
+// nothing can observe when every register read is dominated by a definition
+// in its own work item, no buffer is both loaded and stored (work items
+// write disjoint slots by the algebra's contract, see sched.go), and
+// whatever does see another iteration stays in the carried slice. A fragment
+// that breaks the contract has no scheduling-independent answer, so neither
+// tier runs it: RunFragment refuses it with a *ContractError.
 //
 // One rule picks the path, and observing is not part of it: a fragment
-// batches when it is eligible, unless the caller disabled specialization,
-// asked for the device-model event counters (only the interpreter counts —
-// its Near/Rand classification is element-order-sensitive, and a second
-// copy of the counting rules would have to be proved equal to the first), or
-// enabled a fault-injection hook (hooks replay per-item state the batch
-// path does not model). The cheap record a trace wants — items and store
-// bytes — is kept by both tiers unconditionally.
+// batches unless the caller disabled specialization, asked for the
+// device-model event counters (only the interpreter counts — its Near/Rand
+// classification is element-order-sensitive, and a second copy of the
+// counting rules would have to be proved equal to the first), or enabled a
+// fault-injection hook (hooks replay per-item state the batch path does not
+// model). The cheap record a trace wants — items and store bytes — is kept
+// by both tiers unconditionally.
 package exec
 
 import (
@@ -60,8 +62,8 @@ import (
 
 // Specialization observability: every fragment execution counts the path
 // it actually took, and every interpreted one the reason it did not batch.
-// The path series and the run-time reasons are pre-created so they exist at
-// zero; eligibility reasons appear with the first fragment they reject.
+// The path series and the three reasons are pre-created so they exist at
+// zero.
 var (
 	specializedVec = metrics.NewCounterVec("voodoo_fragments_specialized_total",
 		"Fragment executions by execution path: batch primitives or the per-element interpreter.", "path")
@@ -98,9 +100,8 @@ const specBatchN = checkInterval
 const tileBytes = 256 << 10
 
 // specFor returns the fragment's cached batch compilation — a program, or
-// the reason the fragment is not batch-eligible — compiling it on first
-// use. Racing first executions compile redundantly but store identical
-// content.
+// the contract violation it is refused for — compiling it on first use.
+// Racing first executions compile redundantly but store identical content.
 func specFor(f *kernel.Fragment) *batchProg {
 	if v := f.LoadSpec(); v != nil {
 		return v.(*batchProg)
@@ -117,7 +118,7 @@ func specFor(f *kernel.Fragment) *batchProg {
 // reports whether the caller asked for the device counters; whether anyone
 // records the run is deliberately not an input.
 func resolveSpec(bp *batchProg, noSpecialize, count, faults bool) (*batchProg, string) {
-	rej := bp.ineligible
+	var rej *reject
 	switch {
 	case noSpecialize:
 		rej = rejectNoSpecialize
@@ -125,7 +126,7 @@ func resolveSpec(bp *batchProg, noSpecialize, count, faults bool) (*batchProg, s
 		rej = rejectFaults
 	case count:
 		rej = rejectCounted
-	case rej == nil:
+	default:
 		specBatchC.Inc()
 		return bp, ""
 	}
@@ -190,12 +191,11 @@ type batchProg struct {
 	width, iters, snaps int
 	wins                [2]int
 	// nregs bounds the register index space of the fragment, for the
-	// column tables and the interpreter's register file alike; computed
-	// once here, whether or not the fragment is eligible.
+	// column tables and the interpreter's register file alike.
 	nregs int
-	// ineligible, when set, is why the fragment has no batch program
-	// (verify.Facts.Reason); only nregs is then filled.
-	ineligible *reject
+	// refused, when set, is the contract violation the fragment is refused
+	// for (verify.Facts.Violation); nothing else is then filled.
+	refused *ContractError
 }
 
 // snapshot is the selection at one program position of a tile: the listed
@@ -281,21 +281,19 @@ func (b *bstate) region(i int) []int32 {
 }
 
 // compileBatch translates the fragment into batch primitives, or records
-// why it is not eligible. Eligibility and the split of every loop body into
-// its free and carried slices are decided entirely by the verifier's
-// fragment facts (verify.BatchFacts) — the single source of truth — so the
-// specializer only translates instructions. Eligibility is conservative:
-// every rejected fragment simply interprets.
+// the contract violation it is refused for. The contract and the split of
+// every loop body into its free and carried slices are decided entirely by
+// the verifier's fragment facts (verify.BatchFacts), so the specializer only
+// translates instructions: every opcode the contract admits has a primitive
+// in either domain (TestEveryInstructionHasAPrimitive).
 func compileBatch(f *kernel.Fragment) *batchProg {
-	bp := &batchProg{nregs: f.NumRegs(), iters: 1}
 	facts := verify.BatchFacts(f)
-	if !facts.BatchEligible {
-		bp.ineligible = newReject(facts.Reason)
-		return bp
+	if facts.Violation != nil {
+		return &batchProg{refused: &ContractError{Diag: *facts.Violation}}
 	}
+	bp := &batchProg{nregs: f.NumRegs(), iters: 1}
 	bp.intRegs, bp.fltRegs = facts.IntRegs, facts.FltRegs
 	bp.width = max(1, min(specBatchN, tileBytes/(8*(len(bp.intRegs)+len(bp.fltRegs)))))
-	ok := true
 	// One backing for every sequence's primitives: each instruction of the
 	// fragment becomes at most one.
 	total := len(f.Pre) + len(f.Post) + len(f.PostLoopBody)
@@ -360,7 +358,6 @@ func compileBatch(f *kernel.Fragment) *batchProg {
 				}
 				s.wide = append(s.wide, p)
 			}
-			ok = ok && p.fn != nil
 		}
 		bp.snaps = max(bp.snaps, snap)
 		return s
@@ -381,19 +378,13 @@ func compileBatch(f *kernel.Fragment) *batchProg {
 		bp.postLoop = seq(f.PostLoopBody, &facts.Loops[len(f.Loops)], f.Locals)
 		bp.postLoop.postLoop = true
 	}
-	if !ok {
-		// Unreachable for fact-eligible fragments (the whitelist matches
-		// primFor's coverage); kept as a belt against the two drifting
-		// apart.
-		return &batchProg{nregs: bp.nregs, ineligible: newReject("instruction without a batch primitive")}
-	}
 	return bp
 }
 
 // attachBatch cuts the worker's pooled scratch into register columns for bp
 // wide enough for lanes work items: as wide as a tile of several iterations
 // may get when the fragment has that many to offer. Columns are not zeroed —
-// the verifier proved every read is dominated by a definition in the same
+// the fragment contract has every read dominated by a definition in the same
 // work item — except that the hoisted constants are filled here, once.
 func (w *worker) attachBatch(bp *batchProg, lanes int) {
 	f, sc := w.f, w.scratch
@@ -453,8 +444,8 @@ func fill[T any](s []T, v T) {
 // tickN retires n lane-steps of checkpoint budget at once — the batch
 // path's replacement for per-item tick — checking before a tile would take
 // the run past checkInterval lane-steps since the last check. The batch
-// path never runs with fault injection enabled (resolveSpec falls back to
-// the interpreter), so the per-item hook is not replayed here.
+// path never runs with fault injection enabled (resolveSpec picks the
+// interpreter then), so the per-item hook is not replayed here.
 func (w *worker) tickN(n int) error {
 	w.budget -= n
 	if w.budget > 0 {
@@ -475,9 +466,9 @@ func (w *worker) tickN(n int) error {
 // runBatch executes work items [lo, hi) through the batch primitives. When
 // a primitive faults, the range is run again interpreted and that run's
 // error is reported: tiles reach a fault in their own order, the interpreter
-// in element order, and callers are promised the interpreter's error. An
-// eligible fragment never loads a buffer it stores, so the second run reads
-// what the first read and gets to its own first fault.
+// in element order, and callers are promised the interpreter's error. No
+// fragment that runs loads a buffer it stores (the contract's VF010), so the
+// second run reads what the first read and gets to its own first fault.
 func (w *worker) runBatch(lo, hi int) error {
 	fault, err := w.runLanes(lo, hi)
 	if fault {

@@ -10,15 +10,12 @@ import (
 
 // TestCompilerFragmentsBatch sweeps the difftest corpus through the
 // compiler under the fragment-shaping option combos and pins what
-// verify.BatchFacts decides about what comes out. Results cannot show a
-// fragment silently falling back to the interpreter — the tiers are
-// bit-identical — so this is where an eligibility rule turning too strict
-// fails: every fragment the compiler emits is eligible. The rules that remain
-// ("buffer both loaded and stored", "register read without a dominating
-// definition in its work item") reject only what lowering never produces,
-// and none is about a fragment's geometry, since a tile cuts work items ×
-// iterations whichever way the morsel offers them. It also requires the
-// corpus to exercise every class of the tiling facts.
+// verify.BatchFacts decides about what comes out: every fragment the
+// compiler emits meets the fragment contract (VF001, VF002, VF010, VF011),
+// and so batches. None of the contract's rules is about a fragment's
+// geometry, since a tile cuts work items × iterations whichever way the
+// morsel offers them. It also requires the corpus to exercise every class
+// of the tiling facts.
 func TestCompilerFragmentsBatch(t *testing.T) {
 	seeds := int64(200)
 	if testing.Short() {
@@ -36,9 +33,9 @@ func TestCompilerFragmentsBatch(t *testing.T) {
 			for _, f := range plan.Kernel().Frags {
 				frags++
 				facts := verify.BatchFacts(f)
-				if !facts.BatchEligible {
-					t.Fatalf("seed %d frag %s: rejected for %q; every compiler-emitted fragment batches\n%s",
-						seed, f.Name, facts.Reason, plan.Kernel())
+				if facts.Violation != nil {
+					t.Fatalf("seed %d: %v; every compiler-emitted fragment meets the contract\n%s",
+						seed, facts.Violation, plan.Kernel())
 				}
 				for _, l := range facts.Loops {
 					for _, c := range l.Class {
@@ -48,7 +45,7 @@ func TestCompilerFragmentsBatch(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d fragments, all eligible; loop instructions free/carried/reduce = %d/%d/%d",
+	t.Logf("%d fragments, all meeting the contract; loop instructions free/carried/reduce = %d/%d/%d",
 		frags, classes[verify.Free], classes[verify.Carried], classes[verify.Reduce])
 	if frags < 100 || classes[verify.Free] == 0 || classes[verify.Carried] == 0 || classes[verify.Reduce] == 0 {
 		t.Fatalf("%d fragments with free/carried/reduce = %d/%d/%d loop instructions: want a corpus with some of each",

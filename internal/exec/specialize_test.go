@@ -467,6 +467,58 @@ func requireSameBufs(t *testing.T, k *kernel.Kernel, want, got *Env, label strin
 	}
 }
 
+// requireRefused runs k's single fragment under every path a caller can
+// ask for — default, NoSpecialize and counted — and requires each to refuse
+// it with a *ContractError carrying want, the verifier's diagnostic, before
+// writing a single slot of any buffer.
+func requireRefused(t *testing.T, k *kernel.Kernel, in map[string]*Buffer, want verify.Diagnostic) {
+	t.Helper()
+	untouched := NewEnv(k)
+	for _, run := range []struct {
+		name  string
+		par   Par
+		count bool
+	}{
+		{"default", Par{Workers: 3}, false},
+		{"no-specialize", Par{Workers: 3, NoSpecialize: true}, false},
+		{"counted", Par{Workers: 1}, true},
+	} {
+		env := NewEnv(k)
+		for name, buf := range in {
+			if err := env.Bind(k, name, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var fs FragStats
+		err := RunFragment(context.Background(), k.Frags[0], env, run.par, &fs, run.count)
+		var ce *ContractError
+		if !errors.As(err, &ce) || ce.Diag != want {
+			t.Fatalf("%s run: error %v, want the refusal %v\n%s", run.name, err, want, k)
+		}
+		requireSameBufs(t, k, untouched, env, run.name+" run of a refused fragment")
+	}
+}
+
+// TestEveryInstructionHasAPrimitive: every opcode the fragment contract
+// admits compiles to a batch primitive in either domain and under every
+// operator — and so does a reduction — so a fragment that meets the contract
+// always batches.
+func TestEveryInstructionHasAPrimitive(t *testing.T) {
+	for op := kernel.IConstI; op <= kernel.IStoreLoc; op++ {
+		for _, flt := range []bool{false, true} {
+			for bop := kernel.BAdd; bop <= kernel.BMax; bop++ {
+				in := &kernel.Instr{Op: op, BOp: bop, Float: flt}
+				if primFor(in) == nil {
+					t.Errorf("no batch primitive for %v (float=%v, %v)", op, flt, bop)
+				}
+				if op == kernel.IBin && foldFor(in) == nil {
+					t.Errorf("no reduction primitive for %v (float=%v, %v)", op, flt, bop)
+				}
+			}
+		}
+	}
+}
+
 // TestSpecializeModesBitIdentical is the in-package half of difftest
 // combo #7: for every representative fragment shape, specialization on at
 // every morsel size × worker count produces buffers bit-identical to the
@@ -622,16 +674,13 @@ func TestSpecializeModesBitIdentical(t *testing.T) {
 }
 
 // TestResolveSpecPaths pins the path-resolution policy and the reason it
-// reports: batch where eligible; NoSpecialize, fault injection and a request
-// for the device counters each force the interpreter; an ineligible
-// fragment interprets for the verifier's reason.
+// reports: batch by default; NoSpecialize, fault injection and a request for
+// the device counters each force the interpreter.
 func TestResolveSpecPaths(t *testing.T) {
 	sel := selectKernel(64, 10).Frags[0]
 	gather := gatherKernel(64).Frags[0]
 	fold := foldKernel(64, 4, kernel.BAdd, false).Frags[0]
 	fold1 := foldKernel(64, 1, kernel.BAdd, false).Frags[0]
-	overlap := selectKernel(64, 10).Frags[0]
-	overlap.Loops[0].Body[4].Buf = overlap.Loops[0].Body[1].Buf
 	for _, tc := range []struct {
 		name         string
 		f            *kernel.Fragment
@@ -649,7 +698,6 @@ func TestResolveSpecPaths(t *testing.T) {
 		{"fold", fold, false, false, false, ""},
 		{"fold-counted", fold, false, true, false, "counted"},
 		{"fold-extent-1", fold1, false, false, false, ""},
-		{"load-store-overlap", overlap, false, false, false, "buffer both loaded and stored"}, // the verifier's reason
 	} {
 		rejected := rejectVec.With(tc.reason).Value()
 		bp, got := resolveSpec(specFor(tc.f), tc.noSpecialize, tc.count, tc.faults)
@@ -663,21 +711,22 @@ func TestResolveSpecPaths(t *testing.T) {
 }
 
 // TestSpecializeBatchEligibility pins what verify.BatchFacts decides. The
-// rejections that remain now that a tile cuts work items × iterations either
-// way: a register read no definition of the same work item dominates, and a
-// buffer both loaded and stored, each with its own reason. And the tiling
-// facts of an eligible fragment's first loop, one letter per instruction
-// (f free, c carried, r reduce): which instructions see the previous
-// iteration is a dataflow fact, and each row below is one rule of it.
+// fragment contract, now that a tile cuts work items × iterations either way
+// and workers cut the work items: a register read no definition of the same
+// work item dominates breaks VF001, a buffer both loaded and stored VF010,
+// and RunFragment refuses either on every path with the verifier's
+// diagnostic before a slot is written. And the tiling facts of a fragment's
+// first loop, one letter per instruction (f free, c carried, r reduce):
+// which instructions see the previous iteration is a dataflow fact, and each
+// row below is one rule of it.
 func TestSpecializeBatchEligibility(t *testing.T) {
-	const undominated = "register read without a dominating definition in its work item"
-	sel := func() *kernel.Fragment { return selectKernel(64, 10).Frags[0] }
-	fold := func() *kernel.Fragment { return foldKernel(64, 8, kernel.BAdd, false).Frags[0] }
+	sel := func() *kernel.Kernel { return selectKernel(64, 10) }
+	fold := func() *kernel.Kernel { return foldKernel(64, 8, kernel.BAdd, false) }
 	for _, tc := range []struct {
 		name   string
-		f      *kernel.Fragment
+		k      *kernel.Kernel
 		mutate func(f *kernel.Fragment)
-		reason string // "" = eligible
+		rule   string // the contract rule broken; "" = none
 		tiling string // classes of loop 0; "" = not checked
 	}{
 		// Nothing carried: const, load, compare, guard, store.
@@ -685,7 +734,7 @@ func TestSpecializeBatchEligibility(t *testing.T) {
 		// The reduction mark: the accumulator is read and written by one
 		// instruction only.
 		{"fold", fold(), nil, "", "fr"},
-		{"fold-one-work-item", foldKernel(64, 1, kernel.BAdd, false).Frags[0], nil, "", "fr"},
+		{"fold-one-work-item", foldKernel(64, 1, kernel.BAdd, false), nil, "", "fr"},
 		{"accumulator-read-twice", fold(), func(f *kernel.Fragment) {
 			// acc = acc + acc: every iteration needs the last one's value.
 			f.Loops[0].Body[1].B = f.Loops[0].Body[1].Dst
@@ -694,19 +743,19 @@ func TestSpecializeBatchEligibility(t *testing.T) {
 		// the position computed from it — both of its definitions — and the
 		// store through it; the guard is free, the constant after it is not
 		// control-dependent on anything carried.
-		{"filter-branching", filterKernel(640, 8, 10, false).Frags[0], nil, "", "ffffccfcfc"},
-		{"filter-predicated", filterKernel(640, 8, 10, true).Frags[0], nil, "", "ffffcccc"},
+		{"filter-branching", filterKernel(640, 8, 10, false), nil, "", "ffffccfcfc"},
+		{"filter-predicated", filterKernel(640, 8, 10, true), nil, "", "ffffcccc"},
 		// A free register a carried instruction reads — the value the filter
 		// packs — has two definitions in the body: both join the carried
 		// slice, and with them the predicate computed from the first and the
 		// store of the second.
-		{"free-register-redefined", redefKernel(640, 8, 10).Frags[0], nil, "", "fccfcccccc"},
+		{"free-register-redefined", redefKernel(640, 8, 10), nil, "", "fccfcccccc"},
 		// Scratch chains are carried, and so is everything behind a guard
 		// that is — here even the store of a free value.
-		{"carried-guard", firstFewKernel(640, 8, 5).Frags[0], nil, "", "fffcfccccccc"},
-		{"filter-fold", filterFoldKernel(640, 8, 80, 10).Frags[0], nil, "", "fffcc"},
-		{"group-fold", groupFoldKernel(640, 8, 5).Frags[0], nil, "", "ffffffccc"},
-		{"two-stores-one-buffer", mixedKernel(64).Frags[0], func(f *kernel.Fragment) {
+		{"carried-guard", firstFewKernel(640, 8, 5), nil, "", "fffcfccccccc"},
+		{"filter-fold", filterFoldKernel(640, 8, 80, 10), nil, "", "fffcc"},
+		{"group-fold", groupFoldKernel(640, 8, 5), nil, "", "ffffffccc"},
+		{"two-stores-one-buffer", mixedKernel(64), func(f *kernel.Fragment) {
 			// Iterations of a work item may hit the same slot through either
 			// store: they keep the interpreter's order.
 			f.Loops[0].Body[11].Buf = f.Loops[0].Body[9].Buf
@@ -714,45 +763,58 @@ func TestSpecializeBatchEligibility(t *testing.T) {
 		{"never-defined", sel(), func(f *kernel.Fragment) {
 			// The interpreter would observe a sibling item's leftover.
 			f.Loops[0].Body[2].A = kernel.FirstFree + 9
-		}, undominated, ""},
+		}, verify.RuleUseBeforeDef, ""},
+		{"read-before-body-def", sel(), func(f *kernel.Fragment) {
+			// The compare now precedes the definitions it reads: a later
+			// iteration sees the previous one's values, the first a
+			// sibling work item's.
+			f.Loops[0].Body[0], f.Loops[0].Body[2] = f.Loops[0].Body[2], f.Loops[0].Body[0]
+		}, verify.RuleUseBeforeDef, ""},
 		{"accumulator-without-seed", fold(), func(f *kernel.Fragment) {
 			// Defined in the loop only: its first read sees the previous
 			// work item's total.
 			f.Pre = nil
-		}, undominated, ""},
+		}, verify.RuleUseBeforeDef, ""},
 		{"post-reads-loop-def", fold(), func(f *kernel.Fragment) {
 			// The loop may run zero times, so its definitions do not reach
 			// the epilogue.
 			f.Post[0].B = kernel.FirstFree + 1
-		}, undominated, ""},
+		}, verify.RuleUseBeforeDef, ""},
 		{"post-reads-idx", fold(), func(f *kernel.Fragment) {
 			f.Post[0].A = kernel.RegIdx
-		}, undominated, ""},
+		}, verify.RuleUseBeforeDef, ""},
 		{"def-behind-guard", fold(), func(f *kernel.Fragment) {
 			// A guard ahead of the seed may skip it.
 			f.Pre = append([]kernel.Instr{{Op: kernel.IGuard, A: kernel.RegGID}}, f.Pre...)
-		}, undominated, ""},
-		{"bound-from-loop", filterFoldKernel(640, 8, 80, 10).Frags[0], func(f *kernel.Fragment) {
+		}, verify.RuleUseBeforeDef, ""},
+		{"bound-from-loop", filterFoldKernel(640, 8, 80, 10), func(f *kernel.Fragment) {
 			f.Pre = f.Pre[:1] // the cursor is no longer seeded before loop 1 reads it as its bound
-		}, undominated, ""},
+		}, verify.RuleUseBeforeDef, ""},
 		{"load-store-overlap", sel(), func(f *kernel.Fragment) {
-			// Store to the buffer the fragment also loads: tiles run ahead
-			// of element order, so a load could see a store too early.
+			// Store to the buffer the fragment also loads: tiles and workers
+			// run ahead of element order, so a load could see a store too
+			// early.
 			f.Loops[0].Body[4].Buf = f.Loops[0].Body[1].Buf
-		}, "buffer both loaded and stored", ""},
+		}, verify.RuleRWOverlap, ""},
 	} {
+		f := tc.k.Frags[0]
 		if tc.mutate != nil {
-			tc.mutate(tc.f)
+			tc.mutate(f)
 		}
-		facts := verify.BatchFacts(tc.f)
-		if facts.Reason != tc.reason || facts.BatchEligible != (tc.reason == "") {
-			t.Errorf("%s: eligible=%v reason %q, want reason %q", tc.name, facts.BatchEligible, facts.Reason, tc.reason)
+		facts := verify.BatchFacts(f)
+		if tc.rule != "" {
+			if facts.Violation == nil || facts.Violation.Rule != tc.rule {
+				t.Errorf("%s: violation %v, want rule %s", tc.name, facts.Violation, tc.rule)
+				continue
+			}
+			if diags := verify.Fragment(f, tc.k.Bufs); !slices.Contains(diags, *facts.Violation) {
+				t.Errorf("%s: verify.Fragment reports %v, not the contract violation %v", tc.name, diags, *facts.Violation)
+			}
+			requireRefused(t, tc.k, inputsFor(tc.k), *facts.Violation)
 			continue
 		}
-		if bp := compileBatch(tc.f); (bp.ineligible == nil) != facts.BatchEligible {
-			t.Errorf("%s: compileBatch and BatchFacts disagree on eligibility", tc.name)
-		}
-		if tc.tiling == "" {
+		if facts.Violation != nil {
+			t.Errorf("%s: breaks the contract: %v", tc.name, facts.Violation)
 			continue
 		}
 		got := ""
@@ -760,9 +822,25 @@ func TestSpecializeBatchEligibility(t *testing.T) {
 			got += string("fcr"[c])
 		}
 		if got != tc.tiling {
-			t.Errorf("%s: loop 0 tiles as %q, want %q\n%s", tc.name, got, tc.tiling, (&kernel.Kernel{Frags: []*kernel.Fragment{tc.f}}).String())
+			t.Errorf("%s: loop 0 tiles as %q, want %q\n%s", tc.name, got, tc.tiling, tc.k)
 		}
 	}
+}
+
+// inputsFor binds seqInts (or zeros, for a float column) to every input
+// buffer k declares.
+func inputsFor(k *kernel.Kernel) map[string]*Buffer {
+	in := map[string]*Buffer{}
+	for _, d := range k.Bufs {
+		switch {
+		case !d.Input:
+		case d.Kind == vector.Int:
+			in[d.Name] = &Buffer{Kind: vector.Int, I: seqInts(d.Size)}
+		default:
+			in[d.Name] = &Buffer{Kind: vector.Float, F: make([]float64, d.Size)}
+		}
+	}
+	return in
 }
 
 // TestScratchReductionFacts pins which loop bodies verify.BatchFacts reports
@@ -828,8 +906,8 @@ func TestScratchReductionFacts(t *testing.T) {
 			tc.mutate(tc.f)
 		}
 		facts := verify.BatchFacts(tc.f)
-		if !facts.BatchEligible {
-			t.Errorf("%s: not batch-eligible: %s", tc.name, facts.Reason)
+		if facts.Violation != nil {
+			t.Errorf("%s: breaks the contract: %v", tc.name, facts.Violation)
 			continue
 		}
 		if got := facts.Loops[0].Chains; !slices.Equal(got, tc.chains) {
@@ -853,18 +931,8 @@ func TestSpecializeCacheOnFragment(t *testing.T) {
 	if f.LoadSpec() == nil {
 		t.Error("spec not stored on the fragment")
 	}
-	if sp1.ineligible != nil {
+	if sp1.refused != nil {
 		t.Error("canonical selection should compile to batch primitives")
-	}
-	// An ineligible fragment caches its rejection too, so it is analysed
-	// once rather than on every execution.
-	overlap := selectKernel(64, 10).Frags[0]
-	overlap.Loops[0].Body[4].Buf = overlap.Loops[0].Body[1].Buf
-	if specFor(overlap).ineligible == nil {
-		t.Error("a fragment that loads the buffer it stores should not be batch-eligible")
-	}
-	if overlap.LoadSpec() == nil {
-		t.Error("ineligibility not cached on the fragment")
 	}
 }
 
@@ -1080,8 +1148,8 @@ func TestBlockedLanesAreNotUnitStride(t *testing.T) {
 }
 
 // TestCountedRunInterprets: the device-model event counters live in the
-// interpreter tier only, so a counted run interprets every fragment —
-// batch-eligible or not — and says so.
+// interpreter tier only, so a counted run interprets every fragment and
+// says so.
 func TestCountedRunInterprets(t *testing.T) {
 	n := 3000
 	idx := make([]int64, n)

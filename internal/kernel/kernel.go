@@ -9,9 +9,12 @@
 //
 // Three consumers share this IR:
 //
-//   - package exec runs fragments natively (work items = goroutine chunks);
-//   - package device runs them under an instrumented interpreter that
-//     charges a parametric hardware cost model (CPU or GPU presets);
+//   - package exec runs fragments natively: work items in ranges the
+//     scheduler's cut rule hands to workers, as batch primitives over
+//     tiles or per element, and counts events when asked to;
+//   - package device runs nothing: it prices the event counts of exec's
+//     counted runs with a parametric hardware cost model (CPU or GPU
+//     presets);
 //   - package opencl pretty-prints them as the OpenCL C the paper's
 //     backend would ship to the driver.
 package kernel

@@ -6,9 +6,9 @@ import (
 	"strings"
 )
 
-// ParseEngine maps the value of the CLIs' -engine flag to the Engine
+// ParseEngine maps the value of voodoo-run's -engine flag to the Engine
 // settings it stands for. An engine is a backend plus, for the compiler,
-// which fragment tier runs: "compiled" batches every eligible fragment,
+// which fragment tier runs: "compiled" batches every fragment,
 // "compiled-interp" runs the same plans through the per-element fragment
 // interpreter, "interp" is the reference interpreter (no plan at all) and
 // "bulk" the compiler with fusion off.

@@ -51,9 +51,9 @@ import (
 type Config struct {
 	// Cat is the loaded catalog every query runs against.
 	Cat *storage.Catalog
-	// Backend and Opt configure the engine (default: compiled).
-	Backend rel.Backend
-	Opt     compile.Options
+	// Opt configures the compiler. Every query runs on the compiled
+	// engine, whose fragments batch; the other engines are voodoo-run's.
+	Opt compile.Options
 	// Limits is the per-request resource governor template. Its Deadline
 	// field is ignored; Timeout below is applied per request instead.
 	Limits exec.Limits
@@ -63,9 +63,6 @@ type Config struct {
 	// MaxConcurrent bounds the queries executing at once; excess requests
 	// queue (and their wait is measured). 0 = GOMAXPROCS.
 	MaxConcurrent int
-	// NoSpecialize disables fragment specialization, forcing every
-	// fragment through the per-element interpreter.
-	NoSpecialize bool
 	// SlowQueries is the slow-query ring capacity (0 = 16).
 	SlowQueries int
 	// PlanCache is the compiled-plan cache capacity in entries
@@ -339,12 +336,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// The engine is per-request (it carries the request context, trace
 	// sink and deadline below) but shares the server-wide buffer pool, so
 	// working memory recycles across requests.
-	e := &rel.Engine{
-		Cat: cat, Backend: s.cfg.Backend, Opt: s.cfg.Opt,
-		Limits:       s.cfg.Limits,
-		Pool:         s.pool,
-		NoSpecialize: s.cfg.NoSpecialize,
-	}
+	e := &rel.Engine{Cat: cat, Opt: s.cfg.Opt, Limits: s.cfg.Limits, Pool: s.pool}
 	e.Limits.Deadline = deadline
 
 	// Resolve the query kind first: prebuilt TPC-H queries never touch

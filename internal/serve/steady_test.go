@@ -19,6 +19,9 @@ import (
 const steadySQL = `SELECT l_returnflag, COUNT(*) AS n, SUM(l_quantity) AS q
   FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag`
 
+// raceEnabled reports a build with the race detector (set in race_test.go).
+var raceEnabled bool
+
 // TestPlanCacheHit pins the acceptance criterion of the plan cache: the
 // second identical request skips parse+plan entirely (compile_ns == 0,
 // cached: true) and returns the same rows, and a whitespace variant of
@@ -191,6 +194,11 @@ func TestUnreadSpanViewIsFree(t *testing.T) {
 	}
 	on, off := allocs(0), allocs(-1)
 	t.Logf("plan-cache hit: %.0f allocs/op retaining spans, %.0f with SpanRetain -1", on, off)
+	if raceEnabled {
+		// The race detector makes sync.Pool drop a random share of its Puts,
+		// so both counts include pool refills: there is nothing to compare.
+		return
+	}
 	const slack = 3
 	if on > off+slack {
 		t.Errorf("retaining the request for /debug/spans costs %.0f allocs/op (%.0f vs %.0f); the unread view must be free",

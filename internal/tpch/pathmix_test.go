@@ -26,7 +26,7 @@ func fragmentPaths() (interp, batch, total int64) {
 // per query, fragment executions by path — and requires a run with a
 // TraceSink to take exactly the paths the plain run takes, because
 // observing a query must not change which code executes it. A change to
-// batch eligibility shows up here as a reviewable golden diff; a sink that
+// which path a fragment takes shows up here as a reviewable golden diff; a sink that
 // forks the path, or a fragment execution on any path other than interp or
 // batch, fails outright. The log carries the reject histogram: why each
 // interpreted fragment did not batch. Tests in this package do not run in

@@ -58,9 +58,8 @@ type Step struct {
 
 	// Specialized records which execution path ran a fragment step:
 	// "batch" (compiled batch primitives) or "interp" (the per-element
-	// interpreter); Reason says why an interpreted fragment did not batch
-	// (the verifier's eligibility reject, or "counted", "fault-hooks",
-	// "no-specialize").
+	// interpreter); Reason says why an interpreted fragment did not batch:
+	// "counted", "fault-hooks" or "no-specialize".
 	Specialized string `json:"specialized,omitempty"`
 	Reason      string `json:"reason,omitempty"`
 	// Tile is the geometry of a batch fragment's first tile, "LxK": L work

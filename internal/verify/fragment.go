@@ -1,15 +1,13 @@
-// Fragment-level verification: register def-before-use with the executor's
-// special-register contexts, buffer declaration consistency, loop-bound and
-// geometry sanity, and an affine-index lattice that audits the compiler's
-// sequential-vs-random access classification. The same analysis computes
-// BatchFacts — the eligibility facts package exec's batch specializer
-// consumes, making the verifier the single source of truth for
-// specialization decisions.
+// Fragment-level verification: the fragment contract, buffer declaration
+// consistency, loop-bound and geometry sanity, and an affine-index lattice
+// that audits the compiler's sequential-vs-random access classification. The
+// contract is checked by the one walk BatchFacts makes, whose facts package
+// exec's batch tier runs from: a fragment the verifier passes is one the
+// executor runs, and one it fails is one the executor refuses.
 package verify
 
 import (
 	"fmt"
-	"sort"
 
 	"voodoo/internal/kernel"
 	"voodoo/internal/vector"
@@ -41,27 +39,19 @@ func Kernel(k *kernel.Kernel) []Diagnostic {
 // Fragment verifies one fragment. bufs supplies the kernel's buffer
 // declarations; pass nil to skip declaration-dependent rules (VF003-VF005).
 //
-// The def-before-use analysis models the executor's register contract
-// exactly: the register file persists across work items within a worker, so
-// a read with no prior definition observes a sibling item's leftovers and
-// makes results depend on morsel boundaries. Special registers are defined
-// contextually — RegGID from the work-item prologue on, RegIV/RegIdx once
-// the first loop has started, RegJ only inside the post-loop body. Reads
-// inside a loop body may see definitions from any point of the same body
-// (loop-carried values are deterministic within one work item).
+// The first rule of the fragment contract the fragment breaks comes from the
+// walk BatchFacts makes (batchFacts.walk), which alone checks those rules: a
+// register read no definition inside its own work item dominates (VF001), a
+// buffer both loaded and stored (VF010), or an instruction the executor has
+// no meaning for (VF002, VF011). The first two make what a fragment leaves
+// depend on how its work items fall to workers; the executor refuses a
+// fragment that breaks any of them with the same diagnostic.
 func Fragment(f *kernel.Fragment, bufs []kernel.BufDecl) []Diagnostic {
-	v := &fragVerifier{f: f, bufs: bufs,
-		defI:   map[kernel.Reg]bool{},
-		defF:   map[kernel.Reg]bool{},
-		cls:    map[kernel.Reg]affClass{},
-		loads:  map[int]bool{},
-		stores: map[int]bool{},
-	}
+	v := &fragVerifier{f: f, bufs: bufs, cls: map[kernel.Reg]affClass{}}
 	v.geometry()
 
-	// RegGID is set before anything else runs. Affinity classes for all
-	// specials are affine-in-the-index by construction.
-	v.defI[kernel.RegGID] = true
+	// Affinity classes for all specials are affine-in-the-index by
+	// construction.
 	for _, r := range []kernel.Reg{kernel.RegGID, kernel.RegIV, kernel.RegIdx, kernel.RegJ} {
 		v.cls[r] = affAffine
 	}
@@ -70,9 +60,6 @@ func Fragment(f *kernel.Fragment, bufs []kernel.BufDecl) []Diagnostic {
 	for li, l := range f.Loops {
 		name := fmt.Sprintf("loop%d", li)
 		v.loopBound(name, l)
-		// RegIV and RegIdx are (re)assigned by the loop machinery before
-		// the body executes, and keep their last value afterwards.
-		v.defI[kernel.RegIV], v.defI[kernel.RegIdx] = true, true
 		v.section(name, l.Body, true)
 	}
 	v.section("post", f.Post, false)
@@ -81,23 +68,11 @@ func Fragment(f *kernel.Fragment, bufs []kernel.BufDecl) []Diagnostic {
 			v.diags = errorf(v.diags, fpos(f.Name, "postloop", -1), RuleLocals,
 				"post-loop body with no locals (Locals=%d): body never runs", f.Locals)
 		}
-		v.defI[kernel.RegJ] = true
 		v.section("postloop", f.PostLoopBody, true)
 	}
 
-	// VF010: a fragment that both loads and stores the same buffer has an
-	// instruction-order hazard the batch specializer must (and does)
-	// reject; flag it for human attention even on the interpreted path.
-	var overlap []int
-	for b := range v.stores {
-		if v.loads[b] {
-			overlap = append(overlap, b)
-		}
-	}
-	sort.Ints(overlap)
-	for _, b := range overlap {
-		v.diags = warnf(v.diags, fpos(f.Name, "", -1), RuleRWOverlap,
-			"buffer %d is both loaded and stored in this fragment", b)
+	if d := newBatchFacts(f).walk(f, nil); d != nil {
+		v.diags = append(v.diags, *d)
 	}
 	return v.diags
 }
@@ -118,10 +93,7 @@ type fragVerifier struct {
 	bufs  []kernel.BufDecl
 	diags []Diagnostic
 
-	defI, defF map[kernel.Reg]bool
-	cls        map[kernel.Reg]affClass
-
-	loads, stores map[int]bool
+	cls map[kernel.Reg]affClass
 }
 
 func (v *fragVerifier) class(r kernel.Reg) affClass {
@@ -131,9 +103,8 @@ func (v *fragVerifier) class(r kernel.Reg) affClass {
 	if c, ok := v.cls[r]; ok {
 		return c
 	}
-	// Never-defined registers read as zero or leftovers; either way the
-	// value is not affine in the index. Def-before-use reports the real
-	// problem separately.
+	// A never-defined register is not affine in the index; VF001 reports
+	// the read itself.
 	return affOther
 }
 
@@ -169,9 +140,8 @@ func (v *fragVerifier) geometry() {
 	}
 }
 
-// loopBound checks one loop's bound fields (VF007). Dynamic bound registers
-// are read once per work item before the first iteration, so they must be
-// integer-defined by the preceding sections.
+// loopBound checks one loop's bound fields (VF007). Whether a dynamic bound
+// register is defined at loop entry is VF001's business.
 func (v *fragVerifier) loopBound(name string, l kernel.Loop) {
 	pos := fpos(v.f.Name, name, -1)
 	if l.Bound < 0 {
@@ -180,73 +150,22 @@ func (v *fragVerifier) loopBound(name string, l kernel.Loop) {
 	if l.BoundReg > 0 && l.BoundReg < kernel.FirstFree {
 		v.diags = errorf(v.diags, pos, RuleLoopBound,
 			"dynamic bound register r%d is a reserved special", l.BoundReg)
-	} else if l.BoundReg >= kernel.FirstFree && !v.defI[l.BoundReg] {
-		v.diags = errorf(v.diags, pos, RuleLoopBound,
-			"dynamic bound register r%d read before any definition", l.BoundReg)
 	}
 }
 
-// section runs the def-before-use and structural checks over one
-// instruction sequence, then the affinity passes with Seq auditing.
-// loopBody marks sections that repeat per iteration, where a read may see a
-// definition from a later instruction of the previous iteration.
+// section runs the structural checks over one instruction sequence, then
+// the affinity passes with Seq auditing. loopBody marks sections that repeat
+// per iteration.
 func (v *fragVerifier) section(name string, body []kernel.Instr, loopBody bool) {
 	if len(body) == 0 {
 		return
 	}
 	f := v.f
 
-	// Loop-carried definitions: anything defined somewhere in this body is
-	// visible to every read of the body from the second iteration on, and
-	// deterministic for the first (the executor zero-fills fresh register
-	// files and the compiler's shapes define before first read anyway —
-	// strictness here belongs to the batch specializer, see BatchFacts).
-	bodyDefI := map[kernel.Reg]bool{}
-	bodyDefF := map[kernel.Reg]bool{}
-	if loopBody {
-		for _, in := range body {
-			if r, flt, ok := in.Def(); ok && r >= 0 {
-				if flt {
-					bodyDefF[r] = true
-				} else {
-					bodyDefI[r] = true
-				}
-			}
-		}
-	}
-
 	for i, in := range body {
 		pos := fpos(f.Name, name, i)
-		if in.Op > kernel.IStoreLoc {
-			v.diags = errorf(v.diags, pos, RuleBadInstr, "unknown opcode %d", in.Op)
-			continue
-		}
-		uses, nuses := in.Uses()
-		for _, u := range uses[:nuses] {
-			if u.R < 0 {
-				v.diags = errorf(v.diags, pos, RuleBadInstr,
-					"%s reads negative register r%d", in, u.R)
-				continue
-			}
-			defined := false
-			if u.Float {
-				defined = v.defF[u.R] || bodyDefF[u.R]
-			} else {
-				defined = v.defI[u.R] || bodyDefI[u.R]
-			}
-			if !defined {
-				v.diags = errorf(v.diags, pos, RuleUseBeforeDef,
-					"%s reads r%d before any definition", in, u.R)
-			}
-		}
-
 		switch in.Op {
 		case kernel.ILoad, kernel.ILoadValid, kernel.IStore:
-			if in.Op == kernel.IStore {
-				v.stores[in.Buf] = true
-			} else {
-				v.loads[in.Buf] = true
-			}
 			if v.bufs != nil {
 				if in.Buf < 0 || in.Buf >= len(v.bufs) {
 					v.diags = errorf(v.diags, pos, RuleBufRange,
@@ -267,20 +186,6 @@ func (v *fragVerifier) section(name string, body []kernel.Instr, loopBody bool) 
 			if f.Locals <= 0 {
 				v.diags = errorf(v.diags, pos, RuleLocals,
 					"%s in a fragment with no scratch array (Locals=%d)", in, f.Locals)
-			}
-		}
-
-		if r, flt, ok := in.Def(); ok {
-			if r < kernel.FirstFree {
-				v.diags = errorf(v.diags, pos, RuleSpecialWrite,
-					"%s writes reserved register r%d", in, r)
-			}
-			if r >= 0 {
-				if flt {
-					v.defF[r] = true
-				} else {
-					v.defI[r] = true
-				}
 			}
 		}
 	}
@@ -406,18 +311,17 @@ type Chain struct {
 	Load, Op, Store int
 }
 
-// Facts are the fragment eligibility facts the executor's batch specializer
-// consumes (exec.compileBatch). The batch tier runs a fragment in tiles of
-// work items × iterations whose register columns persist from tile to tile,
-// so the rules below are exactly what makes that reordering — tile-major
-// instead of element-major — unobservable.
+// Facts are the fragment facts the executor's batch tier runs from
+// (exec.compileBatch). The batch tier runs a fragment in tiles of work
+// items × iterations whose register columns persist from tile to tile, so
+// the fragment contract is exactly what makes that reordering — tile-major
+// instead of element-major, work items cut however the scheduler likes —
+// unobservable.
 type Facts struct {
-	// BatchEligible reports whether the fragment can run as batch
-	// primitives: whitelisted opcodes, every register read dominated by a
-	// definition inside its own work item, no buffer both loaded and stored.
-	BatchEligible bool
-	// Reason explains ineligibility ("" when eligible).
-	Reason string
+	// Violation is the first rule of the fragment contract the fragment
+	// breaks, positioned; nil when it meets the contract, and only then are
+	// the fields below filled.
+	Violation *Diagnostic
 	// IntRegs/FltRegs list the registers needing a column in each file,
 	// ascending.
 	IntRegs []kernel.Reg
@@ -441,9 +345,6 @@ func (f *Facts) Hoisted(in *kernel.Instr) bool {
 	}
 	return false
 }
-
-// ineligible builds the not-eligible result.
-func ineligible(reason string) Facts { return Facts{Reason: reason} }
 
 // Register marks of the BatchFacts walk, one byte per register and file.
 // The first group lasts the whole fragment, the second is reset per loop
@@ -524,30 +425,33 @@ func fileOf(float bool) int {
 	return 0
 }
 
+// breaks builds the violation of rule at instruction at of the sequence
+// being walked; walk adds the fragment and section to its position.
+func breaks(at int, rule, format string, args ...any) *Diagnostic {
+	return &Diagnostic{Level: Error, Pos: Pos{Stmt: -1, Index: at}, Rule: rule, Msg: fmt.Sprintf(format, args...)}
+}
+
 // section checks one instruction sequence against the definitions that
-// dominate its entry and returns the first rule it fails. A guard may leave
-// the sequence early, so only the definitions ahead of its first guard
-// still dominate once it ends — and none of them when loop is set, for a
-// body that may run zero times. For a loop body it also takes the notes tile
-// starts from: decoding an instruction costs more than anything a pass does
-// with it, and this runs for every fragment of every plan-cache miss.
-func (bf *batchFacts) section(body []kernel.Instr, loop bool) (reason string) {
+// dominate its entry and returns the first rule of the contract it breaks.
+// A guard may leave the sequence early, so only the definitions ahead of its
+// first guard still dominate once it ends — and none of them when loop is
+// set, for a body that may run zero times. For a loop body it also takes the
+// notes tile starts from: decoding an instruction costs more than anything a
+// pass does with it, and this runs for every fragment of every plan-cache
+// miss.
+func (bf *batchFacts) section(body []kernel.Instr, loop bool) *Diagnostic {
 	scoped := loop
 	bf.scratch, bf.storesScratch, bf.seeded, bf.readsOuter = false, false, false, false
 	bf.storedOnce, bf.storedTwice = bf.onceBuf[:0], bf.twiceBuf[:0]
 	for i := range body {
 		ins := &body[i]
-		switch ins.Op {
-		case kernel.IConstI, kernel.IConstF, kernel.IMov, kernel.IBin, kernel.ISel,
-			kernel.ILoad, kernel.ILoadValid, kernel.IStore, kernel.IGuard,
-			kernel.ICastIF, kernel.ICastFI, kernel.ILoadLoc, kernel.IStoreLoc:
-		default:
-			return "opcode outside the batch vocabulary"
+		if ins.Op > kernel.IStoreLoc {
+			return breaks(i, RuleBadInstr, "unknown opcode %d", ins.Op)
 		}
 		uses, n := ins.Uses()
 		for _, u := range uses[:n] {
 			if u.R < 0 {
-				return "negative register operand"
+				return breaks(i, RuleBadInstr, "%s reads negative register r%d", ins, u.R)
 			}
 			m := &bf.regs[fileOf(u.Float)][u.R]
 			if *m&regDef == 0 {
@@ -555,7 +459,8 @@ func (bf *batchFacts) section(body []kernel.Instr, loop bool) (reason string) {
 				// items, so such a read observes a sibling item's leftovers
 				// (a loop that ran zero times, a guard that skipped the
 				// definition); a lane's column holds something else.
-				return "register read without a dominating definition in its work item"
+				return breaks(i, RuleUseBeforeDef,
+					"%s reads r%d, which no definition in its own work item dominates", ins, u.R)
 			}
 			if loop {
 				if *m&regRead != 0 {
@@ -585,7 +490,7 @@ func (bf *batchFacts) section(body []kernel.Instr, loop bool) (reason string) {
 		}
 		if r, flt, ok := ins.Def(); ok {
 			if r < kernel.FirstFree {
-				return "writes a special register"
+				return breaks(i, RuleSpecialWrite, "%s writes reserved register r%d", ins, r)
 			}
 			m := &bf.regs[fileOf(flt)][r]
 			// A constant is hoistable while it is the register's only
@@ -619,7 +524,7 @@ func (bf *batchFacts) section(body []kernel.Instr, loop bool) (reason string) {
 		bf.regs[fileOf(u.Float)][u.R] &^= regDef
 	}
 	bf.undo = bf.undo[:0]
-	return ""
+	return nil
 }
 
 // tile classifies the instructions of one loop body for tiling, given the
@@ -837,70 +742,100 @@ func defBefore(body []kernel.Instr, at int, r kernel.Reg, flt bool) int {
 	return -1
 }
 
-// BatchFacts computes the batch-specialization eligibility facts for one
-// fragment, returning the first rule it fails. The rules are conservative:
-// a rejected fragment simply interprets.
-//
-// Dominance follows the work item's control flow: the prologue runs once,
-// every loop may run zero times and a guard may cut any sequence short, so
-// a loop body sees the prologue's definitions plus its own earlier ones,
-// the epilogue the prologue's plus its own, the post-loop body those plus
-// its own. RegGID is defined throughout, RegIV and RegIdx inside loop bodies
-// only (afterwards they hold whatever the last iteration of any work item
-// left), RegJ inside the post-loop body only.
-func BatchFacts(f *kernel.Fragment) Facts {
+// newBatchFacts sets up the walk over f.
+func newBatchFacts(f *kernel.Fragment) *batchFacts {
 	n := f.NumRegs()
 	marks := make([]uint8, 2*n)
 	bf := &batchFacts{regs: [2][]uint8{marks[:n], marks[n:]}, localsFloat: f.LocalsFloat}
 	bf.undo, bf.lists = bf.undoBuf[:0], bf.listBuf[:0]
 	bf.loaded, bf.stored = bf.loadBuf[:0], bf.stBuf[:0]
+	return bf
+}
+
+// walk checks f against the fragment contract and returns the first rule
+// it breaks, positioned, or nil. With loops set it also appends the tiling
+// facts of every loop body to *loops; the contract depends on nothing tile
+// decides, so the verifier walks without.
+//
+// The contract is what lets a fragment's work items run in any order, on
+// any worker, as tiles: every register read — a loop's BoundReg included —
+// is dominated by a definition inside its own work item (VF001), and no
+// buffer is both loaded and stored (VF010). Dominance follows the work
+// item's control flow: the prologue runs once, every loop may run zero
+// times and a guard may cut any sequence short, so a loop body sees the
+// prologue's definitions plus its own earlier ones, the epilogue the
+// prologue's plus its own, the post-loop body those plus its own. RegGID is
+// defined throughout, RegIV and RegIdx inside loop bodies only (afterwards
+// they hold whatever the last iteration of any work item left), RegJ inside
+// the post-loop body only. Opcodes the executor does not know, negative
+// operands (VF011) and writes to a special register (VF002) stop the walk
+// as well.
+func (bf *batchFacts) walk(f *kernel.Fragment, loops *[]LoopFacts) *Diagnostic {
+	at := func(d *Diagnostic, section string) *Diagnostic {
+		d.Pos.Frag, d.Pos.Section = f.Name, section
+		return d
+	}
+	ints := bf.regs[0]
+	for _, r := range [...]kernel.Reg{kernel.RegGID, kernel.RegIV, kernel.RegIdx, kernel.RegJ} {
+		ints[r] |= regUsed
+	}
+	ints[kernel.RegGID] |= regDef
+	if d := bf.section(f.Pre, false); d != nil {
+		return at(d, "pre")
+	}
+	for li, l := range f.Loops {
+		// The bound is read at loop entry, where only the prologue's
+		// definitions stand.
+		if l.BoundReg > 0 && ints[l.BoundReg]&regDef == 0 {
+			return at(breaks(-1, RuleUseBeforeDef,
+				"dynamic bound register r%d has no definition in its own work item at loop entry", l.BoundReg),
+				fmt.Sprintf("loop%d", li))
+		}
+		ints[kernel.RegIV] |= regDef
+		ints[kernel.RegIdx] |= regDef
+		d := bf.section(l.Body, true)
+		ints[kernel.RegIV] &^= regDef
+		ints[kernel.RegIdx] &^= regDef
+		if d != nil {
+			return at(d, fmt.Sprintf("loop%d", li))
+		}
+		if loops != nil {
+			*loops = append(*loops, bf.tile(l.Body))
+		}
+	}
+	if d := bf.section(f.Post, false); d != nil {
+		return at(d, "post")
+	}
+	ints[kernel.RegJ] |= regDef
+	if d := bf.section(f.PostLoopBody, true); d != nil {
+		return at(d, "postloop")
+	}
+	if loops != nil && len(f.PostLoopBody) > 0 {
+		*loops = append(*loops, bf.tile(f.PostLoopBody))
+	}
+	for _, b := range bf.stored {
+		if hasBuf(bf.loaded, b) {
+			// Tiles run ahead of the interpreter's element-major order, and
+			// workers ahead of each other, so a load could observe a store
+			// it has not made yet.
+			return at(breaks(-1, RuleRWOverlap, "buffer %d is both loaded and stored in this fragment", b), "")
+		}
+	}
+	return nil
+}
+
+// BatchFacts checks one fragment against the fragment contract (walk) and,
+// when it meets it, computes the facts the batch tier runs it from.
+func BatchFacts(f *kernel.Fragment) Facts {
+	bf := newBatchFacts(f)
 	bodies := len(f.PostLoopBody)
 	for _, l := range f.Loops {
 		bodies += len(l.Body)
 	}
 	bf.classes = make([]Class, 0, bodies)
 	loops := make([]LoopFacts, 0, len(f.Loops)+1)
-
-	ints := bf.regs[0]
-	for _, r := range [...]kernel.Reg{kernel.RegGID, kernel.RegIV, kernel.RegIdx, kernel.RegJ} {
-		ints[r] |= regUsed
-	}
-	ints[kernel.RegGID] |= regDef
-	if reason := bf.section(f.Pre, false); reason != "" {
-		return ineligible(reason)
-	}
-	for _, l := range f.Loops {
-		// The bound is read at loop entry, where only the prologue's
-		// definitions stand.
-		if l.BoundReg > 0 && ints[l.BoundReg]&regDef == 0 {
-			return ineligible("register read without a dominating definition in its work item")
-		}
-		ints[kernel.RegIV] |= regDef
-		ints[kernel.RegIdx] |= regDef
-		reason := bf.section(l.Body, true)
-		ints[kernel.RegIV] &^= regDef
-		ints[kernel.RegIdx] &^= regDef
-		if reason != "" {
-			return ineligible(reason)
-		}
-		loops = append(loops, bf.tile(l.Body))
-	}
-	if reason := bf.section(f.Post, false); reason != "" {
-		return ineligible(reason)
-	}
-	ints[kernel.RegJ] |= regDef
-	if reason := bf.section(f.PostLoopBody, true); reason != "" {
-		return ineligible(reason)
-	}
-	if len(f.PostLoopBody) > 0 {
-		loops = append(loops, bf.tile(f.PostLoopBody))
-	}
-	for _, b := range bf.stored {
-		if hasBuf(bf.loaded, b) {
-			// Tiles run ahead of the interpreter's element-major order, so
-			// a load could observe a store it has not made yet.
-			return ineligible("buffer both loaded and stored")
-		}
+	if d := bf.walk(f, &loops); d != nil {
+		return Facts{Violation: d}
 	}
 	// Now that every definition has been seen: a hoisted constant is the
 	// same in every row and every window, so no slice needs it moved.
@@ -913,7 +848,7 @@ func BatchFacts(f *kernel.Fragment) Facts {
 		onlyGID := len(lf.Spread[1]) == 0 && (len(lf.Spread[0]) == 0 || (len(lf.Spread[0]) == 1 && lf.Spread[0][0] == kernel.RegGID))
 		lf.Independent = lf.Independent && onlyGID
 	}
-	facts := Facts{BatchEligible: true, Loops: loops, regs: bf.regs}
+	facts := Facts{Loops: loops, regs: bf.regs}
 	for file, list := range [...]*[]kernel.Reg{&facts.IntRegs, &facts.FltRegs} {
 		used := 0
 		for _, m := range bf.regs[file] {

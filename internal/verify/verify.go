@@ -12,10 +12,12 @@
 //     on compiled plans — step inputs resolved, schema consistency across
 //     fragment boundaries, virtual-scatter resolution, zone-map pruned-step
 //     output validity.
-//   - Fragment level (Fragment/Kernel): register def-before-use, buffer
+//   - Fragment level (Fragment/Kernel): the fragment contract, buffer
 //     kind consistency, loop-bound sanity, and sequential-vs-random access
-//     classification. The same pass computes Facts — the single source of
-//     truth the executor's batch specializer consumes for eligibility.
+//     classification. The contract — every register read dominated by a
+//     definition in its own work item, no buffer both loaded and stored —
+//     is checked by the one walk BatchFacts makes, which the executor runs
+//     too: a fragment that breaks it is refused there with the same rule.
 //
 // Verification runs unconditionally in compile/interp test builds (their
 // TestMain calls SetEnabled) and behind -verify on the daemons.
@@ -120,13 +122,13 @@ const (
 	RuleFoldValue   = "VA015" // fold value attribute unresolvable
 
 	// Fragment level.
-	RuleUseBeforeDef = "VF001" // register read before any definition
+	RuleUseBeforeDef = "VF001" // register read no definition in its own work item dominates
 	RuleSpecialWrite = "VF002" // instruction writes a reserved register
 	RuleBufRange     = "VF003" // buffer index outside the kernel declarations
 	RuleKindMismatch = "VF004" // load/store float flag disagrees with the declaration
 	RuleStoreValid   = "VF005" // conditional-validity store into a maskless buffer
 	RuleLocals       = "VF006" // scratch access in a fragment without locals
-	RuleLoopBound    = "VF007" // negative bound or invalid bound register
+	RuleLoopBound    = "VF007" // negative bound or reserved bound register
 	RuleGeometry     = "VF008" // negative extent/intent or N beyond the index space
 	RuleSeqClass     = "VF009" // sequential access through a non-affine index
 	RuleRWOverlap    = "VF010" // fragment loads and stores the same buffer
@@ -176,9 +178,4 @@ var FailuresTotal = metrics.NewCounter("voodoo_verify_failures_total",
 // errorf appends an Error diagnostic.
 func errorf(diags []Diagnostic, pos Pos, rule, format string, args ...any) []Diagnostic {
 	return append(diags, Diagnostic{Level: Error, Pos: pos, Rule: rule, Msg: fmt.Sprintf(format, args...)})
-}
-
-// warnf appends a Warn diagnostic.
-func warnf(diags []Diagnostic, pos Pos, rule, format string, args ...any) []Diagnostic {
-	return append(diags, Diagnostic{Level: Warn, Pos: pos, Rule: rule, Msg: fmt.Sprintf(format, args...)})
 }
