@@ -124,13 +124,6 @@ func render(ev *telemetry.Event) string {
 	if ev.Rows > 0 {
 		fmt.Fprintf(&sb, "  rows=%d", ev.Rows)
 	}
-	interp := 0
-	for _, n := range ev.InterpFragments {
-		interp += n
-	}
-	if interp > 0 {
-		fmt.Fprintf(&sb, "  interp=%d", interp)
-	}
 	if ev.Error != "" {
 		fmt.Fprintf(&sb, "  %s: %s", orDefault(ev.Kind, "error"), ev.Error)
 	} else if sql := compactSQL(ev.SQL); sql != "" {

@@ -14,6 +14,8 @@
 //   - no pooled arena leaked across the storm;
 //   - no morsel-pool worker goroutine or published job survives the
 //     post-drain scheduler quiesce;
+//   - no fragment of the storm interprets: fault hooks run on the batch
+//     tier the daemon serves, so every invariant above holds for it;
 //   - the JSONL event log loses nothing to the drain: every event it
 //     accepted during the storm is written by the time Close returns,
 //     with backpressure absorbed by the drop counter, never by blocking.
@@ -92,6 +94,10 @@ type Report struct {
 	StuckJobs     int
 	BusySlots     int
 	Morsels       int64
+	// Interpreted counts fragment executions that took the per-element
+	// interpreter during the storm. The daemon never asks for it, so it
+	// must be zero: otherwise the storm tested a tier no query runs.
+	Interpreted int64
 
 	// Event-log accounting after the drain. Accepted events must all be
 	// written once Close returns (flush-on-quiesce); LostEvents is the
@@ -124,6 +130,9 @@ func (r *Report) Err() error {
 	}
 	if r.BusySlots > 0 {
 		probs = append(probs, fmt.Sprintf("%d scheduler slots still counted busy", r.BusySlots))
+	}
+	if r.Interpreted > 0 {
+		probs = append(probs, fmt.Sprintf("%d fragment executions interpreted", r.Interpreted))
 	}
 	if r.LostEvents > 0 {
 		probs = append(probs, fmt.Sprintf("%d accepted events lost by the drain", r.LostEvents))
@@ -237,6 +246,8 @@ func Storm(cfg Config) (*Report, error) {
 	defer srv.Close()
 
 	morsels0 := exec.SchedulerStats().Morsels
+	interp := metrics.Default.CounterVec("voodoo_fragments_specialized_total", "", "path").With("interp")
+	interp0 := interp.Value()
 
 	// Golden capture: every query once, faults off.
 	goldens := make([]string, len(cfg.Queries))
@@ -404,5 +415,6 @@ func Storm(cfg Config) (*Report, error) {
 	rep.StuckJobs = sst.ActiveJobs
 	rep.BusySlots = sst.Busy
 	rep.Morsels = sst.Morsels - morsels0
+	rep.Interpreted = interp.Value() - interp0
 	return &rep, nil
 }

@@ -284,7 +284,7 @@ func (p *Plan) RunWith(ctx context.Context, ro RunOpts) (_ *Result, err error) {
 		par: exec.Par{Workers: p.opt.Workers, Morsel: ro.MorselSize, NoSpecialize: ro.NoSpecialize}}
 	res := &Result{Values: map[core.Ref]*vector.Vector{}, arena: arena}
 	if ro.Trace {
-		res.Trace = p.newTrace(ctx)
+		res.Trace = p.newTrace(ctx, ro.NoSpecialize)
 	}
 	tr := res.Trace
 	if rt.count || tr != nil {
@@ -330,11 +330,15 @@ func (p *Plan) RunWith(ctx context.Context, ro RunOpts) (_ *Result, err error) {
 	return res, nil
 }
 
-// newTrace starts the per-step trace of one run.
-func (p *Plan) newTrace(ctx context.Context) *trace.Trace {
+// newTrace starts the per-step trace of one run. Its backend names the
+// engine, so a run that interprets every fragment says so once, here.
+func (p *Plan) newTrace(ctx context.Context, noSpecialize bool) *trace.Trace {
 	backend := "compiled"
-	if p.opt.ForceBulk {
+	switch {
+	case p.opt.ForceBulk:
 		backend = "bulk-compiled"
+	case noSpecialize:
+		backend = "compiled-interp"
 	}
 	return &trace.Trace{
 		Backend: backend,
@@ -378,7 +382,7 @@ func (p *Plan) traceStep(s step, frags []exec.FragStats, wall time.Duration) tra
 			ts.Workers = fs.Workers
 			ts.Morsels = int64(fs.Morsels)
 			ts.Imbalance, ts.Uncut = fs.Imbalance, fs.Uncut
-			ts.Specialized, ts.Reason = fs.Specialized, fs.Reason
+			ts.Specialized = fs.Specialized
 			if fs.TileLanes > 0 {
 				ts.Tile = strconv.Itoa(fs.TileLanes) + "x" + strconv.Itoa(fs.TileIters)
 			}

@@ -241,13 +241,9 @@ func (r *QueryRegistry) Active() []QueryInfo {
 // is the execution time the ring ranks by.
 type SlowQuery struct {
 	queryView
-	WallNS int64  `json:"wall_ns"`
-	Error  string `json:"error,omitempty"`
-	// InterpFragments counts interpreted fragment executions by reject
-	// reason — what the traces say about the path, kept in the /queries
-	// summaries that drop them.
-	InterpFragments map[string]int `json:"interp_fragments,omitempty"`
-	Traces          []*trace.Trace `json:"traces,omitempty"`
+	WallNS int64          `json:"wall_ns"`
+	Error  string         `json:"error,omitempty"`
+	Traces []*trace.Trace `json:"traces,omitempty"`
 }
 
 // Slow renders the retained slowest queries, slowest first.
@@ -258,8 +254,7 @@ func (r *QueryRegistry) Slow() []SlowQuery {
 	out := make([]SlowQuery, len(qs))
 	for i, q := range qs {
 		v, _, _ := view(q)
-		out[i] = SlowQuery{queryView: v, WallNS: q.Exec.Nanoseconds(), Error: q.Error,
-			InterpFragments: q.InterpFragments(), Traces: q.Traces}
+		out[i] = SlowQuery{queryView: v, WallNS: q.Exec.Nanoseconds(), Error: q.Error, Traces: q.Traces}
 	}
 	return out
 }

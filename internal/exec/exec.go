@@ -340,11 +340,8 @@ type FragStats struct {
 	Uncut string
 
 	// Specialized records the execution path this run took ("batch" or
-	// "interp") and Reason why an interpreted run did not batch: "counted",
-	// "fault-hooks" or "no-specialize". Set by RunFragment, not merged from
-	// workers.
+	// "interp"). Set by RunFragment, not merged from workers.
 	Specialized string
-	Reason      string
 
 	// TileLanes × TileIters is the geometry of the batch tier's first tile:
 	// work items side by side × consecutive iterations of each (zero on the
@@ -517,9 +514,9 @@ func RunFragment(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs 
 		}
 	}
 	nregs := kernel.Reg(bp.nregs)
-	batch, reason := resolveSpec(bp, par.NoSpecialize, count, faultinject.Enabled())
+	batch := resolveSpec(bp, par.NoSpecialize, count)
 	if fs != nil {
-		fs.Specialized, fs.Reason = "batch", reason
+		fs.Specialized = "batch"
 		if batch == nil {
 			fs.Specialized = "interp"
 		}
@@ -539,7 +536,7 @@ func RunFragment(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs 
 	return err
 }
 
-// checkInterval is how many work items a worker executes between
+// checkInterval is how many lane-steps a worker executes between
 // cooperative checkpoints (context cancellation, sibling-failure abort,
 // fault-injection hooks): often enough that cancellation is prompt, rarely
 // enough that the check is amortized.
@@ -568,7 +565,10 @@ type worker struct {
 	checks bool
 	ctx    context.Context // nil when the context can never be cancelled
 	stop   *atomic.Bool    // shared abort flag of the parallel run, or nil
-	budget int             // items until the next checkpoint
+	// budget is the lane-steps left before the next checkpoint (tick). It
+	// starts at zero, so the first item checkpoints immediately and an
+	// already-cancelled context aborts before any work happens.
+	budget int
 	// lines remembers the last few cache lines touched per buffer (a tiny
 	// LRU), so hot-line accesses — repeated slots, sequential gathers,
 	// colocated row fields — are told from far random ones.
@@ -698,9 +698,6 @@ func newWorker(ctx context.Context, f *kernel.Fragment, env *Env, nregs kernel.R
 		w.ctx = ctx
 	}
 	w.checks = w.ctx != nil || stop != nil || faultinject.Enabled()
-	// The first item checkpoints immediately, so an already-cancelled
-	// context aborts before any work happens.
-	w.budget = 1
 	if f.Locals > 0 {
 		if f.LocalsFloat {
 			w.locF = sc.floatSlice(&sc.locF, f.Locals)
@@ -711,14 +708,17 @@ func newWorker(ctx context.Context, f *kernel.Fragment, env *Env, nregs kernel.R
 	return w
 }
 
-// tick counts down to the next checkpoint; called once per work item when
-// checks are enabled.
-func (w *worker) tick(gid int) error {
-	w.budget--
-	if w.budget > 0 {
+// tick is the one checkpoint of both tiers: it retires n lane-steps of
+// budget — one work item or iteration of the interpreter, one tile of the
+// batch tier — and checks before they would take the run past checkInterval
+// lane-steps since the last check. gid is the work item the interpreter is
+// on, or the first work item of the tile the batch tier is about to run.
+func (w *worker) tick(n, gid int) error {
+	w.budget -= n
+	if w.budget >= 0 {
 		return nil
 	}
-	w.budget = checkInterval
+	w.budget = checkInterval - n
 	if w.stop != nil && w.stop.Load() {
 		return errAborted
 	}
@@ -750,13 +750,13 @@ func (w *worker) run(lo, hi int) error {
 }
 
 // runInterp is the per-element instruction interpreter — the oracle the
-// batch path is differentially tested against, and the path of counted,
-// fault-hook and NoSpecialize runs and of the batch tier's fault re-run.
+// batch path is differentially tested against, and the path of counted and
+// NoSpecialize runs and of the batch tier's fault re-run.
 func (w *worker) runInterp(lo, hi int) error {
 	f := w.f
 	for gid := lo; gid < hi; gid++ {
 		if w.checks {
-			if err := w.tick(gid); err != nil {
+			if err := w.tick(1, gid); err != nil {
 				return err
 			}
 		}
@@ -790,7 +790,7 @@ func (w *worker) runInterp(lo, hi int) error {
 				}
 				w.ri[kernel.RegIdx] = int64(idx)
 				if w.checks {
-					if err := w.tick(gid); err != nil {
+					if err := w.tick(1, gid); err != nil {
 						return err
 					}
 				}

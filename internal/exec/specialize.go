@@ -26,10 +26,10 @@
 //
 // The per-element interpreter remains as the oracle for differential testing
 // (difftest's specialize sweeps and FuzzBatchVsInterp run both tiers against
-// it), for counted runs, under fault hooks, and for the fault re-run.
+// it), for counted runs, and for the fault re-run.
 //
 // Contracts preserved exactly: a cancellation checkpoint at least every
-// checkInterval lane-steps (tickN), governor Limits, panics → *PanicError
+// checkInterval lane-steps (tick), governor Limits, panics → *PanicError
 // with cross-worker abort, scratch from the pooled arena, the
 // interpreter's error on a fault, and bit-identical results at any morsel
 // size and worker count. The last is the fragment contract verify.BatchFacts
@@ -42,13 +42,13 @@
 // tier runs it: RunFragment refuses it with a *ContractError.
 //
 // One rule picks the path, and observing is not part of it: a fragment
-// batches unless the caller disabled specialization, asked for the
+// batches unless the caller disabled specialization or asked for the
 // device-model event counters (only the interpreter counts — its Near/Rand
 // classification is element-order-sensitive, and a second copy of the
-// counting rules would have to be proved equal to the first), or enabled a
-// fault-injection hook (hooks replay per-item state the batch path does not
-// model). The cheap record a trace wants — items and store bytes — is kept
-// by both tiers unconditionally.
+// counting rules would have to be proved equal to the first). Fault-injection
+// hooks run on both tiers at the one checkpoint (tick). The cheap record a
+// trace wants — items and store bytes — is kept by both tiers
+// unconditionally.
 package exec
 
 import (
@@ -61,30 +61,13 @@ import (
 )
 
 // Specialization observability: every fragment execution counts the path
-// it actually took, and every interpreted one the reason it did not batch.
-// The path series and the three reasons are pre-created so they exist at
-// zero.
+// it actually took. Both series are pre-created so they exist at zero.
 var (
 	specializedVec = metrics.NewCounterVec("voodoo_fragments_specialized_total",
 		"Fragment executions by execution path: batch primitives or the per-element interpreter.", "path")
 	specBatchC  = specializedVec.With("batch")
 	specInterpC = specializedVec.With("interp")
-
-	rejectVec = metrics.NewCounterVec("voodoo_fragment_reject_total",
-		"Interpreted fragment executions by the reason they did not take the batch path.", "reason")
-	rejectNoSpecialize = newReject("no-specialize")
-	rejectFaults       = newReject("fault-hooks")
-	rejectCounted      = newReject("counted")
 )
-
-// reject is one reason a fragment interprets, with its counter resolved
-// once so the per-fragment cost is an atomic add.
-type reject struct {
-	reason string
-	c      *metrics.Counter
-}
-
-func newReject(reason string) *reject { return &reject{reason, rejectVec.With(reason)} }
 
 // specBatchN is the most pseudo-lanes one tile holds. It equals
 // checkInterval, so no tile is longer than the interpreter's cancellation
@@ -114,25 +97,16 @@ func specFor(f *kernel.Fragment) *batchProg {
 // resolveSpec picks the execution path for one run of the fragment bp was
 // compiled from and counts it: bp itself — the batch program every
 // participating worker must run (the submitter and all pool helpers claim
-// morsels of the same job) — or nil to interpret, with the reason. count
-// reports whether the caller asked for the device counters; whether anyone
-// records the run is deliberately not an input.
-func resolveSpec(bp *batchProg, noSpecialize, count, faults bool) (*batchProg, string) {
-	var rej *reject
-	switch {
-	case noSpecialize:
-		rej = rejectNoSpecialize
-	case faults:
-		rej = rejectFaults
-	case count:
-		rej = rejectCounted
-	default:
-		specBatchC.Inc()
-		return bp, ""
+// morsels of the same job) — or nil to interpret. count reports whether the
+// caller asked for the device counters; whether anyone records the run is
+// deliberately not an input.
+func resolveSpec(bp *batchProg, noSpecialize, count bool) *batchProg {
+	if noSpecialize || count {
+		specInterpC.Inc()
+		return nil
 	}
-	specInterpC.Inc()
-	rej.c.Inc()
-	return nil, rej.reason
+	specBatchC.Inc()
+	return bp
 }
 
 // ---------------------------------------------------------------------------
@@ -441,28 +415,6 @@ func fill[T any](s []T, v T) {
 	}
 }
 
-// tickN retires n lane-steps of checkpoint budget at once — the batch
-// path's replacement for per-item tick — checking before a tile would take
-// the run past checkInterval lane-steps since the last check. The batch
-// path never runs with fault injection enabled (resolveSpec picks the
-// interpreter then), so the per-item hook is not replayed here.
-func (w *worker) tickN(n int) error {
-	w.budget -= n
-	if w.budget > 0 {
-		return nil
-	}
-	w.budget = checkInterval - n
-	if w.stop != nil && w.stop.Load() {
-		return errAborted
-	}
-	if w.ctx != nil {
-		if err := w.ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // runBatch executes work items [lo, hi) through the batch primitives. When
 // a primitive faults, the range is run again interpreted and that run's
 // error is reported: tiles reach a fault in their own order, the interpreter
@@ -725,7 +677,7 @@ func (w *worker) runTile(s *batchSeq, n int, sel []int32, rows int) (fault bool,
 	b := w.bst
 	b.n, b.sel = n, sel
 	if w.checks {
-		if err := w.tickN(b.active()); err != nil {
+		if err := w.tick(b.active(), int(b.ri[kernel.RegGID][0])); err != nil {
 			return false, err
 		}
 	}

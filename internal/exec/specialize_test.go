@@ -6,9 +6,11 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"voodoo/internal/faultinject"
 	"voodoo/internal/kernel"
 	"voodoo/internal/vector"
 	"voodoo/internal/verify"
@@ -639,8 +641,8 @@ func TestSpecializeModesBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			k := tc.build()
 			oracle, want := runSpec(t, k, tc.in, Par{Workers: 1, NoSpecialize: true})
-			if want.Specialized != "interp" || want.Reason != "no-specialize" || want.Items == 0 || want.StoreBytes == 0 {
-				t.Fatalf("oracle record = %+v, want a non-empty interp(no-specialize) record", want)
+			if want.Specialized != "interp" || want.Items == 0 || want.StoreBytes == 0 {
+				t.Fatalf("oracle record = %+v, want a non-empty interp record", want)
 			}
 			for _, morsel := range []int{1, 7, 0} {
 				for _, workers := range []int{1, 4} {
@@ -673,9 +675,10 @@ func TestSpecializeModesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestResolveSpecPaths pins the path-resolution policy and the reason it
-// reports: batch by default; NoSpecialize, fault injection and a request for
-// the device counters each force the interpreter.
+// TestResolveSpecPaths pins the path-resolution policy: batch by default;
+// NoSpecialize and a request for the device counters each force the
+// interpreter, and nothing else does. Every resolution moves its path's
+// counter.
 func TestResolveSpecPaths(t *testing.T) {
 	sel := selectKernel(64, 10).Frags[0]
 	gather := gatherKernel(64).Frags[0]
@@ -686,26 +689,93 @@ func TestResolveSpecPaths(t *testing.T) {
 		f            *kernel.Fragment
 		noSpecialize bool
 		count        bool
-		faults       bool
-		reason       string // "" = batch
+		interp       bool
 	}{
-		{"select", sel, false, false, false, ""},
-		{"select-off", sel, true, false, false, "no-specialize"},
-		{"select-faults", sel, false, false, true, "fault-hooks"},
-		{"select-counted", sel, false, true, false, "counted"},
-		{"gather", gather, false, false, false, ""},
-		{"gather-counted", gather, false, true, false, "counted"},
-		{"fold", fold, false, false, false, ""},
-		{"fold-counted", fold, false, true, false, "counted"},
-		{"fold-extent-1", fold1, false, false, false, ""},
+		{"select", sel, false, false, false},
+		{"select-off", sel, true, false, true},
+		{"select-counted", sel, false, true, true},
+		{"gather", gather, false, false, false},
+		{"gather-counted", gather, false, true, true},
+		{"fold", fold, false, false, false},
+		{"fold-counted", fold, false, true, true},
+		{"fold-extent-1", fold1, false, false, false},
 	} {
-		rejected := rejectVec.With(tc.reason).Value()
-		bp, got := resolveSpec(specFor(tc.f), tc.noSpecialize, tc.count, tc.faults)
-		if got != tc.reason || (bp != nil) != (tc.reason == "") {
-			t.Errorf("%s: reason = %q (batch program %v), want %q", tc.name, got, bp != nil, tc.reason)
+		path := specBatchC
+		if tc.interp {
+			path = specInterpC
 		}
-		if tc.reason != "" && rejectVec.With(tc.reason).Value() != rejected+1 {
-			t.Errorf("%s: voodoo_fragment_reject_total{reason=%q} did not move", tc.name, tc.reason)
+		before := path.Value()
+		if bp := resolveSpec(specFor(tc.f), tc.noSpecialize, tc.count); (bp == nil) != tc.interp {
+			t.Errorf("%s: batch program %v, want interp=%v", tc.name, bp != nil, tc.interp)
+		}
+		if path.Value() != before+1 {
+			t.Errorf("%s: voodoo_fragments_specialized_total for its path did not move", tc.name)
+		}
+	}
+}
+
+// TestFaultHooksKeepTheBatchTier: installing every fault-injection hook
+// changes neither the path an eligible fragment takes nor its answer. The
+// batch tier's checkpoint calls Item with the first work item of the tile
+// it is about to run; with ranges of checkInterval single-iteration work
+// items that is the first work item of every range, on one worker or three.
+// A panic in Item surfaces as a *PanicError naming the fragment.
+func TestFaultHooksKeepTheBatchTier(t *testing.T) {
+	const n = 8 * checkInterval
+	in := map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}
+	want, _ := runSpec(t, busyKernel(n, 1), in, Par{Workers: 1})
+
+	var (
+		mu                     sync.Mutex
+		seen                   map[int]bool
+		allocs, starts, claims atomic.Int64
+		panicking              atomic.Bool
+	)
+	faultinject.With(t, faultinject.Hooks{
+		Alloc:         func(int64) error { allocs.Add(1); return nil },
+		FragmentStart: func(string) { starts.Add(1) },
+		Item: func(frag string, gid int) {
+			if panicking.Load() {
+				panic("injected in " + frag)
+			}
+			mu.Lock()
+			seen[gid] = true
+			mu.Unlock()
+		},
+		MorselClaim: func(string, int) { claims.Add(1) },
+	})
+	for _, workers := range []int{1, 3} {
+		seen = map[int]bool{}
+		allocs.Store(0)
+		starts.Store(0)
+		claims.Store(0)
+		k := busyKernel(n, 1)
+		got, fs := runSpec(t, k, in, Par{Workers: workers, Morsel: checkInterval})
+		if fs.Specialized != "batch" {
+			t.Errorf("workers=%d: hooked run took %q, want batch", workers, fs.Specialized)
+		}
+		requireSameBufs(t, k, want, got, "hooked run")
+		for lo := 0; lo < n; lo += checkInterval {
+			if !seen[lo] {
+				t.Errorf("workers=%d: Item never saw work item %d, the first of its range (saw %v)", workers, lo, seen)
+			}
+		}
+		if allocs.Load() == 0 || starts.Load() != 1 || (claims.Load() > 0) != (workers > 1) {
+			t.Errorf("workers=%d: %d allocations, %d fragment starts, %d morsel claims hooked",
+				workers, allocs.Load(), starts.Load(), claims.Load())
+		}
+
+		panicking.Store(true)
+		env := NewEnv(k)
+		if err := env.Bind(k, "in", in["in"]); err != nil {
+			t.Fatal(err)
+		}
+		err := RunFragment(context.Background(), k.Frags[0], env, Par{Workers: workers, Morsel: checkInterval}, &fs, false)
+		panicking.Store(false)
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Fragment != k.Frags[0].Name || fs.Specialized != "batch" {
+			t.Errorf("workers=%d: panic in Item on the %s tier returned %v (%T), want a *PanicError in %s",
+				workers, fs.Specialized, err, err, k.Frags[0].Name)
 		}
 	}
 }
@@ -992,7 +1062,7 @@ func TestSpecializeCancellation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if fs.Specialized != "batch" {
-			t.Fatalf("%s ran %s(%s), want batch", name, fs.Specialized, fs.Reason)
+			t.Fatalf("%s ran %s, want batch", name, fs.Specialized)
 		}
 		total := ctx.checks.Load()
 		if want := fs.Items / checkInterval; total < want {
@@ -1114,7 +1184,7 @@ func TestSpecializeErrorParity(t *testing.T) {
 			t.Fatalf("%s: both paths should fail: interp=%v batch=%v", tc.name, want, got)
 		}
 		if rec.Specialized != "batch" {
-			t.Fatalf("%s ran %s(%s), want batch", tc.name, rec.Specialized, rec.Reason)
+			t.Fatalf("%s ran %s, want batch", tc.name, rec.Specialized)
 		}
 		if want.Error() != got.Error() || !strings.Contains(got.Error(), tc.want) {
 			t.Errorf("%s: error mismatch (want it to name %q):\ninterp: %v\nbatch:  %v", tc.name, tc.want, want, got)
@@ -1134,7 +1204,7 @@ func TestBlockedLanesAreNotUnitStride(t *testing.T) {
 	k := foldKernel(n, extent, kernel.BAdd, false)
 	env, rec := runSpec(t, k, map[string]*Buffer{"in": {Kind: vector.Int, I: data}}, Par{Workers: 1})
 	if rec.Specialized != "batch" {
-		t.Fatalf("ran %s(%s), want batch", rec.Specialized, rec.Reason)
+		t.Fatalf("ran %s, want batch", rec.Specialized)
 	}
 	for g := 0; g < extent; g++ {
 		var want int64
@@ -1148,8 +1218,7 @@ func TestBlockedLanesAreNotUnitStride(t *testing.T) {
 }
 
 // TestCountedRunInterprets: the device-model event counters live in the
-// interpreter tier only, so a counted run interprets every fragment and
-// says so.
+// interpreter tier only, so a counted run interprets every fragment.
 func TestCountedRunInterprets(t *testing.T) {
 	n := 3000
 	idx := make([]int64, n)
@@ -1174,8 +1243,8 @@ func TestCountedRunInterprets(t *testing.T) {
 			t.Fatal(err)
 		}
 		fs := st.Frags[0]
-		if fs.Specialized != "interp" || fs.Reason != "counted" {
-			t.Errorf("%s: counted run took %s(%s), want interp(counted)", tc.name, fs.Specialized, fs.Reason)
+		if fs.Specialized != "interp" {
+			t.Errorf("%s: counted run took %s, want interp", tc.name, fs.Specialized)
 		}
 		if fs.Items != int64(n) || fs.SeqBytes == 0 {
 			t.Errorf("%s: counted run collected items=%d seq_bytes=%d", tc.name, fs.Items, fs.SeqBytes)

@@ -1,10 +1,12 @@
 // Package faultinject lets tests inject failures into the execution
 // engine without build tags: allocation errors at buffer-allocation time,
 // panics or artificial slowness inside fragment loops, and per-fragment
-// observation points. Production code always runs with every hook unset;
-// the only cost it pays is one atomic load at each instrumentation site,
-// and the hot per-item path in the executor amortizes even that behind its
-// cancellation-check counter.
+// observation points. Installing hooks does not change which tier runs a
+// fragment: the batch tier and the interpreter call them at one shared
+// checkpoint, so a failure test exercises the code a query runs.
+// Production code always runs with every hook unset; the only cost it pays
+// is one atomic load at each instrumentation site, and the hot path in the
+// executor amortizes even that behind its cancellation-check counter.
 //
 // Hooks are process-global (the executor has no per-query hook plumbing),
 // so tests that set them must Clear them when done and must not run in
@@ -25,9 +27,11 @@ type Hooks struct {
 	// starts. Panics raised here are recovered into *exec.PanicError.
 	FragmentStart func(frag string)
 	// Item runs inside fragment loops at the executor's cancellation-check
-	// cadence (not every work item), with the fragment name and the work
-	// item id the worker is on. Panic to simulate a kernel bug mid-loop;
-	// sleep to simulate slowness.
+	// cadence — about once per 1024 lane-steps, not every work item — with
+	// the fragment name and a work item id: the one the interpreter is on,
+	// or the first of the tile the batch tier is about to run. The first
+	// checkpoint of a worker comes before any of its work. Panic to simulate
+	// a kernel bug mid-loop; sleep to simulate slowness.
 	Item func(frag string, gid int)
 	// MorselClaim runs each time a scheduler participant claims a morsel
 	// of a parallel fragment, before the morsel's work items execute.

@@ -13,7 +13,7 @@ import (
 // where every such loop already follows the tick/claim idiom.
 var CheckpointLoop = &Analyzer{
 	Name: "checkpointloop",
-	Doc:  "work loops in exec/interp must contain a cancellation checkpoint (tick/tickN/claim/ctx.Err)",
+	Doc:  "work loops in exec/interp must contain a cancellation checkpoint (tick/claim/ctx.Err)",
 	Run:  runCheckpointLoop,
 }
 
@@ -23,11 +23,11 @@ var workCalls = map[string]bool{
 }
 
 // checkpointCalls name the accepted cancellation checkpoints. claim checks
-// the job's abort flag before handing out a ticket; tick/tickN poll the
+// the job's abort flag before handing out a ticket; tick polls the
 // context and the shared stop flag; Err is the direct ctx.Err() poll; Load
 // covers hand-rolled atomic stop-flag checks.
 var checkpointCalls = map[string]bool{
-	"tick": true, "tickN": true, "claim": true, "Err": true, "Load": true,
+	"tick": true, "claim": true, "Err": true, "Load": true,
 }
 
 func runCheckpointLoop(p *Pass) error {
@@ -53,7 +53,7 @@ func runCheckpointLoop(p *Pass) error {
 				return true
 			}
 			if !containsCall(body, checkpointCalls) {
-				p.Reportf(n.Pos(), "work loop has no cancellation checkpoint (tick/tickN/claim/ctx.Err)")
+				p.Reportf(n.Pos(), "work loop has no cancellation checkpoint (tick/claim/ctx.Err)")
 			}
 			return true
 		})

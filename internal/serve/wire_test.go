@@ -114,17 +114,12 @@ func TestWireShapes(t *testing.T) {
 	if len(slow) != 1 {
 		t.Fatalf("want one slow entry (the failed request never executed): %s", slowBody)
 	}
-	if got, want := keys(t, slow[0]), "cached_plan compile_ns deadline_ns id interp_fragments items materialized_bytes plan_lookup_ns query_id queue_ns sql started_at traces wall_ns"; got != want {
+	if got, want := keys(t, slow[0]), "cached_plan compile_ns deadline_ns id items materialized_bytes plan_lookup_ns query_id queue_ns sql started_at traces wall_ns"; got != want {
 		t.Errorf("/queries/slow entry keys:\n got %s\nwant %s", got, want)
-	}
-	// The held query ran under a fault hook, so every fragment of it
-	// interpreted, and the entry says so without a walk of its traces.
-	if sum, _ := slow[0].(map[string]any)["interp_fragments"].(map[string]any); len(sum) != 1 || sum["fault-hooks"] == nil {
-		t.Errorf("/queries/slow interp_fragments = %v, want only fault-hooks", sum)
 	}
 	// /queries lists the same entry as a summary: no traces.
 	_, list := getBody(t, srv.URL+"/queries")
-	if got, want := keys(t, decode(t, list).(map[string]any)["slow"].([]any)[0]), "cached_plan compile_ns deadline_ns id interp_fragments items materialized_bytes plan_lookup_ns query_id queue_ns sql started_at wall_ns"; got != want {
+	if got, want := keys(t, decode(t, list).(map[string]any)["slow"].([]any)[0]), "cached_plan compile_ns deadline_ns id items materialized_bytes plan_lookup_ns query_id queue_ns sql started_at wall_ns"; got != want {
 		t.Errorf("/queries slow summary keys:\n got %s\nwant %s", got, want)
 	}
 
@@ -152,10 +147,10 @@ func TestWireShapes(t *testing.T) {
 			if _, ok := attrs["kind"]; !ok {
 				t.Errorf("step span without a kind attr: %v", span)
 			}
-			// The held query runs under a fault hook, which forces the
-			// interpreter; an interpreted step says why.
-			if attrs["specialized"] == "interp" && attrs["reason"] != "fault-hooks" {
-				t.Errorf("interpreted step span has reason %v, want fault-hooks: %v", attrs["reason"], span)
+			// The held query runs under a fault hook, which leaves its
+			// fragments on the batch tier.
+			if attrs["kind"] == "fragment" && attrs["specialized"] != "batch" {
+				t.Errorf("fragment step span ran %v under a fault hook, want batch: %v", attrs["specialized"], span)
 			}
 			continue
 		}
@@ -185,7 +180,7 @@ func TestWireShapes(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("want two event lines:\n%s", buf.String())
 	}
-	if got, want := keys(t, decode(t, lines[0])), "compile_ns deadline_ns exec_ns interp_fragments plan_lookup_ns query_id queue_ns rows sampled sql status time wall_ns"; got != want {
+	if got, want := keys(t, decode(t, lines[0])), "compile_ns deadline_ns exec_ns plan_lookup_ns query_id queue_ns rows sampled sql status time wall_ns"; got != want {
 		t.Errorf("success event keys:\n got %s\nwant %s", got, want)
 	}
 	if got, want := keys(t, decode(t, lines[1])), "deadline_ns error kind query_id queue_ns sampled sql status time wall_ns"; got != want {

@@ -47,9 +47,6 @@ type Event struct {
 	// DeadlineNS is the request's remaining deadline budget at arrival
 	// (0 = no deadline).
 	DeadlineNS int64 `json:"deadline_ns,omitempty"`
-	// InterpFragments counts the query's interpreted fragment executions
-	// by the reason they did not take the batch tier.
-	InterpFragments map[string]int `json:"interp_fragments,omitempty"`
 	// Sampled names why the event was retained: "error", "shed", "slow"
 	// or "random".
 	Sampled string `json:"sampled"`
@@ -156,7 +153,7 @@ func (l *EventLog) Emit(r *QueryRecord) {
 		WallNS: r.Wall.Nanoseconds(), QueueNS: r.QueueWait.Nanoseconds(),
 		PlanLookupNS: r.PlanLookup.Nanoseconds(), CompileNS: r.Compile.Nanoseconds(),
 		ExecNS: r.Exec.Nanoseconds(), Rows: r.Rows, Cached: r.Cached,
-		DeadlineNS: r.Deadline.Nanoseconds(), InterpFragments: r.InterpFragments(), Sampled: reason,
+		DeadlineNS: r.Deadline.Nanoseconds(), Sampled: reason,
 	})
 	if err != nil {
 		l.dropped.Add(1)

@@ -93,26 +93,6 @@ func (r *QueryRecord) Progress() (steps, items, matBytes int64, lastStep string)
 	return r.steps.Load(), r.items.Load(), r.matBytes.Load(), lastStep
 }
 
-// InterpFragments summarises which fragments of the query did not take the
-// batch tier and why: interpreted fragment executions by reject reason
-// (trace.Step.Reason), over every trace; nil when none interpreted. Like
-// the span tree it is a view built when somebody reads the record — the
-// event log for a retained event, /queries and /queries/slow per scrape.
-func (r *QueryRecord) InterpFragments() map[string]int {
-	var out map[string]int
-	for _, t := range r.Traces {
-		for i := range t.Steps {
-			if s := &t.Steps[i]; s.Kind == trace.KindFragment && s.Specialized == "interp" {
-				if out == nil {
-					out = map[string]int{}
-				}
-				out[s.Reason]++
-			}
-		}
-	}
-	return out
-}
-
 // Fail records a failed outcome.
 func (r *QueryRecord) Fail(status int, kind string, err error) {
 	r.Status, r.Kind, r.Error = status, kind, err.Error()

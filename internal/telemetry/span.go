@@ -124,9 +124,6 @@ func BuildSpans(r *QueryRecord) QuerySpans {
 			if s.Specialized != "" {
 				sa["specialized"] = s.Specialized
 			}
-			if s.Reason != "" {
-				sa["reason"] = s.Reason
-			}
 			if s.Tile != "" {
 				sa["tile"] = s.Tile
 			}

@@ -255,35 +255,6 @@ func TestEventLogSampling(t *testing.T) {
 	}
 }
 
-// TestInterpFragmentsSummary: the per-query reject summary counts
-// interpreted fragment steps by reason across every trace of the record,
-// is absent when everything batched, and rides on the JSONL event.
-func TestInterpFragmentsSummary(t *testing.T) {
-	step := func(kind, path, reason string) trace.Step {
-		return trace.Step{Kind: kind, Name: "s", Specialized: path, Reason: reason}
-	}
-	t1, t2 := &trace.Trace{}, &trace.Trace{}
-	t1.Add(step(trace.KindBind, "", ""))
-	t1.Add(step(trace.KindFragment, "batch", ""))
-	t1.Add(step(trace.KindFragment, "interp", "too few"))
-	t2.Add(step(trace.KindFragment, "interp", "too few"))
-	t2.Add(step(trace.KindFragment, "interp", "counted"))
-	rec := &QueryRecord{ID: MintQueryID(), Status: 200, Wall: 1, Traces: []*trace.Trace{t1, t2}}
-	if got := rec.InterpFragments(); len(got) != 2 || got["too few"] != 2 || got["counted"] != 1 {
-		t.Errorf("summary = %v, want too few:2 counted:1", got)
-	}
-	if got := (&QueryRecord{Traces: []*trace.Trace{{Steps: t1.Steps[:2]}}}).InterpFragments(); got != nil {
-		t.Errorf("an all-batch query has summary %v, want none", got)
-	}
-	var buf syncBuffer
-	l := NewEventLog(EventLogConfig{W: &buf, SampleRate: 1.0, Registry: metrics.NewRegistry()})
-	l.Emit(rec)
-	l.Close()
-	if want := `"interp_fragments":{"counted":1,"too few":2}`; !strings.Contains(buf.String(), want) {
-		t.Errorf("event line lacks %s: %s", want, buf.String())
-	}
-}
-
 // TestEventLogBackpressure: a stalled sink fills the buffer; Emit keeps
 // returning immediately (drop counter, not a block), and once the sink
 // recovers Close still writes everything that was accepted.

@@ -230,8 +230,8 @@ func TestBigFragmentsSplit(t *testing.T) {
 // governor deadline in the middle of Q1's grouped fold return the same typed
 // error whether the fragment runs as one range or split over two
 // participants, the run's arena goes back to the pool, and no job stays
-// published. (Fault hooks put the fragments on the interpreter tier; the cut
-// does not depend on the tier.)
+// published. The hooks leave every fragment on the batch tier a query runs
+// on: the failing fragment fails there, not on the interpreter.
 func TestSplitQ1FailsLikeOneWorker(t *testing.T) {
 	frag := fragmentNamed(t, 1, "group-fold", 64, 934)
 	qf, err := Query(1)
@@ -269,11 +269,12 @@ func TestSplitQ1FailsLikeOneWorker(t *testing.T) {
 			pool := vector.NewPool(0)
 			e := &rel.Engine{Cat: cutCat(), Backend: rel.Compiled, Pool: pool, Opt: compile.Options{Workers: workers}}
 			hook := f.setup(e)
-			var claims atomic.Int64
+			var claims, checkpoints atomic.Int64
 			faultinject.Set(faultinject.Hooks{
-				// Not the first checkpoint of a range: the fragment is under way.
-				Item: func(name string, gid int) {
-					if name == frag && gid%32 != 0 {
+				// After as many checkpoints as there are participants: the
+				// fragment is under way.
+				Item: func(name string, _ int) {
+					if name == frag && checkpoints.Add(1) > int64(workers) {
 						hook()
 					}
 				},
@@ -283,10 +284,15 @@ func TestSplitQ1FailsLikeOneWorker(t *testing.T) {
 					}
 				},
 			})
+			i0, b0, _ := fragmentPaths()
 			_, _, err := qf(e)
 			faultinject.Clear()
+			i1, b1, _ := fragmentPaths()
 			if !f.is(err) {
 				t.Errorf("%s workers=%d: err = %v (%T), want %s", f.name, workers, err, err, f.want)
+			}
+			if i1 != i0 || b1 == b0 {
+				t.Errorf("%s workers=%d: %d fragments interpreted, %d batched, want none and some", f.name, workers, i1-i0, b1-b0)
 			}
 			if split := claims.Load() > 0; split != (workers > 1) {
 				t.Errorf("%s workers=%d: %d ranges of %s claimed", f.name, workers, claims.Load(), frag)

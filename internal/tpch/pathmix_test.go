@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -28,15 +27,13 @@ func fragmentPaths() (interp, batch, total int64) {
 // observing a query must not change which code executes it. A change to
 // which path a fragment takes shows up here as a reviewable golden diff; a sink that
 // forks the path, or a fragment execution on any path other than interp or
-// batch, fails outright. The log carries the reject histogram: why each
-// interpreted fragment did not batch. Tests in this package do not run in
-// parallel, so deltas of the process-wide counters belong to the query.
+// batch, fails outright. Tests in this package do not run in parallel, so
+// deltas of the process-wide counters belong to the query.
 func TestGoldenPathMix(t *testing.T) {
 	cat := cutCat()
 	var sb strings.Builder
 	sb.WriteString("query\tinterp\tbatch\n")
 	var sum [2]int64
-	rejects := map[string]int{}
 	for _, num := range QueryNumbers {
 		qf, err := Query(num)
 		if err != nil {
@@ -53,10 +50,6 @@ func TestGoldenPathMix(t *testing.T) {
 						case s.Kind != trace.KindFragment:
 						case s.Specialized == "interp":
 							steps[0]++
-							rejects[s.Reason]++
-							if s.Reason == "" {
-								t.Errorf("%s: fragment %s interpreted without a reason", queryName(num), s.Name)
-							}
 						case s.Specialized == "batch":
 							steps[1]++
 						default:
@@ -90,14 +83,6 @@ func TestGoldenPathMix(t *testing.T) {
 		sum[1] += rows[0][1]
 	}
 	fmt.Fprintf(&sb, "sum\t%d\t%d\n", sum[0], sum[1])
-	reasons := make([]string, 0, len(rejects))
-	for r := range rejects {
-		reasons = append(reasons, r)
-	}
-	sort.Slice(reasons, func(a, b int) bool { return rejects[reasons[a]] > rejects[reasons[b]] })
-	for _, r := range reasons {
-		t.Logf("reject %3d  %s", rejects[r], r)
-	}
 
 	got := sb.String()
 	path := filepath.Join("testdata", "golden", "pathmix.golden")

@@ -58,10 +58,8 @@ type Step struct {
 
 	// Specialized records which execution path ran a fragment step:
 	// "batch" (compiled batch primitives) or "interp" (the per-element
-	// interpreter); Reason says why an interpreted fragment did not batch:
-	// "counted", "fault-hooks" or "no-specialize".
+	// interpreter).
 	Specialized string `json:"specialized,omitempty"`
-	Reason      string `json:"reason,omitempty"`
 	// Tile is the geometry of a batch fragment's first tile, "LxK": L work
 	// items side by side × K consecutive iterations of each in one
 	// primitive call. 1013x1 is a step of lock-step lanes; 1x1024 a single
@@ -120,7 +118,10 @@ func (s *Step) Acc() string {
 // Trace is the execution record of one query. It is owned by the caller
 // that asked for it and is never shared.
 type Trace struct {
-	Query   string          `json:"query,omitempty"`
+	Query string `json:"query,omitempty"`
+	// Backend names the engine that ran the query: "compiled",
+	// "compiled-interp" (every fragment interpreted), "bulk-compiled" or
+	// "interpreted".
 	Backend string          `json:"backend"`
 	Options map[string]bool `json:"options,omitempty"`
 
@@ -267,8 +268,6 @@ func (t *Trace) String() string {
 			flags = append(flags, "predicated")
 		}
 		switch {
-		case s.Reason != "":
-			flags = append(flags, fmt.Sprintf("spec:%s(%s)", s.Specialized, s.Reason))
 		case s.Tile != "" && s.AccWide+s.AccCarried > 0:
 			flags = append(flags, fmt.Sprintf("spec:%s(%s,acc %s)", s.Specialized, s.Tile, s.Acc()))
 		case s.Tile != "":

@@ -90,7 +90,7 @@ func TestStringRendering(t *testing.T) {
 	tr.Add(Step{Kind: KindFragment, Name: "ffold_3", Stmts: []int{1, 2, 3},
 		Fused: true, Suppressed: true, Predicated: true,
 		Extent: 8, Intent: 128, Items: 1024, MaterializedBytes: 64, FoldRuns: 8,
-		Specialized: "interp", Reason: "per-item prologue, epilogue or scratch array"})
+		Specialized: "interp"})
 	tr.Add(Step{Kind: KindFragment, Name: "scat_4", Virtual: true, Specialized: "batch"})
 	tr.Add(Step{Kind: KindFragment, Name: "gfold_5", Specialized: "batch", Tile: "7x146"})
 	tr.Add(Step{Kind: KindFragment, Name: "gfold_6", Specialized: "batch", Tile: "7x85", AccWide: 11, AccCarried: 1})
@@ -102,7 +102,7 @@ func TestStringRendering(t *testing.T) {
 		"ffold_3", "shape=8x128/blocked",
 		"items=1024", "mat=64B", "folds=8",
 		"fused:3", "suppress", "predicated", "virtual",
-		"spec:interp(per-item prologue, epilogue or scratch array)", "spec:batch]", "spec:batch(7x146)]",
+		"spec:interp]", "spec:batch]", "spec:batch(7x146)]",
 		"spec:batch(7x85,acc 11/12)]", "total:", "fragments=4",
 	} {
 		if !strings.Contains(s, want) {
