@@ -109,9 +109,15 @@ func main() {
 	if e.Limits.MaxBytes, err = rel.ParseSize(*maxMem); err != nil {
 		fatal(err)
 	}
+	// One context carries -timeout for every source; TPC-H phases run
+	// through the engine's Run, which reads it from BaseContext.
+	ctx := context.Background()
 	if *timeout > 0 {
-		e.Limits.Deadline = time.Now().Add(*timeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
 	}
+	e.BaseContext = ctx
 	if *data != "" {
 		e.Cat, err = storage.Load(*data)
 	} else {
@@ -136,7 +142,7 @@ func main() {
 		}
 	}
 	start := time.Now()
-	summary, body, err := given[0](e, !out.explain)
+	summary, body, err := given[0](ctx, e, !out.explain)
 	if err != nil {
 		fatal(err)
 	}
@@ -183,11 +189,11 @@ func (o output) plan(p *compile.Plan) {
 // plan reaches e.PlanSink as it is compiled, before it runs, and every trace
 // e.TraceSink; the result comes back as a one-line summary and a body. With
 // execute unset the source stops once the plan exists (a static -explain).
-type source func(e *rel.Engine, execute bool) (summary, body string, err error)
+type source func(ctx context.Context, e *rel.Engine, execute bool) (summary, body string, err error)
 
 // progSource parses and compiles a textual Voodoo program.
 func progSource(file string) source {
-	return func(e *rel.Engine, execute bool) (string, string, error) {
+	return func(ctx context.Context, e *rel.Engine, execute bool) (string, string, error) {
 		text, err := os.ReadFile(file)
 		if err != nil {
 			return "", "", err
@@ -209,12 +215,6 @@ func progSource(file string) source {
 		}
 		if !execute {
 			return "", "", nil
-		}
-		ctx := context.Background()
-		if d := e.Limits.Deadline; !d.IsZero() {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, d)
-			defer cancel()
 		}
 		var tr *trace.Trace
 		values := map[core.Ref]*vector.Vector{}
@@ -247,7 +247,7 @@ func progSource(file string) source {
 
 // sqlSource parses, plans and prepares one SQL statement.
 func sqlSource(text string) source {
-	return func(e *rel.Engine, execute bool) (string, string, error) {
+	return func(ctx context.Context, e *rel.Engine, execute bool) (string, string, error) {
 		stmt, err := sql.Parse(text)
 		if err != nil {
 			return "", "", err
@@ -264,7 +264,7 @@ func sqlSource(text string) source {
 		if !execute {
 			return "", "", nil
 		}
-		res, _, err := e.RunPrepared(context.Background(), pr)
+		res, _, err := e.RunPrepared(ctx, pr)
 		if err != nil {
 			return "", "", err
 		}
@@ -276,7 +276,7 @@ func sqlSource(text string) source {
 // through the engine. It always executes: later phases are lowered from the
 // results of earlier ones.
 func tpchSource(n int) source {
-	return func(e *rel.Engine, _ bool) (string, string, error) {
+	return func(_ context.Context, e *rel.Engine, _ bool) (string, string, error) {
 		qf, err := tpch.Query(n)
 		if err != nil {
 			return "", "", err

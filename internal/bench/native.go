@@ -9,76 +9,22 @@ import (
 // so the device models price native loops and Voodoo kernels identically.
 type nativeStats struct {
 	frags []exec.FragStats
-	rings map[int]*lineRing
-}
-
-// lineRing mirrors the executor's recently-touched-lines LRU with stream
-// detection (see exec.lineRing).
-type lineRing struct {
-	lines    [8]int64
-	pos      int
-	n        int
-	lastLine int64
-}
-
-func (r *lineRing) touch(line int64) int {
-	kind := 2
-	if r.n > 0 && line == r.lastLine+1 {
-		kind = 1
-	}
-	for i := 0; i < r.n; i++ {
-		if r.lines[i] == line {
-			kind = 0
-			break
-		}
-	}
-	if kind != 0 {
-		r.lines[r.pos] = line
-		r.pos = (r.pos + 1) % len(r.lines)
-		if r.n < len(r.lines) {
-			r.n++
-		}
-	}
-	r.lastLine = line
-	return kind
+	rings exec.Lines
 }
 
 // frag opens a new counted loop (one fragment).
 func (ns *nativeStats) frag(name string, extent int) *exec.FragStats {
 	ns.frags = append(ns.frags, exec.FragStats{Name: "native:" + name, Extent: extent})
-	ns.rings = map[int]*lineRing{}
+	ns.rings = exec.Lines{}
 	return &ns.frags[len(ns.frags)-1]
 }
 
 func (ns *nativeStats) cur() *exec.FragStats { return &ns.frags[len(ns.frags)-1] }
 
 // rand records a data-dependent access into buffer buf (identified by an
-// arbitrary id) of the given total size, applying the near-access
-// heuristic.
+// arbitrary id) of the given total size, classified as the executor does.
 func (ns *nativeStats) rand(buf int, idx int64, bufBytes int64) {
-	fs := ns.cur()
-	r := ns.rings[buf]
-	if r == nil {
-		r = &lineRing{}
-		ns.rings[buf] = r
-	}
-	switch r.touch(idx >> 3) {
-	case 0:
-		fs.NearAccesses++
-		return
-	case 1:
-		fs.SeqBytes += 64
-		fs.NearAccesses++
-		return
-	}
-	fs.RandAccesses++
-	if fs.RandByBuf == nil {
-		fs.RandByBuf = map[int]exec.RandCount{}
-	}
-	e := fs.RandByBuf[buf]
-	e.Bytes = bufBytes
-	e.Count++
-	fs.RandByBuf[buf] = e
+	ns.cur().CountAccess(ns.rings, buf, idx, bufBytes, 8)
 }
 
 func (ns *nativeStats) stats() *exec.Stats { return &exec.Stats{Frags: ns.frags} }

@@ -10,6 +10,7 @@ import (
 	"voodoo/internal/interp"
 	"voodoo/internal/kernel"
 	"voodoo/internal/vector"
+	"voodoo/internal/verify"
 )
 
 // eOpaque is a schema placeholder for attributes of special (pending)
@@ -597,22 +598,32 @@ func bulkStats(name string, random bool) func(args []*vector.Vector, out *vector
 }
 
 // bulk compiles a statement as a materializing bulk step (the semantic
-// fallback, and the whole execution model under Options.ForceBulk).
+// fallback, and the whole execution model under Options.ForceBulk). Its
+// output buffers are declared from the verifier's static model of s, which
+// mirrors the interpreter the step runs.
 func (c *compiler) bulk(s *core.Stmt) *desc {
-	schema, n := c.bulkSchema(s)
+	if c.model == nil {
+		c.model, c.modelDiags = verify.Derive(c.prog, c.st)
+	}
+	m := c.model[s.ID]
+	if !m.Known {
+		if verify.HasErrors(c.modelDiags) {
+			cerrf("%s: no static schema: %s", s.Op, firstError(c.modelDiags))
+		}
+		cerrf("%s: no static schema", s.Op)
+	}
 	inputs := make([]converter, len(s.Args))
 	for i, a := range s.Args {
 		inputs[i] = c.converter(c.desc(a))
 	}
-	out := &desc{n: n}
+	out := &desc{n: m.N}
 	var outBufs []int
-	var names []string
-	for _, a := range schema {
-		buf := c.addBuf("bulk."+a.name, a.kind, n, false, true)
+	for _, name := range m.Names {
+		k := m.Kind(name)
+		buf := c.addBuf("bulk."+name, k, m.N, false, true)
 		outBufs = append(outBufs, buf)
-		names = append(names, a.name)
-		out.attrs = append(out.attrs, attr{name: a.name,
-			ex:      &eLoad{buf: buf, k: a.kind, idx: theIdx},
+		out.attrs = append(out.attrs, attr{name: name,
+			ex:      &eLoad{buf: buf, k: k, idx: theIdx},
 			validEx: &eLoadValid{buf: buf, idx: theIdx}})
 	}
 	tmpl := *s
@@ -622,138 +633,13 @@ func (c *compiler) bulk(s *core.Stmt) *desc {
 		stmts:   []int{int(s.ID)},
 		inputs:  inputs,
 		outBufs: outBufs,
-		attrs:   names,
+		attrs:   m.Names,
 		evalFn: func(args []*vector.Vector, ar *vector.Arena) (*vector.Vector, error) {
 			return miniInterp(s.Op, nil, nil, &tmpl, ar, args...)
 		},
 		statsFn: bulkStats(s.Op.String(), random),
 	})
 	return out
-}
-
-type attrSchema struct {
-	name string
-	kind vector.Kind
-}
-
-// bulkSchema statically infers the output schema and size of a statement —
-// Voodoo's determinism makes every size a compile-time constant.
-func (c *compiler) bulkSchema(s *core.Stmt) ([]attrSchema, int) {
-	// Pending special forms (an undissolved Partition scatter, an
-	// unmaterialized fold-select) carry no resolvable attributes of their
-	// own; the bulk fallback consumes materialized operands, so resolve
-	// schemas against the plainified descriptors the converters will use.
-	argN := func(i int) int { return c.plainify(c.desc(s.Args[i])).logical() }
-	argSchema := func(i int, kp, out string) []attrSchema {
-		d := c.plainify(c.desc(s.Args[i]))
-		names, idx, ok := d.resolve(kp)
-		if !ok {
-			cerrf("%s: cannot resolve keypath %q for bulk schema", s.Op, kp)
-		}
-		var res []attrSchema
-		for j, rel := range names {
-			name := out
-			if rel != "" {
-				if out != "" {
-					name = out + "." + rel
-				} else {
-					name = rel
-				}
-			}
-			res = append(res, attrSchema{name: name, kind: d.attrs[idx[j]].kind()})
-		}
-		return res
-	}
-	switch s.Op {
-	case core.OpConstant:
-		k := vector.Int
-		if s.IsFloat {
-			k = vector.Float
-		}
-		return []attrSchema{{s.Out[0], k}}, 1
-	case core.OpRange:
-		n := s.Size
-		if len(s.Args) == 1 {
-			n = argN(0)
-		}
-		return []attrSchema{{s.Out[0], vector.Int}}, n
-	case core.OpCross:
-		return []attrSchema{{s.Out[0], vector.Int}, {s.Out[1], vector.Int}}, argN(0) * argN(1)
-	case core.OpZip:
-		n := min(argN(0), argN(1))
-		return append(argSchema(0, s.Kp[0], s.Out[0]), argSchema(1, s.Kp[1], s.Out[1])...), n
-	case core.OpProject:
-		return argSchema(0, s.Kp[0], s.Out[0]), argN(0)
-	case core.OpUpsert:
-		d := c.desc(s.Args[0])
-		var res []attrSchema
-		replaced := false
-		newKind := argSchema(1, s.Kp[1], s.Out[0])[0].kind
-		for _, a := range d.attrs {
-			if a.name == s.Out[0] {
-				res = append(res, attrSchema{s.Out[0], newKind})
-				replaced = true
-				continue
-			}
-			res = append(res, attrSchema{a.name, a.kind()})
-		}
-		if !replaced {
-			res = append(res, attrSchema{s.Out[0], newKind})
-		}
-		return res, argN(0)
-	case core.OpGather:
-		d := c.desc(s.Args[0])
-		var res []attrSchema
-		for _, a := range d.attrs {
-			res = append(res, attrSchema{a.name, a.kind()})
-		}
-		return res, argN(1)
-	case core.OpScatter:
-		d := c.desc(s.Args[0])
-		var res []attrSchema
-		for _, a := range d.attrs {
-			res = append(res, attrSchema{a.name, a.kind()})
-		}
-		return res, argN(1)
-	case core.OpMaterialize, core.OpBreak:
-		d := c.desc(s.Args[0])
-		var res []attrSchema
-		for _, a := range d.attrs {
-			res = append(res, attrSchema{a.name, a.kind()})
-		}
-		return res, argN(0)
-	case core.OpPartition:
-		return []attrSchema{{s.Out[0], vector.Int}}, argN(0)
-	case core.OpFoldSelect:
-		return []attrSchema{{s.Out[0], vector.Int}}, argN(0)
-	case core.OpFoldSum, core.OpFoldMin, core.OpFoldMax, core.OpFoldScan:
-		d := c.desc(s.Args[0])
-		k := vector.Int
-		if a, ok := d.single(s.FoldVal); ok {
-			k = a.kind()
-		}
-		return []attrSchema{{s.Out[0], k}}, argN(0)
-	default:
-		if s.Op.IsArith() {
-			k := vector.Int
-			a1 := argSchema(0, s.Kp[0], "x")[0].kind
-			a2 := argSchema(1, s.Kp[1], "x")[0].kind
-			if (a1 == vector.Float || a2 == vector.Float) &&
-				s.Op != core.OpGreater && s.Op != core.OpEquals {
-				k = vector.Float
-			}
-			n1, n2 := argN(0), argN(1)
-			n := min(n1, n2)
-			if n1 == 1 {
-				n = n2
-			} else if n2 == 1 {
-				n = n1
-			}
-			return []attrSchema{{s.Out[0], k}}, n
-		}
-	}
-	cerrf("%s: no bulk schema", s.Op)
-	return nil, 0
 }
 
 // eGID is the work-item id as an expression (used for run base addresses).

@@ -54,12 +54,6 @@ func Compile(p *core.Program, st Storage, opt Options) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if verify.Enabled() {
-		if diags := verify.Program(p, st); verify.HasErrors(diags) {
-			verify.FailuresTotal.Inc()
-			return nil, fmt.Errorf("compile: program failed verification: %s", firstError(diags))
-		}
-	}
 	c := &compiler{
 		prog: p, st: st, opt: opt,
 		kern:      &kernel.Kernel{},
@@ -69,6 +63,13 @@ func Compile(p *core.Program, st Storage, opt Options) (*Plan, error) {
 		sameMask:  map[int]int{},
 	}
 	c.plan.kern = c.kern
+	if verify.Enabled() {
+		c.model, c.modelDiags = verify.Derive(p, st)
+		if verify.HasErrors(c.modelDiags) {
+			verify.FailuresTotal.Inc()
+			return nil, fmt.Errorf("compile: program failed verification: %s", firstError(c.modelDiags))
+		}
+	}
 	if err := c.run(); err != nil {
 		return nil, err
 	}
@@ -113,6 +114,11 @@ type compiler struct {
 	// its own — columns a filter wrote through one selection — so an
 	// attribute may test the other's (spillFilt).
 	sameMask map[int]int
+	// model is the verifier's static model of every statement, from which
+	// bulk steps declare their output buffers; derived by Compile when
+	// verification is on, else on the first bulk step (nil until then).
+	model      []verify.Value
+	modelDiags []verify.Diagnostic
 }
 
 type compileErr struct{ err error }

@@ -45,7 +45,7 @@ type output struct {
 type RunOpts struct {
 	// Limits is the per-run resource governor (see exec.Limits): buffer
 	// allocations are charged against MaxBytes, fragment extents checked
-	// against MaxExtent, and Deadline enforced as a context deadline.
+	// against MaxExtent. The run's deadline is the context's.
 	Limits exec.Limits
 	// Pool, when non-nil, supplies the run's kernel buffers and seam
 	// materializations from recycled memory; the run's arena is attached
@@ -239,15 +239,15 @@ func (s *persistStep) stepName() string { return "persist " + s.name }
 // RunWith executes the plan under per-run options, leaving the plan itself
 // untouched, so shared (cached) plans may run concurrently with different
 // limits, pools, stats and trace settings. It runs under the hardening
-// contract: the context (and the Deadline limit) cancels between steps and
-// inside fragment loops, buffer allocations are charged against the Limits
-// budget, and a panic in any step is recovered into a *exec.PanicError so
-// one bad kernel fails its query instead of the process.
+// contract: the context cancels between steps and inside fragment loops,
+// buffer allocations are charged against the Limits budget, and a panic in
+// any step is recovered into a *exec.PanicError so one bad kernel fails its
+// query instead of the process.
 func (p *Plan) RunWith(ctx context.Context, ro RunOpts) (_ *Result, err error) {
 	start := time.Now()
 	defer func() {
 		trace.CountQuery(time.Since(start))
-		exec.NoteDeadline(ro.Limits, err)
+		exec.NoteDeadline(err)
 	}()
 	// Deferred so the one debug record carries the outcome; the Enabled
 	// guard keeps the disabled path allocation-free on the hot loop.
@@ -262,11 +262,6 @@ func (p *Plan) RunWith(ctx context.Context, ro RunOpts) (_ *Result, err error) {
 			}
 			lg.LogAttrs(ctx, slog.LevelDebug, "compile: plan run", attrs...)
 		}()
-	}
-	if d := ro.Limits.Deadline; !d.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, d)
-		defer cancel()
 	}
 	arena := ro.Pool.NewArena()
 	defer func() {

@@ -47,14 +47,13 @@ var (
 		"Panics recovered into *PanicError at worker, plan-step and interpreter boundaries.")
 )
 
-// NoteDeadline counts err against the governor's deadline counter when
-// the governor had a wall-clock deadline installed and the run timed
-// out. Each entry point that installs Limits.Deadline calls it exactly
-// once per failed run (compile plans for the compiling backends, the
-// relational engine for the interpreter, Run for direct executor users),
-// so a query is never double-counted.
-func NoteDeadline(lim Limits, err error) {
-	if !lim.Deadline.IsZero() && errors.Is(err, context.DeadlineExceeded) {
+// NoteDeadline counts err against the governor's deadline counter when the
+// run timed out, whoever set the context's deadline. Each entry point calls
+// it exactly once per failed run (compile plans for the compiling backends,
+// the relational engine for the interpreter, Run for direct executor
+// users), so a query is never double-counted.
+func NoteDeadline(err error) {
+	if errors.Is(err, context.DeadlineExceeded) {
 		exhaustedDeadline.Inc()
 	}
 }
@@ -68,7 +67,7 @@ var ErrResourceExhausted = errors.New("resource limit exhausted")
 var errAborted = errors.New("exec: aborted after sibling worker failure")
 
 // Limits is the per-query resource governor. The zero value imposes no
-// limits.
+// limits. A wall-clock bound is the context's deadline.
 type Limits struct {
 	// MaxBytes bounds the query's total buffer allocation (kernel buffers
 	// plus bulk-step outputs); exceeding it fails the allocating step with
@@ -77,9 +76,6 @@ type Limits struct {
 	// MaxExtent bounds the extent (work-item count) of any single
 	// fragment.
 	MaxExtent int
-	// Deadline, when non-zero, bounds the query's wall-clock time; the
-	// context-taking entry points enforce it as a context deadline.
-	Deadline time.Time
 }
 
 // PanicError is a panic recovered at a worker-goroutine or plan-step
@@ -428,14 +424,8 @@ func gomaxprocs() int { return runtime.GOMAXPROCS(0) }
 // cooperative: the context is checked at every fragment
 // boundary and every checkInterval work items inside fragment loops, so a
 // cancelled or deadline-expired query aborts promptly instead of finishing
-// all morsels. A non-zero env Deadline limit is enforced as a context
-// deadline.
+// all morsels.
 func Run(ctx context.Context, k *kernel.Kernel, env *Env, par Par, st *Stats) error {
-	if d := env.lim.Deadline; !d.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, d)
-		defer cancel()
-	}
 	for _, f := range k.Frags {
 		var fs *FragStats
 		if st != nil {
@@ -449,7 +439,7 @@ func Run(ctx context.Context, k *kernel.Kernel, env *Env, par Par, st *Stats) er
 		}
 		if err := RunFragment(ctx, f, env, par, fs, fs != nil); err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				NoteDeadline(env.lim, err)
+				NoteDeadline(err)
 				return err
 			}
 			// The guard keeps the disabled path allocation-free; fragment
@@ -569,11 +559,14 @@ type worker struct {
 	// starts at zero, so the first item checkpoints immediately and an
 	// already-cancelled context aborts before any work happens.
 	budget int
-	// lines remembers the last few cache lines touched per buffer (a tiny
-	// LRU), so hot-line accesses — repeated slots, sequential gathers,
-	// colocated row fields — are told from far random ones.
-	lines map[int]*lineRing
+	lines  Lines
 }
+
+// Lines remembers, per buffer key, the last few cache lines a counted run
+// touched (a tiny LRU), so hot-line accesses — repeated slots, sequential
+// gathers, colocated row fields — are told from far random ones. The device
+// models' hand-written loops count through it too, so both are priced alike.
+type Lines map[int]*lineRing
 
 // lineRing is an 8-entry ring of recently touched cache lines; it also
 // remembers the highest line so ascending streams are recognized.
@@ -993,42 +986,48 @@ func (w *worker) countAccess(in kernel.Instr, buf *Buffer) {
 		w.stats.SeqBytes += width
 		return
 	}
-	idx := w.ri[in.A]
 	if w.lines == nil {
-		w.lines = map[int]*lineRing{}
+		w.lines = Lines{}
 	}
 	// Mask bytes live apart from the data; track their lines separately.
-	ringKey := in.Buf
+	key := in.Buf
 	if in.Op == kernel.ILoadValid {
-		ringKey |= 1 << 24
+		key |= 1 << 24
 	}
-	r := w.lines[ringKey]
+	w.stats.CountAccess(w.lines, key, w.ri[in.A], int64(buf.Len())*width, width)
+}
+
+// CountAccess classifies one data-dependent access of width bytes to slot
+// idx of the buffer key (bufBytes in all), against the lines recently
+// touched, and counts it as near, stream or far random.
+func (fs *FragStats) CountAccess(lines Lines, key int, idx, bufBytes, width int64) {
+	r := lines[key]
 	if r == nil {
 		r = &lineRing{}
-		w.lines[ringKey] = r
+		lines[key] = r
 	}
 	switch r.touch(idx >> 3) {
 	case 0:
 		// A recently touched line: hot slots (predicated position-zero
 		// lookups) and row-wise colocated fields stay cache resident.
-		w.stats.NearAccesses++
+		fs.NearAccesses++
 		return
 	case 1:
 		// An ascending stream: the hardware prefetcher turns the miss
 		// into bandwidth (a cache line per stride for data, a byte per
 		// element for masks).
-		w.stats.SeqBytes += width * 8
-		w.stats.NearAccesses++
+		fs.SeqBytes += width * 8
+		fs.NearAccesses++
 		return
 	}
-	w.stats.RandAccesses++
-	if w.stats.RandByBuf == nil {
-		w.stats.RandByBuf = map[int]RandCount{}
+	fs.RandAccesses++
+	if fs.RandByBuf == nil {
+		fs.RandByBuf = map[int]RandCount{}
 	}
-	e := w.stats.RandByBuf[ringKey]
-	e.Bytes = int64(buf.Len()) * width
+	e := fs.RandByBuf[key]
+	e.Bytes = bufBytes
 	e.Count++
-	w.stats.RandByBuf[ringKey] = e
+	fs.RandByBuf[key] = e
 }
 
 func ibin(op kernel.BinOp, a, b int64) (int64, error) {

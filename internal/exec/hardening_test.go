@@ -89,13 +89,16 @@ func TestDeadlineLimitExpires(t *testing.T) {
 	})
 	n := 1 << 12
 	k := busyKernel(n, 1)
-	env, err := NewEnvLimited(k, Limits{Deadline: time.Now().Add(5 * time.Millisecond)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := NewEnv(k)
 	bindIn(t, k, env, n)
-	if err := Run(context.Background(), k, env, Par{Workers: 2}, nil); !errors.Is(err, context.DeadlineExceeded) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	before := exhaustedDeadline.Value()
+	if err := Run(ctx, k, env, Par{Workers: 2}, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if got := exhaustedDeadline.Value() - before; got != 1 {
+		t.Fatalf("deadline counted %d times, want 1", got)
 	}
 }
 

@@ -151,18 +151,13 @@ func (e *Engine) RunOpts() compile.RunOpts {
 
 // RunPrepared executes a prepared query under the engine's per-run
 // configuration (limits, pool, stats, sinks), with cooperative cancellation
-// and the resource governor: the context (and the Limits deadline, when
-// set) aborts execution at statement/fragment boundaries and inside
-// fragment loops, buffer allocations are charged against Limits.MaxBytes,
-// and panics below the engine surface as *exec.PanicError. The prepared
+// and the resource governor: the context (and its deadline) aborts
+// execution at statement/fragment boundaries and inside fragment loops,
+// buffer allocations are charged against Limits.MaxBytes, and panics below
+// the engine surface as *exec.PanicError. The prepared
 // plan itself is never mutated, so concurrent RunPrepared calls on one
 // Prepared are safe.
 func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, stats *exec.Stats, err error) {
-	if d := e.Limits.Deadline; !d.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, d)
-		defer cancel()
-	}
 	// The Enabled guard keeps the disabled-logging path allocation-free —
 	// RunPrepared sits on the daemon's steady-state hot path.
 	if lg := telemetry.LoggerFrom(ctx); lg.Enabled(ctx, slog.LevelDebug) {
@@ -180,10 +175,10 @@ func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, st
 		// A trace is recorded exactly when a sink wants one.
 		ires, ierr := interp.Run(ctx, pr.prog, e.Cat, interp.Opts{Pool: e.Pool, Trace: e.TraceSink != nil})
 		if ierr != nil {
-			// The compiling backends count governor-deadline aborts inside
-			// the plan runner; the interpreter has no governor of its own,
-			// so the engine accounts for it here.
-			exec.NoteDeadline(e.Limits, ierr)
+			// The compiling backends count deadline aborts inside the plan
+			// runner; the interpreter has no governor of its own, so the
+			// engine accounts for it here.
+			exec.NoteDeadline(ierr)
 			if lg := telemetry.LoggerFrom(ctx); lg.Enabled(ctx, slog.LevelWarn) {
 				lg.LogAttrs(ctx, slog.LevelWarn, "rel: interpreted run failed",
 					slog.String("query", pr.q.Name), slog.String("error", ierr.Error()))

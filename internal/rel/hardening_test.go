@@ -8,6 +8,7 @@ import (
 
 	"voodoo/internal/exec"
 	"voodoo/internal/faultinject"
+	"voodoo/internal/metrics"
 )
 
 func hardeningQuery() Query {
@@ -28,16 +29,24 @@ func TestEngineRunCancelled(t *testing.T) {
 	}
 }
 
+// TestEngineDeadlineLimit times a query out on every backend: each run fails
+// with the context's error and counts once as a deadline exhaustion.
 func TestEngineDeadlineLimit(t *testing.T) {
-	faultinject.With(t, faultinject.Hooks{
-		FragmentStart: func(frag string) { time.Sleep(5 * time.Millisecond) },
-	})
-	e := &Engine{Cat: testCatalog(), Backend: Compiled,
-		Limits: exec.Limits{Deadline: time.Now().Add(time.Millisecond)}}
-	// The deadline has passed before the first fragment boundary check.
-	time.Sleep(2 * time.Millisecond)
-	if _, _, err := e.Run(hardeningQuery()); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	deadlines := metrics.Default.CounterVec("voodoo_resource_exhausted_total", "", "kind").With("deadline")
+	for name, e := range engines(testCatalog()) {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		// The deadline has passed before the first boundary check.
+		time.Sleep(2 * time.Millisecond)
+		e.BaseContext = ctx
+		before := deadlines.Value()
+		_, _, err := e.Run(hardeningQuery())
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: err = %v, want context.DeadlineExceeded", name, err)
+		}
+		if got := deadlines.Value() - before; got != 1 {
+			t.Errorf("%s: deadline counted %d times, want 1", name, got)
+		}
 	}
 }
 

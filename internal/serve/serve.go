@@ -54,8 +54,8 @@ type Config struct {
 	// Opt configures the compiler. Every query runs on the compiled
 	// engine, whose fragments batch; the other engines are voodoo-run's.
 	Opt compile.Options
-	// Limits is the per-request resource governor template. Its Deadline
-	// field is ignored; Timeout below is applied per request instead.
+	// Limits is the per-request resource governor template; Timeout below
+	// bounds each request's wall clock.
 	Limits exec.Limits
 	// Timeout bounds each request's wall clock, queue wait included
 	// (0 = unlimited).
@@ -279,11 +279,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancelReq()
 	stopAfter := context.AfterFunc(s.baseCtx, cancelReq)
 	defer stopAfter()
-	var deadline time.Time
 	if s.cfg.Timeout > 0 {
-		deadline = rec.Arrived.Add(s.cfg.Timeout)
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
+		ctx, cancel = context.WithDeadline(ctx, rec.Arrived.Add(s.cfg.Timeout))
 		defer cancel()
 	}
 	if dl, ok := ctx.Deadline(); ok {
@@ -333,11 +331,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// concurrent SwapCatalog must never mix two catalogs in one query.
 	cat := s.cat.Load()
 
-	// The engine is per-request (it carries the request context, trace
-	// sink and deadline below) but shares the server-wide buffer pool, so
-	// working memory recycles across requests.
+	// The engine is per-request (it carries the request context and trace
+	// sink below) but shares the server-wide buffer pool, so working memory
+	// recycles across requests.
 	e := &rel.Engine{Cat: cat, Opt: s.cfg.Opt, Limits: s.cfg.Limits, Pool: s.pool}
-	e.Limits.Deadline = deadline
 
 	// Resolve the query kind first: prebuilt TPC-H queries never touch
 	// the SQL frontend, and SQL goes through the plan cache — a hit

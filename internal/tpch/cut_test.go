@@ -16,6 +16,7 @@ import (
 	"voodoo/internal/core"
 	"voodoo/internal/exec"
 	"voodoo/internal/faultinject"
+	"voodoo/internal/metrics"
 	"voodoo/internal/rel"
 	"voodoo/internal/storage"
 	"voodoo/internal/trace"
@@ -227,9 +228,10 @@ func TestBigFragmentsSplit(t *testing.T) {
 }
 
 // TestSplitQ1FailsLikeOneWorker: cancellation, an injected panic and a
-// governor deadline in the middle of Q1's grouped fold return the same typed
+// context deadline in the middle of Q1's grouped fold return the same typed
 // error whether the fragment runs as one range or split over two
-// participants, the run's arena goes back to the pool, and no job stays
+// participants, the deadline counts once as a resource exhaustion (the
+// others not at all), the run's arena goes back to the pool, and no job stays
 // published. The hooks leave every fragment on the batch tier a query runs
 // on: the failing fragment fails there, not on the interpreter.
 func TestSplitQ1FailsLikeOneWorker(t *testing.T) {
@@ -258,10 +260,13 @@ func TestSplitQ1FailsLikeOneWorker(t *testing.T) {
 			return errors.As(err, &pe) && pe.Fragment == frag
 		}},
 		{"deadline", func(e *rel.Engine) func() {
-			e.Limits = exec.Limits{Deadline: time.Now().Add(300 * time.Millisecond)}
+			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+			t.Cleanup(cancel)
+			e.BaseContext = ctx
 			return func() { time.Sleep(350 * time.Millisecond) }
 		}, "context.DeadlineExceeded", func(err error) bool { return errors.Is(err, context.DeadlineExceeded) }},
 	}
+	deadlines := metrics.Default.CounterVec("voodoo_resource_exhausted_total", "", "kind").With("deadline")
 	// The hooks are process-global: hold the hook-setting tests' lock.
 	faultinject.With(t, faultinject.Hooks{})
 	for _, f := range failures {
@@ -285,11 +290,19 @@ func TestSplitQ1FailsLikeOneWorker(t *testing.T) {
 				},
 			})
 			i0, b0, _ := fragmentPaths()
+			d0 := deadlines.Value()
 			_, _, err := qf(e)
 			faultinject.Clear()
 			i1, b1, _ := fragmentPaths()
 			if !f.is(err) {
 				t.Errorf("%s workers=%d: err = %v (%T), want %s", f.name, workers, err, err, f.want)
+			}
+			want := int64(0)
+			if f.name == "deadline" {
+				want = 1
+			}
+			if got := deadlines.Value() - d0; got != want {
+				t.Errorf("%s workers=%d: deadline counted %d times, want %d", f.name, workers, got, want)
 			}
 			if i1 != i0 || b1 == b0 {
 				t.Errorf("%s workers=%d: %d fragments interpreted, %d batched, want none and some", f.name, workers, i1-i0, b1-b0)

@@ -16,59 +16,58 @@ type Storage interface {
 }
 
 // colInfo is the static model of one attribute column: scalar kind and
-// whether every slot certainly holds a value. kindKnown=false means the
-// kind could not be derived; validity defaults to "maybe empty".
+// whether every slot certainly holds a value.
 type colInfo struct {
-	kind      vector.Kind
-	kindKnown bool
-	allValid  bool
+	kind     vector.Kind
+	allValid bool
 }
 
-// vecInfo is the static model of one statement's vector value: its length
-// and attribute schema. known=false poisons every derived property so one
-// unknown never cascades into unsound diagnostics downstream.
-type vecInfo struct {
-	known bool
-	n     int
-	names []string
+// Value is the static model of one statement's vector value: its length N
+// and its attribute Names in the interpreter's order, each with a Kind. It
+// is exact: a statement the interpreter evaluates has this length and these
+// attributes. Known=false poisons every derived property so one unknown
+// never cascades into unsound diagnostics downstream.
+type Value struct {
+	Known bool
+	N     int
+	Names []string
 	cols  map[string]colInfo
 }
 
-var unknownVec = vecInfo{}
+// Kind returns attribute name's scalar kind.
+func (v Value) Kind(name string) vector.Kind { return v.cols[name].kind }
 
-func knownCol(kind vector.Kind, allValid bool) colInfo {
-	return colInfo{kind: kind, kindKnown: true, allValid: allValid}
+var unknownVec = Value{}
+
+func newVec(n int) Value {
+	return Value{Known: true, N: n, cols: map[string]colInfo{}}
 }
 
-func newVec(n int) vecInfo {
-	return vecInfo{known: true, n: n, cols: map[string]colInfo{}}
-}
-
-func (v *vecInfo) set(name string, c colInfo) {
+func (v *Value) set(name string, c colInfo) {
 	if _, ok := v.cols[name]; !ok {
-		v.names = append(v.names, name)
+		v.Names = append(v.Names, name)
 	}
 	v.cols[name] = c
 }
 
 // fromVector models a concrete stored vector.
-func fromVector(v *vector.Vector) vecInfo {
+func fromVector(v *vector.Vector) Value {
 	out := newVec(v.Len())
 	for _, name := range v.Names() {
 		c := v.Col(name)
-		out.set(name, knownCol(c.Kind(), c.AllValid()))
+		out.set(name, colInfo{kind: c.Kind(), allValid: c.AllValid()})
 	}
 	return out
 }
 
 // subtree mirrors vector.Subtree: the exact attribute, or every attribute
 // under the "kp." prefix with relative names.
-func (v *vecInfo) subtree(kp string) (rel []string, cols []colInfo, ok bool) {
+func (v *Value) subtree(kp string) (rel []string, cols []colInfo, ok bool) {
 	if c, exists := v.cols[kp]; exists {
 		return []string{""}, []colInfo{c}, true
 	}
 	prefix := kp + "."
-	for _, n := range v.names {
+	for _, n := range v.Names {
 		if strings.HasPrefix(n, prefix) {
 			rel = append(rel, n[len(prefix):])
 			cols = append(cols, v.cols[n])
@@ -82,8 +81,8 @@ func (v *vecInfo) subtree(kp string) (rel []string, cols []colInfo, ok bool) {
 // wrote.
 type pv struct {
 	st        Storage
-	vals      []vecInfo
-	persisted map[string]vecInfo
+	vals      []Value
+	persisted map[string]Value
 	diags     []Diagnostic
 }
 
@@ -91,7 +90,15 @@ type pv struct {
 // schemas (nil disables storage-dependent checks). Every Error-level
 // diagnostic is sound: the reference interpreter rejects the program.
 func Program(p *core.Program, st Storage) []Diagnostic {
-	v := &pv{st: st, vals: make([]vecInfo, len(p.Stmts)), persisted: map[string]vecInfo{}}
+	_, diags := Derive(p, st)
+	return diags
+}
+
+// Derive computes the static model of every statement of p, indexed by
+// statement id, along with Program's diagnostics. The compiler declares
+// its bulk steps' output buffers from it.
+func Derive(p *core.Program, st Storage) ([]Value, []Diagnostic) {
+	v := &pv{st: st, vals: make([]Value, len(p.Stmts)), persisted: map[string]Value{}}
 	for i := range p.Stmts {
 		s := &p.Stmts[i]
 		if !v.structural(i, s) {
@@ -100,7 +107,7 @@ func Program(p *core.Program, st Storage) []Diagnostic {
 		}
 		v.vals[i] = v.derive(i, s)
 	}
-	return v.diags
+	return v.vals, v.diags
 }
 
 func (v *pv) errorf(id int, rule, format string, args ...any) {
@@ -194,42 +201,42 @@ func (v *pv) structural(i int, s *core.Stmt) bool {
 // resolution that certainly fails at run time is diagnosed.
 func (v *pv) col(i int, s *core.Stmt, arg int) (colInfo, bool) {
 	src := v.vals[s.Args[arg]]
-	if !src.known {
+	if !src.Known {
 		return colInfo{}, false
 	}
 	kp := s.Kp[arg]
 	if kp == "" {
-		if len(src.names) != 1 {
+		if len(src.Names) != 1 {
 			v.errorf(i, RuleSingleAttr,
-				"%s: operand %d needs a single attribute, has %v", s.Op, arg, src.names)
+				"%s: operand %d needs a single attribute, has %v", s.Op, arg, src.Names)
 			return colInfo{}, false
 		}
-		return src.cols[src.names[0]], true
+		return src.cols[src.Names[0]], true
 	}
 	c, ok := src.cols[kp]
 	if !ok {
 		v.errorf(i, RuleUnknownAttr,
-			"%s: operand %d has no attribute %q (have %v)", s.Op, arg, kp, src.names)
+			"%s: operand %d has no attribute %q (have %v)", s.Op, arg, kp, src.Names)
 		return colInfo{}, false
 	}
 	return c, true
 }
 
 // copySubtree mirrors interp's copySubtree into the model.
-func (v *pv) copySubtree(dst *vecInfo, out string, src vecInfo, kp string, i int, s *core.Stmt) {
+func (v *pv) copySubtree(dst *Value, out string, src Value, kp string, i int, s *core.Stmt) {
 	if kp == "" {
-		if len(src.names) == 1 {
-			dst.set(out, src.cols[src.names[0]])
+		if len(src.Names) == 1 {
+			dst.set(out, src.cols[src.Names[0]])
 			return
 		}
-		for _, name := range src.names {
+		for _, name := range src.Names {
 			dst.set(out+"."+name, src.cols[name])
 		}
 		return
 	}
 	rel, cols, ok := src.subtree(kp)
 	if !ok {
-		v.errorf(i, RuleUnknownAttr, "%s: no attribute %q (have %v)", s.Op, kp, src.names)
+		v.errorf(i, RuleUnknownAttr, "%s: no attribute %q (have %v)", s.Op, kp, src.Names)
 		return
 	}
 	for j, r := range rel {
@@ -246,7 +253,7 @@ func (v *pv) copySubtree(dst *vecInfo, out string, src vecInfo, kp string, i int
 // behind a Valid(i) check, in which case only a certainly-valid column is
 // a certain failure.
 func (v *pv) intIndexed(i int, s *core.Stmt, c colInfo, n int, guarded bool, what string) {
-	if !c.kindKnown || c.kind != vector.Float || n <= 0 {
+	if c.kind != vector.Float || n <= 0 {
 		return
 	}
 	if guarded && !c.allValid {
@@ -257,8 +264,8 @@ func (v *pv) intIndexed(i int, s *core.Stmt, c colInfo, n int, guarded bool, wha
 
 // derive computes statement i's value model, mirroring evaluator.eval and
 // diagnosing every failure the interpreter is certain to hit.
-func (v *pv) derive(i int, s *core.Stmt) vecInfo {
-	arg := func(j int) vecInfo { return v.vals[s.Args[j]] }
+func (v *pv) derive(i int, s *core.Stmt) Value {
+	arg := func(j int) Value { return v.vals[s.Args[j]] }
 	switch s.Op {
 	case core.OpLoad:
 		if info, ok := v.persisted[s.Name]; ok {
@@ -282,63 +289,63 @@ func (v *pv) derive(i int, s *core.Stmt) vecInfo {
 		if s.IsFloat {
 			kind = vector.Float
 		}
-		out.set(s.Out[0], knownCol(kind, true))
+		out.set(s.Out[0], colInfo{kind: kind, allValid: true})
 		return out
 	case core.OpRange:
 		n := s.Size
 		if len(s.Args) == 1 {
-			if !arg(0).known {
+			if !arg(0).Known {
 				return unknownVec
 			}
-			n = arg(0).n
+			n = arg(0).N
 		}
 		out := newVec(n)
-		out.set(s.Out[0], knownCol(vector.Int, true))
+		out.set(s.Out[0], colInfo{kind: vector.Int, allValid: true})
 		return out
 	case core.OpCross:
-		if !arg(0).known || !arg(1).known {
+		if !arg(0).Known || !arg(1).Known {
 			return unknownVec
 		}
-		out := newVec(arg(0).n * arg(1).n)
-		out.set(s.Out[0], knownCol(vector.Int, true))
-		out.set(s.Out[1], knownCol(vector.Int, true))
+		out := newVec(arg(0).N * arg(1).N)
+		out.set(s.Out[0], colInfo{kind: vector.Int, allValid: true})
+		out.set(s.Out[1], colInfo{kind: vector.Int, allValid: true})
 		return out
 	case core.OpZip:
 		v1, v2 := arg(0), arg(1)
-		if !v1.known || !v2.known {
+		if !v1.Known || !v2.Known {
 			return unknownVec
 		}
-		out := newVec(min(v1.n, v2.n))
+		out := newVec(min(v1.N, v2.N))
 		v.copySubtree(&out, s.Out[0], v1, s.Kp[0], i, s)
 		v.copySubtree(&out, s.Out[1], v2, s.Kp[1], i, s)
 		return out
 	case core.OpProject:
-		if !arg(0).known {
+		if !arg(0).Known {
 			return unknownVec
 		}
-		out := newVec(arg(0).n)
+		out := newVec(arg(0).N)
 		v.copySubtree(&out, s.Out[0], arg(0), s.Kp[0], i, s)
 		return out
 	case core.OpUpsert:
 		v1 := arg(0)
 		src, ok := v.col(i, s, 1)
-		if !v1.known || !ok {
+		if !v1.Known || !ok {
 			return unknownVec
 		}
-		srcN := arg(1).n
-		out := newVec(v1.n)
-		for _, name := range v1.names {
+		srcN := arg(1).N
+		out := newVec(v1.N)
+		for _, name := range v1.Names {
 			out.set(name, v1.cols[name])
 		}
 		switch {
-		case srcN == v1.n:
+		case srcN == v1.N:
 			out.set(s.Out[0], src)
 		case srcN == 1:
 			// One-slot broadcast; both broadcast paths yield dense columns.
-			out.set(s.Out[0], colInfo{kind: src.kind, kindKnown: src.kindKnown, allValid: true})
+			out.set(s.Out[0], colInfo{kind: src.kind, allValid: true})
 		default:
 			v.errorf(i, RuleUpsertLen,
-				"Upsert: attribute length %d does not match vector length %d", srcN, v1.n)
+				"Upsert: attribute length %d does not match vector length %d", srcN, v1.N)
 			return unknownVec
 		}
 		return out
@@ -346,38 +353,38 @@ func (v *pv) derive(i int, s *core.Stmt) vecInfo {
 		v1 := arg(0)
 		pos, ok := v.col(i, s, 1)
 		if ok {
-			v.intIndexed(i, s, pos, arg(1).n, true, "position attribute")
+			v.intIndexed(i, s, pos, arg(1).N, true, "position attribute")
 		}
-		if !v1.known || !arg(1).known {
+		if !v1.Known || !arg(1).Known {
 			return unknownVec
 		}
-		out := newVec(arg(1).n)
-		for _, name := range v1.names {
+		out := newVec(arg(1).N)
+		for _, name := range v1.Names {
 			c := v1.cols[name]
 			// Out-of-bounds and ε positions produce empty slots.
-			out.set(name, colInfo{kind: c.kind, kindKnown: c.kindKnown})
+			out.set(name, colInfo{kind: c.kind})
 		}
 		return out
 	case core.OpScatter:
 		v1 := arg(0)
 		pos, ok := v.col(i, s, 2)
-		if ok && v1.known {
-			srcValid := len(v1.names) > 0
-			for _, name := range v1.names {
+		if ok && v1.Known {
+			srcValid := len(v1.Names) > 0
+			for _, name := range v1.Names {
 				srcValid = srcValid && v1.cols[name].allValid
 			}
-			v.intIndexed(i, s, pos, v1.n, !srcValid || !pos.allValid, "position attribute")
+			v.intIndexed(i, s, pos, v1.N, !srcValid || !pos.allValid, "position attribute")
 		}
-		if v1.known && arg(2).known && arg(2).n < v1.n {
-			v.errorf(i, RuleScatterLen, "Scatter: %d positions for %d values", arg(2).n, v1.n)
+		if v1.Known && arg(2).Known && arg(2).N < v1.N {
+			v.errorf(i, RuleScatterLen, "Scatter: %d positions for %d values", arg(2).N, v1.N)
 		}
-		if !v1.known || !arg(1).known {
+		if !v1.Known || !arg(1).Known {
 			return unknownVec
 		}
-		out := newVec(arg(1).n)
-		for _, name := range v1.names {
+		out := newVec(arg(1).N)
+		for _, name := range v1.Names {
 			c := v1.cols[name]
-			out.set(name, colInfo{kind: c.kind, kindKnown: c.kindKnown})
+			out.set(name, colInfo{kind: c.kind})
 		}
 		return out
 	case core.OpMaterialize, core.OpBreak:
@@ -385,17 +392,17 @@ func (v *pv) derive(i int, s *core.Stmt) vecInfo {
 	case core.OpPartition:
 		vals, okV := v.col(i, s, 0)
 		pivots, okP := v.col(i, s, 1)
-		if okV && arg(0).known {
-			v.intIndexed(i, s, vals, arg(0).n, false, "value attribute")
+		if okV && arg(0).Known {
+			v.intIndexed(i, s, vals, arg(0).N, false, "value attribute")
 		}
-		if okP && arg(1).known {
-			v.intIndexed(i, s, pivots, arg(1).n, false, "pivot attribute")
+		if okP && arg(1).Known {
+			v.intIndexed(i, s, pivots, arg(1).N, false, "pivot attribute")
 		}
-		if !arg(0).known {
+		if !arg(0).Known {
 			return unknownVec
 		}
-		out := newVec(arg(0).n)
-		out.set(s.Out[0], knownCol(vector.Int, true))
+		out := newVec(arg(0).N)
+		out.set(s.Out[0], colInfo{kind: vector.Int, allValid: true})
 		return out
 	case core.OpFoldSelect, core.OpFoldSum, core.OpFoldMin, core.OpFoldMax, core.OpFoldScan:
 		return v.deriveFold(i, s)
@@ -410,25 +417,25 @@ func (v *pv) derive(i int, s *core.Stmt) vecInfo {
 	}
 }
 
-func (v *pv) deriveFold(i int, s *core.Stmt) vecInfo {
+func (v *pv) deriveFold(i int, s *core.Stmt) Value {
 	src := v.vals[s.Args[0]]
-	if !src.known {
+	if !src.Known {
 		return unknownVec
 	}
 	var val colInfo
 	if s.FoldVal == "" {
-		if len(src.names) != 1 {
+		if len(src.Names) != 1 {
 			v.errorf(i, RuleSingleAttr,
-				"%s: needs a single value attribute, has %v", s.Op, src.names)
+				"%s: needs a single value attribute, has %v", s.Op, src.Names)
 			return unknownVec
 		}
-		val = src.cols[src.names[0]]
+		val = src.cols[src.Names[0]]
 	} else {
 		var ok bool
 		val, ok = src.cols[s.FoldVal]
 		if !ok {
 			v.errorf(i, RuleFoldValue,
-				"%s: no value attribute %q (have %v)", s.Op, s.FoldVal, src.names)
+				"%s: no value attribute %q (have %v)", s.Op, s.FoldVal, src.Names)
 			return unknownVec
 		}
 	}
@@ -436,48 +443,45 @@ func (v *pv) deriveFold(i int, s *core.Stmt) vecInfo {
 		ctrl, ok := src.cols[kp]
 		if !ok {
 			v.errorf(i, RuleUnknownAttr,
-				"%s: no fold attribute %q (have %v)", s.Op, kp, src.names)
-		} else if src.n >= 2 {
+				"%s: no fold attribute %q (have %v)", s.Op, kp, src.Names)
+		} else if src.N >= 2 {
 			// Run decomposition reads the control attribute through Int()
 			// without a validity guard.
-			v.intIndexed(i, s, ctrl, src.n, false, "fold control attribute")
+			v.intIndexed(i, s, ctrl, src.N, false, "fold control attribute")
 		}
 	}
 	if s.Op == core.OpFoldSelect {
 		// The selection predicate is read through Int() behind Valid().
-		v.intIndexed(i, s, val, src.n, true, "selection attribute")
+		v.intIndexed(i, s, val, src.N, true, "selection attribute")
 	}
-	out := newVec(src.n)
+	out := newVec(src.N)
 	kind := val.kind
-	known := val.kindKnown
 	if s.Op == core.OpFoldSelect {
-		kind, known = vector.Int, true
+		kind = vector.Int
 	}
 	// Fold outputs are run-aligned and ε-padded: never certainly dense.
-	out.set(s.Out[0], colInfo{kind: kind, kindKnown: known})
+	out.set(s.Out[0], colInfo{kind: kind})
 	return out
 }
 
-func (v *pv) deriveArith(i int, s *core.Stmt) vecInfo {
+func (v *pv) deriveArith(i int, s *core.Stmt) Value {
 	a, okA := v.col(i, s, 0)
 	b, okB := v.col(i, s, 1)
 	if !okA || !okB {
 		return unknownVec
 	}
-	if a.kindKnown && b.kindKnown {
-		isFloat := a.kind == vector.Float || b.kind == vector.Float
-		switch s.Op {
-		case core.OpModulo, core.OpBitShift, core.OpLogicalAnd, core.OpLogicalOr:
-			if isFloat {
-				v.errorf(i, RuleIntOpFloat, "%s: requires integer operands", s.Op)
-				return unknownVec
-			}
+	isFloat := a.kind == vector.Float || b.kind == vector.Float
+	switch s.Op {
+	case core.OpModulo, core.OpBitShift, core.OpLogicalAnd, core.OpLogicalOr:
+		if isFloat {
+			v.errorf(i, RuleIntOpFloat, "%s: requires integer operands", s.Op)
+			return unknownVec
 		}
 	}
-	if !v.vals[s.Args[0]].known || !v.vals[s.Args[1]].known {
+	if !v.vals[s.Args[0]].Known || !v.vals[s.Args[1]].Known {
 		return unknownVec
 	}
-	n1, n2 := v.vals[s.Args[0]].n, v.vals[s.Args[1]].n
+	n1, n2 := v.vals[s.Args[0]].N, v.vals[s.Args[1]].N
 	n := min(n1, n2)
 	if n1 == 1 {
 		n = n2
@@ -485,15 +489,10 @@ func (v *pv) deriveArith(i int, s *core.Stmt) vecInfo {
 		n = n1
 	}
 	out := newVec(n)
-	if !a.kindKnown || !b.kindKnown {
-		out.set(s.Out[0], colInfo{allValid: false})
-		return out
-	}
-	isFloat := a.kind == vector.Float || b.kind == vector.Float
 	kind := vector.Int
 	if isFloat && !(s.Op == core.OpGreater || s.Op == core.OpEquals) {
 		kind = vector.Float
 	}
-	out.set(s.Out[0], knownCol(kind, a.allValid && b.allValid))
+	out.set(s.Out[0], colInfo{kind: kind, allValid: a.allValid && b.allValid})
 	return out
 }
