@@ -1,7 +1,6 @@
 package compile
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -50,9 +49,13 @@ func (c *compiler) plainify(d *desc) *desc {
 	out := d
 	switch {
 	case d.sel != nil:
-		out = c.spillSel(d.sel)
+		si := d.sel
+		out = c.spillFilt(si, []attr{{name: si.outName, ex: thePos}}, "sel", "select",
+			[]int{si.stmt}, func(string) string { return "selpos" })
 	case d.filt != nil:
-		out = c.spillFilt(d.filt)
+		fi := d.filt
+		out = c.spillFilt(fi.sel, fi.attrs, "filt", "filter", []int{fi.sel.stmt, fi.stmt},
+			func(name string) string { return "filt." + name })
 	case d.gpend != nil:
 		out = c.materializeGrouped(d.gpend)
 	case d.layout == layoutScattered:
@@ -172,35 +175,42 @@ func (c *compiler) bufferizeWithCtrl(d *desc, ctrl foldCtrl) *desc {
 	return out
 }
 
-// spillSel materializes a pending FoldSelect into a padded positions buffer
-// (positions aligned to run starts, ε beyond each run's count), honoring the
-// predication option.
-func (c *compiler) spillSel(si *selInfo) *desc {
+// spillFilt materializes a pending selection: the paper's Figure 1
+// selection, writing each attribute — an expression over the selected
+// position, thePos — at the run-aligned slots the selection fills (ε beyond
+// each run's count), branching or predicated. A pending FoldSelect is the
+// one-attribute case whose attribute is the position itself; a
+// gather-through-select writes the selected values. name prefixes the
+// fragment, kind and stmts are its provenance, and bufName names each
+// attribute's output buffer.
+func (c *compiler) spillFilt(si *selInfo, attrs []attr, name, kind string, stmts []int, bufName func(attr string) string) *desc {
 	ctrl := si.ctrl
 	if ctrl.global {
 		ctrl.runLen = si.srcN
 	}
 	numRuns := ctrl.numRuns(si.srcN)
-	posBuf := c.addBuf("selpos", vector.Int, si.srcN, true, false)
-	out := &desc{n: si.srcN, attrs: []attr{{
-		name:    si.outName,
-		ex:      &eLoad{buf: posBuf, k: vector.Int, idx: theIdx},
-		validEx: &eLoadValid{buf: posBuf, idx: theIdx},
-	}}}
 	if c.pruneEmpty(si.pred) {
-		// Zone maps prove the predicate never passes: the positions buffer
-		// stays zeroed with all-false validity — bit-identical to running
-		// the selection — and the fragment is never emitted.
+		// Zone maps prove the selection never passes: every filtered
+		// column arrives zeroed and all-invalid, exactly as the fragment
+		// would leave it, so only the plan-time step record remains.
+		out := &desc{n: si.srcN}
+		var outBufs []int
+		for _, a := range attrs {
+			buf := c.addBuf(bufName(a.name), a.kind(), si.srcN, true, false)
+			outBufs = append(outBufs, buf)
+			out.attrs = append(out.attrs, attr{name: a.name,
+				ex:      &eLoad{buf: buf, k: a.kind(), idx: theIdx},
+				validEx: &eLoadValid{buf: buf, idx: theIdx}})
+		}
 		c.plan.steps = append(c.plan.steps, &prunedStep{
-			name: fmt.Sprintf("sel_%d", len(c.kern.Frags)), stmts: []int{si.stmt},
-			outBufs: []int{posBuf}})
+			name: fmt.Sprintf("%s_%d", name, len(c.kern.Frags)), stmts: stmts,
+			outBufs: outBufs})
 		return out
 	}
 	f := &kernel.Fragment{
-		Name:   fmt.Sprintf("sel_%d", len(c.kern.Frags)),
+		Name:   fmt.Sprintf("%s_%d", name, len(c.kern.Frags)),
 		Extent: numRuns, Intent: ctrl.runLen, N: si.srcN,
-		Prov: kernel.Prov{Kind: "select", Stmts: []int{si.stmt},
-			Predicated: c.opt.Predication},
+		Prov: kernel.Prov{Kind: kind, Stmts: stmts, Predicated: c.opt.Predication},
 	}
 	var body []kernel.Instr
 	em := newEmitter(&body)
@@ -210,64 +220,7 @@ func (c *compiler) spillSel(si *selInfo) *desc {
 	base := em.emit(binExpr(kernel.BMul, &eGID{}, constI(int64(ctrl.runLen))))
 	addr := em.alloc()
 	em.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: addr, A: base, B: cursor})
-	if c.opt.Predication {
-		// Unconditional write; validity = predicate; cursor advances by
-		// the predicate. Slots beyond the final cursor end up invalid.
-		em.push(kernel.Instr{Op: kernel.IStore, Buf: posBuf, A: addr, B: kernel.RegIdx, C: pred})
-		em.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: cursor, A: cursor, B: pred})
-	} else {
-		em.push(kernel.Instr{Op: kernel.IGuard, A: pred})
-		em.push(kernel.Instr{Op: kernel.IStore, Buf: posBuf, A: addr, B: kernel.RegIdx})
-		one := em.emit(constI(1))
-		em.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: cursor, A: cursor, B: one})
-	}
-	f.Loops = []kernel.Loop{{Body: body}}
-	c.addFrag(f)
-	return out
-}
-
-// spillFilt materializes a gather-through-select: the paper's Figure 1
-// selection, writing the selected values themselves (branching or
-// predicated).
-func (c *compiler) spillFilt(fi *filtInfo) *desc {
-	ctrl := fi.sel.ctrl
-	if ctrl.global {
-		ctrl.runLen = fi.sel.srcN
-	}
-	numRuns := ctrl.numRuns(fi.sel.srcN)
-	if c.pruneEmpty(fi.sel.pred) {
-		// Zone maps prove the selection never passes: every filtered
-		// column arrives zeroed and all-invalid, exactly as the fragment
-		// would leave it, so only the plan-time step record remains.
-		out := &desc{n: fi.sel.srcN}
-		var outBufs []int
-		for _, a := range fi.attrs {
-			buf := c.addBuf("filt."+a.name, a.kind(), fi.sel.srcN, true, false)
-			outBufs = append(outBufs, buf)
-			out.attrs = append(out.attrs, attr{name: a.name,
-				ex:      &eLoad{buf: buf, k: a.kind(), idx: theIdx},
-				validEx: &eLoadValid{buf: buf, idx: theIdx}})
-		}
-		c.plan.steps = append(c.plan.steps, &prunedStep{
-			name: fmt.Sprintf("filt_%d", len(c.kern.Frags)), stmts: []int{fi.sel.stmt, fi.stmt},
-			outBufs: outBufs})
-		return out
-	}
-	f := &kernel.Fragment{
-		Name:   fmt.Sprintf("filt_%d", len(c.kern.Frags)),
-		Extent: numRuns, Intent: ctrl.runLen, N: fi.sel.srcN,
-		Prov: kernel.Prov{Kind: "filter", Stmts: []int{fi.sel.stmt, fi.stmt},
-			Predicated: c.opt.Predication},
-	}
-	var body []kernel.Instr
-	em := newEmitter(&body)
-	cursor := em.alloc()
-	f.Pre = []kernel.Instr{{Op: kernel.IConstI, Dst: cursor, Imm: 0}}
-	pred := em.emit(fi.sel.pred)
-	base := em.emit(binExpr(kernel.BMul, &eGID{}, constI(int64(ctrl.runLen))))
-	addr := em.alloc()
-	em.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: addr, A: base, B: cursor})
-	out := &desc{n: fi.sel.srcN}
+	out := &desc{n: si.srcN}
 	if !c.opt.Predication {
 		em.push(kernel.Instr{Op: kernel.IGuard, A: pred})
 	}
@@ -276,8 +229,8 @@ func (c *compiler) spillFilt(fi *filtInfo) *desc {
 	// selection writes, whichever column it is: all such columns share the
 	// validity of the first, so consumers test it once.
 	var written *eLoadValid
-	for _, a := range fi.attrs {
-		buf := c.addBuf("filt."+a.name, a.kind(), fi.sel.srcN, true, false)
+	for _, a := range attrs {
+		buf := c.addBuf(bufName(a.name), a.kind(), si.srcN, true, false)
 		valid := &eLoadValid{buf: buf, idx: theIdx}
 		if a.validEx == nil {
 			if written == nil {
@@ -290,6 +243,9 @@ func (c *compiler) spillFilt(fi *filtInfo) *desc {
 		st := kernel.Instr{Op: kernel.IStore, Buf: buf, A: addr, B: v,
 			Float: a.kind() == vector.Float}
 		if c.opt.Predication {
+			// Unconditional write; validity = predicate; the cursor
+			// advances by the predicate, so slots beyond the final cursor
+			// end up invalid.
 			cond := pred
 			if a.validEx != nil {
 				av := em.emit(a.validEx)
@@ -537,37 +493,6 @@ func (c *compiler) scatterFragment(src *desc, pos attr, n2 int, parallel bool) *
 	return out
 }
 
-// miniInterp evaluates one operator with interpreter semantics over
-// in-memory vectors. The arena, when non-nil, is the surrounding plan
-// run's: the mini-program's output is adopted into kernel buffers, so its
-// storage must live exactly as long as the run.
-func miniInterp(op core.Op, kp []string, outNames []string, stmtTmpl *core.Stmt, ar *vector.Arena, args ...*vector.Vector) (*vector.Vector, error) {
-	var p core.Program
-	st := interp.MemStorage{}
-	refs := make([]core.Ref, len(args))
-	for i, a := range args {
-		name := fmt.Sprintf("$%d", i)
-		st[name] = a
-		refs[i] = p.Add(core.Stmt{Op: core.OpLoad, Name: name})
-	}
-	s := core.Stmt{Op: op, Args: refs, Kp: kp, Out: outNames}
-	if stmtTmpl != nil {
-		s = *stmtTmpl
-		s.Args = refs
-	}
-	target := p.Add(s)
-	if ar == nil {
-		// An unpooled plan run has no arena; the zero Arena allocates from
-		// the heap and still marks this as a nested evaluation, not a query.
-		ar = new(vector.Arena)
-	}
-	res, err := interp.Run(context.Background(), &p, st, interp.Opts{Arena: ar})
-	if err != nil {
-		return nil, err
-	}
-	return res.Value(target), nil
-}
-
 // bulkStats synthesizes the cost profile of a bulk (fully materializing)
 // step: every input is read and the output written through memory, which is
 // exactly the bulk-processing cost the paper attributes to Ocelot.
@@ -626,7 +551,7 @@ func (c *compiler) bulk(s *core.Stmt) *desc {
 			ex:      &eLoad{buf: buf, k: k, idx: theIdx},
 			validEx: &eLoadValid{buf: buf, idx: theIdx}})
 	}
-	tmpl := *s
+	stmt := *s
 	random := s.Op == core.OpGather || s.Op == core.OpScatter || s.Op == core.OpPartition
 	c.plan.steps = append(c.plan.steps, &bulkStep{
 		name:    s.Op.String(),
@@ -635,7 +560,9 @@ func (c *compiler) bulk(s *core.Stmt) *desc {
 		outBufs: outBufs,
 		attrs:   m.Names,
 		evalFn: func(args []*vector.Vector, ar *vector.Arena) (*vector.Vector, error) {
-			return miniInterp(s.Op, nil, nil, &tmpl, ar, args...)
+			// The output is adopted into kernel buffers: its storage is the
+			// run's arena and lives exactly as long as the run.
+			return interp.Eval(stmt, args, ar)
 		},
 		statsFn: bulkStats(s.Op.String(), random),
 	})

@@ -138,12 +138,7 @@ type fragStep struct {
 func (s *fragStep) run(rt *runtime) error {
 	var fs *exec.FragStats
 	if rt.stats != nil {
-		si, sf := s.f.StaticBodyOps()
-		rt.stats.Frags = append(rt.stats.Frags, exec.FragStats{
-			Name: s.f.Name, Extent: s.f.Extent, Intent: s.f.Intent,
-			Sequential: s.f.Sequential(), LocalBytes: int64(s.f.Locals) * 8,
-			StaticIntOps: si, StaticFloatOps: sf,
-		})
+		rt.stats.Frags = append(rt.stats.Frags, exec.FragStats{})
 		fs = &rt.stats.Frags[len(rt.stats.Frags)-1]
 	}
 	return exec.RunFragment(rt.ctx, s.f, rt.env, rt.par, fs, rt.count)
@@ -152,7 +147,7 @@ func (s *fragStep) run(rt *runtime) error {
 func (s *fragStep) stepName() string { return "fragment " + s.f.Name }
 
 // bulkStep evaluates one statement with interpreter semantics: inputs are
-// converted to vectors, the mini-program runs, and output columns are bound
+// converted to vectors, the statement is evaluated, and output columns are bound
 // to pre-declared buffers. Bulk steps are the compiler's semantic safety
 // net and the execution model of the Ocelot baseline.
 type bulkStep struct {

@@ -429,12 +429,7 @@ func Run(ctx context.Context, k *kernel.Kernel, env *Env, par Par, st *Stats) er
 	for _, f := range k.Frags {
 		var fs *FragStats
 		if st != nil {
-			si, sf := f.StaticBodyOps()
-			st.Frags = append(st.Frags, FragStats{
-				Name: f.Name, Extent: f.Extent, Intent: f.Intent,
-				Sequential: f.Sequential(), LocalBytes: int64(f.Locals) * 8,
-				StaticIntOps: si, StaticFloatOps: sf,
-			})
+			st.Frags = append(st.Frags, FragStats{})
 			fs = &st.Frags[len(st.Frags)-1]
 		}
 		if err := RunFragment(ctx, f, env, par, fs, fs != nil); err != nil {
@@ -456,9 +451,11 @@ func Run(ctx context.Context, k *kernel.Kernel, env *Env, par Par, st *Stats) er
 	return nil
 }
 
-// RunFragment executes a single fragment against env. A non-nil fs
-// receives the cheap record (wall, workers, morsels, path and reason, items,
-// store bytes), which does not influence the execution path; count
+// RunFragment executes a single fragment against env. A non-nil fs is
+// overwritten with the fragment's record: its static shape (name, extent,
+// intent, sequential, local bytes, static ALU counts) and the cheap run
+// record (wall, workers, morsels, path, items, store bytes), neither of
+// which influences the execution path; count
 // additionally collects the device-model event counters into fs and
 // therefore interprets. Used by Run and by the compiled plans, which
 // interleave fragments with bulk steps. A panic in a worker goroutine is
@@ -471,6 +468,14 @@ func Run(ctx context.Context, k *kernel.Kernel, env *Env, par Par, st *Stats) er
 // fragment contract is refused with a *ContractError on every path before
 // anything of it runs.
 func RunFragment(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs *FragStats, count bool) error {
+	if fs != nil {
+		si, sf := f.StaticBodyOps()
+		*fs = FragStats{
+			Name: f.Name, Extent: f.Extent, Intent: f.Intent,
+			Sequential: f.Sequential(), LocalBytes: int64(f.Locals) * 8,
+			StaticIntOps: si, StaticFloatOps: sf,
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -88,13 +88,6 @@ type Opts struct {
 	// Result.Release once done with the values (on error it is released
 	// before returning).
 	Pool *vector.Pool
-	// Arena, when set, is a caller-owned arena backing every intermediate
-	// instead: the result's vectors alias it and live exactly until the
-	// caller releases it. Such a run is a nested evaluation inside a
-	// surrounding plan run — the compiling backend's bulk steps, whose
-	// outputs are adopted into kernel buffers — and is not counted as a
-	// query of its own.
-	Arena *vector.Arena
 	// Trace records one step per statement — wall time, output length,
 	// materialized bytes: the bulk-processing profile the compiling
 	// backend's fused fragments are measured against — into Result.Trace,
@@ -113,17 +106,14 @@ func Run(ctx context.Context, p *core.Program, st Storage, o Opts) (res *Result,
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	ar, nested := o.Arena, o.Arena != nil
-	if !nested {
-		ar = o.Pool.NewArena()
-		// Registered first so it sees the final error, the verifier
-		// cross-check's included.
-		defer func() {
-			if err != nil {
-				ar.Release()
-			}
-		}()
-	}
+	ar := o.Pool.NewArena()
+	// Registered first so it sees the final error, the verifier
+	// cross-check's included.
+	defer func() {
+		if err != nil {
+			ar.Release()
+		}
+	}()
 	// Verification cross-check (difftest's front line, and the -verify
 	// daemon path): algebra-level Error diagnostics are sound — the
 	// interpreter is guaranteed to reject such a program — so the program
@@ -145,9 +135,7 @@ func Run(ctx context.Context, p *core.Program, st Storage, o Opts) (res *Result,
 		}
 	}()
 	start := time.Now()
-	if !nested {
-		defer func() { trace.CountQuery(time.Since(start)) }()
-	}
+	defer func() { trace.CountQuery(time.Since(start)) }()
 	var tr *trace.Trace
 	if o.Trace {
 		tr = &trace.Trace{Backend: "interpreted", OnStep: trace.ObserverFrom(ctx)}
@@ -183,11 +171,32 @@ func Run(ctx context.Context, p *core.Program, st Storage, o Opts) (res *Result,
 		tr.AllocBytes = alloc
 		tr.Finish(time.Since(start))
 	}
-	res = &Result{Values: e.vals, Trace: tr}
-	if !nested {
-		res.arena = ar
+	return &Result{Values: e.vals, Trace: tr, arena: ar}, nil
+}
+
+// Eval evaluates one statement with interpreter semantics over args, the
+// values of its operands in order; s.Args is ignored. It is the compiling
+// backend's bulk step: a piece of a plan run, not a query, so it counts,
+// traces and verifies nothing. Every intermediate is backed by ar (nil
+// draws from the heap) and the result aliases it. An operand the statement
+// cannot evaluate is returned as an error; any other panic propagates to
+// the caller, which isolates it.
+func Eval(s core.Stmt, args []*vector.Vector, ar *vector.Arena) (out *vector.Vector, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			e, ok := r.(evalErr)
+			if !ok {
+				panic(r)
+			}
+			out, err = nil, e.err
+		}
+	}()
+	s.Args = make([]core.Ref, len(args))
+	for i := range s.Args {
+		s.Args[i] = core.Ref(i)
 	}
-	return res, nil
+	e := &evaluator{vals: args, ar: ar}
+	return e.eval(&s), nil
 }
 
 // traceStmt builds the trace record of one interpreted statement. The

@@ -366,3 +366,31 @@ func TestErrorOnUnknownTable(t *testing.T) {
 		t.Fatal("expected error for unknown table")
 	}
 }
+
+// TestEval: a bulk step's statement evaluates over its operand values,
+// whatever refs its Args held; an operand it cannot evaluate comes back as
+// an error; any other panic is left to the caller, which isolates it.
+func TestEval(t *testing.T) {
+	a := intVec("x", 1, 2, 3)
+	b := intVec("y", 10, 20, 30)
+	s := core.Stmt{Op: core.OpAdd, Args: []core.Ref{7, 9}, Kp: []string{"x", "y"}, Out: []string{"s"}}
+	out, err := Eval(s, []*vector.Vector{a, b}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantInts(t, out.Col("s"), 11, 22, 33)
+
+	s.Kp = []string{"x", "z"}
+	if _, err := Eval(s, []*vector.Vector{a, b}, nil); err == nil {
+		t.Error("a missing attribute evaluated without error")
+	}
+
+	s.Kp = []string{"x", ""}
+	two := intVec("y", 1, 2, 3).Set("w", vector.NewInt([]int64{4, 5, 6}))
+	defer func() {
+		if recover() == nil {
+			t.Error("a panic that is not an evaluation error was turned into a value")
+		}
+	}()
+	Eval(s, []*vector.Vector{a, two}, nil)
+}

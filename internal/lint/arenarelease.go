@@ -89,8 +89,8 @@ func qualifiedCallee(p *Pass, call *ast.CallExpr) string {
 }
 
 // unpooled reports whether call's last argument is an options literal that
-// sets no Pool: such a run draws from the heap or from a caller-owned
-// arena, and its result owns nothing.
+// sets no Pool: such a run draws from the heap, and its result owns
+// nothing.
 func unpooled(call *ast.CallExpr) bool {
 	if len(call.Args) == 0 {
 		return false

@@ -160,8 +160,8 @@ func handedOn(ctx context.Context, p *core.Program, st interp.Storage, pool *vec
 	return release
 }
 
-func unpooled(ctx context.Context, p *core.Program, st interp.Storage, ar *vector.Arena) int {
-	res, _ := interp.Run(ctx, p, st, interp.Opts{Arena: ar})
+func unpooled(ctx context.Context, p *core.Program, st interp.Storage) int {
+	res, _ := interp.Run(ctx, p, st, interp.Opts{Trace: true})
 	heap, _ := interp.Run(ctx, p, st, interp.Opts{})
 	return len(res.Values) + len(heap.Values)
 }

@@ -35,8 +35,10 @@ func TestEngineDeadlineLimit(t *testing.T) {
 	deadlines := metrics.Default.CounterVec("voodoo_resource_exhausted_total", "", "kind").With("deadline")
 	for name, e := range engines(testCatalog()) {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		// The deadline has passed before the first boundary check.
-		time.Sleep(2 * time.Millisecond)
+		// The deadline has passed before the first boundary check. Wait for
+		// the context to say so: on a loaded box its timer can fire well
+		// after the deadline, and until then Err is nil.
+		<-ctx.Done()
 		e.BaseContext = ctx
 		before := deadlines.Value()
 		_, _, err := e.Run(hardeningQuery())

@@ -101,8 +101,8 @@ func TestGoldenPathMix(t *testing.T) {
 	}
 }
 
-// TestBulkStepsAreNotQueries: a bulk step evaluates one operator through
-// the interpreter inside a plan run; it is not a program execution of its
+// TestBulkStepsAreNotQueries: a bulk step evaluates one statement with
+// interp.Eval inside a plan run; it is not a program execution of its
 // own. One BulkCompiled run of Q6 must move voodoo_queries_total and the
 // voodoo_query_wall_seconds observation count by exactly the number of
 // lowered programs, pooled or not.
