@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"voodoo/internal/baseline/hyper"
-	"voodoo/internal/baseline/ocelot"
 	"voodoo/internal/device"
 	"voodoo/internal/rel"
 	"voodoo/internal/tpch"
@@ -44,7 +43,7 @@ func main() {
 			log.Fatal(err)
 		}
 
-		bulk := ocelot.New(cat)
+		bulk := &rel.Engine{Cat: cat, Backend: rel.BulkCompiled, CollectStats: true}
 		ores, ostats, err := qf(bulk)
 		if err != nil {
 			log.Fatal(err)

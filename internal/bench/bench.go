@@ -146,10 +146,14 @@ func uniformInts(n int, m int64, seed int64) []int64 {
 	return out
 }
 
+// compileFigure compiles every figure program (runProgram, priced); a test
+// wraps it to inspect the plans.
+var compileFigure = compile.Compile
+
 // runProgram compiles and executes a program with stats collection and
 // returns the stats plus the root values (for verification).
 func runProgram(p *core.Program, st interp.Storage, opt compile.Options) (*exec.Stats, map[core.Ref]*vector.Vector, error) {
-	plan, err := compile.Compile(p, st, opt)
+	plan, err := compileFigure(p, st, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -168,7 +172,7 @@ var benchPool = vector.NewPool(0)
 
 // priced runs a program and prices it on a device model.
 func priced(p *core.Program, st interp.Storage, opt compile.Options, m *device.Model) (float64, error) {
-	plan, err := compile.Compile(p, st, opt)
+	plan, err := compileFigure(p, st, opt)
 	if err != nil {
 		return 0, err
 	}

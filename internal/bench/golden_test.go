@@ -8,6 +8,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"voodoo/internal/compile"
+	"voodoo/internal/core"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/figures.golden from the current figures")
@@ -140,13 +143,27 @@ func parsePoints(t *testing.T, text string) []figurePoint {
 // evaluation regenerates. The times are priced by the device cost models
 // from counted runs, so on one source tree they are deterministic, and any
 // change to lowering, execution counting or a device model that moves a
-// figure fails here, naming the first point it moved. The 1e-9 relative
+// figure fails here, naming every series it moved. The 1e-9 relative
 // slack absorbs only FMA contraction on architectures that fuse; a change
-// that means to move the figures rewrites the file with -update.
+// that means to move the figures rewrites the file with -update. Every
+// program the figures compile must also pass reductionCarries.
 func TestFiguresGolden(t *testing.T) {
+	saved := compileFigure
+	defer func() { compileFigure = saved }()
+	reductions := 0
+	compileFigure = func(p *core.Program, st compile.Storage, opt compile.Options) (*compile.Plan, error) {
+		plan, err := saved(p, st, opt)
+		if err == nil {
+			reductions += reductionCarries(t, "figure program", plan)
+		}
+		return plan, err
+	}
 	pts, err := allFigurePoints(goldenCfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if reductions == 0 {
+		t.Error("no figure program compiled a reduce_* or greduce_* fragment; reductionCarries checked nothing")
 	}
 	if *update {
 		if err := os.WriteFile(figuresGolden, []byte(renderPoints(pts)), 0o644); err != nil {
@@ -168,17 +185,37 @@ func TestFiguresGolden(t *testing.T) {
 			t.Fatalf("point %d is %q, %s has %q", i, pts[i].key(), figuresGolden, want[i].key())
 		}
 	}
+	// Each moved series is reported once: its count of moved points and its
+	// largest relative move, so one run names everything a change moved.
+	type move struct {
+		fig, series, x string
+		n              int
+		from, to, rel  float64
+	}
+	var moves []*move
+	bySeries := map[string]*move{}
 	moved := 0
 	for i, p := range pts {
 		w := want[i].t
 		if math.Abs(p.t-w) <= 1e-9*math.Max(math.Abs(p.t), math.Abs(w)) {
 			continue
 		}
-		if moved == 0 {
-			t.Errorf("%s, series %q, x=%s moved: %s → %s (%+.4g%%)",
-				p.fig, p.series, p.x, fmtFloat(w), fmtFloat(p.t), 100*(p.t-w)/w)
-		}
 		moved++
+		k := p.fig + "\t" + p.series
+		m := bySeries[k]
+		if m == nil {
+			m = &move{fig: p.fig, series: p.series}
+			bySeries[k] = m
+			moves = append(moves, m)
+		}
+		m.n++
+		if rel := (p.t - w) / w; m.n == 1 || math.Abs(rel) > math.Abs(m.rel) {
+			m.x, m.from, m.to, m.rel = p.x, w, p.t, rel
+		}
+	}
+	for _, m := range moves {
+		t.Errorf("%s, series %q: %d points moved, largest at x=%s: %s → %s (%+.4g%%)",
+			m.fig, m.series, m.n, m.x, fmtFloat(m.from), fmtFloat(m.to), 100*m.rel)
 	}
 	if moved > 0 {
 		t.Errorf("%d of %d points differ from %s (rerun with -update if the move is intended)",

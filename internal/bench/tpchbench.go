@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"voodoo/internal/baseline/hyper"
-	"voodoo/internal/baseline/ocelot"
 	"voodoo/internal/device"
 	"voodoo/internal/rel"
 	"voodoo/internal/storage"
@@ -107,7 +106,7 @@ func Fig13(cfg Config) (*TPCHTable, error) {
 		}
 		row.Times["Voodoo"] = cpu.Time(vstats) * 1000
 
-		_, ostats, err := qf(ocelot.New(cat))
+		_, ostats, err := qf(&rel.Engine{Cat: cat, Backend: rel.BulkCompiled, CollectStats: true})
 		if err != nil {
 			return nil, fmt.Errorf("q%d ocelot: %w", num, err)
 		}
@@ -139,7 +138,7 @@ func Fig12(cfg Config) (*TPCHTable, error) {
 		}
 		row.Times["Voodoo"] = gpu.Time(vstats) * 1000
 
-		_, ostats, err := qf(ocelot.New(cat))
+		_, ostats, err := qf(&rel.Engine{Cat: cat, Backend: rel.BulkCompiled, CollectStats: true})
 		if err != nil {
 			return nil, fmt.Errorf("q%d ocelot: %w", num, err)
 		}

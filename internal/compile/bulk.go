@@ -573,3 +573,9 @@ func (c *compiler) bulk(s *core.Stmt) *desc {
 type eGID struct{}
 
 func (eGID) kind() vector.Kind { return vector.Int }
+
+// eIV is the current loop iteration as an expression (a work item's
+// iteration-th row of a table laid out one row per iteration).
+type eIV struct{}
+
+func (eIV) kind() vector.Kind { return vector.Int }

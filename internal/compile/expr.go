@@ -68,11 +68,13 @@ type eGen struct {
 
 func (e *eGen) kind() vector.Kind { return vector.Int }
 
-// eLoad reads buf[idx].
+// eLoad reads buf[idx]. The read is sequential when idx is the logical
+// index, or when seq says idx is affine in the work item's iteration.
 type eLoad struct {
 	buf int
 	k   vector.Kind
 	idx expr
+	seq bool
 }
 
 func (e *eLoad) kind() vector.Kind { return e.k }
@@ -200,7 +202,7 @@ func binExpr(op kernel.BinOp, a, b expr) expr {
 // placeholder whose computation is not known here.
 func mayFault(e expr) bool {
 	switch x := e.(type) {
-	case *eIdx, *eConst, *eGen, *ePos, *eGID:
+	case *eIdx, *eConst, *eGen, *ePos, *eGID, *eIV:
 		return false
 	case *eLoad:
 		return mayFault(x.idx)
@@ -334,6 +336,8 @@ func (em *emitter) emitNew(e expr) kernel.Reg {
 		return em.idxAt
 	case *eGID:
 		return kernel.RegGID
+	case *eIV:
+		return kernel.RegIV
 	case *ePos:
 		// thePos must have been bound in the memo by the fold emitter;
 		// reaching here means a pipeline leaf escaped its pipeline.
@@ -354,7 +358,7 @@ func (em *emitter) emitNew(e expr) kernel.Reg {
 		idx := em.emit(x.idx)
 		r := em.alloc()
 		em.push(kernel.Instr{Op: kernel.ILoad, Dst: r, A: idx, Buf: x.buf,
-			Float: x.k == vector.Float, Seq: x.idx == expr(theIdx)})
+			Float: x.k == vector.Float, Seq: x.seq || x.idx == expr(theIdx)})
 		return r
 	case *eLoadValid:
 		idx := em.emit(x.idx)

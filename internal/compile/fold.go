@@ -37,9 +37,14 @@ func foldOpBin(op core.Op) kernel.BinOp {
 	}
 }
 
+// negZero is the identity of a float sum: −0 + x is x for every x, where
+// +0 would turn a sum of −0.0 values positive (the interpreter's sum keeps
+// the sign of its first value).
+var negZero = math.Copysign(0, -1)
+
 // foldIdentity returns the accumulator start value for a fold op: 0 for
-// sums, and an absorbing sentinel for min/max so that masked-out lanes
-// never win.
+// sums (negZero in float), and an absorbing sentinel for min/max so that
+// masked-out lanes never win.
 func foldIdentity(op core.Op, k vector.Kind) (int64, float64) {
 	switch op {
 	case core.OpFoldMin:
@@ -53,14 +58,16 @@ func foldIdentity(op core.Op, k vector.Kind) (int64, float64) {
 		}
 		return math.MinInt64, 0
 	}
-	return 0, 0
+	return 0, negZero
 }
 
-// foldSpec is one aggregate of a fused multi-aggregate fold fragment.
+// foldSpec is one aggregate of a fused multi-aggregate fold fragment. It
+// accumulates in val's kind and stores its result as kind.
 type foldSpec struct {
-	stmt *core.Stmt
+	stmt *core.Stmt // nil for an aggregate no statement names
 	op   core.Op
 	val  attr
+	kind vector.Kind
 }
 
 // specStmts returns the SSA ids of the fused aggregates, for provenance.
@@ -68,15 +75,6 @@ func specStmts(specs []foldSpec) []int {
 	ids := make([]int, len(specs))
 	for i, sp := range specs {
 		ids[i] = int(sp.stmt.ID)
-	}
-	return ids
-}
-
-// accStmts is specStmts over the emission-time accumulator states.
-func accStmts(accs []*accState) []int {
-	ids := make([]int, len(accs))
-	for i, st := range accs {
-		ids[i] = int(st.spec.stmt.ID)
 	}
 	return ids
 }
@@ -142,8 +140,11 @@ func (c *compiler) compileFold(s *core.Stmt) *desc {
 		if d.layout == layoutFoldCompact {
 			stride *= d.runLen
 		}
-		c.multiFold(specs, ctrl.numRuns(d.n), ctrl.runLen, d.n, false,
-			d.logical(), stride)
+		numRuns := ctrl.numRuns(d.n)
+		accs := c.multiFold("fold", kernel.Prov{Kind: "fold", Stmts: specStmts(specs),
+			Suppressed: numRuns < d.n}, specs, numRuns, ctrl.runLen, d.n, false)
+		c.cacheFoldResults(accs, desc{n: numRuns, layout: layoutFoldCompact,
+			logicalN: d.logical(), runLen: stride, countsBuf: -1})
 		return c.foldCache[s.ID]
 	}
 }
@@ -156,7 +157,7 @@ func (c *compiler) specsFor(stmts []*core.Stmt, view *desc) []foldSpec {
 		if !ok {
 			cerrf("%s: no value attribute %q", t.Op, t.FoldVal)
 		}
-		specs = append(specs, foldSpec{stmt: t, op: t.Op, val: val})
+		specs = append(specs, foldSpec{stmt: t, op: t.Op, val: val, kind: val.kind()})
 	}
 	return specs
 }
@@ -188,11 +189,12 @@ type accState struct {
 	iI   int64
 	iF   float64
 	bop  kernel.BinOp
-	out  int // output buffer
+	out  int // output buffer, of kind spec.kind
 }
 
-// prepareAccs allocates accumulators and output buffers for a fused fold.
-func (c *compiler) prepareAccs(em *emitter, f *kernel.Fragment, specs []foldSpec, slots int) []*accState {
+// prepareAccs allocates accumulators and output buffers, named name, for a
+// fused fold.
+func (c *compiler) prepareAccs(em *emitter, f *kernel.Fragment, name string, specs []foldSpec, slots int) []*accState {
 	var accs []*accState
 	for _, sp := range specs {
 		st := &accState{spec: sp, kind: sp.val.kind(), bop: foldOpBin(sp.op)}
@@ -200,7 +202,7 @@ func (c *compiler) prepareAccs(em *emitter, f *kernel.Fragment, specs []foldSpec
 		st.need = sp.val.validEx != nil || sp.op == core.OpFoldMin || sp.op == core.OpFoldMax
 		st.acc = em.alloc()
 		st.any = em.alloc()
-		st.out = c.addBuf("fold", st.kind, slots, true, false)
+		st.out = c.addBuf(name, sp.kind, slots, true, false)
 		f.Pre = append(f.Pre, kernel.Instr{Op: kernel.IConstI, Dst: st.any, Imm: 0})
 		if st.kind == vector.Float {
 			f.Pre = append(f.Pre, kernel.Instr{Op: kernel.IConstF, Dst: st.acc, FImm: st.iF})
@@ -236,11 +238,17 @@ func (em *emitter) emitAccumulate(st *accState) {
 	}
 }
 
-// flushAccs stores each accumulator at out[gid] with its validity.
-func flushAccs(f *kernel.Fragment, accs []*accState) {
+// flushAccs stores each accumulator at out[gid] with its validity, cast to
+// the result's kind where the accumulation ran in float.
+func (em *emitter) flushAccs(f *kernel.Fragment, accs []*accState) {
 	for _, st := range accs {
-		store := kernel.Instr{Op: kernel.IStore, Buf: st.out, A: kernel.RegGID, B: st.acc,
-			Float: st.kind == vector.Float, Seq: true}
+		v := st.acc
+		if st.kind != st.spec.kind {
+			v = em.alloc()
+			f.Post = append(f.Post, kernel.Instr{Op: kernel.ICastFI, Dst: v, A: st.acc})
+		}
+		store := kernel.Instr{Op: kernel.IStore, Buf: st.out, A: kernel.RegGID, B: v,
+			Float: st.spec.kind == vector.Float, Seq: true}
 		if st.need {
 			store.C = st.any
 		}
@@ -248,45 +256,54 @@ func flushAccs(f *kernel.Fragment, accs []*accState) {
 	}
 }
 
-// cacheFoldResults registers the per-statement compact output descriptors.
-func (c *compiler) cacheFoldResults(accs []*accState, numRuns, logicalN, stride int) {
+// outAttr reads the aggregate's output buffer, with its validity when the
+// fold tracks one.
+func (st *accState) outAttr() attr {
+	a := attr{ex: &eLoad{buf: st.out, k: st.spec.kind, idx: theIdx}}
+	if st.need {
+		a.validEx = &eLoadValid{buf: st.out, idx: theIdx}
+	}
+	return a
+}
+
+// cacheFoldResults registers each named aggregate's output, in the layout
+// like describes.
+func (c *compiler) cacheFoldResults(accs []*accState, like desc) {
 	for _, st := range accs {
-		out := &desc{
-			n: numRuns, layout: layoutFoldCompact,
-			logicalN: logicalN, runLen: stride, countsBuf: -1,
+		if st.spec.stmt == nil {
+			continue
 		}
-		a := attr{name: st.spec.stmt.Out[0],
-			ex: &eLoad{buf: st.out, k: st.kind, idx: theIdx}}
-		if st.need {
-			a.validEx = &eLoadValid{buf: st.out, idx: theIdx}
-		}
+		out := like
+		a := st.outAttr()
+		a.name = st.spec.stmt.Out[0]
 		out.attrs = []attr{a}
-		c.foldCache[st.spec.stmt.ID] = out
+		c.foldCache[st.spec.stmt.ID] = &out
 	}
 }
 
-// multiFold emits one fragment computing every sibling aggregate: blocked
+// multiFold emits one fragment computing every aggregate of specs: blocked
 // (or strided) runs, one accumulator set per aggregate, one output slot per
-// run (empty-slot suppression, §3.1.2).
-func (c *compiler) multiFold(specs []foldSpec, numRuns, intent, n int, strided bool,
-	logicalN, stride int) {
+// work item (empty-slot suppression, §3.1.2). It is the one fold emitter:
+// a fold's first level and the second level over its partials (reduce_*,
+// greduce_*) are calls to it that differ in name, provenance, geometry and
+// the view of their input.
+func (c *compiler) multiFold(prefix string, prov kernel.Prov, specs []foldSpec,
+	extent, intent, n int, strided bool) []*accState {
 
 	f := &kernel.Fragment{
-		Name:   fmt.Sprintf("fold_%d", specs[0].stmt.ID),
-		Extent: numRuns, Intent: intent, N: n, Strided: strided,
-		Prov: kernel.Prov{Kind: "fold", Stmts: specStmts(specs),
-			Suppressed: numRuns < n, Virtual: strided},
+		Name:   fmt.Sprintf("%s_%d", prefix, specs[0].stmt.ID),
+		Extent: extent, Intent: intent, N: n, Strided: strided, Prov: prov,
 	}
 	var body []kernel.Instr
 	em := newEmitter(&body)
-	accs := c.prepareAccs(em, f, specs, numRuns)
+	accs := c.prepareAccs(em, f, prefix, specs, extent)
 	for _, st := range accs {
 		em.emitAccumulate(st)
 	}
 	f.Loops = []kernel.Loop{{Body: body}}
-	flushAccs(f, accs)
+	em.flushAccs(f, accs)
 	c.addFrag(f)
-	c.cacheFoldResults(accs, numRuns, logicalN, stride)
+	return accs
 }
 
 // plainScan lowers FoldScan: a running sum per run, one output per element.
@@ -351,7 +368,10 @@ func (c *compiler) scatteredFold(s *core.Stmt, d *desc) *desc {
 	}
 	srcView := &desc{n: d.logicalN, attrs: d.attrs}
 	specs := c.specsFor(c.siblingFolds(s), srcView)
-	c.multiFold(specs, d.lanes, d.runLen, d.logicalN, true, d.logicalN, d.runLen)
+	accs := c.multiFold("fold", kernel.Prov{Kind: "fold", Stmts: specStmts(specs),
+		Suppressed: d.lanes < d.logicalN, Virtual: true}, specs, d.lanes, d.runLen, d.logicalN, true)
+	c.cacheFoldResults(accs, desc{n: d.lanes, layout: layoutFoldCompact,
+		logicalN: d.logicalN, runLen: d.runLen, countsBuf: -1})
 	return c.foldCache[s.ID]
 }
 
@@ -393,7 +413,7 @@ func (c *compiler) fusedFilterFold(s *core.Stmt, d *desc) *desc {
 	}
 	var loop1 []kernel.Instr
 	em := newEmitter(&loop1)
-	accs := c.prepareAccs(em, f, specs, numRuns)
+	accs := c.prepareAccs(em, f, "fold", specs, numRuns)
 	cursor := em.alloc()
 	f.Pre = append(f.Pre, kernel.Instr{Op: kernel.IConstI, Dst: cursor, Imm: 0})
 
@@ -458,71 +478,23 @@ func (c *compiler) fusedFilterFold(s *core.Stmt, d *desc) *desc {
 			{BoundReg: cursorBound, Body: loop2},
 		}
 	}
-	flushAccs(f, accs)
+	em.flushAccs(f, accs)
 	c.addFrag(f)
 
-	if numRuns == 1 {
-		c.cacheFoldResults(accs, 1, srcN, srcN)
-		return c.foldCache[s.ID]
+	// The paper's Fragment 2 in Figure 8: one sequential fold over every
+	// aggregate's per-run partials.
+	if numRuns > 1 {
+		rspecs := make([]foldSpec, len(accs))
+		for i, st := range accs {
+			rspecs[i] = foldSpec{stmt: st.spec.stmt, op: st.spec.op, kind: st.spec.kind,
+				val: st.outAttr()}
+		}
+		accs = c.multiFold("reduce", kernel.Prov{Kind: "reduce", Stmts: specStmts(rspecs),
+			Suppressed: true}, rspecs, 1, numRuns, numRuns, false)
 	}
-	c.reduceCompact(accs, numRuns, srcN)
+	c.cacheFoldResults(accs, desc{n: 1, layout: layoutFoldCompact,
+		logicalN: srcN, runLen: srcN, countsBuf: -1})
 	return c.foldCache[s.ID]
-}
-
-// reduceCompact emits one sequential fragment reducing every aggregate's
-// per-run partials to a single slot (the paper's Fragment 2 in Figure 8).
-func (c *compiler) reduceCompact(accs []*accState, numRuns, logicalN int) {
-	f := &kernel.Fragment{
-		Name:   fmt.Sprintf("reduce_%d", accs[0].spec.stmt.ID),
-		Extent: 1, Intent: numRuns, N: numRuns,
-		Prov: kernel.Prov{Kind: "reduce", Stmts: accStmts(accs), Suppressed: true},
-	}
-	var body []kernel.Instr
-	em := newEmitter(&body)
-	type rstate struct {
-		acc, any kernel.Reg
-		out      int
-	}
-	var rs []rstate
-	for _, st := range accs {
-		r := rstate{acc: em.alloc(), any: em.alloc()}
-		r.out = c.addBuf("reduce", st.kind, 1, true, false)
-		f.Pre = append(f.Pre, kernel.Instr{Op: kernel.IConstI, Dst: r.any, Imm: 0})
-		if st.kind == vector.Float {
-			f.Pre = append(f.Pre, kernel.Instr{Op: kernel.IConstF, Dst: r.acc, FImm: st.iF})
-		} else {
-			f.Pre = append(f.Pre, kernel.Instr{Op: kernel.IConstI, Dst: r.acc, Imm: st.iI})
-		}
-		rs = append(rs, r)
-	}
-	for i, st := range accs {
-		valid := &eLoadValid{buf: st.out, idx: theIdx}
-		var ident expr = constI(st.iI)
-		if st.kind == vector.Float {
-			ident = constF(st.iF)
-		}
-		ex := &eSel{c: valid, a: &eLoad{buf: st.out, k: st.kind, idx: theIdx}, b: ident}
-		v := em.emitAs(ex, st.kind)
-		em.push(kernel.Instr{Op: kernel.IBin, BOp: st.bop, Dst: rs[i].acc, A: rs[i].acc, B: v,
-			Float: st.kind == vector.Float})
-		vr := em.emit(valid)
-		em.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: rs[i].any, A: rs[i].any, B: vr})
-	}
-	f.Loops = []kernel.Loop{{Body: body}}
-	zero := em.alloc()
-	f.Post = append(f.Post, kernel.Instr{Op: kernel.IConstI, Dst: zero, Imm: 0})
-	for i, st := range accs {
-		f.Post = append(f.Post, kernel.Instr{Op: kernel.IStore, Buf: rs[i].out, A: zero,
-			B: rs[i].acc, C: rs[i].any, Float: st.kind == vector.Float, Seq: true})
-	}
-	c.addFrag(f)
-	for i, st := range accs {
-		out := &desc{n: 1, layout: layoutFoldCompact, logicalN: logicalN, runLen: logicalN, countsBuf: -1}
-		out.attrs = []attr{{name: st.spec.stmt.Out[0],
-			ex:      &eLoad{buf: rs[i].out, k: st.kind, idx: theIdx},
-			validEx: &eLoadValid{buf: rs[i].out, idx: theIdx}}}
-		c.foldCache[st.spec.stmt.ID] = out
-	}
 }
 
 // groupedFold lowers folds over a virtual scatter with data-controlled
@@ -586,7 +558,7 @@ func (c *compiler) groupedFold(s *core.Stmt, d *desc) *desc {
 	f := &kernel.Fragment{
 		Name:   fmt.Sprintf("gfold_%d", s.ID),
 		Extent: P, Intent: (srcN + P - 1) / P, N: srcN,
-		Locals: width, LocalsFloat: anyFloat, LocalsInit: 0,
+		Locals: width, LocalsFloat: anyFloat, LocalsInit: negZero, // a float sum's identity
 		Prov: kernel.Prov{Kind: "group-fold",
 			Stmts:   append([]int{gp.part.stmt, gp.stmt}, specStmts(specs)...),
 			Virtual: true},
@@ -684,103 +656,34 @@ func (c *compiler) groupedFold(s *core.Stmt, d *desc) *desc {
 	f.PostLoopBody = post
 	c.addFrag(f)
 
-	// Reduction: one fragment, extent = k work items; each reduces its
-	// group's P partials for every aggregate.
-	rf := &kernel.Fragment{
-		Name:   fmt.Sprintf("greduce_%d", s.ID),
-		Extent: k, Intent: P,
-		Prov: kernel.Prov{Kind: "group-reduce", Stmts: specStmts(specs), Virtual: true},
+	// Reduction (the controlled fold of Figure 11): an ordinary fold over
+	// the partials, one work item per group, iteration iv reading work item
+	// iv's table in the table's kind. A partial is valid where its count is
+	// non-zero, so an empty one folds the identity; integer results are cast
+	// at the flush. The occupancy is one more sum, with no validity: the
+	// group-compact layout's counts.
+	row := binExpr(kernel.BMul, &eIV{}, constI(int64(width)))
+	partial := func(off int) expr {
+		return &eLoad{buf: partials, k: lkind, seq: true,
+			idx: binExpr(kernel.BAdd, binExpr(kernel.BAdd, row, constI(int64(off))), &eGID{})}
 	}
-	var rbody []kernel.Instr
-	rem := newEmitter(&rbody)
-	counts := c.addBuf("gcnt", vector.Int, k, false, false)
-	type gout struct {
-		acc, any kernel.Reg
-		sums     int
-		kind     vector.Kind
-	}
-	var gouts []gout
-	for _, sp := range specs {
-		o := gout{acc: rem.alloc(), any: rem.alloc(), kind: sp.val.kind()}
-		o.sums = c.addBuf("gsum", o.kind, k, true, false)
-		iI, iF := foldIdentity(sp.op, lkind)
-		rf.Pre = append(rf.Pre, kernel.Instr{Op: kernel.IConstI, Dst: o.any, Imm: 0})
+	count := map[int]expr{} // count block → its count as an integer
+	for _, cb := range cntOf {
+		count[cb] = partial(k * cb)
 		if anyFloat {
-			rf.Pre = append(rf.Pre, kernel.Instr{Op: kernel.IConstF, Dst: o.acc, FImm: iF})
-		} else {
-			rf.Pre = append(rf.Pre, kernel.Instr{Op: kernel.IConstI, Dst: o.acc, Imm: iI})
+			count[cb] = &eCast{a: count[cb]}
 		}
-		gouts = append(gouts, o)
 	}
-	// base = iv*width
-	wR := rem.emit(constI(int64(width)))
-	base := rem.alloc()
-	rem.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BMul, Dst: base, A: kernel.RegIV, B: wR})
-	// partial loads slot off + gid of work item iv's table; count loads a
-	// count as an integer.
-	partial := func(off int) kernel.Reg {
-		offR := rem.emit(constI(int64(off)))
-		i := rem.alloc()
-		rem.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: i, A: base, B: offR})
-		rem.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: i, A: i, B: kernel.RegGID})
-		v := rem.alloc()
-		rem.push(kernel.Instr{Op: kernel.ILoad, Dst: v, A: i, Buf: partials, Float: anyFloat, Seq: true})
-		return v
-	}
-	count := func(off int) kernel.Reg {
-		v := partial(off)
-		if !anyFloat {
-			return v
-		}
-		n := rem.alloc()
-		rem.push(kernel.Instr{Op: kernel.ICastFI, Dst: n, A: v})
-		return n
-	}
-	partCnt := map[int]kernel.Reg{} // count block → this partial's count
+	rspecs := make([]foldSpec, 0, nA+1)
 	for ai, sp := range specs {
-		o := &gouts[ai]
-		rv := partial(k * ai)
-		cb := cntOf[valid[ai]]
-		rcI, ok := partCnt[cb]
-		if !ok {
-			rcI = count(k * cb)
-			partCnt[cb] = rcI
-		}
-		rem.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: o.any, A: o.any, B: rcI})
-		merged := rem.alloc()
-		rem.push(kernel.Instr{Op: kernel.IBin, BOp: foldOpBin(sp.op), Dst: merged, A: o.acc, B: rv, Float: anyFloat})
-		rem.push(kernel.Instr{Op: kernel.ISel, Dst: o.acc, A: rcI, B: merged, C: o.acc, Float: anyFloat})
+		rspecs = append(rspecs, foldSpec{stmt: sp.stmt, op: sp.op, kind: sp.kind,
+			val: attr{ex: partial(k * ai), validEx: count[cntOf[valid[ai]]]}})
 	}
-	for ai, sp := range specs {
-		o := &gouts[ai]
-		accOut := o.acc
-		if sp.val.kind() != lkind {
-			// Locals ran in float space; cast integer results back.
-			cast := rem.alloc()
-			rf.Post = append(rf.Post, kernel.Instr{Op: kernel.ICastFI, Dst: cast, A: o.acc})
-			accOut = cast
-		}
-		rf.Post = append(rf.Post, kernel.Instr{Op: kernel.IStore, Buf: o.sums, A: kernel.RegGID,
-			B: accOut, C: o.any, Float: sp.val.kind() == vector.Float, Seq: true})
-	}
-	// Occupancy reduce: counts[g] = Σ over work items of occ[g].
-	occAcc := rem.alloc()
-	rf.Pre = append(rf.Pre, kernel.Instr{Op: kernel.IConstI, Dst: occAcc, Imm: 0})
-	rem.push(kernel.Instr{Op: kernel.IBin, BOp: kernel.BAdd, Dst: occAcc, A: occAcc, B: count(occOff)})
-	rf.Loops = []kernel.Loop{{Body: rbody}}
-	rf.Post = append(rf.Post, kernel.Instr{Op: kernel.IStore, Buf: counts, A: kernel.RegGID,
-		B: occAcc, Seq: true})
-	c.addFrag(rf)
-
-	for ai, sp := range specs {
-		out := &desc{
-			n: k, layout: layoutGroupCompact,
-			logicalN: gp.n, countsBuf: counts,
-		}
-		out.attrs = []attr{{name: sp.stmt.Out[0],
-			ex:      &eLoad{buf: gouts[ai].sums, k: sp.val.kind(), idx: theIdx},
-			validEx: &eLoadValid{buf: gouts[ai].sums, idx: theIdx}}}
-		c.foldCache[sp.stmt.ID] = out
-	}
+	rspecs = append(rspecs, foldSpec{op: core.OpFoldSum, kind: vector.Int,
+		val: attr{ex: partial(occOff)}})
+	accs := c.multiFold("greduce", kernel.Prov{Kind: "group-reduce", Stmts: specStmts(specs),
+		Virtual: true}, rspecs, k, P, 0, false)
+	c.cacheFoldResults(accs, desc{n: k, layout: layoutGroupCompact,
+		logicalN: gp.n, countsBuf: accs[nA].out})
 	return c.foldCache[s.ID]
 }

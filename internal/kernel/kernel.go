@@ -96,7 +96,9 @@ const (
 	ILoad
 	// ILoadValid: Dst ← 1 if Buf[A] holds a value, else 0.
 	ILoadValid
-	// IStore: Buf[A] ← B (marks the slot valid). Seq as for ILoad.
+	// IStore: Buf[A] ← B (marks the slot valid). With C > 0 the slot is
+	// valid only where C is non-zero, and holds 0 where it is not. Seq as
+	// for ILoad.
 	IStore
 	// IGuard: if A == 0, skip the remainder of the loop body for this
 	// iteration. This is the data-dependent branch of a "branching"
@@ -119,7 +121,7 @@ type Instr struct {
 	Float bool // IBin/ISel/ILoad/IStore operate on floats
 	Dst   Reg
 	A, B  Reg
-	C     Reg // ISel only
+	C     Reg // ISel's else operand; IStore's validity when > 0
 	Buf   int
 	Imm   int64
 	FImm  float64
@@ -343,7 +345,11 @@ func (in Instr) String() string {
 	case ILoadValid:
 		return fmt.Sprintf("r%d = valid buf%d[r%d]", in.Dst, in.Buf, in.A)
 	case IStore:
-		return fmt.Sprintf("%sstore buf%d[r%d] = r%d seq=%v", f, in.Buf, in.A, in.B, in.Seq)
+		valid := ""
+		if in.C > 0 {
+			valid = fmt.Sprintf(" valid=r%d", in.C)
+		}
+		return fmt.Sprintf("%sstore buf%d[r%d] = r%d%s seq=%v", f, in.Buf, in.A, in.B, valid, in.Seq)
 	case IGuard:
 		return fmt.Sprintf("guard r%d", in.A)
 	case ICastIF:

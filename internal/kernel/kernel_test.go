@@ -83,11 +83,14 @@ func TestBinOpString(t *testing.T) {
 
 func TestInstrString(t *testing.T) {
 	cases := map[string]Instr{
-		"r4 = 7":       {Op: IConstI, Dst: FirstFree, Imm: 7},
-		"r4 = 1.5":     {Op: IConstF, Dst: FirstFree, FImm: 1.5},
-		"guard r4":     {Op: IGuard, A: FirstFree},
-		"r4 = r5":      {Op: IMov, Dst: FirstFree, A: FirstFree + 1},
-		"loc[r4] = r5": {Op: IStoreLoc, A: FirstFree, B: FirstFree + 1},
+		"r4 = 7":                        {Op: IConstI, Dst: FirstFree, Imm: 7},
+		"r4 = 1.5":                      {Op: IConstF, Dst: FirstFree, FImm: 1.5},
+		"guard r4":                      {Op: IGuard, A: FirstFree},
+		"r4 = r5":                       {Op: IMov, Dst: FirstFree, A: FirstFree + 1},
+		"loc[r4] = r5":                  {Op: IStoreLoc, A: FirstFree, B: FirstFree + 1},
+		"store buf22[r0] = r4 seq=true": {Op: IStore, Buf: 22, A: RegGID, B: FirstFree, Seq: true},
+		"fstore buf22[r0] = r4 valid=r5 seq=true": {Op: IStore, Float: true, Buf: 22, A: RegGID,
+			B: FirstFree, C: FirstFree + 1, Seq: true},
 	}
 	for want, in := range cases {
 		if got := in.String(); got != want {

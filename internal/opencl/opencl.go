@@ -13,11 +13,31 @@ package opencl
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"voodoo/internal/kernel"
 	"voodoo/internal/vector"
 )
+
+// cFloat renders a float constant as an OpenCL C literal: a literal with a
+// decimal point, so −0.0 keeps its sign, or a macro for ±Inf and NaN.
+func cFloat(v float64) string {
+	switch {
+	case math.IsInf(v, 1):
+		return "INFINITY"
+	case math.IsInf(v, -1):
+		return "-INFINITY"
+	case math.IsNaN(v):
+		return "NAN"
+	}
+	s := strconv.FormatFloat(v, 'g', -1, 64)
+	if !strings.ContainsAny(s, ".e") {
+		s += ".0"
+	}
+	return s
+}
 
 // Generate renders the whole kernel as one OpenCL C translation unit.
 func Generate(k *kernel.Kernel) string {
@@ -148,7 +168,7 @@ func genFragment(sb *strings.Builder, k *kernel.Kernel, f *kernel.Fragment) {
 	}
 	if f.Locals > 0 {
 		fmt.Fprintf(sb, "    __private %s loc[%d];\n", cType(localKind(f)), f.Locals)
-		fmt.Fprintf(sb, "    for (long j = 0; j < %d; j++) loc[j] = %g;\n", f.Locals, f.LocalsInit)
+		fmt.Fprintf(sb, "    for (long j = 0; j < %d; j++) loc[j] = %s;\n", f.Locals, cFloat(f.LocalsInit))
 	}
 	emitInstrs(sb, k, f, f.Pre, kinds, "    ")
 	for li, l := range f.Loops {
@@ -234,7 +254,7 @@ func emitInstrs(sb *strings.Builder, k *kernel.Kernel, f *kernel.Fragment,
 		case kernel.IConstI:
 			fmt.Fprintf(sb, "%s%s = %d;\n", ind, reg(in.Dst), in.Imm)
 		case kernel.IConstF:
-			fmt.Fprintf(sb, "%s%s = %g;\n", ind, reg(in.Dst), in.FImm)
+			fmt.Fprintf(sb, "%s%s = %s;\n", ind, reg(in.Dst), cFloat(in.FImm))
 		case kernel.IMov:
 			fmt.Fprintf(sb, "%s%s = %s;\n", ind, reg(in.Dst), reg(in.A))
 		case kernel.IBin:

@@ -1,6 +1,7 @@
 package opencl
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -54,6 +55,17 @@ func TestGoldenFoldSum(t *testing.T) {
 	got := Generate(k)
 	if got != goldenSum {
 		t.Errorf("golden mismatch\n--- want ---\n%s\n--- got ---\n%s", goldenSum, got)
+	}
+}
+
+func TestFloatLiterals(t *testing.T) {
+	for v, want := range map[float64]string{
+		0: "0.0", math.Copysign(0, -1): "-0.0", 1.5: "1.5", 2: "2.0", 1e300: "1e+300",
+		math.Inf(1): "INFINITY", math.Inf(-1): "-INFINITY", math.NaN(): "NAN",
+	} {
+		if got := cFloat(v); got != want {
+			t.Errorf("cFloat(%v) = %q, want %q", v, got, want)
+		}
 	}
 }
 

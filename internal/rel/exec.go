@@ -25,8 +25,14 @@ const (
 	Compiled Backend = iota
 	// Interpreted uses the reference interpreter (§3.2).
 	Interpreted
-	// BulkCompiled disables fusion: every operator materializes. This is
-	// the execution model of the Ocelot baseline.
+	// BulkCompiled disables fusion (compile.Options.ForceBulk): every
+	// operator fully materializes its column-wise intermediate result. It
+	// is the reproduction's Ocelot baseline (paper Table 1 and §5.2), a
+	// hardware-oblivious bulk processor in the MonetDB style, with the
+	// Voodoo stack's semantics: the cost of materialization is what the
+	// GPU's memory bandwidth hides (Figure 12) and the CPU's exposes
+	// (Figure 13). The baseline runs with CollectStats, so the device
+	// models can price it.
 	BulkCompiled
 )
 

@@ -8,18 +8,21 @@ import (
 	"testing"
 
 	"voodoo/internal/baseline/hyper"
+	"voodoo/internal/compile"
 	"voodoo/internal/core"
 	"voodoo/internal/rel"
 	"voodoo/internal/storage"
 )
 
 // aggEngines are the four ways a query runs: the compiled plan on the batch
-// tier and on the per-element interpreter, the reference interpreter of the
-// algebra, and the HyPer-style baseline, which shares none of their code.
-func aggEngines(cat *storage.Catalog) map[string]rel.Runner {
+// tier and on the per-element interpreter, both on at most workers
+// goroutines (0: GOMAXPROCS), the reference interpreter of the algebra, and
+// the HyPer-style baseline, which shares none of their code.
+func aggEngines(cat *storage.Catalog, workers int) map[string]rel.Runner {
+	opt := compile.Options{Workers: workers}
 	return map[string]rel.Runner{
-		"compiled":        &rel.Engine{Cat: cat, Backend: rel.Compiled},
-		"compiled-interp": &rel.Engine{Cat: cat, Backend: rel.Compiled, NoSpecialize: true},
+		"compiled":        &rel.Engine{Cat: cat, Backend: rel.Compiled, Opt: opt},
+		"compiled-interp": &rel.Engine{Cat: cat, Backend: rel.Compiled, Opt: opt, NoSpecialize: true},
 		"interp":          &rel.Engine{Cat: cat, Backend: rel.Interpreted},
 		"hyper":           &hyper.Engine{Cat: cat},
 	}
@@ -89,7 +92,7 @@ func TestCountIgnoresInfAndNaN(t *testing.T) {
 			"g=0 n=2 nx=2 av=+Inf |g=1 n=2 nx=2 av=NaN "},
 		{"sql-global", planSQL(t, cat, "SELECT COUNT(*) AS n, COUNT(x) AS nx FROM t"), "n=4 nx=4 "},
 	} {
-		for name, e := range aggEngines(cat) {
+		for name, e := range aggEngines(cat, 0) {
 			res, _, err := e.Run(tc.q)
 			if err != nil {
 				t.Fatalf("%s %s: %v", tc.name, name, err)
@@ -121,7 +124,7 @@ func TestCountOfFaultingExpression(t *testing.T) {
 		"SELECT AVG(x / y) AS av FROM t",
 	} {
 		q := planSQL(t, cat, text)
-		for name, e := range aggEngines(cat) {
+		for name, e := range aggEngines(cat, 0) {
 			if name == "hyper" {
 				continue // the baseline's integer modulo panics on a zero divisor
 			}
@@ -248,7 +251,7 @@ func TestGroupByParity(t *testing.T) {
 				tc.check(t, ref)
 			}
 			want := strings.Join(rows(ref, 1e-9), "\n")
-			for name, e := range aggEngines(cat) {
+			for name, e := range aggEngines(cat, 0) {
 				if name == "hyper" && !tc.hyper {
 					continue
 				}
@@ -271,26 +274,31 @@ func TestGroupByParity(t *testing.T) {
 // agree to the bit, and HyPer-style, summing row by row, to 1e-9.
 func TestGlobalFoldThreshold(t *testing.T) {
 	for _, n := range []int{2048, 2049} {
-		x := make([]float64, n)
+		// z is all −0.0: its sum is −0.0 on the interpreter, which starts
+		// from its first value, so the compiled folds must start from the
+		// additive identity −0.0, in one run and over the partials of many.
+		x, z := make([]float64, n), make([]float64, n)
 		for i := range x {
 			x[i] = 1/float64(i+3) + float64(i%13)*1e6
+			z[i] = math.Copysign(0, -1)
 		}
 		tbl := storage.NewTable("big")
 		tbl.AddFloat("x", x)
+		tbl.AddFloat("z", z)
 		cat := storage.NewCatalog().Add(tbl)
-		q := planSQL(t, cat, "SELECT SUM(x) AS s, COUNT(*) AS n, MIN(x) AS lo, MAX(x) AS hi, AVG(x) AS av FROM big")
-		// Single: SUM, COUNT, MIN, MAX. Hierarchical: each twice.
-		if got, want := folds(t, cat, q), map[int]int{2048: 4, 2049: 8}[n]; got != want {
+		q := planSQL(t, cat, "SELECT SUM(x) AS s, COUNT(*) AS n, MIN(x) AS lo, MAX(x) AS hi, AVG(x) AS av, SUM(z) AS sz FROM big")
+		// Single: SUM, COUNT, MIN, MAX, SUM(z). Hierarchical: each twice.
+		if got, want := folds(t, cat, q), map[int]int{2048: 5, 2049: 10}[n]; got != want {
 			t.Errorf("n=%d: %d folds, want %d", n, got, want)
 		}
 		exact := ""
 		for _, name := range []string{"interp", "compiled", "compiled-interp", "hyper"} {
-			res, _, err := aggEngines(cat)[name].Run(q)
+			res, _, err := aggEngines(cat, 0)[name].Run(q)
 			if err != nil {
 				t.Fatalf("n=%d %s: %v", n, name, err)
 			}
 			r := res.Rows[0]
-			got := fmt.Sprintf("%x %v %v %v %x", math.Float64bits(r["s"]), r["n"], r["lo"], r["hi"], math.Float64bits(r["av"]))
+			got := fmt.Sprintf("%x %v %v %v %x %x", math.Float64bits(r["s"]), r["n"], r["lo"], r["hi"], math.Float64bits(r["av"]), math.Float64bits(r["sz"]))
 			switch {
 			case exact == "":
 				exact = got
@@ -313,4 +321,168 @@ func res0(t *testing.T, cat *storage.Catalog, q rel.Query) float64 {
 		t.Fatal(err)
 	}
 	return res.Rows[0]["s"]
+}
+
+// edgeCatalog holds a fact table whose groups exercise the second half of a
+// grouped aggregation: g0..g7 each fill a contiguous block of 80 rows, so
+// each is missing from most work items' partial tables, and g8 takes every
+// 97th row, so it is in a few. The float x holds all-−0.0 and +0/−0 groups,
+// ±Inf, NaN, subnormals and an overflow; the foreign key fk misses dim for
+// some rows, leaving dv (itself holding −0.0, NaN and ±Inf) ε there, and for
+// every row of g4. Every other value is dyadic, so that each group's sum is
+// exact in any order: the compiled engines sum a group per work item and
+// then across them, the interpreter row by row (TestGroupByParity pins that
+// rounding difference at 1e-9).
+func edgeCatalog() *storage.Catalog {
+	const n = 640
+	g, v, fk := make([]int64, n), make([]int64, n), make([]int64, n)
+	x := make([]float64, n)
+	negZero := math.Copysign(0, -1)
+	for i := range n {
+		j := i % 80
+		g[i] = int64(i / 80)
+		v[i] = int64(i*7919%1000) - 500
+		fk[i] = int64(i % 50)
+		switch g[i] {
+		case 0:
+			x[i] = negZero
+		case 1:
+			x[i] = map[int]float64{3: math.Inf(1), 50: math.Inf(-1)}[j] + float64(j)*0.5
+		case 2:
+			x[i] = float64(j)
+			if j == 7 {
+				x[i] = math.NaN()
+			}
+		case 3:
+			x[i] = -float64(j)
+			if j == 79 {
+				x[i] = math.Inf(1)
+			}
+		case 4:
+			x[i] = negZero
+			if j%2 == 1 {
+				x[i] = math.SmallestNonzeroFloat64 * float64(j%3)
+			}
+			fk[i] = int64(5 * (j % 10)) // every one a hole of dim
+		case 5:
+			x[i] = math.Copysign(0, float64(j%2)-0.5)
+		case 6:
+			x[i] = 1
+			if j%40 == 0 {
+				x[i] = 1e308 // two of them overflow in any order
+			}
+		default:
+			x[i] = float64(j)*0.25 - 3
+		}
+		if i%97 == 0 {
+			g[i] = 8
+			x[i] = float64(i)
+			if i == 291 {
+				x[i] = math.NaN()
+			}
+		}
+	}
+	fact := storage.NewTable("e")
+	fact.AddInt("g", g)
+	fact.AddInt("v", v)
+	fact.AddInt("fk", fk)
+	fact.AddFloat("x", x)
+	var dk []int64
+	var dv []float64
+	for key := int64(0); key < 50; key++ {
+		if key%5 == 0 {
+			continue
+		}
+		val := float64(key) * 0.25
+		switch {
+		case key%7 == 0:
+			val = negZero
+		case key == 13:
+			val = math.NaN()
+		case key == 17:
+			val = math.Inf(1)
+		case key == 19:
+			val = math.Inf(-1)
+		}
+		dk, dv = append(dk, key), append(dv, val)
+	}
+	dim := storage.NewTable("dim")
+	dim.AddInt("dk", dk)
+	dim.AddFloat("dv", dv)
+	return storage.NewCatalog().Add(fact).Add(dim)
+}
+
+// bits renders a result one line per row, every value by its bits (so −0.0
+// and +0.0 differ), rows sorted. With anyNaN every NaN renders alike;
+// otherwise NaNs compare by payload.
+func bits(res *rel.Result, anyNaN bool) []string {
+	var out []string
+	for _, r := range res.Rows {
+		var sb strings.Builder
+		for _, c := range res.Cols {
+			if anyNaN && math.IsNaN(r[c]) {
+				fmt.Fprintf(&sb, "%s=NaN ", c)
+				continue
+			}
+			fmt.Fprintf(&sb, "%s=%x ", c, math.Float64bits(r[c]))
+		}
+		out = append(out, sb.String())
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestGroupByEdgeValues runs SUM, MIN, MAX, AVG and COUNT per group over
+// the edge values of edgeCatalog. The grouped fold's second half folds
+// every work item's partial of a group, the empty ones included: they must
+// leave −0.0, ±Inf, NaN and ε where the reference interpreter puts them. So
+// the compiled engines, on the batch tier and on the per-element
+// interpreter, at 1 and 4 workers, agree to the bit with each other and
+// with the interpreter. One exception: a NaN's payload after MIN or MAX
+// records the order the fold met the other values (Go's min and max OR
+// their operands' bits into a NaN), and the compiled engines meet them per
+// work item, so against the interpreter any NaN is a NaN. The HyPer-style
+// baseline is not compared: its MIN and MAX skip NaN and its sums start at
+// +0.
+func TestGroupByEdgeValues(t *testing.T) {
+	cat := edgeCatalog()
+	for _, tc := range []struct{ name, text string }{
+		{"float", "SELECT g, SUM(x) AS s, MIN(x) AS lo, MAX(x) AS hi, AVG(x) AS av, COUNT(*) AS n, COUNT(x) AS c FROM e GROUP BY g"},
+		{"int", "SELECT g, SUM(v) AS s, MIN(v) AS lo, MAX(v) AS hi, AVG(v) AS av, COUNT(v) AS c FROM e GROUP BY g"},
+		{"min-max", "SELECT g, MIN(x) AS lo, MAX(x) AS hi FROM e GROUP BY g"},
+		{"empty-across-join", "SELECT g, SUM(dv) AS s, MIN(dv) AS lo, MAX(dv) AS hi, AVG(dv) AS av, COUNT(dv) AS c, COUNT(*) AS n FROM e JOIN dim ON fk = dk GROUP BY g"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := planSQL(t, cat, tc.text)
+			ref, _, err := aggEngines(cat, 0)["interp"].Run(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ref.Rows) != 9 {
+				t.Fatalf("%d groups, want 9", len(ref.Rows))
+			}
+			want := strings.Join(bits(ref, true), "\n")
+			exact := ""
+			for _, workers := range []int{1, 4} {
+				engines := aggEngines(cat, workers)
+				for _, name := range []string{"compiled", "compiled-interp"} {
+					res, _, err := engines[name].Run(q)
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", name, workers, err)
+					}
+					if got := strings.Join(bits(res, true), "\n"); got != want {
+						t.Errorf("%s workers=%d disagrees with interp:\ngot\n%s\nwant\n%s\n(values: %v)",
+							name, workers, got, want, rows(res, 0))
+					}
+					got := strings.Join(bits(res, false), "\n")
+					if exact == "" {
+						exact = got
+					} else if got != exact {
+						t.Errorf("%s workers=%d disagrees with compiled workers=1:\ngot\n%s\nwant\n%s",
+							name, workers, got, exact)
+					}
+				}
+			}
+		})
+	}
 }
