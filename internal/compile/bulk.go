@@ -356,37 +356,47 @@ func (c *compiler) materializeScattered(d *desc) *desc {
 		binExpr(kernel.BMul, binExpr(kernel.BMod, theIdx, constI(int64(L))), constI(int64(k))),
 		binExpr(kernel.BDiv, theIdx, constI(int64(L))))
 	out := &desc{n: d.logicalN}
+	memo := map[expr]expr{}
 	for _, a := range d.attrs {
-		na := attr{name: a.name, ex: subIdx(a.ex, sigma)}
+		na := attr{name: a.name, ex: subIdx(a.ex, sigma, memo)}
 		if a.validEx != nil {
-			na.validEx = subIdx(a.validEx, sigma)
+			na.validEx = subIdx(a.validEx, sigma, memo)
 		}
 		out.attrs = append(out.attrs, na)
 	}
 	return c.bufferize(out)
 }
 
-// subIdx substitutes the index leaf of an expression tree.
-func subIdx(e, repl expr) expr {
+// subIdx substitutes the index leaf of an expression tree. memo maps every
+// node already rewritten to its image, so a node the tree shares stays
+// shared and the emitter's identity CSE still fires on it.
+func subIdx(e, repl expr, memo map[expr]expr) expr {
+	if r, ok := memo[e]; ok {
+		return r
+	}
+	var r expr
 	switch x := e.(type) {
 	case *eIdx:
-		return repl
+		r = repl
 	case *eGen:
 		// A generated value evaluated at a substituted index loses its
 		// closed form; keep it symbolic via the explicit formula.
-		return subIdx(genFormula(x.m), repl)
+		r = subIdx(genFormula(x.m), repl, memo)
 	case *eBin:
-		return &eBin{op: x.op, a: subIdx(x.a, repl), b: subIdx(x.b, repl)}
+		r = &eBin{op: x.op, a: subIdx(x.a, repl, memo), b: subIdx(x.b, repl, memo)}
 	case *eSel:
-		return &eSel{c: subIdx(x.c, repl), a: subIdx(x.a, repl), b: subIdx(x.b, repl)}
+		r = &eSel{c: subIdx(x.c, repl, memo), a: subIdx(x.a, repl, memo), b: subIdx(x.b, repl, memo)}
 	case *eCast:
-		return &eCast{toF: x.toF, a: subIdx(x.a, repl)}
+		r = &eCast{toF: x.toF, a: subIdx(x.a, repl, memo)}
 	case *eLoad:
-		return &eLoad{buf: x.buf, k: x.k, idx: subIdx(x.idx, repl)}
+		r = &eLoad{buf: x.buf, k: x.k, idx: subIdx(x.idx, repl, memo)}
 	case *eLoadValid:
-		return &eLoadValid{buf: x.buf, idx: subIdx(x.idx, repl)}
+		r = &eLoadValid{buf: x.buf, idx: subIdx(x.idx, repl, memo)}
+	default:
+		r = e
 	}
-	return e
+	memo[e] = r
+	return r
 }
 
 // genFormula expands run metadata into explicit integer index arithmetic:

@@ -402,18 +402,8 @@ func (c *compiler) compileGather(s *core.Stmt) *desc {
 	// Gather through an unmaterialized FoldSelect: keep the pipeline
 	// symbolic so a following fold fuses into one fragment (Figure 8).
 	if posD.sel != nil {
-		srcB := c.bufferize(c.densify(c.plainify(src)))
-		var attrs []attr
-		for _, a := range srcB.attrs {
-			ld := a.ex.(*eLoad)
-			na := attr{name: a.name, ex: &eLoad{buf: ld.buf, k: ld.k, idx: thePos}}
-			if a.validEx != nil {
-				na.validEx = &eLoadValid{buf: ld.buf, idx: thePos}
-			}
-			attrs = append(attrs, na)
-		}
 		return &desc{n: posD.sel.srcN, logicalN: posD.sel.srcN,
-			filt: &filtInfo{sel: posD.sel, attrs: attrs, stmt: c.cur}}
+			filt: &filtInfo{sel: posD.sel, attrs: c.selectedAttrs(src, posD.sel.srcN), stmt: c.cur}}
 	}
 
 	// Gather through a *filtered* gather (an indexed FK lookup on selected
@@ -471,6 +461,51 @@ func (c *compiler) compileGather(s *core.Stmt) *desc {
 	}
 	return out
 }
+
+// selectedAttrs returns src's attributes as expressions over the selected
+// position (thePos) of a selection over n elements. An attribute composes —
+// its expression is re-indexed onto thePos and evaluated only at the rows
+// the consumer reaches — when src is dense over the selection's own index
+// space and the attribute cannot fault; the rest are materialized over all n
+// rows first and loaded at thePos, so a projection that faults on a row the
+// selection rejects still faults, as in the interpreter, which evaluates it
+// before selecting.
+func (c *compiler) selectedAttrs(src *desc, n int) []attr {
+	d := c.densify(c.plainify(src))
+	attrs := make([]attr, len(d.attrs))
+	memo := map[expr]expr{}
+	var rest []int
+	for i, a := range d.attrs {
+		if d.n != n || !composable(a.ex) || (a.validEx != nil && !composable(a.validEx)) {
+			rest = append(rest, i)
+			continue
+		}
+		attrs[i] = attr{name: a.name, ex: subIdx(a.ex, thePos, memo)}
+		if a.validEx != nil {
+			attrs[i].validEx = subIdx(a.validEx, thePos, memo)
+		}
+	}
+	if len(rest) == 0 {
+		return attrs
+	}
+	mat := &desc{n: d.n}
+	for _, i := range rest {
+		mat.attrs = append(mat.attrs, d.attrs[i])
+	}
+	for j, a := range c.bufferize(mat).attrs {
+		ld := a.ex.(*eLoad)
+		na := attr{name: a.name, ex: &eLoad{buf: ld.buf, k: ld.k, idx: thePos}}
+		if a.validEx != nil {
+			na.validEx = &eLoadValid{buf: ld.buf, idx: thePos}
+		}
+		attrs[rest[j]] = na
+	}
+	return attrs
+}
+
+// composable reports whether e may be re-indexed onto a selected position:
+// the emitter can lower it and evaluating it cannot fail.
+func composable(e expr) bool { return emittable(e) && !mayFault(e) }
 
 func (c *compiler) compilePartition(s *core.Stmt) *desc {
 	d1 := c.plainify(c.desc(s.Args[0]))

@@ -187,6 +187,16 @@ func binExpr(op kernel.BinOp, a, b expr) expr {
 			return b
 		}
 	}
+	// (x > y) OR (x == y) is x >= y, one instruction instead of three, for
+	// integers and floats alike: with a NaN operand both sides are 0.
+	if op == kernel.BOr {
+		if ge, ok := geOf(a, b); ok {
+			return ge
+		}
+		if ge, ok := geOf(b, a); ok {
+			return ge
+		}
+	}
 	if ca, ok := a.(*eConst); ok && !ca.isF {
 		if cb, ok2 := b.(*eConst); ok2 && !cb.isF {
 			if v, ok3 := foldConstI(op, ca.i, cb.i); ok3 {
@@ -195,6 +205,20 @@ func binExpr(op kernel.BinOp, a, b expr) expr {
 		}
 	}
 	return &eBin{op: op, a: a, b: b}
+}
+
+// geOf returns x >= y when gt is x > y and eq is x == y or y == x over the
+// same operand nodes.
+func geOf(gt, eq expr) (expr, bool) {
+	g, ok1 := gt.(*eBin)
+	e, ok2 := eq.(*eBin)
+	if !ok1 || !ok2 || g.op != kernel.BGt || e.op != kernel.BEq {
+		return nil, false
+	}
+	if (e.a == g.a && e.b == g.b) || (e.a == g.b && e.b == g.a) {
+		return &eBin{op: kernel.BGe, a: g.a, b: g.b}, true
+	}
+	return nil, false
 }
 
 // mayFault reports whether evaluating e can fail at run time: it divides

@@ -163,20 +163,39 @@ func (c *compiler) specsFor(stmts []*core.Stmt, view *desc) []foldSpec {
 }
 
 // selectedPred combines an attribute's value and validity into a single
-// 0/1 predicate: selected iff valid and non-zero.
+// 0/1 predicate: selected iff valid and non-zero. A value that already is
+// 0/1 — a comparison, an integer AND or OR, a validity probe — is its own
+// predicate.
 func selectedPred(a attr) expr {
-	var nz expr
-	if a.kind() == vector.Float {
-		nz = &eBin{op: kernel.BEq, a: a.ex, b: constF(0)}
-	} else {
-		nz = &eBin{op: kernel.BEq, a: a.ex, b: constI(0)}
+	sel := a.ex
+	if !isBool(sel) {
+		var zero expr = constI(0)
+		if a.kind() == vector.Float {
+			zero = constF(0)
+		}
+		// selected = !(v == 0): (v==0) ? 0 : 1
+		sel = &eSel{c: &eBin{op: kernel.BEq, a: a.ex, b: zero}, a: constI(0), b: constI(1)}
 	}
-	// selected = !(v == 0): (v==0) ? 0 : 1
-	sel := &eSel{c: nz, a: constI(0), b: constI(1)}
 	if a.validEx != nil {
 		return &eBin{op: kernel.BAnd, a: a.validEx, b: sel}
 	}
 	return sel
+}
+
+// isBool reports whether e evaluates to 0 or 1 on every element.
+func isBool(e expr) bool {
+	switch x := e.(type) {
+	case *eLoadValid:
+		return true
+	case *eBin:
+		switch x.op {
+		case kernel.BGt, kernel.BGe, kernel.BEq:
+			return true
+		case kernel.BAnd, kernel.BOr:
+			return x.kind() == vector.Int
+		}
+	}
+	return false
 }
 
 // accState is one fused aggregate's register set during emission.

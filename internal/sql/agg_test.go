@@ -486,3 +486,76 @@ func TestGroupByEdgeValues(t *testing.T) {
 		})
 	}
 }
+
+// TestComposedSelectionKeepsFaults: a gather through a selection re-indexes
+// the projections it reads onto the selected rows, evaluating each only
+// there — except one that can fault, which is computed over every row first,
+// as the interpreter computes it before selecting. So SUM(a / b) fails with
+// the same error on every engine although b is zero only on rows the WHERE
+// rejects, while SUM(a * b) under the same WHERE answers bit for bit and
+// compiles to no mat_* fragment. The error texts are each engine's own (the
+// interpreter names the statement); the compiled engines' agree. x is
+// dyadic, so its sums are exact in any order: the compiled engines sum a
+// filtered column per run of the selection, the interpreter row by row.
+func TestComposedSelectionKeepsFaults(t *testing.T) {
+	const n = 3000
+	a, b, c := make([]int64, n), make([]int64, n), make([]int64, n)
+	x := make([]float64, n)
+	for i := range n {
+		a[i], b[i], c[i] = int64(i*7919%1000)-500, int64(i%9)+1, int64(i%4)
+		x[i] = float64(i%17)*0.25 - 1.5
+		if c[i] == 0 {
+			b[i] = 0 // only on rows c > 0 rejects
+		}
+	}
+	tbl := storage.NewTable("t")
+	tbl.AddInt("a", a)
+	tbl.AddInt("b", b)
+	tbl.AddInt("c", c)
+	tbl.AddFloat("x", x)
+	cat := storage.NewCatalog().Add(tbl)
+	engines := aggEngines(cat, 0)
+	names := []string{"interp", "compiled", "compiled-interp"}
+
+	q := planSQL(t, cat, "SELECT SUM(a / b) AS s FROM t WHERE c > 0")
+	var compiled error
+	for _, name := range names {
+		res, _, err := engines[name].Run(q)
+		switch {
+		case err == nil || !strings.Contains(err.Error(), "by zero"):
+			t.Errorf("SUM(a / b) on %s: err %v, result %v; want a division by zero", name, err, res)
+		case name == "interp":
+		case compiled == nil:
+			compiled = err
+		case err.Error() != compiled.Error():
+			t.Errorf("SUM(a / b) on %s: %v, compiled %v", name, err, compiled)
+		}
+	}
+
+	q = planSQL(t, cat, "SELECT SUM(a * b) AS s, SUM(x * b) AS sx, COUNT(*) AS n FROM t WHERE c > 0")
+	mats := 0
+	engines["compiled"].(*rel.Engine).PlanSink = func(p *compile.Plan) {
+		for _, f := range p.Kernel().Frags {
+			if strings.HasPrefix(f.Name, "mat_") {
+				mats++
+			}
+		}
+	}
+	want := ""
+	for _, name := range names {
+		res, _, err := engines[name].Run(q)
+		if err != nil {
+			t.Fatalf("SUM(a * b) on %s: %v", name, err)
+		}
+		r := res.Rows[0]
+		got := fmt.Sprintf("%x %x %v", math.Float64bits(r["s"]), math.Float64bits(r["sx"]), r["n"])
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("SUM(a * b) on %s: %s, interp %s", name, got, want)
+		}
+	}
+	if mats != 0 {
+		t.Errorf("SUM(a * b): %d mat_* fragments, want the products composed into the filter-fold", mats)
+	}
+}

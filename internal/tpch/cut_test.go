@@ -175,7 +175,7 @@ func TestBigFragmentsSplit(t *testing.T) {
 		extent, intent int
 	}
 	for _, s := range []shape{
-		{1, "filter", 1013, 59}, {1, "group-fold", 64, 934}, {7, "mat", 4096, 15},
+		{1, "filter", 1013, 59}, {1, "group-fold", 64, 934}, {5, "filter", 1013, 59},
 		// Q14's global fold, hierarchical: about grain (1013) runs of 59 rows.
 		{14, "fold", 1013, 59},
 	} {
