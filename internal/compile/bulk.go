@@ -189,24 +189,6 @@ func (c *compiler) spillFilt(si *selInfo, attrs []attr, name, kind string, stmts
 		ctrl.runLen = si.srcN
 	}
 	numRuns := ctrl.numRuns(si.srcN)
-	if c.pruneEmpty(si.pred) {
-		// Zone maps prove the selection never passes: every filtered
-		// column arrives zeroed and all-invalid, exactly as the fragment
-		// would leave it, so only the plan-time step record remains.
-		out := &desc{n: si.srcN}
-		var outBufs []int
-		for _, a := range attrs {
-			buf := c.addBuf(bufName(a.name), a.kind(), si.srcN, true, false)
-			outBufs = append(outBufs, buf)
-			out.attrs = append(out.attrs, attr{name: a.name,
-				ex:      &eLoad{buf: buf, k: a.kind(), idx: theIdx},
-				validEx: &eLoadValid{buf: buf, idx: theIdx}})
-		}
-		c.plan.steps = append(c.plan.steps, &prunedStep{
-			name: fmt.Sprintf("%s_%d", name, len(c.kern.Frags)), stmts: stmts,
-			outBufs: outBufs})
-		return out
-	}
 	f := &kernel.Fragment{
 		Name:   fmt.Sprintf("%s_%d", name, len(c.kern.Frags)),
 		Extent: numRuns, Intent: ctrl.runLen, N: si.srcN,

@@ -106,10 +106,6 @@ type compiler struct {
 	// foldCache holds the results of fused multi-aggregate folds, keyed
 	// by fold statement id.
 	foldCache map[core.Ref]*desc
-	// ranges holds zone-map value intervals for input buffers whose
-	// storage exposes column statistics (see zonemap.go); nil when the
-	// storage provides none.
-	ranges map[int]valRange
 	// sameMask maps a buffer to another whose validity mask always equals
 	// its own — columns a filter wrote through one selection — so an
 	// attribute may test the other's (spillFilt).
@@ -225,7 +221,6 @@ func (c *compiler) compileLoad(s *core.Stmt) *desc {
 			Valid: !col.AllValid(), Input: true,
 		})
 		c.plan.steps = append(c.plan.steps, &bindStep{buf: buf, col: col})
-		c.recordRange(buf, s.Name, name)
 		a := attr{name: name, ex: &eLoad{buf: buf, k: col.Kind(), idx: theIdx}}
 		if !col.AllValid() {
 			a.validEx = &eLoadValid{buf: buf, idx: theIdx}

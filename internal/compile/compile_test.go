@@ -8,6 +8,7 @@ import (
 
 	"voodoo/internal/core"
 	"voodoo/internal/interp"
+	"voodoo/internal/storage"
 	"voodoo/internal/vector"
 )
 
@@ -764,4 +765,81 @@ func TestNonDyadicRunLengthsFuse(t *testing.T) {
 		}
 		diffTest(t, b, st, Options{})
 	}
+}
+
+// selectNothing compiles and runs a program whose selection no row passes
+// against a statistics-carrying catalog whose int column v holds [0, n),
+// and requires root values identical to the interpreter's with every slot
+// ε or zero. The selection runs as an ordinary fragment: column statistics
+// never drop a step at plan time.
+func selectNothing(t *testing.T, n int, build func(b *core.Builder), opt Options) {
+	t.Helper()
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	cat := storage.NewCatalog().Add(storage.NewTable("t").AddInt("v", vals))
+	b := core.NewBuilder()
+	build(b)
+	p := b.Program()
+	want, err := interp.Run(context.Background(), p, cat, interp.Opts{})
+	if err != nil {
+		t.Fatalf("interp: %v\nprogram:\n%s", err, p)
+	}
+	plan, err := Compile(p, cat, opt)
+	if err != nil {
+		t.Fatalf("compile: %v\nprogram:\n%s", err, p)
+	}
+	got, err := plan.RunWith(context.Background(), RunOpts{})
+	if err != nil {
+		t.Fatalf("run: %v\nprogram:\n%s\nkernel:\n%s", err, p, plan.Kernel())
+	}
+	if len(got.Values) == 0 {
+		t.Fatalf("no root values produced\nprogram:\n%s", p)
+	}
+	for ref, gv := range got.Values {
+		if wv := want.Value(ref); !gv.Equal(wv) {
+			t.Fatalf("root v%d differs\nprogram:\n%s\nkernel:\n%s\nwant:\n%s\ngot:\n%s",
+				ref, p, plan.Kernel(), wv, gv)
+		}
+		for _, name := range gv.Names() {
+			c := gv.Col(name)
+			for i := range c.Len() {
+				if c.Valid(i) && c.Float(i) != 0 {
+					t.Fatalf("root v%d.%s[%d] = %g, want ε or 0\nprogram:\n%s", ref, name, i, c.Float(i), p)
+				}
+			}
+		}
+	}
+}
+
+// TestZoneMapPrunesImpossibleSelection: a selection whose predicate no
+// row of the column can satisfy (v > 1000 over [0, 100)) yields all-ε
+// results identical to the interpreter's in both branching and predicated
+// modes, with no plan-time pruning to produce them.
+func TestZoneMapPrunesImpossibleSelection(t *testing.T) {
+	for _, tc := range []struct {
+		label string
+		opt   Options
+	}{
+		{"branching", Options{}},
+		{"predicated", Options{Predication: true}},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			selectNothing(t, 100, func(b *core.Builder) {
+				sel := b.FoldSelect(b.Greater(b.Load("t"), b.Constant(1000)), "", "")
+				b.Materialize(sel, sel, "")
+			}, tc.opt)
+		})
+	}
+}
+
+// TestZoneMapPrunesImpossibleFilter: the gather-through-select fast path
+// (Figure 1's selection) over a predicate no row passes yields all-ε
+// results identical to the interpreter's.
+func TestZoneMapPrunesImpossibleFilter(t *testing.T) {
+	selectNothing(t, 64, func(b *core.Builder) {
+		in := b.Load("t")
+		b.Gather(in, b.FoldSelect(b.Greater(in, b.Constant(500)), "", ""), "")
+	}, Options{})
 }

@@ -69,8 +69,6 @@ func (p *Plan) Explain() string {
 		case *bulkStep:
 			fmt.Fprintf(&sb, "bulk     %-14s", x.name)
 			writeProvenance(&sb, x.stmts, nil)
-		default:
-			fmt.Fprintf(&sb, "step     %s", s.stepName())
 		}
 		sb.WriteString("\n")
 	}

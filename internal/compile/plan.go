@@ -192,24 +192,6 @@ func (s *bulkStep) run(rt *runtime) error {
 
 func (s *bulkStep) stepName() string { return "bulk " + s.name }
 
-// prunedStep records a selection fragment elided at plan time because
-// zone-map statistics prove its predicate never passes. Running it is a
-// no-op: the output buffers stay zeroed with all-false validity, which is
-// bit-identical to executing the fragment.
-type prunedStep struct {
-	name  string
-	stmts []int
-	// outBufs are the buffers the elided fragment would have written.
-	// They must be declared with a validity mask and left unallocated by
-	// no one (non-input), so the zeroed state reads as all-ε; the plan
-	// verifier checks exactly that (rule VP004).
-	outBufs []int
-}
-
-func (s *prunedStep) run(rt *runtime) error { return nil }
-
-func (s *prunedStep) stepName() string { return "pruned " + s.name }
-
 // persistStep writes a converted value back to storage.
 type persistStep struct {
 	name string
@@ -356,9 +338,6 @@ func (p *Plan) traceStep(s step, frags []exec.FragStats, wall time.Duration) tra
 		ts.Kind, ts.Name = trace.KindBind, p.kern.Bufs[x.buf].Name
 	case *persistStep:
 		ts.Kind, ts.Name = trace.KindPersist, x.name
-	case *prunedStep:
-		ts.Kind, ts.Name = trace.KindPruned, x.name
-		ts.Stmts = x.stmts
 	case *fragStep:
 		ts.Kind, ts.Name = trace.KindFragment, x.f.Name
 		pv := x.f.Prov
@@ -405,8 +384,6 @@ func (p *Plan) traceStep(s step, frags []exec.FragStats, wall time.Duration) tra
 				ts.FoldRuns = 1
 			}
 		}
-	default:
-		ts.Kind, ts.Name = "step", s.stepName()
 	}
 	return ts
 }

@@ -1,8 +1,7 @@
 // Plan-level verification (package verify's second level, implemented here
 // because the step structure is private to the compiler): every step's
 // buffer inputs must be resolved before they are read, bulk steps must keep
-// their attribute/buffer schemas aligned across the fragment boundary,
-// zone-map pruned steps must leave outputs that read back as all-ε, and
+// their attribute/buffer schemas aligned across the fragment boundary, and
 // scatter provenance must match the access patterns actually emitted. A
 // buffer a fragment stores and nothing reads is reported as a warning: the
 // plan is correct, the materialization is waste.
@@ -91,23 +90,6 @@ func (p *Plan) Verify() []verify.Diagnostic {
 			}
 			for _, b := range x.outBufs {
 				markWritten(pos, b, "bulk output")
-			}
-		case *prunedStep:
-			for _, b := range x.outBufs {
-				if b < 0 || b >= nbufs {
-					diags = append(diags, verify.Diagnostic{Level: verify.Error, Pos: pos, Rule: verify.RulePlanBufRange,
-						Msg: fmt.Sprintf("pruned output buf %d outside the kernel's %d declarations", b, nbufs)})
-					continue
-				}
-				decl := p.kern.Bufs[b]
-				// A pruned output is never written at run time: it must be
-				// executor-allocated (non-input) and carry a validity mask
-				// so its zeroed state reads back as all-ε.
-				if decl.Input || !decl.Valid {
-					diags = append(diags, verify.Diagnostic{Level: verify.Error, Pos: pos, Rule: verify.RulePrunedOutput,
-						Msg: fmt.Sprintf("pruned output buf %d (%s) cannot represent all-ε (input=%v valid=%v)", b, decl.Name, decl.Input, decl.Valid)})
-				}
-				written[b] = true
 			}
 		case *persistStep:
 			for _, b := range x.conv.bufs {

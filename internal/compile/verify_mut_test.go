@@ -99,19 +99,6 @@ func mutPartitionPlan(t *testing.T) *Plan {
 	return mutCompile(t, b, st, Options{})
 }
 
-// mutPrunedPlan compiles a selection the zone map proves empty, yielding a
-// pruned step whose output buffers must read back as all-ε.
-func mutPrunedPlan(t *testing.T) *Plan {
-	t.Helper()
-	cat := zoneCatalog(100)
-	b := core.NewBuilder()
-	in := b.Load("t")
-	pred := b.Greater(in, b.Constant(1000))
-	sel := b.FoldSelect(pred, "", "")
-	b.Materialize(sel, sel, "")
-	return mutCompile(t, b, cat, Options{})
-}
-
 func mutCompile(t *testing.T, b *core.Builder, st Storage, opt Options) *Plan {
 	t.Helper()
 	p, err := Compile(b.Program(), st, opt)
@@ -449,16 +436,6 @@ func mutations() []mutation {
 				for _, s := range p.steps {
 					if b, ok := s.(*bulkStep); ok && len(b.outBufs) > 0 {
 						b.outBufs[0] = 999
-						return true
-					}
-				}
-				return false
-			}},
-		{"pruned-output-unmasked", verify.RulePrunedOutput, mutPrunedPlan,
-			func(p *Plan) bool {
-				for _, s := range p.steps {
-					if ps, ok := s.(*prunedStep); ok && len(ps.outBufs) > 0 {
-						p.kern.Bufs[ps.outBufs[0]].Valid = false
 						return true
 					}
 				}

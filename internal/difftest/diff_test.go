@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -9,6 +10,9 @@ import (
 	"voodoo/internal/core"
 	"voodoo/internal/interp"
 	"voodoo/internal/metrics"
+	"voodoo/internal/rel"
+	"voodoo/internal/sql"
+	"voodoo/internal/tpch"
 	"voodoo/internal/trace"
 	"voodoo/internal/vector"
 )
@@ -87,6 +91,131 @@ func runPlan(ctx context.Context, plan *compile.Plan, pooled bool, morsel int, n
 	return res, func() {}, nil
 }
 
+// pinnedProgram is a hand-built program the generator does not produce.
+type pinnedProgram struct {
+	name  string
+	build func(t *testing.T) *Program
+	// empty marks a program that selects nothing: every root must hold
+	// only ε and zeros.
+	empty bool
+}
+
+// pinned are run through every config after the generated corpus. The
+// first three select nothing: no row passes the predicate. The rest reach
+// the compiler's fold fallback (compileFoldOn): a fold over a pending
+// filter, virtual scatter or group that the fused fold cannot take, which
+// materializes the pending vector first.
+var pinned = []pinnedProgram{
+	{name: "select-nothing-materialized", empty: true, build: func(*testing.T) *Program {
+		b := core.NewBuilder()
+		sel := b.FoldSelect(b.Greater(b.Load("t"), b.Constant(1000)), "", "")
+		b.Materialize(sel, sel, "")
+		return &Program{Prog: b.Program(), St: interp.MemStorage{"t": modVec("v", 100, 100)}}
+	}},
+	{name: "gather-through-select-nothing", empty: true, build: func(*testing.T) *Program {
+		b := core.NewBuilder()
+		in := b.Load("t")
+		b.Gather(in, b.FoldSelect(b.Greater(in, b.Constant(500)), "", ""), "")
+		return &Program{Prog: b.Program(), St: interp.MemStorage{"t": modVec("v", 64, 64)}}
+	}},
+	{name: "sql supplier-out-of-range", empty: true, build: func(t *testing.T) *Program {
+		return sqlProgram(t, "SELECT COUNT(*) AS n FROM supplier WHERE s_suppkey > 100000000")
+	}},
+	{name: "foldselect-foldscan-over-filter", build: func(*testing.T) *Program {
+		b := core.NewBuilder()
+		in := b.Load("t")
+		hit := b.Gather(in, b.FoldSelect(b.Greater(in, b.Constant(3)), "", ""), "")
+		again := b.FoldSelect(b.Greater(hit, b.Constant(6)), "", "")
+		b.Materialize(again, again, "")
+		b.FoldScan(hit, "", "v")
+		return &Program{Prog: b.Program(), St: interp.MemStorage{"t": modVec("v", 90, 10)}}
+	}},
+	{name: "folds-over-scatter", build: func(*testing.T) *Program {
+		// Figure 4's SIMD scatter, folded globally and keyed off the
+		// partition attribute instead of by it.
+		b := core.NewBuilder()
+		input := b.Load("input")
+		lanes := b.Project("partition", b.Modulo(b.Range(input), b.Constant(4)), "")
+		withLane := b.Zip("val", input, "val", "partition", lanes, "partition")
+		pos := b.Partition("pos", lanes, "partition", b.RangeN(0, 4, 1), "")
+		scattered := b.Scatter(withLane, input, "", b.Upsert(withLane, "pos", pos, "pos"), "pos")
+		b.GlobalSum(scattered, "val")
+		b.FoldSum(scattered, "val", "val")
+		b.FoldScan(scattered, "partition", "val")
+		sel := b.FoldSelect(b.Arith(core.OpGreater, "val", scattered, "val", b.Constant(7), ""), "", "val")
+		b.Materialize(sel, sel, "")
+		return &Program{Prog: b.Program(), St: interp.MemStorage{"input": modVec("val", 64, 16)}}
+	}},
+	{name: "folds-over-group", build: func(*testing.T) *Program {
+		// Figure 11's grouped scatter, folded with an empty keypath and
+		// by position.
+		b := core.NewBuilder()
+		in := b.Load("t")
+		pos := b.Partition("pos", in, "g", b.RangeN(0, 5, 1), "")
+		scattered := b.Scatter(in, in, "", b.Upsert(in, "pos", pos, "pos"), "pos")
+		b.FoldSum(scattered, "", "v")
+		b.FoldMax(scattered, "", "g")
+		b.FoldScan(scattered, "g", "v")
+		sel := b.FoldSelect(b.Greater(b.Project("v", scattered, "v"), b.Constant(50)), "", "")
+		b.Materialize(sel, sel, "")
+		g, v := make([]int64, 120), make([]int64, 120)
+		for i := range g {
+			g[i], v[i] = int64(i*7%5), int64(i*37%101)
+		}
+		return &Program{Prog: b.Program(), St: interp.MemStorage{"t": vector.New(120).
+			Set("g", vector.NewInt(g)).Set("v", vector.NewInt(v))}}
+	}},
+}
+
+// modVec is the single-column vector i mod m for i in [0, n).
+func modVec(name string, n, m int) *vector.Vector {
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i % m)
+	}
+	return vector.New(n).Set(name, vector.NewInt(vals))
+}
+
+// sqlProgram lowers one statement over a small TPC-H catalog and loads the
+// vectors its program reads into memory storage.
+func sqlProgram(t *testing.T, text string) *Program {
+	cat := tpch.Generate(tpch.Config{SF: 0.001, Seed: 42})
+	stmt, err := sql.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sql.Plan(stmt, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := rel.Lower(q, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := interp.MemStorage{}
+	for _, s := range prog.Stmts {
+		if s.Op == core.OpLoad {
+			if st[s.Name], err = cat.LoadVector(s.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return &Program{Prog: prog, St: st}
+}
+
+// allEmptyOrZero reports whether every slot of v is ε or zero.
+func allEmptyOrZero(v *vector.Vector) bool {
+	for _, name := range v.Names() {
+		c := v.Col(name)
+		for i := range c.Len() {
+			if c.Valid(i) && c.Float(i) != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 const (
 	fullPrograms  = 500
 	shortPrograms = 100
@@ -94,11 +223,12 @@ const (
 )
 
 // TestInterpVsCompiled is the differential harness: every generated
-// program must produce bit-identical root values on the interpreter and
-// on the compiling backend under all four option combinations. When the
-// interpreter rejects a program, every compiled configuration must
-// reject it too (at compile or run time), and such programs may not
-// exceed 5% of the corpus.
+// program, and every pinned one, must produce bit-identical root values on
+// the interpreter and on the compiling backend under all option
+// combinations. When the interpreter rejects a generated program, every
+// compiled configuration must reject it too (at compile or run time), and
+// such programs may not exceed 5% of the corpus. A pinned program must
+// run, and one that selects nothing must leave every root all-ε or zero.
 func TestInterpVsCompiled(t *testing.T) {
 	n := fullPrograms
 	if testing.Short() {
@@ -106,15 +236,26 @@ func TestInterpVsCompiled(t *testing.T) {
 	}
 	ctx := context.Background()
 	reported, interpErrs := 0, 0
-	for seed := int64(1); seed <= int64(n); seed++ {
-		p := Generate(seed)
+	// check runs one program through every config; pin is nil for a
+	// generated one.
+	check := func(label string, p *Program, pin *pinnedProgram) {
 		ires, ierr := interp.Run(ctx, p.Prog, p.St, interp.Opts{})
 		if ierr != nil {
 			interpErrs++
 		}
 		roots := p.Prog.Roots()
 		if len(roots) == 0 {
-			t.Fatalf("seed %d: generated program has no roots:\n%s", seed, p.Prog)
+			t.Fatalf("%s: program has no roots:\n%s", label, p.Prog)
+		}
+		if pin != nil && ierr != nil {
+			t.Fatalf("%s: interp: %v\n%s", label, ierr, p.Prog)
+		}
+		if pin != nil && pin.empty {
+			for _, ref := range roots {
+				if v := ires.Value(ref); !allEmptyOrZero(v) {
+					t.Fatalf("%s: root v%d selects something:\n%s", label, ref, v)
+				}
+			}
 		}
 		for _, cfg := range configs {
 			if reported >= maxReported {
@@ -135,14 +276,14 @@ func TestInterpVsCompiled(t *testing.T) {
 				}
 				if _, release, rerr := runPlan(ctx, plan, cfg.pooled, morsels[0], noSpecs[0], false); rerr == nil {
 					release()
-					t.Errorf("seed %d %s: interpreter rejects the program (%v) but the compiled plan runs:\n%s",
-						seed, cfg.name, ierr, p.Prog)
+					t.Errorf("%s %s: interpreter rejects the program (%v) but the compiled plan runs:\n%s",
+						label, cfg.name, ierr, p.Prog)
 					reported++
 				}
 				continue
 			}
 			if cerr != nil {
-				t.Errorf("seed %d %s: compile failed: %v\nprogram:\n%s", seed, cfg.name, cerr, p.Prog)
+				t.Errorf("%s %s: compile failed: %v\nprogram:\n%s", label, cfg.name, cerr, p.Prog)
 				reported++
 				continue
 			}
@@ -157,7 +298,7 @@ func TestInterpVsCompiled(t *testing.T) {
 						before := fragmentPaths()
 						cres, release, rerr := runPlan(ctx, plan, cfg.pooled, morsel, noSpec, traced)
 						if rerr != nil {
-							t.Errorf("seed %d %s (morsel=%d no-specialize=%v traced=%v): run failed: %v\nprogram:\n%s", seed, cfg.name, morsel, noSpec, traced, rerr, p.Prog)
+							t.Errorf("%s %s (morsel=%d no-specialize=%v traced=%v): run failed: %v\nprogram:\n%s", label, cfg.name, morsel, noSpec, traced, rerr, p.Prog)
 							reported++
 							continue
 						}
@@ -175,22 +316,22 @@ func TestInterpVsCompiled(t *testing.T) {
 								}
 							}
 							if mix != untracedMix {
-								t.Errorf("seed %d %s (morsel=%d no-specialize=%v): traced run took %d interp / %d batch fragments, untraced took %d / %d\nprogram:\n%s",
-									seed, cfg.name, morsel, noSpec, mix[0], mix[1], untracedMix[0], untracedMix[1], p.Prog)
+								t.Errorf("%s %s (morsel=%d no-specialize=%v): traced run took %d interp / %d batch fragments, untraced took %d / %d\nprogram:\n%s",
+									label, cfg.name, morsel, noSpec, mix[0], mix[1], untracedMix[0], untracedMix[1], p.Prog)
 								reported++
 							}
 						}
 						for _, ref := range roots {
 							iv, cv := ires.Value(ref), cres.Values[ref]
 							if cv == nil {
-								t.Errorf("seed %d %s (morsel=%d no-specialize=%v traced=%v): root v%d missing from compiled result\nprogram:\n%s",
-									seed, cfg.name, morsel, noSpec, traced, ref, p.Prog)
+								t.Errorf("%s %s (morsel=%d no-specialize=%v traced=%v): root v%d missing from compiled result\nprogram:\n%s",
+									label, cfg.name, morsel, noSpec, traced, ref, p.Prog)
 								reported++
 								break
 							}
 							if !iv.Equal(cv) {
-								t.Errorf("seed %d %s (morsel=%d no-specialize=%v traced=%v): root v%d diverges\nprogram:\n%s\ninterp:\n%s\ncompiled:\n%s",
-									seed, cfg.name, morsel, noSpec, traced, ref, p.Prog, iv, cv)
+								t.Errorf("%s %s (morsel=%d no-specialize=%v traced=%v): root v%d diverges\nprogram:\n%s\ninterp:\n%s\ncompiled:\n%s",
+									label, cfg.name, morsel, noSpec, traced, ref, p.Prog, iv, cv)
 								reported++
 								break
 							}
@@ -201,8 +342,15 @@ func TestInterpVsCompiled(t *testing.T) {
 			}
 		}
 	}
+	for seed := int64(1); seed <= int64(n); seed++ {
+		check(fmt.Sprintf("seed %d", seed), Generate(seed), nil)
+	}
 	if interpErrs*20 > n {
 		t.Errorf("interpreter rejected %d/%d generated programs (budget is 5%%) — the generator has drifted into invalid territory", interpErrs, n)
+	}
+	for i := range pinned {
+		pin := &pinned[i]
+		check(pin.name, pin.build(t), pin)
 	}
 }
 

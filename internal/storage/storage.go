@@ -46,7 +46,6 @@ type ColumnDef struct {
 // and table sizing.
 type Stats struct {
 	MinI, MaxI int64
-	MinF, MaxF float64
 }
 
 // Table is a named collection of equal-length columns.
@@ -105,21 +104,13 @@ func (t *Table) AddInt(name string, vals []int64) *Table {
 	return t
 }
 
-// AddFloat adds a float column, computing its metadata.
+// AddFloat adds a float column. A float column has no integer domain: its
+// metadata reads [0, 0].
 func (t *Table) AddFloat(name string, vals []float64) *Table {
 	t.setLen(len(vals), name)
-	st := Stats{}
-	for i, v := range vals {
-		if i == 0 || v < st.MinF {
-			st.MinF = v
-		}
-		if i == 0 || v > st.MaxF {
-			st.MaxF = v
-		}
-	}
 	t.defs = append(t.defs, ColumnDef{Name: name, Kind: vector.Float})
 	t.cols[name] = vector.NewFloat(vals)
-	t.stats[name] = st
+	t.stats[name] = Stats{}
 	return t
 }
 
@@ -291,49 +282,6 @@ func (c *Catalog) LoadVector(name string) (*vector.Vector, error) {
 func (c *Catalog) PersistVector(name string, v *vector.Vector) error {
 	c.extra[name] = v
 	return nil
-}
-
-// rangeExact bounds the magnitude below which float64 represents every
-// int64 exactly; ranges beyond it are withheld from the compiler rather
-// than reported with rounding.
-const rangeExact = 1 << 52
-
-// ColumnRange implements the compiling backend's optional zone-map
-// interface (compile.StatsProvider): the inclusive raw-value range of
-// column col in the vector named vec (same naming as LoadVector — either
-// a table, or "table.col" for a single-column vector). Dictionary columns
-// report their code range; in-band null sentinels are included, so the
-// range covers every value a load can observe. ok is false for vectors
-// persisted by programs (no statistics) and for ranges float64 cannot
-// hold exactly.
-func (c *Catalog) ColumnRange(vec, col string) (lo, hi float64, ok bool) {
-	t := c.tables[vec]
-	if t == nil {
-		// "table.col" names a single-column vector whose one column keeps
-		// the bare column name.
-		for tn, tt := range c.tables {
-			if vec == tn+"."+col {
-				t = tt
-				break
-			}
-		}
-	}
-	if t == nil {
-		return 0, 0, false
-	}
-	st, ok := t.Stats(col)
-	if !ok {
-		return 0, 0, false
-	}
-	d, _ := t.Def(col)
-	if d.Kind == vector.Float {
-		return st.MinF, st.MaxF, st.MinF <= st.MaxF
-	}
-	if st.MinI >= rangeExact || st.MinI <= -rangeExact ||
-		st.MaxI >= rangeExact || st.MaxI <= -rangeExact {
-		return 0, 0, false
-	}
-	return float64(st.MinI), float64(st.MaxI), true
 }
 
 // ---- Binary persistence -------------------------------------------------

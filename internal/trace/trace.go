@@ -33,9 +33,6 @@ const (
 	KindPersist  = "persist"
 	KindOutput   = "output"
 	KindStmt     = "stmt"
-	// KindPruned marks a fragment elided at plan time by zone-map
-	// statistics (a selection whose predicate provably never passes).
-	KindPruned = "pruned"
 )
 
 // Step is the trace record of one plan step (one fragment, bulk step, or

@@ -10,8 +10,8 @@
 //     as its front line.
 //   - Plan level (package compile's (*Plan).Verify): post-lowering checks
 //     on compiled plans — step inputs resolved, schema consistency across
-//     fragment boundaries, virtual-scatter resolution, zone-map pruned-step
-//     output validity.
+//     fragment boundaries, virtual-scatter resolution, and stores nothing
+//     reads.
 //   - Fragment level (Fragment/Kernel): the fragment contract, buffer
 //     kind consistency, loop-bound sanity, and sequential-vs-random access
 //     classification. The contract — every register read dominated by a
@@ -137,11 +137,11 @@ const (
 	// Kernel level.
 	RuleBufDecl = "VK001" // buffer declaration with negative size or empty name
 
-	// Plan level (reported by (*compile.Plan).Verify).
+	// Plan level (reported by (*compile.Plan).Verify). VP004, a pruned
+	// step's output, went with zone-map pruning and is not reused.
 	RuleInputUnbound  = "VP001" // input buffer read before it is bound or produced
 	RulePlanBufRange  = "VP002" // plan step references a buffer outside the kernel
 	RulePlanSchema    = "VP003" // bulk step attribute/buffer arity mismatch
-	RulePrunedOutput  = "VP004" // pruned-step output buffer cannot represent ε
 	RuleVirtualStore  = "VP005" // virtual (dissolved-scatter) fragment stores randomly
 	RuleScatterSeq    = "VP006" // real scatter fragment without a random store
 	RuleUseBeforeProd = "VP007" // buffer read before any producing step
