@@ -96,10 +96,10 @@ func TestEveryFlagOnEverySource(t *testing.T) {
 		}
 	}
 
-	// -verify lists a plan's warnings: Q1's filter stores the column only its
-	// predicate reads.
-	if out := run(t, "-verify", "-q", "1"); !regexp.MustCompile(`warn: VP008: .*l_shipdate`).MatchString(out) {
-		t.Errorf("-verify -q 1 lists no dead store of l_shipdate:\n%s", out)
+	// -verify lists a plan's warnings: Q4's lineitem filter, spilled for the
+	// semi join it builds, stores a column only its predicate reads.
+	if out := run(t, "-verify", "-q", "4"); !regexp.MustCompile(`warn: VP008: .*l_receiptdate`).MatchString(out) {
+		t.Errorf("-verify -q 4 lists no dead store of l_receiptdate:\n%s", out)
 	}
 
 	// Conflicting or missing inputs and an unknown engine are usage errors,

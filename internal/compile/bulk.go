@@ -2,7 +2,9 @@ package compile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"voodoo/internal/core"
 	"voodoo/internal/exec"
@@ -52,6 +54,8 @@ func (c *compiler) plainify(d *desc) *desc {
 		si := d.sel
 		out = c.spillFilt(si, []attr{{name: si.outName, ex: thePos}}, "sel", "select",
 			[]int{si.stmt}, func(string) string { return "selpos" })
+	case d.filt != nil && d.filt.sel.inPlace:
+		out = readInPlace(d.filt)
 	case d.filt != nil:
 		fi := d.filt
 		out = c.spillFilt(fi.sel, fi.attrs, "filt", "filter", []int{fi.sel.stmt, fi.stmt},
@@ -63,6 +67,166 @@ func (c *compiler) plainify(d *desc) *desc {
 	}
 	d.plainCache = out
 	return out
+}
+
+// readInPlace plainifies a pending filter without moving a row: each
+// attribute is read at its source row, and the selection's predicate is
+// and-ed into its validity, so a rejected row is ε in its own slot where
+// spillFilt would compact the selected rows to their run's start. The
+// selected rows keep their order either way; only where the ε slots sit
+// differs, which foldsThrough makes sure no consumer observes.
+func readInPlace(fi *filtInfo) *desc {
+	pred := fi.sel.pred
+	memo := map[expr]expr{}
+	out := &desc{n: fi.sel.srcN}
+	for _, a := range fi.attrs {
+		na := attr{name: a.name, ex: subIdx(a.ex, thePos, theIdx, memo), validEx: pred}
+		if a.validEx != nil {
+			na.validEx = andValid(pred, subIdx(a.validEx, thePos, theIdx, memo))
+		}
+		out.attrs = append(out.attrs, na)
+	}
+	return out
+}
+
+// foldsThrough decides whether the FoldSelect sel is read in place
+// (readInPlace) rather than spilled (spillFilt). One forward walk over the
+// statements after it follows the vectors over its rows and accepts only
+// consumers that cannot observe where ε slots sit:
+//
+//   - a Gather through sel of a source that is not over its rows;
+//   - Project; Upsert, Zip and arithmetic whose operands are over its rows
+//     or Constants;
+//   - a Gather whose positions are over its rows and whose source is not
+//     (a foreign-key lookup);
+//   - a Partition of such a vector by pivots that are not, an Upsert of its
+//     positions into such a vector, and the Scatter of the partitioned
+//     vector through them — the virtual scatter groupedFold lowers;
+//   - FoldSum, FoldMin and FoldMax keyed on that Partition's attribute, or
+//     global over a vector of its rows.
+//
+// Anything else refuses: a root, FoldSelect and FoldScan, a fold keyed on
+// any other attribute (its runs would span different rows), Range,
+// Materialize, Break, Cross, Persist, and a Zip or arithmetic with any
+// other vector. The fold results are the same either way: an ε row still
+// counts in group zero's occupancy, and groupedFold's guard on the group
+// id's validity skips it as it skips a spilled filter's padding.
+//
+// In place, a consumer also evaluates the rows the selection rejects. An
+// attribute whose value may fault there — it divides by something other
+// than a non-zero Constant — may reach only a grouped fold's values, which
+// run behind groupedFold's guard; as a partitioned group id, a lookup
+// position or a global fold's value it would run ahead of it, so the walk
+// refuses.
+func (c *compiler) foldsThrough(sel core.Ref) bool {
+	const (
+		rows  = iota + 1 // a vector over sel's rows
+		part             // a Partition of one, or an Upsert of its positions
+		group            // its virtual Scatter
+	)
+	stmts := c.prog.Stmts
+	kind := map[core.Ref]int{}
+	partOf := map[core.Ref]core.Ref{} // part and group statements → their Partition
+	// faulty names the attributes of a rows statement that may fault.
+	faulty := map[core.Ref][]string{}
+	faults := func(r core.Ref, kp string) bool {
+		return slices.ContainsFunc(faulty[r], func(n string) bool {
+			return kp == "" || n == kp || strings.HasPrefix(n, kp+".") || strings.HasPrefix(kp, n+".")
+		})
+	}
+	isConst := func(r core.Ref) bool { return stmts[r].Op == core.OpConstant }
+	for i := int(sel) + 1; i < len(stmts); i++ {
+		s := &stmts[i]
+		touched := false
+		for _, a := range s.Args {
+			touched = touched || a == sel || kind[a] != 0
+		}
+		if !touched {
+			continue
+		}
+		arg := func(j int) int { return kind[s.Args[j]] }
+		argFaults := func(j int) bool { return faults(s.Args[j], s.Kp[j]) }
+		switch {
+		case s.Op == core.OpGather && s.Args[1] == sel:
+			if s.Args[0] == sel || arg(0) != 0 {
+				return false
+			}
+			kind[s.ID] = rows
+		case slices.Contains(s.Args, sel):
+			return false
+		case s.Op == core.OpProject && arg(0) == rows:
+			kind[s.ID] = rows
+			if argFaults(0) {
+				faulty[s.ID] = []string{s.Out[0]}
+			}
+		case s.Op == core.OpUpsert && arg(0) == rows && arg(1) == part:
+			kind[s.ID], partOf[s.ID] = part, partOf[s.Args[1]]
+		case s.Op == core.OpUpsert || s.Op == core.OpZip || s.Op.IsArith():
+			for _, a := range s.Args {
+				if kind[a] != rows && !isConst(a) {
+					return false
+				}
+			}
+			kind[s.ID] = rows
+			switch {
+			case s.Op == core.OpUpsert:
+				faulty[s.ID] = slices.DeleteFunc(slices.Clone(faulty[s.Args[0]]),
+					func(n string) bool { return n == s.Out[0] })
+				if argFaults(1) {
+					faulty[s.ID] = append(faulty[s.ID], s.Out[0])
+				}
+			case s.Op == core.OpZip:
+				for j := range 2 {
+					if argFaults(j) {
+						faulty[s.ID] = append(faulty[s.ID], s.Out[j])
+					}
+				}
+			default:
+				d := &stmts[s.Args[1]]
+				divides := (s.Op == core.OpDivide || s.Op == core.OpModulo) &&
+					(!isConst(d.ID) || (d.IntVal == 0 && d.FloatVal == 0))
+				if divides || argFaults(0) || argFaults(1) {
+					faulty[s.ID] = []string{s.Out[0]}
+				}
+			}
+		case s.Op == core.OpGather:
+			if arg(0) != 0 || arg(1) != rows || argFaults(1) {
+				return false
+			}
+			kind[s.ID] = rows
+		case s.Op == core.OpPartition:
+			if arg(0) != rows || argFaults(0) || arg(1) != 0 || s.Kp[0] == "" {
+				return false
+			}
+			kind[s.ID], partOf[s.ID] = part, s.ID
+		case s.Op == core.OpScatter:
+			pos := &stmts[s.Args[2]]
+			if arg(2) != part || (pos.Op == core.OpUpsert && s.Kp[2] != pos.Out[0]) {
+				return false
+			}
+			p := partOf[pos.ID]
+			// The scattered vector is the one partitioned, and not the
+			// Gather itself: groupedFold needs it plain.
+			if s.Args[0] != stmts[p].Args[0] || stmts[s.Args[0]].Op == core.OpGather || arg(1) != rows {
+				return false
+			}
+			kind[s.ID], partOf[s.ID] = group, p
+		case s.Op == core.OpFoldSum || s.Op == core.OpFoldMin || s.Op == core.OpFoldMax:
+			keyed := arg(0) == group && s.Kp[0] == stmts[partOf[s.Args[0]]].Kp[0]
+			global := arg(0) == rows && s.Kp[0] == "" && !faults(s.Args[0], s.FoldVal)
+			if !keyed && !global {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	for r := range kind {
+		if len(c.uses[r]) == 0 {
+			return false // a root shows its ε slots
+		}
+	}
+	return true
 }
 
 // emitReady plainifies d and replaces any remaining non-emittable attribute
@@ -340,40 +504,47 @@ func (c *compiler) materializeScattered(d *desc) *desc {
 	out := &desc{n: d.logicalN}
 	memo := map[expr]expr{}
 	for _, a := range d.attrs {
-		na := attr{name: a.name, ex: subIdx(a.ex, sigma, memo)}
+		na := attr{name: a.name, ex: subIdx(a.ex, theIdx, sigma, memo)}
 		if a.validEx != nil {
-			na.validEx = subIdx(a.validEx, sigma, memo)
+			na.validEx = subIdx(a.validEx, theIdx, sigma, memo)
 		}
 		out.attrs = append(out.attrs, na)
 	}
 	return c.bufferize(out)
 }
 
-// subIdx substitutes the index leaf of an expression tree. memo maps every
-// node already rewritten to its image, so a node the tree shares stays
-// shared and the emitter's identity CSE still fires on it.
-func subIdx(e, repl expr, memo map[expr]expr) expr {
+// subIdx substitutes leaf — the index theIdx or the selected position
+// thePos — in an expression tree. memo maps every node already rewritten to
+// its image, so a node the tree shares stays shared and the emitter's
+// identity CSE still fires on it.
+func subIdx(e, leaf, repl expr, memo map[expr]expr) expr {
 	if r, ok := memo[e]; ok {
 		return r
 	}
 	var r expr
 	switch x := e.(type) {
-	case *eIdx:
-		r = repl
+	case *eIdx, *ePos:
+		r = e
+		if e == leaf {
+			r = repl
+		}
 	case *eGen:
 		// A generated value evaluated at a substituted index loses its
 		// closed form; keep it symbolic via the explicit formula.
-		r = subIdx(genFormula(x.m), repl, memo)
+		r = e
+		if leaf == expr(theIdx) {
+			r = subIdx(genFormula(x.m), leaf, repl, memo)
+		}
 	case *eBin:
-		r = &eBin{op: x.op, a: subIdx(x.a, repl, memo), b: subIdx(x.b, repl, memo)}
+		r = &eBin{op: x.op, a: subIdx(x.a, leaf, repl, memo), b: subIdx(x.b, leaf, repl, memo)}
 	case *eSel:
-		r = &eSel{c: subIdx(x.c, repl, memo), a: subIdx(x.a, repl, memo), b: subIdx(x.b, repl, memo)}
+		r = &eSel{c: subIdx(x.c, leaf, repl, memo), a: subIdx(x.a, leaf, repl, memo), b: subIdx(x.b, leaf, repl, memo)}
 	case *eCast:
-		r = &eCast{toF: x.toF, a: subIdx(x.a, repl, memo)}
+		r = &eCast{toF: x.toF, a: subIdx(x.a, leaf, repl, memo)}
 	case *eLoad:
-		r = &eLoad{buf: x.buf, k: x.k, idx: subIdx(x.idx, repl, memo)}
+		r = &eLoad{buf: x.buf, k: x.k, idx: subIdx(x.idx, leaf, repl, memo)}
 	case *eLoadValid:
-		r = &eLoadValid{buf: x.buf, idx: subIdx(x.idx, repl, memo)}
+		r = &eLoadValid{buf: x.buf, idx: subIdx(x.idx, leaf, repl, memo)}
 	default:
 		r = e
 	}

@@ -98,6 +98,7 @@ type compiler struct {
 	opt   Options
 	kern  *kernel.Kernel
 	descs []*desc
+	uses  [][]core.Ref
 	plan  *Plan
 	nbuf  int
 	// cur is the SSA id of the statement being compiled, attributed to
@@ -133,7 +134,7 @@ func (c *compiler) run() (err error) {
 			panic(r)
 		}
 	}()
-	uses := c.prog.Uses()
+	c.uses = c.prog.Uses()
 	for i := range c.prog.Stmts {
 		s := &c.prog.Stmts[i]
 		c.cur = i
@@ -143,7 +144,7 @@ func (c *compiler) run() (err error) {
 	for i := range c.prog.Stmts {
 		s := &c.prog.Stmts[i]
 		c.cur = i
-		if len(uses[i]) == 0 && s.Op != core.OpPersist {
+		if len(c.uses[i]) == 0 && s.Op != core.OpPersist {
 			c.plan.outputs = append(c.plan.outputs, output{
 				ref: core.Ref(i), conv: c.converter(c.descs[i]),
 			})
@@ -464,7 +465,8 @@ func (c *compiler) compileGather(s *core.Stmt) *desc {
 // space and the attribute cannot fault; the rest are materialized over all n
 // rows first and loaded at thePos, so a projection that faults on a row the
 // selection rejects still faults, as in the interpreter, which evaluates it
-// before selecting.
+// before selecting. Past the end of a source shorter than the selection the
+// attributes are ε, as a Gather's out-of-bounds positions are.
 func (c *compiler) selectedAttrs(src *desc, n int) []attr {
 	d := c.densify(c.plainify(src))
 	attrs := make([]attr, len(d.attrs))
@@ -475,9 +477,9 @@ func (c *compiler) selectedAttrs(src *desc, n int) []attr {
 			rest = append(rest, i)
 			continue
 		}
-		attrs[i] = attr{name: a.name, ex: subIdx(a.ex, thePos, memo)}
+		attrs[i] = attr{name: a.name, ex: subIdx(a.ex, theIdx, thePos, memo)}
 		if a.validEx != nil {
-			attrs[i].validEx = subIdx(a.validEx, thePos, memo)
+			attrs[i].validEx = subIdx(a.validEx, theIdx, thePos, memo)
 		}
 	}
 	if len(rest) == 0 {
@@ -490,8 +492,11 @@ func (c *compiler) selectedAttrs(src *desc, n int) []attr {
 	for j, a := range c.bufferize(mat).attrs {
 		ld := a.ex.(*eLoad)
 		na := attr{name: a.name, ex: &eLoad{buf: ld.buf, k: ld.k, idx: thePos}}
-		if a.validEx != nil {
+		if a.validEx != nil || d.n < n {
 			na.validEx = &eLoadValid{buf: ld.buf, idx: thePos}
+		}
+		if d.n < n {
+			na.ex = &eLoad{buf: ld.buf, k: ld.k, idx: &eSel{c: na.validEx, a: thePos, b: constI(0)}}
 		}
 		attrs[rest[j]] = na
 	}

@@ -143,6 +143,9 @@ type selInfo struct {
 	ctrl    foldCtrl
 	outName string
 	stmt    int // SSA id of the FoldSelect, for fragment provenance
+	// inPlace reads the filters through it at their source rows
+	// (readInPlace) instead of spilling them (foldsThrough decides).
+	inPlace bool
 }
 
 // filtInfo is an unmaterialized Gather through a FoldSelect: source

@@ -131,7 +131,8 @@ func (c *compiler) compileFold(s *core.Stmt) *desc {
 		}
 		pred := selectedPred(sel)
 		return &desc{n: d.n, logicalN: d.logical(),
-			sel: &selInfo{pred: pred, srcN: d.n, ctrl: ctrl, outName: s.Out[0], stmt: c.cur}}
+			sel: &selInfo{pred: pred, srcN: d.n, ctrl: ctrl, outName: s.Out[0], stmt: c.cur,
+				inPlace: c.foldsThrough(s.ID)}}
 	case core.OpFoldScan:
 		return c.plainScan(s, d, ctrl)
 	default:

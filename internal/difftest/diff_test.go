@@ -3,6 +3,7 @@ package difftest
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -98,13 +99,18 @@ type pinnedProgram struct {
 	// empty marks a program that selects nothing: every root must hold
 	// only ε and zeros.
 	empty bool
+	// inPlace and spilled assert how a fused plan (not ForceBulk) lowers
+	// the program's one filter: read in place, with no filt_* fragment, or
+	// spilled by exactly one.
+	inPlace, spilled bool
 }
 
 // pinned are run through every config after the generated corpus. The
-// first three select nothing: no row passes the predicate. The rest reach
-// the compiler's fold fallback (compileFoldOn): a fold over a pending
+// first three select nothing: no row passes the predicate. The next three
+// reach the compiler's fold fallback (compileFoldOn): a fold over a pending
 // filter, virtual scatter or group that the fused fold cannot take, which
-// materializes the pending vector first.
+// materializes the pending vector first. The rest are filters a fold reads
+// in place or that spill, each asserting which.
 var pinned = []pinnedProgram{
 	{name: "select-nothing-materialized", empty: true, build: func(*testing.T) *Program {
 		b := core.NewBuilder()
@@ -165,6 +171,122 @@ var pinned = []pinnedProgram{
 		return &Program{Prog: b.Program(), St: interp.MemStorage{"t": vector.New(120).
 			Set("g", vector.NewInt(g)).Set("v", vector.NewInt(v))}}
 	}},
+	// A GROUP BY over a WHERE reads the filter in place: the WHERE passes
+	// every row, none, or some; group zero holds rows or only the rejected
+	// ones; the filtered columns carry ε of their own.
+	{name: "where-all-grouped", inPlace: true, build: func(*testing.T) *Program {
+		return groupedWhere(-1e9, whereTable(false, false), nil)
+	}},
+	{name: "where-none-grouped", inPlace: true, build: func(*testing.T) *Program {
+		return groupedWhere(1e9, whereTable(false, false), nil)
+	}},
+	{name: "where-some-grouped", inPlace: true, build: func(*testing.T) *Program {
+		return groupedWhere(40, whereTable(false, false), nil)
+	}},
+	{name: "where-some-grouped-zero-rejected", inPlace: true, build: func(*testing.T) *Program {
+		return groupedWhere(40, whereTable(true, false), nil)
+	}},
+	{name: "where-some-grouped-epsilon", inPlace: true, build: func(*testing.T) *Program {
+		return groupedWhere(40, whereTable(false, true), nil)
+	}},
+	// The same shape with one more consumer that sees where ε slots sit
+	// spills the filter.
+	{name: "where-grouped-root", spilled: true, build: func(*testing.T) *Program {
+		return groupedWhere(40, whereTable(false, true), func(b *core.Builder, hit, row, scattered core.Ref) {
+			b.Project("v", hit, "v")
+		})
+	}},
+	{name: "where-grouped-range", spilled: true, build: func(*testing.T) *Program {
+		return groupedWhere(40, whereTable(false, true), func(b *core.Builder, hit, row, scattered core.Ref) {
+			z := b.Zip("a", row, "a", "i", b.Range(row), "")
+			b.FoldSum(b.Arith(core.OpMultiply, "x", z, "a", z, "i"), "", "x")
+		})
+	}},
+	{name: "where-grouped-foldselect", spilled: true, build: func(*testing.T) *Program {
+		return groupedWhere(40, whereTable(false, true), func(b *core.Builder, hit, row, scattered core.Ref) {
+			again := b.FoldSelect(b.Arith(core.OpGreater, "q", row, "a", b.Constant(60), ""), "", "q")
+			b.Materialize(again, again, "")
+		})
+	}},
+	{name: "where-grouped-other-key", spilled: true, build: func(*testing.T) *Program {
+		return groupedWhere(40, whereTable(false, true), func(b *core.Builder, hit, row, scattered core.Ref) {
+			b.FoldSum(scattered, "v", "a")
+		})
+	}},
+	// A Gather through a selection of a source shorter than the selection
+	// reads ε past the source's end, whether the filter is read in place
+	// or spilled.
+	{name: "gather-shorter-source", inPlace: true, build: func(*testing.T) *Program {
+		b := core.NewBuilder()
+		hit := b.Gather(b.Load("u"), b.FoldSelect(b.Greater(b.Load("t"), b.Constant(3)), "", ""), "")
+		b.FoldSum(b.Add(hit, b.Constant(1)), "", "")
+		return &Program{Prog: b.Program(), St: interp.MemStorage{"t": modVec("v", 40, 9), "u": modVec("x", 25, 7)}}
+	}},
+	{name: "gather-shorter-source-root", spilled: true, build: func(*testing.T) *Program {
+		b := core.NewBuilder()
+		b.Gather(b.Load("u"), b.FoldSelect(b.Greater(b.Load("t"), b.Constant(3)), "", ""), "")
+		return &Program{Prog: b.Program(), St: interp.MemStorage{"t": modVec("v", 40, 9), "u": modVec("x", 25, 7)}}
+	}},
+}
+
+// whereTable is t(g, v, w, d) over 300 rows: group ids 0..4 (1..4 with
+// noZero), integers v and d, floats w; with eps, ε in every seventh v and
+// every eleventh w, and d is zero exactly where w is ε — on rows every WHERE
+// over w rejects, so dividing by d faults only where a selection is not
+// applied first.
+func whereTable(noZero, eps bool) *vector.Vector {
+	const n = 300
+	g, v, w, d := make([]int64, n), make([]int64, n), make([]float64, n), make([]int64, n)
+	for i := range n {
+		g[i], v[i], w[i], d[i] = int64(i*7%5), int64(i*37%101)-20, float64(i*13%97)+0.5, int64(1+i%3)
+		if noZero && g[i] == 0 {
+			g[i] = 3
+		}
+	}
+	vc, wc := vector.NewInt(v), vector.NewFloat(w)
+	if eps {
+		for i := 0; i < n; i += 7 {
+			vc.SetEmpty(i)
+		}
+		for i := 3; i < n; i += 11 {
+			wc.SetEmpty(i)
+			d[i] = 0
+		}
+	}
+	return vector.New(n).Set("g", vector.NewInt(g)).Set("v", vc).Set("w", wc).Set("d", vector.NewInt(d))
+}
+
+// groupedWhere is a GROUP BY over a WHERE as the relational frontend lowers
+// it: FoldSelect of w > cut in blocked runs of 7, Gather, arithmetic,
+// Partition by the group id, its virtual Scatter, and FoldSum, FoldMin and
+// FoldMax keyed on the group id. tail, when set, adds a consumer; without
+// one the folds also sum v / d, which faults on rows the WHERE rejects. (A
+// spilled filter leaves d's padding zero, and the scatter a refused shape
+// materializes divides there, where the interpreter skips ε slots.)
+func groupedWhere(cut float64, t *vector.Vector, tail func(b *core.Builder, hit, row, scattered core.Ref)) *Program {
+	b := core.NewBuilder()
+	in := b.Load("t")
+	pred := b.Arith(core.OpGreater, "p", in, "w", b.ConstantF(cut), "")
+	fold := b.Project("fold", b.Divide(b.Range(in), b.Constant(7)), "")
+	sel := b.FoldSelect(b.Zip("p", pred, "p", "fold", fold, "fold"), "fold", "p")
+	hit := b.Gather(in, sel, "")
+	row := b.Upsert(hit, "a", b.Arith(core.OpMultiply, "a", hit, "v", b.Constant(3), ""), "a")
+	if tail == nil {
+		row = b.Upsert(row, "q", b.Arith(core.OpDivide, "q", row, "v", row, "d"), "q")
+	}
+	row = b.Upsert(row, "gid", b.Arith(core.OpSubtract, "gid", row, "g", b.Constant(0), ""), "gid")
+	pos := b.Partition("pos", row, "gid", b.RangeN(0, 5, 1), "")
+	scattered := b.Scatter(row, row, "", b.Upsert(row, "pos", pos, "pos"), "pos")
+	b.FoldSum(scattered, "gid", "a")
+	b.FoldMin(scattered, "gid", "v")
+	b.FoldMax(scattered, "gid", "w")
+	b.FoldMax(scattered, "gid", "gid")
+	if tail != nil {
+		tail(b, hit, row, scattered)
+	} else {
+		b.FoldSum(scattered, "gid", "q")
+	}
+	return &Program{Prog: b.Program(), St: interp.MemStorage{"t": t}}
 }
 
 // modVec is the single-column vector i mod m for i in [0, n).
@@ -286,6 +408,18 @@ func TestInterpVsCompiled(t *testing.T) {
 				t.Errorf("%s %s: compile failed: %v\nprogram:\n%s", label, cfg.name, cerr, p.Prog)
 				reported++
 				continue
+			}
+			if pin != nil && (pin.inPlace || pin.spilled) && !cfg.opt.ForceBulk {
+				filters := 0
+				for _, f := range plan.Kernel().Frags {
+					if strings.HasPrefix(f.Name, "filt_") {
+						filters++
+					}
+				}
+				if want := map[bool]int{true: 0, false: 1}[pin.inPlace]; filters != want {
+					t.Errorf("%s %s: %d filt_* fragments, want %d\nprogram:\n%s", label, cfg.name, filters, want, p.Prog)
+					reported++
+				}
 			}
 			tracings := []bool{false}
 			if cfg.traced {

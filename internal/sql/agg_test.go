@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -595,5 +596,41 @@ func TestComposedSelectionKeepsFaults(t *testing.T) {
 	}
 	if mats != 0 {
 		t.Errorf("SUM(a * b): %d mat_* fragments, want the products composed into the filter-fold", mats)
+	}
+}
+
+// TestComposedSelectionKeepsFaultsGrouped: the same division under a TPC-H
+// WHERE, where a global and a grouped aggregate part ways. The global
+// aggregate projects l_extendedprice / l_discount over every row before it
+// selects, so it faults on the rows without a discount, on every engine. A
+// GROUP BY selects first: the interpreter divides only the selected rows,
+// and the compiled grouped fold tests the group id's validity — which
+// carries the WHERE — before it divides, so all three answer alike.
+func TestComposedSelectionKeepsFaultsGrouped(t *testing.T) {
+	engines := aggEngines(cat, 0)
+	names := []string{"interp", "compiled", "compiled-interp"}
+	q := planSQL(t, cat, "SELECT SUM(l_extendedprice / l_discount) AS s FROM lineitem WHERE l_discount > 0")
+	for _, name := range names {
+		if res, _, err := engines[name].Run(q); err == nil || !strings.Contains(err.Error(), "by zero") {
+			t.Errorf("global SUM(l_extendedprice / l_discount) on %s: err %v, result %v; want a division by zero", name, err, res)
+		}
+	}
+	q = planSQL(t, cat, "SELECT l_returnflag, SUM(l_extendedprice / l_discount) AS s, COUNT(*) AS n "+
+		"FROM lineitem WHERE l_discount > 0 GROUP BY l_returnflag")
+	var want []string
+	for _, name := range names {
+		res, _, err := engines[name].Run(q)
+		if err != nil {
+			t.Fatalf("grouped SUM(l_extendedprice / l_discount) on %s: %v", name, err)
+		}
+		got := rows(res, 1e-9)
+		if len(got) == 0 {
+			t.Fatalf("grouped SUM(l_extendedprice / l_discount) on %s: no groups", name)
+		}
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Errorf("grouped SUM(l_extendedprice / l_discount) on %s: %v, interp %v", name, got, want)
+		}
 	}
 }
