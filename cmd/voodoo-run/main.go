@@ -54,7 +54,7 @@ import (
 func main() {
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor for the generated catalog")
 	data := flag.String("data", "", "load the catalog from this directory instead of generating")
-	engine := flag.String("engine", "compiled", "compiled, compiled-interp (compiled plans, every fragment through the per-element interpreter), interp (reference interpreter) or bulk (compiler with fusion off)")
+	engine := flag.String("engine", "compiled", "compiled, compiled-interp (compiled plans, every fragment one element at a time), interp (reference interpreter) or bulk (compiler with fusion off)")
 	predicate := flag.Bool("predicate", false, "compile selections branch-free (predication)")
 	showKernel := flag.Bool("show-kernel", false, "print the kernel fragment listing of every plan that runs")
 	showCL := flag.Bool("show-opencl", false, "print the generated OpenCL C of every plan that runs")

@@ -14,8 +14,8 @@
 //	             [-slow-threshold 1s] [-slo query=500ms:0.99] [-spans N]
 //
 // Every query runs on the compiled engine, every fragment as batch
-// primitives; the other engines (-engine compiled-interp, interp, bulk) are
-// voodoo-run's.
+// primitives in tiles; the other engines (-engine compiled-interp, interp,
+// bulk) are voodoo-run's.
 //
 // Telemetry: every query gets one id (the inbound W3C traceparent's
 // trace id when present, minted otherwise) that appears in the

@@ -94,9 +94,9 @@ type Report struct {
 	StuckJobs     int
 	BusySlots     int
 	Morsels       int64
-	// Interpreted counts fragment executions that took the per-element
-	// interpreter during the storm. The daemon never asks for it, so it
-	// must be zero: otherwise the storm tested a tier no query runs.
+	// Interpreted counts fragment executions that ran in element order
+	// during the storm. The daemon never asks for it, so it must be zero:
+	// otherwise the storm tested a geometry no query runs.
 	Interpreted int64
 
 	// Event-log accounting after the drain. Accepted events must all be

@@ -52,8 +52,9 @@ type RunOpts struct {
 	// to the Result and returned to the pool by Result.Release.
 	Pool *vector.Pool
 	// CollectStats enables instruction/memory/branch event counting, which
-	// device cost models convert into simulated times. Only the per-element
-	// interpreter counts, so a counted run interprets every fragment.
+	// device cost models convert into simulated times. The counts are taken
+	// in element order, so a counted run runs every fragment's batch
+	// program one element at a time.
 	CollectStats bool
 	// Trace records per-step tracing into Result.Trace: each plan step is
 	// timed and annotated with its fragment provenance, its execution path
@@ -65,9 +66,9 @@ type RunOpts struct {
 	// ranges of exactly that many work items (exec.Par.Morsel). Results are
 	// bit-identical for every value; the bit-identity sweeps turn it.
 	MorselSize int
-	// NoSpecialize forces the per-element interpreter for every fragment
-	// (the compiled-interp engine). Results are bit-identical either
-	// way.
+	// NoSpecialize runs every fragment's batch program in element order
+	// instead of in tiles (the compiled-interp engine). Results are
+	// bit-identical either way.
 	NoSpecialize bool
 }
 
@@ -303,7 +304,8 @@ func (p *Plan) RunWith(ctx context.Context, ro RunOpts) (_ *Result, err error) {
 }
 
 // newTrace starts the per-step trace of one run. Its backend names the
-// engine, so a run that interprets every fragment says so once, here.
+// engine, so a run that takes element order for every fragment says so
+// once, here.
 func (p *Plan) newTrace(ctx context.Context, noSpecialize bool) *trace.Trace {
 	backend := "compiled"
 	switch {

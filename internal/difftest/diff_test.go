@@ -34,10 +34,10 @@ var diffPool = vector.NewPool(0)
 // sizes — results must stay bit-identical at every scheduling
 // granularity, or morsel claim order is leaking into results. The
 // specialize-sweep combo crosses specialization {off, on} with
-// pathological morsel sizes — the interpreter is the specialization
-// layer's oracle, so results must stay bit-identical on every (path,
-// granularity) pair, or a batch primitive diverged from per-element
-// semantics. It also runs every pair a second time traced: a trace must
+// pathological morsel sizes — specialization off runs the batch program
+// in element order, one element at a time, so results must stay
+// bit-identical on every (path, granularity) pair, or a tile diverged from
+// per-element semantics. It also runs every pair a second time traced: a trace must
 // not change which path a fragment takes, so the traced run's values stay
 // bit-identical and its fragment steps report exactly the path mix the
 // untraced run's counters saw. The sweep runs under default options and

@@ -6,9 +6,11 @@
 // given a *Stats, it counts instructions by class (integer ALU, float ALU,
 // sequential and random memory traffic, data-dependent branch outcomes),
 // which the device cost models (package device) convert into simulated
-// times for hardware this host does not have. Only the per-element
-// interpreter counts, so a counted run interprets every fragment; a run
-// that is merely recorded (a trace) takes the path an unobserved run takes.
+// times for hardware this host does not have. Every run executes the
+// fragment's one batch program; a counted run runs it in element order, one
+// element at a time, because the access classification is order-dependent.
+// A run that is merely recorded (a trace) runs in the tiles an unobserved
+// run takes.
 package exec
 
 import (
@@ -96,7 +98,7 @@ func (e *PanicError) Error() string {
 // in its own work item dominates, a buffer both loaded and stored, or an
 // instruction the executor has no meaning for. What such a fragment leaves
 // would depend on how its work items fall to workers, so no path runs it —
-// batch, interpreted or counted — and no work item starts. Diag is the
+// tiles, element order or counted — and no work item starts. Diag is the
 // verifier's diagnostic for it; Diag.Rule names the rule.
 type ContractError struct {
 	Diag verify.Diagnostic
@@ -309,9 +311,9 @@ type Stats struct {
 }
 
 // FragStats is the record of one fragment execution. The first group is
-// the cheap record both execution tiers fill whenever a caller hands
-// RunFragment a FragStats; the event counters after it are the device-model
-// inputs, which only a counted run (interpreter tier) collects.
+// the cheap record every run fills whenever a caller hands RunFragment a
+// FragStats; the event counters after it are the device-model inputs, which
+// only a counted run (element order) collects.
 type FragStats struct {
 	Name       string
 	Extent     int
@@ -335,13 +337,13 @@ type FragStats struct {
 	// "few-items", "saturated", "counted" or "morsel-override". Set by RunFragment.
 	Uncut string
 
-	// Specialized records the execution path this run took ("batch" or
-	// "interp"). Set by RunFragment, not merged from workers.
+	// Specialized records the geometry this run took: "batch" (tiles) or
+	// "interp" (element order). Set by RunFragment, not merged from workers.
 	Specialized string
 
-	// TileLanes × TileIters is the geometry of the batch tier's first tile:
-	// work items side by side × consecutive iterations of each (zero on the
-	// interpreter, and for a fragment without loops).
+	// TileLanes × TileIters is the geometry of the first tile: work items
+	// side by side × consecutive iterations of each (zero in element order,
+	// and for a fragment without loops).
 	TileLanes, TileIters int
 	// AccWide and AccCarried count the batch tier's tiles of a loop whose
 	// carried slice is scratch reductions (verify.LoopFacts.Chains): those
@@ -420,8 +422,8 @@ func gomaxprocs() int { return runtime.GOMAXPROCS(0) }
 // Run executes every fragment of k against env under the parallelism knobs
 // in par (the zero Par means GOMAXPROCS workers, ranges cut by the rule,
 // specialization on). A non-nil st makes the run counted: every fragment
-// interprets and its event counts are accumulated into st. Cancellation is
-// cooperative: the context is checked at every fragment
+// runs in element order and its event counts are accumulated into st.
+// Cancellation is cooperative: the context is checked at every fragment
 // boundary and every checkInterval work items inside fragment loops, so a
 // cancelled or deadline-expired query aborts promptly instead of finishing
 // all morsels.
@@ -455,14 +457,15 @@ func Run(ctx context.Context, k *kernel.Kernel, env *Env, par Par, st *Stats) er
 // overwritten with the fragment's record: its static shape (name, extent,
 // intent, sequential, local bytes, static ALU counts) and the cheap run
 // record (wall, workers, morsels, path, items, store bytes), neither of
-// which influences the execution path; count
-// additionally collects the device-model event counters into fs and
-// therefore interprets. Used by Run and by the compiled plans, which
-// interleave fragments with bulk steps. A panic in a worker goroutine is
-// recovered into a *PanicError instead of killing the process, and once one
-// worker fails — by error, panic or cancellation — the remaining workers
-// stop at their next checkpoint and no further morsels are claimed.
-// A fragment the cut rule splits (see sched.go) runs through the shared
+// which influences the execution path. Every path runs the fragment's one
+// batch program: in tiles, or in element order — one pseudo-lane, each
+// sequence in program order — when par.NoSpecialize is set or count asks for
+// the device-model event counters, which are then collected into fs. Used by
+// Run and by the compiled plans, which interleave fragments with bulk steps.
+// A panic in a worker goroutine is recovered into a *PanicError instead of
+// killing the process, and once one worker fails — by error, panic or
+// cancellation — the remaining workers stop at their next checkpoint and no
+// further morsels are claimed. A fragment the cut rule splits (see sched.go) runs through the shared
 // morsel scheduler; the submitting goroutine always participates, so
 // progress never depends on pool availability. A fragment that breaks the
 // fragment contract is refused with a *ContractError on every path before
@@ -508,20 +511,19 @@ func RunFragment(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs 
 			return err
 		}
 	}
-	nregs := kernel.Reg(bp.nregs)
-	batch := resolveSpec(bp, par.NoSpecialize, count)
+	elem := resolveSpec(par.NoSpecialize, count)
 	if fs != nil {
 		fs.Specialized = "batch"
-		if batch == nil {
+		if elem {
 			fs.Specialized = "interp"
 		}
 	}
 	width, parts, verdict := cut(f, par, count, int(sched.busy.Load()))
 	if width > 0 {
-		return runMorselParallel(ctx, f, env, parts, width, nregs, batch, fs, count)
+		return runMorselParallel(ctx, f, env, parts, width, bp, elem, fs, count)
 	}
 	// One range: the pool could not help, or is not worth asking.
-	w := newWorker(ctx, f, env, nregs, count, nil, batch)
+	w := newWorker(ctx, f, env, bp, elem, count, nil)
 	err := protect(f.Name, func() error { return w.run(0, max(f.Extent, 1)) })
 	if err == nil && fs != nil {
 		fs.Workers, fs.Morsels, fs.Imbalance, fs.Uncut = 1, 1, 1, verdict
@@ -541,20 +543,19 @@ const checkInterval = 1024
 type worker struct {
 	f       *kernel.Fragment
 	env     *Env
-	ri      []int64
-	rf      []float64
-	locI    []int64
-	locF    []float64
 	scratch *scratch
-	// stats always carries Items and StoreBytes (an add apiece); count
-	// gates the device-model event counters, interpreter only.
-	count bool
-	stats FragStats
-	// batch selects the specialized execution path for this run (nil =
-	// interpret); bst is the batch register-column state, which lives in
-	// the pooled scratch and is attached by the first runLanes.
+	// batch is the fragment's batch program and bst its register-column
+	// state, which lives in the pooled scratch and is attached by the first
+	// runLanes. elem runs it in element order (one pseudo-lane, each
+	// sequence in program order) instead of in tiles.
 	batch *batchProg
 	bst   *bstate
+	elem  bool
+	// stats always carries Items and StoreBytes (an add apiece); count
+	// gates the device-model event counters, which only element order
+	// collects.
+	count bool
+	stats FragStats
 	// checks gates the checkpoint machinery: false means the fast path
 	// pays a single predictable branch per item and nothing else.
 	checks bool
@@ -607,23 +608,17 @@ func (r *lineRing) touch(line int64) int {
 	return kind
 }
 
-// scratchPool recycles the per-worker register and local-scratch slices:
-// every fragment spawns one worker per chunk goroutine, so at steady
-// state these small slices would otherwise dominate the allocation count.
-// Registers are zeroed on reuse (make() semantics); locals are fully
-// initialized by resetLocals before every work item.
+// scratchPool recycles the per-worker batch state: every fragment spawns one
+// worker per chunk goroutine, so at steady state these slices would
+// otherwise dominate the allocation count.
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
+// scratch is the batch-primitive state: register-column slabs, the selection
+// vector, the per-register column tables and the scratch-array slabs.
+// Columns are not zeroed on reuse — the verifier proves every read dominated
+// by a definition (see specialize.go) — and the driver fills the scratch
+// slab per batch.
 type scratch struct {
-	ri   []int64
-	rf   []float64
-	locI []int64
-	locF []float64
-	// Batch-primitive state: register-column slabs, the selection vector,
-	// the per-register column tables and the scratch-array slabs. Columns
-	// are not zeroed on reuse — the verifier proves every read dominated by
-	// a definition (see specialize.go) — and the driver fills the scratch
-	// slab per batch.
 	bcols  []int64
 	bfcols []float64
 	bsel   []int32
@@ -638,8 +633,7 @@ type scratch struct {
 }
 
 // grow returns a slice of exactly n elements backed by *buf, reusing its
-// capacity without clearing (unlike intSlice/floatSlice, whose make()
-// semantics the register file needs but batch columns do not).
+// capacity without clearing.
 func grow[T int64 | float64](buf *[]T, n int) []T {
 	v := *buf
 	if cap(v) < n {
@@ -651,30 +645,6 @@ func grow[T int64 | float64](buf *[]T, n int) []T {
 	return v
 }
 
-func (s *scratch) intSlice(which *[]int64, n int) []int64 {
-	v := *which
-	if cap(v) < n {
-		v = make([]int64, n)
-	} else {
-		v = v[:n]
-		clear(v)
-	}
-	*which = v
-	return v
-}
-
-func (s *scratch) floatSlice(which *[]float64, n int) []float64 {
-	v := *which
-	if cap(v) < n {
-		v = make([]float64, n)
-	} else {
-		v = v[:n]
-		clear(v)
-	}
-	*which = v
-	return v
-}
-
 // release hands the worker's scratch back for reuse; the worker must not
 // run again afterwards.
 func (w *worker) release() {
@@ -683,34 +653,23 @@ func (w *worker) release() {
 	}
 	scratchPool.Put(w.scratch)
 	w.scratch, w.bst = nil, nil
-	w.ri, w.rf, w.locI, w.locF = nil, nil, nil, nil
 }
 
-func newWorker(ctx context.Context, f *kernel.Fragment, env *Env, nregs kernel.Reg, count bool, stop *atomic.Bool, batch *batchProg) *worker {
+func newWorker(ctx context.Context, f *kernel.Fragment, env *Env, batch *batchProg, elem, count bool, stop *atomic.Bool) *worker {
 	sc := scratchPool.Get().(*scratch)
-	w := &worker{f: f, env: env, scratch: sc,
-		ri: sc.intSlice(&sc.ri, int(nregs)), rf: sc.floatSlice(&sc.rf, int(nregs)), count: count,
-		stop: stop, batch: batch, bst: &sc.bst}
+	w := &worker{f: f, env: env, scratch: sc, batch: batch, bst: &sc.bst, elem: elem, count: count, stop: stop}
 	sc.bst.locLanes = 0 // whatever fragment the scratch served last: attach anew
 	if ctx.Done() != nil {
 		w.ctx = ctx
 	}
 	w.checks = w.ctx != nil || stop != nil || faultinject.Enabled()
-	if f.Locals > 0 {
-		if f.LocalsFloat {
-			w.locF = sc.floatSlice(&sc.locF, f.Locals)
-		} else {
-			w.locI = sc.intSlice(&sc.locI, f.Locals)
-		}
-	}
 	return w
 }
 
-// tick is the one checkpoint of both tiers: it retires n lane-steps of
-// budget — one work item or iteration of the interpreter, one tile of the
-// batch tier — and checks before they would take the run past checkInterval
-// lane-steps since the last check. gid is the work item the interpreter is
-// on, or the first work item of the tile the batch tier is about to run.
+// tick is the one checkpoint of the driver: it retires n lane-steps of
+// budget — one tile — and checks before they would take the run past
+// checkInterval lane-steps since the last check. gid is the first work item
+// of the tile about to run.
 func (w *worker) tick(n, gid int) error {
 	w.budget -= n
 	if w.budget >= 0 {
@@ -727,279 +686,6 @@ func (w *worker) tick(n, gid int) error {
 	}
 	faultinject.Item(w.f.Name, gid)
 	return nil
-}
-
-func (w *worker) resetLocals() {
-	for i := range w.locI {
-		w.locI[i] = int64(w.f.LocalsInit)
-	}
-	for i := range w.locF {
-		w.locF[i] = w.f.LocalsInit
-	}
-}
-
-// run executes work items [lo, hi) through the path resolved for this
-// fragment run: batch primitives or the per-element interpreter.
-func (w *worker) run(lo, hi int) error {
-	if w.batch != nil {
-		return w.runBatch(lo, hi)
-	}
-	return w.runInterp(lo, hi)
-}
-
-// runInterp is the per-element instruction interpreter — the oracle the
-// batch path is differentially tested against, and the path of counted and
-// NoSpecialize runs and of the batch tier's fault re-run.
-func (w *worker) runInterp(lo, hi int) error {
-	f := w.f
-	for gid := lo; gid < hi; gid++ {
-		if w.checks {
-			if err := w.tick(1, gid); err != nil {
-				return err
-			}
-		}
-		w.ri[kernel.RegGID] = int64(gid)
-		if f.Locals > 0 {
-			w.resetLocals()
-		}
-		if err := w.exec(f.Pre); err != nil {
-			return err
-		}
-		for _, loop := range f.Loops {
-			bound := loop.Bound
-			if bound <= 0 {
-				bound = f.Intent
-			}
-			if loop.BoundReg > 0 {
-				if dyn := int(w.ri[loop.BoundReg]); dyn < bound {
-					bound = dyn
-				}
-			}
-			for iv := 0; iv < bound; iv++ {
-				w.ri[kernel.RegIV] = int64(iv)
-				var idx int
-				if f.Strided {
-					idx = iv*f.Extent + gid
-				} else {
-					idx = gid*f.Intent + iv
-				}
-				if f.N > 0 && idx >= f.N {
-					break
-				}
-				w.ri[kernel.RegIdx] = int64(idx)
-				if w.checks {
-					if err := w.tick(1, gid); err != nil {
-						return err
-					}
-				}
-				if err := w.exec(loop.Body); err != nil {
-					return err
-				}
-				w.stats.Items++
-			}
-		}
-		if err := w.exec(f.Post); err != nil {
-			return err
-		}
-		if len(f.PostLoopBody) > 0 {
-			for j := 0; j < f.Locals; j++ {
-				w.ri[kernel.RegJ] = int64(j)
-				if err := w.exec(f.PostLoopBody); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// exec interprets a straight-line instruction sequence. IGuard with a zero
-// predicate aborts the sequence (the rest of the loop body is skipped).
-func (w *worker) exec(instrs []kernel.Instr) error {
-	ri, rf := w.ri, w.rf
-	for _, in := range instrs {
-		switch in.Op {
-		case kernel.IConstI:
-			ri[in.Dst] = in.Imm
-		case kernel.IConstF:
-			rf[in.Dst] = in.FImm
-		case kernel.IMov:
-			if in.Float {
-				rf[in.Dst] = rf[in.A]
-			} else {
-				ri[in.Dst] = ri[in.A]
-			}
-		case kernel.IBin:
-			if in.Float {
-				v, err := fbin(in.BOp, rf[in.A], rf[in.B])
-				if err != nil {
-					return err
-				}
-				rf[in.Dst] = v
-				if w.count {
-					w.stats.FloatOps++
-				}
-			} else {
-				v, err := ibin(in.BOp, ri[in.A], ri[in.B])
-				if err != nil {
-					return err
-				}
-				ri[in.Dst] = v
-				if w.count {
-					w.stats.IntOps++
-				}
-			}
-		case kernel.ISel:
-			if in.Float {
-				if ri[in.A] != 0 {
-					rf[in.Dst] = rf[in.B]
-				} else {
-					rf[in.Dst] = rf[in.C]
-				}
-			} else {
-				if ri[in.A] != 0 {
-					ri[in.Dst] = ri[in.B]
-				} else {
-					ri[in.Dst] = ri[in.C]
-				}
-			}
-			if w.count {
-				w.stats.IntOps++
-			}
-		case kernel.ILoad:
-			buf := w.env.Bufs[in.Buf]
-			i := ri[in.A]
-			if i < 0 || i >= int64(buf.Len()) {
-				return fmt.Errorf("load out of bounds: buf %d idx %d len %d", in.Buf, i, buf.Len())
-			}
-			if in.Float {
-				rf[in.Dst] = buf.F[i]
-			} else {
-				ri[in.Dst] = buf.I[i]
-			}
-			if w.count {
-				w.countAccess(in, buf)
-			}
-		case kernel.ILoadValid:
-			buf := w.env.Bufs[in.Buf]
-			i := ri[in.A]
-			if i < 0 || i >= int64(buf.Len()) {
-				ri[in.Dst] = 0
-			} else if buf.Valid == nil || buf.Valid[i] {
-				ri[in.Dst] = 1
-			} else {
-				ri[in.Dst] = 0
-			}
-			if w.count {
-				w.countAccess(in, buf)
-			}
-		case kernel.IStore:
-			buf := w.env.Bufs[in.Buf]
-			i := ri[in.A]
-			if i < 0 || i >= int64(buf.Len()) {
-				return fmt.Errorf("store out of bounds: buf %d idx %d len %d", in.Buf, i, buf.Len())
-			}
-			val := ri[in.B]
-			fval := rf[in.B]
-			valid := true
-			if buf.Valid != nil && in.C > 0 {
-				// C > 0 selects conditional validity: the slot holds a
-				// value only if the register is non-zero (predicated
-				// stores mark the cursor slot tentatively). Empty slots
-				// hold the reserved zero representation, exactly as the
-				// data model's ε reads back.
-				valid = ri[in.C] != 0
-				if !valid {
-					val, fval = 0, 0
-				}
-			}
-			if in.Float {
-				buf.F[i] = fval
-			} else {
-				buf.I[i] = val
-			}
-			// Bytes materialized at this fragment's seam.
-			w.stats.StoreBytes += 8
-			if buf.Valid != nil {
-				buf.Valid[i] = valid
-				w.stats.StoreBytes++
-			}
-			if w.count {
-				w.countAccess(in, buf)
-			}
-		case kernel.IGuard:
-			if w.count {
-				w.stats.Guards++
-				if ri[in.A] != 0 {
-					w.stats.GuardsPass++
-				}
-			}
-			if ri[in.A] == 0 {
-				return nil
-			}
-		case kernel.ICastIF:
-			rf[in.Dst] = float64(ri[in.A])
-		case kernel.ICastFI:
-			ri[in.Dst] = int64(rf[in.A])
-		case kernel.ILoadLoc:
-			i := ri[in.A]
-			if i < 0 || i >= int64(w.f.Locals) {
-				return fmt.Errorf("local load out of bounds: idx %d size %d", i, w.f.Locals)
-			}
-			if in.Float {
-				rf[in.Dst] = w.locF[i]
-			} else {
-				ri[in.Dst] = w.locI[i]
-			}
-			if w.count {
-				w.stats.LocalOps++
-			}
-		case kernel.IStoreLoc:
-			i := ri[in.A]
-			if i < 0 || i >= int64(w.f.Locals) {
-				return fmt.Errorf("local store out of bounds: idx %d size %d", i, w.f.Locals)
-			}
-			if in.Float {
-				w.locF[i] = rf[in.B]
-			} else {
-				w.locI[i] = ri[in.B]
-			}
-			if w.count {
-				w.stats.LocalOps++
-			}
-		default:
-			return fmt.Errorf("unknown instruction %v", in.Op)
-		}
-	}
-	return nil
-}
-
-// countAccess classifies one global-memory access of a counted run.
-func (w *worker) countAccess(in kernel.Instr, buf *Buffer) {
-	// Validity masks are byte-sized; a validity probe against a buffer
-	// with no mask is just a bounds check — pure arithmetic the paper's
-	// compiler emits inline (or removes with static knowledge).
-	width := int64(8)
-	if in.Op == kernel.ILoadValid {
-		if buf.Valid == nil {
-			w.stats.IntOps += 2
-			return
-		}
-		width = 1
-	}
-	if in.Seq {
-		w.stats.SeqBytes += width
-		return
-	}
-	if w.lines == nil {
-		w.lines = Lines{}
-	}
-	// Mask bytes live apart from the data; track their lines separately.
-	key := in.Buf
-	if in.Op == kernel.ILoadValid {
-		key |= 1 << 24
-	}
-	w.stats.CountAccess(w.lines, key, w.ri[in.A], int64(buf.Len())*width, width)
 }
 
 // CountAccess classifies one data-dependent access of width bytes to slot

@@ -14,7 +14,8 @@ import (
 	"voodoo/internal/verify"
 )
 
-// FuzzBatchVsInterp fuzzes the batch tier against its oracle with
+// FuzzBatchVsInterp fuzzes the batch program, in tiles and in element
+// order, against the per-element interpreter of oracle_test.go with
 // byte-decoded fragments that use the whole fragment IR: prologue, one or
 // two loops with static and dynamic bounds, guards anywhere, a scratch
 // array, epilogue and post-loop body, blocked or strided, with a ragged N.
@@ -28,13 +29,14 @@ import (
 // slot ranges that are disjoint or shared, so tiles take both the
 // reductions' tile-wide path and its fallback.
 // Whatever the verifier passes must leave every buffer, Items and
-// StoreBytes bit-identical on both tiers at one worker and — work items
-// being independent — at three workers, over two-item morsels and under the
-// cut rule; when the interpreter faults, the batch tier must report the same
-// error text. The decoder is built so that most fragments meet the fragment
-// contract; one that breaks it must be refused on every path with the
-// verifier's diagnostic, and one the verifier rejects for another rule is
-// skipped.
+// StoreBytes bit-identical to the oracle's in three legs at one worker —
+// tiles, element order, and a counted run, whose every device-model event
+// counter must equal the oracle's too — and, work items being independent,
+// in tiles at three workers, over two-item morsels and under the cut rule;
+// when the oracle faults, each leg must report the same error text. The
+// decoder is built so that most fragments meet the fragment contract; one
+// that breaks it must be refused on every path with the verifier's
+// diagnostic, and one the verifier rejects for another rule is skipped.
 func FuzzBatchVsInterp(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -55,7 +57,7 @@ func FuzzBatchVsInterp(f *testing.F) {
 				t.Skip(d)
 			}
 		}
-		run := func(par Par) (*Env, FragStats, error) {
+		run := func(par Par, count bool) (*Env, FragStats, error) {
 			env := NewEnv(k)
 			for name, buf := range in {
 				if err := env.Bind(k, name, buf); err != nil {
@@ -63,33 +65,50 @@ func FuzzBatchVsInterp(f *testing.F) {
 				}
 			}
 			var fs FragStats
-			err := RunFragment(context.Background(), frag, env, par, &fs, false)
+			err := RunFragment(context.Background(), frag, env, par, &fs, count)
 			return env, fs, err
 		}
-		oracle, want, werr := run(Par{Workers: 1, NoSpecialize: true})
-		got, rec, gerr := run(Par{Workers: 1})
-		if werr != nil || gerr != nil {
-			if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
-				t.Fatalf("errors differ (%s):\ninterp: %v\nbatch:  %v\n%s", rec.Specialized, werr, gerr, k)
+		oracle, want, werr := runOracle(t, k, in)
+		for _, leg := range []struct {
+			name  string
+			par   Par
+			count bool
+		}{
+			{"tiles", Par{Workers: 1}, false},
+			{"element-order", Par{Workers: 1, NoSpecialize: true}, false},
+			{"counted", Par{Workers: 1}, true},
+		} {
+			got, rec, gerr := run(leg.par, leg.count)
+			if werr != nil || gerr != nil {
+				if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+					t.Fatalf("errors differ (%s):\noracle: %v\n%s: %v\n%s", rec.Specialized, werr, leg.name, gerr, k)
+				}
+				continue
 			}
-			return
+			requireSameBufs(t, k, oracle, got, leg.name+" workers=1\n"+k.String())
+			if leg.count {
+				if d := sameCounts(want, rec); d != "" {
+					t.Fatalf("counted run: %s\n%s", d, k)
+				}
+			} else if rec.Items != want.Items || rec.StoreBytes != want.StoreBytes {
+				t.Fatalf("%s (%s): items=%d store_bytes=%d, oracle reports %d / %d\n%s",
+					leg.name, rec.Specialized, rec.Items, rec.StoreBytes, want.Items, want.StoreBytes, k)
+			}
 		}
-		requireSameBufs(t, k, oracle, got, "workers=1\n"+k.String())
-		if rec.Items != want.Items || rec.StoreBytes != want.StoreBytes {
-			t.Fatalf("%s: items=%d store_bytes=%d, interpreter reports %d / %d\n%s",
-				rec.Specialized, rec.Items, rec.StoreBytes, want.Items, want.StoreBytes, k)
+		if werr != nil {
+			return
 		}
 		// Three workers, cut two ways: two-item morsels, and whatever the cut
 		// rule makes of the shape (most decoded fragments sit below its floor
 		// and run as one range; the big ones are cut by declared work).
 		for _, p := range []Par{{Workers: 3, Morsel: 2}, {Workers: 3}} {
-			par, prec, perr := run(p)
+			par, prec, perr := run(p, false)
 			if perr != nil {
 				t.Fatalf("parallel run %+v failed: %v\n%s", p, perr, k)
 			}
 			requireSameBufs(t, k, oracle, par, fmt.Sprintf("%+v\n%s", p, k))
 			if prec.Items != want.Items || prec.StoreBytes != want.StoreBytes {
-				t.Fatalf("parallel %+v %s: items=%d store_bytes=%d, interpreter reports %d / %d\n%s",
+				t.Fatalf("parallel %+v %s: items=%d store_bytes=%d, oracle reports %d / %d\n%s",
 					p, prec.Specialized, prec.Items, prec.StoreBytes, want.Items, want.StoreBytes, k)
 			}
 		}
@@ -153,7 +172,7 @@ func fuzzSeeds() [][]byte {
 // go test runs of FuzzBatchVsInterp — decodes loop bodies whose scratch
 // reductions run a tile at a time and bodies whose reductions meet in a slot
 // and fall back to the carried pass, so both are checked against the
-// interpreter on every run of the suite.
+// oracle on every run of the suite.
 func TestFuzzSeedsReachBothReductionPaths(t *testing.T) {
 	var wide, carried int64
 	for _, seed := range fuzzSeeds() {

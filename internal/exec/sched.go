@@ -52,8 +52,9 @@ type Par struct {
 	// that many work items. Results are bit-identical for every value; it
 	// exists for the sweeps that prove so.
 	Morsel int
-	// NoSpecialize forces the per-element interpreter for every fragment
-	// (the compiled-interp engine and the differential-test oracle).
+	// NoSpecialize runs every fragment's batch program in element order —
+	// one work item per batch, one iteration per tile, each sequence in
+	// program order — instead of in tiles (the compiled-interp engine).
 	// Results are bit-identical either way.
 	NoSpecialize bool
 }
@@ -270,15 +271,15 @@ func init() {
 type job struct {
 	f     *kernel.Fragment
 	env   *Env
-	nregs kernel.Reg
 	count bool
 	ctx   context.Context
 	// width is the range width in work items; range m is work items
 	// [m·width, min((m+1)·width, extent)).
 	width int
-	// batch is the fragment's resolved execution path (nil = interpret);
-	// every participant (submitter and helpers) runs the same code.
+	// batch is the fragment's batch program and elem its geometry; every
+	// participant (submitter and helpers) runs the same code.
 	batch *batchProg
+	elem  bool
 	// nMorsels is the ticket space; next is the claim counter.
 	nMorsels int64
 	next     atomic.Int64
@@ -425,7 +426,7 @@ func (s *scheduler) workerLoop() {
 				j.wg.Add(1)
 				s.mu.Unlock()
 				s.busy.Add(1)
-				w := newWorker(j.ctx, j.f, j.env, j.nregs, j.count, &j.stop, j.batch)
+				w := newWorker(j.ctx, j.f, j.env, j.batch, j.elem, j.count, &j.stop)
 				// CPU profiles served from /debug/pprof attribute helper
 				// samples to the fragment being executed.
 				pprof.Do(j.ctx, pprof.Labels("fragment", j.f.Name), func(context.Context) {
@@ -454,18 +455,18 @@ func (s *scheduler) workerLoop() {
 // itself (so progress never depends on pool availability) while up to
 // parts-1 pool workers join it. Caller guarantees parts > 1 and
 // width < f.Extent.
-func runMorselParallel(ctx context.Context, f *kernel.Fragment, env *Env, parts, width int, nregs kernel.Reg, batch *batchProg, fs *FragStats, count bool) error {
+func runMorselParallel(ctx context.Context, f *kernel.Fragment, env *Env, parts, width int, batch *batchProg, elem bool, fs *FragStats, count bool) error {
 	nMorsels := int64((f.Extent + width - 1) / width)
 	j := &job{
-		f: f, env: env, nregs: nregs, count: count, ctx: ctx,
-		width: width, nMorsels: nMorsels, batch: batch,
+		f: f, env: env, count: count, ctx: ctx,
+		width: width, nMorsels: nMorsels, batch: batch, elem: elem,
 	}
 	// The submitter is one of the participants; helpers beyond the morsel
 	// count could never claim anything.
 	j.maxHelpers = min(parts-1, int(nMorsels)-1)
 	sched.publish(j)
 
-	w := newWorker(ctx, f, env, nregs, count, &j.stop, batch)
+	w := newWorker(ctx, f, env, batch, elem, count, &j.stop)
 	// Label the submitter's share too, so profiles attribute parallel
 	// fragment execution per fragment regardless of who claims the morsel.
 	pprof.Do(ctx, pprof.Labels("fragment", f.Name), func(context.Context) {

@@ -17,10 +17,11 @@ import (
 
 // staticChunkRun reimplements the pre-scheduler executor — one static
 // chunk per worker, fresh goroutines — as the baseline the skew-stress
-// test measures the morsel scheduler against.
+// test measures the morsel scheduler against. Both run the fragment's batch
+// program in tiles, so the two differ in scheduling only.
 func staticChunkRun(t *testing.T, f *kernel.Fragment, env *Env, workers int) {
 	t.Helper()
-	nregs := kernel.Reg(f.NumRegs())
+	bp := specFor(f)
 	chunk := (f.Extent + workers - 1) / workers
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -29,7 +30,7 @@ func staticChunkRun(t *testing.T, f *kernel.Fragment, env *Env, workers int) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			w := newWorker(context.Background(), f, env, nregs, false, &stop, nil)
+			w := newWorker(context.Background(), f, env, bp, false, false, &stop)
 			if err := protect(f.Name, func() error { return w.run(lo, hi) }); err != nil {
 				t.Error(err)
 			}

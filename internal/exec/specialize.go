@@ -1,7 +1,7 @@
 // Fragment specialization: compiled batch primitives over tiles of work
 // items × iterations.
 //
-// The interpreter in exec.go dispatches through a switch statement once per
+// A per-element interpreter dispatches through a switch statement once per
 // instruction per element — O(items × instrs) dispatches. The paper's
 // fragments are fused, function-call-free kernels whose Extent is the
 // data-parallel dimension and whose Intent is the sequential iterations
@@ -24,31 +24,34 @@
 // tile. Dispatch cost drops to O(tiles × instrs). IGuard compacts a selection
 // vector, so predication never branches on data inside a primitive.
 //
-// The per-element interpreter remains as the oracle for differential testing
-// (difftest's specialize sweeps and FuzzBatchVsInterp run both tiers against
-// it), for counted runs, and for the fault re-run.
+// The same driver has a second geometry, element order: one work item per
+// batch, one iteration per tile, and each sequence's primitives in program
+// order, free and carried interleaved — legal with one pseudo-lane, and
+// exactly the order of a per-element interpreter. Counted runs, NoSpecialize
+// and the fault re-run use it. The per-element interpreter itself is a test
+// oracle only (oracle_test.go), which FuzzBatchVsInterp and difftest's
+// specialize sweeps check both geometries against.
 //
 // Contracts preserved exactly: a cancellation checkpoint at least every
 // checkInterval lane-steps (tick), governor Limits, panics → *PanicError
-// with cross-worker abort, scratch from the pooled arena, the
-// interpreter's error on a fault, and bit-identical results at any morsel
-// size and worker count. The last is the fragment contract verify.BatchFacts
-// checks: tiles run ahead of the interpreter's element-major order, which
-// nothing can observe when every register read is dominated by a definition
-// in its own work item, no buffer is both loaded and stored (work items
-// write disjoint slots by the algebra's contract, see sched.go), and
-// whatever does see another iteration stays in the carried slice. A fragment
-// that breaks the contract has no scheduling-independent answer, so neither
-// tier runs it: RunFragment refuses it with a *ContractError.
+// with cross-worker abort, scratch from the pooled arena, element order's
+// error on a fault, and bit-identical results at any morsel size and worker
+// count. The last is the fragment contract verify.BatchFacts checks: tiles
+// run ahead of element order, which nothing can observe when every register
+// read is dominated by a definition in its own work item, no buffer is both
+// loaded and stored (work items write disjoint slots by the algebra's
+// contract, see sched.go), and whatever does see another iteration stays in
+// the carried slice. A fragment that breaks the contract has no
+// scheduling-independent answer, so no geometry runs it: RunFragment refuses
+// it with a *ContractError.
 //
-// One rule picks the path, and observing is not part of it: a fragment
-// batches unless the caller disabled specialization or asked for the
-// device-model event counters (only the interpreter counts — its Near/Rand
-// classification is element-order-sensitive, and a second copy of the
-// counting rules would have to be proved equal to the first). Fault-injection
-// hooks run on both tiers at the one checkpoint (tick). The cheap record a
-// trace wants — items and store bytes — is kept by both tiers
-// unconditionally.
+// One rule picks the geometry, and observing is not part of it: a fragment
+// runs in tiles unless the caller disabled specialization or asked for the
+// device-model event counters. The driver tallies those around each
+// primitive in element order only (tally), because the Near/Rand
+// classification is order-sensitive. Fault-injection hooks run at the one
+// checkpoint (tick). The cheap record a trace wants — items and store bytes
+// — is kept in either geometry unconditionally.
 package exec
 
 import (
@@ -60,18 +63,18 @@ import (
 	"voodoo/internal/verify"
 )
 
-// Specialization observability: every fragment execution counts the path
-// it actually took. Both series are pre-created so they exist at zero.
+// Specialization observability: every fragment execution counts the
+// geometry it actually took. Both series are pre-created so they exist at
+// zero.
 var (
 	specializedVec = metrics.NewCounterVec("voodoo_fragments_specialized_total",
-		"Fragment executions by execution path: batch primitives or the per-element interpreter.", "path")
+		"Fragment executions by geometry: batch primitives in tiles (batch) or in element order (interp).", "path")
 	specBatchC  = specializedVec.With("batch")
 	specInterpC = specializedVec.With("interp")
 )
 
 // specBatchN is the most pseudo-lanes one tile holds. It equals
-// checkInterval, so no tile is longer than the interpreter's cancellation
-// latency.
+// checkInterval, so no tile is longer than the cancellation latency.
 const specBatchN = checkInterval
 
 // tileBytes bounds the register-column footprint of a tile that batches
@@ -94,19 +97,18 @@ func specFor(f *kernel.Fragment) *batchProg {
 	return bp
 }
 
-// resolveSpec picks the execution path for one run of the fragment bp was
-// compiled from and counts it: bp itself — the batch program every
-// participating worker must run (the submitter and all pool helpers claim
-// morsels of the same job) — or nil to interpret. count reports whether the
-// caller asked for the device counters; whether anyone records the run is
+// resolveSpec picks the geometry of one fragment run and counts it: element
+// order when the caller disabled specialization or asked for the device
+// counters (count), tiles otherwise. Either way every participating worker
+// runs the fragment's batch program; whether anyone records the run is
 // deliberately not an input.
-func resolveSpec(bp *batchProg, noSpecialize, count bool) *batchProg {
+func resolveSpec(noSpecialize, count bool) (elem bool) {
 	if noSpecialize || count {
 		specInterpC.Inc()
-		return nil
+		return true
 	}
 	specBatchC.Inc()
-	return bp
+	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -126,12 +128,13 @@ type batchPrim struct {
 // batchSeq is one compiled instruction sequence. wide holds, in program
 // order, what runs once per tile at full width: the free slice, the
 // reductions and the guards among them. carried holds what runs iteration by
-// iteration (verify.Carried); the prologue and epilogue have none. A loop
+// iteration (verify.Carried); the prologue and epilogue have none. order
+// holds both, in program order, for element order. A loop
 // also has the iteration bound each lane observes — static (Loop.Bound, the
 // fragment's Intent, or Locals for the post-loop body), capped per lane by
 // the value boundReg holds at loop entry when boundReg > 0.
 type batchSeq struct {
-	wide, carried []batchPrim
+	wide, carried, order []batchPrim
 	// chains are the carried slice as scratch reductions when that is all
 	// it holds (verify.LoopFacts.Chains): a tile whose chains touch disjoint
 	// slots runs each as one primitive instead of the carried pass.
@@ -165,7 +168,7 @@ type batchProg struct {
 	width, iters, snaps int
 	wins                [2]int
 	// nregs bounds the register index space of the fragment, for the
-	// column tables and the interpreter's register file alike.
+	// column tables.
 	nregs int
 	// refused, when set, is the contract violation the fragment is refused
 	// for (verify.Facts.Violation); nothing else is then filled.
@@ -268,13 +271,13 @@ func compileBatch(f *kernel.Fragment) *batchProg {
 	bp := &batchProg{nregs: f.NumRegs(), iters: 1}
 	bp.intRegs, bp.fltRegs = facts.IntRegs, facts.FltRegs
 	bp.width = max(1, min(specBatchN, tileBytes/(8*(len(bp.intRegs)+len(bp.fltRegs)))))
-	// One backing for every sequence's primitives: each instruction of the
-	// fragment becomes at most one.
+	// One backing for every sequence's primitives in tiles, one for them in
+	// program order: each instruction of the fragment becomes at most one.
 	total := len(f.Pre) + len(f.Post) + len(f.PostLoopBody)
 	for _, l := range f.Loops {
 		total += len(l.Body)
 	}
-	prims := make([]batchPrim, 0, total)
+	prims, order := make([]batchPrim, 0, total), make([]batchPrim, 0, total)
 	seq := func(instrs []kernel.Instr, lf *verify.LoopFacts, bound int) batchSeq {
 		s := batchSeq{bound: bound}
 		carried := 0
@@ -292,6 +295,7 @@ func compileBatch(f *kernel.Fragment) *batchProg {
 		prims = prims[:at+len(instrs)]
 		s.wide = prims[at : at : at+len(instrs)-carried]
 		s.carried = prims[at+len(instrs)-carried : at+len(instrs)-carried : at+len(instrs)]
+		s.order = order[len(order):len(order)]
 		snap := 0
 		var chains []verify.Chain
 		if lf != nil && lf.Chains != nil {
@@ -332,7 +336,9 @@ func compileBatch(f *kernel.Fragment) *batchProg {
 				}
 				s.wide = append(s.wide, p)
 			}
+			s.order = append(s.order, p)
 		}
+		order = order[:len(order)+len(s.order)]
 		bp.snaps = max(bp.snaps, snap)
 		return s
 	}
@@ -415,18 +421,20 @@ func fill[T any](s []T, v T) {
 	}
 }
 
-// runBatch executes work items [lo, hi) through the batch primitives. When
-// a primitive faults, the range is run again interpreted and that run's
-// error is reported: tiles reach a fault in their own order, the interpreter
-// in element order, and callers are promised the interpreter's error. No
-// fragment that runs loads a buffer it stores (the contract's VF010), so the
-// second run reads what the first read and gets to its own first fault.
-func (w *worker) runBatch(lo, hi int) error {
+// run executes work items [lo, hi) through the batch primitives. When a
+// primitive faults in tiles, the range is run again in element order and
+// that run's error is reported: tiles reach a fault in their own order, and
+// callers are promised the first fault in element order. No fragment that
+// runs loads a buffer it stores (the contract's VF010), so the second run
+// reads what the first read and gets to its own first fault.
+func (w *worker) run(lo, hi int) error {
 	fault, err := w.runLanes(lo, hi)
-	if fault {
-		if ierr := w.runInterp(lo, hi); ierr != nil {
-			return ierr
+	if fault && !w.elem {
+		w.elem = true
+		if _, eerr := w.runLanes(lo, hi); eerr != nil {
+			err = eerr
 		}
+		w.elem = false
 	}
 	return err
 }
@@ -459,19 +467,24 @@ func liveLanes(f *kernel.Fragment, base, n, iv int) int {
 // carried and the columns are long enough); then the epilogue, then the
 // post-loop body tiled the same way over the scratch slots. Register columns
 // and the scratch slab simply persist, so fold accumulators, filter cursors
-// and dynamic bounds need no recognition. fault reports that err came from a
+// and dynamic bounds need no recognition. In element order a batch is one
+// work item and a tile one iteration. fault reports that err came from a
 // primitive rather than a checkpoint.
 func (w *worker) runLanes(lo, hi int) (fault bool, err error) {
 	bp, f := w.batch, w.f
 	if hi <= lo {
 		return false, nil
 	}
-	if need := min(specBatchN, hi-lo); need > w.bst.locLanes {
+	step := specBatchN
+	if w.elem {
+		step = 1
+	}
+	if need := min(step, hi-lo); need > w.bst.locLanes {
 		w.attachBatch(bp, need)
 	}
 	b := w.bst
-	for base := lo; base < hi; base += specBatchN {
-		n := min(specBatchN, hi-base)
+	for base := lo; base < hi; base += step {
+		n := min(step, hi-base)
 		b.lanes, b.rows = n, 1
 		for i, gid := 0, b.ri[kernel.RegGID]; i < n; i++ {
 			gid[i] = int64(base + i)
@@ -511,7 +524,7 @@ func (w *worker) runLanes(lo, hi int) (fault bool, err error) {
 func (w *worker) runLoop(l *batchSeq, base int) (fault bool, err error) {
 	b, f := w.bst, w.f
 	lanes := b.lanes
-	if l.elements {
+	if l.elements && !w.elem {
 		return w.runElements(l, base)
 	}
 	live := func(iv int) int {
@@ -539,6 +552,9 @@ func (w *worker) runLoop(l *batchSeq, base int) (fault bool, err error) {
 	// footprint bound — which a tail batch of few lanes would otherwise
 	// exceed, its columns having been cut for a full one.
 	depth := max(1, min(min(b.stride, max(w.batch.width, lanes))/lanes, steps))
+	if w.elem {
+		depth = 1
+	}
 	b.rows = depth
 	if depth > 1 {
 		for _, r := range l.lf.Spread[0] {
@@ -579,7 +595,7 @@ func (w *worker) runLoop(l *batchSeq, base int) (fault bool, err error) {
 		if active == 0 {
 			break
 		}
-		if w.stats.TileLanes == 0 {
+		if w.stats.TileLanes == 0 && !w.elem {
 			w.stats.TileLanes, w.stats.TileIters = lanes, rows
 		}
 		for k := 0; k < rows; k++ {
@@ -668,10 +684,12 @@ func spread[T any](col []T, lanes, rows int) {
 // iteration, finding the free registers it reads in the iteration's window
 // of their columns and the selection as it stood at each primitive's program
 // position (sel is ascending and rows are contiguous, so the window of a
-// snapshot is a contiguous run of it). A checkpoint precedes the tile; fault
+// snapshot is a contiguous run of it). In element order the tile is one
+// pseudo-lane and the sequence runs in program order instead, each primitive
+// tallied when the run is counted. A checkpoint precedes the tile; fault
 // tells a primitive's error from the checkpoint's.
 func (w *worker) runTile(s *batchSeq, n int, sel []int32, rows int) (fault bool, err error) {
-	if len(s.wide)+len(s.carried) == 0 {
+	if len(s.order) == 0 {
 		return false, nil
 	}
 	b := w.bst
@@ -682,9 +700,24 @@ func (w *worker) runTile(s *batchSeq, n int, sel []int32, rows int) (fault bool,
 		}
 	}
 	last := len(b.snaps)
+	b.selBuf = b.region(last)
+	if w.elem {
+		for i := range s.order {
+			p := &s.order[i]
+			if err := p.fn(w, b, p.in); err != nil {
+				return true, err
+			}
+			if w.count {
+				w.tally(p.in)
+			}
+			if b.sel != nil && len(b.sel) == 0 {
+				break // a guard turned the pseudo-lane off
+			}
+		}
+		return false, nil
+	}
 	b.snaps[0] = snapshot{sel: sel, n: n}
 	clear(b.snaps[1:]) // nothing gets as far as a guard the wide pass does not reach
-	b.selBuf = b.region(last)
 	for i := range s.wide {
 		p := &s.wide[i]
 		if p.snap > 0 {
@@ -764,6 +797,56 @@ func (w *worker) runTile(s *batchSeq, n int, sel []int32, rows int) (fault bool,
 		}
 	}
 	return err != nil, err
+}
+
+// tally counts one instruction an element-order run has just executed into
+// the device-model event counters: an ALU operation in its domain (a select
+// is an integer one), a guard and whether it passed, a scratch-array access,
+// or a global access classified by the slot its index register names. The
+// hoisted constants never reach it, and they cost nothing in the model.
+func (w *worker) tally(in *kernel.Instr) {
+	st, ri := &w.stats, w.bst.ri
+	switch in.Op {
+	case kernel.IBin:
+		if in.Float {
+			st.FloatOps++
+		} else {
+			st.IntOps++
+		}
+	case kernel.ISel:
+		st.IntOps++
+	case kernel.IGuard:
+		st.Guards++
+		st.GuardsPass += b2i(ri[in.A][0] != 0)
+	case kernel.ILoadLoc, kernel.IStoreLoc:
+		st.LocalOps++
+	case kernel.ILoad, kernel.ILoadValid, kernel.IStore:
+		buf := w.env.Bufs[in.Buf]
+		// Validity masks are byte-sized; a validity probe against a buffer
+		// with no mask is just a bounds check — pure arithmetic the paper's
+		// compiler emits inline (or removes with static knowledge).
+		width := int64(8)
+		if in.Op == kernel.ILoadValid {
+			if buf.Valid == nil {
+				st.IntOps += 2
+				return
+			}
+			width = 1
+		}
+		if in.Seq {
+			st.SeqBytes += width
+			return
+		}
+		if w.lines == nil {
+			w.lines = Lines{}
+		}
+		// Mask bytes live apart from the data; track their lines separately.
+		key := in.Buf
+		if in.Op == kernel.ILoadValid {
+			key |= 1 << 24
+		}
+		st.CountAccess(w.lines, key, ri[in.A][0], int64(buf.Len())*width, width)
+	}
 }
 
 // batchChain is a scratch reduction (verify.Chain) compiled to one

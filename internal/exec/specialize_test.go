@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -522,11 +523,11 @@ func TestEveryInstructionHasAPrimitive(t *testing.T) {
 }
 
 // TestSpecializeModesBitIdentical is the in-package half of difftest
-// combo #7: for every representative fragment shape, specialization on at
-// every morsel size × worker count produces buffers bit-identical to the
-// interpreter's, and the record of the run — which both tiers keep — reports
-// the interpreter's Items and StoreBytes from whichever tier the fragment
-// takes unobserved.
+// combo #7: for every representative fragment shape, the batch program in
+// tiles at every morsel size × worker count, and in element order, produces
+// buffers bit-identical to the oracle's (oracle_test.go), and the record of
+// the run reports the oracle's Items and StoreBytes. A counted run — element
+// order with the device counters — reports every counter the oracle counts.
 func TestSpecializeModesBitIdentical(t *testing.T) {
 	n := 3000 // spans multiple 1024-lane batches with a ragged tail
 	withValid := &Buffer{Kind: vector.Int, I: seqInts(n), Valid: make([]bool, n)}
@@ -640,76 +641,115 @@ func TestSpecializeModesBitIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := tc.build()
-			oracle, want := runSpec(t, k, tc.in, Par{Workers: 1, NoSpecialize: true})
-			if want.Specialized != "interp" || want.Items == 0 || want.StoreBytes == 0 {
-				t.Fatalf("oracle record = %+v, want a non-empty interp record", want)
+			oracle, want, err := runOracle(t, k, tc.in)
+			if err != nil || want.Items == 0 || want.StoreBytes == 0 {
+				t.Fatalf("oracle record = %+v, error %v; want a non-empty record", want, err)
 			}
+			runs := []Par{{Workers: 1, NoSpecialize: true}}
 			for _, morsel := range []int{1, 7, 0} {
 				for _, workers := range []int{1, 4} {
-					got, rec := runSpec(t, k, tc.in, Par{Workers: workers, Morsel: morsel})
-					requireSameBufs(t, k, oracle, got, tc.name)
-					if rec.Specialized != tc.path {
-						t.Errorf("morsel=%d workers=%d: recorded run took %q, want %q", morsel, workers, rec.Specialized, tc.path)
-					}
-					if rec.Items != want.Items || rec.StoreBytes != want.StoreBytes {
-						t.Errorf("morsel=%d workers=%d (%s): items=%d store_bytes=%d, interpreter reports %d / %d",
-							morsel, workers, rec.Specialized, rec.Items, rec.StoreBytes, want.Items, want.StoreBytes)
-					}
-					if rec.IntOps != 0 || rec.SeqBytes != 0 || rec.Guards != 0 {
-						t.Errorf("morsel=%d workers=%d: an uncounted run collected device counters: %+v", morsel, workers, rec)
-					}
-					var acc string
-					switch {
-					case rec.AccCarried > 0:
-						acc = "fallback"
-					case rec.AccWide > 0:
-						acc = "wide"
-					}
-					if acc != tc.acc {
-						t.Errorf("morsel=%d workers=%d: scratch reductions ran %d tiles wide, %d carried; want %q",
-							morsel, workers, rec.AccWide, rec.AccCarried, tc.acc)
-					}
+					runs = append(runs, Par{Workers: workers, Morsel: morsel})
 				}
+			}
+			for _, par := range runs {
+				got, rec := runSpec(t, k, tc.in, par)
+				requireSameBufs(t, k, oracle, got, fmt.Sprintf("%s %+v", tc.name, par))
+				path, wantAcc := tc.path, tc.acc
+				if par.NoSpecialize {
+					path, wantAcc = "interp", ""
+				}
+				if rec.Specialized != path || (rec.TileLanes > 0) != (path == "batch") {
+					t.Errorf("%+v: recorded run took %q with tile %dx%d, want %q", par, rec.Specialized, rec.TileLanes, rec.TileIters, path)
+				}
+				if rec.Items != want.Items || rec.StoreBytes != want.StoreBytes {
+					t.Errorf("%+v (%s): items=%d store_bytes=%d, oracle reports %d / %d",
+						par, rec.Specialized, rec.Items, rec.StoreBytes, want.Items, want.StoreBytes)
+				}
+				if rec.IntOps != 0 || rec.SeqBytes != 0 || rec.Guards != 0 {
+					t.Errorf("%+v: an uncounted run collected device counters: %+v", par, rec)
+				}
+				var acc string
+				switch {
+				case rec.AccCarried > 0:
+					acc = "fallback"
+				case rec.AccWide > 0:
+					acc = "wide"
+				}
+				if acc != wantAcc {
+					t.Errorf("%+v: scratch reductions ran %d tiles wide, %d carried; want %q",
+						par, rec.AccWide, rec.AccCarried, wantAcc)
+				}
+			}
+			env := NewEnv(k)
+			for name, buf := range tc.in {
+				if err := env.Bind(k, name, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var rec FragStats
+			if err := RunFragment(context.Background(), k.Frags[0], env, Par{Workers: 4}, &rec, true); err != nil {
+				t.Fatal(err)
+			}
+			requireSameBufs(t, k, oracle, env, tc.name+" counted")
+			if d := sameCounts(want, rec); d != "" {
+				t.Errorf("counted run: %s", d)
 			}
 		})
 	}
 }
 
-// TestResolveSpecPaths pins the path-resolution policy: batch by default;
-// NoSpecialize and a request for the device counters each force the
-// interpreter, and nothing else does. Every resolution moves its path's
-// counter.
-func TestResolveSpecPaths(t *testing.T) {
-	sel := selectKernel(64, 10).Frags[0]
-	gather := gatherKernel(64).Frags[0]
-	fold := foldKernel(64, 4, kernel.BAdd, false).Frags[0]
-	fold1 := foldKernel(64, 1, kernel.BAdd, false).Frags[0]
+// TestResolveSpecGeometry pins the path rule: every run executes the
+// fragment's batch program, in tiles by default; NoSpecialize and a request
+// for the device counters each make it element order, and nothing else
+// does. Every resolution moves its path's counter, and a run records its
+// geometry: "batch" with the first tile's shape, or "interp" with none.
+func TestResolveSpecGeometry(t *testing.T) {
+	const n = 64
 	for _, tc := range []struct {
 		name         string
-		f            *kernel.Fragment
+		k            func() *kernel.Kernel
 		noSpecialize bool
 		count        bool
-		interp       bool
+		elem         bool
 	}{
-		{"select", sel, false, false, false},
-		{"select-off", sel, true, false, true},
-		{"select-counted", sel, false, true, true},
-		{"gather", gather, false, false, false},
-		{"gather-counted", gather, false, true, true},
-		{"fold", fold, false, false, false},
-		{"fold-counted", fold, false, true, true},
-		{"fold-extent-1", fold1, false, false, false},
+		{"select", func() *kernel.Kernel { return selectKernel(n, 10) }, false, false, false},
+		{"select-off", func() *kernel.Kernel { return selectKernel(n, 10) }, true, false, true},
+		{"select-counted", func() *kernel.Kernel { return selectKernel(n, 10) }, false, true, true},
+		{"gather", func() *kernel.Kernel { return gatherKernel(n) }, false, false, false},
+		{"gather-counted", func() *kernel.Kernel { return gatherKernel(n) }, false, true, true},
+		{"fold", func() *kernel.Kernel { return foldKernel(n, 4, kernel.BAdd, false) }, false, false, false},
+		{"fold-counted", func() *kernel.Kernel { return foldKernel(n, 4, kernel.BAdd, false) }, false, true, true},
+		{"fold-extent-1", func() *kernel.Kernel { return foldKernel(n, 1, kernel.BAdd, false) }, false, false, false},
 	} {
-		path := specBatchC
-		if tc.interp {
-			path = specInterpC
+		path, label := specBatchC, "batch"
+		if tc.elem {
+			path, label = specInterpC, "interp"
 		}
 		before := path.Value()
-		if bp := resolveSpec(specFor(tc.f), tc.noSpecialize, tc.count); (bp == nil) != tc.interp {
-			t.Errorf("%s: batch program %v, want interp=%v", tc.name, bp != nil, tc.interp)
+		if elem := resolveSpec(tc.noSpecialize, tc.count); elem != tc.elem {
+			t.Errorf("%s: element order %v, want %v", tc.name, elem, tc.elem)
 		}
 		if path.Value() != before+1 {
 			t.Errorf("%s: voodoo_fragments_specialized_total for its path did not move", tc.name)
+		}
+		k, vals := tc.k(), make([]int64, n)
+		for i := range vals {
+			vals[i] = int64(i * 37 % n) // in range: the gather reads through it
+		}
+		env := NewEnv(k)
+		for _, d := range k.Bufs {
+			if d.Input {
+				if err := env.Bind(k, d.Name, &Buffer{Kind: d.Kind, I: vals}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var fs FragStats
+		if err := RunFragment(context.Background(), k.Frags[0], env, Par{Workers: 1, NoSpecialize: tc.noSpecialize}, &fs, tc.count); err != nil {
+			t.Fatal(err)
+		}
+		if fs.Specialized != label || (fs.TileLanes > 0) == tc.elem {
+			t.Errorf("%s: ran %q with tile %dx%d, want %q (a tile only in tiles)", tc.name, fs.Specialized, fs.TileLanes, fs.TileIters, label)
 		}
 	}
 }
@@ -1096,7 +1136,7 @@ func TestTiledScratchSlabIsPerWorkItem(t *testing.T) {
 	}
 	f := k.Frags[0]
 	bp := specFor(f)
-	w := newWorker(context.Background(), f, env, kernel.Reg(bp.nregs), false, nil, bp)
+	w := newWorker(context.Background(), f, env, bp, false, false, nil)
 	defer w.release()
 	w.scratch.blocF = nil // whatever an earlier fragment left in the pooled scratch
 	if err := w.run(0, extent); err != nil {
@@ -1110,15 +1150,16 @@ func TestTiledScratchSlabIsPerWorkItem(t *testing.T) {
 	}
 }
 
-// TestSpecializeErrorParity: a mid-run fault reports the same error from the
-// batch path as from the interpreter, text included — also when the batch
-// path reaches a different fault first. In the multi-iteration case element 5
-// (work item 0, iteration 5) and element 17 (work item 2, iteration 1) both
-// gather out of range: the interpreter, element-major, dies on element 5; the
-// lanes, step-major, get to element 17 four steps earlier. In the tiled case
-// — one work item, 4096 iterations — the free slice of the first tile gathers
-// out of range at iteration 900 before its carried slice has run at all,
-// where iteration 5 divides by zero: the interpreter's error is the division.
+// TestSpecializeErrorParity: a mid-run fault reports the same error in
+// tiles and in element order as from the oracle (oracle_test.go), text
+// included — also when the tiles reach a different fault first. In the
+// multi-iteration case element 5 (work item 0, iteration 5) and element 17
+// (work item 2, iteration 1) both gather out of range: the oracle,
+// element-major, dies on element 5; the lanes, step-major, get to element 17
+// four steps earlier. In the tiled case — one work item, 4096 iterations —
+// the free slice of the first tile gathers out of range at iteration 900
+// before its carried slice has run at all, where iteration 5 divides by
+// zero: the oracle's error is the division.
 func TestSpecializeErrorParity(t *testing.T) {
 	gather := func(extent, intent int) *kernel.Kernel {
 		n := extent * intent
@@ -1156,38 +1197,38 @@ func TestSpecializeErrorParity(t *testing.T) {
 		{"lane-order-differs", 4, 8, map[int]int64{5: 1000, 17: 2000}, -1, "idx 1005 len 32"},
 		{"free-slice-faults-first", 1, 4096, map[int]int64{900: 5000}, 5, "integer division by zero"},
 	} {
-		run := func(noSpecialize bool) (error, FragStats) {
-			k := gather(tc.extent, tc.intent)
-			n := tc.extent * tc.intent
-			off, data := make([]int64, n), make([]int64, n)
-			for e, o := range tc.faults {
-				off[e] = o
-			}
-			for i := range data {
-				data[i] = int64(i%7) + 1
-			}
-			if tc.zero >= 0 {
-				data[tc.zero] = 0
-			}
+		k := gather(tc.extent, tc.intent)
+		n := tc.extent * tc.intent
+		off, data := make([]int64, n), make([]int64, n)
+		for e, o := range tc.faults {
+			off[e] = o
+		}
+		for i := range data {
+			data[i] = int64(i%7) + 1
+		}
+		if tc.zero >= 0 {
+			data[tc.zero] = 0
+		}
+		in := map[string]*Buffer{"off": {Kind: vector.Int, I: off}, "in": {Kind: vector.Int, I: data}}
+		_, _, want := runOracle(t, k, in)
+		if want == nil || !strings.Contains(want.Error(), tc.want) {
+			t.Fatalf("%s: oracle error %v, want it to name %q", tc.name, want, tc.want)
+		}
+		for _, par := range []Par{{Workers: 1}, {Workers: 1, NoSpecialize: true}} {
 			env := NewEnv(k)
-			for name, buf := range map[string]*Buffer{"off": {Kind: vector.Int, I: off}, "in": {Kind: vector.Int, I: data}} {
+			for name, buf := range in {
 				if err := env.Bind(k, name, buf); err != nil {
 					t.Fatal(err)
 				}
 			}
-			var fs FragStats
-			return RunFragment(context.Background(), k.Frags[0], env, Par{Workers: 1, NoSpecialize: noSpecialize}, &fs, false), fs
-		}
-		want, _ := run(true)
-		got, rec := run(false)
-		if want == nil || got == nil {
-			t.Fatalf("%s: both paths should fail: interp=%v batch=%v", tc.name, want, got)
-		}
-		if rec.Specialized != "batch" {
-			t.Fatalf("%s ran %s, want batch", tc.name, rec.Specialized)
-		}
-		if want.Error() != got.Error() || !strings.Contains(got.Error(), tc.want) {
-			t.Errorf("%s: error mismatch (want it to name %q):\ninterp: %v\nbatch:  %v", tc.name, tc.want, want, got)
+			var rec FragStats
+			got := RunFragment(context.Background(), k.Frags[0], env, par, &rec, false)
+			if path := map[bool]string{false: "batch", true: "interp"}[par.NoSpecialize]; rec.Specialized != path {
+				t.Fatalf("%s %+v ran %s, want %s", tc.name, par, rec.Specialized, path)
+			}
+			if got == nil || got.Error() != want.Error() {
+				t.Errorf("%s %+v: error mismatch:\noracle: %v\ngot:    %v", tc.name, par, want, got)
+			}
 		}
 	}
 }
@@ -1217,9 +1258,10 @@ func TestBlockedLanesAreNotUnitStride(t *testing.T) {
 	}
 }
 
-// TestCountedRunInterprets: the device-model event counters live in the
-// interpreter tier only, so a counted run interprets every fragment.
-func TestCountedRunInterprets(t *testing.T) {
+// TestCountedRunIsElementOrder: a counted run executes the batch program in
+// element order — recorded as "interp", with no tile — and its device-model
+// event counters are the oracle's.
+func TestCountedRunIsElementOrder(t *testing.T) {
 	n := 3000
 	idx := make([]int64, n)
 	for i := range idx {
@@ -1232,6 +1274,10 @@ func TestCountedRunInterprets(t *testing.T) {
 			in: map[string]*Buffer{"idx": {Kind: vector.Int, I: idx}, "in": {Kind: vector.Int, I: seqInts(n)}}},
 	} {
 		k := tc.build()
+		_, want, err := runOracle(t, k, tc.in)
+		if err != nil {
+			t.Fatal(err)
+		}
 		env := NewEnv(k)
 		for name, buf := range tc.in {
 			if err := env.Bind(k, name, buf); err != nil {
@@ -1243,11 +1289,14 @@ func TestCountedRunInterprets(t *testing.T) {
 			t.Fatal(err)
 		}
 		fs := st.Frags[0]
-		if fs.Specialized != "interp" {
-			t.Errorf("%s: counted run took %s, want interp", tc.name, fs.Specialized)
+		if fs.Specialized != "interp" || fs.TileLanes != 0 {
+			t.Errorf("%s: counted run took %s with tile %dx%d, want element order (interp, no tile)", tc.name, fs.Specialized, fs.TileLanes, fs.TileIters)
 		}
 		if fs.Items != int64(n) || fs.SeqBytes == 0 {
 			t.Errorf("%s: counted run collected items=%d seq_bytes=%d", tc.name, fs.Items, fs.SeqBytes)
+		}
+		if d := sameCounts(want, fs); d != "" {
+			t.Errorf("%s: %s", tc.name, d)
 		}
 	}
 }

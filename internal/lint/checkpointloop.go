@@ -6,10 +6,9 @@ import (
 )
 
 // CheckpointLoop enforces the cancellation discipline of the execution
-// engine: a loop that drives work — morsel claim loops, the per-item
-// fragment interpreter, the statement evaluator — must contain a
-// checkpoint call so a canceled context or a sibling worker's failure can
-// stop it. The contract is scoped to internal/exec and internal/interp,
+// engine: a loop that drives work — morsel claim loops, the statement
+// evaluator — must contain a checkpoint call so a canceled context or a
+// sibling worker's failure can stop it. The contract is scoped to internal/exec and internal/interp,
 // where every such loop already follows the tick/claim idiom.
 var CheckpointLoop = &Analyzer{
 	Name: "checkpointloop",
@@ -19,7 +18,7 @@ var CheckpointLoop = &Analyzer{
 
 // workCalls name the methods that execute fragment or statement work.
 var workCalls = map[string]bool{
-	"run": true, "runInterp": true, "runBatch": true, "runMorsels": true, "eval": true,
+	"run": true, "runMorsels": true, "eval": true,
 }
 
 // checkpointCalls name the accepted cancellation checkpoints. claim checks

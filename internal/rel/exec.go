@@ -53,9 +53,9 @@ type Engine struct {
 	Opt compile.Options
 	// CollectStats enables event counting for the device cost models.
 	CollectStats bool
-	// NoSpecialize disables fragment specialization (batch primitives),
-	// forcing every fragment through the per-element interpreter;
-	// compiling backends only.
+	// NoSpecialize runs every fragment's batch program in element order
+	// (one element at a time) instead of in tiles; compiling backends
+	// only.
 	NoSpecialize bool
 	// Limits is the per-query resource governor (memory budget, extent
 	// cap, deadline); the zero value imposes no limits. The memory and

@@ -8,10 +8,10 @@ import (
 
 // ParseEngine maps the value of voodoo-run's -engine flag to the Engine
 // settings it stands for. An engine is a backend plus, for the compiler,
-// which fragment tier runs: "compiled" batches every fragment,
-// "compiled-interp" runs the same plans through the per-element fragment
-// interpreter, "interp" is the reference interpreter (no plan at all) and
-// "bulk" the compiler with fusion off.
+// the geometry its fragments run in: "compiled" runs every fragment's batch
+// program in tiles, "compiled-interp" runs the same programs in element
+// order (one element at a time), "interp" is the reference interpreter (no
+// plan at all) and "bulk" the compiler with fusion off.
 func ParseEngine(name string) (b Backend, noSpecialize bool, err error) {
 	switch name {
 	case "compiled":

@@ -15,8 +15,8 @@ import (
 	"voodoo/internal/storage"
 )
 
-// aggEngines are the four ways a query runs: the compiled plan on the batch
-// tier and on the per-element interpreter, both on at most workers
+// aggEngines are the four ways a query runs: the compiled plan in tiles and
+// in element order, both on at most workers
 // goroutines (0: GOMAXPROCS), the reference interpreter of the algebra, and
 // the HyPer-style baseline, which shares none of their code.
 func aggEngines(cat *storage.Catalog, workers int) map[string]rel.Runner {
@@ -475,9 +475,8 @@ func bits(res *rel.Result, anyNaN bool) []string {
 // the edge values of edgeCatalog. The grouped fold's second half folds
 // every work item's partial of a group, the empty ones included: they must
 // leave −0.0, ±Inf, NaN and ε where the reference interpreter puts them. So
-// the compiled engines, on the batch tier and on the per-element
-// interpreter, at 1 and 4 workers, agree to the bit with each other and
-// with the interpreter. One exception: a NaN's payload after MIN or MAX
+// the compiled engines, in tiles and in element order, at 1 and 4 workers,
+// agree to the bit with each other and with the interpreter. One exception: a NaN's payload after MIN or MAX
 // records the order the fold met the other values (Go's min and max OR
 // their operands' bits into a NaN), and the compiled engines meet them per
 // work item, so against the interpreter any NaN is a NaN. The HyPer-style

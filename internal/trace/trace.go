@@ -53,9 +53,9 @@ type Step struct {
 	Virtual    bool `json:"virtual_scatter,omitempty"`
 	Predicated bool `json:"predicated,omitempty"`
 
-	// Specialized records which execution path ran a fragment step:
-	// "batch" (compiled batch primitives) or "interp" (the per-element
-	// interpreter).
+	// Specialized records the geometry a fragment step's batch program ran
+	// in: "batch" (tiles) or "interp" (element order, one element at a
+	// time).
 	Specialized string `json:"specialized,omitempty"`
 	// Tile is the geometry of a batch fragment's first tile, "LxK": L work
 	// items side by side × K consecutive iterations of each in one
@@ -117,7 +117,7 @@ func (s *Step) Acc() string {
 type Trace struct {
 	Query string `json:"query,omitempty"`
 	// Backend names the engine that ran the query: "compiled",
-	// "compiled-interp" (every fragment interpreted), "bulk-compiled" or
+	// "compiled-interp" (every fragment in element order), "bulk-compiled" or
 	// "interpreted".
 	Backend string          `json:"backend"`
 	Options map[string]bool `json:"options,omitempty"`
