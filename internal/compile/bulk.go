@@ -640,7 +640,13 @@ func (c *compiler) scatterFragment(src *desc, pos attr, n2 int, parallel bool) *
 	out := &desc{n: n2}
 	for _, a := range src.attrs {
 		buf := c.addBuf("scat."+a.name, a.kind(), n2, true, false)
-		v := em.emitAs(a.ex, a.kind())
+		// A slot whose source is ε — a spilled filter's padding among them
+		// — stores ε, so its value must not fault there either.
+		ex := a.ex
+		if a.validEx != nil && mayFault(ex) {
+			ex = guardDivisors(ex, a.validEx, map[expr]expr{})
+		}
+		v := em.emitAs(ex, a.kind())
 		st := kernel.Instr{Op: kernel.IStore, Buf: buf, A: p, B: v,
 			Float: a.kind() == vector.Float}
 		if a.validEx != nil {
@@ -654,6 +660,51 @@ func (c *compiler) scatterFragment(src *desc, pos attr, n2 int, parallel bool) *
 	f.Loops = []kernel.Loop{{Body: body}}
 	c.addFrag(f)
 	return out
+}
+
+// guardDivisors rewrites e so that no division or modulo in it faults where
+// valid is 0: a divisor that may be zero reads 1 there. Where valid is 1 the
+// value is e's, faults included. memo keeps shared nodes shared.
+func guardDivisors(e, valid expr, memo map[expr]expr) expr {
+	if r, ok := memo[e]; ok {
+		return r
+	}
+	r := e
+	switch x := e.(type) {
+	case *eBin:
+		a, b := guardDivisors(x.a, valid, memo), guardDivisors(x.b, valid, memo)
+		if x.op == kernel.BDiv || x.op == kernel.BMod {
+			if k, ok := b.(*eConst); !ok || (k.i == 0 && k.f == 0) {
+				one := constI(1)
+				if b.kind() == vector.Float {
+					one = constF(1)
+				}
+				b = &eSel{c: valid, a: b, b: one}
+			}
+		}
+		if a != x.a || b != x.b {
+			r = &eBin{op: x.op, a: a, b: b}
+		}
+	case *eSel:
+		cc, a, b := guardDivisors(x.c, valid, memo), guardDivisors(x.a, valid, memo), guardDivisors(x.b, valid, memo)
+		if cc != x.c || a != x.a || b != x.b {
+			r = &eSel{c: cc, a: a, b: b}
+		}
+	case *eCast:
+		if a := guardDivisors(x.a, valid, memo); a != x.a {
+			r = &eCast{toF: x.toF, a: a}
+		}
+	case *eLoad:
+		if idx := guardDivisors(x.idx, valid, memo); idx != x.idx {
+			r = &eLoad{buf: x.buf, k: x.k, idx: idx}
+		}
+	case *eLoadValid:
+		if idx := guardDivisors(x.idx, valid, memo); idx != x.idx {
+			r = &eLoadValid{buf: x.buf, idx: idx}
+		}
+	}
+	memo[e] = r
+	return r
 }
 
 // bulkStats synthesizes the cost profile of a bulk (fully materializing)

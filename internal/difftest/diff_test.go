@@ -190,7 +190,8 @@ var pinned = []pinnedProgram{
 		return groupedWhere(40, whereTable(false, true), nil)
 	}},
 	// The same shape with one more consumer that sees where ε slots sit
-	// spills the filter.
+	// spills the filter. A fold keyed on another attribute materializes the
+	// grouped scatter, which must not divide on the filter's padding.
 	{name: "where-grouped-root", spilled: true, build: func(*testing.T) *Program {
 		return groupedWhere(40, whereTable(false, true), func(b *core.Builder, hit, row, scattered core.Ref) {
 			b.Project("v", hit, "v")
@@ -259,10 +260,9 @@ func whereTable(noZero, eps bool) *vector.Vector {
 // groupedWhere is a GROUP BY over a WHERE as the relational frontend lowers
 // it: FoldSelect of w > cut in blocked runs of 7, Gather, arithmetic,
 // Partition by the group id, its virtual Scatter, and FoldSum, FoldMin and
-// FoldMax keyed on the group id. tail, when set, adds a consumer; without
-// one the folds also sum v / d, which faults on rows the WHERE rejects. (A
-// spilled filter leaves d's padding zero, and the scatter a refused shape
-// materializes divides there, where the interpreter skips ε slots.)
+// FoldMax keyed on the group id. The folds also sum v / d, which faults on
+// rows the WHERE rejects (a spilled filter leaves d's padding zero, where
+// the interpreter skips ε slots). tail, when set, adds a consumer.
 func groupedWhere(cut float64, t *vector.Vector, tail func(b *core.Builder, hit, row, scattered core.Ref)) *Program {
 	b := core.NewBuilder()
 	in := b.Load("t")
@@ -271,9 +271,7 @@ func groupedWhere(cut float64, t *vector.Vector, tail func(b *core.Builder, hit,
 	sel := b.FoldSelect(b.Zip("p", pred, "p", "fold", fold, "fold"), "fold", "p")
 	hit := b.Gather(in, sel, "")
 	row := b.Upsert(hit, "a", b.Arith(core.OpMultiply, "a", hit, "v", b.Constant(3), ""), "a")
-	if tail == nil {
-		row = b.Upsert(row, "q", b.Arith(core.OpDivide, "q", row, "v", row, "d"), "q")
-	}
+	row = b.Upsert(row, "q", b.Arith(core.OpDivide, "q", row, "v", row, "d"), "q")
 	row = b.Upsert(row, "gid", b.Arith(core.OpSubtract, "gid", row, "g", b.Constant(0), ""), "gid")
 	pos := b.Partition("pos", row, "gid", b.RangeN(0, 5, 1), "")
 	scattered := b.Scatter(row, row, "", b.Upsert(row, "pos", pos, "pos"), "pos")
@@ -281,10 +279,9 @@ func groupedWhere(cut float64, t *vector.Vector, tail func(b *core.Builder, hit,
 	b.FoldMin(scattered, "gid", "v")
 	b.FoldMax(scattered, "gid", "w")
 	b.FoldMax(scattered, "gid", "gid")
+	b.FoldSum(scattered, "gid", "q")
 	if tail != nil {
 		tail(b, hit, row, scattered)
-	} else {
-		b.FoldSum(scattered, "gid", "q")
 	}
 	return &Program{Prog: b.Program(), St: interp.MemStorage{"t": t}}
 }

@@ -67,10 +67,10 @@ type Engine struct {
 	// queries deliver several traces). Callers that share an engine across
 	// concurrent queries set the sink on a per-query copy of it.
 	TraceSink func(*trace.Trace)
-	// PlanSink, when set, receives every plan Prepare compiles, which is
-	// the plan RunPrepared then executes (EXPLAIN tooling; multi-phase
-	// queries deliver one plan per phase). Interpreted queries compile
-	// nothing and deliver none.
+	// PlanSink, when set, receives every plan Prepare compiles and every
+	// plan Run reuses, which is the plan RunPrepared then executes (EXPLAIN
+	// tooling; multi-phase queries deliver one plan per phase). Interpreted
+	// queries compile nothing and deliver none.
 	PlanSink func(*compile.Plan)
 	// BaseContext, when set, is the context Run (the context-less Runner
 	// entry point) executes under. Callers that drive ctx-less call paths
@@ -90,14 +90,16 @@ type Engine struct {
 func (e *Engine) Catalog() *storage.Catalog { return e.Cat }
 
 // Run lowers, executes and assembles one query under BaseContext (or the
-// background context). Stats is nil unless CollectStats is set and the
-// backend is a compiling one.
+// background context). A compiling backend prepares each plan once per
+// catalog: a repeat of the query reuses the plan from the catalog's memo
+// (see prepared). Stats is nil unless CollectStats is set and the backend
+// is a compiling one.
 func (e *Engine) Run(q Query) (res *Result, stats *exec.Stats, err error) {
 	ctx := context.Background()
 	if e.BaseContext != nil {
 		ctx = e.BaseContext
 	}
-	pr, err := e.Prepare(q)
+	pr, err := e.prepared(q)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -120,9 +122,10 @@ type Prepared struct {
 // Plan returns the compiled plan, nil when the backend interprets.
 func (pr *Prepared) Plan() *compile.Plan { return pr.plan }
 
-// Prepare lowers q and, unless the engine interprets, compiles it. The
-// result depends only on the query, the catalog, and the engine's backend
-// options — never on per-run state — so it may be cached and shared.
+// Prepare lowers q and, unless the engine interprets, compiles it, every
+// time it is called. The result depends only on the query, the catalog, and
+// the engine's backend options — never on per-run state — so it may be
+// cached and shared.
 func (e *Engine) Prepare(q Query) (*Prepared, error) {
 	prog, outs, err := lower(q, e.Cat)
 	if err != nil {

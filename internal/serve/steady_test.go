@@ -123,8 +123,14 @@ func TestSteadyStateAllocDrop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Prepare then RunPrepared, not Run: Run would reuse the plan
+		// its catalog memoizes, and this path stands for the full work.
 		e := &rel.Engine{Cat: testCat, Opt: opt}
-		res, _, err := e.Run(q)
+		pr, err := e.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := e.RunPrepared(ctx, pr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"voodoo/internal/telemetry"
@@ -206,7 +207,19 @@ type Catalog struct {
 	// remembers why so the frontends can fail such queries fast with the
 	// typed corruption error instead of a generic "no table".
 	quarantined map[string]*CorruptError
+
+	// memo holds data derived from the tables (the relational frontend's
+	// prepared plans, which capture column slices), so it lives and dies
+	// with them: replacing a table, Quarantine and PersistVector drop it,
+	// and gen tells a build that raced such a drop not to store.
+	memoMu sync.Mutex
+	memo   map[any]any
+	gen    uint64
 }
+
+// maxDerived bounds the memo's entry count; beyond it Derived builds
+// without storing.
+const maxDerived = 256
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
@@ -221,6 +234,7 @@ func (c *Catalog) Quarantine(name string, err *CorruptError) *Catalog {
 		c.quarantined = map[string]*CorruptError{}
 	}
 	c.quarantined[name] = err
+	c.dropDerived()
 	return c
 }
 
@@ -238,8 +252,14 @@ func (c *Catalog) Quarantined() []string {
 	return names
 }
 
-// Add registers a table.
+// Add registers a table. Replacing a table drops what the catalog derived
+// from its contents (Derived); a new name keeps it, since nothing derived
+// can have read a table that was not there — unless the name has a dot and
+// may shadow a "table.col" path LoadVector resolved through another table.
 func (c *Catalog) Add(t *Table) *Catalog {
+	if _, replaced := c.tables[t.Name]; replaced || strings.Contains(t.Name, ".") {
+		c.dropDerived()
+	}
 	c.tables[t.Name] = t
 	return c
 }
@@ -281,7 +301,44 @@ func (c *Catalog) LoadVector(name string) (*vector.Vector, error) {
 // PersistVector implements the backend Storage interface.
 func (c *Catalog) PersistVector(name string, v *vector.Vector) error {
 	c.extra[name] = v
+	c.dropDerived()
 	return nil
+}
+
+// Derived returns the value the catalog memoizes under key, calling build
+// on a miss; hit reports whether it came from the memo. build runs without
+// the lock, so racing misses may build twice. What it returns is stored
+// unless it failed, the memo holds maxDerived entries, or the catalog
+// changed while it ran: a value derived from replaced tables is never
+// served.
+func (c *Catalog) Derived(key any, build func() (any, error)) (v any, hit bool, err error) {
+	c.memoMu.Lock()
+	v, hit = c.memo[key]
+	gen := c.gen
+	c.memoMu.Unlock()
+	if hit {
+		return v, true, nil
+	}
+	if v, err = build(); err != nil {
+		return nil, false, err
+	}
+	c.memoMu.Lock()
+	if c.gen == gen && len(c.memo) < maxDerived {
+		if c.memo == nil {
+			c.memo = map[any]any{}
+		}
+		c.memo[key] = v
+	}
+	c.memoMu.Unlock()
+	return v, false, nil
+}
+
+// dropDerived forgets everything derived from the catalog's old contents.
+func (c *Catalog) dropDerived() {
+	c.memoMu.Lock()
+	c.memo = nil
+	c.gen++
+	c.memoMu.Unlock()
 }
 
 // ---- Binary persistence -------------------------------------------------

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"path/filepath"
 	"testing"
 
@@ -136,4 +137,68 @@ func TestColumnLengthMismatchPanics(t *testing.T) {
 
 func writeFile(path string, data []byte) error {
 	return osWriteFile(path, data)
+}
+
+// Derived memoizes what a build returns until the catalog's contents
+// change; failures are never stored and the entry count is bounded.
+func TestDerivedMemo(t *testing.T) {
+	c := NewCatalog().Add(sample())
+	builds := 0
+	build := func() (any, error) { builds++; return builds, nil }
+	lookup := func(key any) (any, bool) {
+		t.Helper()
+		v, hit, err := c.Derived(key, build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, hit
+	}
+	if v, hit := lookup("k"); hit || v != 1 {
+		t.Fatalf("first lookup: %v hit=%v, want a build", v, hit)
+	}
+	if v, hit := lookup("k"); !hit || v != 1 {
+		t.Fatalf("repeat: %v hit=%v, want the stored value", v, hit)
+	}
+
+	fail := errors.New("no plan")
+	if _, _, err := c.Derived("bad", func() (any, error) { return nil, fail }); err != fail {
+		t.Fatalf("build error not returned: %v", err)
+	}
+	if _, hit := lookup("bad"); hit {
+		t.Fatal("a failed build was stored")
+	}
+
+	c.Add(NewTable("other"))
+	if _, hit := lookup("k"); !hit {
+		t.Fatal("adding a new table dropped the memo")
+	}
+	for name, change := range map[string]func(){
+		"replacing a table": func() { c.Add(sample()) },
+		"dotted name":       func() { c.Add(NewTable("orders.x")) },
+		"Quarantine":        func() { c.Quarantine("orders", &CorruptError{Path: "orders.vdb"}) },
+		"PersistVector":     func() { _ = c.PersistVector("v", vector.New(1)) },
+		"a build racing it": func() {
+			_, _, _ = c.Derived("raced", func() (any, error) { c.Add(sample()); return 0, nil })
+			if _, hit := lookup("raced"); hit {
+				t.Error("a value built across a change was stored")
+			}
+		},
+	} {
+		lookup("k")
+		change()
+		if _, hit := lookup("k"); hit {
+			t.Errorf("%s kept the memo", name)
+		}
+	}
+
+	c = NewCatalog()
+	for i := range maxDerived + 10 {
+		lookup(i)
+	}
+	if _, hit := lookup(maxDerived + 5); hit {
+		t.Fatalf("the memo stored more than %d entries", maxDerived)
+	}
+	if _, hit := lookup(0); !hit {
+		t.Fatal("an entry below the bound was not kept")
+	}
 }
