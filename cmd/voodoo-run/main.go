@@ -8,7 +8,7 @@
 // Usage:
 //
 //	voodoo-run [-sf SF] [-data DIR]
-//	           [-engine compiled|compiled-interp|interp|bulk] [-predicate]
+//	           [-engine compiled|interp|bulk]
 //	           [-show-kernel] [-show-opencl]
 //	           [-explain] [-explain-analyze] [-trace out.json]
 //	           [-timeout D] [-max-mem SIZE] [-verify]
@@ -54,8 +54,7 @@ import (
 func main() {
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor for the generated catalog")
 	data := flag.String("data", "", "load the catalog from this directory instead of generating")
-	engine := flag.String("engine", "compiled", "compiled, compiled-interp (compiled plans, every fragment one element at a time), interp (reference interpreter) or bulk (compiler with fusion off)")
-	predicate := flag.Bool("predicate", false, "compile selections branch-free (predication)")
+	engine := flag.String("engine", "compiled", "compiled, interp (reference interpreter) or bulk (compiler with fusion off)")
 	showKernel := flag.Bool("show-kernel", false, "print the kernel fragment listing of every plan that runs")
 	showCL := flag.Bool("show-opencl", false, "print the generated OpenCL C of every plan that runs")
 	qnum := flag.Int("q", 0, "run this TPC-H query number instead of a SQL string")
@@ -86,9 +85,9 @@ func main() {
 	if len(given) != 1 {
 		usage(fmt.Errorf("want one query — a SQL string, -q N or -prog FILE — got %d", len(given)))
 	}
-	e := &rel.Engine{Opt: compile.Options{Predication: *predicate}}
+	e := &rel.Engine{}
 	var err error
-	if e.Backend, e.NoSpecialize, err = rel.ParseEngine(*engine); err != nil {
+	if e.Backend, err = rel.ParseEngine(*engine); err != nil {
 		usage(err)
 	}
 	out := output{kernel: *showKernel, opencl: *showCL, explain: *explain, analyze: *analyze, traceFile: *traceOut}

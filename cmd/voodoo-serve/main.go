@@ -8,14 +8,14 @@
 //
 //	voodoo-serve [-addr :8080] [-diag-addr ADDR] [-sf SF] [-data DIR]
 //	             [-timeout 30s] [-max-mem 1g] [-max-extent N] [-max-heap 4g]
-//	             [-concurrency N] [-slow N] [-plan-cache N]
+//	             [-concurrency N] [-slow N]
 //	             [-drain-timeout 10s] [-verify]
 //	             [-log-level info] [-events FILE] [-event-sample 0.01]
 //	             [-slow-threshold 1s] [-slo query=500ms:0.99] [-spans N]
 //
 // Every query runs on the compiled engine, every fragment as batch
-// primitives in tiles; the other engines (-engine compiled-interp, interp,
-// bulk) are voodoo-run's.
+// primitives in tiles; the other engines (-engine interp, bulk) are
+// voodoo-run's.
 //
 // Telemetry: every query gets one id (the inbound W3C traceparent's
 // trace id when present, minted otherwise) that appears in the
@@ -85,7 +85,6 @@ func main() {
 	maxExtent := flag.Int("max-extent", 0, "per-request fragment extent cap (0 = unlimited)")
 	concurrency := flag.Int("concurrency", 0, "max queries executing at once (0 = GOMAXPROCS); excess requests queue")
 	slowN := flag.Int("slow", 16, "retain full traces of the N slowest queries")
-	planCache := flag.Int("plan-cache", 0, "compiled-plan cache capacity in entries (0 = 256, negative disables)")
 	maxHeap := flag.String("max-heap", "", "live-heap watermark above which new queries are shed with 503 (e.g. 4g; empty = disabled)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long a SIGTERM drain waits for in-flight queries before cancelling them")
 	logLevel := flag.String("log-level", "info", "structured-log threshold on stderr: debug, info, warn, error or off")
@@ -133,7 +132,6 @@ func main() {
 		Timeout:       *timeout,
 		MaxConcurrent: *concurrency,
 		SlowQueries:   *slowN,
-		PlanCache:     *planCache,
 		MemHighWater:  highWater,
 		Events:        events,
 		SpanRetain:    *spanRetain,

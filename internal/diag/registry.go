@@ -183,8 +183,8 @@ type queryView struct {
 	DeadlineNS        int64 `json:"deadline_ns,omitempty"`
 	Items             int64 `json:"items"`
 	MaterializedBytes int64 `json:"materialized_bytes"`
-	// PlanLookupNS and CompileNS split plan acquisition: cache lookup
-	// versus parse+plan. CachedPlan marks a plan-cache hit (CompileNS 0).
+	// PlanLookupNS and CompileNS split plan acquisition: memo lookup
+	// versus parse+plan+compile. CachedPlan marks a memo hit (CompileNS 0).
 	PlanLookupNS int64 `json:"plan_lookup_ns"`
 	CompileNS    int64 `json:"compile_ns"`
 	CachedPlan   bool  `json:"cached_plan"`

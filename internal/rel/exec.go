@@ -110,8 +110,8 @@ func (e *Engine) Run(q Query) (res *Result, stats *exec.Stats, err error) {
 // ready to run any number of times. A Prepared is immutable after Prepare
 // returns: every run-varying input — limits, the buffer pool, stats
 // collection — travels per run through RunPrepared, so one Prepared is
-// safe to share across concurrent queries. This is what the serve layer's
-// plan cache stores.
+// safe to share across concurrent queries. This is what the catalog's memo
+// stores, for Run and for the serve layer's SQL path alike.
 type Prepared struct {
 	q    Query
 	prog *core.Program

@@ -6,24 +6,20 @@ import (
 	"strings"
 )
 
-// ParseEngine maps the value of voodoo-run's -engine flag to the Engine
-// settings it stands for. An engine is a backend plus, for the compiler,
-// the geometry its fragments run in: "compiled" runs every fragment's batch
-// program in tiles, "compiled-interp" runs the same programs in element
-// order (one element at a time), "interp" is the reference interpreter (no
-// plan at all) and "bulk" the compiler with fusion off.
-func ParseEngine(name string) (b Backend, noSpecialize bool, err error) {
+// ParseEngine maps the value of voodoo-run's -engine flag to its backend:
+// "compiled" runs every fragment's batch program in tiles, "interp" is the
+// reference interpreter (no plan at all) and "bulk" the compiler with
+// fusion off.
+func ParseEngine(name string) (Backend, error) {
 	switch name {
 	case "compiled":
-		return Compiled, false, nil
-	case "compiled-interp":
-		return Compiled, true, nil
+		return Compiled, nil
 	case "interp":
-		return Interpreted, false, nil
+		return Interpreted, nil
 	case "bulk":
-		return BulkCompiled, false, nil
+		return BulkCompiled, nil
 	}
-	return 0, false, fmt.Errorf("unknown engine %q (want compiled, compiled-interp, interp or bulk)", name)
+	return 0, fmt.Errorf("unknown engine %q (want compiled, interp or bulk)", name)
 }
 
 // ParseSize parses the CLIs' -max-mem and -max-heap values: a byte count

@@ -3,23 +3,19 @@ package rel
 import "testing"
 
 func TestParseEngine(t *testing.T) {
-	for name, want := range map[string]struct {
-		b            Backend
-		noSpecialize bool
-	}{
-		"compiled":        {Compiled, false},
-		"compiled-interp": {Compiled, true},
-		"interp":          {Interpreted, false},
-		"bulk":            {BulkCompiled, false},
+	for name, want := range map[string]Backend{
+		"compiled": Compiled,
+		"interp":   Interpreted,
+		"bulk":     BulkCompiled,
 	} {
-		b, ns, err := ParseEngine(name)
-		if err != nil || b != want.b || ns != want.noSpecialize {
-			t.Errorf("ParseEngine(%q) = %v, %v, %v; want %v, %v", name, b, ns, err, want.b, want.noSpecialize)
+		if b, err := ParseEngine(name); err != nil || b != want {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v", name, b, err, want)
 		}
 	}
-	// The modifier spelling the flag replaced, and anything else, is rejected.
-	for _, name := range []string{"", "Compiled", "interp-no-specialize", "fused"} {
-		if _, _, err := ParseEngine(name); err == nil {
+	// The element-order engine and the modifier spelling it once had are
+	// gone; those and anything else are rejected.
+	for _, name := range []string{"", "Compiled", "compiled-interp", "interp-no-specialize", "fused"} {
+		if _, err := ParseEngine(name); err == nil {
 			t.Errorf("ParseEngine(%q) accepted", name)
 		}
 	}

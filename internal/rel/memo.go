@@ -44,7 +44,7 @@ func (e *Engine) prepared(q Query) (*Prepared, error) {
 		return e.Prepare(q)
 	}
 	key := memoKey{backend: e.Backend, opt: e.Opt, verify: verify.Enabled(), root: string(root)}
-	v, hit, err := e.Cat.Derived(key, func() (any, error) { return e.Prepare(q) })
+	v, hit, _, err := e.Cat.Derived(key, func() (any, error) { return e.Prepare(q) })
 	if err != nil {
 		return nil, err
 	}

@@ -24,20 +24,16 @@ func (s *Server) Catalog() *storage.Catalog { return s.cat.Load() }
 
 // SwapCatalog atomically replaces the served catalog — the hot-reload
 // path. In-flight queries finish against the catalog they started with;
-// new requests see the replacement immediately. Plan-cache entries
-// prepared against the replaced catalog are evicted eagerly (they could
-// never hit again, but would otherwise pin the old catalog's column
-// storage until LRU pressure cleared them), and the reload counter moves.
+// new requests see the replacement immediately, and the reload counter
+// moves. The plans prepared against the replaced catalog live in its memo,
+// so they go when it does.
 func (s *Server) SwapCatalog(cat *storage.Catalog) {
 	if cat == nil {
 		return
 	}
-	old := s.cat.Swap(cat)
-	if old == cat {
-		return
+	if s.cat.Swap(cat) != cat {
+		s.mReloads.Inc()
 	}
-	s.cache.evictCatalog(old)
-	s.mReloads.Inc()
 }
 
 // StartDraining flips the server into its terminal draining state: new

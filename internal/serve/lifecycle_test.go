@@ -2,14 +2,20 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"voodoo/internal/faultinject"
+	"voodoo/internal/metrics"
 	"voodoo/internal/storage"
 	"voodoo/internal/tpch"
 )
@@ -19,7 +25,7 @@ import (
 func newLifecycleServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Cat == nil {
-		cfg.Cat = testCat
+		cfg.Cat = freshCat()
 	}
 	s := New(cfg)
 	srv := httptest.NewServer(s.Mux())
@@ -27,51 +33,94 @@ func newLifecycleServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, srv
 }
 
-// TestCatalogReloadEvictsPlanCache is the regression test for stale
-// plan-cache entries surviving a hot reload: before the fix they lingered
-// until LRU pressure, pinning the replaced catalog's memory.
-func TestCatalogReloadEvictsPlanCache(t *testing.T) {
-	s, srv := newLifecycleServer(t, Config{})
-
-	code, first, body := postQuery(t, srv.URL, steadySQL)
-	if code != 200 {
-		t.Fatalf("first request: status %d: %s", code, body)
+// TestCatalogSwapUnderLoad: a hot reload while SQL clients run. Every
+// response is correct on either side of the swap, and the replaced
+// catalog, whose memo holds the plans prepared against it, is collected
+// once the requests that pinned it are done.
+func TestCatalogSwapUnderLoad(t *testing.T) {
+	stmts := []string{
+		steadySQL,
+		"SELECT n_regionkey, COUNT(*) AS n FROM nation GROUP BY n_regionkey",
+		"SELECT SUM(l_extendedprice) AS rev FROM lineitem WHERE l_quantity < 24",
 	}
-	if s.cache.len() != 1 {
-		t.Fatalf("cache holds %d plans, want 1", s.cache.len())
+	s, srv, old := swapServer(t)
+	// rows answers q without failing the test, so clients can call it.
+	rows := func(q string) (string, error) {
+		resp, err := http.Post(srv.URL+"/query", "text/plain", strings.NewReader(q))
+		if err != nil {
+			return "", err
+		}
+		defer resp.Body.Close()
+		var r queryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil || resp.StatusCode != 200 {
+			return "", fmt.Errorf("%s: status %d, %v", q, resp.StatusCode, err)
+		}
+		return fmt.Sprint(r.Rows), nil
+	}
+	want := make([]string, len(stmts))
+	for i, q := range stmts {
+		var err error
+		if want[i], err = rows(q); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// Hot reload: same data (same generator seed), new catalog identity.
-	next := tpch.Generate(tpch.Config{SF: 0.01, Seed: 42})
+	var done atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := i % len(stmts)
+				if got, err := rows(stmts[q]); err != nil || got != want[q] {
+					t.Errorf("%s: rows %s, %v; want %s", stmts[q], got, err, want[q])
+					return
+				}
+				done.Add(1)
+			}
+		}()
+	}
+	waitFor := func(n int64) {
+		for deadline := time.Now().Add(30 * time.Second); done.Load() < n && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Same tables, new catalog identity: the answers must not move.
+	next := freshCat()
+	waitFor(20)
 	s.SwapCatalog(next)
+	waitFor(done.Load() + 20)
+	close(stop)
+	wg.Wait()
 
-	if s.cache.len() != 0 {
-		t.Fatalf("stale plan-cache entries survived the reload: %d", s.cache.len())
-	}
 	if got := s.Catalog(); got != next {
-		t.Fatalf("Catalog() did not swap")
+		t.Fatal("Catalog() did not swap")
 	}
+	s.SwapCatalog(next) // the same catalog again is no reload
+	if n := s.mReloads.Value(); n != 1 {
+		t.Fatalf("reload counter = %d, want 1", n)
+	}
+	for i := 0; i < 5 && old.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if old.Value() != nil {
+		t.Fatal("the replaced catalog and its plans were not collected")
+	}
+}
 
-	// The same SQL recompiles against the new catalog and still answers
-	// identically (same seed ⇒ same data).
-	code, second, body := postQuery(t, srv.URL, steadySQL)
-	if code != 200 {
-		t.Fatalf("post-reload request: status %d: %s", code, body)
-	}
-	if second.Stats.Cached {
-		t.Fatalf("post-reload request claims a cache hit against the old catalog")
-	}
-	if len(second.Rows) != len(first.Rows) {
-		t.Fatalf("rows changed across reload of identical data: %d vs %d", len(second.Rows), len(first.Rows))
-	}
-	// Swapping the same catalog again is a no-op (no reload counted).
-	s.SwapCatalog(next)
-
-	// And a second identical request hits the fresh entry.
-	code, third, _ := postQuery(t, srv.URL, steadySQL)
-	if code != 200 || !third.Stats.Cached {
-		t.Fatalf("cache did not rebuild after reload (status %d, cached %v)", code, third.Stats.Cached)
-	}
+// swapServer starts a server on a catalog of its own and returns a weak
+// pointer to that catalog, so the server holds the only strong one.
+func swapServer(t *testing.T) (*Server, *httptest.Server, weak.Pointer[storage.Catalog]) {
+	cat := freshCat()
+	s, srv := newLifecycleServer(t, Config{Cat: cat, Registry: metrics.NewRegistry()})
+	return s, srv, weak.Make(cat)
 }
 
 // TestDrainingRefusesNewQueries: after StartDraining, new queries answer

@@ -45,6 +45,7 @@ import (
 	"voodoo/internal/tpch"
 	"voodoo/internal/trace"
 	"voodoo/internal/vector"
+	"voodoo/internal/verify"
 )
 
 // Config configures a query server.
@@ -65,9 +66,6 @@ type Config struct {
 	MaxConcurrent int
 	// SlowQueries is the slow-query ring capacity (0 = 16).
 	SlowQueries int
-	// PlanCache is the compiled-plan cache capacity in entries
-	// (0 = 256; negative disables caching).
-	PlanCache int
 	// MemHighWater is the live-heap watermark in bytes above which new
 	// queries are shed with 503 + Retry-After (0 = shedding disabled).
 	MemHighWater int64
@@ -87,12 +85,11 @@ type Config struct {
 
 // Server executes SQL over HTTP against one catalog.
 type Server struct {
-	cfg   Config
-	reg   *metrics.Registry
-	qreg  *diag.QueryRegistry
-	sem   chan struct{}
-	cache *planCache
-	pool  *vector.Pool
+	cfg  Config
+	reg  *metrics.Registry
+	qreg *diag.QueryRegistry
+	sem  chan struct{}
+	pool *vector.Pool
 
 	// cat is the served catalog; SwapCatalog replaces it atomically for
 	// hot reloads, so every request loads it exactly once.
@@ -124,6 +121,10 @@ type Server struct {
 	mRows    *metrics.Counter
 	mShed    *metrics.CounterVec
 	mReloads *metrics.Counter
+
+	mPlanHits      *metrics.Counter
+	mPlanMisses    *metrics.Counter
+	mPlanEvictions *metrics.Counter
 }
 
 // New builds a Server and registers its metrics.
@@ -134,15 +135,11 @@ func New(cfg Config) *Server {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
-	if cfg.PlanCache == 0 {
-		cfg.PlanCache = 256
-	}
 	s := &Server{
 		cfg:     cfg,
 		reg:     cfg.Registry,
 		qreg:    diag.NewQueryRegistry(cfg.SlowQueries, cfg.SpanRetain),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
-		cache:   newPlanCache(cfg.PlanCache, cfg.Registry),
 		memShed: newMemShedder(cfg.MemHighWater),
 
 		mQueue: cfg.Registry.Histogram("voodoo_http_queue_seconds",
@@ -159,8 +156,16 @@ func New(cfg Config) *Server {
 			"Queries refused at admission, by reason (draining, memory, deadline).", "reason"),
 		mReloads: cfg.Registry.Counter("voodoo_catalog_reloads_total",
 			"Hot catalog reloads applied via SwapCatalog."),
+		mPlanHits: cfg.Registry.Counter("voodoo_plan_cache_hits_total",
+			"SQL requests whose prepared plan came from the catalog's memo (parse+plan skipped)."),
+		mPlanMisses: cfg.Registry.Counter("voodoo_plan_cache_misses_total",
+			"SQL requests that had to parse, plan and compile."),
+		mPlanEvictions: cfg.Registry.Counter("voodoo_plan_cache_evictions_total",
+			"Memo entries this server's SQL plans pushed out of the catalog's LRU (its bound is shared with TPC-H root plans)."),
 	}
+	// The served catalog lives in s.cat alone, so a swap releases it.
 	s.cat.Store(cfg.Cat)
+	s.cfg.Cat = nil
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.pool = vector.NewPool(0)
 	s.events = cfg.Events
@@ -213,8 +218,8 @@ type queryResponse struct {
 
 // queryStats is the response's view of the request's record, echoed to
 // the client; the same numbers feed the server's histograms. PlanLookupNS
-// is the plan-cache lookup; CompileNS is parse+plan+compile and is ~0 when
-// Cached (the plan came from the cache).
+// is the memo lookup; CompileNS is parse+plan+compile and is 0 when Cached
+// (the plan came from the catalog's memo).
 type queryStats struct {
 	// QueryID is the telemetry correlation id, also echoed in the
 	// Traceparent / X-Voodoo-Query-Id response headers.
@@ -230,6 +235,30 @@ type queryStats struct {
 type queryError struct {
 	Error string `json:"error"`
 	Kind  string `json:"kind"`
+}
+
+// sqlKey names a served SQL plan within its catalog's memo: the normalized
+// text plus the settings Prepare compiles it with. It is a type of its own,
+// so it never collides with the relational engine's keys.
+type sqlKey struct {
+	sql    string
+	opt    compile.Options
+	verify bool // compilation runs the IR verifier
+}
+
+// normalizeSQL collapses whitespace outside string literals, so formatting
+// variants of one query share a memo entry; a literal is kept as written,
+// since its spaces are part of the value it compares with. A quote always
+// ends a token, so dropping the spaces next to one changes nothing.
+func normalizeSQL(src string) string {
+	if !strings.Contains(src, "'") {
+		return strings.Join(strings.Fields(src), " ")
+	}
+	parts := strings.Split(src, "'")
+	for i := 0; i < len(parts); i += 2 {
+		parts[i] = strings.Join(strings.Fields(parts[i]), " ")
+	}
+	return strings.Join(parts, "'")
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -337,7 +366,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	e := &rel.Engine{Cat: cat, Opt: s.cfg.Opt, Limits: s.cfg.Limits, Pool: s.pool}
 
 	// Resolve the query kind first: prebuilt TPC-H queries never touch
-	// the SQL frontend, and SQL goes through the plan cache — a hit
+	// the SQL frontend, and SQL goes through the catalog's memo — a hit
 	// skips parse, planning and compilation entirely.
 	var qf tpch.QueryFunc
 	var pr *rel.Prepared
@@ -358,30 +387,45 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		rec.SQL = fmt.Sprintf("TPC-H Q%d", qnum)
 	} else {
-		norm := normalizeSQL(src)
+		// The plan lives in the catalog's memo, so the catalog's
+		// invalidation covers it: a replaced table or a swapped catalog
+		// takes it along.
+		key := sqlKey{sql: normalizeSQL(src), opt: s.cfg.Opt, verify: verify.Enabled()}
+		parsed := true
 		lookupStart := time.Now()
-		pr, cached = s.cache.get(cat, norm)
-		lookupDur = time.Since(lookupStart)
-		if !cached {
+		v, hit, evicted, err := cat.Derived(key, func() (any, error) {
 			compileStart := time.Now()
-			stmt, perr := sql.Parse(src)
-			if perr != nil {
-				rec.Fail(http.StatusBadRequest, "parse", perr)
-				return
+			defer func() { compileDur = time.Since(compileStart) }()
+			stmt, err := sql.Parse(src)
+			if err != nil {
+				parsed = false
+				return nil, err
 			}
-			var q rel.Query
-			if q, err = sql.Plan(stmt, cat); err != nil {
-				failPlan(err)
-				return
+			q, err := sql.Plan(stmt, cat)
+			if err != nil {
+				return nil, err
 			}
 			q.Name = src
-			if pr, err = e.Prepare(q); err != nil {
-				failPlan(err)
-				return
-			}
-			compileDur = time.Since(compileStart)
-			s.cache.put(cat, norm, pr)
+			return e.Prepare(q)
+		})
+		lookupDur = time.Since(lookupStart) - compileDur
+		if cached = hit; hit {
+			s.mPlanHits.Inc()
+		} else {
+			s.mPlanMisses.Inc()
 		}
+		if evicted {
+			s.mPlanEvictions.Inc()
+		}
+		switch {
+		case err != nil && !parsed:
+			rec.Fail(http.StatusBadRequest, "parse", err)
+			return
+		case err != nil:
+			failPlan(err)
+			return
+		}
+		pr = v.(*rel.Prepared)
 	}
 	// The plan phases enter the record only once the plan is in hand, in
 	// one piece and before registration makes them visible to scrapers.

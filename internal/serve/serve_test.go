@@ -15,14 +15,26 @@ import (
 	"voodoo/internal/exec"
 	"voodoo/internal/faultinject"
 	"voodoo/internal/metrics"
+	"voodoo/internal/storage"
 	"voodoo/internal/tpch"
 )
 
 var testCat = tpch.Generate(tpch.Config{SF: 0.01, Seed: 42})
 
+// freshCat returns a catalog over testCat's tables with a plan memo of its
+// own, so a server on it compiles each statement's first request, as a
+// newly started daemon does.
+func freshCat() *storage.Catalog {
+	cat := storage.NewCatalog()
+	for _, name := range testCat.Tables() {
+		cat.Add(testCat.Table(name))
+	}
+	return cat
+}
+
 func newTestServer(t *testing.T, cfg Config) *httptest.Server {
 	t.Helper()
-	cfg.Cat = testCat
+	cfg.Cat = freshCat()
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.Default
 	}

@@ -13,6 +13,7 @@ import (
 	"voodoo/internal/metrics"
 	"voodoo/internal/rel"
 	"voodoo/internal/sql"
+	"voodoo/internal/storage"
 	"voodoo/internal/vector"
 )
 
@@ -65,41 +66,129 @@ func TestPlanCacheHit(t *testing.T) {
 	}
 }
 
-// TestPlanCacheLRU exercises the cache data structure directly: eviction
-// order, recency refresh, and the disabled (nil) cache.
+// TestPlanCacheLRU pins the served plan cache's bound, which it shares
+// with everything else the catalog memoizes: a hit refreshes a plan's
+// recency, the plan a full memo pushes out is the least recently used
+// one, the server counts the evictions its own plans cause, and a server
+// over another catalog shares no plan.
 func TestPlanCacheLRU(t *testing.T) {
-	reg := metrics.NewRegistry()
-	c := newPlanCache(2, reg)
-	prA, prB, prC := &rel.Prepared{}, &rel.Prepared{}, &rel.Prepared{}
+	table := storage.NewTable("t")
+	table.AddInt("a", []int64{1, 2, 3})
+	filler := func() (any, error) { return struct{}{}, nil }
 
-	c.put(testCat, "a", prA)
-	c.put(testCat, "b", prB)
-	if _, ok := c.get(testCat, "a"); !ok {
-		t.Fatal("a missing after insert")
-	}
-	// a was just used, so inserting c must evict b.
-	c.put(testCat, "c", prC)
-	if _, ok := c.get(testCat, "b"); ok {
-		t.Fatal("b survived eviction; LRU order ignores recency")
-	}
-	if got, ok := c.get(testCat, "a"); !ok || got != prA {
-		t.Fatal("a lost or swapped")
-	}
-	if c.len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", c.len())
-	}
-	// A different catalog pointer is a different key space.
-	if _, ok := c.get(nil, "a"); ok {
-		t.Fatal("catalog identity ignored in the cache key")
+	// The memo's bound: inserts on a scratch catalog until one evicts.
+	bound := 0
+	for scratch := storage.NewCatalog(); ; bound++ {
+		if _, _, evicted, _ := scratch.Derived(bound, filler); evicted {
+			break
+		}
 	}
 
-	var disabled *planCache
-	if _, ok := disabled.get(testCat, "a"); ok {
-		t.Fatal("disabled cache returned a hit")
+	cat := storage.NewCatalog().Add(table)
+	reg := testRegistry(t)
+	srv := httptest.NewServer(New(Config{Cat: cat, Registry: reg}).Mux())
+	defer srv.Close()
+	evictions := reg.Counter("voodoo_plan_cache_evictions_total", "")
+	const (
+		qA = "SELECT SUM(a) AS s FROM t"
+		qB = "SELECT COUNT(*) AS n FROM t"
+		qC = "SELECT MAX(a) AS m FROM t"
+	)
+	ask := func(base, q string, wantCached bool) {
+		t.Helper()
+		code, r, body := postQuery(t, base, q)
+		if code != 200 || r.Stats.Cached != wantCached {
+			t.Fatalf("%q: status %d cached %v, want cached %v: %s", q, code, r.Stats.Cached, wantCached, body)
+		}
 	}
-	disabled.put(testCat, "a", prA) // must not panic
-	if disabled.len() != 0 {
-		t.Fatal("disabled cache has entries")
+	ask(srv.URL, qA, false)
+	ask(srv.URL, qB, false)
+	ask(srv.URL, qA, true) // qB is now the least recently used
+	for i := range bound - 2 {
+		if _, _, evicted, _ := cat.Derived(i, filler); evicted {
+			t.Fatalf("filler %d of %d evicted before the memo was full", i, bound-2)
+		}
+	}
+	if n := evictions.Value(); n != 0 {
+		t.Fatalf("%d evictions counted before the memo overflowed", n)
+	}
+	ask(srv.URL, qC, false)
+	if n := evictions.Value(); n != 1 {
+		t.Fatalf("evictions = %d after the insert past the bound, want 1", n)
+	}
+	ask(srv.URL, qA, true)
+	ask(srv.URL, qB, false)
+	if n := evictions.Value(); n != 2 {
+		t.Fatalf("evictions = %d after recompiling the evicted plan, want 2", n)
+	}
+
+	// Another catalog is another key space, even with the same tables.
+	other := httptest.NewServer(New(Config{Cat: storage.NewCatalog().Add(table), Registry: testRegistry(t)}).Mux())
+	defer other.Close()
+	ask(other.URL, qA, false)
+}
+
+// A served plan captures its tables' columns, so replacing a table on the
+// served catalog must retire it: the repeat compiles anew and answers from
+// the new rows, not from the replaced ones.
+func TestServedPlanFollowsTableReplacement(t *testing.T) {
+	table := func(vals ...int64) *storage.Table {
+		tb := storage.NewTable("t")
+		tb.AddInt("a", vals)
+		return tb
+	}
+	cat := storage.NewCatalog().Add(table(1, 2, 3))
+	srv := httptest.NewServer(New(Config{Cat: cat, Registry: testRegistry(t)}).Mux())
+	defer srv.Close()
+	const q = "SELECT SUM(a) AS s FROM t"
+	ask := func(wantRows string, wantCached bool) {
+		t.Helper()
+		code, r, body := postQuery(t, srv.URL, q)
+		if code != 200 || fmt.Sprint(r.Rows) != wantRows || r.Stats.Cached != wantCached {
+			t.Fatalf("status %d, rows %v cached %v; want %s cached %v: %s", code, r.Rows, r.Stats.Cached, wantRows, wantCached, body)
+		}
+	}
+	ask("[map[s:6]]", false)
+	ask("[map[s:6]]", true)
+	cat.Add(table(10, 20))
+	ask("[map[s:30]]", false)
+}
+
+// Whitespace inside a string literal is part of the query: two texts that
+// differ only there must not share a plan.
+func TestServedPlanKeepsLiteralSpacing(t *testing.T) {
+	tb := storage.NewTable("t")
+	tb.AddString("s", []string{"A B", "A B", "C"})
+	srv := httptest.NewServer(New(Config{Cat: storage.NewCatalog().Add(tb), Registry: testRegistry(t)}).Mux())
+	defer srv.Close()
+	for _, tc := range []struct{ lit, rows string }{{"A  B", "[map[n:0]]"}, {"A B", "[map[n:2]]"}} {
+		code, r, body := postQuery(t, srv.URL, "SELECT COUNT(*) AS n FROM t WHERE s = '"+tc.lit+"'")
+		if code != 200 || fmt.Sprint(r.Rows) != tc.rows || r.Stats.Cached {
+			t.Fatalf("'%s': status %d, rows %v cached %v; want %s compiled anew: %s", tc.lit, code, r.Rows, r.Stats.Cached, tc.rows, body)
+		}
+	}
+}
+
+// Two servers over one catalog compile with different options, so they
+// never share a SQL plan: each compiles its own first request.
+func TestServersWithDifferentOptsShareNoPlan(t *testing.T) {
+	cat := freshCat()
+	var rows []string
+	for _, opt := range []compile.Options{{}, {Predication: true}} {
+		srv := httptest.NewServer(New(Config{Cat: cat, Opt: opt, Registry: testRegistry(t)}).Mux())
+		defer srv.Close()
+		for _, wantCached := range []bool{false, true} {
+			code, r, body := postQuery(t, srv.URL, steadySQL)
+			if code != 200 || r.Stats.Cached != wantCached {
+				t.Fatalf("%+v: status %d cached %v, want cached %v: %s", opt, code, r.Stats.Cached, wantCached, body)
+			}
+			rows = append(rows, fmt.Sprint(r.Rows))
+		}
+	}
+	for _, r := range rows[1:] {
+		if r != rows[0] {
+			t.Fatalf("answers differ across options:\n%s\n%s", rows[0], r)
+		}
 	}
 }
 

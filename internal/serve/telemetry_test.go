@@ -71,7 +71,7 @@ func TestQueryIDCorrelation(t *testing.T) {
 		W: &buf, SampleRate: 1.0, Registry: testRegistry(t),
 	})
 	s := New(Config{
-		Cat: testCat, Timeout: 30 * time.Second, Opt: compile.Options{Workers: 1},
+		Cat: freshCat(), Timeout: 30 * time.Second, Opt: compile.Options{Workers: 1},
 		Registry: testRegistry(t), Events: events, MemHighWater: 1,
 		SLO: []slo.Objective{{Route: "query", Latency: 10 * time.Second, Target: 0.99}},
 	})
@@ -279,7 +279,7 @@ func TestQueryIDCorrelation(t *testing.T) {
 // id still resolves, to the newer request.
 func TestSharedTraceID(t *testing.T) {
 	const traceID = "0af7651916cd43dd8448eb211c80319c"
-	s := New(Config{Cat: testCat, Registry: testRegistry(t), SpanRetain: 4})
+	s := New(Config{Cat: freshCat(), Registry: testRegistry(t), SpanRetain: 4})
 	srv := httptest.NewServer(s.Mux())
 	defer srv.Close()
 	post := func(traceparent string) {
@@ -355,7 +355,7 @@ func TestFinishRunsInsideTheRequest(t *testing.T) {
 	var buf syncBuffer
 	events := telemetry.NewEventLog(telemetry.EventLogConfig{W: &buf, SampleRate: 1.0, Registry: testRegistry(t)})
 	defer events.Close()
-	s := New(Config{Cat: testCat, Registry: testRegistry(t), Events: events})
+	s := New(Config{Cat: freshCat(), Registry: testRegistry(t), Events: events})
 	for _, sqlText := range []string{"SELECT COUNT(*) AS n FROM nation", "SELECT bogus FROM nope"} {
 		before, wrote := events.Accepted(), false
 		w := &probeWriter{ResponseRecorder: httptest.NewRecorder(), onWrite: func() {
@@ -385,7 +385,7 @@ func TestFinishRunsInsideTheRequest(t *testing.T) {
 // while the serving goroutines are still filling and publishing the very
 // records those views are rendered from.
 func TestScrapeWhileServing(t *testing.T) {
-	s := New(Config{Cat: testCat, Registry: testRegistry(t), SpanRetain: 8, SlowQueries: 4})
+	s := New(Config{Cat: freshCat(), Registry: testRegistry(t), SpanRetain: 8, SlowQueries: 4})
 	srv := httptest.NewServer(s.Mux())
 	defer srv.Close()
 
@@ -457,7 +457,7 @@ func TestScrapeWhileServing(t *testing.T) {
 // TestMintedQueryID: a request without a traceparent gets a minted id
 // that still correlates across the sinks.
 func TestMintedQueryID(t *testing.T) {
-	s := New(Config{Cat: testCat, Registry: testRegistry(t)})
+	s := New(Config{Cat: freshCat(), Registry: testRegistry(t)})
 	srv := httptest.NewServer(s.Mux())
 	defer srv.Close()
 
@@ -480,7 +480,7 @@ func TestMintedQueryID(t *testing.T) {
 	}
 	// A refused request keeps its span tree without a slow-ring entry, and
 	// with retention off the endpoint is not mounted at all.
-	off := httptest.NewServer(New(Config{Cat: testCat, Registry: testRegistry(t), SpanRetain: -1}).Mux())
+	off := httptest.NewServer(New(Config{Cat: freshCat(), Registry: testRegistry(t), SpanRetain: -1}).Mux())
 	defer off.Close()
 	if code, _ := getBody(t, off.URL+"/debug/spans"); code != http.StatusNotFound {
 		t.Errorf("/debug/spans with SpanRetain -1: status %d, want 404", code)
@@ -495,7 +495,7 @@ func TestUnsampledNoWrite(t *testing.T) {
 	events := telemetry.NewEventLog(telemetry.EventLogConfig{
 		W: &buf, SampleRate: 0, Registry: testRegistry(t),
 	})
-	s := New(Config{Cat: testCat, Registry: testRegistry(t), Events: events})
+	s := New(Config{Cat: freshCat(), Registry: testRegistry(t), Events: events})
 	srv := httptest.NewServer(s.Mux())
 	defer srv.Close()
 

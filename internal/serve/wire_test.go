@@ -49,7 +49,7 @@ func decode(t *testing.T, body string) any {
 func TestWireShapes(t *testing.T) {
 	var buf syncBuffer
 	events := telemetry.NewEventLog(telemetry.EventLogConfig{W: &buf, SampleRate: 1.0, Registry: testRegistry(t)})
-	s := New(Config{Cat: testCat, Timeout: 30 * time.Second, Registry: testRegistry(t), Events: events})
+	s := New(Config{Cat: freshCat(), Timeout: 30 * time.Second, Registry: testRegistry(t), Events: events})
 	srv := httptest.NewServer(s.Mux())
 	defer srv.Close()
 

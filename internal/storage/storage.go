@@ -13,6 +13,7 @@ package storage
 
 import (
 	"bufio"
+	"container/list"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -208,17 +209,24 @@ type Catalog struct {
 	// typed corruption error instead of a generic "no table".
 	quarantined map[string]*CorruptError
 
-	// memo holds data derived from the tables (the relational frontend's
-	// prepared plans, which capture column slices), so it lives and dies
-	// with them: replacing a table, Quarantine and PersistVector drop it,
-	// and gen tells a build that raced such a drop not to store.
-	memoMu sync.Mutex
-	memo   map[any]any
-	gen    uint64
+	// memo holds data derived from the tables (prepared plans, which
+	// capture column slices), so it lives and dies with them: replacing a
+	// table, Quarantine and PersistVector drop it, and gen tells a build
+	// that raced such a drop not to store. memoLRU orders the entries,
+	// most recently used first.
+	memoMu  sync.Mutex
+	memo    map[any]*list.Element // of *derived
+	memoLRU list.List
+	gen     uint64
 }
 
-// maxDerived bounds the memo's entry count; beyond it Derived builds
-// without storing.
+// derived is one memo entry.
+type derived struct {
+	key, v any
+}
+
+// maxDerived bounds the memo's entry count; an insert beyond it evicts the
+// least recently used entry.
 const maxDerived = 256
 
 // NewCatalog returns an empty catalog.
@@ -308,35 +316,49 @@ func (c *Catalog) PersistVector(name string, v *vector.Vector) error {
 // Derived returns the value the catalog memoizes under key, calling build
 // on a miss; hit reports whether it came from the memo. build runs without
 // the lock, so racing misses may build twice. What it returns is stored
-// unless it failed, the memo holds maxDerived entries, or the catalog
-// changed while it ran: a value derived from replaced tables is never
-// served.
-func (c *Catalog) Derived(key any, build func() (any, error)) (v any, hit bool, err error) {
+// unless it failed or the catalog changed while it ran: a value derived
+// from replaced tables is never served. The memo keeps the maxDerived most
+// recently used entries; evicted reports that this call's insert pushed
+// the least recently used one out.
+func (c *Catalog) Derived(key any, build func() (any, error)) (v any, hit, evicted bool, err error) {
 	c.memoMu.Lock()
-	v, hit = c.memo[key]
+	el, hit := c.memo[key]
+	if hit {
+		c.memoLRU.MoveToFront(el)
+		v = el.Value.(*derived).v
+	}
 	gen := c.gen
 	c.memoMu.Unlock()
 	if hit {
-		return v, true, nil
+		return v, true, false, nil
 	}
 	if v, err = build(); err != nil {
-		return nil, false, err
+		return nil, false, false, err
 	}
 	c.memoMu.Lock()
-	if c.gen == gen && len(c.memo) < maxDerived {
+	defer c.memoMu.Unlock()
+	switch el, stored := c.memo[key]; {
+	case c.gen != gen:
+	case stored: // a racing miss stored it first
+		el.Value.(*derived).v = v
+		c.memoLRU.MoveToFront(el)
+	default:
 		if c.memo == nil {
-			c.memo = map[any]any{}
+			c.memo = map[any]*list.Element{}
 		}
-		c.memo[key] = v
+		c.memo[key] = c.memoLRU.PushFront(&derived{key, v})
+		if evicted = c.memoLRU.Len() > maxDerived; evicted {
+			delete(c.memo, c.memoLRU.Remove(c.memoLRU.Back()).(*derived).key)
+		}
 	}
-	c.memoMu.Unlock()
-	return v, false, nil
+	return v, false, evicted, nil
 }
 
 // dropDerived forgets everything derived from the catalog's old contents.
 func (c *Catalog) dropDerived() {
 	c.memoMu.Lock()
 	c.memo = nil
+	c.memoLRU.Init()
 	c.gen++
 	c.memoMu.Unlock()
 }

@@ -2,7 +2,9 @@ package storage
 
 import (
 	"errors"
+	"math/rand/v2"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"voodoo/internal/vector"
@@ -140,36 +142,37 @@ func writeFile(path string, data []byte) error {
 }
 
 // Derived memoizes what a build returns until the catalog's contents
-// change; failures are never stored and the entry count is bounded.
+// change; failures are never stored, and past its bound the memo evicts
+// the least recently used entry.
 func TestDerivedMemo(t *testing.T) {
 	c := NewCatalog().Add(sample())
 	builds := 0
 	build := func() (any, error) { builds++; return builds, nil }
-	lookup := func(key any) (any, bool) {
+	lookup := func(key any) (v any, hit, evicted bool) {
 		t.Helper()
-		v, hit, err := c.Derived(key, build)
+		v, hit, evicted, err := c.Derived(key, build)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return v, hit
+		return v, hit, evicted
 	}
-	if v, hit := lookup("k"); hit || v != 1 {
+	if v, hit, _ := lookup("k"); hit || v != 1 {
 		t.Fatalf("first lookup: %v hit=%v, want a build", v, hit)
 	}
-	if v, hit := lookup("k"); !hit || v != 1 {
+	if v, hit, _ := lookup("k"); !hit || v != 1 {
 		t.Fatalf("repeat: %v hit=%v, want the stored value", v, hit)
 	}
 
 	fail := errors.New("no plan")
-	if _, _, err := c.Derived("bad", func() (any, error) { return nil, fail }); err != fail {
+	if _, _, _, err := c.Derived("bad", func() (any, error) { return nil, fail }); err != fail {
 		t.Fatalf("build error not returned: %v", err)
 	}
-	if _, hit := lookup("bad"); hit {
+	if _, hit, _ := lookup("bad"); hit {
 		t.Fatal("a failed build was stored")
 	}
 
 	c.Add(NewTable("other"))
-	if _, hit := lookup("k"); !hit {
+	if _, hit, _ := lookup("k"); !hit {
 		t.Fatal("adding a new table dropped the memo")
 	}
 	for name, change := range map[string]func(){
@@ -178,15 +181,15 @@ func TestDerivedMemo(t *testing.T) {
 		"Quarantine":        func() { c.Quarantine("orders", &CorruptError{Path: "orders.vdb"}) },
 		"PersistVector":     func() { _ = c.PersistVector("v", vector.New(1)) },
 		"a build racing it": func() {
-			_, _, _ = c.Derived("raced", func() (any, error) { c.Add(sample()); return 0, nil })
-			if _, hit := lookup("raced"); hit {
+			_, _, _, _ = c.Derived("raced", func() (any, error) { c.Add(sample()); return 0, nil })
+			if _, hit, _ := lookup("raced"); hit {
 				t.Error("a value built across a change was stored")
 			}
 		},
 	} {
 		lookup("k")
 		change()
-		if _, hit := lookup("k"); hit {
+		if _, hit, _ := lookup("k"); hit {
 			t.Errorf("%s kept the memo", name)
 		}
 	}
@@ -195,10 +198,68 @@ func TestDerivedMemo(t *testing.T) {
 	for i := range maxDerived + 10 {
 		lookup(i)
 	}
-	if _, hit := lookup(maxDerived + 5); hit {
-		t.Fatalf("the memo stored more than %d entries", maxDerived)
+	if _, hit, _ := lookup(maxDerived + 9); !hit {
+		t.Fatal("the newest entry past the bound was not stored")
 	}
-	if _, hit := lookup(0); !hit {
-		t.Fatal("an entry below the bound was not kept")
+	if _, hit, _ := lookup(0); hit {
+		t.Fatalf("the memo kept more than %d entries", maxDerived)
+	}
+
+	// Eviction order: a hit refreshes an entry, so the insert past the
+	// bound evicts the least recently used other one, and only that
+	// insert reports it.
+	c = NewCatalog()
+	for i := range maxDerived {
+		if _, _, evicted := lookup(i); evicted {
+			t.Fatalf("insert %d of %d evicted", i, maxDerived)
+		}
+	}
+	lookup(0)
+	if _, _, evicted := lookup("new"); !evicted {
+		t.Fatal("the insert past the bound did not report its eviction")
+	}
+	if _, hit, evicted := lookup(0); !hit || evicted {
+		t.Fatal("the entry a hit refreshed was evicted")
+	}
+	if _, hit, evicted := lookup(1); hit || !evicted {
+		t.Fatal("the least recently used entry was kept")
+	}
+	if len(c.memo) != maxDerived || c.memoLRU.Len() != maxDerived {
+		t.Fatalf("memo holds %d entries in %d list elements, want %d", len(c.memo), c.memoLRU.Len(), maxDerived)
+	}
+}
+
+// Engines and servers share one catalog's memo: concurrent hits, misses,
+// evictions and drops keep the map and the LRU list in step, and every
+// lookup returns what its key's build makes.
+func TestDerivedConcurrent(t *testing.T) {
+	c := NewCatalog().Add(sample())
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rand.New(rand.NewPCG(uint64(g), 1))
+			for n := range 2000 {
+				if g == 0 && n%200 == 0 {
+					c.Add(sample())
+				}
+				k := r.IntN(maxDerived + maxDerived/2)
+				v, _, _, err := c.Derived(k, func() (any, error) { return -k, nil })
+				if err != nil || v != -k {
+					t.Errorf("Derived(%d) = %v, %v; want %d", k, v, err, -k)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(c.memo) != c.memoLRU.Len() || len(c.memo) > maxDerived {
+		t.Fatalf("memo map holds %d entries, its list %d (bound %d)", len(c.memo), c.memoLRU.Len(), maxDerived)
+	}
+	for el := c.memoLRU.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*derived); c.memo[e.key] != el {
+			t.Fatalf("list entry %v is not the map's", e.key)
+		}
 	}
 }

@@ -32,8 +32,8 @@ type QueryRecord struct {
 	Deadline time.Duration
 
 	// Phases, each set when the request completes it and zero if it never
-	// got there: the admission-semaphore wait, the plan-cache probe,
-	// parse+plan+compile (0 on a cache hit, marked by Cached), the engine
+	// got there: the admission-semaphore wait, the probe of the catalog's
+	// plan memo, parse+plan+compile (0 on a memo hit, marked by Cached), the engine
 	// run, and the whole request from arrival to outcome.
 	QueueWait  time.Duration
 	PlanLookup time.Duration
