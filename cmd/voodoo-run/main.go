@@ -28,7 +28,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -38,6 +37,7 @@ import (
 	"voodoo/internal/compile"
 	"voodoo/internal/core"
 	"voodoo/internal/diag"
+	"voodoo/internal/exec"
 	"voodoo/internal/interp"
 	"voodoo/internal/metrics"
 	"voodoo/internal/opencl"
@@ -61,7 +61,7 @@ func main() {
 	progFile := flag.String("prog", "", "run a textual Voodoo program (paper SSA notation) from this file")
 	timeout := flag.Duration("timeout", 0, "per-query wall-clock budget (e.g. 500ms; 0 = unlimited)")
 	maxMem := flag.String("max-mem", "", "per-query buffer allocation budget (e.g. 64m, 1g; empty = unlimited)")
-	explain := flag.Bool("explain", false, "print the static execution plan (TPC-H -q queries still execute, to drive multi-phase lowering)")
+	explain := flag.Bool("explain", false, "print the static execution plan")
 	analyze := flag.Bool("explain-analyze", false, "run the query and print the plan with measured per-step times, items and bytes")
 	traceOut := flag.String("trace", "", "run the query and write its execution trace as JSON to this file")
 	diagAddr := flag.String("diag-addr", "", "serve /metrics, pprof and expvar on this address for the process lifetime (e.g. localhost:6060)")
@@ -69,7 +69,7 @@ func main() {
 	doVerify := flag.Bool("verify", false, "statically verify programs and compiled plans before execution (voodoo_verify_failures_total counts rejections) and list their warnings")
 	flag.Parse()
 
-	// Exactly one source says how the plan(s) come to exist; everything
+	// Exactly one source says how the plan comes to exist; everything
 	// after this is the same for all three.
 	var name string
 	var given []source
@@ -108,7 +108,7 @@ func main() {
 	if e.Limits.MaxBytes, err = rel.ParseSize(*maxMem); err != nil {
 		fatal(err)
 	}
-	// One context carries -timeout for every source; TPC-H phases run
+	// One context carries -timeout for every source; a TPC-H query runs
 	// through the engine's Run, which reads it from BaseContext.
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -126,18 +126,18 @@ func main() {
 		fatal(err)
 	}
 
-	// The engine's sinks are the pipeline: every plan is displayed as it is
-	// about to run (so what is shown is what executes), every run is traced
-	// when a trace is wanted.
+	// The engine's sinks are the pipeline: the plan is displayed as it is
+	// about to run (so what is shown is what executes), and the run is
+	// traced when a trace is wanted.
 	e.PlanSink = out.plan
 	if e.Backend == rel.Interpreted && (out.kernel || out.opencl || out.explain) {
 		fmt.Println("-- interp engine: the reference interpreter compiles no plan and no kernel; -explain-analyze lists the statements it runs")
 	}
-	var traces []*trace.Trace
+	var tr *trace.Trace
 	if out.analyze || out.traceFile != "" {
 		e.TraceSink = func(t *trace.Trace) {
 			t.Query = name
-			traces = append(traces, t)
+			tr = t
 		}
 	}
 	start := time.Now()
@@ -145,13 +145,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	writeTraces(out.traceFile, traces)
+	writeTrace(out.traceFile, tr)
 	switch {
-	case out.analyze:
-		for _, t := range traces {
-			fmt.Print(t.String())
-		}
-	case !out.explain:
+	case out.analyze && tr != nil:
+		fmt.Print(tr.String())
+	case !out.explain && !out.analyze:
 		fmt.Printf("-- %s (%.1f ms wall)\n%s", summary, float64(time.Since(start).Microseconds())/1000, body)
 	}
 }
@@ -271,36 +269,41 @@ func sqlSource(text string) source {
 	}
 }
 
-// tpchSource runs a prebuilt TPC-H query, whose phases reach the sinks
-// through the engine. It always executes: later phases are lowered from the
-// results of earlier ones.
+// tpchSource runs a prebuilt TPC-H query, whose one plan reaches the
+// sinks through the engine.
 func tpchSource(n int) source {
-	return func(_ context.Context, e *rel.Engine, _ bool) (string, string, error) {
+	return func(_ context.Context, e *rel.Engine, execute bool) (string, string, error) {
 		qf, err := tpch.Query(n)
 		if err != nil {
 			return "", "", err
 		}
-		res, _, err := qf(e)
-		if err != nil {
+		var r rel.Runner = e
+		if !execute {
+			r = planOnly{e}
+		}
+		res, _, err := qf(r)
+		if err != nil || !execute {
 			return "", "", err
 		}
 		return fmt.Sprintf("TPC-H Q%d", n), res.String(), nil
 	}
 }
 
-// writeTraces writes the collected traces as JSON: one object for a single
-// trace, an array for multi-phase queries.
-func writeTraces(path string, traces []*trace.Trace) {
-	if path == "" || len(traces) == 0 {
+// planOnly is the Runner of a static -explain: Run prepares the query,
+// which delivers its plan to PlanSink, and executes nothing.
+type planOnly struct{ *rel.Engine }
+
+func (p planOnly) Run(q rel.Query) (*rel.Result, *exec.Stats, error) {
+	_, err := p.Prepare(q)
+	return &rel.Result{}, nil, err
+}
+
+// writeTrace writes the run's trace as JSON.
+func writeTrace(path string, tr *trace.Trace) {
+	if path == "" || tr == nil {
 		return
 	}
-	var data []byte
-	var err error
-	if len(traces) == 1 {
-		data, err = traces[0].JSON()
-	} else {
-		data, err = json.MarshalIndent(traces, "", "  ")
-	}
+	data, err := tr.JSON()
 	if err != nil {
 		fatal(err)
 	}

@@ -94,6 +94,17 @@ func TestEveryFlagOnEverySource(t *testing.T) {
 		}
 	}
 
+	// -explain prints Q20's one plan and executes nothing: no result, and
+	// no trace although one is asked for.
+	traceFile := filepath.Join(dir, "q20.json")
+	out := run(t, "-explain", "-trace", traceFile, "-q", "20")
+	if plans := strings.Count(out, "plan: "); plans != 1 || len(fragNames(explainFragRE, out)) == 0 {
+		t.Errorf("-explain -q 20 printed %d plans, want one with fragments:\n%s", plans, out)
+	}
+	if _, err := os.Stat(traceFile); strings.Contains(out, "-- TPC-H Q20") || !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("-explain -q 20 executed the query (trace file: %v):\n%s", err, out)
+	}
+
 	// -verify lists a plan's warnings: Q4's lineitem filter, spilled for the
 	// semi join it builds, stores a column only its predicate reads.
 	if out := run(t, "-verify", "-q", "4"); !regexp.MustCompile(`warn: VP008: .*l_receiptdate`).MatchString(out) {

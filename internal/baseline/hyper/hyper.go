@@ -15,6 +15,8 @@ package hyper
 import (
 	"container/heap"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"voodoo/internal/exec"
@@ -44,15 +46,12 @@ func (e *Engine) Run(q rel.Query) (res *rel.Result, stats *exec.Stats, err error
 			panic(r)
 		}
 	}()
-	ex := &executor{cat: e.Cat, morsels: e.Morsels, stats: &exec.Stats{}}
+	ex := &executor{cat: e.Cat, morsels: e.Morsels, stats: &exec.Stats{}, groups: map[string]*relation{}}
 	if ex.morsels <= 0 {
 		ex.morsels = 256
 	}
-	root, ok := q.Root.(rel.GroupAgg)
-	if !ok {
-		return nil, nil, fmt.Errorf("hyper: the plan root must be a GroupAgg")
-	}
-	result := ex.runGroupAgg(root, q)
+	result := ex.result(q.Root)
+	ex.orderLimit(result, q)
 	return result, ex.stats, nil
 }
 
@@ -87,6 +86,9 @@ type executor struct {
 	stats   *exec.Stats
 	cur     *exec.FragStats // the pipeline being counted
 	nTables int             // hash-table id counter for working-set entries
+	// groups holds each aggregate's groups by its plan, so an aggregate
+	// the query reads twice (a view and its maximum) runs once.
+	groups map[string]*relation
 }
 
 // newTable allocates a stable working-set id for one hash table.
@@ -159,7 +161,7 @@ func (ex *executor) compileNode(n rel.Node) *relation {
 	case rel.IndexJoin:
 		return ex.compileJoin(x)
 	case rel.GroupAgg:
-		errf("nested aggregation is not supported")
+		return ex.aggregate(x)
 	}
 	errf("unknown node %T", n)
 	return nil
@@ -286,6 +288,13 @@ func (ex *executor) compileExpr(in *relation, e rel.Expr) func([]float64) float6
 			}
 			return 0
 		}
+	case rel.Agg:
+		if len(x.G.Keys) != 0 || len(x.G.Aggs) != 1 {
+			errf("Agg takes a keyless aggregate of one column")
+		}
+		v := math.NaN() // evaluated once; an empty input has no value
+		ex.aggregate(x.G).each(func(r []float64) { v = r[0] })
+		return func([]float64) float64 { return v }
 	case rel.Between:
 		f := ex.compileExpr(in, x.E)
 		lo := ex.compileExpr(in, x.Lo)
@@ -362,15 +371,49 @@ type aggState struct {
 	cnts []float64
 	mins []float64
 	maxs []float64
-	n    float64
 }
 
-// runGroupAgg is the final pipeline: hash aggregation (or plain
-// accumulators for a global aggregate), then having/top-k.
-func (ex *executor) runGroupAgg(g rel.GroupAgg, q rel.Query) *rel.Result {
-	in := ex.compileNode(g.In)
-	fs := ex.pipeline("agg", 0)
+// result runs the plan's root into result rows: a GroupAgg's groups — a
+// global aggregate over no rows still answers one row of zeros — or the
+// rows of a Filter over one.
+func (ex *executor) result(root rel.Node) *rel.Result {
+	f, filtered := root.(rel.Filter)
+	g, ok := root.(rel.GroupAgg)
+	if filtered {
+		g, ok = f.In.(rel.GroupAgg)
+	}
+	if !ok {
+		errf("the plan root must be a GroupAgg or a Filter over one")
+	}
+	in := ex.compileNode(root)
+	if filtered {
+		ex.pipeline("filter", 0)
+	}
+	res := &rel.Result{Cols: in.schema}
+	add := func(r []float64) {
+		row := make(rel.Row, len(r))
+		for i, c := range in.schema {
+			row[c] = r[i]
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	in.each(add)
+	if !filtered && len(g.Keys) == 0 && len(res.Rows) == 0 {
+		add(make([]float64, len(in.schema)))
+	}
+	return res
+}
 
+// aggregate runs g as a pipeline of its own, a breaker: hash aggregation,
+// or plain accumulators for a global aggregate. Its groups stream as rows
+// of the keys then the aggregates; a global aggregate over no rows has
+// none.
+func (ex *executor) aggregate(g rel.GroupAgg) *relation {
+	key := fmt.Sprintf("%#v", g)
+	if r, ok := ex.groups[key]; ok {
+		return r
+	}
+	in := ex.compileNode(g.In)
 	var keyIdx []int
 	for _, k := range g.Keys {
 		keyIdx = append(keyIdx, in.colIdx(k))
@@ -383,10 +426,10 @@ func (ex *executor) runGroupAgg(g rel.GroupAgg, q rel.Query) *rel.Result {
 			aggFns = append(aggFns, nil)
 		}
 	}
+	fs := ex.pipeline("agg", 0)
 
 	groups := map[[4]int64]*aggState{}
 	update := func(st *aggState, row []float64) {
-		st.n++
 		for i, a := range g.Aggs {
 			var v float64
 			if aggFns[i] != nil {
@@ -440,52 +483,47 @@ func (ex *executor) runGroupAgg(g rel.GroupAgg, q rel.Query) *rel.Result {
 	tableBytes := int64(len(groups)) * int64(8*(4+3*len(g.Aggs))+32)
 	noteRand(fs, ex.newTable(), max(tableBytes, 64), fs.RandAccesses)
 
-	// Assemble.
-	res := &rel.Result{}
-	res.Cols = append(res.Cols, g.Keys...)
-	for _, a := range g.Aggs {
-		res.Cols = append(res.Cols, a.As)
-	}
-	if len(g.Keys) == 0 && len(groups) == 0 {
-		groups[[4]int64{}] = &aggState{
-			key:  nil,
-			sums: make([]float64, len(g.Aggs)),
-			cnts: make([]float64, len(g.Aggs)),
-			mins: make([]float64, len(g.Aggs)),
-			maxs: make([]float64, len(g.Aggs)),
-		}
-	}
+	var rows [][]float64
 	for _, st := range groups {
-		row := rel.Row{}
-		for i, k := range g.Keys {
-			row[k] = st.key[i]
-		}
+		row := slices.Clone(st.key)
 		for i, a := range g.Aggs {
+			var v float64
 			switch a.Func {
 			case rel.Sum, rel.Count:
-				row[a.As] = st.sums[i]
+				v = st.sums[i]
 			case rel.Avg:
 				if st.cnts[i] > 0 {
-					row[a.As] = st.sums[i] / st.cnts[i]
+					v = st.sums[i] / st.cnts[i]
 				}
 			case rel.Min:
-				row[a.As] = st.mins[i]
+				v = st.mins[i]
 			case rel.Max:
-				row[a.As] = st.maxs[i]
+				v = st.maxs[i]
 			}
+			row = append(row, v)
 		}
-		if q.Having != nil && !q.Having(row) {
-			continue
-		}
-		res.Rows = append(res.Rows, row)
+		rows = append(rows, row)
 	}
+	r := &relation{schema: slices.Clone(g.Keys), each: func(sink func([]float64)) {
+		for _, row := range rows {
+			sink(row)
+		}
+	}}
+	for _, a := range g.Aggs {
+		r.schema = append(r.schema, a.As)
+	}
+	ex.groups[key] = r
+	return r
+}
 
-	// HyPer evaluates order-by/limit with a priority queue (paper §5.2):
-	// top-k via a bounded heap, otherwise a full sort.
+// orderLimit applies the query's order-by and limit. HyPer evaluates them
+// with a priority queue (paper §5.2): top-k via a bounded heap, otherwise a
+// full sort; the heap's work is charged to the last pipeline.
+func (ex *executor) orderLimit(res *rel.Result, q rel.Query) {
 	if q.OrderBy != nil && q.Limit > 0 && q.Limit < len(res.Rows) {
 		h := &rowHeap{less: q.OrderBy}
 		for _, r := range res.Rows {
-			fs.IntOps += 8 // heap maintenance ~ log k comparisons
+			ex.cur.IntOps += 8 // heap maintenance ~ log k comparisons
 			heap.Push(h, r)
 			if h.Len() > q.Limit {
 				heap.Pop(h)
@@ -502,7 +540,6 @@ func (ex *executor) runGroupAgg(g rel.GroupAgg, q rel.Query) *rel.Result {
 			res.Rows = res.Rows[:q.Limit]
 		}
 	}
-	return res
 }
 
 // rowHeap keeps the worst of the current top-k at the top.

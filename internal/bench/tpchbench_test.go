@@ -62,8 +62,8 @@ func TestBulkCostsMoreThanFused(t *testing.T) {
 	}
 }
 
-// planRunner runs TPC-H queries on e and shows visit every plan they
-// compile, the several plans of multi-phase queries included.
+// planRunner runs TPC-H queries on e and shows visit the plan each
+// compiles.
 type planRunner struct {
 	e     *rel.Engine
 	visit func(*compile.Plan)

@@ -597,7 +597,9 @@ func capped(e expr, cap int64) expr {
 func (c *compiler) realScatter(s *core.Stmt) *desc {
 	src := c.emitReady(c.plainify(c.desc(s.Args[0])))
 	posD := c.emitReady(c.plainify(c.desc(s.Args[2])))
-	if src.layout != layoutDense || posD.layout != layoutDense {
+	// Values of one grouped fold scatter from their compact slots, one
+	// per group: the padded layout only adds ε slots, which store nothing.
+	if (src.layout != layoutDense || posD.layout != layoutDense) && !sameGroups(src, posD) {
 		return c.bulk(s)
 	}
 	pos, ok := posD.single(s.Kp[2])

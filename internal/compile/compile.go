@@ -339,6 +339,9 @@ func (c *compiler) compileArith(s *core.Stmt) *desc {
 		// average) combine slot-wise in the compact space.
 		n, out.layout, out.logicalN, out.runLen, out.countsBuf = min(d1.n, d2.n),
 			layoutFoldCompact, d1.logicalN, d1.runLen, -1
+	case sameGroups(d1, d2):
+		// So do two results of one grouped fold.
+		n, out.layout, out.logicalN, out.countsBuf = d1.n, layoutGroupCompact, d1.logicalN, d1.countsBuf
 	default:
 		return c.bulk(s)
 	}
@@ -352,6 +355,13 @@ func (c *compiler) compileArith(s *core.Stmt) *desc {
 	a.validEx = andValid(a1.validEx, a2.validEx)
 	out.attrs = []attr{a}
 	return out
+}
+
+// sameGroups reports whether a and b are results of one grouped fold,
+// whose compact slots are the same groups.
+func sameGroups(a, b *desc) bool {
+	return a.layout == layoutGroupCompact && b.layout == layoutGroupCompact &&
+		a.countsBuf >= 0 && a.countsBuf == b.countsBuf && a.n == b.n && a.logicalN == b.logicalN
 }
 
 func andValid(a, b expr) expr {
@@ -423,6 +433,21 @@ func (c *compiler) compileGather(s *core.Stmt) *desc {
 			}
 			return &desc{n: posD.n, logicalN: posD.logical(),
 				filt: &filtInfo{sel: posD.filt.sel, attrs: attrs, stmt: c.cur}}
+		}
+	}
+
+	// A slot of a suppressed fold result at a constant position (a global
+	// aggregate's one row) is read from its run's compact slot, unexpanded.
+	if src := c.plainify(src); src.layout == layoutFoldCompact && isScalar(posD) && len(posD.attrs) == 1 {
+		a := posD.attrs[0]
+		if k, ok := a.ex.(*eConst); ok && a.validEx == nil && !k.isF && k.i >= 0 && k.i < int64(src.logicalN) {
+			memo := map[expr]expr{}
+			out := &desc{n: 1}
+			for _, a := range c.densify(src).attrs {
+				out.attrs = append(out.attrs, attr{name: a.name,
+					ex: subIdx(a.ex, theIdx, k, memo), validEx: subIdx(a.validEx, theIdx, k, memo)})
+			}
+			return out
 		}
 	}
 

@@ -109,8 +109,9 @@ type pinnedProgram struct {
 // first three select nothing: no row passes the predicate. The next three
 // reach the compiler's fold fallback (compileFoldOn): a fold over a pending
 // filter, virtual scatter or group that the fused fold cannot take, which
-// materializes the pending vector first. The rest are filters a fold reads
-// in place or that spill, each asserting which.
+// materializes the pending vector first. Then come filters a fold reads in
+// place or that spill, each asserting which, and last grouped aggregates
+// read as relations.
 var pinned = []pinnedProgram{
 	{name: "select-nothing-materialized", empty: true, build: func(*testing.T) *Program {
 		b := core.NewBuilder()
@@ -228,6 +229,41 @@ var pinned = []pinnedProgram{
 		b.Gather(b.Load("u"), b.FoldSelect(b.Greater(b.Load("t"), b.Constant(3)), "", ""), "")
 		return &Program{Prog: b.Program(), St: interp.MemStorage{"t": modVec("v", 40, 9), "u": modVec("x", 25, 7)}}
 	}},
+	// Most parts have no lineitem of quantity 1 or 2: their groups are
+	// empty, ε rows of the build that the join must not match.
+	{name: "join-build-grouped-empty-groups", build: func(t *testing.T) *Program {
+		return relProgram(t, rel.Query{Root: rel.GroupAgg{
+			In: rel.IndexJoin{
+				Probe:    rel.Scan{Table: "part", Cols: []string{"p_partkey", "p_brand"}},
+				ProbeKey: "p_partkey",
+				Build:    rareParts,
+				BuildKey: "l_partkey",
+				Cols:     []string{"qty", "n"},
+			},
+			Keys: []string{"p_brand"},
+			Aggs: []rel.AggSpec{{Func: rel.Sum, E: rel.C("qty"), As: "qty"},
+				{Func: rel.Count, As: "parts"}, {Func: rel.Max, E: rel.C("n"), As: "n"}},
+		}})
+	}},
+	// A filter over a grouped aggregate against a global one of it, and an
+	// aggregate of what passes.
+	{name: "filter-over-grouped", build: func(t *testing.T) *Program {
+		top := rel.Agg{G: rel.GroupAgg{In: rareParts, Aggs: []rel.AggSpec{{Func: rel.Max, E: rel.C("qty"), As: "top"}}}}
+		return relProgram(t, rel.Query{Root: rel.GroupAgg{
+			In:   rel.Filter{In: rareParts, Pred: rel.B(rel.Gt, rel.B(rel.Mul, rel.C("qty"), rel.I(2)), top)},
+			Aggs: []rel.AggSpec{{Func: rel.Count, As: "parts"}, {Func: rel.Sum, E: rel.C("qty"), As: "qty"}},
+		}})
+	}},
+}
+
+// rareParts is the quantity per part of the lineitems of quantity below 3.
+var rareParts = rel.GroupAgg{
+	In: rel.Filter{
+		In:   rel.Scan{Table: "lineitem", Cols: []string{"l_partkey", "l_quantity"}},
+		Pred: rel.B(rel.Lt, rel.C("l_quantity"), rel.I(3)),
+	},
+	Keys: []string{"l_partkey"},
+	Aggs: []rel.AggSpec{{Func: rel.Sum, E: rel.C("l_quantity"), As: "qty"}, {Func: rel.Count, As: "n"}},
 }
 
 // whereTable is t(g, v, w, d) over 300 rows: group ids 0..4 (1..4 with
@@ -298,15 +334,24 @@ func modVec(name string, n, m int) *vector.Vector {
 // sqlProgram lowers one statement over a small TPC-H catalog and loads the
 // vectors its program reads into memory storage.
 func sqlProgram(t *testing.T, text string) *Program {
-	cat := tpch.Generate(tpch.Config{SF: 0.001, Seed: 42})
 	stmt, err := sql.Parse(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := sql.Plan(stmt, cat)
+	q, err := sql.Plan(stmt, pinnedCat)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return relProgram(t, q)
+}
+
+// pinnedCat is the small TPC-H catalog pinned plans run over.
+var pinnedCat = tpch.Generate(tpch.Config{SF: 0.001, Seed: 42})
+
+// relProgram lowers a plan over pinnedCat and loads the vectors its
+// program reads into memory storage.
+func relProgram(t *testing.T, q rel.Query) *Program {
+	cat := pinnedCat
 	prog, err := rel.Lower(q, cat)
 	if err != nil {
 		t.Fatal(err)

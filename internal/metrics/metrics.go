@@ -244,7 +244,7 @@ func (f funcMetric) write(w io.Writer, name, labels string) {
 
 // DefBuckets are the default latency bucket upper bounds, in seconds:
 // 100µs to 60s, roughly ×2.5 per step — wide enough to hold both a fused
-// Q6 at small scale and a multi-phase join query under load.
+// Q6 at small scale and a many-join query under load.
 var DefBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,

@@ -12,8 +12,8 @@ import (
 	"voodoo/internal/tpch"
 )
 
-// capturingRunner records every rel.Query a TPC-H QueryFunc executes while
-// delegating to a real engine (multi-phase queries run several plans).
+// capturingRunner records the rel.Query a TPC-H QueryFunc executes while
+// delegating to a real engine.
 type capturingRunner struct {
 	inner   *rel.Engine
 	queries []rel.Query

@@ -63,14 +63,12 @@ type Engine struct {
 	// to every backend.
 	Limits exec.Limits
 	// TraceSink, when set, receives the execution trace of every query
-	// this engine runs (one call per lowered program, so multi-phase
-	// queries deliver several traces). Callers that share an engine across
-	// concurrent queries set the sink on a per-query copy of it.
+	// this engine runs. Callers that share an engine across concurrent
+	// queries set the sink on a per-query copy of it.
 	TraceSink func(*trace.Trace)
 	// PlanSink, when set, receives every plan Prepare compiles and every
 	// plan Run reuses, which is the plan RunPrepared then executes (EXPLAIN
-	// tooling; multi-phase queries deliver one plan per phase). Interpreted
-	// queries compile nothing and deliver none.
+	// tooling). Interpreted queries compile nothing and deliver none.
 	PlanSink func(*compile.Plan)
 	// BaseContext, when set, is the context Run (the context-less Runner
 	// entry point) executes under. Callers that drive ctx-less call paths
@@ -116,6 +114,7 @@ type Prepared struct {
 	q    Query
 	prog *core.Program
 	outs []aggOut
+	keep core.Ref      // a root Filter's predicate, -1 for none
 	plan *compile.Plan // nil for the interpreted backend
 }
 
@@ -127,16 +126,16 @@ func (pr *Prepared) Plan() *compile.Plan { return pr.plan }
 // the engine's backend options — never on per-run state — so it may be
 // cached and shared.
 func (e *Engine) Prepare(q Query) (*Prepared, error) {
-	prog, outs, err := lower(q, e.Cat)
+	prog, l, err := lower(q, e.Cat)
 	if err != nil {
 		return nil, err
 	}
-	if len(outs) == 0 {
-		return nil, fmt.Errorf("rel: query has no aggregate outputs (the root must be a GroupAgg)")
+	if len(l.outs) == 0 {
+		return nil, fmt.Errorf("rel: query has no aggregate outputs")
 	}
-	pr := &Prepared{q: q, prog: prog, outs: outs}
+	pr := &Prepared{q: q, prog: prog, outs: l.outs, keep: l.keep}
 	if e.Backend != Interpreted {
-		if pr.plan, err = e.Plan(prog); err != nil {
+		if pr.plan, err = e.Plan(pr.prog); err != nil {
 			return nil, err
 		}
 		if e.PlanSink != nil {
@@ -230,17 +229,8 @@ func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, st
 	}
 
 	q := pr.q
-	res = assemble(pr.outs, values)
+	res = assemble(pr.outs, pr.keep, values)
 	release()
-	if q.Having != nil {
-		kept := res.Rows[:0]
-		for _, r := range res.Rows {
-			if q.Having(r) {
-				kept = append(kept, r)
-			}
-		}
-		res.Rows = kept
-	}
 	if q.OrderBy != nil {
 		sort.SliceStable(res.Rows, func(i, j int) bool { return q.OrderBy(res.Rows[i], res.Rows[j]) })
 	}
@@ -250,10 +240,13 @@ func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, st
 	return res, stats, nil
 }
 
-// refs lists the values assembling the result reads: every output and the
-// counts averages divide by.
+// refs lists the values assembling the result reads: every output, the
+// counts averages divide by and a root Filter's predicate.
 func (pr *Prepared) refs() []core.Ref {
-	refs := make([]core.Ref, 0, len(pr.outs))
+	refs := make([]core.Ref, 0, len(pr.outs)+1)
+	if pr.keep >= 0 {
+		refs = append(refs, pr.keep)
+	}
 	for _, o := range pr.outs {
 		refs = append(refs, o.ref)
 		if o.div >= 0 {
@@ -265,7 +258,9 @@ func (pr *Prepared) refs() []core.Ref {
 
 // assemble turns the padded fold outputs into a result table: valid slots
 // of the outputs are aligned (all folds share the grouping), keys first.
-func assemble(outs []aggOut, values map[core.Ref]*vector.Vector) *Result {
+// With a root Filter, keep holds its predicate at each row's slot, and
+// only the rows it holds true at are kept.
+func assemble(outs []aggOut, keep core.Ref, values map[core.Ref]*vector.Vector) *Result {
 	res := &Result{decoders: map[string]decoder{}}
 	var keyOuts, aggOuts []aggOut
 	for _, o := range outs {
@@ -275,8 +270,16 @@ func assemble(outs []aggOut, values map[core.Ref]*vector.Vector) *Result {
 			aggOuts = append(aggOuts, o)
 		}
 	}
+	col := func(ref core.Ref) *vector.Column {
+		if ref < 0 {
+			return nil
+		}
+		return values[ref].SingleCol()
+	}
+	var keys []*vector.Column
 	for _, o := range keyOuts {
 		res.Cols = append(res.Cols, o.name)
+		keys = append(keys, col(o.ref))
 		if o.table != nil {
 			if d, ok := o.table.Def(o.col); ok && d.Dict != nil {
 				tbl, col := o.table, o.col
@@ -286,12 +289,6 @@ func assemble(outs []aggOut, values map[core.Ref]*vector.Vector) *Result {
 	}
 	for _, o := range aggOuts {
 		res.Cols = append(res.Cols, o.name)
-	}
-	col := func(ref core.Ref) *vector.Column {
-		if ref < 0 {
-			return nil
-		}
-		return values[ref].SingleCol()
 	}
 	vals, divs := make([]*vector.Column, len(aggOuts)), make([]*vector.Column, len(aggOuts))
 	for j, o := range aggOuts {
@@ -304,20 +301,25 @@ func assemble(outs []aggOut, values map[core.Ref]*vector.Vector) *Result {
 	// its sums read as zero (slot 0 is ε but still the row's position).
 	var first *vector.Column
 	if len(keyOuts) > 0 {
-		first = col(keyOuts[0].ref)
+		first = keys[0]
 	} else {
 		first = vals[0]
 	}
+	kept := col(keep)
 	for i := 0; i < first.Len(); i++ {
 		if !first.Valid(i) && !(len(keyOuts) == 0 && i == 0) {
 			continue
 		}
+		if kept != nil && (!kept.Valid(i) || kept.Float(i) == 0) {
+			continue
+		}
 		row := Row{}
-		if len(keyOuts) > 0 {
-			g := int64(first.Float(i))
-			for _, o := range keyOuts {
-				row[o.name] = float64(o.shift + g/o.stride%o.card)
+		for j, o := range keyOuts {
+			k := int64(keys[j].Float(i))
+			if o.card > 0 {
+				k = o.shift + k/o.stride%o.card
 			}
+			row[o.name] = float64(k)
 		}
 		for j, o := range aggOuts {
 			row[o.name] = valueAt(vals[j], i)
@@ -374,17 +376,17 @@ func Lower(q Query, cat *storage.Catalog) (*core.Program, error) {
 }
 
 // lower runs the lowerer over q, turning its panics into errors.
-func lower(q Query, cat *storage.Catalog) (prog *core.Program, outs []aggOut, err error) {
+func lower(q Query, cat *storage.Catalog) (prog *core.Program, l *lowerer, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			le, ok := r.(lowerErr)
 			if !ok {
 				panic(r)
 			}
-			prog, outs, err = nil, nil, le.err
+			prog, l, err = nil, nil, le.err
 		}
 	}()
-	l := &lowerer{b: core.NewBuilder(), cat: cat}
-	l.lower(q.Root)
-	return l.b.Program(), l.outs, nil
+	l = &lowerer{b: core.NewBuilder(), cat: cat, keep: -1, shared: map[string]*lowered{}}
+	l.lowerRoot(q.Root)
+	return l.b.Program(), l, nil
 }

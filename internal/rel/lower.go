@@ -2,6 +2,7 @@ package rel
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -16,6 +17,9 @@ import (
 type origin struct {
 	table *storage.Table
 	col   string
+	// dom is a group key's domain as its aggregate hashed it, which wins
+	// over the table's metadata (and stands in for it for a computed key).
+	dom *Domain
 }
 
 // lowered is the state of a lowered plan node.
@@ -32,6 +36,16 @@ type lowered struct {
 	live string
 }
 
+// clone hands a lowered subtree to one more consumer: consumers extend
+// cols and origins in place (lowerJoin, lowerMap), so a shared subtree
+// gives each its own.
+func (lo *lowered) clone() *lowered {
+	c := *lo
+	c.cols = slices.Clip(lo.cols)
+	c.origins = maps.Clone(lo.origins)
+	return &c
+}
+
 // aggOut describes one output column of the final aggregation for the
 // result assembler: an aggregate, or a group key.
 type aggOut struct {
@@ -40,7 +54,7 @@ type aggOut struct {
 	// div is the count an Avg divides its sum by; -1 for other outputs.
 	div core.Ref
 	// A group key is decoded from the group-id fold ref as
-	// shift + (g / stride) mod card.
+	// shift + (g / stride) mod card; with card 0 ref holds the key.
 	isKey               bool
 	shift, stride, card int64
 	table               *storage.Table // key decoding (dictionary) — nil for plain values
@@ -49,10 +63,16 @@ type aggOut struct {
 
 // lowerer lowers one query; it is single-use.
 type lowerer struct {
-	b     *core.Builder
-	cat   *storage.Catalog
-	outs  []aggOut
+	b    *core.Builder
+	cat  *storage.Catalog
+	outs []aggOut
+	// keep is the root Filter's predicate over the outputs' slots, -1
+	// for a GroupAgg root.
+	keep  core.Ref
 	nLive int // match-column counter
+	// shared holds every subtree lowered so far, keyed by appendNode's
+	// encoding: structurally equal subtrees lower once.
+	shared map[string]*lowered
 }
 
 // grain is the number of parallel runs selections expose.
@@ -79,22 +99,57 @@ func (e *BuildKeyError) Error() string {
 		e.Key, e.Rows, e.Max-e.Min+1, e.Min, e.Max)
 }
 
-// lower produces the Voodoo statements for node n.
+// lower produces the Voodoo statements for node n, once per distinct
+// subtree.
 func (l *lowerer) lower(n Node) *lowered {
+	// A node the encoding does not know fails to lower, and so is never
+	// shared.
+	key, _ := appendNode(nil, n)
+	if lo, hit := l.shared[string(key)]; hit {
+		return lo.clone()
+	}
+	var lo *lowered
 	switch x := n.(type) {
 	case Scan:
-		return l.lowerScan(x)
+		lo = l.lowerScan(x)
 	case Filter:
-		return l.lowerFilter(x)
+		lo = l.lowerFilter(x)
 	case Map:
-		return l.lowerMap(x)
+		lo = l.lowerMap(x)
 	case IndexJoin:
-		return l.lowerJoin(x)
+		lo = l.lowerJoin(x)
 	case GroupAgg:
-		return l.lowerGroupAgg(x)
+		lo = l.relation(l.lowerGroupAgg(x))
+	default:
+		l.errf("unknown node %T", n)
 	}
-	l.errf("unknown node %T", n)
-	return nil
+	l.shared[string(key)] = lo
+	return lo.clone()
+}
+
+// lowerRoot lowers the plan's root for the result assembler: a GroupAgg's
+// outputs, and for a Filter over one also the predicate, which keeps the
+// rows whose slot it holds true at.
+func (l *lowerer) lowerRoot(n Node) {
+	f, filtered := n.(Filter)
+	if filtered {
+		n = f.In
+	}
+	g, ok := n.(GroupAgg)
+	if !ok {
+		l.errf("the root must be a GroupAgg or a Filter over one, not %T", n)
+	}
+	if !filtered {
+		l.outs = l.lowerGroupAgg(g)
+		return
+	}
+	// The result is the filtered relation's columns, the keys decoded.
+	cur := l.lower(g)
+	l.keep = l.expr(cur, f.Pred)
+	for i, c := range cur.cols {
+		l.outs = append(l.outs, aggOut{name: c, ref: l.b.Project("val", cur.ref, c), div: -1,
+			isKey: i < len(g.Keys), table: cur.origins[c].table, col: cur.origins[c].col})
+	}
 }
 
 func (l *lowerer) lowerScan(s Scan) *lowered {
@@ -141,6 +196,12 @@ func (l *lowerer) expr(cur *lowered, e Expr) core.Ref {
 		return b.ConstantF(x.V)
 	case Not:
 		return b.Equals(l.expr(cur, x.E), b.Constant(0))
+	case Agg:
+		if len(x.G.Keys) != 0 || len(x.G.Aggs) != 1 {
+			l.errf("Agg takes a keyless aggregate of one column (%d keys, %d aggregates)", len(x.G.Keys), len(x.G.Aggs))
+		}
+		// The aggregate's relation is one slot, which broadcasts.
+		return b.Project("val", l.lower(x.G).ref, x.G.Aggs[0].As)
 	case InList:
 		v := l.expr(cur, x.E)
 		var acc core.Ref = -1
@@ -245,6 +306,9 @@ func (l *lowerer) domain(cur *lowered, col string) (int64, int64) {
 	if !ok {
 		l.errf("column %q has no base-table origin (needed for identity hashing)", col)
 	}
+	if o.dom != nil {
+		return o.dom.Min, o.dom.Max
+	}
 	st, ok := o.table.Stats(o.col)
 	if !ok {
 		l.errf("no stats for %s.%s", o.table.Name, o.col)
@@ -268,34 +332,36 @@ func (l *lowerer) lowerJoin(j IndexJoin) *lowered {
 	// More rows than key values is the one case the metadata decides
 	// (pigeonhole): reject it rather than let the last writer per key win.
 	// An existence test only stores a flag and is indifferent to repeats.
+	// (An aggregate's length is its key domain: its keys pass.)
 	if !j.Semi && int64(build.n) > size {
 		panic(lowerErr{&BuildKeyError{Key: j.BuildKey, Rows: build.n, Min: minK, Max: maxK}})
 	}
 
-	// Build: scatter carried columns plus a match flag into the open
-	// table at position key-min (identity hashing). Rows the build side
-	// dropped (ε liveness from its own filtered joins) must not enter the
-	// table: anchoring every scattered value on the liveness column turns
-	// their stores into ε slots.
-	anchor := func(v core.Ref) core.Ref {
-		if build.live == "" {
-			return v
+	// An aggregate on the key is an open table already: a group sits at
+	// key − min, and its key is ε exactly where no group is, a match flag.
+	table, match := build.ref, j.BuildKey
+	if g, ok := j.Build.(GroupAgg); !ok || len(g.Keys) != 1 || g.Keys[0] != j.BuildKey {
+		// Build: scatter carried columns plus a match flag into the open
+		// table at position key-min (identity hashing). Rows the build
+		// side dropped (ε liveness from its own filtered joins) must not
+		// enter the table: anchoring every scattered value on the
+		// liveness column turns their stores into ε slots.
+		anchor := func(v core.Ref) core.Ref {
+			if build.live == "" {
+				return v
+			}
+			return b.Add(v, b.Arith(core.OpMultiply, "z", build.ref, build.live, b.Constant(0), ""))
 		}
-		return b.Add(v, b.Arith(core.OpMultiply, "z", build.ref, build.live, b.Constant(0), ""))
-	}
-	keyVec := b.Project("val", build.ref, j.BuildKey)
-	pos := b.Subtract(anchor(keyVec), b.Constant(minK))
-	src := b.Project("__m", anchor(b.Multiply(keyVec, b.Constant(0))), "")
-	src = b.Upsert(src, "__m", b.Add(b.Project("__m", src, "__m"), b.Constant(1)), "")
-	for _, c := range j.Cols {
-		if !has(build.cols, c) {
-			l.errf("build side lacks column %q", c)
+		keyVec := b.Project("val", build.ref, j.BuildKey)
+		pos := b.Subtract(anchor(keyVec), b.Constant(minK))
+		src := b.Project("__m", anchor(b.Multiply(keyVec, b.Constant(0))), "")
+		src = b.Upsert(src, "__m", b.Add(b.Project("__m", src, "__m"), b.Constant(1)), "")
+		for _, c := range j.Cols {
+			src = b.Upsert(src, c, anchor(b.Project("val", build.ref, c)), "")
 		}
-		src = b.Upsert(src, c, anchor(b.Project("val", build.ref, c)), "")
+		withPos := b.Upsert(src, "__pos", pos, "")
+		table, match = b.Scatter(src, b.RangeN(0, int(size), 1), "", withPos, "__pos"), "__m"
 	}
-	withPos := b.Upsert(src, "__pos", pos, "")
-	sizeVec := b.RangeN(0, int(size), 1)
-	table := b.Scatter(src, sizeVec, "", withPos, "__pos")
 
 	// Probe: gather through key-min.
 	ppos := b.Subtract(b.Project("val", probe.ref, j.ProbeKey), b.Constant(minK))
@@ -306,6 +372,9 @@ func (l *lowerer) lowerJoin(j IndexJoin) *lowered {
 		n: probe.n, live: probe.live}
 	if !j.Semi {
 		for _, c := range j.Cols {
+			if !has(build.cols, c) {
+				l.errf("build side lacks column %q", c)
+			}
 			out.ref = b.Upsert(out.ref, c, joined, c)
 			if !has(out.cols, c) {
 				out.cols = append(out.cols, c)
@@ -321,11 +390,11 @@ func (l *lowerer) lowerJoin(j IndexJoin) *lowered {
 		l.nLive++
 		mcol := fmt.Sprintf("__live%d", l.nLive)
 		if out.live == "" {
-			out.ref = b.Upsert(out.ref, mcol, b.Project("m", joined, "__m"), "")
+			out.ref = b.Upsert(out.ref, mcol, b.Project("m", joined, match), "")
 		} else {
 			// Combine with the previous liveness: ε if either is ε.
 			combined := b.Add(
-				b.Arith(core.OpMultiply, "z", joined, "__m", l.b.Constant(0), ""),
+				b.Arith(core.OpMultiply, "z", joined, match, l.b.Constant(0), ""),
 				b.Arith(core.OpMultiply, "z", out.ref, out.live, l.b.Constant(0), ""))
 			one := b.Add(combined, b.Constant(1))
 			out.ref = b.Upsert(out.ref, mcol, one, "")
@@ -425,7 +494,12 @@ func firstDataCol(n Node) string {
 	case IndexJoin:
 		return firstDataCol(x.Probe)
 	case GroupAgg:
-		return firstDataCol(x.In)
+		if len(x.Keys) > 0 {
+			return x.Keys[0]
+		}
+		if len(x.Aggs) > 0 {
+			return x.Aggs[0].As
+		}
 	}
 	return ""
 }
@@ -439,7 +513,9 @@ type aggIn struct {
 	ref core.Ref // the fold
 }
 
-func (l *lowerer) lowerGroupAgg(g GroupAgg) *lowered {
+// lowerGroupAgg lowers g's folds and returns its outputs as the result
+// assembler reads them, keys first.
+func (l *lowerer) lowerGroupAgg(g GroupAgg) []aggOut {
 	b := l.b
 
 	// One fold per distinct (function, input): an Avg is a Sum and a Count
@@ -525,20 +601,66 @@ func (l *lowerer) lowerGroupAgg(g GroupAgg) *lowered {
 		}
 	}
 
+	var outs []aggOut
 	if len(g.Keys) == 0 {
 		// Fused, the filter-fold folds the selection's runs already.
 		l.globalFolds(cur, ins, pushed && cur.live == "")
 	} else {
-		l.groupedFolds(g, cur, ins)
+		outs = l.groupedFolds(g, cur, ins)
 	}
 	for i, a := range g.Aggs {
 		o := aggOut{name: a.As, ref: vals[i].ref, div: -1}
 		if divs[i] != nil {
 			o.div = divs[i].ref
 		}
-		l.outs = append(l.outs, o)
+		outs = append(outs, o)
 	}
-	return cur
+	return outs
+}
+
+// relation is an aggregate as a relation: the keys, decoded from the
+// group id, and the aggregates, an average divided out, scattered to the
+// slot of their group id (identity hashing: a group at key − min, an
+// empty group ε), or for a global aggregate its one slot. Only a consumer
+// of the aggregate as a relation adds these statements, so a GroupAgg at
+// the root lowers to the folds alone.
+func (l *lowerer) relation(outs []aggOut) *lowered {
+	b := l.b
+	out := &lowered{origins: map[string]origin{}}
+	keys := 0
+	for i, o := range outs {
+		v := o.ref
+		switch {
+		case o.isKey:
+			if o.stride > 1 {
+				v = b.Divide(v, b.Constant(o.stride))
+			}
+			if keys++; keys > 1 {
+				v = b.Modulo(v, b.Constant(o.card))
+			}
+			if o.shift != 0 {
+				v = b.Add(v, b.Constant(o.shift))
+			}
+			out.origins[o.name] = origin{table: o.table, col: o.col,
+				dom: &Domain{Min: o.shift, Max: o.shift + o.card - 1}}
+		case o.div >= 0: // in floats, as the assembler divides
+			v = b.Divide(b.Multiply(v, b.ConstantF(1)), o.div)
+		}
+		if i == 0 {
+			out.ref = b.Project(o.name, v, "")
+		} else {
+			out.ref = b.Upsert(out.ref, o.name, v, "")
+		}
+		out.cols = append(out.cols, o.name)
+	}
+	if keys == 0 {
+		out.ref, out.n = b.Gather(out.ref, b.Constant(0), ""), 1
+		return out
+	}
+	g := outs[0] // the first key: its group-id fold, over all K groups
+	out.n = int(g.stride * g.card)
+	out.ref = b.Scatter(out.ref, b.RangeN(0, out.n, 1), "", g.ref, "")
+	return out
 }
 
 // countsRows reports whether COUNT(c) over n counts n's rows: c is a scan
@@ -603,8 +725,8 @@ func (l *lowerer) globalFolds(cur *lowered, ins []*aggIn, fused bool) {
 // controlled fold per aggregate runs over the partitions (the paper's
 // Figure 10/11). The keys come back from the group id itself: a max of the
 // id, ε for a group without a live row, from which the assembler decodes
-// every key — instead of one fold per key.
-func (l *lowerer) groupedFolds(g GroupAgg, cur *lowered, ins []*aggIn) {
+// every key — instead of one fold per key. It returns the key outputs.
+func (l *lowerer) groupedFolds(g GroupAgg, cur *lowered, ins []*aggIn) []aggOut {
 	b := l.b
 	var gid core.Ref
 	K := int64(1)
@@ -645,6 +767,7 @@ func (l *lowerer) groupedFolds(g GroupAgg, cur *lowered, ins []*aggIn) {
 		in.ref = l.fold(in.fn, scattered, "__g", in.col)
 	}
 	groups := b.FoldMax(scattered, "__g", "__g")
+	var outs []aggOut
 	stride := K
 	for i, k := range g.Keys {
 		stride /= cards[i]
@@ -654,9 +777,10 @@ func (l *lowerer) groupedFolds(g GroupAgg, cur *lowered, ins []*aggIn) {
 		if o.table != nil {
 			tbl, col = o.table, o.col
 		}
-		l.outs = append(l.outs, aggOut{name: k, ref: groups, div: -1, isKey: true,
+		outs = append(outs, aggOut{name: k, ref: groups, div: -1, isKey: true,
 			shift: shifts[i], stride: stride, card: cards[i], table: tbl, col: col})
 	}
+	return outs
 }
 
 func has(cols []string, c string) bool {

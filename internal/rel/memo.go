@@ -20,8 +20,8 @@ var (
 )
 
 // memoKey names a prepared plan within one catalog's memo: everything
-// Prepare's output depends on besides the catalog. Name, Having, OrderBy
-// and Limit are not in it — RunPrepared applies them, and Run takes them
+// Prepare's output depends on besides the catalog. Name, OrderBy and
+// Limit are not in it — RunPrepared applies them, and Run takes them
 // from the caller's query on every call.
 type memoKey struct {
 	backend Backend
@@ -77,6 +77,7 @@ const (
 	tagInList
 	tagBetween
 	tagNilExpr
+	tagAgg
 )
 
 // appendNode appends a canonical encoding of n to b: a type tag per node
@@ -170,6 +171,8 @@ func appendExpr(b []byte, e Expr) (_ []byte, ok bool) {
 			return b, false
 		}
 		return appendExpr(b, x.Hi)
+	case Agg:
+		return appendNode(append(b, tagAgg), x.G)
 	}
 	return b, false
 }

@@ -17,8 +17,7 @@ import (
 
 func tpchCatalog() *storage.Catalog { return tpch.Generate(tpch.Config{SF: 0.002, Seed: 42}) }
 
-// recorder runs queries on its engine and keeps their roots, one per
-// relational phase of a TPC-H query function.
+// recorder runs queries on its engine and keeps their roots.
 type recorder struct {
 	*rel.Engine
 	roots []rel.Node
@@ -66,8 +65,8 @@ func runQuery(t *testing.T, num int, r rel.Runner) *rel.Result {
 // Every TPC-H query answers bit for bit alike when it compiles (a miss) and
 // when it reuses its plan (a hit), on the same engine and on per-request
 // copies of it, at one and two workers, pooled and unpooled. The repeat
-// compiles nothing: the hit counter advances once per relational phase
-// and the miss counter stays.
+// compiles nothing: every query is one plan, so the hit counter advances
+// by exactly one and the miss counter stays.
 func TestMemoTPCHHitsAnswerAlike(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		for _, pooled := range []bool{false, true} {
@@ -84,11 +83,9 @@ func TestMemoTPCHHitsAnswerAlike(t *testing.T) {
 					}
 
 					hits, misses := rel.MemoHits.Value(), rel.MemoMisses.Value()
-					rec := &recorder{Engine: e}
-					hit := runQuery(t, num, rec)
-					if got := rel.MemoHits.Value() - hits; got != int64(len(rec.roots)) || rel.MemoMisses.Value() != misses {
-						t.Fatalf("q%d repeat: %d hits over %d phases, %d misses; want every phase a hit",
-							num, got, len(rec.roots), rel.MemoMisses.Value()-misses)
+					hit := runQuery(t, num, e)
+					if got := rel.MemoHits.Value() - hits; got != 1 || rel.MemoMisses.Value() != misses {
+						t.Fatalf("q%d repeat: %d hits, %d misses; want one hit", num, got, rel.MemoMisses.Value()-misses)
 					}
 					perRequest := *e
 					fresh := runQuery(t, num, &perRequest)
@@ -141,8 +138,8 @@ func TestMemoConcurrentEngines(t *testing.T) {
 	}
 }
 
-// BenchmarkMemoKey encodes the roots of the 14 TPC-H queries' relational
-// phases, the work every Run adds before its memo lookup.
+// BenchmarkMemoKey encodes the roots of the 14 TPC-H queries, the work
+// every Run adds before its memo lookup.
 func BenchmarkMemoKey(b *testing.B) {
 	rec := &recorder{Engine: &rel.Engine{Cat: tpchCatalog()}}
 	for _, num := range tpch.QueryNumbers {

@@ -63,6 +63,11 @@ type Between struct {
 	Lo, Hi Expr
 }
 
+// Agg is the one value of a keyless aggregate of one column (a total, a
+// maximum), folded once and broadcast to every row of the relation the
+// expression is evaluated over; ε when the aggregate's input is empty.
+type Agg struct{ G GroupAgg }
+
 func (Col) isExpr()      {}
 func (IntLit) isExpr()   {}
 func (FloatLit) isExpr() {}
@@ -70,6 +75,7 @@ func (Bin) isExpr()      {}
 func (Not) isExpr()      {}
 func (InList) isExpr()   {}
 func (Between) isExpr()  {}
+func (Agg) isExpr()      {}
 
 // C, I, F and B are concise constructors for hand-written plans.
 func C(name string) Expr { return Col{Name: name} }
@@ -125,7 +131,10 @@ type IndexJoin struct {
 // GroupAgg groups by Keys (base columns with known domains) and computes
 // Aggs. Empty Keys means a single global group. Domains optionally
 // overrides the key domains (required when a key is a computed column with
-// no base-table metadata).
+// no base-table metadata). Below the root it is a relation like any other:
+// one row per non-empty group, the keys and the aggregates its columns, an
+// empty group ε — so it may be a join's build side (its keys are unique by
+// construction) or a Filter's input.
 type GroupAgg struct {
 	In      Node
 	Keys    []string
@@ -161,13 +170,12 @@ func (IndexJoin) isNode() {}
 func (GroupAgg) isNode()  {}
 
 // Query is a complete statement: a plan plus the post-algebra steps the
-// paper keeps outside Voodoo.
+// paper keeps outside Voodoo. The root is a GroupAgg, or a Filter over one
+// (an aggregate predicate, SQL's HAVING).
 type Query struct {
 	Root Node
 	// Name labels the query in execution traces.
 	Name string
-	// Having filters result rows (aggregate predicates).
-	Having func(Row) bool
 	// OrderBy sorts the result rows (less function); Limit truncates.
 	OrderBy func(a, b Row) bool
 	Limit   int

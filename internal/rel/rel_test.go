@@ -194,14 +194,17 @@ func TestSemiJoin(t *testing.T) {
 	wantRow(t, res.Rows[0], map[string]float64{"s": 60})
 }
 
+// A HAVING is a Filter over the aggregate at the root.
 func TestHavingAndLimit(t *testing.T) {
 	res := runAll(t, testCatalog(), Query{
-		Root: GroupAgg{
-			In:   Scan{Table: "ord", Cols: []string{"total", "prio"}},
-			Keys: []string{"prio"},
-			Aggs: []AggSpec{{Func: Sum, E: C("total"), As: "s"}},
+		Root: Filter{
+			In: GroupAgg{
+				In:   Scan{Table: "ord", Cols: []string{"total", "prio"}},
+				Keys: []string{"prio"},
+				Aggs: []AggSpec{{Func: Sum, E: C("total"), As: "s"}},
+			},
+			Pred: B(Gt, C("s"), F(50)),
 		},
-		Having:  func(r Row) bool { return r["s"] > 50 },
 		OrderBy: func(a, b Row) bool { return a["s"] > b["s"] },
 		Limit:   1,
 	})

@@ -332,7 +332,7 @@ func BenchmarkSteadyStateQuery(b *testing.B) {
 // request, and a sink must not change which code executes a query. One
 // ?q=N sweep through handleQuery moves the executor's per-path fragment
 // counters by exactly the mix internal/tpch pins for plain, unobserved
-// runs of the same queries on the same data (0 interp / 82 batch in sum).
+// runs of the same queries on the same data (0 interp / 86 batch in sum).
 func TestServedPathMixMatchesGolden(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("..", "tpch", "testdata", "golden", "pathmix.golden"))
 	if err != nil {

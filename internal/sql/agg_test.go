@@ -137,6 +137,63 @@ func TestCountOfFaultingExpression(t *testing.T) {
 	}
 }
 
+// TestHavingFaultsLikeWhere: HAVING is WHERE's expression language over the
+// aggregate, so a division by zero in it fails as in WHERE, where a second
+// evaluator once read it as 0.
+func TestHavingFaultsLikeWhere(t *testing.T) {
+	tbl := storage.NewTable("t")
+	tbl.AddInt("a", []int64{4, 6, 8, 9})
+	tbl.AddInt("g", []int64{0, 0, 1, 1})
+	cat := storage.NewCatalog().Add(tbl)
+	for _, text := range []string{
+		"SELECT g, COUNT(*) AS n FROM t WHERE a / 0 > 1 GROUP BY g",
+		"SELECT g, COUNT(*) AS n FROM t GROUP BY g HAVING n / 0 > 1",
+		"SELECT COUNT(*) AS n FROM t HAVING n / 0 > 1",
+	} {
+		q := planSQL(t, cat, text)
+		for name, e := range aggEngines(cat, 0) {
+			if name == "hyper" {
+				continue // the baseline reads a division by zero as 0
+			}
+			res, _, err := e.Run(q)
+			if err == nil || !strings.Contains(err.Error(), "by zero") {
+				t.Errorf("%s on %s: err %v, result %v; want a division by zero", text, name, err, res)
+			}
+		}
+	}
+}
+
+// TestHavingOverAggregates: HAVING without GROUP BY filters the one row of
+// a global aggregate. Over no input rows the aggregate has no group and so
+// no row to keep, whatever the predicate (the result without HAVING still
+// reads one row of zeros). Grouped, it reads an AVG as the division out
+// and a dictionary key through its string.
+func TestHavingOverAggregates(t *testing.T) {
+	tbl := storage.NewTable("t")
+	tbl.AddInt("a", []int64{4, 6, 8, 9})
+	tbl.AddString("c", []string{"x", "y", "x", "y"})
+	cat := storage.NewCatalog().Add(tbl)
+	for _, tc := range []struct{ text, want string }{
+		{"SELECT COUNT(*) AS n, SUM(a) AS s FROM t HAVING n > 2", "n=4 s=27 "},
+		{"SELECT COUNT(*) AS n, SUM(a) AS s FROM t HAVING s < 10", ""},
+		{"SELECT COUNT(*) AS n FROM t WHERE a > 100 HAVING n = 0", ""},
+		{"SELECT COUNT(*) AS n FROM t WHERE a > 100", "n=0 "},
+		{"SELECT c, AVG(a) AS av FROM t GROUP BY c HAVING av > 6.5", "c=1 av=7.5 "},
+		{"SELECT c, SUM(a) AS s FROM t GROUP BY c HAVING c = 'x' OR s < 0", "c=0 s=12 "},
+	} {
+		q := planSQL(t, cat, tc.text)
+		for name, e := range aggEngines(cat, 0) {
+			res, _, err := e.Run(q)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", tc.text, name, err)
+			}
+			if got := strings.Join(rows(res, 0), "|"); got != tc.want {
+				t.Errorf("%s on %s: got %q, want %q", tc.text, name, got, tc.want)
+			}
+		}
+	}
+}
+
 // aggCatalog is the GROUP BY parity catalog: a fact table with a key whose
 // domain has gaps (k, in 0..20 by 5), a dictionary string, a float, and a
 // foreign key — odd for h = 0, even for h = 1 — some rows of which find no

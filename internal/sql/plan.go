@@ -193,14 +193,23 @@ func (pl *planner) plan() (rel.Query, error) {
 	}
 	q.Root = rel.GroupAgg{In: root, Keys: pl.stmt.GroupBy, Aggs: aggs}
 
-	// HAVING evaluates over the result rows (output aliases and group
-	// keys), as the paper keeps aggregate predicates outside the algebra.
+	// HAVING filters the aggregate, a relation whose columns are the group
+	// keys and the output aliases, with WHERE's expression language.
 	if pl.stmt.Having != nil {
-		pred, err := pl.havingFn(pl.stmt.Having, outNames)
+		var err error
+		colRefs(pl.stmt.Having, func(c ColRef) {
+			if err == nil && !outNames[c.Name] && !contains(pl.stmt.GroupBy, c.Name) {
+				err = pl.errf("HAVING column %q is not in the output", c.Name)
+			}
+		})
 		if err != nil {
 			return q, err
 		}
-		q.Having = pred
+		pred, err := pl.convert(pl.stmt.Having)
+		if err != nil {
+			return q, err
+		}
+		q.Root = rel.Filter{In: q.Root, Pred: pred}
 	}
 
 	// ORDER BY / LIMIT run on the assembled result (paper §5.2 drops them
@@ -266,70 +275,46 @@ func contains(ss []string, s string) bool {
 	return false
 }
 
-// noteCols records which tables must provide which columns.
-func (pl *planner) noteCols(e Expr) error {
+// colRefs calls fn for every column reference in e.
+func colRefs(e Expr, fn func(ColRef)) {
 	switch x := e.(type) {
 	case ColRef:
-		t, ok := pl.colTable[x.Name]
-		if !ok {
-			return pl.errf("unknown column %q", x.Name)
-		}
-		pl.needed[t][x.Name] = true
+		fn(x)
 	case BinEx:
-		if err := pl.noteCols(x.L); err != nil {
-			return err
-		}
-		return pl.noteCols(x.R)
+		colRefs(x.L, fn)
+		colRefs(x.R, fn)
 	case NotEx:
-		return pl.noteCols(x.E)
+		colRefs(x.E, fn)
 	case BetweenEx:
-		if err := pl.noteCols(x.E); err != nil {
-			return err
-		}
-		if err := pl.noteCols(x.Lo); err != nil {
-			return err
-		}
-		return pl.noteCols(x.Hi)
+		colRefs(x.E, fn)
+		colRefs(x.Lo, fn)
+		colRefs(x.Hi, fn)
 	case InEx:
-		if err := pl.noteCols(x.E); err != nil {
-			return err
-		}
+		colRefs(x.E, fn)
 		for _, v := range x.Vs {
-			if err := pl.noteCols(v); err != nil {
-				return err
-			}
+			colRefs(v, fn)
 		}
 	}
-	return nil
+}
+
+// noteCols records which tables must provide which columns.
+func (pl *planner) noteCols(e Expr) (err error) {
+	colRefs(e, func(c ColRef) {
+		t, ok := pl.colTable[c.Name]
+		if !ok && err == nil {
+			err = pl.errf("unknown column %q", c.Name)
+		}
+		if ok {
+			pl.needed[t][c.Name] = true
+		}
+	})
+	return err
 }
 
 // onlyTable reports whether every column in e belongs to table t.
 func (pl *planner) onlyTable(e Expr, t string) bool {
 	ok := true
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case ColRef:
-			if pl.colTable[x.Name] != t {
-				ok = false
-			}
-		case BinEx:
-			walk(x.L)
-			walk(x.R)
-		case NotEx:
-			walk(x.E)
-		case BetweenEx:
-			walk(x.E)
-			walk(x.Lo)
-			walk(x.Hi)
-		case InEx:
-			walk(x.E)
-			for _, v := range x.Vs {
-				walk(v)
-			}
-		}
-	}
-	walk(e)
+	colRefs(e, func(c ColRef) { ok = ok && pl.colTable[c.Name] == t })
 	return ok
 }
 
@@ -449,6 +434,9 @@ func (pl *planner) convertAgainst(e, other Expr) (rel.Expr, error) {
 		return nil, pl.errf("string literal %q must compare with a column", s.S)
 	}
 	t := pl.cat.Table(pl.colTable[col.Name])
+	if t == nil {
+		return nil, pl.errf("column %q is not a table column; cannot compare with %q", col.Name, s.S)
+	}
 	if d, ok := t.Def(col.Name); !ok || d.Dict == nil {
 		return nil, pl.errf("column %q is not a string column; cannot compare with %q", col.Name, s.S)
 	}
@@ -459,120 +447,6 @@ func (pl *planner) convertAgainst(e, other Expr) (rel.Expr, error) {
 		return rel.IntLit{V: -1}, nil
 	}
 	return rel.IntLit{V: code}, nil
-}
-
-// havingFn compiles a HAVING expression into a row predicate over output
-// columns.
-func (pl *planner) havingFn(e Expr, outNames map[string]bool) (func(rel.Row) bool, error) {
-	eval, err := pl.rowExpr(e, outNames)
-	if err != nil {
-		return nil, err
-	}
-	return func(r rel.Row) bool { return eval(r) != 0 }, nil
-}
-
-func (pl *planner) rowExpr(e Expr, outNames map[string]bool) (func(rel.Row) float64, error) {
-	switch x := e.(type) {
-	case ColRef:
-		if !outNames[x.Name] && !contains(pl.stmt.GroupBy, x.Name) {
-			return nil, pl.errf("HAVING column %q is not in the output", x.Name)
-		}
-		name := x.Name
-		return func(r rel.Row) float64 { return r[name] }, nil
-	case NumLit:
-		v := x.F
-		if x.IsInt {
-			v = float64(x.I)
-		}
-		return func(rel.Row) float64 { return v }, nil
-	case DateLit:
-		d, err := parseDate(x.S)
-		if err != nil {
-			return nil, err
-		}
-		return func(rel.Row) float64 { return float64(d) }, nil
-	case NotEx:
-		inner, err := pl.rowExpr(x.E, outNames)
-		if err != nil {
-			return nil, err
-		}
-		return func(r rel.Row) float64 {
-			if inner(r) == 0 {
-				return 1
-			}
-			return 0
-		}, nil
-	case BetweenEx:
-		v, err := pl.rowExpr(x.E, outNames)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := pl.rowExpr(x.Lo, outNames)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := pl.rowExpr(x.Hi, outNames)
-		if err != nil {
-			return nil, err
-		}
-		return func(r rel.Row) float64 {
-			if w := v(r); w >= lo(r) && w <= hi(r) {
-				return 1
-			}
-			return 0
-		}, nil
-	case BinEx:
-		l, err := pl.rowExpr(x.L, outNames)
-		if err != nil {
-			return nil, err
-		}
-		rr, err := pl.rowExpr(x.R, outNames)
-		if err != nil {
-			return nil, err
-		}
-		op := x.Op
-		return func(r rel.Row) float64 {
-			a, b := l(r), rr(r)
-			switch op {
-			case "+":
-				return a + b
-			case "-":
-				return a - b
-			case "*":
-				return a * b
-			case "/":
-				if b == 0 {
-					return 0
-				}
-				return a / b
-			case "=":
-				return b2f(a == b)
-			case "<>", "!=":
-				return b2f(a != b)
-			case "<":
-				return b2f(a < b)
-			case "<=":
-				return b2f(a <= b)
-			case ">":
-				return b2f(a > b)
-			case ">=":
-				return b2f(a >= b)
-			case "AND":
-				return b2f(a != 0 && b != 0)
-			case "OR":
-				return b2f(a != 0 || b != 0)
-			}
-			return 0
-		}, nil
-	}
-	return nil, pl.errf("unsupported HAVING expression %T", e)
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func parseDate(s string) (int64, error) {

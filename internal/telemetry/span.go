@@ -79,16 +79,13 @@ func BuildSpans(r *QueryRecord) QuerySpans {
 		cursor += (r.PlanLookup + r.Compile).Nanoseconds()
 	}
 
-	for pi, t := range r.Traces {
+	for _, t := range r.Traces {
 		attrs := map[string]any{
 			"backend": t.Backend, "fragments": t.Fragments, "bulk_steps": t.BulkSteps,
 			"items": t.Items, "materialized_bytes": t.MaterializedBytes,
 			"alloc_bytes": t.AllocBytes,
 		}
-		phase := child("exec", root, cursor, t.WallNS, attrs)
-		if pi > 0 || len(r.Traces) > 1 {
-			qs.Spans[len(qs.Spans)-1].Attrs["phase"] = pi
-		}
+		run := child("exec", root, cursor, t.WallNS, attrs)
 		stepCursor := cursor
 		for i := range t.Steps {
 			s := &t.Steps[i]
@@ -130,7 +127,7 @@ func BuildSpans(r *QueryRecord) QuerySpans {
 			if s.AccWide+s.AccCarried > 0 {
 				sa["acc"] = s.Acc()
 			}
-			child(s.Kind+" "+s.Name, phase, stepCursor, s.WallNS, sa)
+			child(s.Kind+" "+s.Name, run, stepCursor, s.WallNS, sa)
 			stepCursor += s.WallNS
 		}
 		cursor += t.WallNS

@@ -2,17 +2,13 @@ package tpch
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"voodoo/internal/exec"
 	"voodoo/internal/rel"
-	"voodoo/internal/storage"
 )
 
 // QueryFunc executes one TPC-H query through a query runner (the Voodoo
-// engine or a baseline). Multi-phase queries (11, 15, 20) run several plans
-// and merge stats.
+// engine or a baseline): one plan, one Run, whatever the query nests.
 type QueryFunc func(e rel.Runner) (*rel.Result, *exec.Stats, error)
 
 // QueryNumbers lists the evaluated queries in paper order (Figure 13).
@@ -520,44 +516,35 @@ func Q10(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 	return e.Run(q)
 }
 
-// Q11: important stock identification (two phases: total value, then the
-// groups above the threshold fraction).
+// Q11: important stock identification: the parts whose stock value is
+// above a fraction of the total, a filter over a grouped aggregate that
+// reads a global one of the same join.
 func Q11(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 	germany := nationKey("GERMANY")
-	base := func() rel.Node {
-		return rel.IndexJoin{
-			Probe: rel.Scan{Table: "partsupp", Cols: []string{
-				"ps_partkey", "ps_suppkey", "ps_supplycost", "ps_availqty"}},
-			ProbeKey: "ps_suppkey",
-			Build: rel.Filter{
-				In:   rel.Scan{Table: "supplier", Cols: []string{"s_suppkey", "s_nationkey"}},
-				Pred: rel.B(rel.Eq, rel.C("s_nationkey"), rel.I(germany)),
-			},
-			BuildKey: "s_suppkey",
-			Semi:     true,
-		}
+	base := rel.IndexJoin{
+		Probe: rel.Scan{Table: "partsupp", Cols: []string{
+			"ps_partkey", "ps_suppkey", "ps_supplycost", "ps_availqty"}},
+		ProbeKey: "ps_suppkey",
+		Build: rel.Filter{
+			In:   rel.Scan{Table: "supplier", Cols: []string{"s_suppkey", "s_nationkey"}},
+			Pred: rel.B(rel.Eq, rel.C("s_nationkey"), rel.I(germany)),
+		},
+		BuildKey: "s_suppkey",
+		Semi:     true,
 	}
 	value := rel.B(rel.Mul, rel.C("ps_supplycost"), rel.C("ps_availqty"))
-
-	total, st1, err := e.Run(rel.Query{Root: rel.GroupAgg{
-		In:   base(),
-		Aggs: []rel.AggSpec{{Func: rel.Sum, E: value, As: "total"}},
-	}})
-	if err != nil {
-		return nil, nil, err
-	}
-	threshold := total.Rows[0]["total"] * 0.0001
-
-	res, st2, err := e.Run(rel.Query{
-		Root: rel.GroupAgg{
-			In:   base(),
-			Keys: []string{"ps_partkey"},
-			Aggs: []rel.AggSpec{{Func: rel.Sum, E: value, As: "value"}},
+	total := rel.Agg{G: rel.GroupAgg{In: base, Aggs: []rel.AggSpec{{Func: rel.Sum, E: value, As: "total"}}}}
+	return e.Run(rel.Query{
+		Root: rel.Filter{
+			In: rel.GroupAgg{
+				In:   base,
+				Keys: []string{"ps_partkey"},
+				Aggs: []rel.AggSpec{{Func: rel.Sum, E: value, As: "value"}},
+			},
+			Pred: rel.B(rel.Gt, rel.C("value"), rel.B(rel.Mul, total, rel.F(0.0001))),
 		},
-		Having:  func(r rel.Row) bool { return r["value"] > threshold },
 		OrderBy: func(a, b rel.Row) bool { return a["value"] > b["value"] },
 	})
-	return res, mergeStats(st1, st2), err
 }
 
 // Q12: shipping modes and order priority.
@@ -653,40 +640,26 @@ func Q14(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 	return res, st, nil
 }
 
-// Q15: top supplier (revenue view, then the max).
+// Q15: top supplier: the revenue view, filtered to the suppliers whose
+// revenue equals its maximum.
 func Q15(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 	lo := Date("1996-01-01")
 	hi := DateAdd(lo, 0, 3, 0)
-	res, st, err := e.Run(rel.Query{
-		Root: rel.GroupAgg{
-			In: rel.Filter{
-				In: rel.Scan{Table: "lineitem", Cols: []string{
-					"l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"}},
-				Pred: rel.B(rel.And,
-					rel.B(rel.Ge, rel.C("l_shipdate"), rel.I(lo)),
-					rel.B(rel.Lt, rel.C("l_shipdate"), rel.I(hi))),
-			},
-			Keys: []string{"l_suppkey"},
-			Aggs: []rel.AggSpec{{Func: rel.Sum, E: revenue(), As: "total_revenue"}},
+	view := rel.GroupAgg{
+		In: rel.Filter{
+			In: rel.Scan{Table: "lineitem", Cols: []string{
+				"l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"}},
+			Pred: rel.B(rel.And,
+				rel.B(rel.Ge, rel.C("l_shipdate"), rel.I(lo)),
+				rel.B(rel.Lt, rel.C("l_shipdate"), rel.I(hi))),
 		},
-	})
-	if err != nil {
-		return nil, nil, err
+		Keys: []string{"l_suppkey"},
+		Aggs: []rel.AggSpec{{Func: rel.Sum, E: revenue(), As: "total_revenue"}},
 	}
-	maxRev := 0.0
-	for _, r := range res.Rows {
-		if r["total_revenue"] > maxRev {
-			maxRev = r["total_revenue"]
-		}
-	}
-	kept := res.Rows[:0]
-	for _, r := range res.Rows {
-		if r["total_revenue"] >= maxRev-1e-9 {
-			kept = append(kept, r)
-		}
-	}
-	res.Rows = kept
-	return res, st, nil
+	top := rel.Agg{G: rel.GroupAgg{In: view,
+		Aggs: []rel.AggSpec{{Func: rel.Max, E: rel.C("total_revenue"), As: "max_revenue"}}}}
+	return e.Run(rel.Query{Root: rel.Filter{In: view,
+		Pred: rel.B(rel.Eq, rel.C("total_revenue"), top)}})
 }
 
 // Q19: discounted revenue (disjunction of brand/container/quantity terms).
@@ -740,15 +713,15 @@ func Q19(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 	return e.Run(q)
 }
 
-// Q20: potential part promotion (three phases).
+// Q20: potential part promotion: forest parts' suppliers whose stock
+// exceeds half the quantity shipped, joined against the shipped quantity
+// per (part, supplier) combo as an aggregate.
 func Q20(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 	lo := Date("1994-01-01")
 	hi := DateAdd(lo, 1, 0, 0)
 	nSupp := e.Catalog().Table("supplier").N
 	nPart := e.Catalog().Table("part").N
-
-	// Phase 1: quantity shipped per (part, supplier) combo.
-	qty, st1, err := e.Run(rel.Query{Root: rel.GroupAgg{
+	shipped := rel.GroupAgg{
 		In: rel.Map{
 			In: rel.Filter{
 				In: rel.Scan{Table: "lineitem", Cols: []string{
@@ -762,30 +735,9 @@ func Q20(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 		Keys:    []string{"combo"},
 		Domains: []rel.Domain{{Min: 0, Max: int64(nPart*SuppliersPerPart) - 1}},
 		Aggs:    []rel.AggSpec{{Func: rel.Sum, E: rel.C("l_quantity"), As: "qty"}},
-	}})
-	if err != nil {
-		return nil, nil, err
 	}
-
-	// Register the phase-1 result as a temporary table, unless the catalog
-	// holds this very result already (a repeat on unchanged data): adding a
-	// table drops every plan the catalog memoizes.
-	combos := make([]int64, len(qty.Rows))
-	qtys := make([]float64, len(qty.Rows))
-	for i, r := range qty.Rows {
-		combos[i] = int64(r["combo"])
-		qtys[i] = r["qty"]
-	}
-	if old := e.Catalog().Table("__q20_qty"); old == nil || !sameQty(old, combos, qtys) {
-		tmp := storage.NewTable("__q20_qty")
-		tmp.AddInt("combo", combos)
-		tmp.AddFloat("qty", qtys)
-		e.Catalog().Add(tmp)
-	}
-
-	// Phase 2: forest parts, availability above half the shipped volume.
 	fLo, fHi := prefixRange(e, "part", "p_name", "forest")
-	res, st2, err := e.Run(rel.Query{
+	return e.Run(rel.Query{
 		Root: rel.GroupAgg{
 			In: rel.Filter{
 				In: rel.IndexJoin{
@@ -802,7 +754,7 @@ func Q20(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 						Semi:     true,
 					},
 					ProbeKey: "ps_comboid",
-					Build:    rel.Scan{Table: "__q20_qty", Cols: []string{"combo", "qty"}},
+					Build:    shipped,
 					BuildKey: "combo",
 					Cols:     []string{"qty"},
 				},
@@ -814,33 +766,4 @@ func Q20(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 		},
 		OrderBy: func(a, b rel.Row) bool { return a["ps_suppkey"] < b["ps_suppkey"] },
 	})
-	return res, mergeStats(st1, st2), err
-}
-
-// sameQty reports whether t holds exactly the given combo and qty columns,
-// floats compared bit for bit.
-func sameQty(t *storage.Table, combos []int64, qtys []float64) bool {
-	c, q := t.Col("combo"), t.Col("qty")
-	if t.N != len(combos) || c == nil || q == nil || !slices.Equal(c.Ints(), combos) {
-		return false
-	}
-	for i, v := range q.Floats() {
-		if math.Float64bits(v) != math.Float64bits(qtys[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func mergeStats(a, b *exec.Stats) *exec.Stats {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	out := &exec.Stats{}
-	out.Frags = append(out.Frags, a.Frags...)
-	out.Frags = append(out.Frags, b.Frags...)
-	return out
 }
