@@ -323,10 +323,13 @@ func (ex *executor) compileExpr(in *relation, e rel.Expr) func([]float64) float6
 				return a * b
 			case rel.Div:
 				if b == 0 {
-					return 0
+					errf("division by zero")
 				}
 				return a / b
 			case rel.Mod:
+				if int64(b) == 0 {
+					errf("modulo by zero")
+				}
 				m := int64(a) % int64(b)
 				if m < 0 {
 					m += int64(b)

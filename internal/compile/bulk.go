@@ -14,18 +14,11 @@ import (
 	"voodoo/internal/verify"
 )
 
-// eOpaque is a schema placeholder for attributes of special (pending)
-// descriptors; it can never be emitted — plainify resolves the special form
-// before any emission.
-type eOpaque struct{ k vector.Kind }
-
-func (e *eOpaque) kind() vector.Kind { return e.k }
-
 // emittable reports whether an expression tree contains only nodes the
 // fragment emitter can lower.
 func emittable(e expr) bool {
 	switch x := e.(type) {
-	case *ePartRef, *eOpaque, *ePos:
+	case *ePartRef, *ePos:
 		return false
 	case *eBin:
 		return emittable(x.a) && emittable(x.b)
@@ -244,7 +237,7 @@ func (c *compiler) emitReady(d *desc) *desc {
 		return d
 	}
 	out := &desc{n: d.n, layout: d.layout, logicalN: d.logicalN,
-		runLen: d.runLen, countsBuf: d.countsBuf}
+		runLen: d.runLen, grp: d.grp}
 	for _, a := range d.attrs {
 		na := attr{name: a.name, ex: c.substSpecial(a.ex), validEx: a.validEx}
 		if na.validEx != nil {
@@ -262,7 +255,7 @@ func (c *compiler) substSpecial(e expr) expr {
 	case *ePartRef:
 		buf := c.spillPartition(x.info)
 		return &eLoad{buf: buf, k: vector.Int, idx: theIdx}
-	case *eOpaque, *ePos:
+	case *ePos:
 		cerrf("internal: unexpected %T outside its pipeline", e)
 	case *eBin:
 		return &eBin{op: x.op, a: c.substSpecial(x.a), b: c.substSpecial(x.b)}
@@ -287,17 +280,23 @@ func (c *compiler) bufferize(d *desc) *desc {
 
 func (c *compiler) bufferizeWithCtrl(d *desc, ctrl foldCtrl) *desc {
 	d = c.emitReady(d)
+	// A load at the index, or of a one-slot buffer at its slot, reads the
+	// buffer as it is.
+	at := func(idx expr) bool {
+		k, ok := idx.(*eConst)
+		return idx == expr(theIdx) || (ok && d.n == 1 && !k.isF && k.i == 0)
+	}
 	direct := true
 	for _, a := range d.attrs {
 		ld, ok := a.ex.(*eLoad)
-		if !ok || ld.idx != expr(theIdx) || c.kern.Bufs[ld.buf].Size != d.n {
+		if !ok || !at(ld.idx) || c.kern.Bufs[ld.buf].Size != d.n {
 			direct = false
 			break
 		}
 		if a.validEx != nil {
 			lv, ok := a.validEx.(*eLoadValid)
 			same, shared := c.sameMask[ld.buf]
-			if !ok || (lv.buf != ld.buf && !(shared && same == lv.buf)) || lv.idx != expr(theIdx) {
+			if !ok || (lv.buf != ld.buf && !(shared && same == lv.buf)) || !at(lv.idx) {
 				direct = false
 				break
 			}
@@ -319,7 +318,7 @@ func (c *compiler) bufferizeWithCtrl(d *desc, ctrl foldCtrl) *desc {
 	var body []kernel.Instr
 	em := newEmitter(&body)
 	out := &desc{n: d.n, layout: d.layout, logicalN: d.logicalN,
-		runLen: d.runLen, countsBuf: d.countsBuf}
+		runLen: d.runLen, grp: d.grp}
 	for _, a := range d.attrs {
 		hasValid := a.validEx != nil
 		buf := c.addBuf("mat."+a.name, a.kind(), d.n, hasValid, false)
@@ -607,7 +606,35 @@ func (c *compiler) realScatter(s *core.Stmt) *desc {
 		cerrf("Scatter: position keypath %q does not name a single attribute", s.Kp[2])
 	}
 	n2 := c.desc(s.Args[1]).logical()
+	if ld, ok := pos.ex.(*eLoad); ok && src.layout == layoutGroupCompact &&
+		ld.buf == src.grp.gid && ld.idx == expr(theIdx) && n2 <= src.n {
+		return groupView(src, pos, n2)
+	}
 	return c.scatterFragment(src, pos, n2, c.opt.ScatterParallel)
+}
+
+// groupView is a Scatter of one grouped fold's results by the fold's own
+// group id to its first n2 slots: the group id at compact slot p is p, so
+// the scatter writes slot p from slot p where the group id is valid, and
+// writes no other slot. It moves nothing: every attribute is read at its
+// own slot, ε where the group id is, and a divisor that may be zero reads
+// 1 where the value is ε, as scatterFragment guards it.
+func groupView(src *desc, pos attr, n2 int) *desc {
+	out := &desc{n: n2}
+	valid := map[expr]expr{} // an attribute's validity → its validity in the view
+	for _, a := range src.attrs {
+		v, ok := valid[a.validEx]
+		if !ok {
+			v = andValid(pos.validEx, a.validEx)
+			valid[a.validEx] = v
+		}
+		ex := a.ex
+		if mayFault(ex) {
+			ex = guardDivisors(ex, v, map[expr]expr{})
+		}
+		out.attrs = append(out.attrs, attr{name: a.name, ex: ex, validEx: v})
+	}
+	return out
 }
 
 // scatterFragment emits the scatter loop. Parallel execution is only

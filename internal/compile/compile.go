@@ -54,32 +54,42 @@ func Compile(p *core.Program, st Storage, opt Options) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	c := &compiler{
-		prog: p, st: st, opt: opt,
-		kern:      &kernel.Kernel{},
-		descs:     make([]*desc, len(p.Stmts)),
-		plan:      &Plan{prog: p, st: st, opt: opt},
-		foldCache: map[core.Ref]*desc{},
-		sameMask:  map[int]int{},
-	}
-	c.plan.kern = c.kern
-	if verify.Enabled() {
-		c.model, c.modelDiags = verify.Derive(p, st)
-		if verify.HasErrors(c.modelDiags) {
-			verify.FailuresTotal.Inc()
-			return nil, fmt.Errorf("compile: program failed verification: %s", firstError(c.modelDiags))
+	// A grouped fold counts its partitions only for a plan that expands one
+	// of its results, which only a later statement shows: such a plan
+	// compiles again, the fold counted.
+	counted := map[int]bool{}
+	for {
+		c := &compiler{
+			prog: p, st: st, opt: opt,
+			kern:      &kernel.Kernel{},
+			descs:     make([]*desc, len(p.Stmts)),
+			plan:      &Plan{prog: p, st: st, opt: opt},
+			foldCache: map[core.Ref]*desc{},
+			sameMask:  map[int]int{},
+			counted:   counted,
 		}
-	}
-	if err := c.run(); err != nil {
-		return nil, err
-	}
-	if verify.Enabled() {
-		if diags := c.plan.Verify(); verify.HasErrors(diags) {
-			verify.FailuresTotal.Inc()
-			return nil, fmt.Errorf("compile: plan failed verification: %s", firstError(diags))
+		c.plan.kern = c.kern
+		if verify.Enabled() {
+			c.model, c.modelDiags = verify.Derive(p, st)
+			if verify.HasErrors(c.modelDiags) {
+				verify.FailuresTotal.Inc()
+				return nil, fmt.Errorf("compile: program failed verification: %s", firstError(c.modelDiags))
+			}
 		}
+		if err := c.run(); err != nil {
+			return nil, err
+		}
+		if c.recount {
+			continue
+		}
+		if verify.Enabled() {
+			if diags := c.plan.Verify(); verify.HasErrors(diags) {
+				verify.FailuresTotal.Inc()
+				return nil, fmt.Errorf("compile: plan failed verification: %s", firstError(diags))
+			}
+		}
+		return c.plan, nil
 	}
-	return c.plan, nil
 }
 
 // firstError returns the first Error-level diagnostic.
@@ -111,6 +121,11 @@ type compiler struct {
 	// its own — columns a filter wrote through one selection — so an
 	// attribute may test the other's (spillFilt).
 	sameMask map[int]int
+	// counted names the virtual Scatters whose grouped folds count their
+	// partitions (groupedFold); recount, that a converter found one that
+	// does not, and the plan compiles again.
+	counted map[int]bool
+	recount bool
 	// model is the verifier's static model of every statement, from which
 	// bulk steps declare their output buffers; derived by Compile when
 	// verification is on, else on the first bulk step (nil until then).
@@ -277,7 +292,7 @@ func (c *compiler) compileZip(s *core.Stmt) *desc {
 func (c *compiler) compileProject(s *core.Stmt) *desc {
 	d := c.plainify(c.desc(s.Args[0]))
 	out := &desc{n: d.n, layout: d.layout, logicalN: d.logicalN,
-		runLen: d.runLen, countsBuf: d.countsBuf}
+		runLen: d.runLen, grp: d.grp}
 	out.attrs = c.attrsAt(d, s.Kp[0], s.Out[0], s.Op)
 	return out
 }
@@ -289,11 +304,12 @@ func (c *compiler) compileUpsert(s *core.Stmt) *desc {
 	if !ok {
 		cerrf("Upsert: keypath %q does not name a single attribute", s.Kp[1])
 	}
-	if !isScalar(d2) && (d1.layout != d2.layout || d1.n != d2.n) {
+	if !isScalar(d2) && (d1.layout != d2.layout || d1.n != d2.n ||
+		(d1.layout == layoutGroupCompact && !sameGroups(d1, d2))) {
 		return c.bulk(s)
 	}
 	out := &desc{n: d1.n, layout: d1.layout, logicalN: d1.logicalN,
-		runLen: d1.runLen, countsBuf: d1.countsBuf}
+		runLen: d1.runLen, grp: d1.grp}
 	replaced := false
 	for _, old := range d1.attrs {
 		if old.name == s.Out[0] {
@@ -328,20 +344,20 @@ func (c *compiler) compileArith(s *core.Stmt) *desc {
 	case s1 && s2:
 		n = 1
 	case s1:
-		n, out.layout, out.logicalN, out.runLen, out.countsBuf = d2.n, d2.layout, d2.logicalN, d2.runLen, d2.countsBuf
+		n, out.layout, out.logicalN, out.runLen, out.grp = d2.n, d2.layout, d2.logicalN, d2.runLen, d2.grp
 	case s2:
-		n, out.layout, out.logicalN, out.runLen, out.countsBuf = d1.n, d1.layout, d1.logicalN, d1.runLen, d1.countsBuf
+		n, out.layout, out.logicalN, out.runLen, out.grp = d1.n, d1.layout, d1.logicalN, d1.runLen, d1.grp
 	case d1.layout == layoutDense && d2.layout == layoutDense:
 		n = min(d1.n, d2.n)
 	case d1.layout == layoutFoldCompact && d2.layout == layoutFoldCompact &&
 		d1.runLen == d2.runLen && d1.logicalN == d2.logicalN:
 		// Two compatible suppressed fold results (e.g. sum/count for an
 		// average) combine slot-wise in the compact space.
-		n, out.layout, out.logicalN, out.runLen, out.countsBuf = min(d1.n, d2.n),
-			layoutFoldCompact, d1.logicalN, d1.runLen, -1
+		n, out.layout, out.logicalN, out.runLen = min(d1.n, d2.n),
+			layoutFoldCompact, d1.logicalN, d1.runLen
 	case sameGroups(d1, d2):
 		// So do two results of one grouped fold.
-		n, out.layout, out.logicalN, out.countsBuf = d1.n, layoutGroupCompact, d1.logicalN, d1.countsBuf
+		n, out.layout, out.logicalN, out.grp = d1.n, layoutGroupCompact, d1.logicalN, d1.grp
 	default:
 		return c.bulk(s)
 	}
@@ -361,7 +377,7 @@ func (c *compiler) compileArith(s *core.Stmt) *desc {
 // whose compact slots are the same groups.
 func sameGroups(a, b *desc) bool {
 	return a.layout == layoutGroupCompact && b.layout == layoutGroupCompact &&
-		a.countsBuf >= 0 && a.countsBuf == b.countsBuf && a.n == b.n && a.logicalN == b.logicalN
+		a.grp == b.grp && a.n == b.n && a.logicalN == b.logicalN
 }
 
 func andValid(a, b expr) expr {
@@ -437,15 +453,31 @@ func (c *compiler) compileGather(s *core.Stmt) *desc {
 	}
 
 	// A slot of a suppressed fold result at a constant position (a global
-	// aggregate's one row) is read from its run's compact slot, unexpanded.
+	// aggregate's one row) is read from its run's compact slot, unexpanded;
+	// slot 0 of a one-run fold is its one slot, where a divisor that may be
+	// zero reads 1 if the value is ε, as the interpreter divides no ε. Past
+	// the padded end (a fold of no rows) every attribute is ε.
 	if src := c.plainify(src); src.layout == layoutFoldCompact && isScalar(posD) && len(posD.attrs) == 1 {
 		a := posD.attrs[0]
-		if k, ok := a.ex.(*eConst); ok && a.validEx == nil && !k.isF && k.i >= 0 && k.i < int64(src.logicalN) {
+		if k, ok := a.ex.(*eConst); ok && a.validEx == nil && !k.isF && k.i >= 0 {
 			memo := map[expr]expr{}
 			out := &desc{n: 1}
-			for _, a := range c.densify(src).attrs {
+			if k.i < int64(src.logicalN) && (src.n > 1 || k.i > 0) {
+				src = c.densify(src)
+			}
+			for _, a := range src.attrs {
+				ex, valid := a.ex, a.validEx
+				switch {
+				case k.i >= int64(src.logicalN):
+					ex, valid = constI(0), constI(0)
+					if a.kind() == vector.Float {
+						ex = constF(0)
+					}
+				case valid != nil && mayFault(ex):
+					ex = guardDivisors(ex, valid, map[expr]expr{})
+				}
 				out.attrs = append(out.attrs, attr{name: a.name,
-					ex: subIdx(a.ex, theIdx, k, memo), validEx: subIdx(a.validEx, theIdx, k, memo)})
+					ex: subIdx(ex, theIdx, k, memo), validEx: subIdx(valid, theIdx, k, memo)})
 			}
 			return out
 		}

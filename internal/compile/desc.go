@@ -15,10 +15,6 @@ const (
 	// slot per run; run r sits at logical position r*runLen (paper
 	// §3.1.2). logicalN and runLen describe the padded form.
 	layoutFoldCompact
-	// layoutSelectPadded: a materialized fold-select — positions written
-	// from each run's start, with a counts buffer recording how many
-	// each run produced. Slots beyond the count are ε.
-	layoutSelectPadded
 	// layoutGroupCompact: a grouped (data-controlled) fold output — one
 	// slot per partition; the padded position of partition p is the
 	// prefix sum of the partition counts.
@@ -46,12 +42,12 @@ type desc struct {
 
 	layout   layoutKind
 	logicalN int // padded length (layouts other than dense)
-	runLen   int // layoutFoldCompact / layoutSelectPadded
+	runLen   int // layoutFoldCompact
 	lanes    int // layoutScattered: partition count k
-	// countsBuf holds per-run (or per-partition) element counts for
-	// select and grouped layouts; -1 when absent.
-	countsBuf int
-	partAttr  string // layoutScattered: name of the partition attribute
+	// grp names the grouped fold whose results a layoutGroupCompact
+	// value holds.
+	grp      *group
+	partAttr string // layoutScattered: name of the partition attribute
 
 	// sel carries an unmaterialized FoldSelect; filt an unmaterialized
 	// gather through one. part carries Partition provenance for virtual
@@ -135,6 +131,19 @@ func (d *desc) plain() bool {
 		d.layout != layoutScattered
 }
 
+// group is one grouped fold (groupedFold): its results share their compact
+// slots, slot p holding the rows whose partition id is p.
+type group struct {
+	// counts holds the partitions' row counts, which place slot p in the
+	// padded layout; -1 when the plan expands no value of the group, and
+	// the fold neither counts nor stores them.
+	counts int
+	// gid holds the fold's maximum of the partition id itself, the group
+	// id, p at slot p where valid; -1 when it folds none.
+	gid  int
+	stmt int // the virtual Scatter's SSA id, which recompiling counted names
+}
+
 // selInfo is an unmaterialized FoldSelect: a predicate over the source
 // index space plus the run structure of its control vector.
 type selInfo struct {
@@ -184,8 +193,6 @@ var thePos = &ePos{}
 type foldCtrl struct {
 	global  bool // one run covering the whole vector (fully sequential)
 	runLen  int  // blocked runs of this length
-	strided bool // runs map to lanes: element (iv, lane) at iv*lanes+lane
-	lanes   int
 	unknown bool // run structure not statically derivable: fall back to bulk
 }
 
@@ -193,9 +200,6 @@ type foldCtrl struct {
 func (c foldCtrl) numRuns(n int) int {
 	if c.global {
 		return 1
-	}
-	if c.strided {
-		return c.lanes
 	}
 	if c.runLen <= 0 {
 		return n

@@ -366,7 +366,7 @@ func (em *emitter) emitNew(e expr) kernel.Reg {
 		// thePos must have been bound in the memo by the fold emitter;
 		// reaching here means a pipeline leaf escaped its pipeline.
 		cerrf("internal: unbound selected-position leaf")
-	case *ePartRef, *eOpaque:
+	case *ePartRef:
 		cerrf("internal: %T must be resolved before emission", e)
 	case *eConst:
 		r := em.alloc()

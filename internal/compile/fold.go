@@ -145,7 +145,7 @@ func (c *compiler) compileFold(s *core.Stmt) *desc {
 		accs := c.multiFold("fold", kernel.Prov{Kind: "fold", Stmts: specStmts(specs),
 			Suppressed: numRuns < d.n}, specs, numRuns, ctrl.runLen, d.n, false)
 		c.cacheFoldResults(accs, desc{n: numRuns, layout: layoutFoldCompact,
-			logicalN: d.logical(), runLen: stride, countsBuf: -1})
+			logicalN: d.logical(), runLen: stride})
 		return c.foldCache[s.ID]
 	}
 }
@@ -369,7 +369,7 @@ func (c *compiler) plainScan(s *core.Stmt, d *desc, ctrl foldCtrl) *desc {
 	f.Loops = []kernel.Loop{{Body: body}}
 	c.addFrag(f)
 
-	out := &desc{n: d.n, layout: d.layout, logicalN: d.logicalN, runLen: d.runLen, countsBuf: -1}
+	out := &desc{n: d.n, layout: d.layout, logicalN: d.logicalN, runLen: d.runLen}
 	a := attr{name: s.Out[0], ex: &eLoad{buf: outBuf, k: kind, idx: theIdx}}
 	if val.validEx != nil {
 		a.validEx = &eLoadValid{buf: outBuf, idx: theIdx}
@@ -391,7 +391,7 @@ func (c *compiler) scatteredFold(s *core.Stmt, d *desc) *desc {
 	accs := c.multiFold("fold", kernel.Prov{Kind: "fold", Stmts: specStmts(specs),
 		Suppressed: d.lanes < d.logicalN, Virtual: true}, specs, d.lanes, d.runLen, d.logicalN, true)
 	c.cacheFoldResults(accs, desc{n: d.lanes, layout: layoutFoldCompact,
-		logicalN: d.logicalN, runLen: d.runLen, countsBuf: -1})
+		logicalN: d.logicalN, runLen: d.runLen})
 	return c.foldCache[s.ID]
 }
 
@@ -513,7 +513,7 @@ func (c *compiler) fusedFilterFold(s *core.Stmt, d *desc) *desc {
 			Suppressed: true}, rspecs, 1, numRuns, numRuns, false)
 	}
 	c.cacheFoldResults(accs, desc{n: 1, layout: layoutFoldCompact,
-		logicalN: srcN, runLen: srcN, countsBuf: -1})
+		logicalN: srcN, runLen: srcN})
 	return c.foldCache[s.ID]
 }
 
@@ -556,12 +556,14 @@ func (c *compiler) groupedFold(s *core.Stmt, d *desc) *desc {
 		P = 1
 	}
 	// Per work item: k sums for each aggregate; k counts for each distinct
-	// input validity (aggregates whose inputs are ε alike count alike); then
-	// k raw occupancy slots counting every scattered row (including ε rows,
-	// which the interpreter places in the zero-valued partition) so the
-	// padded layout expands exactly as the interpreter's. The accumulators
-	// see only rows whose group id is valid (the guard below), so an input
-	// valid exactly where the group id is counts as having no ε.
+	// input validity (aggregates whose inputs are ε alike count alike); then,
+	// when the plan expands a result of the fold to the padded layout, k raw
+	// occupancy slots counting every scattered row (including ε rows, which
+	// the interpreter places in the zero-valued partition) so it expands
+	// exactly as the interpreter's. The accumulators see only rows whose
+	// group id is valid (the guard below), so an input valid exactly where
+	// the group id is counts as having no ε.
+	occupied, gidAt := c.counted[gp.stmt], -1
 	valid := make([]expr, nA)
 	cntOf := map[expr]int{} // input validity (nil: none) → its block of counts
 	for ai, sp := range specs {
@@ -573,7 +575,10 @@ func (c *compiler) groupedFold(s *core.Stmt, d *desc) *desc {
 		}
 	}
 	occOff := k * (nA + len(cntOf))
-	width := occOff + k
+	width := occOff
+	if occupied {
+		width += k
+	}
 	partials := c.addBuf("gpart", lkind, P*width, false, false)
 	f := &kernel.Fragment{
 		Name:   fmt.Sprintf("gfold_%d", s.ID),
@@ -608,12 +613,14 @@ func (c *compiler) groupedFold(s *core.Stmt, d *desc) *desc {
 	}
 	// Raw occupancy first (before any guard): ε rows read group zero, as
 	// the interpreter's Partition does.
-	g0ex := gp.part.valEx
-	if ctrlAttr.validEx != nil {
-		g0ex = &eSel{c: ctrlAttr.validEx, a: gp.part.valEx, b: constI(0)}
+	if occupied {
+		g0ex := gp.part.valEx
+		if ctrlAttr.validEx != nil {
+			g0ex = &eSel{c: ctrlAttr.validEx, a: gp.part.valEx, b: constI(0)}
+		}
+		occIdx := slotOf(g0ex, occOff)
+		store(occIdx, update(kernel.BAdd, load(occIdx), em.emit(one)))
 	}
-	occIdx := slotOf(g0ex, occOff)
-	store(occIdx, update(kernel.BAdd, load(occIdx), em.emit(one)))
 	// Rows whose group id is ε (padding from an upstream selection, or a
 	// missed join) belong to no group: skip them before touching the
 	// aggregate accumulators.
@@ -650,8 +657,12 @@ func (c *compiler) groupedFold(s *core.Stmt, d *desc) *desc {
 		merged := update(foldOpBin(sp.op), load(slot), v)
 		// A min or max takes the first value a slot sees rather than fold
 		// it into the slot's initial 0 — except a max of the partition id
-		// itself: ids lie in [0, k), so max(0, id) is the id.
-		if sp.op != core.OpFoldSum && !(sp.op == core.OpFoldMax && sp.val.ex == gp.part.valEx) {
+		// itself, the group id: ids lie in [0, k), so max(0, id) is the id.
+		gid := sp.op == core.OpFoldMax && sp.val.ex == gp.part.valEx
+		if gid && sp.kind == vector.Int {
+			gidAt = ai
+		}
+		if sp.op != core.OpFoldSum && !gid {
 			cntI := cnt
 			if anyFloat {
 				cntI = em.alloc()
@@ -699,11 +710,19 @@ func (c *compiler) groupedFold(s *core.Stmt, d *desc) *desc {
 		rspecs = append(rspecs, foldSpec{stmt: sp.stmt, op: sp.op, kind: sp.kind,
 			val: attr{ex: partial(k * ai), validEx: count[cntOf[valid[ai]]]}})
 	}
-	rspecs = append(rspecs, foldSpec{op: core.OpFoldSum, kind: vector.Int,
-		val: attr{ex: partial(occOff)}})
+	if occupied {
+		rspecs = append(rspecs, foldSpec{op: core.OpFoldSum, kind: vector.Int,
+			val: attr{ex: partial(occOff)}})
+	}
 	accs := c.multiFold("greduce", kernel.Prov{Kind: "group-reduce", Stmts: specStmts(specs),
 		Virtual: true}, rspecs, k, P, 0, false)
-	c.cacheFoldResults(accs, desc{n: k, layout: layoutGroupCompact,
-		logicalN: gp.n, countsBuf: accs[nA].out})
+	grp := &group{counts: -1, gid: -1, stmt: gp.stmt}
+	if occupied {
+		grp.counts = accs[nA].out
+	}
+	if gidAt >= 0 {
+		grp.gid = accs[gidAt].out
+	}
+	c.cacheFoldResults(accs, desc{n: k, layout: layoutGroupCompact, logicalN: gp.n, grp: grp})
 	return c.foldCache[s.ID]
 }

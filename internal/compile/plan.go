@@ -447,14 +447,20 @@ func (c *compiler) converter(d *desc) converter {
 		ld := a.ex.(*eLoad)
 		slots = append(slots, slot{name: a.name, buf: ld.buf, valid: a.validEx != nil})
 	}
-	layout, logicalN, stride, countsBuf := d.layout, d.logicalN, d.runLen, d.countsBuf
+	layout, logicalN, stride := d.layout, d.logicalN, d.runLen
 	n := d.n
+	countsBuf := -1
+	if layout == layoutGroupCompact {
+		if countsBuf = d.grp.counts; countsBuf < 0 {
+			c.counted[d.grp.stmt], c.recount = true, true
+		}
+	}
 
 	var bufs []int
 	for _, s := range slots {
 		bufs = append(bufs, s.buf)
 	}
-	if layout == layoutGroupCompact && countsBuf >= 0 {
+	if countsBuf >= 0 {
 		bufs = append(bufs, countsBuf)
 	}
 
@@ -466,9 +472,14 @@ func (c *compiler) converter(d *desc) converter {
 				out.Set(s.name, rt.env.Bufs[s.buf].Column())
 			}
 			return out, nil
-		case layoutFoldCompact:
-			// Expand the suppressed layout: run r sits at padded
-			// position r*stride (paper §3.1.2 in reverse).
+		case layoutFoldCompact, layoutGroupCompact:
+			// Expand the suppressed layout (paper §3.1.2 in reverse): run r
+			// sits at padded position r*stride, partition p at the prefix
+			// sum of the partition counts.
+			var counts []int64
+			if countsBuf >= 0 {
+				counts = rt.env.Bufs[countsBuf].I
+			}
 			out := vector.New(logicalN)
 			for _, s := range slots {
 				compact := rt.env.Bufs[s.buf]
@@ -478,46 +489,21 @@ func (c *compiler) converter(d *desc) converter {
 				} else {
 					col = rt.arena.EmptyFloat(logicalN)
 				}
-				for r := 0; r < compact.Len(); r++ {
-					pos := r * stride
-					if pos >= logicalN {
-						break
+				for r, pos := 0, 0; r < compact.Len() && pos < logicalN; r++ {
+					at := pos
+					if counts == nil {
+						pos += stride
+					} else if pos += int(counts[r]); counts[r] == 0 {
+						continue
 					}
 					if compact.Valid != nil && !compact.Valid[r] {
 						continue
 					}
 					if compact.Kind == vector.Int {
-						col.SetInt(pos, compact.I[r])
+						col.SetInt(at, compact.I[r])
 					} else {
-						col.SetFloat(pos, compact.F[r])
+						col.SetFloat(at, compact.F[r])
 					}
-				}
-				out.Set(s.name, col)
-			}
-			return out, nil
-		case layoutGroupCompact:
-			// Partition p sits at the prefix sum of the counts.
-			counts := rt.env.Bufs[countsBuf].I
-			out := vector.New(logicalN)
-			for _, s := range slots {
-				compact := rt.env.Bufs[s.buf]
-				var col *vector.Column
-				if compact.Kind == vector.Int {
-					col = rt.arena.EmptyInt(logicalN)
-				} else {
-					col = rt.arena.EmptyFloat(logicalN)
-				}
-				pos := 0
-				for p := 0; p < compact.Len(); p++ {
-					if counts[p] > 0 && pos < logicalN &&
-						(compact.Valid == nil || compact.Valid[p]) {
-						if compact.Kind == vector.Int {
-							col.SetInt(pos, compact.I[p])
-						} else {
-							col.SetFloat(pos, compact.F[p])
-						}
-					}
-					pos += int(counts[p])
 				}
 				out.Set(s.name, col)
 			}

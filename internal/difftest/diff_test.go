@@ -254,6 +254,47 @@ var pinned = []pinnedProgram{
 			Aggs: []rel.AggSpec{{Func: rel.Count, As: "parts"}, {Func: rel.Sum, E: rel.C("qty"), As: "qty"}},
 		}})
 	}},
+	// A grouped fold's values scattered by the fold's own group id, the
+	// compiler's view of the compact slots: groups 2 and 5 are empty, and
+	// the ids are ε on every ninth row.
+	{name: "grouped-by-own-id", build: func(*testing.T) *Program { return groupedByOwnID() }},
+}
+
+// groupedByOwnID is t(g, v, m) over 200 rows, g cycling 0, 1, 3, 4, v ε every fifth
+// row and m every ninth, grouped as rel lowers an aggregate over a filtered
+// join: the group id g + m×0 and the input v + m×0, ε where m is,
+// partitioned over the pivots 0..5, with a COUNT, a SUM of v, their
+// quotient and a constant scattered by the group id (the max of the id per
+// group) to the six slots 0..5.
+func groupedByOwnID() *Program {
+	const n, k = 200, 6
+	g, v, m := make([]int64, n), make([]int64, n), make([]int64, n)
+	for i := range n {
+		g[i], v[i], m[i] = []int64{0, 1, 3, 4}[i%4], int64(i*37%101)-20, 1
+	}
+	vc, mc := vector.NewInt(v), vector.NewInt(m)
+	for i := 0; i < n; i += 5 {
+		vc.SetEmpty(i)
+	}
+	for i := 0; i < n; i += 9 {
+		mc.SetEmpty(i)
+	}
+	b := core.NewBuilder()
+	in := b.Load("t")
+	dead := b.Arith(core.OpMultiply, "z", in, "m", b.Constant(0), "")
+	row := b.Upsert(in, "gid", b.Add(b.Project("g", in, "g"), dead), "")
+	row = b.Upsert(row, "v", b.Add(b.Project("v", in, "v"), dead), "")
+	row = b.Upsert(row, "one", b.Equals(b.Arith(core.OpGreater, "x", row, "gid", row, "gid"), b.Constant(0)), "")
+	pos := b.Partition("pos", row, "gid", b.RangeN(0, k, 1), "")
+	scattered := b.Scatter(row, row, "", b.Upsert(row, "pos", pos, "pos"), "pos")
+	cnt, sum := b.FoldSum(scattered, "gid", "one"), b.FoldSum(scattered, "gid", "v")
+	groups := b.FoldMax(scattered, "gid", "gid")
+	out := b.Upsert(b.Project("n", cnt, ""), "s", sum, "")
+	out = b.Upsert(out, "avg", b.Divide(b.Multiply(sum, b.ConstantF(1)), cnt), "")
+	out = b.Upsert(out, "c", b.Constant(7), "") // valid in every slot, also an empty group's
+	b.Scatter(out, b.RangeN(0, k, 1), "", groups, "")
+	return &Program{Prog: b.Program(), St: interp.MemStorage{"t": vector.New(n).
+		Set("g", vector.NewInt(g)).Set("v", vc).Set("m", mc)}}
 }
 
 // rareParts is the quantity per part of the lineitems of quantity below 3.

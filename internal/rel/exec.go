@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 
 	"voodoo/internal/compile"
@@ -113,9 +114,14 @@ func (e *Engine) Run(q Query) (res *Result, stats *exec.Stats, err error) {
 type Prepared struct {
 	q    Query
 	prog *core.Program
-	outs []aggOut
-	keep core.Ref      // a root Filter's predicate, -1 for none
 	plan *compile.Plan // nil for the interpreted backend
+	// root is the value of the root relation; its columns are cols, keys
+	// first, plus keepCol under a root Filter.
+	root     core.Ref
+	cols     []string
+	keys     int
+	keep     bool
+	decoders map[string]decoder
 }
 
 // Plan returns the compiled plan, nil when the backend interprets.
@@ -130,10 +136,18 @@ func (e *Engine) Prepare(q Query) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(l.outs) == 0 {
+	if len(l.root.cols) == 0 {
 		return nil, fmt.Errorf("rel: query has no aggregate outputs")
 	}
-	pr := &Prepared{q: q, prog: prog, outs: l.outs, keep: l.keep}
+	pr := &Prepared{q: q, prog: prog, root: l.root.ref, cols: l.root.cols, keys: l.keys,
+		keep: l.keep, decoders: map[string]decoder{}}
+	for _, c := range pr.cols[:pr.keys] {
+		if o := l.root.origins[c]; o.table != nil {
+			if d, _ := o.table.Def(o.col); d.Dict != nil {
+				pr.decoders[c] = func(v float64) string { return o.table.Decode(o.col, int64(v)) }
+			}
+		}
+	}
 	if e.Backend != Interpreted {
 		if pr.plan, err = e.Plan(pr.prog); err != nil {
 			return nil, err
@@ -177,8 +191,8 @@ func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, st
 	// release recycles the run's pooled intermediates. It runs after
 	// assemble, which copies every output value into plain Row maps, so
 	// results never alias pooled storage.
-	release := func() {}
-	values := map[core.Ref]*vector.Vector{}
+	var root *vector.Vector
+	var release func()
 	if pr.plan == nil {
 		// A trace is recorded exactly when a sink wants one.
 		ires, ierr := interp.Run(ctx, pr.prog, e.Cat, interp.Opts{Pool: e.Pool, Trace: e.TraceSink != nil})
@@ -197,10 +211,7 @@ func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, st
 			tr.Query = pr.q.Name
 			e.TraceSink(tr)
 		}
-		release = ires.Release
-		for _, ref := range pr.refs() {
-			values[ref] = ires.Value(ref)
-		}
+		root, release = ires.Value(pr.root), ires.Release
 	} else {
 		pres, rerr := pr.plan.RunWith(ctx, e.RunOpts())
 		if rerr != nil {
@@ -214,14 +225,10 @@ func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, st
 			tr.Query = pr.q.Name
 			e.TraceSink(tr)
 		}
-		release = pres.Release
-		for _, ref := range pr.refs() {
-			v, ok := pres.Values[ref]
-			if !ok {
-				pres.Release()
-				return nil, nil, fmt.Errorf("rel: output v%d not produced", ref)
-			}
-			values[ref] = v
+		root, release = pres.Values[pr.root], pres.Release
+		if root == nil {
+			release()
+			return nil, nil, fmt.Errorf("rel: output v%d not produced", pr.root)
 		}
 		if e.CollectStats {
 			stats = &pres.Stats
@@ -229,7 +236,7 @@ func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, st
 	}
 
 	q := pr.q
-	res = assemble(pr.outs, pr.keep, values)
+	res = pr.assemble(root)
 	release()
 	if q.OrderBy != nil {
 		sort.SliceStable(res.Rows, func(i, j int) bool { return q.OrderBy(res.Rows[i], res.Rows[j]) })
@@ -240,94 +247,31 @@ func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, st
 	return res, stats, nil
 }
 
-// refs lists the values assembling the result reads: every output, the
-// counts averages divide by and a root Filter's predicate.
-func (pr *Prepared) refs() []core.Ref {
-	refs := make([]core.Ref, 0, len(pr.outs)+1)
-	if pr.keep >= 0 {
-		refs = append(refs, pr.keep)
+// assemble reads the root relation's rows into a result table: the slots
+// of a grouped relation where its first key is valid (a group with a live
+// row), or a global aggregate's one slot, whose sums over an empty input
+// read as zero; under a root Filter only the rows its predicate holds true
+// at.
+func (pr *Prepared) assemble(v *vector.Vector) *Result {
+	res := &Result{Cols: slices.Clone(pr.cols), decoders: pr.decoders}
+	cols := make([]*vector.Column, len(pr.cols))
+	for j, c := range pr.cols {
+		cols[j] = v.Col(c)
 	}
-	for _, o := range pr.outs {
-		refs = append(refs, o.ref)
-		if o.div >= 0 {
-			refs = append(refs, o.div)
-		}
+	var keep *vector.Column
+	if pr.keep {
+		keep = v.Col(keepCol)
 	}
-	return refs
-}
-
-// assemble turns the padded fold outputs into a result table: valid slots
-// of the outputs are aligned (all folds share the grouping), keys first.
-// With a root Filter, keep holds its predicate at each row's slot, and
-// only the rows it holds true at are kept.
-func assemble(outs []aggOut, keep core.Ref, values map[core.Ref]*vector.Vector) *Result {
-	res := &Result{decoders: map[string]decoder{}}
-	var keyOuts, aggOuts []aggOut
-	for _, o := range outs {
-		if o.isKey {
-			keyOuts = append(keyOuts, o)
-		} else {
-			aggOuts = append(aggOuts, o)
-		}
-	}
-	col := func(ref core.Ref) *vector.Column {
-		if ref < 0 {
-			return nil
-		}
-		return values[ref].SingleCol()
-	}
-	var keys []*vector.Column
-	for _, o := range keyOuts {
-		res.Cols = append(res.Cols, o.name)
-		keys = append(keys, col(o.ref))
-		if o.table != nil {
-			if d, ok := o.table.Def(o.col); ok && d.Dict != nil {
-				tbl, col := o.table, o.col
-				res.decoders[o.name] = func(v float64) string { return tbl.Decode(col, int64(v)) }
-			}
-		}
-	}
-	for _, o := range aggOuts {
-		res.Cols = append(res.Cols, o.name)
-	}
-	vals, divs := make([]*vector.Column, len(aggOuts)), make([]*vector.Column, len(aggOuts))
-	for j, o := range aggOuts {
-		vals[j], divs[j] = col(o.ref), col(o.div)
-	}
-
-	// Row positions come from the first output's validity — for grouped
-	// aggregation the group-id fold, valid for a group with a live row. A
-	// global aggregate always produces exactly one row — over an empty input
-	// its sums read as zero (slot 0 is ε but still the row's position).
-	var first *vector.Column
-	if len(keyOuts) > 0 {
-		first = keys[0]
-	} else {
-		first = vals[0]
-	}
-	kept := col(keep)
-	for i := 0; i < first.Len(); i++ {
-		if !first.Valid(i) && !(len(keyOuts) == 0 && i == 0) {
+	for i := 0; i < v.Len(); i++ {
+		if pr.keys > 0 && !cols[0].Valid(i) {
 			continue
 		}
-		if kept != nil && (!kept.Valid(i) || kept.Float(i) == 0) {
+		if keep != nil && (!keep.Valid(i) || keep.Float(i) == 0) {
 			continue
 		}
-		row := Row{}
-		for j, o := range keyOuts {
-			k := int64(keys[j].Float(i))
-			if o.card > 0 {
-				k = o.shift + k/o.stride%o.card
-			}
-			row[o.name] = float64(k)
-		}
-		for j, o := range aggOuts {
-			row[o.name] = valueAt(vals[j], i)
-			if divs[j] != nil {
-				if d := valueAt(divs[j], i); d != 0 {
-					row[o.name] /= d
-				}
-			}
+		row := make(Row, len(cols))
+		for j, c := range pr.cols {
+			row[c] = valueAt(cols[j], i)
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -343,6 +287,13 @@ func valueAt(c *vector.Column, i int) float64 {
 }
 
 type decoder func(float64) string
+
+// Dict reports whether column col is dictionary-encoded: Decode maps its
+// values to strings.
+func (r *Result) Dict(col string) bool {
+	_, ok := r.decoders[col]
+	return ok
+}
 
 // Decode maps a numeric key value of column col back to its string, when
 // the column is dictionary-encoded.
@@ -386,7 +337,7 @@ func lower(q Query, cat *storage.Catalog) (prog *core.Program, l *lowerer, err e
 			prog, l, err = nil, nil, le.err
 		}
 	}()
-	l = &lowerer{b: core.NewBuilder(), cat: cat, keep: -1, shared: map[string]*lowered{}}
+	l = &lowerer{b: core.NewBuilder(), cat: cat, shared: map[string]*lowered{}}
 	l.lowerRoot(q.Root)
 	return l.b.Program(), l, nil
 }

@@ -46,29 +46,15 @@ func (lo *lowered) clone() *lowered {
 	return &c
 }
 
-// aggOut describes one output column of the final aggregation for the
-// result assembler: an aggregate, or a group key.
-type aggOut struct {
-	name string
-	ref  core.Ref
-	// div is the count an Avg divides its sum by; -1 for other outputs.
-	div core.Ref
-	// A group key is decoded from the group-id fold ref as
-	// shift + (g / stride) mod card; with card 0 ref holds the key.
-	isKey               bool
-	shift, stride, card int64
-	table               *storage.Table // key decoding (dictionary) — nil for plain values
-	col                 string
-}
-
 // lowerer lowers one query; it is single-use.
 type lowerer struct {
-	b    *core.Builder
-	cat  *storage.Catalog
-	outs []aggOut
-	// keep is the root Filter's predicate over the outputs' slots, -1
-	// for a GroupAgg root.
-	keep  core.Ref
+	b   *core.Builder
+	cat *storage.Catalog
+	// root is the lowered root relation, keys first; keys is its number
+	// of group keys, and keep whether it holds keepCol.
+	root  *lowered
+	keys  int
+	keep  bool
 	nLive int // match-column counter
 	// shared holds every subtree lowered so far, keyed by appendNode's
 	// encoding: structurally equal subtrees lower once.
@@ -119,7 +105,7 @@ func (l *lowerer) lower(n Node) *lowered {
 	case IndexJoin:
 		lo = l.lowerJoin(x)
 	case GroupAgg:
-		lo = l.relation(l.lowerGroupAgg(x))
+		lo = l.lowerGroupAgg(x)
 	default:
 		l.errf("unknown node %T", n)
 	}
@@ -127,9 +113,12 @@ func (l *lowerer) lower(n Node) *lowered {
 	return lo.clone()
 }
 
-// lowerRoot lowers the plan's root for the result assembler: a GroupAgg's
-// outputs, and for a Filter over one also the predicate, which keeps the
-// rows whose slot it holds true at.
+// keepCol is the root relation's column holding a root Filter's
+// predicate: the result keeps the rows it holds true at.
+const keepCol = "__keep"
+
+// lowerRoot lowers the plan's root, a GroupAgg or a Filter over one, to
+// the aggregate's relation, the Filter's predicate one more column.
 func (l *lowerer) lowerRoot(n Node) {
 	f, filtered := n.(Filter)
 	if filtered {
@@ -139,16 +128,9 @@ func (l *lowerer) lowerRoot(n Node) {
 	if !ok {
 		l.errf("the root must be a GroupAgg or a Filter over one, not %T", n)
 	}
-	if !filtered {
-		l.outs = l.lowerGroupAgg(g)
-		return
-	}
-	// The result is the filtered relation's columns, the keys decoded.
-	cur := l.lower(g)
-	l.keep = l.expr(cur, f.Pred)
-	for i, c := range cur.cols {
-		l.outs = append(l.outs, aggOut{name: c, ref: l.b.Project("val", cur.ref, c), div: -1,
-			isKey: i < len(g.Keys), table: cur.origins[c].table, col: cur.origins[c].col})
+	l.root, l.keys, l.keep = l.lower(g), len(g.Keys), filtered
+	if filtered {
+		l.root.ref = l.b.Upsert(l.root.ref, keepCol, l.expr(l.root, f.Pred), "")
 	}
 }
 
@@ -513,9 +495,12 @@ type aggIn struct {
 	ref core.Ref // the fold
 }
 
-// lowerGroupAgg lowers g's folds and returns its outputs as the result
-// assembler reads them, keys first.
-func (l *lowerer) lowerGroupAgg(g GroupAgg) []aggOut {
+// lowerGroupAgg lowers g as a relation: one fold per distinct aggregate
+// input, then the keys, decoded from the group id, and the aggregates, an
+// average divided out, scattered to the slot of their group id (identity
+// hashing: a group at key − min, an empty group ε), or for a global
+// aggregate gathered to its one slot.
+func (l *lowerer) lowerGroupAgg(g GroupAgg) *lowered {
 	b := l.b
 
 	// One fold per distinct (function, input): an Avg is a Sum and a Count
@@ -601,65 +586,62 @@ func (l *lowerer) lowerGroupAgg(g GroupAgg) []aggOut {
 		}
 	}
 
-	var outs []aggOut
+	out := &lowered{origins: map[string]origin{}}
+	add := func(name string, v core.Ref) {
+		if out.cols == nil {
+			out.ref = b.Project(name, v, "")
+		} else {
+			out.ref = b.Upsert(out.ref, name, v, "")
+		}
+		out.cols = append(out.cols, name)
+	}
+	var groups core.Ref
 	if len(g.Keys) == 0 {
 		// Fused, the filter-fold folds the selection's runs already.
 		l.globalFolds(cur, ins, pushed && cur.live == "")
 	} else {
-		outs = l.groupedFolds(g, cur, ins)
+		var doms []Domain
+		groups, doms = l.groupedFolds(g, cur, ins)
+		// Key i is shift + (g / stride) mod card; the first needs no
+		// modulo, and a step that changes nothing is left out.
+		out.n = 1
+		for _, d := range doms {
+			out.n *= int(d.Max - d.Min + 1)
+		}
+		stride := int64(out.n)
+		for i, k := range g.Keys {
+			card := doms[i].Max - doms[i].Min + 1
+			stride /= card
+			v := groups
+			if stride > 1 {
+				v = b.Divide(v, b.Constant(stride))
+			}
+			if i > 0 {
+				v = b.Modulo(v, b.Constant(card))
+			}
+			if doms[i].Min != 0 {
+				v = b.Add(v, b.Constant(doms[i].Min))
+			}
+			add(k, v)
+			o := cur.origins[k]
+			if o.table == nil {
+				o.col = k
+			}
+			out.origins[k] = origin{table: o.table, col: o.col, dom: &doms[i]}
+		}
 	}
 	for i, a := range g.Aggs {
-		o := aggOut{name: a.As, ref: vals[i].ref, div: -1}
-		if divs[i] != nil {
-			o.div = divs[i].ref
+		v := vals[i].ref
+		if divs[i] != nil { // in floats
+			v = b.Divide(b.Multiply(v, b.ConstantF(1)), divs[i].ref)
 		}
-		outs = append(outs, o)
+		add(a.As, v)
 	}
-	return outs
-}
-
-// relation is an aggregate as a relation: the keys, decoded from the
-// group id, and the aggregates, an average divided out, scattered to the
-// slot of their group id (identity hashing: a group at key − min, an
-// empty group ε), or for a global aggregate its one slot. Only a consumer
-// of the aggregate as a relation adds these statements, so a GroupAgg at
-// the root lowers to the folds alone.
-func (l *lowerer) relation(outs []aggOut) *lowered {
-	b := l.b
-	out := &lowered{origins: map[string]origin{}}
-	keys := 0
-	for i, o := range outs {
-		v := o.ref
-		switch {
-		case o.isKey:
-			if o.stride > 1 {
-				v = b.Divide(v, b.Constant(o.stride))
-			}
-			if keys++; keys > 1 {
-				v = b.Modulo(v, b.Constant(o.card))
-			}
-			if o.shift != 0 {
-				v = b.Add(v, b.Constant(o.shift))
-			}
-			out.origins[o.name] = origin{table: o.table, col: o.col,
-				dom: &Domain{Min: o.shift, Max: o.shift + o.card - 1}}
-		case o.div >= 0: // in floats, as the assembler divides
-			v = b.Divide(b.Multiply(v, b.ConstantF(1)), o.div)
-		}
-		if i == 0 {
-			out.ref = b.Project(o.name, v, "")
-		} else {
-			out.ref = b.Upsert(out.ref, o.name, v, "")
-		}
-		out.cols = append(out.cols, o.name)
-	}
-	if keys == 0 {
+	if len(g.Keys) == 0 {
 		out.ref, out.n = b.Gather(out.ref, b.Constant(0), ""), 1
-		return out
+	} else {
+		out.ref = b.Scatter(out.ref, b.RangeN(0, out.n, 1), "", groups, "")
 	}
-	g := outs[0] // the first key: its group-id fold, over all K groups
-	out.n = int(g.stride * g.card)
-	out.ref = b.Scatter(out.ref, b.RangeN(0, out.n, 1), "", g.ref, "")
 	return out
 }
 
@@ -724,34 +706,31 @@ func (l *lowerer) globalFolds(cur *lowered, ins []*aggIn, fused bool) {
 // dense group id, a virtual scatter partitions the rows by it, and one
 // controlled fold per aggregate runs over the partitions (the paper's
 // Figure 10/11). The keys come back from the group id itself: a max of the
-// id, ε for a group without a live row, from which the assembler decodes
-// every key — instead of one fold per key. It returns the key outputs.
-func (l *lowerer) groupedFolds(g GroupAgg, cur *lowered, ins []*aggIn) []aggOut {
+// id, ε for a group without a live row, from which every key is decoded
+// — instead of one fold per key. It returns that fold and the keys'
+// domains.
+func (l *lowerer) groupedFolds(g GroupAgg, cur *lowered, ins []*aggIn) (core.Ref, []Domain) {
 	b := l.b
 	var gid core.Ref
 	K := int64(1)
-	shifts := make([]int64, len(g.Keys))
-	cards := make([]int64, len(g.Keys))
+	doms := make([]Domain, len(g.Keys))
 	for i, k := range g.Keys {
-		var minK, maxK int64
 		if i < len(g.Domains) && g.Domains[i].Max >= g.Domains[i].Min && g.Domains[i] != (Domain{}) {
-			minK, maxK = g.Domains[i].Min, g.Domains[i].Max
+			doms[i] = g.Domains[i]
 		} else {
-			minK, maxK = l.domain(cur, k)
+			doms[i].Min, doms[i].Max = l.domain(cur, k)
 		}
-		shifts[i] = minK
-		cards[i] = maxK - minK + 1
-		K *= cards[i]
+		K *= doms[i].Max - doms[i].Min + 1
 	}
 	if K <= 0 || K > 1<<26 {
 		l.errf("group key domain too large (%d)", K)
 	}
 	for i, k := range g.Keys {
-		part := b.Subtract(b.Project("val", cur.ref, k), b.Constant(shifts[i]))
+		part := b.Subtract(b.Project("val", cur.ref, k), b.Constant(doms[i].Min))
 		if i == 0 {
 			gid = part
 		} else {
-			gid = b.Add(b.Multiply(gid, b.Constant(cards[i])), part)
+			gid = b.Add(b.Multiply(gid, b.Constant(doms[i].Max-doms[i].Min+1)), part)
 		}
 	}
 	if cur.live != "" {
@@ -766,21 +745,7 @@ func (l *lowerer) groupedFolds(g GroupAgg, cur *lowered, ins []*aggIn) []aggOut 
 	for _, in := range ins {
 		in.ref = l.fold(in.fn, scattered, "__g", in.col)
 	}
-	groups := b.FoldMax(scattered, "__g", "__g")
-	var outs []aggOut
-	stride := K
-	for i, k := range g.Keys {
-		stride /= cards[i]
-		o := cur.origins[k]
-		var tbl *storage.Table
-		col := k
-		if o.table != nil {
-			tbl, col = o.table, o.col
-		}
-		outs = append(outs, aggOut{name: k, ref: groups, div: -1, isKey: true,
-			shift: shifts[i], stride: stride, card: cards[i], table: tbl, col: col})
-	}
-	return outs
+	return b.FoldMax(scattered, "__g", "__g"), doms
 }
 
 func has(cols []string, c string) bool {

@@ -131,10 +131,10 @@ type IndexJoin struct {
 // GroupAgg groups by Keys (base columns with known domains) and computes
 // Aggs. Empty Keys means a single global group. Domains optionally
 // overrides the key domains (required when a key is a computed column with
-// no base-table metadata). Below the root it is a relation like any other:
-// one row per non-empty group, the keys and the aggregates its columns, an
-// empty group ε — so it may be a join's build side (its keys are unique by
-// construction) or a Filter's input.
+// no base-table metadata). It is a relation like any other, at the root
+// too: one row per non-empty group, the keys and the aggregates its
+// columns, an empty group ε — so it may be a join's build side (its keys
+// are unique by construction) or a Filter's input.
 type GroupAgg struct {
 	In      Node
 	Keys    []string

@@ -457,15 +457,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp.Cols, resp.Rows = res.Cols, make([]map[string]any, 0, len(res.Rows))
+	dict := make([]bool, len(res.Cols))
+	for j, c := range res.Cols {
+		dict[j] = res.Dict(c)
+	}
 	for _, row := range res.Rows {
 		out := make(map[string]any, len(row))
-		for _, c := range res.Cols {
-			v := row[c]
+		for j, c := range res.Cols {
 			// Dictionary-encoded columns decode back to their strings.
-			if str := res.Decode(c, v); str != fmt.Sprintf("%g", v) {
-				out[c] = str
+			if dict[j] {
+				out[c] = res.Decode(c, row[c])
 			} else {
-				out[c] = v
+				out[c] = row[c]
 			}
 		}
 		resp.Rows = append(resp.Rows, out)

@@ -169,6 +169,21 @@ func TestServedPlanKeepsLiteralSpacing(t *testing.T) {
 	}
 }
 
+// A dictionary column serves its strings, also a value that spells its
+// own code: "1" at code 1 is the string "1", not the number 1, while a
+// computed column stays a number.
+func TestServedDictionaryValueSpellingItsCode(t *testing.T) {
+	tb := storage.NewTable("t")
+	tb.AddString("s", []string{"0", "1", "1", "x"})
+	srv := httptest.NewServer(New(Config{Cat: storage.NewCatalog().Add(tb), Registry: testRegistry(t)}).Mux())
+	defer srv.Close()
+	code, r, body := postQuery(t, srv.URL, "SELECT s, COUNT(*) AS n FROM t GROUP BY s ORDER BY s")
+	want := `[]map[string]interface {}{map[string]interface {}{"n":1, "s":"0"}, map[string]interface {}{"n":2, "s":"1"}, map[string]interface {}{"n":1, "s":"x"}}`
+	if got := fmt.Sprintf("%#v", r.Rows); code != 200 || got != want {
+		t.Fatalf("status %d, rows %s; want %s: %s", code, got, want, body)
+	}
+}
+
 // Two servers over one catalog compile with different options, so they
 // never share a SQL plan: each compiles its own first request.
 func TestServersWithDifferentOptsShareNoPlan(t *testing.T) {

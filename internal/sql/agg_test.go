@@ -126,9 +126,6 @@ func TestCountOfFaultingExpression(t *testing.T) {
 	} {
 		q := planSQL(t, cat, text)
 		for name, e := range aggEngines(cat, 0) {
-			if name == "hyper" {
-				continue // the baseline's integer modulo panics on a zero divisor
-			}
 			res, _, err := e.Run(q)
 			if err == nil || !strings.Contains(err.Error(), "by zero") {
 				t.Errorf("%s on %s: err %v, result %v; want a division by zero", text, name, err, res)
@@ -152,9 +149,6 @@ func TestHavingFaultsLikeWhere(t *testing.T) {
 	} {
 		q := planSQL(t, cat, text)
 		for name, e := range aggEngines(cat, 0) {
-			if name == "hyper" {
-				continue // the baseline reads a division by zero as 0
-			}
 			res, _, err := e.Run(q)
 			if err == nil || !strings.Contains(err.Error(), "by zero") {
 				t.Errorf("%s on %s: err %v, result %v; want a division by zero", text, name, err, res)
@@ -166,18 +160,23 @@ func TestHavingFaultsLikeWhere(t *testing.T) {
 // TestHavingOverAggregates: HAVING without GROUP BY filters the one row of
 // a global aggregate. Over no input rows the aggregate has no group and so
 // no row to keep, whatever the predicate (the result without HAVING still
-// reads one row of zeros). Grouped, it reads an AVG as the division out
+// reads one row of zeros, an AVG's too, from a WHERE that passes nothing
+// or a table with no rows). Grouped, it reads an AVG as the division out
 // and a dictionary key through its string.
 func TestHavingOverAggregates(t *testing.T) {
 	tbl := storage.NewTable("t")
 	tbl.AddInt("a", []int64{4, 6, 8, 9})
 	tbl.AddString("c", []string{"x", "y", "x", "y"})
-	cat := storage.NewCatalog().Add(tbl)
+	none := storage.NewTable("none")
+	none.AddInt("a", []int64{})
+	cat := storage.NewCatalog().Add(tbl).Add(none)
 	for _, tc := range []struct{ text, want string }{
 		{"SELECT COUNT(*) AS n, SUM(a) AS s FROM t HAVING n > 2", "n=4 s=27 "},
 		{"SELECT COUNT(*) AS n, SUM(a) AS s FROM t HAVING s < 10", ""},
 		{"SELECT COUNT(*) AS n FROM t WHERE a > 100 HAVING n = 0", ""},
 		{"SELECT COUNT(*) AS n FROM t WHERE a > 100", "n=0 "},
+		{"SELECT AVG(a) AS av, COUNT(*) AS n FROM t WHERE a > 100", "av=0 n=0 "},
+		{"SELECT AVG(a) AS av, COUNT(*) AS n FROM none", "av=0 n=0 "},
 		{"SELECT c, AVG(a) AS av FROM t GROUP BY c HAVING av > 6.5", "c=1 av=7.5 "},
 		{"SELECT c, SUM(a) AS s FROM t GROUP BY c HAVING c = 'x' OR s < 0", "c=0 s=12 "},
 	} {

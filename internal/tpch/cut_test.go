@@ -117,6 +117,17 @@ func TestCutBitIdentity(t *testing.T) {
 // fragment by what it is, not by the SSA id lowering happens to number it.
 func fragmentNamed(t *testing.T, num int, kind string, extent, intent int) string {
 	t.Helper()
+	names := fragmentsNamed(t, num, kind, extent, intent)
+	if len(names) != 1 {
+		t.Fatalf("%s: %d %s fragments of shape %dx%d (%v), want one", queryName(num), len(names), kind, extent, intent, names)
+	}
+	return names[0]
+}
+
+// fragmentsNamed returns the names of query num's fragments of the given
+// provenance kind and extent × intent shape, at least one.
+func fragmentsNamed(t *testing.T, num int, kind string, extent, intent int) []string {
+	t.Helper()
 	qf, err := Query(num)
 	if err != nil {
 		t.Fatal(err)
@@ -132,10 +143,10 @@ func fragmentNamed(t *testing.T, num int, kind string, extent, intent int) strin
 	if _, _, err := qf(e); err != nil {
 		t.Fatalf("%s: %v", queryName(num), err)
 	}
-	if len(names) != 1 {
-		t.Fatalf("%s: %d %s fragments of shape %dx%d (%v), want one", queryName(num), len(names), kind, extent, intent, names)
+	if len(names) == 0 {
+		t.Fatalf("%s: no %s fragment of shape %dx%d", queryName(num), kind, extent, intent)
 	}
-	return names[0]
+	return names
 }
 
 // fragmentSteps runs query num once traced at the given worker count and
@@ -209,15 +220,16 @@ func TestBigFragmentsSplit(t *testing.T) {
 	}{
 		{shape{6, "reduce", 1, 1013}, "extent-1"},
 		{shape{14, "fold", 1, 1013}, "extent-1"}, // the second level of Q14's fold
-		{shape{1, "mat", 6, 1}, "small"},
+		{shape{1, "mat", 6, 1}, "small"},         // the pivot list and the root relation
 		// 3 × (2667 iterations + 8004 slots flushed): below the floor before
 		// few-items (exec's TestCutRule) is asked.
 		{shape{11, "group-fold", 3, 2667}, "small"},
 		{shape{4, "scatter", 4096, 15}, "scatter"}, // a semi join's build repeats keys
 	} {
-		name := fragmentNamed(t, s.query, s.kind, s.extent, s.intent)
-		if got := fragmentSteps(t, s.query, 2)[name].Uncut; got != s.uncut {
-			t.Errorf("%s %s: uncut=%q, want %s", queryName(s.query), name, got, s.uncut)
+		for _, name := range fragmentsNamed(t, s.query, s.kind, s.extent, s.intent) {
+			if got := fragmentSteps(t, s.query, 2)[name].Uncut; got != s.uncut {
+				t.Errorf("%s %s: uncut=%q, want %s", queryName(s.query), name, got, s.uncut)
+			}
 		}
 	}
 	for name, st := range fragmentSteps(t, 6, 1) {
