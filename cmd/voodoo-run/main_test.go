@@ -105,10 +105,22 @@ func TestEveryFlagOnEverySource(t *testing.T) {
 		t.Errorf("-explain -q 20 executed the query (trace file: %v):\n%s", err, out)
 	}
 
-	// -verify lists a plan's warnings: Q4's lineitem filter, spilled for the
-	// semi join it builds, stores a column only its predicate reads.
-	if out := run(t, "-verify", "-q", "4"); !regexp.MustCompile(`warn: VP008: .*l_receiptdate`).MatchString(out) {
-		t.Errorf("-verify -q 4 lists no dead store of l_receiptdate:\n%s", out)
+	// -verify lists a plan's warnings: a running sum of one column over a
+	// selection spills every column the selection gathers, and stores one
+	// nothing reads. A TPC-H plan has none: Q4's lineitem filter, spilled
+	// for the semi join it builds, leaves the columns only its predicate
+	// reads behind.
+	dead := filepath.Join(dir, "dead.voo")
+	text = "nation := Load(\"nation\")\nfive := Constant(5)\nbig := Greater(nation.n_nationkey, five)\n" +
+		"sel := FoldSelect(big)\nhit := Gather(nation, sel)\nrunning := FoldScan(hit, .n_regionkey)\n"
+	if err := os.WriteFile(dead, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out := run(t, "-verify", "-prog", dead); !regexp.MustCompile(`warn: VP008: .*filt\.n_name`).MatchString(out) {
+		t.Errorf("-verify -prog %s lists no dead store of n_name:\n%s", dead, out)
+	}
+	if out := run(t, "-verify", "-q", "4"); strings.Contains(out, "warn:") {
+		t.Errorf("-verify -q 4 lists a warning:\n%s", out)
 	}
 
 	// Conflicting or missing inputs and an unknown engine are usage errors,

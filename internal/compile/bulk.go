@@ -3,7 +3,6 @@ package compile
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"voodoo/internal/core"
@@ -92,9 +91,10 @@ func readInPlace(fi *filtInfo) *desc {
 //     or Constants;
 //   - a Gather whose positions are over its rows and whose source is not
 //     (a foreign-key lookup);
-//   - a Partition of such a vector by pivots that are not, an Upsert of its
-//     positions into such a vector, and the Scatter of the partitioned
-//     vector through them — the virtual scatter groupedFold lowers;
+//   - a Partition of such a vector by the pivots 0, 1, … (a Range), an
+//     Upsert of its positions into such a vector, and the Scatter of the
+//     partitioned vector through them — the virtual scatter groupedFold
+//     lowers;
 //   - FoldSum, FoldMin and FoldMax keyed on that Partition's attribute, or
 //     global over a vector of its rows.
 //
@@ -188,7 +188,9 @@ func (c *compiler) foldsThrough(sel core.Ref) bool {
 			}
 			kind[s.ID] = rows
 		case s.Op == core.OpPartition:
-			if arg(0) != rows || argFaults(0) || arg(1) != 0 || s.Kp[0] == "" {
+			piv := &stmts[s.Args[1]]
+			byID := piv.Op == core.OpRange && piv.IntVal == 0 && piv.Step == 1
+			if arg(0) != rows || argFaults(0) || arg(1) != 0 || s.Kp[0] == "" || !byID {
 				return false
 			}
 			kind[s.ID], partOf[s.ID] = part, s.ID
@@ -418,16 +420,18 @@ func (c *compiler) spillFilt(si *selInfo, attrs []attr, name, kind string, stmts
 }
 
 // spillPartition computes a Partition's stable counting-sort positions as a
-// bulk step and returns the buffer holding them. The result is cached on
-// the partInfo so multiple consumers share one sort.
+// bulk step, the interpreter's Partition of its values by its pivot list,
+// and returns the buffer holding them. Only this sort reads the pivot list,
+// so only it converts one. The result is cached on the partInfo so
+// multiple consumers share one sort.
 func (c *compiler) spillPartition(pi *partInfo) int {
 	if pi.spilled {
 		return pi.buf
 	}
-	vals := c.bufferize(&desc{n: pi.srcN, attrs: []attr{{name: "v", ex: pi.valEx}}})
-	valsConv := c.converter(vals)
-	pivConv := pi.pivots
+	valsConv := c.converter(&desc{n: pi.srcN, attrs: []attr{{name: "v", ex: pi.valEx}}})
+	pivConv := c.converter(pi.pivots)
 	posBuf := c.addBuf("part", vector.Int, pi.srcN, false, true)
+	partition := core.Stmt{Op: core.OpPartition, Kp: []string{"v", "p"}, Out: []string{"pos"}}
 	c.plan.steps = append(c.plan.steps, &bulkStep{
 		name:    "partition",
 		stmts:   []int{pi.stmt},
@@ -435,7 +439,7 @@ func (c *compiler) spillPartition(pi *partInfo) int {
 		outBufs: []int{posBuf},
 		attrs:   []string{"pos"},
 		evalFn: func(args []*vector.Vector, ar *vector.Arena) (*vector.Vector, error) {
-			return countingSortPositions(args[0].SingleCol(), args[1].SingleCol(), ar)
+			return interp.Eval(partition, args, ar)
 		},
 		statsFn: func(args []*vector.Vector, out *vector.Vector) exec.FragStats {
 			n := int64(args[0].Len())
@@ -446,40 +450,6 @@ func (c *compiler) spillPartition(pi *partInfo) int {
 	})
 	pi.spilled, pi.buf = true, posBuf
 	return posBuf
-}
-
-// countingSortPositions implements Partition's semantics: stable positions
-// that group values by "number of pivots strictly below".
-func countingSortPositions(vals, pivots *vector.Column, ar *vector.Arena) (*vector.Vector, error) {
-	k := pivots.Len()
-	pv := make([]int64, k)
-	for i := range pv {
-		pv[i] = pivots.Int(i)
-	}
-	if !sort.SliceIsSorted(pv, func(i, j int) bool { return pv[i] < pv[j] }) {
-		return nil, fmt.Errorf("partition: pivot list must be sorted")
-	}
-	n := vals.Len()
-	pid := make([]int, n)
-	counts := make([]int, k+1)
-	for i := 0; i < n; i++ {
-		x := vals.Int(i)
-		p := sort.Search(k, func(j int) bool { return pv[j] >= x })
-		pid[i] = p
-		counts[p]++
-	}
-	starts := make([]int, k+1)
-	sum := 0
-	for p, cnt := range counts {
-		starts[p] = sum
-		sum += cnt
-	}
-	out := ar.Ints(n)
-	for i := 0; i < n; i++ {
-		out[i] = int64(starts[pid[i]])
-		starts[pid[i]]++
-	}
-	return vector.New(n).Set("pos", vector.NewInt(out)), nil
 }
 
 // materializeGrouped turns a pending data-grouped virtual scatter into a

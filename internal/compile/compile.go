@@ -575,8 +575,8 @@ func (c *compiler) compilePartition(s *core.Stmt) *desc {
 	if !okP {
 		cerrf("Partition: pivot keypath %q does not name a single attribute", s.Kp[1])
 	}
-	pi := &partInfo{valEx: val.ex, srcN: d1.n, k: d2.logical() + 1, stmt: c.cur}
-	pi.pivots = c.converter(&desc{n: d2.n, attrs: []attr{{name: "p", ex: piv.ex, validEx: piv.validEx}}})
+	pi := &partInfo{valEx: val.ex, srcN: d1.n, k: d2.logical() + 1, stmt: c.cur,
+		pivots: &desc{n: d2.n, attrs: []attr{{name: "p", ex: piv.ex, validEx: piv.validEx}}}}
 	if m, ok := genMetaOf(val.ex); ok {
 		pi.meta = &m
 	}
@@ -610,10 +610,9 @@ func (c *compiler) compileScatter(s *core.Stmt) *desc {
 					attrs:    src.attrs,
 				}
 			}
-			if rl, ok := m.RunLength(); ok && m.Cap == 0 && n == src.n {
+			if _, ok := m.RunLength(); ok && m.Cap == 0 && n == src.n {
 				// Divide control: blocked partitions are already
 				// contiguous — the scatter is the identity.
-				_ = rl
 				return &desc{n: src.n, attrs: src.attrs}
 			}
 		}

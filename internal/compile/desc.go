@@ -171,9 +171,9 @@ type partInfo struct {
 	valEx  expr            // partition id per source element
 	meta   *vector.RunMeta // non-nil when the ids are a generated control vector
 	srcN   int
-	k      int       // number of partitions (pivot count + 1)
-	pivots converter // produces the pivot vector when a bulk sort is needed
-	stmt   int       // SSA id of the Partition, for step provenance
+	k      int   // number of partitions (pivot count + 1)
+	pivots *desc // the pivot list, which only a bulk sort converts
+	stmt   int   // SSA id of the Partition, for step provenance
 
 	// spill cache: set once the counting-sort positions materialize.
 	spilled bool

@@ -529,9 +529,13 @@ func (c *compiler) groupedFold(s *core.Stmt, d *desc) *desc {
 	// An empty fold keypath means one global run, never the per-partition
 	// run structure — without this guard, a source with a single attribute
 	// that happens to be the partition control would be mistaken for a
-	// partition-keyed grouped aggregation.
+	// partition-keyed grouped aggregation. The tables are indexed by the
+	// value itself, which is its partition only under the pivots 0, 1, ….
 	ctrlAttr, ok := gp.src.single(s.Kp[0])
-	if s.Kp[0] == "" || !ok || ctrlAttr.ex != gp.part.valEx {
+	piv := gp.part.pivots.attrs[0]
+	m, gen := genMetaOf(piv.ex)
+	byID := gen && piv.validEx == nil && m.From == 0 && m.IntegralStep(1) && m.Cap == 0
+	if s.Kp[0] == "" || !ok || ctrlAttr.ex != gp.part.valEx || !byID {
 		return c.compileFoldOn(s, c.plainify(d))
 	}
 	specs := c.specsFor(c.siblingFolds(s), gp.src)

@@ -438,14 +438,15 @@ func (c converter) run(rt *runtime) (*vector.Vector, error) { return c.fn(rt) }
 func (c *compiler) converter(d *desc) converter {
 	d = c.bufferize(c.emitReady(d))
 	type slot struct {
-		name  string
-		buf   int
-		valid bool
+		name string
+		buf  int
 	}
 	var slots []slot
+	var bufs []int
 	for _, a := range d.attrs {
 		ld := a.ex.(*eLoad)
-		slots = append(slots, slot{name: a.name, buf: ld.buf, valid: a.validEx != nil})
+		slots = append(slots, slot{name: a.name, buf: ld.buf})
+		bufs = append(bufs, ld.buf)
 	}
 	layout, logicalN, stride := d.layout, d.logicalN, d.runLen
 	n := d.n
@@ -454,11 +455,6 @@ func (c *compiler) converter(d *desc) converter {
 		if countsBuf = d.grp.counts; countsBuf < 0 {
 			c.counted[d.grp.stmt], c.recount = true, true
 		}
-	}
-
-	var bufs []int
-	for _, s := range slots {
-		bufs = append(bufs, s.buf)
 	}
 	if countsBuf >= 0 {
 		bufs = append(bufs, countsBuf)

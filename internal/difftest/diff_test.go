@@ -258,6 +258,31 @@ var pinned = []pinnedProgram{
 	// compiler's view of the compact slots: groups 2 and 5 are empty, and
 	// the ids are ε on every ninth row.
 	{name: "grouped-by-own-id", build: func(*testing.T) *Program { return groupedByOwnID() }},
+	// A fold keyed on the partitioned attribute over its virtual scatter,
+	// by pivots other than 0, 1, …: a partition is not the value itself,
+	// so the fold's runs are not the grouped fold's tables.
+	{name: "grouped-by-shifted-pivots", build: func(*testing.T) *Program {
+		return foldByPivots([]int64{0, 1, 2, 3, 0, 1}, 2, 3, 1)
+	}},
+	{name: "grouped-by-sparse-pivots", build: func(*testing.T) *Program {
+		return foldByPivots([]int64{0, 5, 15, 23, 31, 12}, 10, 3, 10)
+	}},
+}
+
+// foldByPivots is t(g, v) with v = 1, 2, …, partitioned by g over the
+// pivots RangeN(from, n, step), scattered, and summed keyed on g.
+func foldByPivots(g []int64, from int64, n int, step int64) *Program {
+	v := make([]int64, len(g))
+	for i := range v {
+		v[i] = int64(i + 1)
+	}
+	b := core.NewBuilder()
+	in := b.Load("t")
+	pos := b.Partition("pos", in, "g", b.RangeN(from, n, step), "")
+	scattered := b.Scatter(in, in, "", b.Upsert(in, "pos", pos, "pos"), "pos")
+	b.FoldSum(scattered, "g", "v")
+	return &Program{Prog: b.Program(), St: interp.MemStorage{"t": vector.New(len(g)).
+		Set("g", vector.NewInt(g)).Set("v", vector.NewInt(v))}}
 }
 
 // groupedByOwnID is t(g, v, m) over 200 rows, g cycling 0, 1, 3, 4, v ε every fifth

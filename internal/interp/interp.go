@@ -9,7 +9,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"time"
 
 	"voodoo/internal/core"
@@ -640,39 +640,33 @@ func (e *evaluator) evalScatter(s *core.Stmt) *vector.Vector {
 }
 
 func (e *evaluator) evalPartition(s *core.Stmt) *vector.Vector {
-	vals := e.col(s, 0)
-	pivots := e.col(s, 1)
-	n := vals.Len()
-	k := pivots.Len()
-	pv := make([]int64, k)
-	for i := 0; i < k; i++ {
+	vals, pivots := e.col(s, 0), e.col(s, 1)
+	pv := make([]int64, pivots.Len())
+	for i := range pv {
 		pv[i] = pivots.Int(i)
 	}
-	if !sort.SliceIsSorted(pv, func(i, j int) bool { return pv[i] < pv[j] }) {
+	if !slices.IsSorted(pv) {
 		errf("Partition: pivot list must be sorted")
 	}
 	// Partition id = number of pivots strictly less than the value, so a
-	// pivot list [0..card) maps a value in [0..card) to itself.
-	pid := make([]int, n)
-	counts := make([]int, k+1)
-	for i := 0; i < n; i++ {
-		x := vals.Int(i)
-		p := sort.Search(k, func(j int) bool { return pv[j] >= x })
-		pid[i] = p
-		counts[p]++
+	// pivot list [0..card) maps a value in [0..card) to itself. A stable
+	// counting sort by id: starts[p+1] counts partition p, then sums to
+	// partition p's first position.
+	pid := make([]int, vals.Len())
+	starts := make([]int, len(pv)+2)
+	for i := range pid {
+		pid[i], _ = slices.BinarySearch(pv, vals.Int(i))
+		starts[pid[i]+1]++
 	}
-	starts := make([]int, k+1)
-	sum := 0
-	for p, c := range counts {
-		starts[p] = sum
-		sum += c
+	for p := 1; p < len(starts); p++ {
+		starts[p] += starts[p-1]
 	}
-	out := e.ar.Ints(n)
-	for i := 0; i < n; i++ {
-		out[i] = int64(starts[pid[i]])
-		starts[pid[i]]++
+	out := e.ar.Ints(len(pid))
+	for i, p := range pid {
+		out[i] = int64(starts[p])
+		starts[p]++
 	}
-	return vector.New(n).Set(s.Out[0], vector.NewInt(out))
+	return vector.New(len(pid)).Set(s.Out[0], vector.NewInt(out))
 }
 
 // runs decomposes the fold control attribute into maximal runs of adjacent

@@ -1,13 +1,14 @@
 package rel
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
-	"math"
 	"slices"
 
 	"voodoo/internal/core"
 	"voodoo/internal/storage"
+	"voodoo/internal/vector"
 )
 
 // origin tracks which base-table column an attribute came from, so joins
@@ -59,6 +60,9 @@ type lowerer struct {
 	// shared holds every subtree lowered so far, keyed by appendNode's
 	// encoding: structurally equal subtrees lower once.
 	shared map[string]*lowered
+	// reads holds, per Filter under that key, the columns read above it.
+	reads map[string][]string
+	enc   []byte // exprEqual's encodings
 }
 
 // grain is the number of parallel runs selections expose.
@@ -99,7 +103,7 @@ func (l *lowerer) lower(n Node) *lowered {
 	case Scan:
 		lo = l.lowerScan(x)
 	case Filter:
-		lo = l.lowerFilter(x)
+		lo = l.lowerFilter(x, string(key))
 	case Map:
 		lo = l.lowerMap(x)
 	case IndexJoin:
@@ -120,6 +124,7 @@ const keepCol = "__keep"
 // lowerRoot lowers the plan's root, a GroupAgg or a Filter over one, to
 // the aggregate's relation, the Filter's predicate one more column.
 func (l *lowerer) lowerRoot(n Node) {
+	l.demand(n, nil)
 	f, filtered := n.(Filter)
 	if filtered {
 		n = f.In
@@ -146,20 +151,28 @@ func (l *lowerer) lowerScan(s Scan) *lowered {
 	if len(s.Cols) == 0 {
 		l.errf("scan of %s lists no columns", s.Table)
 	}
-	// Prune to the requested columns so joins and filters never move
-	// unused attributes.
-	cur := l.b.Project(s.Cols[0], v, s.Cols[0])
+	lo := &lowered{cols: s.Cols, origins: map[string]origin{}, n: t.N}
 	for _, c := range s.Cols[1:] {
 		if t.Col(c) == nil {
 			l.errf("table %s has no column %q", s.Table, c)
 		}
-		cur = l.b.Upsert(cur, c, l.b.Project("val", v, c), "")
 	}
-	lo := &lowered{ref: cur, cols: s.Cols, origins: map[string]origin{}, n: t.N}
 	for _, c := range s.Cols {
 		lo.origins[c] = origin{table: t, col: c}
 	}
+	// Prune to the requested columns so joins and filters never move
+	// unused attributes.
+	lo.ref = l.project(v, s.Cols)
 	return lo
+}
+
+// project is the vector of v's attributes cols.
+func (l *lowerer) project(v core.Ref, cols []string) core.Ref {
+	out := l.b.Project(cols[0], v, cols[0])
+	for _, c := range cols[1:] {
+		out = l.b.Upsert(out, c, v, c)
+	}
+	return out
 }
 
 // expr lowers a scalar expression against the current relation, returning a
@@ -209,7 +222,7 @@ func (l *lowerer) expr(cur *lowered, e Expr) core.Ref {
 	case Bin:
 		lv := l.expr(cur, x.L)
 		rv := lv // equal operands are one value: a count's e > e folds away
-		if !exprEqual(x.L, x.R) {
+		if !l.exprEqual(x.L, x.R) {
 			rv = l.expr(cur, x.R)
 		}
 		switch x.Op {
@@ -245,17 +258,14 @@ func (l *lowerer) expr(cur *lowered, e Expr) core.Ref {
 	return -1
 }
 
-func (l *lowerer) lowerFilter(f Filter) *lowered {
+// lowerFilter applies f's predicate: controlled fold-select with a
+// generated control vector exposing `grain` parallel runs, then a gather of
+// the columns read above f (demand) and the liveness column (the compiler
+// fuses these, paper Figure 8).
+func (l *lowerer) lowerFilter(f Filter, key string) *lowered {
+	b := l.b
 	cur := l.lower(f.In)
 	pred := l.expr(cur, f.Pred)
-	return l.filterByPred(cur, pred)
-}
-
-// filterByPred applies a 0/1 predicate vector: controlled fold-select with
-// a generated control vector exposing `grain` parallel runs, then a gather
-// of every visible column (the compiler fuses these, paper Figure 8).
-func (l *lowerer) filterByPred(cur *lowered, pred core.Ref) *lowered {
-	b := l.b
 	runLen := (cur.n + grain - 1) / grain
 	if runLen < 1 {
 		runLen = 1
@@ -264,8 +274,72 @@ func (l *lowerer) filterByPred(cur *lowered, pred core.Ref) *lowered {
 	fold := b.Project("fold", b.Divide(ids, b.Constant(int64(runLen))), "")
 	withFold := b.Zip("p", pred, "", "fold", fold, "fold")
 	sel := b.FoldSelect(withFold, "fold", "p")
-	out := b.Gather(cur.ref, sel, "")
-	return &lowered{ref: out, cols: cur.cols, origins: cur.origins, n: cur.n, live: cur.live}
+	src, cols := cur.ref, cur.cols
+	if reads, ok := l.reads[key]; ok {
+		cols = slices.DeleteFunc(slices.Clone(cur.cols), func(c string) bool {
+			return c != cur.live && !has(reads, c)
+		})
+	}
+	if len(cols) == 0 {
+		cols = cur.cols[:1]
+	}
+	if len(cols) < len(cur.cols) {
+		src = l.project(cur.ref, cols)
+	}
+	out := b.Gather(src, sel, "")
+	return &lowered{ref: out, cols: cols, origins: cur.origins, n: cur.n, live: cur.live}
+}
+
+// demand walks n as lowering will and records per Filter (reads) the
+// columns read above it: cols, read of n, and below n every expression's
+// columns, join keys and carried columns, and aggregate keys and inputs.
+func (l *lowerer) demand(n Node, cols []string) {
+	cols = slices.Clip(cols)
+	switch x := n.(type) {
+	case Filter:
+		key, _ := appendNode(nil, x)
+		l.reads[string(key)] = append(l.reads[string(key)], cols...)
+		l.demand(x.In, l.exprCols(x.Pred, cols))
+	case Map:
+		for _, o := range x.Outs {
+			cols = l.exprCols(o.E, cols)
+		}
+		l.demand(x.In, cols)
+	case IndexJoin:
+		l.demand(x.Probe, append(cols, x.ProbeKey))
+		l.demand(x.Build, append([]string{x.BuildKey}, x.Cols...))
+	case GroupAgg:
+		p := l.planAgg(x)
+		reads := slices.Clone(x.Keys)
+		for _, in := range p.ins {
+			reads = append(reads, in.col)
+		}
+		for _, ne := range p.named {
+			reads = l.exprCols(ne.E, reads)
+		}
+		l.demand(p.in, reads)
+	}
+}
+
+// exprCols appends the columns e reads to cols, and records the reads of
+// the aggregates it nests.
+func (l *lowerer) exprCols(e Expr, cols []string) []string {
+	cols = slices.Clip(cols)
+	switch x := e.(type) {
+	case Col:
+		return append(cols, x.Name)
+	case Not:
+		return l.exprCols(x.E, cols)
+	case InList:
+		return l.exprCols(x.E, cols)
+	case Between:
+		return l.exprCols(x.Hi, l.exprCols(x.Lo, l.exprCols(x.E, cols)))
+	case Bin:
+		return l.exprCols(x.R, l.exprCols(x.L, cols))
+	case Agg:
+		l.demand(x.G, nil)
+	}
+	return cols
 }
 
 func (l *lowerer) lowerMap(m Map) *lowered {
@@ -322,25 +396,25 @@ func (l *lowerer) lowerJoin(j IndexJoin) *lowered {
 	// An aggregate on the key is an open table already: a group sits at
 	// key − min, and its key is ε exactly where no group is, a match flag.
 	table, match := build.ref, j.BuildKey
+	live := j.Semi || filtered(j.Build) // the match flag is read, as liveness
 	if g, ok := j.Build.(GroupAgg); !ok || len(g.Keys) != 1 || g.Keys[0] != j.BuildKey {
-		// Build: scatter carried columns plus a match flag into the open
-		// table at position key-min (identity hashing). Rows the build
-		// side dropped (ε liveness from its own filtered joins) must not
-		// enter the table: anchoring every scattered value on the
-		// liveness column turns their stores into ε slots.
-		anchor := func(v core.Ref) core.Ref {
-			if build.live == "" {
-				return v
-			}
-			return b.Add(v, b.Arith(core.OpMultiply, "z", build.ref, build.live, b.Constant(0), ""))
-		}
+		// Build: scatter carried columns, and a match flag where it is read
+		// (a table needs one column), into the open table at position
+		// key-min (identity hashing). Rows the build side dropped (ε
+		// liveness from its own filtered joins) must not enter the table:
+		// anchored on the liveness column, their positions are ε and store
+		// nothing.
 		keyVec := b.Project("val", build.ref, j.BuildKey)
-		pos := b.Subtract(anchor(keyVec), b.Constant(minK))
-		src := b.Project("__m", anchor(b.Multiply(keyVec, b.Constant(0))), "")
-		src = b.Upsert(src, "__m", b.Add(b.Project("__m", src, "__m"), b.Constant(1)), "")
-		for _, c := range j.Cols {
-			src = b.Upsert(src, c, anchor(b.Project("val", build.ref, c)), "")
+		pos := b.Subtract(keyVec, b.Constant(minK))
+		if build.live != "" {
+			pos = b.Add(pos, b.Arith(core.OpMultiply, "z", build.ref, build.live, b.Constant(0), ""))
 		}
+		rows, cols := build.ref, j.Cols
+		if live || len(cols) == 0 {
+			rows = b.Upsert(rows, "__m", b.Add(b.Multiply(keyVec, b.Constant(0)), b.Constant(1)), "")
+			cols = append(slices.Clip(cols), "__m")
+		}
+		src := l.project(rows, cols)
 		withPos := b.Upsert(src, "__pos", pos, "")
 		table, match = b.Scatter(src, b.RangeN(0, int(size), 1), "", withPos, "__pos"), "__m"
 	}
@@ -368,7 +442,7 @@ func (l *lowerer) lowerJoin(j IndexJoin) *lowered {
 	// the gathered match flag. Rather than a physical match-filter pass,
 	// carry the flag as the liveness column: ε propagates through every
 	// expression and fold, so dead rows never contribute.
-	if j.Semi || filtered(j.Build) {
+	if live {
 		l.nLive++
 		mcol := fmt.Sprintf("__live%d", l.nLive)
 		if out.live == "" {
@@ -394,14 +468,10 @@ func filtered(n Node) bool {
 		return false
 	case Map:
 		return filtered(x.In)
-	case Filter:
-		return true
 	case IndexJoin:
 		return x.Semi || filtered(x.Probe) || filtered(x.Build)
-	case GroupAgg:
-		return true
 	}
-	return true
+	return true // a Filter, a GroupAgg
 }
 
 // scanCol reports whether column c of n's output is a column of the scan at
@@ -429,35 +499,14 @@ func scanCol(n Node, c string) (string, bool) {
 	return "", false
 }
 
-// exprEqual compares two expressions structurally. Plans are lowered on
-// every plan-cache miss, so this walks the trees instead of formatting them.
-func exprEqual(a, b Expr) bool {
-	switch x := a.(type) {
-	case nil:
-		return b == nil
-	case Col:
-		y, ok := b.(Col)
-		return ok && x == y
-	case IntLit:
-		y, ok := b.(IntLit)
-		return ok && x == y
-	case FloatLit:
-		y, ok := b.(FloatLit)
-		return ok && math.Float64bits(x.V) == math.Float64bits(y.V)
-	case Bin:
-		y, ok := b.(Bin)
-		return ok && x.Op == y.Op && exprEqual(x.L, y.L) && exprEqual(x.R, y.R)
-	case Not:
-		y, ok := b.(Not)
-		return ok && exprEqual(x.E, y.E)
-	case InList:
-		y, ok := b.(InList)
-		return ok && exprEqual(x.E, y.E) && slices.Equal(x.Vs, y.Vs)
-	case Between:
-		y, ok := b.(Between)
-		return ok && exprEqual(x.E, y.E) && exprEqual(x.Lo, y.Lo) && exprEqual(x.Hi, y.Hi)
-	}
-	return false
+// exprEqual compares two expressions by their canonical encodings
+// (appendExpr), which are equal exactly for equal expressions, encoded
+// one after the other into the lowerer's reused buffer.
+func (l *lowerer) exprEqual(a, b Expr) bool {
+	ka, okA := appendExpr(l.enc[:0], a)
+	kab, okB := appendExpr(ka, b)
+	l.enc = kab
+	return okA && okB && bytes.Equal(kab[:len(ka)], kab[len(ka):])
 }
 
 // firstDataCol finds a visible base column of a subtree, used to anchor
@@ -495,46 +544,47 @@ type aggIn struct {
 	ref core.Ref // the fold
 }
 
-// lowerGroupAgg lowers g as a relation: one fold per distinct aggregate
-// input, then the keys, decoded from the group id, and the aggregates, an
-// average divided out, scattered to the slot of their group id (identity
-// hashing: a group at key − min, an empty group ε), or for a global
-// aggregate gathered to its one slot.
-func (l *lowerer) lowerGroupAgg(g GroupAgg) *lowered {
-	b := l.b
+// aggPlan is how a GroupAgg computes its folds' inputs: ins, the distinct
+// folds, named on in (or, pushed, below in's filter, and named is nil);
+// per aggregate its fold (vals) and an average's count (divs).
+type aggPlan struct {
+	ins, vals, divs []*aggIn
+	named           []NamedExpr
+	in              Node
+	pushed          bool
+}
 
-	// One fold per distinct (function, input): an Avg is a Sum and a Count
-	// that reuse equal ones of the query's own, and a count of a column that
-	// is ε exactly where the row is counts rows.
-	var ins []*aggIn
+// planAgg plans g's folds: one per distinct (function, input), where an
+// Avg is a Sum and a Count that reuse equal ones of the query's own, and a
+// count of a column that is ε exactly where the row is counts rows.
+func (l *lowerer) planAgg(g GroupAgg) *aggPlan {
+	p := &aggPlan{in: g.In, vals: make([]*aggIn, len(g.Aggs)), divs: make([]*aggIn, len(g.Aggs))}
 	intern := func(fn AggFunc, e Expr) *aggIn {
-		if c, ok := e.(Col); ok && fn == Count && l.countsRows(g.In, c.Name) {
-			e = nil
+		if col := l.scanColumn(g.In, e); fn == Count && col != nil && col.AllValid() {
+			e = nil // a count of a column with no ε counts rows
 		}
-		for _, in := range ins {
-			if in.fn == fn && exprEqual(in.e, e) {
+		for _, in := range p.ins {
+			if in.fn == fn && l.exprEqual(in.e, e) {
 				return in
 			}
 		}
-		in := &aggIn{fn: fn, e: e, col: fmt.Sprintf("__a%d", len(ins))}
-		ins = append(ins, in)
+		in := &aggIn{fn: fn, e: e, col: fmt.Sprintf("__a%d", len(p.ins))}
+		p.ins = append(p.ins, in)
 		return in
 	}
-	vals := make([]*aggIn, len(g.Aggs))
-	divs := make([]*aggIn, len(g.Aggs))
 	for i, a := range g.Aggs {
 		if a.Func == Avg {
-			vals[i], divs[i] = intern(Sum, a.E), intern(Count, a.E)
+			p.vals[i], p.divs[i] = intern(Sum, a.E), intern(Count, a.E)
 		} else {
-			vals[i] = intern(a.Func, a.E)
+			p.vals[i] = intern(a.Func, a.E)
 		}
 	}
 	// A count sums an integer 1 that is ε exactly where its input is, and
 	// computes nothing from the value: e > e is 0 for every value, ±Inf and
 	// NaN included. A count of rows counts a scan column's.
 	anchor := firstDataCol(g.In)
-	named := make([]NamedExpr, len(ins))
-	for i, in := range ins {
+	p.named = make([]NamedExpr, len(p.ins))
+	for i, in := range p.ins {
 		e := in.e
 		if in.fn == Count {
 			if e == nil {
@@ -548,29 +598,37 @@ func (l *lowerer) lowerGroupAgg(g GroupAgg) *lowered {
 			}
 			e = Not{E: Bin{Op: Gt, L: e, R: e}}
 		}
-		named[i] = NamedExpr{Name: in.col, E: e}
+		p.named[i] = NamedExpr{Name: in.col, E: e}
 	}
 
 	// Push the aggregate input (and group id) computation below a
 	// terminal filter: the compiler then fuses predicate evaluation,
 	// selection and aggregation into one fragment (paper Figure 8).
-	in := g.In
-	f, pushed := in.(Filter)
-	if pushed = pushed && len(g.Keys) == 0; pushed {
+	if f, ok := g.In.(Filter); ok && len(g.Keys) == 0 {
 		// Global aggregation: pushing the aggregate inputs below the
 		// filter lets the compiler fuse predicate, selection and
 		// aggregation into one fragment. For grouped aggregation the
 		// filter output materializes anyway (the scatter seam), so the
 		// inputs stay symbolic above it — materializing only the base
 		// columns, not every derived expression.
-		in = Filter{In: Map{In: f.In, Outs: named}, Pred: f.Pred}
-		named = nil
+		p.in, p.named, p.pushed = Filter{In: Map{In: f.In, Outs: p.named}, Pred: f.Pred}, nil, true
 	}
-	cur := l.lower(in)
-	for i := range named {
-		v := l.expr(cur, named[i].E)
-		cur = &lowered{ref: b.Upsert(cur.ref, named[i].Name, v, ""),
-			cols: append(cur.cols, named[i].Name), origins: cur.origins,
+	return p
+}
+
+// lowerGroupAgg lowers g as a relation: one fold per distinct aggregate
+// input (planAgg), then the keys, decoded from the group id, and the
+// aggregates, an average divided out, scattered to the slot of their group
+// id (identity hashing: a group at key − min, an empty group ε), or for a
+// global aggregate gathered to its one slot.
+func (l *lowerer) lowerGroupAgg(g GroupAgg) *lowered {
+	b := l.b
+	p := l.planAgg(g)
+	ins, cur := p.ins, l.lower(p.in)
+	for _, ne := range p.named {
+		v := l.expr(cur, ne.E)
+		cur = &lowered{ref: b.Upsert(cur.ref, ne.Name, v, ""),
+			cols: append(cur.cols, ne.Name), origins: cur.origins,
 			n: cur.n, live: cur.live}
 	}
 	// Anchor every aggregate input on the liveness column: rows a filtered
@@ -598,7 +656,7 @@ func (l *lowerer) lowerGroupAgg(g GroupAgg) *lowered {
 	var groups core.Ref
 	if len(g.Keys) == 0 {
 		// Fused, the filter-fold folds the selection's runs already.
-		l.globalFolds(cur, ins, pushed && cur.live == "")
+		l.globalFolds(cur, ins, p.pushed && cur.live == "")
 	} else {
 		var doms []Domain
 		groups, doms = l.groupedFolds(g, cur, ins)
@@ -631,9 +689,12 @@ func (l *lowerer) lowerGroupAgg(g GroupAgg) *lowered {
 		}
 	}
 	for i, a := range g.Aggs {
-		v := vals[i].ref
-		if divs[i] != nil { // in floats
-			v = b.Divide(b.Multiply(v, b.ConstantF(1)), divs[i].ref)
+		v := p.vals[i].ref
+		if d := p.divs[i]; d != nil { // in floats, as a float column's sum is
+			if col := l.scanColumn(g.In, p.vals[i].e); col == nil || col.Kind() != vector.Float {
+				v = b.Multiply(v, b.ConstantF(1))
+			}
+			v = b.Divide(v, d.ref)
 		}
 		add(a.As, v)
 	}
@@ -645,19 +706,18 @@ func (l *lowerer) lowerGroupAgg(g GroupAgg) *lowered {
 	return out
 }
 
-// countsRows reports whether COUNT(c) over n counts n's rows: c is a scan
-// column passed through unchanged whose stored values have no ε.
-func (l *lowerer) countsRows(n Node, c string) bool {
-	name, ok := scanCol(n, c)
+// scanColumn returns the stored column e of n's scan when e is a column n
+// passes through unchanged (scanCol), else nil.
+func (l *lowerer) scanColumn(n Node, e Expr) *vector.Column {
+	c, ok := e.(Col)
 	if !ok {
-		return false
+		return nil
 	}
-	t := l.cat.Table(name)
-	if t == nil {
-		return false
+	name, ok := scanCol(n, c.Name)
+	if t := l.cat.Table(name); ok && t != nil {
+		return t.Col(c.Name)
 	}
-	col := t.Col(c)
-	return col != nil && col.AllValid()
+	return nil
 }
 
 // fold lowers one controlled fold of an aggregate function; a count sums

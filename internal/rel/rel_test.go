@@ -3,10 +3,13 @@ package rel
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"voodoo/internal/compile"
+	"voodoo/internal/core"
 	"voodoo/internal/storage"
+	"voodoo/internal/verify"
 )
 
 // testCatalog builds a small orders/customers catalog with known contents.
@@ -98,6 +101,44 @@ func TestFilteredAggregate(t *testing.T) {
 		Aggs: []AggSpec{{Func: Sum, E: C("total"), As: "s"}, {Func: Count, As: "n"}},
 	}})
 	wantRow(t, res.Rows[0], map[string]float64{"s": 100, "n": 3})
+}
+
+// TestFilterGathersWhatItsCopiesRead: a filter gathers only the columns
+// read above it, and a filter lowered once for two consumers gathers what
+// either reads: prio and the count's anchor okey for the outer filter,
+// total for the maximum that filter compares with. Its own predicate's
+// ckey stays behind.
+func TestFilterGathersWhatItsCopiesRead(t *testing.T) {
+	f := Filter{In: Scan{Table: "ord", Cols: []string{"okey", "ckey", "total", "prio"}},
+		Pred: B(Gt, C("ckey"), I(100))}
+	top := Agg{G: GroupAgg{In: Map{In: f, Outs: []NamedExpr{{Name: "t", E: C("total")}}},
+		Aggs: []AggSpec{{Func: Max, E: C("t"), As: "top"}}}}
+	q := Query{Root: GroupAgg{
+		In:   Filter{In: f, Pred: B(Gt, B(Mul, C("prio"), I(25)), top)},
+		Aggs: []AggSpec{{Func: Count, As: "n"}, {Func: Sum, E: C("prio"), As: "p"}},
+	}}
+	// ckey > 100 keeps okey 2, 4, 5, 6 (totals up to 60); prio*25 > 60
+	// keeps prio 3.
+	res := runAll(t, testCatalog(), q)
+	wantRow(t, res.Rows[0], map[string]float64{"n": 1, "p": 3})
+	cat := testCatalog()
+	prog, err := Lower(q, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, _ := verify.Derive(prog, cat)
+	var gathered [][]string
+	for _, s := range prog.Stmts {
+		if s.Op == core.OpGather && prog.Stmts[s.Args[1]].Op == core.OpFoldSelect {
+			gathered = append(gathered, model[s.ID].Names)
+		}
+	}
+	// The shared filter, and the outer one, which gathers the aggregate's
+	// inputs computed below it.
+	want := [][]string{{"okey", "total", "prio"}, {"__a0", "__a1"}}
+	if !slices.EqualFunc(gathered, want, slices.Equal) {
+		t.Errorf("filters gather %v, want %v:\n%s", gathered, want, prog)
+	}
 }
 
 func TestMapExpression(t *testing.T) {

@@ -20,37 +20,12 @@ var GPUQueryNumbers = []int{1, 4, 5, 6, 8, 12, 19}
 
 // Query returns the QueryFunc for a TPC-H query number.
 func Query(num int) (QueryFunc, error) {
-	switch num {
-	case 1:
-		return Q1, nil
-	case 4:
-		return Q4, nil
-	case 5:
-		return Q5, nil
-	case 6:
-		return Q6, nil
-	case 7:
-		return Q7, nil
-	case 8:
-		return Q8, nil
-	case 9:
-		return Q9, nil
-	case 10:
-		return Q10, nil
-	case 11:
-		return Q11, nil
-	case 12:
-		return Q12, nil
-	case 14:
-		return Q14, nil
-	case 15:
-		return Q15, nil
-	case 19:
-		return Q19, nil
-	case 20:
-		return Q20, nil
+	q, ok := map[int]QueryFunc{1: Q1, 4: Q4, 5: Q5, 6: Q6, 7: Q7, 8: Q8, 9: Q9, 10: Q10,
+		11: Q11, 12: Q12, 14: Q14, 15: Q15, 19: Q19, 20: Q20}[num]
+	if !ok {
+		return nil, fmt.Errorf("tpch: query %d is not part of the evaluation", num)
 	}
-	return nil, fmt.Errorf("tpch: query %d is not part of the evaluation", num)
+	return q, nil
 }
 
 // code resolves a dictionary literal; a missing value yields -1, which

@@ -20,6 +20,41 @@ var concurrentSQL = []string{
 	"SELECT COUNT(*) AS n FROM lineitem WHERE l_shipmode IN ('AIR', 'RAIL') AND l_quantity < 30",
 }
 
+// cleanSQL holds one grouped, one join and one global sql-short shape of
+// the benchmark, with literals of its own.
+var cleanSQL = []string{
+	"SELECT n_regionkey, COUNT(*) AS n, MAX(n_nationkey) AS hi FROM nation WHERE n_nationkey >= 3 AND n_nationkey <> 1004 GROUP BY n_regionkey ORDER BY n_regionkey",
+	"SELECT n_regionkey, COUNT(*) AS n, MAX(s_suppkey) AS hi FROM supplier JOIN nation ON s_nationkey = n_nationkey WHERE s_suppkey <= 25 AND s_suppkey <> 100000007 GROUP BY n_regionkey ORDER BY n_regionkey",
+	"SELECT COUNT(*) AS n, SUM(s_acctbal) AS bal FROM supplier WHERE s_acctbal > 1500.000123",
+}
+
+// TestServedPlansVerifyClean: the sql-concurrent statements and the
+// sql-short shapes of cleanSQL compile to plans the verifier has nothing
+// to say about, not even a dead store (VP008): no pivot list for a grouped
+// fold that keeps its scatter virtual, no match flag nothing reads, no
+// filtered column only its own predicate reads.
+func TestServedPlansVerifyClean(t *testing.T) {
+	cat := cutCat()
+	e := &rel.Engine{Cat: cat, Backend: rel.Compiled}
+	for _, text := range append(slices.Clone(concurrentSQL), cleanSQL...) {
+		stmt, err := sql.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := sql.Plan(stmt, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := e.Prepare(q)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		for _, d := range pr.Plan().Verify() {
+			t.Errorf("%s: %s", text, d)
+		}
+	}
+}
+
 // rootRunner runs every query of a QueryFunc traced and records, per plan,
 // the key domain of its root and the steps of its run.
 type rootRunner struct {

@@ -9,18 +9,15 @@ import (
 	"voodoo/internal/exec"
 	"voodoo/internal/rel"
 	"voodoo/internal/storage"
-	"voodoo/internal/verify"
 )
 
 // verifyingRunner wraps an Engine so that the plan a query compiles passes
-// through the static verifier before it executes. Dead stores
-// (VP008, a warning) are counted rather than failed: they are waste, not a
-// contract violation.
+// through the static verifier before it executes, and fails on any
+// diagnostic: a dead store (VP008) is waste the lowering must not make.
 type verifyingRunner struct {
 	t     *testing.T
 	e     *rel.Engine
 	plans int
-	dead  int
 }
 
 func (r *verifyingRunner) Catalog() *storage.Catalog { return r.e.Cat }
@@ -33,35 +30,20 @@ func (r *verifyingRunner) Run(q rel.Query) (*rel.Result, *exec.Stats, error) {
 	if plan := pr.Plan(); plan != nil {
 		r.plans++
 		for _, d := range plan.Verify() {
-			if d.Rule == verify.RuleDeadStore {
-				r.dead++
-				continue
-			}
 			r.t.Errorf("query %q: %s", q.Name, d)
 		}
 	}
 	return r.e.RunPrepared(context.Background(), pr)
 }
 
-// deadStores pins, per TPC-H query, the buffers its compiled plans store and
-// never read (VP008) — the materialization ROADMAP direction 1 is to remove:
-// a spilled filter stores its predicate-only columns (Q4's l_commitdate and
-// l_receiptdate), and
-// a Partition's pivot list is materialized for a grouped fold that keeps it
-// virtual (Q1's mat.p). A gather through a selection composes instead of
-// materializing its source, so Q6 and Q19's filter-folds store nothing they
-// do not read, and a filter whose rows reach only folds is read in place,
-// storing nothing at all. A grouped fold stores its groups' row counts only
-// where a result of it is expanded to the padded layout, which no query's
-// is.
-var deadStores = map[int]int{1: 1, 4: 3, 5: 4, 6: 0, 7: 5, 8: 6, 9: 5, 10: 2, 11: 2, 12: 2, 14: 2, 15: 1, 19: 1, 20: 3}
-
 // TestGoldenPlansVerify compiles every TPC-H query under each compiled
 // backend configuration and requires the verifier to accept every plan
-// with no diagnostic but dead stores, whose count on the default engine is
-// pinned. This is the "golden plans" half of the CI verification gate: the
-// difftest corpus covers generated programs, this covers the hand-lowered
-// relational workload.
+// with no diagnostic at all, not even a dead store: a spilled filter
+// stores only the columns read above it, a join's build scatters its match
+// flag only where a liveness column reads it, and a Partition's pivot list
+// is stored only for a counting sort. This is the "golden plans" half of
+// the CI verification gate: the difftest corpus covers generated programs,
+// this covers the hand-lowered relational workload.
 func TestGoldenPlansVerify(t *testing.T) {
 	engines := map[string]*rel.Engine{
 		"compiled":        {Cat: testCat, Backend: rel.Compiled},
@@ -84,11 +66,6 @@ func TestGoldenPlansVerify(t *testing.T) {
 					}
 					if vr.plans == 0 {
 						t.Fatalf("q%d compiled no plans; the verifier saw nothing", num)
-					}
-					if name == "compiled" {
-						if vr.dead != deadStores[num] {
-							t.Errorf("q%d: %d dead stores, want %d", num, vr.dead, deadStores[num])
-						}
 					}
 				})
 			}
