@@ -293,7 +293,7 @@ func (ex *executor) compileExpr(in *relation, e rel.Expr) func([]float64) float6
 			errf("Agg takes a keyless aggregate of one column")
 		}
 		v := math.NaN() // evaluated once; an empty input has no value
-		ex.aggregate(x.G).each(func(r []float64) { v = r[0] })
+		ex.aggregate(*x.G).each(func(r []float64) { v = r[0] })
 		return func([]float64) float64 { return v }
 	case rel.Between:
 		f := ex.compileExpr(in, x.E)

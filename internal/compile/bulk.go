@@ -217,7 +217,7 @@ func (c *compiler) foldsThrough(sel core.Ref) bool {
 		}
 	}
 	for r := range kind {
-		if len(c.uses[r]) == 0 {
+		if c.uses[r] == 0 {
 			return false // a root shows its ε slots
 		}
 	}

@@ -108,7 +108,7 @@ type compiler struct {
 	opt   Options
 	kern  *kernel.Kernel
 	descs []*desc
-	uses  [][]core.Ref
+	uses  []int
 	plan  *Plan
 	nbuf  int
 	// cur is the SSA id of the statement being compiled, attributed to
@@ -159,7 +159,7 @@ func (c *compiler) run() (err error) {
 	for i := range c.prog.Stmts {
 		s := &c.prog.Stmts[i]
 		c.cur = i
-		if len(c.uses[i]) == 0 && s.Op != core.OpPersist {
+		if c.uses[i] == 0 && s.Op != core.OpPersist {
 			c.plan.outputs = append(c.plan.outputs, output{
 				ref: core.Ref(i), conv: c.converter(c.descs[i]),
 			})

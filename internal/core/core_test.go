@@ -79,11 +79,11 @@ func TestUses(t *testing.T) {
 	x := b.Add(in, in)
 	_ = b.Multiply(x, in)
 	uses := b.Program().Uses()
-	if len(uses[in]) != 3 { // twice by Add, once by Multiply
-		t.Fatalf("uses of load = %v, want 3 entries", uses[in])
+	if uses[in] != 3 { // twice by Add, once by Multiply
+		t.Fatalf("uses of load = %d, want 3", uses[in])
 	}
-	if len(uses[x]) != 1 {
-		t.Fatalf("uses of add = %v, want 1 entry", uses[x])
+	if uses[x] != 1 {
+		t.Fatalf("uses of add = %d, want 1", uses[x])
 	}
 }
 

@@ -76,14 +76,14 @@ func (p *Program) Roots() []Ref {
 	return roots
 }
 
-// Uses returns, for every statement, the refs of the statements that consume
-// its result.
-func (p *Program) Uses() [][]Ref {
-	uses := make([][]Ref, len(p.Stmts))
+// Uses returns, for every statement, how many times the statements after
+// it consume its result.
+func (p *Program) Uses() []int {
+	uses := make([]int, len(p.Stmts))
 	for _, s := range p.Stmts {
 		for _, a := range s.Args {
 			if a >= 0 {
-				uses[a] = append(uses[a], s.ID)
+				uses[a]++
 			}
 		}
 	}

@@ -248,7 +248,7 @@ var pinned = []pinnedProgram{
 	// A filter over a grouped aggregate against a global one of it, and an
 	// aggregate of what passes.
 	{name: "filter-over-grouped", build: func(t *testing.T) *Program {
-		top := rel.Agg{G: rel.GroupAgg{In: rareParts, Aggs: []rel.AggSpec{{Func: rel.Max, E: rel.C("qty"), As: "top"}}}}
+		top := rel.Agg{G: &rel.GroupAgg{In: rareParts, Aggs: []rel.AggSpec{{Func: rel.Max, E: rel.C("qty"), As: "top"}}}}
 		return relProgram(t, rel.Query{Root: rel.GroupAgg{
 			In:   rel.Filter{In: rareParts, Pred: rel.B(rel.Gt, rel.B(rel.Mul, rel.C("qty"), rel.I(2)), top)},
 			Aggs: []rel.AggSpec{{Func: rel.Count, As: "parts"}, {Func: rel.Sum, E: rel.C("qty"), As: "qty"}},

@@ -337,7 +337,7 @@ func lower(q Query, cat *storage.Catalog) (prog *core.Program, l *lowerer, err e
 			prog, l, err = nil, nil, le.err
 		}
 	}()
-	l = &lowerer{b: core.NewBuilder(), cat: cat, shared: map[string]*lowered{}, reads: map[string][]string{}}
+	l = &lowerer{b: core.NewBuilder(), cat: cat, shared: map[string]*node{}, aggs: map[*GroupAgg]*node{}}
 	l.lowerRoot(q.Root)
 	return l.b.Program(), l, nil
 }

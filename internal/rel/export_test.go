@@ -5,5 +5,7 @@ package rel
 var (
 	MemoHits   = memoHitC
 	MemoMisses = memoMissC
-	AppendNode = appendNode
 )
+
+// AppendNode encodes a plan whole, as the prepared-plan memo keys it.
+func AppendNode(b []byte, n Node) ([]byte, bool) { return appendNode(b, n, nil) }

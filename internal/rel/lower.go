@@ -2,6 +2,7 @@ package rel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"slices"
@@ -38,13 +39,38 @@ type lowered struct {
 }
 
 // clone hands a lowered subtree to one more consumer: consumers extend
-// cols and origins in place (lowerJoin, lowerMap), so a shared subtree
-// gives each its own.
+// cols in place (lowerJoin, lowerMap), so a shared subtree gives each its
+// own. A join, the one consumer that adds origins, copies them first.
 func (lo *lowered) clone() *lowered {
 	c := *lo
 	c.cols = slices.Clip(lo.cols)
-	c.origins = maps.Clone(lo.origins)
 	return &c
+}
+
+// node is the analysis of one distinct subtree of a plan, made once by
+// analyse before anything lowers and read by lowering, which recomputes
+// none of it: in, its inputs' (a join's probe side first); own, the
+// columns n's expressions read (a join: its probe key); reads, a
+// Filter's, the columns read above it over every copy.
+type node struct {
+	n          Node
+	id         int // its encoding where it is an input
+	in         []*node
+	own, reads []string
+	chain
+	plan *aggPlan
+	lo   *lowered
+}
+
+// chain is what a node's output keeps of the scan at the root of its probe
+// chain (base): a column that anchors a count(*), whether rows of the scan
+// were dropped (filtered), and the columns it computes or carries in place
+// of the scan's (over). A GroupAgg starts a chain of its own, with no base.
+type chain struct {
+	anchor   string
+	filtered bool
+	base     *node
+	over     []string
 }
 
 // lowerer lowers one query; it is single-use.
@@ -57,12 +83,15 @@ type lowerer struct {
 	keys  int
 	keep  bool
 	nLive int // match-column counter
-	// shared holds every subtree lowered so far, keyed by appendNode's
-	// encoding: structurally equal subtrees lower once.
-	shared map[string]*lowered
-	// reads holds, per Filter under that key, the columns read above it.
-	reads map[string][]string
-	enc   []byte // exprEqual's encodings
+	// shared holds the analysis of every distinct subtree, keyed by its
+	// encoding, inputs by their ids: equal subtrees lower once. aggs
+	// holds an aggregate expression's group's; in and cols, the inputs and
+	// the columns read so far of the node being analysed.
+	shared map[string]*node
+	aggs   map[*GroupAgg]*node
+	in     []*node
+	cols   []string
+	enc    []byte // exprEqual's encodings
 }
 
 // grain is the number of parallel runs selections expose.
@@ -89,32 +118,120 @@ func (e *BuildKeyError) Error() string {
 		e.Key, e.Rows, e.Max-e.Min+1, e.Min, e.Max)
 }
 
-// lower produces the Voodoo statements for node n, once per distinct
-// subtree.
-func (l *lowerer) lower(n Node) *lowered {
-	// A node the encoding does not know fails to lower, and so is never
-	// shared.
-	key, _ := appendNode(nil, n)
-	if lo, hit := l.shared[string(key)]; hit {
-		return lo.clone()
+// analyse returns the one analysis of every subtree equal to n, made when
+// the first is met: n encoded once, its inputs by their analyses' ids
+// (nested), and what n reads handed to its inputs: a join's build side its
+// key and carried columns, a GroupAgg's input its keys and folds' inputs.
+func (l *lowerer) analyse(b []byte, n Node) *node {
+	outer, cols := l.in, l.cols
+	l.in, l.cols = nil, nil
+	enc, ok := appendNode(b, n, l)
+	in, own := l.in, l.cols
+	l.in, l.cols = outer, cols
+	if !ok {
+		l.errf("%T holds a type lowering does not know", n)
 	}
-	var lo *lowered
+	if r := l.shared[string(enc[len(b):])]; r != nil {
+		return r
+	}
+	r := &node{n: n, id: len(l.shared), in: in, own: own}
+	l.shared[string(enc[len(b):])] = r
 	switch x := n.(type) {
 	case Scan:
-		lo = l.lowerScan(x)
+		r.base = r
+		if len(x.Cols) > 0 {
+			r.anchor = x.Cols[0]
+		}
 	case Filter:
-		lo = l.lowerFilter(x, string(key))
+		r.chain, r.filtered = in[0].chain, true
 	case Map:
-		lo = l.lowerMap(x)
+		r.chain, r.over = in[0].chain, slices.Clip(in[0].over)
+		for _, o := range x.Outs {
+			r.over = append(r.over, o.Name)
+		}
 	case IndexJoin:
-		lo = l.lowerJoin(x)
+		r.own, r.chain = []string{x.ProbeKey}, in[0].chain
+		r.filtered = x.Semi || r.filtered || in[1].filtered
+		in[1].read(append([]string{x.BuildKey}, x.Cols...))
+		if !x.Semi {
+			r.over = append(slices.Clip(r.over), x.Cols...)
+		}
 	case GroupAgg:
-		lo = l.lowerGroupAgg(x)
-	default:
-		l.errf("unknown node %T", n)
+		r.filtered = true
+		if len(x.Keys) > 0 {
+			r.anchor = x.Keys[0]
+		} else if len(x.Aggs) > 0 {
+			r.anchor = x.Aggs[0].As
+		}
+		r.plan = l.planAgg(b, x, in[0])
 	}
-	l.shared[string(key)] = lo
-	return lo.clone()
+	return r
+}
+
+// analysed stands for an analysed input in a node planAgg makes.
+type analysed struct{ *node }
+
+func (analysed) isNode() {}
+
+// nested encodes an input of the node being analysed, which it analyses,
+// or an aggregate expression's group, as the id of its analysis; for a
+// nil l, whole.
+func (l *lowerer) nested(b []byte, n Node) ([]byte, bool) {
+	g, agg := n.(*GroupAgg)
+	if agg && l == nil {
+		n = *g
+	}
+	switch {
+	case l == nil:
+		return appendNode(b, n, nil)
+	case agg:
+		if l.aggs[g] == nil {
+			l.aggs[g] = l.analyse(b, *g)
+		}
+		return binary.AppendUvarint(b, uint64(l.aggs[g].id)), true
+	}
+	r, ok := n.(analysed)
+	if !ok {
+		r = analysed{l.analyse(b, n)}
+	}
+	l.in = append(l.in, r.node)
+	return binary.AppendUvarint(b, uint64(r.id)), true
+}
+
+// read records that cols are read of r: a Filter keeps them, and a Filter,
+// Map or join passes them on to its input (a join's probe side) with what
+// it reads itself.
+func (r *node) read(cols []string) {
+	for {
+		switch r.n.(type) {
+		case Filter:
+			r.reads = append(r.reads, cols...)
+		case Map, IndexJoin:
+		default:
+			return
+		}
+		cols, r = append(slices.Clip(cols), r.own...), r.in[0]
+	}
+}
+
+// lower produces the Voodoo statements for r's node, once per distinct
+// subtree.
+func (l *lowerer) lower(r *node) *lowered {
+	if r.lo == nil {
+		switch x := r.n.(type) {
+		case Scan:
+			r.lo = l.lowerScan(x)
+		case Filter:
+			r.lo = l.lowerFilter(x, r)
+		case Map:
+			r.lo = l.lowerMap(x, r)
+		case IndexJoin:
+			r.lo = l.lowerJoin(x, r)
+		case GroupAgg:
+			r.lo = l.lowerGroupAgg(x, r)
+		}
+	}
+	return r.lo.clone()
 }
 
 // keepCol is the root relation's column holding a root Filter's
@@ -124,16 +241,16 @@ const keepCol = "__keep"
 // lowerRoot lowers the plan's root, a GroupAgg or a Filter over one, to
 // the aggregate's relation, the Filter's predicate one more column.
 func (l *lowerer) lowerRoot(n Node) {
-	l.demand(n, nil)
+	r := l.analyse(make([]byte, 0, 256), n)
 	f, filtered := n.(Filter)
 	if filtered {
-		n = f.In
+		n, r = f.In, r.in[0]
 	}
 	g, ok := n.(GroupAgg)
 	if !ok {
 		l.errf("the root must be a GroupAgg or a Filter over one, not %T", n)
 	}
-	l.root, l.keys, l.keep = l.lower(g), len(g.Keys), filtered
+	l.root, l.keys, l.keep = l.lower(r), len(g.Keys), filtered
 	if filtered {
 		l.root.ref = l.b.Upsert(l.root.ref, keepCol, l.expr(l.root, f.Pred), "")
 	}
@@ -175,13 +292,18 @@ func (l *lowerer) project(v core.Ref, cols []string) core.Ref {
 	return out
 }
 
+// arithOps are the operators one arithmetic statement computes.
+var arithOps = map[BinOp]core.Op{Add: core.OpAdd, Sub: core.OpSubtract, Mul: core.OpMultiply,
+	Div: core.OpDivide, Mod: core.OpModulo, Eq: core.OpEquals, Gt: core.OpGreater,
+	And: core.OpLogicalAnd, Or: core.OpLogicalOr}
+
 // expr lowers a scalar expression against the current relation, returning a
 // single-attribute vector aligned with it.
 func (l *lowerer) expr(cur *lowered, e Expr) core.Ref {
 	b := l.b
 	switch x := e.(type) {
 	case Col:
-		if !has(cur.cols, x.Name) {
+		if !slices.Contains(cur.cols, x.Name) {
 			l.errf("no column %q (have %v)", x.Name, cur.cols)
 		}
 		return b.Project("val", cur.ref, x.Name)
@@ -196,7 +318,7 @@ func (l *lowerer) expr(cur *lowered, e Expr) core.Ref {
 			l.errf("Agg takes a keyless aggregate of one column (%d keys, %d aggregates)", len(x.G.Keys), len(x.G.Aggs))
 		}
 		// The aggregate's relation is one slot, which broadcasts.
-		return b.Project("val", l.lower(x.G).ref, x.G.Aggs[0].As)
+		return b.Project("val", l.lower(l.aggs[x.G]).ref, x.G.Aggs[0].As)
 	case InList:
 		v := l.expr(cur, x.E)
 		var acc core.Ref = -1
@@ -226,32 +348,17 @@ func (l *lowerer) expr(cur *lowered, e Expr) core.Ref {
 			rv = l.expr(cur, x.R)
 		}
 		switch x.Op {
-		case Add:
-			return b.Add(lv, rv)
-		case Sub:
-			return b.Subtract(lv, rv)
-		case Mul:
-			return b.Multiply(lv, rv)
-		case Div:
-			return b.Divide(lv, rv)
-		case Mod:
-			return b.Modulo(lv, rv)
-		case Eq:
-			return b.Equals(lv, rv)
 		case Ne:
 			return b.Equals(b.Equals(lv, rv), b.Constant(0))
-		case Gt:
-			return b.Greater(lv, rv)
 		case Ge:
 			return b.GreaterEqual(lv, "", rv, "")
 		case Lt:
 			return b.Greater(rv, lv)
 		case Le:
 			return b.GreaterEqual(rv, "", lv, "")
-		case And:
-			return b.And(lv, rv)
-		case Or:
-			return b.Or(lv, rv)
+		}
+		if op, ok := arithOps[x.Op]; ok {
+			return b.Arith(op, core.DefaultOut, lv, "", rv, "")
 		}
 	}
 	l.errf("unknown expr %T", e)
@@ -260,11 +367,11 @@ func (l *lowerer) expr(cur *lowered, e Expr) core.Ref {
 
 // lowerFilter applies f's predicate: controlled fold-select with a
 // generated control vector exposing `grain` parallel runs, then a gather of
-// the columns read above f (demand) and the liveness column (the compiler
+// the columns read above f (r.reads) and the liveness column (the compiler
 // fuses these, paper Figure 8).
-func (l *lowerer) lowerFilter(f Filter, key string) *lowered {
+func (l *lowerer) lowerFilter(f Filter, r *node) *lowered {
 	b := l.b
-	cur := l.lower(f.In)
+	cur := l.lower(r.in[0])
 	pred := l.expr(cur, f.Pred)
 	runLen := (cur.n + grain - 1) / grain
 	if runLen < 1 {
@@ -274,12 +381,10 @@ func (l *lowerer) lowerFilter(f Filter, key string) *lowered {
 	fold := b.Project("fold", b.Divide(ids, b.Constant(int64(runLen))), "")
 	withFold := b.Zip("p", pred, "", "fold", fold, "fold")
 	sel := b.FoldSelect(withFold, "fold", "p")
-	src, cols := cur.ref, cur.cols
-	if reads, ok := l.reads[key]; ok {
-		cols = slices.DeleteFunc(slices.Clone(cur.cols), func(c string) bool {
-			return c != cur.live && !has(reads, c)
-		})
-	}
+	src := cur.ref
+	cols := slices.DeleteFunc(slices.Clone(cur.cols), func(c string) bool {
+		return c != cur.live && !slices.Contains(r.reads, c)
+	})
 	if len(cols) == 0 {
 		cols = cur.cols[:1]
 	}
@@ -290,66 +395,14 @@ func (l *lowerer) lowerFilter(f Filter, key string) *lowered {
 	return &lowered{ref: out, cols: cols, origins: cur.origins, n: cur.n, live: cur.live}
 }
 
-// demand walks n as lowering will and records per Filter (reads) the
-// columns read above it: cols, read of n, and below n every expression's
-// columns, join keys and carried columns, and aggregate keys and inputs.
-func (l *lowerer) demand(n Node, cols []string) {
-	cols = slices.Clip(cols)
-	switch x := n.(type) {
-	case Filter:
-		key, _ := appendNode(nil, x)
-		l.reads[string(key)] = append(l.reads[string(key)], cols...)
-		l.demand(x.In, l.exprCols(x.Pred, cols))
-	case Map:
-		for _, o := range x.Outs {
-			cols = l.exprCols(o.E, cols)
-		}
-		l.demand(x.In, cols)
-	case IndexJoin:
-		l.demand(x.Probe, append(cols, x.ProbeKey))
-		l.demand(x.Build, append([]string{x.BuildKey}, x.Cols...))
-	case GroupAgg:
-		p := l.planAgg(x)
-		reads := slices.Clone(x.Keys)
-		for _, in := range p.ins {
-			reads = append(reads, in.col)
-		}
-		for _, ne := range p.named {
-			reads = l.exprCols(ne.E, reads)
-		}
-		l.demand(p.in, reads)
-	}
-}
-
-// exprCols appends the columns e reads to cols, and records the reads of
-// the aggregates it nests.
-func (l *lowerer) exprCols(e Expr, cols []string) []string {
-	cols = slices.Clip(cols)
-	switch x := e.(type) {
-	case Col:
-		return append(cols, x.Name)
-	case Not:
-		return l.exprCols(x.E, cols)
-	case InList:
-		return l.exprCols(x.E, cols)
-	case Between:
-		return l.exprCols(x.Hi, l.exprCols(x.Lo, l.exprCols(x.E, cols)))
-	case Bin:
-		return l.exprCols(x.R, l.exprCols(x.L, cols))
-	case Agg:
-		l.demand(x.G, nil)
-	}
-	return cols
-}
-
-func (l *lowerer) lowerMap(m Map) *lowered {
-	cur := l.lower(m.In)
+func (l *lowerer) lowerMap(m Map, r *node) *lowered {
+	cur := l.lower(r.in[0])
 	out := &lowered{ref: cur.ref, cols: cur.cols, origins: cur.origins, n: cur.n,
 		live: cur.live}
 	for _, ne := range m.Outs {
 		v := l.expr(out, ne.E)
 		out.ref = l.b.Upsert(out.ref, ne.Name, v, "")
-		if !has(out.cols, ne.Name) {
+		if !slices.Contains(out.cols, ne.Name) {
 			out.cols = append(out.cols, ne.Name)
 		}
 	}
@@ -372,11 +425,11 @@ func (l *lowerer) domain(cur *lowered, col string) (int64, int64) {
 	return st.MinI, st.MaxI
 }
 
-func (l *lowerer) lowerJoin(j IndexJoin) *lowered {
+func (l *lowerer) lowerJoin(j IndexJoin, r *node) *lowered {
 	b := l.b
-	build := l.lower(j.Build)
-	probe := l.lower(j.Probe)
-	if !has(build.cols, j.BuildKey) {
+	build := l.lower(r.in[1])
+	probe := l.lower(r.in[0])
+	if !slices.Contains(build.cols, j.BuildKey) {
 		l.errf("build side lacks key %q", j.BuildKey)
 	}
 	minK, maxK := l.domain(build, j.BuildKey)
@@ -395,22 +448,24 @@ func (l *lowerer) lowerJoin(j IndexJoin) *lowered {
 
 	// An aggregate on the key is an open table already: a group sits at
 	// key − min, and its key is ε exactly where no group is, a match flag.
+	// The match flag is read, as liveness, where a probe row may have no
+	// match: over a semi join's or a filtered build, and where the join
+	// carries no column and so exists only to filter.
 	table, match := build.ref, j.BuildKey
-	live := j.Semi || filtered(j.Build) // the match flag is read, as liveness
+	live := j.Semi || r.in[1].filtered || len(j.Cols) == 0
 	if g, ok := j.Build.(GroupAgg); !ok || len(g.Keys) != 1 || g.Keys[0] != j.BuildKey {
-		// Build: scatter carried columns, and a match flag where it is read
-		// (a table needs one column), into the open table at position
-		// key-min (identity hashing). Rows the build side dropped (ε
-		// liveness from its own filtered joins) must not enter the table:
-		// anchored on the liveness column, their positions are ε and store
-		// nothing.
+		// Build: scatter carried columns, and a match flag where it is read,
+		// into the open table at position key-min (identity hashing). Rows
+		// the build side dropped (ε liveness from its own filtered joins)
+		// must not enter the table: anchored on the liveness column, their
+		// positions are ε and store nothing.
 		keyVec := b.Project("val", build.ref, j.BuildKey)
 		pos := b.Subtract(keyVec, b.Constant(minK))
 		if build.live != "" {
 			pos = b.Add(pos, b.Arith(core.OpMultiply, "z", build.ref, build.live, b.Constant(0), ""))
 		}
 		rows, cols := build.ref, j.Cols
-		if live || len(cols) == 0 {
+		if live {
 			rows = b.Upsert(rows, "__m", b.Add(b.Multiply(keyVec, b.Constant(0)), b.Constant(1)), "")
 			cols = append(slices.Clip(cols), "__m")
 		}
@@ -424,22 +479,22 @@ func (l *lowerer) lowerJoin(j IndexJoin) *lowered {
 	probeWithPos := b.Upsert(probe.ref, "__jp", ppos, "")
 	joined := b.Gather(table, probeWithPos, "__jp")
 
-	out := &lowered{ref: probe.ref, cols: probe.cols, origins: probe.origins,
+	out := &lowered{ref: probe.ref, cols: probe.cols, origins: maps.Clone(probe.origins),
 		n: probe.n, live: probe.live}
 	if !j.Semi {
 		for _, c := range j.Cols {
-			if !has(build.cols, c) {
+			if !slices.Contains(build.cols, c) {
 				l.errf("build side lacks column %q", c)
 			}
 			out.ref = b.Upsert(out.ref, c, joined, c)
-			if !has(out.cols, c) {
+			if !slices.Contains(out.cols, c) {
 				out.cols = append(out.cols, c)
 			}
 			out.origins[c] = build.origins[c]
 		}
 	}
-	// A filtered (or semi) build side leaves unmatched probe rows as ε in
-	// the gathered match flag. Rather than a physical match-filter pass,
+	// Where the match flag is read, unmatched probe rows are ε in it.
+	// Rather than a physical match-filter pass,
 	// carry the flag as the liveness column: ε propagates through every
 	// expression and fold, so dead rows never contribute.
 	if live {
@@ -461,78 +516,15 @@ func (l *lowerer) lowerJoin(j IndexJoin) *lowered {
 	return out
 }
 
-// filtered reports whether the subtree can drop rows of its base table.
-func filtered(n Node) bool {
-	switch x := n.(type) {
-	case Scan:
-		return false
-	case Map:
-		return filtered(x.In)
-	case IndexJoin:
-		return x.Semi || filtered(x.Probe) || filtered(x.Build)
-	}
-	return true // a Filter, a GroupAgg
-}
-
-// scanCol reports whether column c of n's output is a column of the scan at
-// the root of n's probe chain, passed through unchanged: ε there exactly
-// where every other such column is, at the rows a filter dropped.
-func scanCol(n Node, c string) (string, bool) {
-	switch x := n.(type) {
-	case Scan:
-		return x.Table, has(x.Cols, c)
-	case Filter:
-		return scanCol(x.In, c)
-	case Map:
-		for _, o := range x.Outs {
-			if o.Name == c {
-				return "", false
-			}
-		}
-		return scanCol(x.In, c)
-	case IndexJoin:
-		if !x.Semi && has(x.Cols, c) {
-			return "", false
-		}
-		return scanCol(x.Probe, c)
-	}
-	return "", false
-}
-
-// exprEqual compares two expressions by their canonical encodings
-// (appendExpr), which are equal exactly for equal expressions, encoded
-// one after the other into the lowerer's reused buffer.
+// exprEqual compares two expressions by their canonical encodings (an
+// aggregate's group by its id), equal exactly for equal expressions,
+// encoded one after the other into the lowerer's reused buffer.
 func (l *lowerer) exprEqual(a, b Expr) bool {
-	ka, okA := appendExpr(l.enc[:0], a)
-	kab, okB := appendExpr(ka, b)
-	l.enc = kab
+	cols := l.cols
+	ka, okA := appendExpr(l.enc[:0], a, l)
+	kab, okB := appendExpr(ka, b, l)
+	l.enc, l.cols = kab, cols
 	return okA && okB && bytes.Equal(kab[:len(ka)], kab[len(ka):])
-}
-
-// firstDataCol finds a visible base column of a subtree, used to anchor
-// count(*) expressions so that ε-padded rows never count.
-func firstDataCol(n Node) string {
-	switch x := n.(type) {
-	case Scan:
-		if len(x.Cols) == 0 {
-			return ""
-		}
-		return x.Cols[0]
-	case Filter:
-		return firstDataCol(x.In)
-	case Map:
-		return firstDataCol(x.In)
-	case IndexJoin:
-		return firstDataCol(x.Probe)
-	case GroupAgg:
-		if len(x.Keys) > 0 {
-			return x.Keys[0]
-		}
-		if len(x.Aggs) > 0 {
-			return x.Aggs[0].As
-		}
-	}
-	return ""
 }
 
 // aggIn is one distinct aggregate a GroupAgg folds: Sum, Count, Min or Max
@@ -545,22 +537,23 @@ type aggIn struct {
 }
 
 // aggPlan is how a GroupAgg computes its folds' inputs: ins, the distinct
-// folds, named on in (or, pushed, below in's filter, and named is nil);
-// per aggregate its fold (vals) and an average's count (divs).
+// folds, named by a Map over its input, in (pushed: below the input's
+// filter); per aggregate its fold (vals) and an average's count (divs).
 type aggPlan struct {
 	ins, vals, divs []*aggIn
-	named           []NamedExpr
-	in              Node
+	in              *node
 	pushed          bool
 }
 
-// planAgg plans g's folds: one per distinct (function, input), where an
-// Avg is a Sum and a Count that reuse equal ones of the query's own, and a
-// count of a column that is ε exactly where the row is counts rows.
-func (l *lowerer) planAgg(g GroupAgg) *aggPlan {
-	p := &aggPlan{in: g.In, vals: make([]*aggIn, len(g.Aggs)), divs: make([]*aggIn, len(g.Aggs))}
+// planAgg plans g, whose input's analysis is input, once: one fold per
+// distinct (function, input), where an Avg is a Sum and a Count that reuse
+// equal ones of the query's own, and a count of a column that is ε exactly
+// where the row is counts rows. The input it folds is read for g's keys
+// and the folds' inputs.
+func (l *lowerer) planAgg(b []byte, g GroupAgg, input *node) *aggPlan {
+	p := &aggPlan{vals: make([]*aggIn, len(g.Aggs)), divs: make([]*aggIn, len(g.Aggs))}
 	intern := func(fn AggFunc, e Expr) *aggIn {
-		if col := l.scanColumn(g.In, e); fn == Count && col != nil && col.AllValid() {
+		if col := l.scanColumn(input, e); fn == Count && col != nil && col.AllValid() {
 			e = nil // a count of a column with no ε counts rows
 		}
 		for _, in := range p.ins {
@@ -582,23 +575,22 @@ func (l *lowerer) planAgg(g GroupAgg) *aggPlan {
 	// A count sums an integer 1 that is ε exactly where its input is, and
 	// computes nothing from the value: e > e is 0 for every value, ±Inf and
 	// NaN included. A count of rows counts a scan column's.
-	anchor := firstDataCol(g.In)
-	p.named = make([]NamedExpr, len(p.ins))
-	for i, in := range p.ins {
-		e := in.e
-		if in.fn == Count {
+	named := make([]NamedExpr, len(p.ins))
+	for i, a := range p.ins {
+		e := a.e
+		if a.fn == Count {
 			if e == nil {
-				if anchor == "" {
+				if input.anchor == "" {
 					// No base column anywhere under this aggregate (a
 					// zero-column Scan): an error, not a crash — the sql
 					// planner always seeds at least one scanned column.
 					panic(lowerErr{fmt.Errorf("rel: count(*) over a scan with no columns")})
 				}
-				e = Col{Name: anchor}
+				e = Col{Name: input.anchor}
 			}
 			e = Not{E: Bin{Op: Gt, L: e, R: e}}
 		}
-		p.named[i] = NamedExpr{Name: in.col, E: e}
+		named[i] = NamedExpr{Name: a.col, E: e}
 	}
 
 	// Push the aggregate input (and group id) computation below a
@@ -611,8 +603,16 @@ func (l *lowerer) planAgg(g GroupAgg) *aggPlan {
 		// filter output materializes anyway (the scatter seam), so the
 		// inputs stay symbolic above it — materializing only the base
 		// columns, not every derived expression.
-		p.in, p.named, p.pushed = Filter{In: Map{In: f.In, Outs: p.named}, Pred: f.Pred}, nil, true
+		m := l.analyse(b, Map{In: analysed{input.in[0]}, Outs: named})
+		p.in, p.pushed = l.analyse(b, Filter{In: analysed{m}, Pred: f.Pred}), true
+	} else {
+		p.in = l.analyse(b, Map{In: analysed{input}, Outs: named})
 	}
+	reads := slices.Clone(g.Keys)
+	for _, a := range p.ins {
+		reads = append(reads, a.col)
+	}
+	p.in.read(reads)
 	return p
 }
 
@@ -621,15 +621,16 @@ func (l *lowerer) planAgg(g GroupAgg) *aggPlan {
 // aggregates, an average divided out, scattered to the slot of their group
 // id (identity hashing: a group at key − min, an empty group ε), or for a
 // global aggregate gathered to its one slot.
-func (l *lowerer) lowerGroupAgg(g GroupAgg) *lowered {
+func (l *lowerer) lowerGroupAgg(g GroupAgg, r *node) *lowered {
 	b := l.b
-	p := l.planAgg(g)
-	ins, cur := p.ins, l.lower(p.in)
-	for _, ne := range p.named {
-		v := l.expr(cur, ne.E)
-		cur = &lowered{ref: b.Upsert(cur.ref, ne.Name, v, ""),
-			cols: append(cur.cols, ne.Name), origins: cur.origins,
-			n: cur.n, live: cur.live}
+	p, ins := r.plan, r.plan.ins
+	// Above the input, its folds' inputs are computed for g alone; pushed
+	// below its filter, they are shared as the filter is.
+	var cur *lowered
+	if p.pushed {
+		cur = l.lower(p.in)
+	} else {
+		cur = l.lowerMap(p.in.n.(Map), p.in)
 	}
 	// Anchor every aggregate input on the liveness column: rows a filtered
 	// join dropped are ε there and must contribute nothing. (This also
@@ -691,7 +692,7 @@ func (l *lowerer) lowerGroupAgg(g GroupAgg) *lowered {
 	for i, a := range g.Aggs {
 		v := p.vals[i].ref
 		if d := p.divs[i]; d != nil { // in floats, as a float column's sum is
-			if col := l.scanColumn(g.In, p.vals[i].e); col == nil || col.Kind() != vector.Float {
+			if col := l.scanColumn(r.in[0], p.vals[i].e); col == nil || col.Kind() != vector.Float {
 				v = b.Multiply(v, b.ConstantF(1))
 			}
 			v = b.Divide(v, d.ref)
@@ -706,15 +707,16 @@ func (l *lowerer) lowerGroupAgg(g GroupAgg) *lowered {
 	return out
 }
 
-// scanColumn returns the stored column e of n's scan when e is a column n
-// passes through unchanged (scanCol), else nil.
-func (l *lowerer) scanColumn(n Node, e Expr) *vector.Column {
+// scanColumn returns the stored column e when e is a column of r's base
+// scan that r passes on unchanged: ε there exactly where every other such
+// column is, at the rows a filter dropped. Else it is nil.
+func (l *lowerer) scanColumn(r *node, e Expr) *vector.Column {
 	c, ok := e.(Col)
-	if !ok {
+	if !ok || r.base == nil || slices.Contains(r.over, c.Name) {
 		return nil
 	}
-	name, ok := scanCol(n, c.Name)
-	if t := l.cat.Table(name); ok && t != nil {
+	s := r.base.n.(Scan)
+	if t := l.cat.Table(s.Table); t != nil && slices.Contains(s.Cols, c.Name) {
 		return t.Col(c.Name)
 	}
 	return nil
@@ -806,13 +808,4 @@ func (l *lowerer) groupedFolds(g GroupAgg, cur *lowered, ins []*aggIn) (core.Ref
 		in.ref = l.fold(in.fn, scattered, "__g", in.col)
 	}
 	return b.FoldMax(scattered, "__g", "__g"), doms
-}
-
-func has(cols []string, c string) bool {
-	for _, x := range cols {
-		if x == c {
-			return true
-		}
-	}
-	return false
 }

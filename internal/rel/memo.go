@@ -39,7 +39,7 @@ func (e *Engine) prepared(q Query) (*Prepared, error) {
 	if e.Backend == Interpreted {
 		return e.Prepare(q)
 	}
-	root, ok := appendNode(nil, q.Root)
+	root, ok := appendNode(nil, q.Root, nil)
 	if !ok {
 		return e.Prepare(q)
 	}
@@ -84,32 +84,34 @@ const (
 // and expression, a length before every string and slice, integers as
 // varints and floats as their exact bits, so equal encodings mean equal
 // plans. ok is false for a type the encoding does not know (such a plan
-// is not memoized).
-func appendNode(b []byte, n Node) (_ []byte, ok bool) {
+// is not memoized). l, when not nil, is lowering's analysis: it encodes an
+// input, and an aggregate expression's group, by its id (nested) and
+// collects the columns expressions name. Without it a plan encodes whole.
+func appendNode(b []byte, n Node, l *lowerer) (_ []byte, ok bool) {
 	switch x := n.(type) {
 	case Scan:
 		return appendStrings(appendString(append(b, tagScan), x.Table), x.Cols), true
 	case Filter:
-		if b, ok = appendNode(append(b, tagFilter), x.In); !ok {
+		if b, ok = l.nested(append(b, tagFilter), x.In); !ok {
 			return b, false
 		}
-		return appendExpr(b, x.Pred)
+		return appendExpr(b, x.Pred, l)
 	case Map:
-		if b, ok = appendNode(append(b, tagMap), x.In); !ok {
+		if b, ok = l.nested(append(b, tagMap), x.In); !ok {
 			return b, false
 		}
 		b = binary.AppendUvarint(b, uint64(len(x.Outs)))
 		for _, o := range x.Outs {
-			if b, ok = appendExpr(appendString(b, o.Name), o.E); !ok {
+			if b, ok = appendExpr(appendString(b, o.Name), o.E, l); !ok {
 				return b, false
 			}
 		}
 		return b, true
 	case IndexJoin:
-		if b, ok = appendNode(append(b, tagIndexJoin), x.Probe); !ok {
+		if b, ok = l.nested(append(b, tagIndexJoin), x.Probe); !ok {
 			return b, false
 		}
-		if b, ok = appendNode(appendString(b, x.ProbeKey), x.Build); !ok {
+		if b, ok = l.nested(appendString(b, x.ProbeKey), x.Build); !ok {
 			return b, false
 		}
 		b = appendStrings(appendString(b, x.BuildKey), x.Cols)
@@ -118,12 +120,12 @@ func appendNode(b []byte, n Node) (_ []byte, ok bool) {
 		}
 		return append(b, 0), true
 	case GroupAgg:
-		if b, ok = appendNode(append(b, tagGroupAgg), x.In); !ok {
+		if b, ok = l.nested(append(b, tagGroupAgg), x.In); !ok {
 			return b, false
 		}
 		b = binary.AppendUvarint(appendStrings(b, x.Keys), uint64(len(x.Aggs)))
 		for _, a := range x.Aggs {
-			if b, ok = appendExpr(append(appendString(b, a.As), byte(a.Func)), a.E); !ok {
+			if b, ok = appendExpr(append(appendString(b, a.As), byte(a.Func)), a.E, l); !ok {
 				return b, false
 			}
 		}
@@ -137,25 +139,28 @@ func appendNode(b []byte, n Node) (_ []byte, ok bool) {
 }
 
 // appendExpr appends the canonical encoding of e (see appendNode).
-func appendExpr(b []byte, e Expr) (_ []byte, ok bool) {
+func appendExpr(b []byte, e Expr, l *lowerer) (_ []byte, ok bool) {
 	switch x := e.(type) {
 	case nil:
 		return append(b, tagNilExpr), true
 	case Col:
+		if l != nil {
+			l.cols = append(l.cols, x.Name)
+		}
 		return appendString(append(b, tagCol), x.Name), true
 	case IntLit:
 		return binary.AppendVarint(append(b, tagIntLit), x.V), true
 	case FloatLit:
 		return binary.AppendUvarint(append(b, tagFloatLit), math.Float64bits(x.V)), true
 	case Bin:
-		if b, ok = appendExpr(append(b, tagBin, byte(x.Op)), x.L); !ok {
+		if b, ok = appendExpr(append(b, tagBin, byte(x.Op)), x.L, l); !ok {
 			return b, false
 		}
-		return appendExpr(b, x.R)
+		return appendExpr(b, x.R, l)
 	case Not:
-		return appendExpr(append(b, tagNot), x.E)
+		return appendExpr(append(b, tagNot), x.E, l)
 	case InList:
-		if b, ok = appendExpr(append(b, tagInList), x.E); !ok {
+		if b, ok = appendExpr(append(b, tagInList), x.E, l); !ok {
 			return b, false
 		}
 		b = binary.AppendUvarint(b, uint64(len(x.Vs)))
@@ -164,15 +169,15 @@ func appendExpr(b []byte, e Expr) (_ []byte, ok bool) {
 		}
 		return b, true
 	case Between:
-		if b, ok = appendExpr(append(b, tagBetween), x.E); !ok {
+		if b, ok = appendExpr(append(b, tagBetween), x.E, l); !ok {
 			return b, false
 		}
-		if b, ok = appendExpr(b, x.Lo); !ok {
+		if b, ok = appendExpr(b, x.Lo, l); !ok {
 			return b, false
 		}
-		return appendExpr(b, x.Hi)
+		return appendExpr(b, x.Hi, l)
 	case Agg:
-		return appendNode(append(b, tagAgg), x.G)
+		return l.nested(append(b, tagAgg), x.G)
 	}
 	return b, false
 }

@@ -146,20 +146,20 @@ func TestMemoKeyDistinguishesRoots(t *testing.T) {
 		{"operator", filter(B(Add, C("a"), I(1))), filter(B(Sub, C("a"), I(1)))},
 		{"operand order", filter(B(Lt, C("a"), C("b"))), filter(B(Lt, C("b"), C("a")))},
 	} {
-		ka, okA := appendNode(nil, tc.a)
-		kb, okB := appendNode(nil, tc.b)
+		ka, okA := appendNode(nil, tc.a, nil)
+		kb, okB := appendNode(nil, tc.b, nil)
 		if !okA || !okB {
 			t.Fatalf("%s: encoding refused a plan type", tc.name)
 		}
 		if bytes.Equal(ka, kb) {
 			t.Errorf("%s: %#v and %#v encode alike", tc.name, tc.a, tc.b)
 		}
-		again, _ := appendNode(nil, tc.a)
+		again, _ := appendNode(nil, tc.a, nil)
 		if !bytes.Equal(ka, again) {
 			t.Errorf("%s: one root encodes two ways", tc.name)
 		}
 	}
-	if _, ok := appendNode(nil, &Scan{Table: "t"}); ok {
+	if _, ok := appendNode(nil, &Scan{Table: "t"}, nil); ok {
 		t.Error("a node type the encoding does not know was encoded")
 	}
 }

@@ -65,8 +65,9 @@ type Between struct {
 
 // Agg is the one value of a keyless aggregate of one column (a total, a
 // maximum), folded once and broadcast to every row of the relation the
-// expression is evaluated over; ε when the aggregate's input is empty.
-type Agg struct{ G GroupAgg }
+// expression is evaluated over; ε when the aggregate's input is empty. G is
+// held by reference, which lowering analyses once; it nests no Agg of itself.
+type Agg struct{ G *GroupAgg }
 
 func (Col) isExpr()      {}
 func (IntLit) isExpr()   {}
@@ -193,19 +194,19 @@ type Result struct {
 }
 
 // String renders the result table, dictionary-encoded key columns decoded
-// back to their strings.
+// back to their strings, a space after every cell however wide.
 func (r *Result) String() string {
 	var sb strings.Builder
 	for _, c := range r.Cols {
-		fmt.Fprintf(&sb, "%-20s", c)
+		fmt.Fprintf(&sb, "%-19s ", c)
 	}
 	sb.WriteString("\n")
 	for _, row := range r.Rows {
 		for _, c := range r.Cols {
 			if d, ok := r.decoders[c]; ok {
-				fmt.Fprintf(&sb, "%-20s", d(row[c]))
+				fmt.Fprintf(&sb, "%-19s ", d(row[c]))
 			} else {
-				fmt.Fprintf(&sb, "%-20.4f", row[c])
+				fmt.Fprintf(&sb, "%-19.4f ", row[c])
 			}
 		}
 		sb.WriteString("\n")

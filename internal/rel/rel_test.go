@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"voodoo/internal/compile"
@@ -81,6 +82,18 @@ func wantRow(t *testing.T, r Row, want map[string]float64) {
 	}
 }
 
+// TestResultStringSeparatesCells: a cell of 20 characters or more, a
+// column name or a value, still has a space before the next cell.
+func TestResultStringSeparatesCells(t *testing.T) {
+	r := &Result{Cols: []string{"sum_of_order_keys_xx", "n"},
+		Rows: []Row{{"sum_of_order_keys_xx": 112507500112507504, "n": 15000}}}
+	for _, line := range strings.Split(strings.TrimSpace(r.String()), "\n") {
+		if cells := strings.Fields(line); len(cells) != 2 {
+			t.Errorf("line %q reads as %d cells, want 2", line, len(cells))
+		}
+	}
+}
+
 func TestGlobalAggregate(t *testing.T) {
 	res := runAll(t, testCatalog(), Query{Root: GroupAgg{
 		In:   Scan{Table: "ord", Cols: []string{"total"}},
@@ -111,7 +124,7 @@ func TestFilteredAggregate(t *testing.T) {
 func TestFilterGathersWhatItsCopiesRead(t *testing.T) {
 	f := Filter{In: Scan{Table: "ord", Cols: []string{"okey", "ckey", "total", "prio"}},
 		Pred: B(Gt, C("ckey"), I(100))}
-	top := Agg{G: GroupAgg{In: Map{In: f, Outs: []NamedExpr{{Name: "t", E: C("total")}}},
+	top := Agg{G: &GroupAgg{In: Map{In: f, Outs: []NamedExpr{{Name: "t", E: C("total")}}},
 		Aggs: []AggSpec{{Func: Max, E: C("t"), As: "top"}}}}
 	q := Query{Root: GroupAgg{
 		In:   Filter{In: f, Pred: B(Gt, B(Mul, C("prio"), I(25)), top)},

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"voodoo/internal/baseline/hyper"
 	"voodoo/internal/rel"
 	"voodoo/internal/tpch"
 )
@@ -156,6 +157,37 @@ func TestStringPredicateAndJoin(t *testing.T) {
 	if res.Rows[0]["n"] != want {
 		t.Fatalf("count = %g, want %g", res.Rows[0]["n"], want)
 	}
+}
+
+// TestJoinWithoutColumnsCountsMatches: a join that carries no column
+// exists only to filter, so COUNT(*) counts the probe rows that have a
+// match, on every engine. Every supplier key is a part key, but most part
+// keys are no supplier's: the answer is the supplier count, not the part
+// count. Every lineitem has its order, and HyPer's answer is the truth.
+func TestJoinWithoutColumnsCountsMatches(t *testing.T) {
+	sup, part := cat.Table("supplier"), cat.Table("part")
+	if sup.N >= part.N {
+		t.Fatalf("%d suppliers, %d parts: the test needs parts without a supplier", sup.N, part.N)
+	}
+	check := func(text string, want float64) {
+		q := planSQL(t, cat, text)
+		for name, e := range aggEngines(cat, 0) {
+			res, _, err := e.Run(q)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := res.Rows[0]["n"]; got != want {
+				t.Errorf("%s: %s counts %g, want %g", name, text, got, want)
+			}
+		}
+	}
+	check(`SELECT COUNT(*) AS n FROM part JOIN supplier ON p_partkey = s_suppkey`, float64(sup.N))
+	text := `SELECT COUNT(*) AS n FROM lineitem JOIN orders ON l_orderkey = o_orderkey`
+	res, _, err := (&hyper.Engine{Cat: cat}).Run(planSQL(t, cat, text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(text, res.Rows[0]["n"])
 }
 
 func TestInListAndOr(t *testing.T) {

@@ -508,7 +508,7 @@ func Q11(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 		Semi:     true,
 	}
 	value := rel.B(rel.Mul, rel.C("ps_supplycost"), rel.C("ps_availqty"))
-	total := rel.Agg{G: rel.GroupAgg{In: base, Aggs: []rel.AggSpec{{Func: rel.Sum, E: value, As: "total"}}}}
+	total := rel.Agg{G: &rel.GroupAgg{In: base, Aggs: []rel.AggSpec{{Func: rel.Sum, E: value, As: "total"}}}}
 	return e.Run(rel.Query{
 		Root: rel.Filter{
 			In: rel.GroupAgg{
@@ -631,7 +631,7 @@ func Q15(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 		Keys: []string{"l_suppkey"},
 		Aggs: []rel.AggSpec{{Func: rel.Sum, E: revenue(), As: "total_revenue"}},
 	}
-	top := rel.Agg{G: rel.GroupAgg{In: view,
+	top := rel.Agg{G: &rel.GroupAgg{In: view,
 		Aggs: []rel.AggSpec{{Func: rel.Max, E: rel.C("total_revenue"), As: "max_revenue"}}}}
 	return e.Run(rel.Query{Root: rel.Filter{In: view,
 		Pred: rel.B(rel.Eq, rel.C("total_revenue"), top)}})

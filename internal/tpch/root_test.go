@@ -20,13 +20,23 @@ var concurrentSQL = []string{
 	"SELECT COUNT(*) AS n FROM lineitem WHERE l_shipmode IN ('AIR', 'RAIL') AND l_quantity < 30",
 }
 
-// cleanSQL holds one grouped, one join and one global sql-short shape of
-// the benchmark, with literals of its own.
-var cleanSQL = []string{
+// shortSQL holds one text of each of the benchmark's seven sql-short
+// shapes, with literals of its own.
+var shortSQL = []string{
+	"SELECT COUNT(*) AS n FROM nation WHERE n_nationkey < 7 AND n_nationkey <> 1003",
 	"SELECT n_regionkey, COUNT(*) AS n, MAX(n_nationkey) AS hi FROM nation WHERE n_nationkey >= 3 AND n_nationkey <> 1004 GROUP BY n_regionkey ORDER BY n_regionkey",
+	"SELECT COUNT(*) AS n, MIN(r_regionkey) AS lo, MAX(r_regionkey) AS hi FROM region WHERE r_regionkey <= 2 AND r_regionkey <> 1005",
 	"SELECT n_regionkey, COUNT(*) AS n, MAX(s_suppkey) AS hi FROM supplier JOIN nation ON s_nationkey = n_nationkey WHERE s_suppkey <= 25 AND s_suppkey <> 100000007 GROUP BY n_regionkey ORDER BY n_regionkey",
+	"SELECT COUNT(*) AS n FROM supplier WHERE s_suppkey > 100000009",
 	"SELECT COUNT(*) AS n, SUM(s_acctbal) AS bal FROM supplier WHERE s_acctbal > 1500.000123",
+	"SELECT s_nationkey, COUNT(*) AS n, AVG(s_acctbal) AS bal FROM supplier WHERE s_acctbal < 3000.000456 GROUP BY s_nationkey ORDER BY s_nationkey",
 }
+
+// cleanSQL holds one grouped, one join and one global sql-short shape.
+var cleanSQL = []string{shortSQL[1], shortSQL[3], shortSQL[5]}
+
+// joinCountSQL counts the rows of a join that carries no column.
+const joinCountSQL = "SELECT COUNT(*) AS n FROM lineitem JOIN orders ON l_orderkey = o_orderkey"
 
 // TestServedPlansVerifyClean: the sql-concurrent statements and the
 // sql-short shapes of cleanSQL compile to plans the verifier has nothing
@@ -129,11 +139,12 @@ func colDomain(cat *storage.Catalog, n rel.Node, col string) rel.Domain {
 }
 
 // TestCompactRoots: no TPC-H or served SQL root is expanded to the padded
-// layout. Every root is its aggregate's relation, one slot per key value
-// (one for a global aggregate), so a run has one output step, which carries
-// no more items than the root's key domain; and Q1, whose expansion to
-// 59,755 slots per column takes 3.38 MB for four rows, materializes under
-// 0.5 MB.
+// layout, and no plan has a second root. Every root is its aggregate's
+// relation, one slot per key value (one for a global aggregate), so a run
+// has one output step, which carries no more items than the root's key
+// domain; a join that carries no column filters by its match flag, so its
+// probe gather is read; and Q1, whose expansion to 59,755 slots per column
+// takes 3.38 MB for four rows, materializes under 0.5 MB.
 func TestCompactRoots(t *testing.T) {
 	cat := cutCat()
 	check := func(name string, runs []rootRun) {
@@ -171,7 +182,7 @@ func TestCompactRoots(t *testing.T) {
 		}
 		check(queryName(num), r.runs)
 	}
-	for _, text := range concurrentSQL {
+	for _, text := range append(append(slices.Clone(concurrentSQL), shortSQL...), joinCountSQL) {
 		stmt, err := sql.Parse(text)
 		if err != nil {
 			t.Fatal(err)
