@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"strings"
 
 	"voodoo/internal/core"
 	"voodoo/internal/interp"
@@ -230,7 +231,11 @@ func (c *compiler) compileLoad(s *core.Stmt) *desc {
 		cerrf("%v", err)
 	}
 	d := &desc{n: v.Len()}
+	kps, all := c.readsOf(s)
 	for _, name := range v.Names() {
+		if !all && !readBy(name, kps) {
+			continue
+		}
 		col := v.Col(name)
 		buf := c.kern.AddBuf(kernel.BufDecl{
 			Name: s.Name + "." + name, Kind: col.Kind(), Size: col.Len(),
@@ -249,6 +254,43 @@ func (c *compiler) compileLoad(s *core.Stmt) *desc {
 		d.attrs = append(d.attrs, a)
 	}
 	return d
+}
+
+// readsOf returns the keypaths the statements that consume s read of it —
+// a fold's value attribute included — or all when one of them takes the
+// whole vector: by an empty keypath, as a bulk step (with fusion off every
+// statement converts its whole operands), or as an output (s is a root).
+func (c *compiler) readsOf(s *core.Stmt) (kps []string, all bool) {
+	if c.uses[s.ID] == 0 || c.opt.ForceBulk {
+		return nil, true
+	}
+	for i := int(s.ID) + 1; i < len(c.prog.Stmts); i++ {
+		t := &c.prog.Stmts[i]
+		for j, a := range t.Args {
+			if a != s.ID {
+				continue
+			}
+			if j >= len(t.Kp) || t.Kp[j] == "" {
+				return nil, true
+			}
+			kps = append(kps, t.Kp[j])
+			if j == 0 && t.FoldVal != "" {
+				kps = append(kps, t.FoldVal)
+			}
+		}
+	}
+	return kps, false
+}
+
+// readBy reports whether a keypath of kps designates the attribute name:
+// names it, or names a prefix of its path.
+func readBy(name string, kps []string) bool {
+	for _, kp := range kps {
+		if name == kp || strings.HasPrefix(name, kp+".") {
+			return true
+		}
+	}
+	return false
 }
 
 // attrsAt resolves a keypath on a plainified operand, returning copies of

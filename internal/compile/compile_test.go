@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"voodoo/internal/core"
@@ -842,4 +843,54 @@ func TestZoneMapPrunesImpossibleFilter(t *testing.T) {
 		in := b.Load("t")
 		b.Gather(in, b.FoldSelect(b.Greater(in, b.Constant(500)), "", ""), "")
 	}, Options{})
+}
+
+// TestCompileLoadBindsWhatIsRead: a Load binds the columns its consumers'
+// keypaths read and no others, and all of them when a consumer takes the
+// whole vector, when it is a root, or when fusion is off (a bulk step
+// converts its whole operands). Every program still answers as the
+// interpreter does.
+func TestCompileLoadBindsWhatIsRead(t *testing.T) {
+	st := interp.MemStorage{"t": vector.New(6).
+		Set("a", vector.NewInt([]int64{1, 2, 3, 4, 5, 6})).
+		Set("b", vector.NewInt([]int64{6, 5, 4, 3, 2, 1})).
+		Set("c", vector.NewInt([]int64{0, 1, 0, 1, 0, 1}))}
+	for _, tc := range []struct {
+		name  string
+		build func(b *core.Builder)
+		opt   Options
+		bound string
+	}{
+		{"project", func(b *core.Builder) {
+			b.Add(b.Project("x", b.Load("t"), "a"), b.Constant(1))
+		}, Options{}, "t.a"},
+		{"zip", func(b *core.Builder) {
+			li := b.Load("t")
+			b.Zip("x", li, "a", "y", li, "c")
+		}, Options{}, "t.a t.c"},
+		{"upsert-whole", func(b *core.Builder) {
+			b.Upsert(b.Load("t"), "z", b.Constant(1), "")
+		}, Options{}, "t.a t.b t.c"},
+		{"root", func(b *core.Builder) { b.Load("t") }, Options{}, "t.a t.b t.c"},
+		{"bulk", func(b *core.Builder) {
+			b.Add(b.Project("x", b.Load("t"), "a"), b.Constant(1))
+		}, Options{ForceBulk: true}, "t.a t.b t.c"},
+	} {
+		b := core.NewBuilder()
+		tc.build(b)
+		plan, err := Compile(b.Program(), st, tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var bound []string
+		for _, d := range plan.Kernel().Bufs {
+			if strings.HasPrefix(d.Name, "t.") {
+				bound = append(bound, d.Name)
+			}
+		}
+		if got := strings.Join(bound, " "); got != tc.bound {
+			t.Errorf("%s: binds %q, want %q", tc.name, got, tc.bound)
+		}
+		diffTest(t, b, st, tc.opt)
+	}
 }

@@ -357,7 +357,7 @@ func (p *Plan) traceStep(s step, frags []exec.FragStats, wall time.Duration) tra
 			if fs.TileLanes > 0 {
 				ts.Tile = strconv.Itoa(fs.TileLanes) + "x" + strconv.Itoa(fs.TileIters)
 			}
-			ts.AccWide, ts.AccCarried = fs.AccWide, fs.AccCarried
+			ts.AccWide, ts.AccCarried, ts.Early = fs.AccWide, fs.AccCarried, fs.Early
 			ts.Items = fs.Items
 			ts.MaterializedBytes = fs.StoreBytes
 		}

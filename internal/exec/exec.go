@@ -350,6 +350,10 @@ type FragStats struct {
 	// that ran them one primitive each, and those whose slots met so that
 	// they ran iteration by iteration (zero for other fragments).
 	AccWide, AccCarried int64
+	// Early is the number of early points the run's tiles applied
+	// (verify.LoopFacts.Early): zero in element order and when the buffers
+	// missed what their windows need.
+	Early int
 
 	Items int64 // loop iterations executed
 	// StoreBytes counts bytes written to global buffers — the
@@ -391,6 +395,7 @@ func (fs *FragStats) merge(o *FragStats) {
 	if fs.TileLanes == 0 {
 		fs.TileLanes, fs.TileIters = o.TileLanes, o.TileIters
 	}
+	fs.Early = max(fs.Early, o.Early)
 	fs.AccWide += o.AccWide
 	fs.AccCarried += o.AccCarried
 	fs.Items += o.Items
@@ -551,6 +556,8 @@ type worker struct {
 	batch *batchProg
 	bst   *bstate
 	elem  bool
+	// early: the tiles of this run apply the program's early points.
+	early bool
 	// stats always carries Items and StoreBytes (an add apiece); count
 	// gates the device-model event counters, which only element order
 	// collects.

@@ -27,7 +27,10 @@ import (
 // values between them, and dynamic bounds far shorter than a tile. Half the
 // loops with a scratch array are bodies of scratch reductions alone, into
 // slot ranges that are disjoint or shared, so tiles take both the
-// reductions' tile-wide path and its fallback.
+// reductions' tile-wide path and its fallback. A third of the loops open
+// with a guard over an and of conjuncts, whose windows may hold a division,
+// a gather not proven in range or a load of a buffer shorter than N, so
+// tiles take early points and every way of being refused them.
 // Whatever the verifier passes must leave every buffer, Items and
 // StoreBytes bit-identical to the oracle's in three legs at one worker —
 // tiles, element order, and a counted run, whose every device-model event
@@ -197,6 +200,44 @@ func TestFuzzSeedsReachBothReductionPaths(t *testing.T) {
 	}
 }
 
+// TestFuzzSeedsReachEarlyPoints: the seed corpus alone decodes guards whose
+// conjuncts the tiles apply early, and guards with each hazard in the
+// window of an earlier conjunct — a division, a gather probed through
+// another buffer's validity, a load of a buffer shorter than N (a run-time
+// refusal) — so FuzzBatchVsInterp checks both against the oracle on every
+// run of the suite.
+func TestFuzzSeedsReachEarlyPoints(t *testing.T) {
+	var applied int
+	reached := map[conjunctShape]int{}
+	for _, seed := range fuzzSeeds() {
+		d, k, in := decode(seed)
+		if verify.HasErrors(verify.Fragment(k.Frags[0], k.Bufs)) {
+			continue
+		}
+		for _, sh := range []conjunctShape{shapeGuard, shapeDiv, shapeUnproven, shapeShort} {
+			if d.shapes&sh != 0 {
+				reached[sh]++
+			}
+		}
+		env := NewEnv(k)
+		for name, buf := range in {
+			if err := env.Bind(k, name, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var fs FragStats
+		if RunFragment(context.Background(), k.Frags[0], env, Par{Workers: 1}, &fs, false) == nil && fs.Early > 0 {
+			applied++
+		}
+	}
+	t.Logf("seeds: %d applied early points; guards %d, divisions %d, unproven gathers %d, short loads %d",
+		applied, reached[shapeGuard], reached[shapeDiv], reached[shapeUnproven], reached[shapeShort])
+	if applied == 0 || reached[shapeDiv] == 0 || reached[shapeUnproven] == 0 || reached[shapeShort] == 0 {
+		t.Errorf("seed corpus: %d seeds applied early points, %d divided, %d gathered unproven, %d loaded short; want each",
+			applied, reached[shapeDiv], reached[shapeUnproven], reached[shapeShort])
+	}
+}
+
 // fragDecoder maps a byte string onto one fragment. It tracks, per register
 // file, the registers defined on every path to the instruction being
 // emitted — the dominance the fragment contract demands — and draws operands
@@ -224,7 +265,22 @@ type fragDecoder struct {
 	// regions > 0 decodes a loop body of scratch reductions into that many
 	// disjoint slot ranges, with nothing else carried beside them.
 	regions int
+	// inV is a small masked buffer guards gather from, short one a slot
+	// shorter than N; shapes notes what conjuncts has emitted.
+	inV, short int
+	shapes     conjunctShape
 }
+
+// conjunctShape is a set of the things conjuncts may put in the window of
+// an earlier conjunct.
+type conjunctShape uint8
+
+const (
+	shapeGuard    conjunctShape = 1 << iota // a guard over an and of conjuncts
+	shapeDiv                                // a division, which may fault
+	shapeUnproven                           // a gather probed through another buffer's validity
+	shapeShort                              // a sequential load of short
+)
 
 func (d *fragDecoder) byte() int {
 	if d.pos >= len(d.data) {
@@ -360,11 +416,91 @@ func (d *fragDecoder) reduction(out *[]kernel.Instr, sec section) {
 	}
 }
 
+// conjuncts decodes, from the tail, a guard over the and of two to four
+// conjuncts, each a comparison: of a sequential load, of a gather selected
+// by its own validity (whose probe is a conjunct too) or, now and then, by
+// another buffer's, of a division whose divisor may be zero, or of a load
+// of short. The tiles may apply a conjunct early only when nothing between
+// it and the guard can fault on the rows it drops; the rest of the decoding
+// is as it was without the guard.
+func (d *fragDecoder) conjuncts(out *[]kernel.Instr) {
+	fresh := func() kernel.Reg {
+		r := d.fresh()
+		d.defI, d.allI = append(d.defI, r), append(d.allI, r)
+		return r
+	}
+	load := func(buf int) kernel.Reg {
+		x := fresh()
+		*out = append(*out, kernel.Instr{Op: kernel.ILoad, Dst: x, A: kernel.RegIdx, Buf: buf, Seq: true})
+		return x
+	}
+	cmp := func(x kernel.Reg) kernel.Reg {
+		k, c := fresh(), fresh()
+		*out = append(*out,
+			kernel.Instr{Op: kernel.IConstI, Dst: k, Imm: int64(d.tail()%9) - 3},
+			kernel.Instr{Op: kernel.IBin, BOp: kernel.BGt, Dst: c, A: x, B: k})
+		return c
+	}
+	d.shapes |= shapeGuard
+	var leaves []kernel.Reg
+	// note records a hazard that lies in an earlier conjunct's window.
+	note := func(sh conjunctShape) {
+		if len(leaves) > 0 {
+			d.shapes |= sh
+		}
+	}
+	for range 2 + d.tail()%3 {
+		switch d.tail() % 5 {
+		case 0, 1:
+			leaves = append(leaves, cmp(load(d.inI)))
+		case 2:
+			probe := d.inV
+			if d.tail()%4 == 0 {
+				probe = d.inI
+				note(shapeUnproven)
+			}
+			x := load(d.inI)
+			v, z, sel, g := fresh(), fresh(), fresh(), fresh()
+			*out = append(*out,
+				kernel.Instr{Op: kernel.ILoadValid, Dst: v, A: x, Buf: probe},
+				kernel.Instr{Op: kernel.IConstI, Dst: z, Imm: int64(d.tail() % 3)},
+				kernel.Instr{Op: kernel.ISel, Dst: sel, A: v, B: x, C: z},
+				kernel.Instr{Op: kernel.ILoad, Dst: g, A: sel, Buf: d.inV})
+			leaves = append(leaves, v, cmp(g))
+		case 3:
+			var by kernel.Reg
+			if d.tail()%2 == 0 {
+				by = load(d.inI) // zero now and then
+			} else {
+				by = fresh()
+				*out = append(*out, kernel.Instr{Op: kernel.IConstI, Dst: by, Imm: int64(1 + d.tail()%3)})
+			}
+			y := fresh()
+			*out = append(*out, kernel.Instr{Op: kernel.IBin, BOp: kernel.BDiv, Dst: y, A: load(d.inI), B: by})
+			note(shapeDiv)
+			leaves = append(leaves, cmp(y))
+		default:
+			note(shapeShort)
+			leaves = append(leaves, cmp(load(d.short)))
+		}
+	}
+	t := leaves[0]
+	for _, c := range leaves[1:] {
+		and := fresh()
+		*out = append(*out, kernel.Instr{Op: kernel.IBin, BOp: kernel.BAnd, Dst: and, A: t, B: c})
+		t = and
+	}
+	*out = append(*out, kernel.Instr{Op: kernel.IGuard, A: t})
+}
+
 // instrs decodes up to n instructions of one section. Definitions made
 // behind a guard stop dominating at the end of the section; the caller
 // restores its own view.
 func (d *fragDecoder) instrs(sec section, n int) []kernel.Instr {
 	var out []kernel.Instr
+	if sec == secLoop && d.regions == 0 && d.tail()%3 == 0 {
+		d.conjuncts(&out)
+	}
 	for i := 0; i < n; i++ {
 		if sec == secLoop && d.regions > 0 {
 			d.reduction(&out, sec)
@@ -496,6 +632,12 @@ func dominating(body []kernel.Instr, flt bool, before int, defs []kernel.Reg) []
 }
 
 func decodeFragment(data []byte) (*kernel.Kernel, map[string]*Buffer) {
+	_, k, in := decode(data)
+	return k, in
+}
+
+// decode is decodeFragment, with the decoder's notes.
+func decode(data []byte) (*fragDecoder, *kernel.Kernel, map[string]*Buffer) {
 	d := &fragDecoder{data: data, k: &kernel.Kernel{}, next: kernel.FirstFree}
 	extent, intent := 4+d.byte()%23, 1+d.byte()%7
 	if d.byte()%4 == 0 {
@@ -519,6 +661,8 @@ func decodeFragment(data []byte) (*kernel.Kernel, map[string]*Buffer) {
 	d.itemI = decl("itemI", vector.Int, extent, d.byte()%2 == 0, false)
 	d.itemF = decl("itemF", vector.Float, extent, false, false)
 	d.slotF = decl("slotF", vector.Float, extent*max(f.Locals, 1), false, false)
+	d.inV = decl("inV", vector.Int, 13, true, true)
+	d.short = decl("short", vector.Int, max(f.N-1, 0), false, true)
 
 	f.Pre = d.instrs(secPre, d.byte()%5)
 	preI := dominating(f.Pre, false, 0, d.defI)
@@ -559,5 +703,10 @@ func decodeFragment(data []byte) (*kernel.Kernel, map[string]*Buffer) {
 	if d.byte()%2 == 0 {
 		inI.Valid = valid
 	}
-	return d.k, map[string]*Buffer{"inI": inI, "inF": {Kind: vector.Float, F: flts}}
+	inV := &Buffer{Kind: vector.Int, I: make([]int64, 13), Valid: make([]bool, 13)}
+	for j := range inV.I {
+		inV.I[j], inV.Valid[j] = int64(j%7-2), j%4 != 1
+	}
+	return d, d.k, map[string]*Buffer{"inI": inI, "inF": {Kind: vector.Float, F: flts}, "inV": inV,
+		"short": {Kind: vector.Int, I: ints[:max(f.N-1, 0)]}}
 }

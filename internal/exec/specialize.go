@@ -60,6 +60,7 @@ import (
 
 	"voodoo/internal/kernel"
 	"voodoo/internal/metrics"
+	"voodoo/internal/vector"
 	"voodoo/internal/verify"
 )
 
@@ -123,6 +124,9 @@ type batchPrim struct {
 	fn   func(w *worker, b *bstate, in *kernel.Instr) error
 	in   *kernel.Instr // in the fragment, which is immutable once compiled
 	snap int
+	// early: a guard on an early point (verify.LoopFacts.Early), which runs
+	// only when the run's buffers meet the program's needs.
+	early bool
 }
 
 // batchSeq is one compiled instruction sequence. wide holds, in program
@@ -170,6 +174,10 @@ type batchProg struct {
 	// nregs bounds the register index space of the fragment, for the
 	// column tables.
 	nregs int
+	// early counts the guards on early points in the loops' wide slices, and
+	// needs is what they need of the buffers (verify.Facts.Needs).
+	early int
+	needs []verify.Need
 	// refused, when set, is the contract violation the fragment is refused
 	// for (verify.Facts.Violation); nothing else is then filled.
 	refused *ContractError
@@ -268,21 +276,27 @@ func compileBatch(f *kernel.Fragment) *batchProg {
 	if facts.Violation != nil {
 		return &batchProg{refused: &ContractError{Diag: *facts.Violation}}
 	}
-	bp := &batchProg{nregs: f.NumRegs(), iters: 1}
+	bp := &batchProg{nregs: f.NumRegs(), iters: 1, needs: facts.Needs}
 	bp.intRegs, bp.fltRegs = facts.IntRegs, facts.FltRegs
 	bp.width = max(1, min(specBatchN, tileBytes/(8*(len(bp.intRegs)+len(bp.fltRegs)))))
 	// One backing for every sequence's primitives in tiles, one for them in
-	// program order: each instruction of the fragment becomes at most one.
+	// program order: each instruction of the fragment becomes at most one,
+	// and each early point one more guard in tiles.
 	total := len(f.Pre) + len(f.Post) + len(f.PostLoopBody)
 	for _, l := range f.Loops {
 		total += len(l.Body)
 	}
-	prims, order := make([]batchPrim, 0, total), make([]batchPrim, 0, total)
+	for _, lf := range facts.Loops {
+		bp.early += len(lf.Early)
+	}
+	prims, order := make([]batchPrim, 0, total+bp.early), make([]batchPrim, 0, total)
+	guards := make([]kernel.Instr, 0, bp.early)
 	seq := func(instrs []kernel.Instr, lf *verify.LoopFacts, bound int) batchSeq {
 		s := batchSeq{bound: bound}
 		carried := 0
+		var early []verify.Early
 		if lf != nil {
-			s.lf = lf
+			s.lf, early = lf, lf.Early
 			bp.wins[0], bp.wins[1] = max(bp.wins[0], len(lf.Win[0])), max(bp.wins[1], len(lf.Win[1]))
 			for _, c := range lf.Class {
 				if c == verify.Carried {
@@ -291,10 +305,10 @@ func compileBatch(f *kernel.Fragment) *batchProg {
 			}
 			bp.iters = max(bp.iters, bound)
 		}
-		at := len(prims)
-		prims = prims[:at+len(instrs)]
-		s.wide = prims[at : at : at+len(instrs)-carried]
-		s.carried = prims[at+len(instrs)-carried : at+len(instrs)-carried : at+len(instrs)]
+		at, nwide := len(prims), len(instrs)-carried+len(early)
+		prims = prims[:at+nwide+carried]
+		s.wide = prims[at : at : at+nwide]
+		s.carried = prims[at+nwide : at+nwide : at+nwide+carried]
 		s.order = order[len(order):len(order)]
 		snap := 0
 		var chains []verify.Chain
@@ -304,6 +318,14 @@ func compileBatch(f *kernel.Fragment) *batchProg {
 		}
 		for i := range instrs {
 			in := &instrs[i]
+			if len(early) > 0 && early[0].At < i {
+				// The early guard on the conjunct instruction i-1 defined.
+				// No carried primitive runs between it and its guard, so it
+				// needs no snapshot of its own.
+				guards = append(guards, kernel.Instr{Op: kernel.IGuard, A: early[0].Reg})
+				s.wide = append(s.wide, batchPrim{fn: primGuard, in: &guards[len(guards)-1], early: true})
+				early = early[1:]
+			}
 			if facts.Hoisted(in) {
 				bp.consts = append(bp.consts, in)
 				continue
@@ -365,12 +387,24 @@ func compileBatch(f *kernel.Fragment) *batchProg {
 // wide enough for lanes work items: as wide as a tile of several iterations
 // may get when the fragment has that many to offer. Columns are not zeroed —
 // the fragment contract has every read dominated by a definition in the same
-// work item — except that the hoisted constants are filled here, once.
+// work item — except that the hoisted constants are filled here, once; a
+// voodoo_poison build fills the rest with poison, so that a read of a lane
+// nothing defined shows in the answer. It also decides whether this run's
+// tiles take their early points: only when the environment's buffers meet
+// everything the proofs of their windows need.
 func (w *worker) attachBatch(bp *batchProg, lanes int) {
 	f, sc := w.f, w.scratch
+	w.early = bp.early > 0 && meets(w.env, bp.needs)
+	if w.early && !w.elem {
+		w.stats.Early = bp.early
+	}
 	stride := max(lanes, min(bp.width, lanes*bp.iters))
 	ints := grow(&sc.bcols, (len(bp.intRegs)+1)*stride)
 	flts := grow(&sc.bfcols, len(bp.fltRegs)*stride)
+	if vector.Poison {
+		fill(ints, vector.PoisonInt)
+		fill(flts, math.NaN())
+	}
 	if cap(sc.bri) < bp.nregs {
 		sc.bri = make([][]int64, bp.nregs)
 		sc.brf = make([][]float64, bp.nregs)
@@ -413,6 +447,16 @@ func (w *worker) attachBatch(bp *batchProg, lanes int) {
 	} else {
 		b.locI = grow(&sc.blocI, f.Locals*lanes)
 	}
+}
+
+// meets reports whether env's buffers hold what needs lists.
+func meets(env *Env, needs []verify.Need) bool {
+	for _, n := range needs {
+		if b := env.Bufs[n.Buf]; (b.Kind == vector.Float) != n.Float || b.Len() < n.Slots {
+			return false
+		}
+	}
+	return true
 }
 
 func fill[T any](s []T, v T) {
@@ -720,6 +764,9 @@ func (w *worker) runTile(s *batchSeq, n int, sel []int32, rows int) (fault bool,
 	clear(b.snaps[1:]) // nothing gets as far as a guard the wide pass does not reach
 	for i := range s.wide {
 		p := &s.wide[i]
+		if p.early && !w.early {
+			continue
+		}
 		if p.snap > 0 {
 			b.selBuf = b.region(p.snap)
 		}
@@ -1101,26 +1148,27 @@ func primSel[T int64 | float64](regs [][]T, b *bstate, in *kernel.Instr) error {
 // primGuard compiles IGuard: the pseudo-lanes whose predicate is zero leave
 // the selection for the rest of the sequence. The survivors are written to
 // selBuf, which the driver points at the region to keep them in; when that
-// is where the selection already lives, writes trail reads.
+// is where the selection already lives, writes trail reads. The compaction
+// does not branch on the predicate: every lane is written, and the cursor
+// advances past the ones that pass.
 func primGuard(_ *worker, b *bstate, in *kernel.Instr) error {
 	cond := b.ri[in.A]
-	out := b.selBuf[:0]
 	if s := b.sel; s != nil {
+		out, k := b.selBuf[:len(s)], 0
 		for _, i := range s {
-			if cond[i] != 0 {
-				out = append(out, i)
-			}
+			out[k] = i
+			k += int(b2i(cond[i] != 0))
 		}
-		b.sel = out
+		b.sel = out[:k]
 		return nil
 	}
-	for i, c := range cond[:b.n] {
-		if c != 0 {
-			out = append(out, int32(i))
-		}
+	out, k := b.selBuf[:b.n], 0
+	for i, c := range cond[:len(out)] {
+		out[k] = int32(i)
+		k += int(b2i(c != 0))
 	}
-	if len(out) < b.n { // else every lane passed: stay dense
-		b.sel = out
+	if k < b.n { // else every lane passed: stay dense
+		b.sel = out[:k]
 	}
 	return nil
 }

@@ -68,7 +68,7 @@ func TestWireShapes(t *testing.T) {
 	done := make(chan result, 1)
 	go func() {
 		resp, err := http.Post(srv.URL+"/query", "text/plain",
-			strings.NewReader(`SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity < 50`))
+			strings.NewReader(`SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity < 50 AND l_discount > 0.01 AND l_tax > 0.01`))
 		if err != nil {
 			done <- result{body: err.Error()}
 			return
@@ -116,6 +116,17 @@ func TestWireShapes(t *testing.T) {
 	}
 	if got, want := keys(t, slow[0]), "cached_plan compile_ns deadline_ns id items materialized_bytes plan_lookup_ns query_id queue_ns sql started_at traces wall_ns"; got != want {
 		t.Errorf("/queries/slow entry keys:\n got %s\nwant %s", got, want)
+	}
+	// Its filter fold applies the first two of its three conjuncts early,
+	// and says so in its trace step.
+	var early []any
+	for _, st := range slow[0].(map[string]any)["traces"].([]any)[0].(map[string]any)["steps"].([]any) {
+		if step := st.(map[string]any); strings.HasPrefix(step["name"].(string), "ffold_") {
+			early = append(early, step["early"])
+		}
+	}
+	if len(early) != 1 || early[0] != 2.0 {
+		t.Errorf("filter-fold steps' early points: got %v, want [2]", early)
 	}
 	// /queries lists the same entry as a summary: no traces.
 	_, list := getBody(t, srv.URL+"/queries")

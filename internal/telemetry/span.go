@@ -127,6 +127,9 @@ func BuildSpans(r *QueryRecord) QuerySpans {
 			if s.AccWide+s.AccCarried > 0 {
 				sa["acc"] = s.Acc()
 			}
+			if s.Early > 0 {
+				sa["early"] = s.Early
+			}
 			child(s.Kind+" "+s.Name, run, stepCursor, s.WallNS, sa)
 			stepCursor += s.WallNS
 		}

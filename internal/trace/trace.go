@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -68,6 +69,10 @@ type Step struct {
 	// pass because their slots met. Both zero when the fragment has none.
 	AccWide    int64 `json:"acc_wide,omitempty"`
 	AccCarried int64 `json:"acc_carried,omitempty"`
+	// Early is the number of guard conjuncts a batch fragment's tiles applied
+	// ahead of their guard (early points); zero in element order and when
+	// the run's buffers missed what the points need.
+	Early int `json:"early,omitempty"`
 
 	// Control-vector shape of a fragment: Extent parallel work items,
 	// Intent sequential iterations each, over N guarded elements.
@@ -265,10 +270,15 @@ func (t *Trace) String() string {
 			flags = append(flags, "predicated")
 		}
 		switch {
-		case s.Tile != "" && s.AccWide+s.AccCarried > 0:
-			flags = append(flags, fmt.Sprintf("spec:%s(%s,acc %s)", s.Specialized, s.Tile, s.Acc()))
 		case s.Tile != "":
-			flags = append(flags, fmt.Sprintf("spec:%s(%s)", s.Specialized, s.Tile))
+			tile := s.Tile
+			if s.AccWide+s.AccCarried > 0 {
+				tile += ",acc " + s.Acc()
+			}
+			if s.Early > 0 {
+				tile += ",early " + strconv.Itoa(s.Early)
+			}
+			flags = append(flags, fmt.Sprintf("spec:%s(%s)", s.Specialized, tile))
 		case s.Specialized != "":
 			flags = append(flags, "spec:"+s.Specialized)
 		}

@@ -94,6 +94,8 @@ func TestStringRendering(t *testing.T) {
 	tr.Add(Step{Kind: KindFragment, Name: "scat_4", Virtual: true, Specialized: "batch"})
 	tr.Add(Step{Kind: KindFragment, Name: "gfold_5", Specialized: "batch", Tile: "7x146"})
 	tr.Add(Step{Kind: KindFragment, Name: "gfold_6", Specialized: "batch", Tile: "7x85", AccWide: 11, AccCarried: 1})
+	tr.Add(Step{Kind: KindFragment, Name: "ffold_7", Specialized: "batch", Tile: "127x8", Early: 2})
+	tr.Add(Step{Kind: KindFragment, Name: "gfold_8", Specialized: "batch", Tile: "32x14", AccWide: 3, Early: 6})
 	tr.Finish(time.Millisecond)
 
 	s := tr.String()
@@ -103,7 +105,8 @@ func TestStringRendering(t *testing.T) {
 		"items=1024", "mat=64B", "folds=8",
 		"fused:3", "suppress", "predicated", "virtual",
 		"spec:interp]", "spec:batch]", "spec:batch(7x146)]",
-		"spec:batch(7x85,acc 11/12)]", "total:", "fragments=4",
+		"spec:batch(7x85,acc 11/12)]", "spec:batch(127x8,early 2)]",
+		"spec:batch(32x14,acc 3/3,early 6)]", "total:", "fragments=6",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() missing %q in:\n%s", want, s)

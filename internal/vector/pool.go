@@ -305,7 +305,7 @@ func (a *Arena) Release() {
 		if p.retained+bytes > p.maxRetained {
 			continue
 		}
-		if poisonOnRelease {
+		if Poison {
 			poisonInts(s)
 		}
 		p.ints[c] = append(p.ints[c], s)
@@ -322,7 +322,7 @@ func (a *Arena) Release() {
 		if p.retained+bytes > p.maxRetained {
 			continue
 		}
-		if poisonOnRelease {
+		if Poison {
 			poisonFloats(s)
 		}
 		p.floats[c] = append(p.floats[c], s)
@@ -339,7 +339,7 @@ func (a *Arena) Release() {
 		if p.retained+bytes > p.maxRetained {
 			continue
 		}
-		if poisonOnRelease {
+		if Poison {
 			poisonBools(s)
 		}
 		p.bools[c] = append(p.bools[c], s)

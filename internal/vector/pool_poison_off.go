@@ -2,11 +2,11 @@
 
 package vector
 
-// poisonOnRelease is off in normal builds: release leaves buffer contents
-// in place (they are zeroed on the next Get anyway). Build with
+// Poison is off in normal builds: release leaves buffer contents in
+// place (they are zeroed on the next Get anyway). Build with
 // -tags voodoo_poison to overwrite released buffers with sentinels and
 // surface use-after-release as divergence.
-const poisonOnRelease = false
+const Poison = false
 
 // PoisonInt matches the voodoo_poison build's sentinel so tests can
 // reference it under either tag.

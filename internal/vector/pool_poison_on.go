@@ -4,12 +4,13 @@ package vector
 
 import "math"
 
-// poisonOnRelease makes Arena.Release overwrite every returned slice with
+// Poison makes Arena.Release overwrite every returned slice with
 // sentinel garbage before it reaches a free list. Any consumer still
 // reading a released buffer then sees values no real query produces —
 // the difftest pooled combo and the concurrent isolation test run under
-// this tag to turn silent use-after-release into loud divergence.
-const poisonOnRelease = true
+// this tag to turn silent use-after-release into loud divergence. The
+// executor poisons its register columns too.
+const Poison = true
 
 // PoisonInt is the sentinel released integer slots are filled with
 // (0xAAAA... as a signed value; tests assert against it).

@@ -8,6 +8,7 @@ package verify
 
 import (
 	"fmt"
+	"math"
 
 	"voodoo/internal/kernel"
 	"voodoo/internal/vector"
@@ -301,6 +302,26 @@ type LoopFacts struct {
 	// such a chain observes only its own slots, so over a tile whose chains
 	// touch disjoint slots each chain can run on its own, in iteration order.
 	Chains []Chain
+	// Early lists the body's early points in program order: conjuncts of a
+	// wide guard the tiles may apply right after their definition, ahead of
+	// the guard (batchFacts.earlyPoints). What they need of the buffers at run
+	// time is in Facts.Needs.
+	Early []Early
+}
+
+// Early is one early point: instruction At of the body is the one
+// definition of Reg, a conjunct of a later guard's and-tree.
+type Early struct {
+	At  int
+	Reg kernel.Reg
+}
+
+// Need is a run-time requirement of the early points: buffer Buf holds at
+// least Slots values, in the float domain when Float is set, else the
+// integer one.
+type Need struct {
+	Buf, Slots int
+	Float      bool
 }
 
 // Chain is a scratch reduction t = loc[i]; u = op(t, x); loc[i] = u, by
@@ -329,6 +350,9 @@ type Facts struct {
 	// Loops holds the tiling facts of every loop in order, then those of
 	// the post-loop body when there is one.
 	Loops []LoopFacts
+	// Needs lists what the early points of every loop need of the buffers:
+	// a run whose buffers miss one of them runs without early points.
+	Needs []Need
 
 	regs [2][]uint8 // batchFacts.regs: regKonst marks the hoistable constants
 }
@@ -387,6 +411,23 @@ type batchFacts struct {
 	readsOuter bool
 	// localsFloat is the domain of the fragment's scratch array.
 	localsFloat bool
+	// guards: the loop body walked last has a guard. n is the fragment's N,
+	// which every lane's RegIdx stays below when it is positive.
+	guards bool
+	n      int
+	// The early points' scan (earlyPoints): at holds three entries per integer
+	// register — the body index of its definition so far plus base+1 (base
+	// or less: none in this body), the non-constant instructions up to and
+	// including it, and the stamp of the last and-tree walk that reached it.
+	// early and needs back every LoopFacts.Early and Facts.Needs.
+	at          []int32
+	base, stamp int32
+	early       []Early
+	needs       []Need
+	pendBuf     [8]pendingLoad
+	leafBuf     [8]kernel.Reg
+	earlyBuf    [8]Early
+	needBuf     [4]Need
 	// Inline backing for the short lists above: BatchFacts runs for every
 	// fragment of every plan that misses the plan cache, and each list that
 	// starts on the heap is two or three allocations there.
@@ -441,7 +482,7 @@ func breaks(at int, rule, format string, args ...any) *Diagnostic {
 // miss.
 func (bf *batchFacts) section(body []kernel.Instr, loop bool) *Diagnostic {
 	scoped := loop
-	bf.scratch, bf.storesScratch, bf.seeded, bf.readsOuter = false, false, false, false
+	bf.scratch, bf.storesScratch, bf.seeded, bf.readsOuter, bf.guards = false, false, false, false, false
 	bf.storedOnce, bf.storedTwice = bf.onceBuf[:0], bf.twiceBuf[:0]
 	for i := range body {
 		ins := &body[i]
@@ -482,7 +523,7 @@ func (bf *batchFacts) section(body []kernel.Instr, loop bool) *Diagnostic {
 				bf.storedOnce = noteBuf(bf.storedOnce, ins.Buf)
 			}
 		case kernel.IGuard:
-			scoped = true
+			scoped, bf.guards = true, loop
 		case kernel.ILoadLoc:
 			bf.scratch = true
 		case kernel.IStoreLoc:
@@ -610,6 +651,9 @@ func (bf *batchFacts) tile(body []kernel.Instr) LoopFacts {
 	if !allFree {
 		lf.Chains = bf.chains(body, class)
 	}
+	if bf.guards {
+		lf.Early = bf.earlyPoints(body, class)
+	}
 
 	// The registers the two slices exchange: what a Carried instruction
 	// reads of the free and per-iteration registers (Win), and what the
@@ -721,6 +765,177 @@ func (bf *batchFacts) chains(body []kernel.Instr, class []Class) []Chain {
 	return chains
 }
 
+// earlyMin is how many non-constant instructions must lie between a
+// conjunct's definition and its guard for the conjunct to get a guard of its
+// own in the tiles: below it, one guard over the whole predicate (a
+// one-column range test, a scatter's bounds check) costs less than two.
+const earlyMin = 4
+
+// pendingLoad is a load with a proven index that earlyPoints has passed since
+// the last instruction no window may hold: its body index and what its proof
+// needs of the buffer.
+type pendingLoad struct {
+	at   int
+	need Need
+}
+
+// earlyPoints finds the early points of one classified loop body
+// (LoopFacts.Early) in one scan, and adds what they need of the buffers to
+// bf.needs. A guard's operand is an and-tree — an integer and is zero when
+// either operand is — whose leaves are its conjuncts. A lane whose conjunct
+// is zero fails the guard, so the tiles may drop it as soon as the conjunct
+// is defined, and it skips the instructions up to the guard: the window.
+// That is unobservable only when every instruction of the window is Free and
+// cannot fault on a lane it no longer runs for: no guard, store or scratch
+// access, no div or mod, no float operator fbin refuses, and every load has
+// a proven index — RegIdx, when N is positive (its buffer must hold N
+// slots), or sel(c, x, k) where c's and-tree holds valid buf[x] of the buffer
+// loaded and k is a constant ≥ 0 (the buffer must hold more than k). The
+// guard must be in the wide slice, and the conjunct defined once in the body,
+// by a Free instruction, with more than earlyMin non-constant instructions in
+// its window.
+func (bf *batchFacts) earlyPoints(body []kernel.Instr, class []Class) []Early {
+	if bf.at == nil {
+		bf.at = make([]int32, 3*len(bf.regs[0]))
+	}
+	base := bf.base
+	bf.base += int32(len(body))
+	from := len(bf.early)
+	bad, work := -1, int32(0) // the last instruction no window may hold; non-constant instructions so far
+	pend := bf.pendBuf[:0]
+	for i := range body {
+		in := &body[i]
+		ok := class[i] == Free
+		switch in.Op {
+		case kernel.IGuard:
+			if ok {
+				start := len(bf.early)
+				for _, c := range bf.conjuncts(body, in.A, base) {
+					p := bf.once(c, base)
+					if p < 0 || p < bad || class[p] != Free || work-bf.at[3*c+1] <= earlyMin {
+						continue
+					}
+					bf.early = append(bf.early, Early{At: p, Reg: c})
+					for _, ld := range pend {
+						if ld.at > p {
+							bf.needs = addNeed(bf.needs, ld.need)
+						}
+					}
+				}
+				// Program order: insertion-sort what this guard added.
+				for j := start + 1; j < len(bf.early); j++ {
+					for k := j; k > start && bf.early[k].At < bf.early[k-1].At; k-- {
+						bf.early[k], bf.early[k-1] = bf.early[k-1], bf.early[k]
+					}
+				}
+			}
+			ok = false
+		case kernel.IStore, kernel.ILoadLoc, kernel.IStoreLoc:
+			ok = false
+		case kernel.IBin:
+			ok = ok && total(in)
+		case kernel.ILoad:
+			if ok {
+				var need Need
+				if need, ok = bf.proven(body, in, base); ok {
+					pend = append(pend, pendingLoad{at: i, need: need})
+				}
+			}
+		}
+		if !ok {
+			bad, pend = i, pend[:0]
+		}
+		if in.Op != kernel.IConstI && in.Op != kernel.IConstF {
+			work++
+		}
+		if r, flt, has := in.Def(); has && !flt {
+			bf.at[3*r], bf.at[3*r+1] = base+int32(i)+1, work
+		}
+	}
+	if from == len(bf.early) {
+		return nil
+	}
+	return bf.early[from:len(bf.early):len(bf.early)]
+}
+
+// once returns the body index of integer register r's one definition in the
+// body being scanned so far, or -1 when it has none there or more.
+func (bf *batchFacts) once(r kernel.Reg, base int32) int {
+	if v := bf.at[3*r]; v > base && bf.regs[0][r]&regMulti == 0 {
+		return int(v - base - 1)
+	}
+	return -1
+}
+
+// conjuncts returns the leaves of r's and-tree, each once: the tree descends
+// through integer ands defined once in the body scanned so far.
+func (bf *batchFacts) conjuncts(body []kernel.Instr, r kernel.Reg, base int32) []kernel.Reg {
+	bf.stamp++
+	return bf.leaves(body, r, base, bf.leafBuf[:0])
+}
+
+// leaves appends to out the leaves of r's and-tree the current walk has not
+// reached yet.
+func (bf *batchFacts) leaves(body []kernel.Instr, r kernel.Reg, base int32, out []kernel.Reg) []kernel.Reg {
+	if bf.at[3*r+2] == bf.stamp {
+		return out
+	}
+	bf.at[3*r+2] = bf.stamp
+	if d := bf.once(r, base); d >= 0 && body[d].Op == kernel.IBin && !body[d].Float && body[d].BOp == kernel.BAnd {
+		return bf.leaves(body, body[d].B, base, bf.leaves(body, body[d].A, base, out))
+	}
+	return append(out, r)
+}
+
+// proven reports whether load in of the body being scanned reads in range on
+// every lane, and what that needs of its buffer (earlyPoints).
+func (bf *batchFacts) proven(body []kernel.Instr, in *kernel.Instr, base int32) (Need, bool) {
+	need := Need{Buf: in.Buf, Slots: bf.n, Float: in.Float}
+	if in.A == kernel.RegIdx {
+		return need, bf.n > 0
+	}
+	s := bf.once(in.A, base)
+	if s < 0 || body[s].Op != kernel.ISel || body[s].Float || bf.regs[0][body[s].B]&regMulti != 0 {
+		return need, false
+	}
+	sel := &body[s]
+	k := bf.once(sel.C, base)
+	if k < 0 || body[k].Op != kernel.IConstI || body[k].Imm < 0 || body[k].Imm >= math.MaxInt32 {
+		return need, false
+	}
+	need.Slots = int(body[k].Imm) + 1
+	for _, c := range bf.conjuncts(body, sel.A, base) {
+		if v := bf.once(c, base); v >= 0 && body[v].Op == kernel.ILoadValid && body[v].Buf == in.Buf && body[v].A == sel.B {
+			return need, true
+		}
+	}
+	return need, false
+}
+
+// total reports whether an IBin returns a value for every pair of operands,
+// as ibin and fbin compute it: no division, no modulo, no operator the
+// domain lacks.
+func total(in *kernel.Instr) bool {
+	switch in.BOp {
+	case kernel.BAdd, kernel.BSub, kernel.BMul, kernel.BGt, kernel.BGe, kernel.BEq, kernel.BMin, kernel.BMax:
+		return true
+	case kernel.BShl, kernel.BAnd, kernel.BOr:
+		return !in.Float
+	}
+	return false
+}
+
+// addNeed adds n to needs, keeping one entry per buffer and domain.
+func addNeed(needs []Need, n Need) []Need {
+	for i := range needs {
+		if needs[i].Buf == n.Buf && needs[i].Float == n.Float {
+			needs[i].Slots = max(needs[i].Slots, n.Slots)
+			return needs
+		}
+	}
+	return append(needs, n)
+}
+
 // inChain reports whether instruction i is a step of one of the chains.
 func inChain(chains []Chain, i int) bool {
 	for _, c := range chains {
@@ -746,9 +961,10 @@ func defBefore(body []kernel.Instr, at int, r kernel.Reg, flt bool) int {
 func newBatchFacts(f *kernel.Fragment) *batchFacts {
 	n := f.NumRegs()
 	marks := make([]uint8, 2*n)
-	bf := &batchFacts{regs: [2][]uint8{marks[:n], marks[n:]}, localsFloat: f.LocalsFloat}
+	bf := &batchFacts{regs: [2][]uint8{marks[:n], marks[n:]}, localsFloat: f.LocalsFloat, n: f.N}
 	bf.undo, bf.lists = bf.undoBuf[:0], bf.listBuf[:0]
 	bf.loaded, bf.stored = bf.loadBuf[:0], bf.stBuf[:0]
+	bf.early, bf.needs = bf.earlyBuf[:0], bf.needBuf[:0]
 	return bf
 }
 
@@ -848,7 +1064,7 @@ func BatchFacts(f *kernel.Fragment) Facts {
 		onlyGID := len(lf.Spread[1]) == 0 && (len(lf.Spread[0]) == 0 || (len(lf.Spread[0]) == 1 && lf.Spread[0][0] == kernel.RegGID))
 		lf.Independent = lf.Independent && onlyGID
 	}
-	facts := Facts{Loops: loops, regs: bf.regs}
+	facts := Facts{Loops: loops, Needs: bf.needs, regs: bf.regs}
 	for file, list := range [...]*[]kernel.Reg{&facts.IntRegs, &facts.FltRegs} {
 		used := 0
 		for _, m := range bf.regs[file] {
