@@ -421,14 +421,10 @@ func (d *fragDecoder) reduction(out *[]kernel.Instr, sec section) {
 // by its own validity (whose probe is a conjunct too) or, now and then, by
 // another buffer's, of a division whose divisor may be zero, or of a load
 // of short. The tiles may apply a conjunct early only when nothing between
-// it and the guard can fault on the rows it drops; the rest of the decoding
-// is as it was without the guard.
+// it and the guard can fault on the rows it drops. Its registers enter no
+// operand pool, so the rest of the decoding is as it was without the guard.
 func (d *fragDecoder) conjuncts(out *[]kernel.Instr) {
-	fresh := func() kernel.Reg {
-		r := d.fresh()
-		d.defI, d.allI = append(d.defI, r), append(d.allI, r)
-		return r
-	}
+	fresh := d.fresh
 	load := func(buf int) kernel.Reg {
 		x := fresh()
 		*out = append(*out, kernel.Instr{Op: kernel.ILoad, Dst: x, A: kernel.RegIdx, Buf: buf, Seq: true})
