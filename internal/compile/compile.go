@@ -156,16 +156,17 @@ func (c *compiler) run() (err error) {
 		c.cur = i
 		c.descs[i] = c.compileStmt(s)
 	}
-	// Materialize roots so Plan.Run can hand back vectors.
+	// Materialize roots so a run can hand back vectors. Their converters
+	// may emit fragments of their own, so the output steps follow them all.
+	var outs []step
 	for i := range c.prog.Stmts {
 		s := &c.prog.Stmts[i]
 		c.cur = i
 		if c.uses[i] == 0 && s.Op != core.OpPersist {
-			c.plan.outputs = append(c.plan.outputs, output{
-				ref: core.Ref(i), conv: c.converter(c.descs[i]),
-			})
+			outs = append(outs, &outputStep{ref: core.Ref(i), conv: c.converter(c.descs[i])})
 		}
 	}
+	c.plan.steps = append(c.plan.steps, outs...)
 	return nil
 }
 

@@ -47,7 +47,12 @@ func (p *Plan) Explain() string {
 	fmt.Fprintf(&sb, "buffers: %d (%d input, %d temp), %dB\n",
 		len(p.kern.Bufs), inBufs, tmpBufs, bufBytes)
 
+	var outs []string
 	for i, s := range p.steps {
+		if o, ok := s.(*outputStep); ok {
+			outs = append(outs, fmt.Sprintf("v%d", o.ref))
+			continue
+		}
 		fmt.Fprintf(&sb, "%3d. ", i)
 		switch x := s.(type) {
 		case *bindStep:
@@ -71,10 +76,6 @@ func (p *Plan) Explain() string {
 			writeProvenance(&sb, x.stmts, nil)
 		}
 		sb.WriteString("\n")
-	}
-	var outs []string
-	for _, o := range p.outputs {
-		outs = append(outs, fmt.Sprintf("v%d", o.ref))
 	}
 	fmt.Fprintf(&sb, "outputs: %s\n", strings.Join(outs, ", "))
 	return sb.String()

@@ -23,18 +23,13 @@ type Plan struct {
 	opt  Options
 	kern *kernel.Kernel
 
-	steps   []step
-	outputs []output
+	// steps run in order; the root outputs come last, one outputStep each.
+	steps []step
 }
 
 // Kernel exposes the generated kernel (fragment listing, OpenCL source
 // generation).
 func (p *Plan) Kernel() *kernel.Kernel { return p.kern }
-
-type output struct {
-	ref  core.Ref
-	conv converter
-}
 
 // RunOpts are the per-run execution options of a plan. Plans are
 // immutable after Compile and safe to run concurrently; everything that
@@ -110,6 +105,8 @@ type runtime struct {
 	count bool
 	arena *vector.Arena
 	par   exec.Par
+	// values receives the root outputs (Result.Values).
+	values map[core.Ref]*vector.Vector
 }
 
 type step interface {
@@ -125,7 +122,7 @@ type bindStep struct {
 }
 
 func (s *bindStep) run(rt *runtime) error {
-	rt.env.Bufs[s.buf] = exec.FromColumnArena(s.col, rt.arena)
+	rt.env.Bufs[s.buf] = exec.FromColumn(s.col, rt.arena)
 	return nil
 }
 
@@ -179,7 +176,7 @@ func (s *bulkStep) run(rt *runtime) error {
 		if col == nil {
 			return fmt.Errorf("bulk %s: missing output attribute %q", s.name, name)
 		}
-		b := exec.FromColumnArena(col, rt.arena)
+		b := exec.FromColumn(col, rt.arena)
 		if err := rt.env.Charge(b.Bytes()); err != nil {
 			return fmt.Errorf("bulk %s: %w", s.name, err)
 		}
@@ -213,6 +210,23 @@ func (s *persistStep) run(rt *runtime) error {
 }
 
 func (s *persistStep) stepName() string { return "persist " + s.name }
+
+// outputStep materializes one root value into the run's Result.
+type outputStep struct {
+	ref  core.Ref
+	conv converter
+}
+
+func (s *outputStep) run(rt *runtime) error {
+	v, err := s.conv.run(rt)
+	if err != nil {
+		return err
+	}
+	rt.values[s.ref] = v
+	return nil
+}
+
+func (s *outputStep) stepName() string { return fmt.Sprintf("output v%d", s.ref) }
 
 // RunWith executes the plan under per-run options, leaving the plan itself
 // untouched, so shared (cached) plans may run concurrently with different
@@ -249,13 +263,13 @@ func (p *Plan) RunWith(ctx context.Context, ro RunOpts) (_ *Result, err error) {
 			arena.Release()
 		}
 	}()
-	env, err := exec.NewEnvPooled(p.kern, ro.Limits, arena)
+	env, err := exec.NewEnv(p.kern, ro.Limits, arena)
 	if err != nil {
 		return nil, err
 	}
-	rt := &runtime{plan: p, ctx: ctx, env: env, arena: arena, count: ro.CollectStats,
-		par: exec.Par{Workers: p.opt.Workers, Morsel: ro.MorselSize, NoSpecialize: ro.NoSpecialize}}
 	res := &Result{Values: map[core.Ref]*vector.Vector{}, arena: arena}
+	rt := &runtime{plan: p, ctx: ctx, env: env, arena: arena, count: ro.CollectStats, values: res.Values,
+		par: exec.Par{Workers: p.opt.Workers, Morsel: ro.MorselSize, NoSpecialize: ro.NoSpecialize}}
 	if ro.Trace {
 		res.Trace = p.newTrace(ctx, ro.NoSpecialize)
 	}
@@ -274,26 +288,7 @@ func (p *Plan) RunWith(ctx context.Context, ro RunOpts) (_ *Result, err error) {
 			return nil, err
 		}
 		if tr != nil {
-			tr.Add(p.traceStep(s, res.Stats.Frags[base:], time.Since(t0)))
-		}
-	}
-	for _, o := range p.outputs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		v, err := convertProtected(o, rt)
-		if err != nil {
-			return nil, err
-		}
-		res.Values[o.ref] = v
-		if tr != nil {
-			tr.Add(trace.Step{
-				Kind: trace.KindOutput, Name: fmt.Sprintf("v%d", o.ref),
-				Stmts: []int{int(o.ref)}, WallNS: time.Since(t0).Nanoseconds(),
-				Items:             int64(v.Len()),
-				MaterializedBytes: int64(v.Len()) * int64(len(v.Names())) * 8,
-			})
+			tr.Add(p.traceStep(s, res.Stats.Frags[base:], res.Values, time.Since(t0)))
 		}
 	}
 	if tr != nil {
@@ -328,8 +323,8 @@ func (p *Plan) newTrace(ctx context.Context, noSpecialize bool) *trace.Trace {
 }
 
 // traceStep converts one executed step plus the fragment stats it appended
-// into a trace record.
-func (p *Plan) traceStep(s step, frags []exec.FragStats, wall time.Duration) trace.Step {
+// into a trace record; values holds the root outputs produced so far.
+func (p *Plan) traceStep(s step, frags []exec.FragStats, values map[core.Ref]*vector.Vector, wall time.Duration) trace.Step {
 	ts := trace.Step{WallNS: wall.Nanoseconds()}
 	var fs *exec.FragStats
 	if len(frags) > 0 {
@@ -340,6 +335,11 @@ func (p *Plan) traceStep(s step, frags []exec.FragStats, wall time.Duration) tra
 		ts.Kind, ts.Name = trace.KindBind, p.kern.Bufs[x.buf].Name
 	case *persistStep:
 		ts.Kind, ts.Name = trace.KindPersist, x.name
+	case *outputStep:
+		v := values[x.ref]
+		ts.Kind, ts.Name, ts.Stmts = trace.KindOutput, fmt.Sprintf("v%d", x.ref), []int{int(x.ref)}
+		ts.Items = int64(v.Len())
+		ts.MaterializedBytes = int64(v.Len()) * int64(len(v.Names())) * 8
 	case *fragStep:
 		ts.Kind, ts.Name = trace.KindFragment, x.f.Name
 		pv := x.f.Prov
@@ -391,8 +391,9 @@ func (p *Plan) traceStep(s step, frags []exec.FragStats, wall time.Duration) tra
 }
 
 // runStep executes one plan step with panic isolation: a panic inside the
-// step (a bulk evaluator, a converter, a fragment run on this goroutine)
-// becomes a *exec.PanicError naming the step.
+// step (a bulk evaluator, a converter, a root output's materialization, a
+// fragment run on this goroutine) becomes a *exec.PanicError naming the
+// step.
 func runStep(s step, rt *runtime) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -400,28 +401,11 @@ func runStep(s step, rt *runtime) (err error) {
 				err = pe
 				return
 			}
-			err = exec.NewPanicError(s.stepName(), r, stack())
+			err = exec.NewPanicError(s.stepName(), r, debug.Stack())
 		}
 	}()
 	return s.run(rt)
 }
-
-// convertProtected materializes one root output with the same panic
-// isolation as plan steps.
-func convertProtected(o output, rt *runtime) (v *vector.Vector, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if pe, ok := r.(*exec.PanicError); ok {
-				v, err = nil, pe
-				return
-			}
-			v, err = nil, exec.NewPanicError(fmt.Sprintf("output v%d", o.ref), r, stack())
-		}
-	}()
-	return o.conv.run(rt)
-}
-
-func stack() []byte { return debug.Stack() }
 
 // converter produces the interpreter-layout vector for a compiled value at
 // runtime. bufs records the kernel buffers the closure reads — provenance

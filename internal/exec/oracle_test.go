@@ -263,9 +263,9 @@ func (o *oracle) countAccess(in kernel.Instr, buf *Buffer) {
 // fragment in it.
 func runOracle(t *testing.T, k *kernel.Kernel, in map[string]*Buffer) (*Env, FragStats, error) {
 	t.Helper()
-	env := NewEnv(k)
+	env := newEnv(k)
 	for name, buf := range in {
-		if err := env.Bind(k, name, buf); err != nil {
+		if err := env.bind(k, name, buf); err != nil {
 			t.Fatal(err)
 		}
 	}

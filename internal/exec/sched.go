@@ -46,7 +46,7 @@ import (
 type Par struct {
 	// Workers caps the goroutines executing one fragment, the submitting
 	// goroutine included (0 = GOMAXPROCS). Values above GOMAXPROCS grow
-	// the shared pool, preserving the historical Run contract.
+	// the shared pool, so up to Workers goroutines can run one fragment.
 	Workers int
 	// Morsel, when positive, overrides the cut rule with ranges of exactly
 	// that many work items. Results are bit-identical for every value; it
@@ -283,29 +283,33 @@ type job struct {
 	// nMorsels is the ticket space; next is the claim counter.
 	nMorsels int64
 	next     atomic.Int64
-	// stop aborts the job: claims stop being handed out and running
-	// workers bail at their next checkpoint (same cadence as before).
-	stop       atomic.Bool
+	// failed is the lowest range that failed, nMorsels while none has.
+	// Ranges are claimed in ascending order, so once it is set no claim is
+	// handed out, and running workers above it bail at their next
+	// checkpoint while the ones below it finish: a lower range may still
+	// hold an earlier fault.
+	failed     atomic.Int64
 	published  time.Time
 	maxHelpers int
 	helpers    int            // pool workers ever attached; guarded by sched.mu
 	wg         sync.WaitGroup // attached helpers still running
 
-	// What participants leave behind, under mu: the first real failure,
-	// their merged measurement partials (additive, so the order they finish
-	// in does not show), how many of them ran a range and the most ranges
-	// any one ran.
-	mu       sync.Mutex
-	firstErr error
-	stats    FragStats
-	parts    int
-	busiest  int
+	// What participants leave behind, under mu: the lowest failed range's
+	// error, their merged measurement partials (additive, so the order
+	// they finish in does not show), how many of them ran a range and the
+	// most ranges any one ran.
+	mu      sync.Mutex
+	err     error
+	stats   FragStats
+	parts   int
+	busiest int
 }
 
 // claim hands out the next morsel index, or -1 when the job is exhausted
-// or aborted. The morsel-claim boundary is a fault-injection point.
+// or a range has failed. The morsel-claim boundary is a fault-injection
+// point.
 func (j *job) claim() int64 {
-	if j.stop.Load() {
+	if j.failed.Load() < j.nMorsels {
 		return -1
 	}
 	t := j.next.Add(1) - 1
@@ -316,13 +320,19 @@ func (j *job) claim() int64 {
 	return t
 }
 
-// fail aborts the job with err; the first real failure wins and sibling
-// aborts (errAborted) are never surfaced.
-func (j *job) fail(err error) {
-	j.stop.Store(true)
+// fail records that range m failed with err. The lowest failed range's
+// error is the job's, whichever participant finishes first: each range
+// reports its own first fault in element order, so the job reports the
+// fragment's. An abort (errAborted) sits above a failure already recorded
+// and is never surfaced.
+func (j *job) fail(m int64, err error) {
+	if err == errAborted {
+		return
+	}
 	j.mu.Lock()
-	if j.firstErr == nil && err != errAborted {
-		j.firstErr = err
+	if m < j.failed.Load() {
+		j.err = err
+		j.failed.Store(m)
 	}
 	j.mu.Unlock()
 }
@@ -347,12 +357,13 @@ func (j *job) runMorsels(w *worker, isHelper bool) {
 		morsels++
 		lo := int(m) * j.width
 		hi := min(lo+j.width, j.f.Extent)
+		w.rng = m
 		err := protect(j.f.Name, func() error {
 			faultinject.MorselClaim(j.f.Name, int(m))
 			return w.run(lo, hi)
 		})
 		if err != nil {
-			j.fail(err)
+			j.fail(m, err)
 			break
 		}
 	}
@@ -407,7 +418,7 @@ func (s *scheduler) withdraw(j *job) {
 // capacity. Called with s.mu held.
 func (s *scheduler) pick() *job {
 	for _, j := range s.jobs {
-		if j.helpers < j.maxHelpers && !j.stop.Load() && j.next.Load() < j.nMorsels {
+		if j.helpers < j.maxHelpers && j.failed.Load() == j.nMorsels && j.next.Load() < j.nMorsels {
 			return j
 		}
 	}
@@ -426,7 +437,7 @@ func (s *scheduler) workerLoop() {
 				j.wg.Add(1)
 				s.mu.Unlock()
 				s.busy.Add(1)
-				w := newWorker(j.ctx, j.f, j.env, j.batch, j.elem, j.count, &j.stop)
+				w := newWorker(j.ctx, j.f, j.env, j.batch, j.elem, j.count, &j.failed)
 				// CPU profiles served from /debug/pprof attribute helper
 				// samples to the fragment being executed.
 				pprof.Do(j.ctx, pprof.Labels("fragment", j.f.Name), func(context.Context) {
@@ -464,9 +475,10 @@ func runMorselParallel(ctx context.Context, f *kernel.Fragment, env *Env, parts,
 	// The submitter is one of the participants; helpers beyond the morsel
 	// count could never claim anything.
 	j.maxHelpers = min(parts-1, int(nMorsels)-1)
+	j.failed.Store(nMorsels)
 	sched.publish(j)
 
-	w := newWorker(ctx, f, env, batch, elem, count, &j.stop)
+	w := newWorker(ctx, f, env, batch, elem, count, &j.failed)
 	// Label the submitter's share too, so profiles attribute parallel
 	// fragment execution per fragment regardless of who claims the morsel.
 	pprof.Do(ctx, pprof.Labels("fragment", f.Name), func(context.Context) {
@@ -487,5 +499,5 @@ func runMorselParallel(ctx context.Context, f *kernel.Fragment, env *Env, parts,
 		fs.Morsels = int(nMorsels)
 		fs.Imbalance = imb
 	}
-	return j.firstErr
+	return j.err
 }

@@ -23,7 +23,7 @@ func staticChunkRun(t *testing.T, f *kernel.Fragment, env *Env, workers int) {
 	t.Helper()
 	bp := specFor(f)
 	chunk := (f.Extent + workers - 1) / workers
-	var stop atomic.Bool
+	var stop atomic.Int64 // never set: no range aborts
 	var wg sync.WaitGroup
 	for lo := 0; lo < f.Extent; lo += chunk {
 		hi := min(lo+chunk, f.Extent)
@@ -54,7 +54,7 @@ func TestSkewStressBeatsStaticChunking(t *testing.T) {
 	)
 	k := busyKernel(n, 1)
 	f := k.Frags[0]
-	env := NewEnv(k)
+	env := newEnv(k)
 	bindIn(t, k, env, n)
 
 	// All the cost sits in the first quarter — exactly static worker 0's
@@ -113,7 +113,7 @@ func TestUniformLoadBalancesMorselCounts(t *testing.T) {
 		workers = 4
 	)
 	k := busyKernel(n, 1)
-	env := NewEnv(k)
+	env := newEnv(k)
 	bindIn(t, k, env, n)
 
 	// Uniform per-checkpoint cost so every morsel takes long enough that
@@ -148,11 +148,11 @@ func TestMorselSizeDeterminism(t *testing.T) {
 
 	var want []int64
 	for _, morsel := range []int{1, 7, 1024, 0} {
-		env := NewEnv(k)
-		if err := env.Bind(k, "in", &Buffer{Kind: vector.Int, I: vals}); err != nil {
+		env := newEnv(k)
+		if err := env.bind(k, "in", &Buffer{Kind: vector.Int, I: vals}); err != nil {
 			t.Fatal(err)
 		}
-		if err := Run(context.Background(), k, env, Par{Workers: 4, Morsel: morsel}, nil); err != nil {
+		if err := runFrags(context.Background(), k, env, Par{Workers: 4, Morsel: morsel}, nil); err != nil {
 			t.Fatalf("morsel=%d: %v", morsel, err)
 		}
 		got := env.Bufs[1].I
@@ -190,12 +190,12 @@ func TestConcurrentQueriesSharedPool(t *testing.T) {
 				vals[i] = int64(i + q)
 			}
 			for it := 0; it < iters; it++ {
-				env := NewEnv(k)
-				if err := env.Bind(k, "in", &Buffer{Kind: vector.Int, I: vals}); err != nil {
+				env := newEnv(k)
+				if err := env.bind(k, "in", &Buffer{Kind: vector.Int, I: vals}); err != nil {
 					errc <- err
 					return
 				}
-				if err := Run(context.Background(), k, env, Par{Workers: 4, Morsel: 512}, nil); err != nil {
+				if err := runFrags(context.Background(), k, env, Par{Workers: 4, Morsel: 512}, nil); err != nil {
 					errc <- err
 					return
 				}
@@ -225,9 +225,9 @@ func TestQuiesceSchedulerStopsAndRestarts(t *testing.T) {
 	const n = 1 << 15
 	k := busyKernel(n, 1)
 	run := func() {
-		env := NewEnv(k)
+		env := newEnv(k)
 		bindIn(t, k, env, n)
-		if err := Run(context.Background(), k, env, Par{Workers: 4, Morsel: 512}, nil); err != nil {
+		if err := runFrags(context.Background(), k, env, Par{Workers: 4, Morsel: 512}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,9 +268,9 @@ func TestQuiesceDuringRun(t *testing.T) {
 		}
 	}()
 	for it := 0; it < 10; it++ {
-		env := NewEnv(k)
+		env := newEnv(k)
 		bindIn(t, k, env, n)
-		if err := Run(context.Background(), k, env, Par{Workers: 4, Morsel: 512}, nil); err != nil {
+		if err := runFrags(context.Background(), k, env, Par{Workers: 4, Morsel: 512}, nil); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range env.Bufs[1].I {
@@ -293,7 +293,7 @@ func TestQuiesceDuringRun(t *testing.T) {
 func TestMorselClaimFaultHook(t *testing.T) {
 	const n = 1 << 15
 	k := busyKernel(n, 1)
-	env := NewEnv(k)
+	env := newEnv(k)
 	bindIn(t, k, env, n)
 	var claims atomic.Int64
 	faultinject.With(t, faultinject.Hooks{
@@ -307,7 +307,7 @@ func TestMorselClaimFaultHook(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		},
 	})
-	err := Run(context.Background(), k, env, Par{Workers: 4, Morsel: 1024}, nil)
+	err := runFrags(context.Background(), k, env, Par{Workers: 4, Morsel: 1024}, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v (%T), want *PanicError", err, err)
@@ -320,6 +320,71 @@ func TestMorselClaimFaultHook(t *testing.T) {
 	}
 	if claims.Load() >= n/1024 {
 		t.Errorf("all %d morsels were claimed despite the morsel-3 panic; abort did not propagate", claims.Load())
+	}
+}
+
+// TestFirstFaultAtAnyCut: a fragment with faults in several ranges fails
+// with its first fault in element order, whichever participant finds a
+// fault first. The claim hook holds back the range of the first fault, so
+// on most runs a higher range fails before it; the failure of a range
+// stops only the ranges above it.
+func TestFirstFaultAtAnyCut(t *testing.T) {
+	const extent, intent, n = 64, 16, 1024
+	k := &kernel.Kernel{}
+	in := k.AddBuf(kernel.BufDecl{Name: "in", Kind: vector.Int, Size: n, Input: true})
+	tbl := k.AddBuf(kernel.BufDecl{Name: "t", Kind: vector.Int, Size: 50, Input: true})
+	out := k.AddBuf(kernel.BufDecl{Name: "out", Kind: vector.Int, Size: n})
+	r0, r1 := kernel.FirstFree, kernel.FirstFree+1
+	k.Frags = append(k.Frags, &kernel.Fragment{
+		Name: "gather", Extent: extent, Intent: intent, N: n,
+		Loops: []kernel.Loop{{Body: []kernel.Instr{
+			{Op: kernel.ILoad, Dst: r0, A: kernel.RegIdx, Buf: in, Seq: true},
+			{Op: kernel.ILoad, Dst: r1, A: r0, Buf: tbl},
+			{Op: kernel.IStore, A: kernel.RegIdx, B: r1, Buf: out, Seq: true},
+		}}},
+	})
+	pos := make([]int64, n)
+	for i := range pos {
+		pos[i] = int64(i % 50)
+	}
+	// Faults at the last element of work item 20 and in items 21, 22 and
+	// 40, each past t's end by a different amount.
+	for i, at := range []int{20*intent + 15, 21 * intent, 22*intent + 3, 40*intent + 8} {
+		pos[at] = int64(61 + i)
+	}
+	run := func(par Par) string {
+		env := newEnv(k)
+		if err := env.bind(k, "in", &Buffer{Kind: vector.Int, I: pos}); err != nil {
+			t.Fatal(err)
+		}
+		if err := env.bind(k, "t", &Buffer{Kind: vector.Int, I: make([]int64, 50)}); err != nil {
+			t.Fatal(err)
+		}
+		err := runFrags(context.Background(), k, env, par, nil)
+		if err == nil {
+			t.Fatalf("%+v: the faulting gather succeeded", par)
+		}
+		return err.Error()
+	}
+	want := run(Par{Workers: 1})
+	if want != "load out of bounds: buf 1 idx 61 len 50" {
+		t.Fatalf("one range fails with %q, want the fault of work item 20", want)
+	}
+	var morsel atomic.Int64
+	faultinject.With(t, faultinject.Hooks{
+		MorselClaim: func(frag string, m int) {
+			if int64(m) == 20/morsel.Load() {
+				time.Sleep(200 * time.Microsecond)
+			}
+		},
+	})
+	for _, size := range []int{1, 7} {
+		morsel.Store(int64(size))
+		for i := range 50 {
+			if got := run(Par{Workers: 4, Morsel: size}); got != want {
+				t.Fatalf("workers 4, morsel %d, run %d: %q, want %q", size, i, got, want)
+			}
+		}
 	}
 }
 
@@ -431,7 +496,7 @@ func TestSaturatedSubmittersPublishNothing(t *testing.T) {
 	before := SchedulerStats().Morsels
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
-		env := NewEnv(k)
+		env := newEnv(k)
 		bindIn(t, k, env, n)
 		wg.Add(1)
 		go func() {
@@ -451,7 +516,7 @@ func TestSaturatedSubmittersPublishNothing(t *testing.T) {
 	}
 	// Alone, the same fragment is cut.
 	faultinject.Clear()
-	env := NewEnv(k)
+	env := newEnv(k)
 	bindIn(t, k, env, n)
 	var fs FragStats
 	if err := RunFragment(context.Background(), k.Frags[0], env, Par{Workers: workers}, &fs, false); err != nil {
@@ -490,14 +555,14 @@ func TestCountedRunIsOneDeterministicCut(t *testing.T) {
 	}
 	var want FragStats
 	for run := 0; run < 20; run++ {
-		env := NewEnv(k)
+		env := newEnv(k)
 		for name, v := range map[string][]int64{"pos": posv, "data": datav} {
-			if err := env.Bind(k, name, &Buffer{Kind: vector.Int, I: v}); err != nil {
+			if err := env.bind(k, name, &Buffer{Kind: vector.Int, I: v}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		var st Stats
-		if err := Run(context.Background(), k, env, Par{Workers: 4}, &st); err != nil {
+		if err := runFrags(context.Background(), k, env, Par{Workers: 4}, &st); err != nil {
 			t.Fatal(err)
 		}
 		fs := st.Frags[0]

@@ -429,9 +429,9 @@ func seqInts(n int) []int64 {
 // returns the environment and the record.
 func runSpec(t *testing.T, k *kernel.Kernel, in map[string]*Buffer, par Par) (*Env, FragStats) {
 	t.Helper()
-	env := NewEnv(k)
+	env := newEnv(k)
 	for name, buf := range in {
-		if err := env.Bind(k, name, buf); err != nil {
+		if err := env.bind(k, name, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -476,7 +476,7 @@ func requireSameBufs(t *testing.T, k *kernel.Kernel, want, got *Env, label strin
 // writing a single slot of any buffer.
 func requireRefused(t *testing.T, k *kernel.Kernel, in map[string]*Buffer, want verify.Diagnostic) {
 	t.Helper()
-	untouched := NewEnv(k)
+	untouched := newEnv(k)
 	for _, run := range []struct {
 		name  string
 		par   Par
@@ -486,9 +486,9 @@ func requireRefused(t *testing.T, k *kernel.Kernel, in map[string]*Buffer, want 
 		{"no-specialize", Par{Workers: 3, NoSpecialize: true}, false},
 		{"counted", Par{Workers: 1}, true},
 	} {
-		env := NewEnv(k)
+		env := newEnv(k)
 		for name, buf := range in {
-			if err := env.Bind(k, name, buf); err != nil {
+			if err := env.bind(k, name, buf); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -680,9 +680,9 @@ func TestSpecializeModesBitIdentical(t *testing.T) {
 						par, rec.AccWide, rec.AccCarried, wantAcc)
 				}
 			}
-			env := NewEnv(k)
+			env := newEnv(k)
 			for name, buf := range tc.in {
-				if err := env.Bind(k, name, buf); err != nil {
+				if err := env.bind(k, name, buf); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -736,10 +736,10 @@ func TestResolveSpecGeometry(t *testing.T) {
 		for i := range vals {
 			vals[i] = int64(i * 37 % n) // in range: the gather reads through it
 		}
-		env := NewEnv(k)
+		env := newEnv(k)
 		for _, d := range k.Bufs {
 			if d.Input {
-				if err := env.Bind(k, d.Name, &Buffer{Kind: d.Kind, I: vals}); err != nil {
+				if err := env.bind(k, d.Name, &Buffer{Kind: d.Kind, I: vals}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -806,8 +806,8 @@ func TestFaultHooksKeepTheBatchTier(t *testing.T) {
 		}
 
 		panicking.Store(true)
-		env := NewEnv(k)
-		if err := env.Bind(k, "in", in["in"]); err != nil {
+		env := newEnv(k)
+		if err := env.bind(k, "in", in["in"]); err != nil {
 			t.Fatal(err)
 		}
 		err := RunFragment(context.Background(), k.Frags[0], env, Par{Workers: workers, Morsel: checkInterval}, &fs, false)
@@ -1081,17 +1081,17 @@ func TestSpecializeCancellation(t *testing.T) {
 		"group-fold-3":    groupFoldKernel(n, 3, 189),
 		"two-chains-of-3": twoChainKernel(n, 3, 5),
 	} {
-		env := NewEnv(k)
+		env := newEnv(k)
 		bound := in
 		if k.Bufs[0].Size == long {
 			bound = &Buffer{Kind: vector.Int, I: seqInts(long)}
 		}
-		if err := env.Bind(k, "in", bound); err != nil {
+		if err := env.bind(k, "in", bound); err != nil {
 			t.Fatal(err)
 		}
 		cancelled, cancel := context.WithCancel(context.Background())
 		cancel()
-		if err := Run(cancelled, k, env, Par{Workers: 2}, nil); !errors.Is(err, context.Canceled) {
+		if err := runFrags(cancelled, k, env, Par{Workers: 2}, nil); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
 		}
 
@@ -1130,8 +1130,8 @@ func TestSpecializeCancellation(t *testing.T) {
 func TestTiledScratchSlabIsPerWorkItem(t *testing.T) {
 	const n, extent, groups = 1 << 14, 3, 4001
 	k := groupFoldKernel(n, extent, groups)
-	env := NewEnv(k)
-	if err := env.Bind(k, "in", &Buffer{Kind: vector.Int, I: seqInts(n)}); err != nil {
+	env := newEnv(k)
+	if err := env.bind(k, "in", &Buffer{Kind: vector.Int, I: seqInts(n)}); err != nil {
 		t.Fatal(err)
 	}
 	f := k.Frags[0]
@@ -1215,9 +1215,9 @@ func TestSpecializeErrorParity(t *testing.T) {
 			t.Fatalf("%s: oracle error %v, want it to name %q", tc.name, want, tc.want)
 		}
 		for _, par := range []Par{{Workers: 1}, {Workers: 1, NoSpecialize: true}} {
-			env := NewEnv(k)
+			env := newEnv(k)
 			for name, buf := range in {
-				if err := env.Bind(k, name, buf); err != nil {
+				if err := env.bind(k, name, buf); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -1278,14 +1278,14 @@ func TestCountedRunIsElementOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env := NewEnv(k)
+		env := newEnv(k)
 		for name, buf := range tc.in {
-			if err := env.Bind(k, name, buf); err != nil {
+			if err := env.bind(k, name, buf); err != nil {
 				t.Fatal(err)
 			}
 		}
 		var st Stats
-		if err := Run(context.Background(), k, env, Par{Workers: 2}, &st); err != nil {
+		if err := runFrags(context.Background(), k, env, Par{Workers: 2}, &st); err != nil {
 			t.Fatal(err)
 		}
 		fs := st.Frags[0]

@@ -98,10 +98,11 @@ type Opts struct {
 // Run evaluates the program against st and returns every statement's
 // value. Cancellation is cooperative, checked at every statement boundary
 // (the interpreter materializes per statement, so statements are its
-// natural unit of work). Any panic escaping a statement's evaluation — a
-// malformed program tripping an internal invariant — is recovered into a
-// *exec.PanicError naming the statement, so a bad program fails its query
-// instead of the process.
+// natural unit of work), and a run that misses its deadline is counted
+// once, here, as compile.Plan.RunWith counts a compiled one. Any panic
+// escaping a statement's evaluation — a malformed program tripping an
+// internal invariant — is recovered into a *exec.PanicError naming the
+// statement, so a bad program fails its query instead of the process.
 func Run(ctx context.Context, p *core.Program, st Storage, o Opts) (res *Result, err error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -135,7 +136,10 @@ func Run(ctx context.Context, p *core.Program, st Storage, o Opts) (res *Result,
 		}
 	}()
 	start := time.Now()
-	defer func() { trace.CountQuery(time.Since(start)) }()
+	defer func() {
+		trace.CountQuery(time.Since(start))
+		exec.NoteDeadline(err)
+	}()
 	var tr *trace.Trace
 	if o.Trace {
 		tr = &trace.Trace{Backend: "interpreted", OnStep: trace.ObserverFrom(ctx)}

@@ -19,7 +19,7 @@ var ArenaRelease = &Analyzer{
 
 // arenaAcquirers maps callee names to the index of the returned value that
 // owns pool memory. A package-level function is keyed by its package
-// selector ("interp.Run" — exec.Run and a bare Run never match); a method
+// selector ("interp.Run" — a bare Run never matches); a method
 // by its bare name. TestArenaAcquirersExist keeps the table from going
 // stale when an entry point is renamed.
 var arenaAcquirers = map[string]int{

@@ -72,10 +72,9 @@ type Engine struct {
 	// tooling). Interpreted queries compile nothing and deliver none.
 	PlanSink func(*compile.Plan)
 	// BaseContext, when set, is the context Run (the context-less Runner
-	// entry point) executes under. Callers that drive ctx-less call paths
-	// — the TPC-H QueryFuncs, the benchmark drivers — set it on a
-	// per-request engine copy so cancellation and deadlines still thread
-	// through. RunPrepared ignores it: an explicit context wins.
+	// entry point) executes under, so a TPC-H QueryFunc run through Run
+	// still honours cancellation and deadlines. RunPrepared ignores it: an
+	// explicit context wins.
 	BaseContext context.Context
 	// Pool, when set, recycles kernel buffers and interpreter
 	// intermediates across queries: each run draws its working memory
@@ -110,7 +109,7 @@ func (e *Engine) Run(q Query) (res *Result, stats *exec.Stats, err error) {
 // returns: every run-varying input — limits, the buffer pool, stats
 // collection — travels per run through RunPrepared, so one Prepared is
 // safe to share across concurrent queries. This is what the catalog's memo
-// stores, for Run and for the serve layer's SQL path alike.
+// stores, for Run and for every request the serve layer runs alike.
 type Prepared struct {
 	q    Query
 	prog *core.Program
@@ -188,51 +187,43 @@ func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, st
 			slog.Bool("compiled", pr.plan != nil))
 	}
 
-	// release recycles the run's pooled intermediates. It runs after
-	// assemble, which copies every output value into plain Row maps, so
-	// results never alias pooled storage.
+	// Both backends leave the root value, its trace and a release that
+	// recycles the run's pooled intermediates. release runs after assemble,
+	// which copies every output value into plain Row maps, so results never
+	// alias pooled storage. A failed run has released its memory already.
 	var root *vector.Vector
-	var release func()
+	var tr *trace.Trace
+	release := func() {}
 	if pr.plan == nil {
 		// A trace is recorded exactly when a sink wants one.
-		ires, ierr := interp.Run(ctx, pr.prog, e.Cat, interp.Opts{Pool: e.Pool, Trace: e.TraceSink != nil})
-		if ierr != nil {
-			// The compiling backends count deadline aborts inside the plan
-			// runner; the interpreter has no governor of its own, so the
-			// engine accounts for it here.
-			exec.NoteDeadline(ierr)
-			if lg := telemetry.LoggerFrom(ctx); lg.Enabled(ctx, slog.LevelWarn) {
-				lg.LogAttrs(ctx, slog.LevelWarn, "rel: interpreted run failed",
-					slog.String("query", pr.q.Name), slog.String("error", ierr.Error()))
-			}
-			return nil, nil, ierr
+		ires, rerr := interp.Run(ctx, pr.prog, e.Cat, interp.Opts{Pool: e.Pool, Trace: e.TraceSink != nil})
+		if err = rerr; err == nil {
+			root, tr, release = ires.Value(pr.root), ires.Trace, ires.Release
 		}
-		if tr := ires.Trace; tr != nil {
-			tr.Query = pr.q.Name
-			e.TraceSink(tr)
-		}
-		root, release = ires.Value(pr.root), ires.Release
 	} else {
 		pres, rerr := pr.plan.RunWith(ctx, e.RunOpts())
-		if rerr != nil {
-			if lg := telemetry.LoggerFrom(ctx); lg.Enabled(ctx, slog.LevelWarn) {
-				lg.LogAttrs(ctx, slog.LevelWarn, "rel: compiled run failed",
-					slog.String("query", pr.q.Name), slog.String("error", rerr.Error()))
+		if err = rerr; err == nil {
+			root, tr, release = pres.Values[pr.root], pres.Trace, pres.Release
+			if e.CollectStats {
+				stats = &pres.Stats
 			}
-			return nil, nil, rerr
 		}
-		if tr := pres.Trace; tr != nil {
-			tr.Query = pr.q.Name
-			e.TraceSink(tr)
+	}
+	if err == nil && root == nil {
+		release()
+		err = fmt.Errorf("rel: output v%d not produced", pr.root)
+	}
+	if err != nil {
+		if lg := telemetry.LoggerFrom(ctx); lg.Enabled(ctx, slog.LevelWarn) {
+			lg.LogAttrs(ctx, slog.LevelWarn, "rel: run failed",
+				slog.String("query", pr.q.Name), slog.Bool("compiled", pr.plan != nil),
+				slog.String("error", err.Error()))
 		}
-		root, release = pres.Values[pr.root], pres.Release
-		if root == nil {
-			release()
-			return nil, nil, fmt.Errorf("rel: output v%d not produced", pr.root)
-		}
-		if e.CollectStats {
-			stats = &pres.Stats
-		}
+		return nil, nil, err
+	}
+	if tr != nil {
+		tr.Query = pr.q.Name
+		e.TraceSink(tr)
 	}
 
 	q := pr.q

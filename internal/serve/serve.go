@@ -145,9 +145,9 @@ func New(cfg Config) *Server {
 		mQueue: cfg.Registry.Histogram("voodoo_http_queue_seconds",
 			"Time requests wait for an execution slot under the admission semaphore.", nil),
 		mCompile: cfg.Registry.Histogram("voodoo_sql_compile_seconds",
-			"Time to parse and plan the request's SQL.", nil),
+			"Time to build a request's plan on a plan-cache miss (parse, plan, lowering and compilation; SQL and ?q=N alike), 0 on a hit.", nil),
 		mExec: cfg.Registry.Histogram("voodoo_query_exec_seconds",
-			"Time to execute a request's query (lowering, compilation and run).", nil),
+			"Time to run a request's prepared plan and assemble its rows.", nil),
 		mReqs: cfg.Registry.CounterVec("voodoo_http_requests_total",
 			"Query requests served, by HTTP status code.", "code"),
 		mRows: cfg.Registry.Counter("voodoo_rows_returned_total",
@@ -157,11 +157,11 @@ func New(cfg Config) *Server {
 		mReloads: cfg.Registry.Counter("voodoo_catalog_reloads_total",
 			"Hot catalog reloads applied via SwapCatalog."),
 		mPlanHits: cfg.Registry.Counter("voodoo_plan_cache_hits_total",
-			"SQL requests whose prepared plan came from the catalog's memo (parse+plan skipped)."),
+			"Query requests, SQL and ?q=N, whose prepared plan came from the catalog's memo (the plan build skipped)."),
 		mPlanMisses: cfg.Registry.Counter("voodoo_plan_cache_misses_total",
-			"SQL requests that had to parse, plan and compile."),
+			"Query requests, SQL and ?q=N, whose plan had to be built (parsed and planned for SQL, then lowered and compiled)."),
 		mPlanEvictions: cfg.Registry.Counter("voodoo_plan_cache_evictions_total",
-			"Memo entries this server's SQL plans pushed out of the catalog's LRU (its bound is shared with TPC-H root plans)."),
+			"Memo entries this server's plans pushed out of the catalog's LRU (its bound is shared with every plan memoized on the catalog)."),
 	}
 	// The served catalog lives in s.cat alone, so a swap releases it.
 	s.cat.Store(cfg.Cat)
@@ -301,12 +301,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Every request derives from baseCtx so a forced drain can cancel all
-	// in-flight queries at once, and from the client connection so a
-	// disconnect cancels just this one.
-	ctx, cancelReq := context.WithCancel(r.Context())
+	// Every request derives from baseCtx so a forced drain cancels all
+	// in-flight queries at once, before Shutdown's cancel returns, and
+	// follows the client connection so a disconnect cancels just this one.
+	ctx, cancelReq := context.WithCancel(s.baseCtx)
 	defer cancelReq()
-	stopAfter := context.AfterFunc(s.baseCtx, cancelReq)
+	stopAfter := context.AfterFunc(r.Context(), cancelReq)
 	defer stopAfter()
 	if s.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -360,46 +360,30 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// concurrent SwapCatalog must never mix two catalogs in one query.
 	cat := s.cat.Load()
 
-	// The engine is per-request (it carries the request context and trace
-	// sink below) but shares the server-wide buffer pool, so working memory
-	// recycles across requests.
+	// The engine is per-request (it carries the trace sink) but shares the
+	// server-wide buffer pool, so working memory recycles across requests.
 	e := &rel.Engine{Cat: cat, Opt: s.cfg.Opt, Limits: s.cfg.Limits, Pool: s.pool}
+	e.TraceSink = func(t *trace.Trace) { rec.Traces = append(rec.Traces, t) }
 
-	// Resolve the query kind first: prebuilt TPC-H queries never touch
-	// the SQL frontend, and SQL goes through the catalog's memo — a hit
-	// skips parse, planning and compilation entirely.
-	var qf tpch.QueryFunc
-	var pr *rel.Prepared
-	var cached bool
-	var lookupDur, compileDur time.Duration
-	failPlan := func(err error) {
-		var ce *storage.CorruptError
-		if errors.As(err, &ce) {
-			rec.Fail(http.StatusServiceUnavailable, "quarantined", err)
-			return
-		}
-		rec.Fail(http.StatusBadRequest, "plan", err)
-	}
+	// Both kinds of request run through runPlan: SQL keyed by its text, a
+	// TPC-H query by its number through a runner whose Run is runPlan, so
+	// the ratios Q8 and Q14 compute after Run keep working.
+	var res *rel.Result
 	if qnum > 0 {
+		var qf tpch.QueryFunc
 		if qf, err = tpch.Query(qnum); err != nil {
 			rec.Fail(http.StatusBadRequest, "parse", err)
 			return
 		}
 		rec.SQL = fmt.Sprintf("TPC-H Q%d", qnum)
+		res, _, err = qf(&servedRunner{s: s, ctx: ctx, rec: rec, e: e,
+			key: tpchKey{num: qnum, opt: s.cfg.Opt, verify: verify.Enabled()}})
 	} else {
-		// The plan lives in the catalog's memo, so the catalog's
-		// invalidation covers it: a replaced table or a swapped catalog
-		// takes it along.
 		key := sqlKey{sql: normalizeSQL(src), opt: s.cfg.Opt, verify: verify.Enabled()}
-		parsed := true
-		lookupStart := time.Now()
-		v, hit, evicted, err := cat.Derived(key, func() (any, error) {
-			compileStart := time.Now()
-			defer func() { compileDur = time.Since(compileStart) }()
+		res, err = s.runPlan(ctx, rec, e, key, func() (*rel.Prepared, error) {
 			stmt, err := sql.Parse(src)
 			if err != nil {
-				parsed = false
-				return nil, err
+				return nil, parseError{err}
 			}
 			q, err := sql.Plan(stmt, cat)
 			if err != nil {
@@ -408,51 +392,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			q.Name = src
 			return e.Prepare(q)
 		})
-		lookupDur = time.Since(lookupStart) - compileDur
-		if cached = hit; hit {
-			s.mPlanHits.Inc()
-		} else {
-			s.mPlanMisses.Inc()
-		}
-		if evicted {
-			s.mPlanEvictions.Inc()
-		}
-		switch {
-		case err != nil && !parsed:
-			rec.Fail(http.StatusBadRequest, "parse", err)
-			return
-		case err != nil:
-			failPlan(err)
-			return
-		}
-		pr = v.(*rel.Prepared)
 	}
-	// The plan phases enter the record only once the plan is in hand, in
-	// one piece and before registration makes them visible to scrapers.
-	rec.PlanLookup, rec.Compile, rec.Cached = lookupDur, compileDur, cached
-
-	// Execute under a cancellable context registered for the /queries
-	// cancel action, with completed trace steps streaming into the
-	// record as live progress.
-	ctx, rec.Cancel = context.WithCancel(ctx)
-	defer rec.Cancel()
-	s.qreg.Begin(rec)
-	ctx = trace.WithObserver(ctx, rec.Observe)
-
-	e.BaseContext = ctx
-	e.TraceSink = func(t *trace.Trace) { rec.Traces = append(rec.Traces, t) }
-
-	execStart := time.Now()
-	var res *rel.Result
-	if qf != nil {
-		res, _, err = qf(e)
-	} else {
-		res, _, err = e.RunPrepared(ctx, pr)
-	}
-	rec.Exec = time.Since(execStart)
 	if err != nil {
-		code, kind := statusFor(err)
-		rec.Fail(code, kind, err)
 		return
 	}
 
@@ -475,6 +416,92 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	rec.Status, rec.Rows = http.StatusOK, len(resp.Rows)
 }
+
+// parseError marks a plan build that failed in the SQL parser: a 400 of
+// kind "parse" rather than "plan".
+type parseError struct{ error }
+
+// runPlan is every request's one way to a result: it looks its plan up in
+// the catalog's memo under key (so a replaced table or a swapped catalog
+// takes the plan along), calls build on a miss, and runs the plan under
+// ctx. It fills rec's plan phases and execution time, counts the lookup,
+// and registers rec for /queries once the plan is in hand. A failure is
+// recorded on rec with its status and kind, and returned.
+func (s *Server) runPlan(ctx context.Context, rec *telemetry.QueryRecord, e *rel.Engine, key any, build func() (*rel.Prepared, error)) (*rel.Result, error) {
+	var compileDur time.Duration
+	lookupStart := time.Now()
+	v, hit, evicted, err := e.Cat.Derived(key, func() (any, error) {
+		compileStart := time.Now()
+		defer func() { compileDur = time.Since(compileStart) }()
+		return build()
+	})
+	if hit {
+		s.mPlanHits.Inc()
+	} else {
+		s.mPlanMisses.Inc()
+	}
+	if evicted {
+		s.mPlanEvictions.Inc()
+	}
+	lookupDur := time.Since(lookupStart) - compileDur
+	if err != nil {
+		switch {
+		case errors.As(err, new(*storage.CorruptError)):
+			rec.Fail(http.StatusServiceUnavailable, "quarantined", err)
+		case errors.As(err, new(parseError)):
+			rec.Fail(http.StatusBadRequest, "parse", err)
+		default:
+			rec.Fail(http.StatusBadRequest, "plan", err)
+		}
+		return nil, err
+	}
+	// The plan phases enter the record only once the plan is in hand, in
+	// one piece and before registration makes them visible to scrapers.
+	rec.PlanLookup, rec.Compile, rec.Cached = lookupDur, compileDur, hit
+
+	// Execute under a cancellable context registered for the /queries
+	// cancel action, with completed trace steps streaming into the record
+	// as live progress.
+	ctx, rec.Cancel = context.WithCancel(ctx)
+	defer rec.Cancel()
+	s.qreg.Begin(rec)
+	ctx = trace.WithObserver(ctx, rec.Observe)
+	execStart := time.Now()
+	res, _, err := e.RunPrepared(ctx, v.(*rel.Prepared))
+	rec.Exec = time.Since(execStart)
+	if err != nil {
+		code, kind := statusFor(err)
+		rec.Fail(code, kind, err)
+	}
+	return res, err
+}
+
+// tpchKey names a served TPC-H plan within its catalog's memo: the query
+// number plus the settings Prepare compiles it with. Every TPC-H query is
+// one plan, which its QueryFunc builds from the catalog alone, so the
+// number stands for the plan on that catalog.
+type tpchKey struct {
+	num    int
+	opt    compile.Options
+	verify bool // compilation runs the IR verifier
+}
+
+// servedRunner is the rel.Runner a served TPC-H QueryFunc runs through:
+// its Run resolves and runs the query's plan with runPlan.
+type servedRunner struct {
+	s   *Server
+	ctx context.Context
+	rec *telemetry.QueryRecord
+	e   *rel.Engine
+	key tpchKey
+}
+
+func (r *servedRunner) Run(q rel.Query) (*rel.Result, *exec.Stats, error) {
+	res, err := r.s.runPlan(r.ctx, r.rec, r.e, r.key, func() (*rel.Prepared, error) { return r.e.Prepare(q) })
+	return res, nil, err
+}
+
+func (r *servedRunner) Catalog() *storage.Catalog { return r.e.Cat }
 
 // requestQuery extracts the SQL text or TPC-H query number from the
 // request.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -63,6 +64,44 @@ func TestPlanCacheHit(t *testing.T) {
 	}
 	if !third.Stats.Cached {
 		t.Fatalf("whitespace variant missed the cache: %s", body)
+	}
+}
+
+// TestTPCHPlanCacheStats: a prebuilt TPC-H query resolves its plan as SQL
+// does. On a fresh server the first ?q=6 builds its plan (cached: false,
+// compile_ns > 0) and the second finds it (cached: true, compile_ns 0,
+// a measured lookup), each moving its plan cache counter by one.
+func TestTPCHPlanCacheStats(t *testing.T) {
+	reg := testRegistry(t)
+	srv := newTestServer(t, Config{Registry: reg})
+	hits := reg.Counter("voodoo_plan_cache_hits_total", "")
+	misses := reg.Counter("voodoo_plan_cache_misses_total", "")
+	ask := func() queryStats {
+		t.Helper()
+		code, body := getBody(t, srv.URL+"/query?q=6")
+		var r queryResponse
+		if code != 200 {
+			t.Fatalf("q=6: status %d: %s", code, body)
+		}
+		if err := json.Unmarshal([]byte(body), &r); err != nil {
+			t.Fatalf("bad response JSON: %v\n%s", err, body)
+		}
+		return r.Stats
+	}
+	first := ask()
+	if first.Cached || first.CompileNS <= 0 {
+		t.Fatalf("first q=6: cached %v compile_ns %d, want false and > 0", first.Cached, first.CompileNS)
+	}
+	if h, m := hits.Value(), misses.Value(); h != 0 || m != 1 {
+		t.Fatalf("after the first q=6: %d hits, %d misses; want 0 and 1", h, m)
+	}
+	second := ask()
+	if !second.Cached || second.CompileNS != 0 || second.PlanLookupNS <= 0 {
+		t.Fatalf("second q=6: cached %v compile_ns %d plan_lookup_ns %d, want true, 0 and > 0",
+			second.Cached, second.CompileNS, second.PlanLookupNS)
+	}
+	if h, m := hits.Value(), misses.Value(); h != 1 || m != 1 {
+		t.Fatalf("after the second q=6: %d hits, %d misses; want 1 and 1", h, m)
 	}
 }
 
