@@ -37,7 +37,6 @@ import (
 	"voodoo/internal/compile"
 	"voodoo/internal/core"
 	"voodoo/internal/diag"
-	"voodoo/internal/exec"
 	"voodoo/internal/interp"
 	"voodoo/internal/metrics"
 	"voodoo/internal/opencl"
@@ -77,10 +76,20 @@ func main() {
 		name, given = *progFile, append(given, progSource(*progFile))
 	}
 	if *qnum > 0 {
-		name, given = fmt.Sprintf("TPC-H Q%d", *qnum), append(given, tpchSource(*qnum))
+		name, given = fmt.Sprintf("TPC-H Q%d", *qnum), append(given, planSource(func(cat *storage.Catalog) (rel.Query, error) {
+			return tpch.Plan(*qnum, cat)
+		}))
 	}
 	if sqlText := strings.TrimSpace(strings.Join(flag.Args(), " ")); sqlText != "" {
-		name, given = sqlText, append(given, sqlSource(sqlText))
+		name, given = sqlText, append(given, planSource(func(cat *storage.Catalog) (rel.Query, error) {
+			stmt, err := sql.Parse(sqlText)
+			if err != nil {
+				return rel.Query{}, err
+			}
+			q, err := sql.Plan(stmt, cat)
+			q.Name = sqlText // names it in traces
+			return q, err
+		}))
 	}
 	if len(given) != 1 {
 		usage(fmt.Errorf("want one query — a SQL string, -q N or -prog FILE — got %d", len(given)))
@@ -108,15 +117,13 @@ func main() {
 	if e.Limits.MaxBytes, err = rel.ParseSize(*maxMem); err != nil {
 		fatal(err)
 	}
-	// One context carries -timeout for every source; a TPC-H query runs
-	// through the engine's Run, which reads it from BaseContext.
+	// One context carries -timeout for every source.
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	e.BaseContext = ctx
 	if *data != "" {
 		e.Cat, err = storage.Load(*data)
 	} else {
@@ -242,24 +249,17 @@ func progSource(file string) source {
 	}
 }
 
-// sqlSource parses, plans and prepares one SQL statement.
-func sqlSource(text string) source {
+// planSource prepares and runs the relational query plan builds from the
+// catalog: a SQL statement or a TPC-H query.
+func planSource(plan func(cat *storage.Catalog) (rel.Query, error)) source {
 	return func(ctx context.Context, e *rel.Engine, execute bool) (string, string, error) {
-		stmt, err := sql.Parse(text)
+		q, err := plan(e.Cat)
 		if err != nil {
 			return "", "", err
 		}
-		q, err := sql.Plan(stmt, e.Cat)
-		if err != nil {
-			return "", "", err
-		}
-		q.Name = text
 		pr, err := e.Prepare(q)
-		if err != nil {
+		if err != nil || !execute {
 			return "", "", err
-		}
-		if !execute {
-			return "", "", nil
 		}
 		res, _, err := e.RunPrepared(ctx, pr)
 		if err != nil {
@@ -267,35 +267,6 @@ func sqlSource(text string) source {
 		}
 		return fmt.Sprintf("%d rows", len(res.Rows)), res.String(), nil
 	}
-}
-
-// tpchSource runs a prebuilt TPC-H query, whose one plan reaches the
-// sinks through the engine.
-func tpchSource(n int) source {
-	return func(_ context.Context, e *rel.Engine, execute bool) (string, string, error) {
-		qf, err := tpch.Query(n)
-		if err != nil {
-			return "", "", err
-		}
-		var r rel.Runner = e
-		if !execute {
-			r = planOnly{e}
-		}
-		res, _, err := qf(r)
-		if err != nil || !execute {
-			return "", "", err
-		}
-		return fmt.Sprintf("TPC-H Q%d", n), res.String(), nil
-	}
-}
-
-// planOnly is the Runner of a static -explain: Run prepares the query,
-// which delivers its plan to PlanSink, and executes nothing.
-type planOnly struct{ *rel.Engine }
-
-func (p planOnly) Run(q rel.Query) (*rel.Result, *exec.Stats, error) {
-	_, err := p.Prepare(q)
-	return &rel.Result{}, nil, err
 }
 
 // writeTrace writes the run's trace as JSON.

@@ -94,15 +94,22 @@ func TestEveryFlagOnEverySource(t *testing.T) {
 		}
 	}
 
-	// -explain prints Q20's one plan and executes nothing: no result, and
+	// -explain prints Q8's one plan and executes nothing: no result, and
 	// no trace although one is asked for.
-	traceFile := filepath.Join(dir, "q20.json")
-	out := run(t, "-explain", "-trace", traceFile, "-q", "20")
+	traceFile := filepath.Join(dir, "q8.json")
+	out := run(t, "-explain", "-trace", traceFile, "-q", "8")
 	if plans := strings.Count(out, "plan: "); plans != 1 || len(fragNames(explainFragRE, out)) == 0 {
-		t.Errorf("-explain -q 20 printed %d plans, want one with fragments:\n%s", plans, out)
+		t.Errorf("-explain -q 8 printed %d plans, want one with fragments:\n%s", plans, out)
 	}
-	if _, err := os.Stat(traceFile); strings.Contains(out, "-- TPC-H Q20") || !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("-explain -q 20 executed the query (trace file: %v):\n%s", err, out)
+	if _, err := os.Stat(traceFile); strings.Contains(out, " rows (") || !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("-explain -q 8 executed the query (trace file: %v):\n%s", err, out)
+	}
+
+	// -timeout reaches a TPC-H query's run: it fails with the deadline.
+	out2, err := exec.Command(bin, "-sf", "0.001", "-timeout", "1ns", "-q", "9").CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 || !strings.Contains(string(out2), "context deadline exceeded") {
+		t.Errorf("-timeout 1ns -q 9: err = %v, want exit status 1 and a deadline error:\n%s", err, out2)
 	}
 
 	// -verify lists a plan's warnings: a running sum of one column over a

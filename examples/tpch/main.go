@@ -13,6 +13,7 @@ import (
 
 	"voodoo/internal/baseline/hyper"
 	"voodoo/internal/device"
+	"voodoo/internal/exec"
 	"voodoo/internal/rel"
 	"voodoo/internal/tpch"
 )
@@ -25,39 +26,30 @@ func main() {
 	cpu := device.CPU(8)
 	gpu := device.GPU()
 
+	var q1 *rel.Result
 	for _, num := range []int{1, 5, 6, 19} {
-		qf, err := tpch.Query(num)
+		q, err := tpch.Plan(num, cat)
 		if err != nil {
 			log.Fatal(err)
 		}
-
-		voodoo := &rel.Engine{Cat: cat, Backend: rel.Compiled, CollectStats: true}
-		vres, vstats, err := qf(voodoo)
-		if err != nil {
-			log.Fatal(err)
+		run := func(e rel.Runner) (*rel.Result, *exec.Stats) {
+			res, stats, err := e.Run(q)
+			if err != nil {
+				log.Fatal(err)
+			}
+			return res, stats
 		}
-
-		interp := &rel.Engine{Cat: cat, Backend: rel.Interpreted}
-		ires, _, err := qf(interp)
-		if err != nil {
-			log.Fatal(err)
-		}
-
-		bulk := &rel.Engine{Cat: cat, Backend: rel.BulkCompiled, CollectStats: true}
-		ores, ostats, err := qf(bulk)
-		if err != nil {
-			log.Fatal(err)
-		}
-
-		hy := &hyper.Engine{Cat: cat}
-		hres, hstats, err := qf(hy)
-		if err != nil {
-			log.Fatal(err)
-		}
+		vres, vstats := run(&rel.Engine{Cat: cat, Backend: rel.Compiled, CollectStats: true})
+		ires, _ := run(&rel.Engine{Cat: cat, Backend: rel.Interpreted})
+		ores, ostats := run(&rel.Engine{Cat: cat, Backend: rel.BulkCompiled, CollectStats: true})
+		hres, hstats := run(&hyper.Engine{Cat: cat})
 
 		mustAgree(num, vres, ires)
 		mustAgree(num, vres, ores)
 		mustAgree(num, vres, hres)
+		if num == 1 {
+			q1 = vres
+		}
 
 		fmt.Printf("Q%-3d %d rows — engines agree\n", num, len(vres.Rows))
 		fmt.Printf("     Voodoo  cpu %7.2f ms   gpu %7.2f ms\n",
@@ -68,16 +60,11 @@ func main() {
 	}
 
 	// And one ad-hoc look at a result.
-	q1, _ := tpch.Query(1)
-	res, _, err := q1(&rel.Engine{Cat: cat, Backend: rel.Compiled})
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("Q1 result (flags decoded):")
-	for _, row := range res.Rows {
+	for _, row := range q1.Rows {
 		fmt.Printf("  %s/%s  qty=%.0f  count=%.0f  avg_disc=%.4f\n",
-			res.Decode("l_returnflag", row["l_returnflag"]),
-			res.Decode("l_linestatus", row["l_linestatus"]),
+			q1.Decode("l_returnflag", row["l_returnflag"]),
+			q1.Decode("l_linestatus", row["l_linestatus"]),
 			row["sum_qty"], row["count_order"], row["avg_disc"])
 	}
 }

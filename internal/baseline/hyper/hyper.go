@@ -378,15 +378,19 @@ type aggState struct {
 
 // result runs the plan's root into result rows: a GroupAgg's groups — a
 // global aggregate over no rows still answers one row of zeros — or the
-// rows of a Filter over one.
+// rows of a Filter over one, with a root Map's columns.
 func (ex *executor) result(root rel.Node) *rel.Result {
-	f, filtered := root.(rel.Filter)
-	g, ok := root.(rel.GroupAgg)
-	if filtered {
-		g, ok = f.In.(rel.GroupAgg)
+	n := root
+	if m, ok := n.(rel.Map); ok {
+		n = m.In
 	}
+	f, filtered := n.(rel.Filter)
+	if filtered {
+		n = f.In
+	}
+	g, ok := n.(rel.GroupAgg)
 	if !ok {
-		errf("the plan root must be a GroupAgg or a Filter over one")
+		errf("the plan root must be a GroupAgg or a Filter over one, or a Map over either")
 	}
 	in := ex.compileNode(root)
 	if filtered {
@@ -523,8 +527,8 @@ func (ex *executor) aggregate(g rel.GroupAgg) *relation {
 // with a priority queue (paper §5.2): top-k via a bounded heap, otherwise a
 // full sort; the heap's work is charged to the last pipeline.
 func (ex *executor) orderLimit(res *rel.Result, q rel.Query) {
-	if q.OrderBy != nil && q.Limit > 0 && q.Limit < len(res.Rows) {
-		h := &rowHeap{less: q.OrderBy}
+	if len(q.OrderBy) > 0 && q.Limit > 0 && q.Limit < len(res.Rows) {
+		h := &rowHeap{less: q.Less}
 		for _, r := range res.Rows {
 			ex.cur.IntOps += 8 // heap maintenance ~ log k comparisons
 			heap.Push(h, r)
@@ -537,8 +541,8 @@ func (ex *executor) orderLimit(res *rel.Result, q rel.Query) {
 			sorted[i] = heap.Pop(h).(rel.Row)
 		}
 		res.Rows = sorted
-	} else if q.OrderBy != nil {
-		sort.SliceStable(res.Rows, func(i, j int) bool { return q.OrderBy(res.Rows[i], res.Rows[j]) })
+	} else if len(q.OrderBy) > 0 {
+		sort.SliceStable(res.Rows, func(i, j int) bool { return q.Less(res.Rows[i], res.Rows[j]) })
 		if q.Limit > 0 && len(res.Rows) > q.Limit {
 			res.Rows = res.Rows[:q.Limit]
 		}

@@ -82,68 +82,43 @@ func tpchCatalog(cfg Config) *storage.Catalog {
 // Fig13 regenerates Figure 13: TPC-H on the CPU — HyPer vs Voodoo vs
 // Ocelot, all priced on the 8-thread CPU model.
 func Fig13(cfg Config) (*TPCHTable, error) {
-	cat := tpchCatalog(cfg)
 	cpu := device.CPU(8)
-	table := &TPCHTable{Name: "fig13",
+	return tpchFigure(cfg, &TPCHTable{Name: "fig13",
 		Title:   fmt.Sprintf("TPC-H on CPU (SF %g, times in ms, %s model)", cfg.sf(), cpu.Name),
-		Engines: []string{"HyPeR", "Voodoo", "Ocelot"}}
-	for _, num := range tpch.QueryNumbers {
-		qf, err := tpch.Query(num)
-		if err != nil {
-			return nil, err
-		}
-		row := TPCHRow{Query: num, Times: map[string]float64{}}
-
-		_, hstats, err := qf(&hyper.Engine{Cat: cat})
-		if err != nil {
-			return nil, fmt.Errorf("q%d hyper: %w", num, err)
-		}
-		row.Times["HyPeR"] = cpu.Time(hstats) * 1000
-
-		_, vstats, err := qf(&rel.Engine{Cat: cat, Backend: rel.Compiled, CollectStats: true})
-		if err != nil {
-			return nil, fmt.Errorf("q%d voodoo: %w", num, err)
-		}
-		row.Times["Voodoo"] = cpu.Time(vstats) * 1000
-
-		_, ostats, err := qf(&rel.Engine{Cat: cat, Backend: rel.BulkCompiled, CollectStats: true})
-		if err != nil {
-			return nil, fmt.Errorf("q%d ocelot: %w", num, err)
-		}
-		row.Times["Ocelot"] = cpu.Time(ostats) * 1000
-
-		table.Rows = append(table.Rows, row)
-	}
-	return table, nil
+		Engines: []string{"HyPeR", "Voodoo", "Ocelot"}}, tpch.QueryNumbers, cpu)
 }
 
 // Fig12 regenerates Figure 12: TPC-H on the GPU — Voodoo vs Ocelot on the
 // queries Ocelot supports, priced on the GPU model.
 func Fig12(cfg Config) (*TPCHTable, error) {
-	cat := tpchCatalog(cfg)
 	gpu := device.GPU()
-	table := &TPCHTable{Name: "fig12",
+	return tpchFigure(cfg, &TPCHTable{Name: "fig12",
 		Title:   fmt.Sprintf("TPC-H on GPU (SF %g, times in ms, %s model)", cfg.sf(), gpu.Name),
-		Engines: []string{"Voodoo", "Ocelot"}}
-	for _, num := range tpch.GPUQueryNumbers {
-		qf, err := tpch.Query(num)
+		Engines: []string{"Voodoo", "Ocelot"}}, tpch.GPUQueryNumbers, gpu)
+}
+
+// tpchFigure runs each query on each of the table's engines, in order, and
+// prices the events each run counted on dev.
+func tpchFigure(cfg Config, table *TPCHTable, nums []int, dev *device.Model) (*TPCHTable, error) {
+	cat := tpchCatalog(cfg)
+	engines := map[string]rel.Runner{
+		"HyPeR":  &hyper.Engine{Cat: cat},
+		"Voodoo": &rel.Engine{Cat: cat, Backend: rel.Compiled, CollectStats: true},
+		"Ocelot": &rel.Engine{Cat: cat, Backend: rel.BulkCompiled, CollectStats: true},
+	}
+	for _, num := range nums {
+		q, err := tpch.Plan(num, cat)
 		if err != nil {
 			return nil, err
 		}
 		row := TPCHRow{Query: num, Times: map[string]float64{}}
-
-		_, vstats, err := qf(&rel.Engine{Cat: cat, Backend: rel.Compiled, CollectStats: true})
-		if err != nil {
-			return nil, fmt.Errorf("q%d voodoo: %w", num, err)
+		for _, name := range table.Engines {
+			_, stats, err := engines[name].Run(q)
+			if err != nil {
+				return nil, fmt.Errorf("q%d %s: %w", num, strings.ToLower(name), err)
+			}
+			row.Times[name] = dev.Time(stats) * 1000
 		}
-		row.Times["Voodoo"] = gpu.Time(vstats) * 1000
-
-		_, ostats, err := qf(&rel.Engine{Cat: cat, Backend: rel.BulkCompiled, CollectStats: true})
-		if err != nil {
-			return nil, fmt.Errorf("q%d ocelot: %w", num, err)
-		}
-		row.Times["Ocelot"] = gpu.Time(ostats) * 1000
-
 		table.Rows = append(table.Rows, row)
 	}
 	return table, nil

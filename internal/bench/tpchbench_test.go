@@ -1,16 +1,13 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"voodoo/internal/compile"
 	"voodoo/internal/device"
-	"voodoo/internal/exec"
 	"voodoo/internal/rel"
-	"voodoo/internal/storage"
 	"voodoo/internal/tpch"
 	"voodoo/internal/verify"
 )
@@ -62,26 +59,6 @@ func TestBulkCostsMoreThanFused(t *testing.T) {
 	}
 }
 
-// planRunner runs TPC-H queries on e and shows visit the plan each
-// compiles.
-type planRunner struct {
-	e     *rel.Engine
-	visit func(*compile.Plan)
-}
-
-func (r planRunner) Catalog() *storage.Catalog { return r.e.Cat }
-
-func (r planRunner) Run(q rel.Query) (*rel.Result, *exec.Stats, error) {
-	pr, err := r.e.Prepare(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	if p := pr.Plan(); p != nil {
-		r.visit(p)
-	}
-	return r.e.RunPrepared(context.Background(), pr)
-}
-
 // reductionCarries reports, through t, every loop instruction of a
 // reduce_* or greduce_* fragment of p that verify.BatchFacts classes
 // Carried — the second level of an aggregation must be an ordinary fold,
@@ -120,15 +97,16 @@ func TestNoReductionCarries(t *testing.T) {
 	for _, pred := range []bool{false, true} {
 		e := &rel.Engine{Cat: cat, Backend: rel.Compiled, Opt: compile.Options{Predication: pred}}
 		for _, num := range tpch.QueryNumbers {
-			qf, err := tpch.Query(num)
+			where := fmt.Sprintf("q%d predication=%v", num, pred)
+			q, err := tpch.Plan(num, cat)
 			if err != nil {
 				t.Fatal(err)
 			}
-			where := fmt.Sprintf("q%d predication=%v", num, pred)
-			visit := func(p *compile.Plan) { reductions += reductionCarries(t, where, p) }
-			if _, _, err := qf(planRunner{e, visit}); err != nil {
+			pr, err := e.Prepare(q)
+			if err != nil {
 				t.Fatalf("%s: %v", where, err)
 			}
+			reductions += reductionCarries(t, where, pr.Plan())
 		}
 	}
 	if reductions == 0 {

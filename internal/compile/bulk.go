@@ -673,13 +673,7 @@ func guardDivisors(e, valid expr, memo map[expr]expr) expr {
 	case *eBin:
 		a, b := guardDivisors(x.a, valid, memo), guardDivisors(x.b, valid, memo)
 		if x.op == kernel.BDiv || x.op == kernel.BMod {
-			if k, ok := b.(*eConst); !ok || (k.i == 0 && k.f == 0) {
-				one := constI(1)
-				if b.kind() == vector.Float {
-					one = constF(1)
-				}
-				b = &eSel{c: valid, a: b, b: one}
-			}
+			b = guardDivisor(b, valid)
 		}
 		if a != x.a || b != x.b {
 			r = &eBin{op: x.op, a: a, b: b}
@@ -704,6 +698,34 @@ func guardDivisors(e, valid expr, memo map[expr]expr) expr {
 	}
 	memo[e] = r
 	return r
+}
+
+// guardDivisor is divisor d where valid is 1 and 1 where it is 0, unless d
+// is a nonzero constant. A guard of d by a validity valid implies is
+// replaced, not nested.
+func guardDivisor(d, valid expr) expr {
+	if k, ok := d.(*eConst); ok && (k.i != 0 || k.f != 0) {
+		return d
+	}
+	if g, ok := d.(*eSel); ok && implies(valid, g.c) {
+		if k, ok := g.b.(*eConst); ok && (k.i == 1 || k.f == 1) {
+			d = g.a
+		}
+	}
+	one := constI(1)
+	if d.kind() == vector.Float {
+		one = constF(1)
+	}
+	return &eSel{c: valid, a: d, b: one}
+}
+
+// implies reports whether v is c or a conjunction with c among its terms.
+func implies(v, c expr) bool {
+	if v == c {
+		return true
+	}
+	b, ok := v.(*eBin)
+	return ok && b.op == kernel.BAnd && (implies(b.a, c) || implies(b.b, c))
 }
 
 // bulkStats synthesizes the cost profile of a bulk (fully materializing)

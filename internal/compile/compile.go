@@ -409,9 +409,14 @@ func (c *compiler) compileArith(s *core.Stmt) *desc {
 	if !ok {
 		cerrf("%s: no kernel lowering", s.Op)
 	}
-	ex := binExpr(bop, a1.ex, a2.ex)
-	a := attr{name: s.Out[0], ex: ex}
-	a.validEx = andValid(a1.validEx, a2.validEx)
+	// A division never faults where its value is ε, as the interpreter
+	// divides no ε: its divisor reads 1 there.
+	a := attr{name: s.Out[0], validEx: andValid(a1.validEx, a2.validEx)}
+	divisor := a2.ex
+	if (bop == kernel.BDiv || bop == kernel.BMod) && a.validEx != nil {
+		divisor = guardDivisor(divisor, a.validEx)
+	}
+	a.ex = binExpr(bop, a1.ex, divisor)
 	out.attrs = []attr{a}
 	return out
 }

@@ -110,8 +110,9 @@ type pinnedProgram struct {
 // reach the compiler's fold fallback (compileFoldOn): a fold over a pending
 // filter, virtual scatter or group that the fused fold cannot take, which
 // materializes the pending vector first. Then come filters a fold reads in
-// place or that spill, each asserting which, and last grouped aggregates
-// read as relations.
+// place or that spill, each asserting which, then grouped aggregates read
+// as relations, and last a HAVING's division over a relation's unreached
+// slots.
 var pinned = []pinnedProgram{
 	{name: "select-nothing-materialized", empty: true, build: func(*testing.T) *Program {
 		b := core.NewBuilder()
@@ -266,6 +267,26 @@ var pinned = []pinnedProgram{
 	}},
 	{name: "grouped-by-sparse-pivots", build: func(*testing.T) *Program {
 		return foldByPivots([]int64{0, 5, 15, 23, 31, 12}, 10, 3, 10)
+	}},
+	// The relation of a grouped SUM, float SUM and COUNT, scattered to the
+	// slots of its group ids 0, 2 and 5 among 8, and a HAVING over their
+	// quotients: a slot no group reached is ε with a 0 count stored
+	// behind, where the division must not fault.
+	{name: "divide-unreached-slots", build: func(*testing.T) *Program {
+		b := core.NewBuilder()
+		in := b.Load("t")
+		slots := b.Scatter(in, b.RangeN(0, 8, 1), "", in, "g")
+		q := b.Arith(core.OpDivide, "q", slots, "s", slots, "c")
+		w := b.Arith(core.OpDivide, "w", slots, "x", slots, "c")
+		b.Upsert(slots, "keep", b.And(b.Greater(q, b.Constant(5)), b.Greater(w, b.ConstantF(1))), "")
+		return &Program{Prog: b.Program(), St: interp.MemStorage{"t": vector.New(3).
+			Set("g", vector.NewInt([]int64{0, 2, 5})).Set("s", vector.NewInt([]int64{10, 40, 90})).
+			Set("x", vector.NewFloat([]float64{1.5, 20, 4.5})).Set("c", vector.NewInt([]int64{1, 4, 9}))}}
+	}},
+	// Its global case: a HAVING that divides the SUM by the COUNT of no
+	// rows, whose one slot is ε.
+	{name: "sql having-divides-no-rows", empty: true, build: func(t *testing.T) *Program {
+		return sqlProgram(t, "SELECT SUM(o_custkey) AS s, COUNT(*) AS c FROM orders WHERE o_orderdate < 0 HAVING s / c > 1")
 	}},
 }
 
@@ -676,14 +697,22 @@ func TestGenerateDeterministic(t *testing.T) {
 // exercise must actually appear.
 func TestGeneratorCoversAlgebra(t *testing.T) {
 	seen := map[core.Op]bool{}
+	sparseDivide := false // a Divide or Modulo by a Scatter's output
 	n := fullPrograms
 	if testing.Short() {
 		n = shortPrograms
 	}
 	for seed := int64(1); seed <= int64(n); seed++ {
-		for _, s := range Generate(seed).Prog.Stmts {
+		prog := Generate(seed).Prog
+		for _, s := range prog.Stmts {
 			seen[s.Op] = true
+			if s.Op == core.OpDivide || s.Op == core.OpModulo {
+				sparseDivide = sparseDivide || prog.Stmts[s.Args[1]].Op == core.OpScatter
+			}
 		}
+	}
+	if !sparseDivide {
+		t.Error("no generated program divides by a Scatter's output (genSparseDivide)")
 	}
 	want := []core.Op{
 		core.OpLoad, core.OpConstant, core.OpRange, core.OpCross,

@@ -16,12 +16,14 @@
 //     and the interpreter's sequential runs. FoldMin/FoldMax are
 //     order-independent and fold either kind.
 //   - Divide/Modulo divisors are positive constants (no division by
-//     zero).
+//     zero), or positive values scattered into a longer vector, whose
+//     unreached slots are ε with a 0 stored behind (genSparseDivide).
 //   - Modulo/BitShift/And/Or see integer operands only (the algebra
 //     rejects floats there).
-//   - Scatter position vectors are always permutations of the output
-//     positions, so write conflicts — whose resolution order is
-//     backend-specific under parallel scatter — cannot arise.
+//   - Scatter positions never repeat (a permutation of the output
+//     positions, or genSparseDivide's stride apart), so write conflicts —
+//     whose resolution order is backend-specific under parallel scatter —
+//     cannot arise.
 //   - Partition inputs are ε-free: Partition is only defined on dense
 //     vectors (over an ε-padded fold output the interpreter reads every
 //     padded slot while the compiler partitions the compact runs, so
@@ -186,7 +188,11 @@ func (g *gen) step() {
 	case 0, 1, 2:
 		g.genArith()
 	case 3:
-		g.genDivide()
+		if g.r.Intn(2) == 0 {
+			g.genSparseDivide()
+		} else {
+			g.genDivide()
+		}
 	case 4:
 		g.genIntOp()
 	case 5, 6:
@@ -230,6 +236,30 @@ func (g *gen) genDivide() {
 		c = g.b.Constant(1 + g.r.Int63n(9))
 	}
 	g.push(entry{ref: g.b.Divide(a.ref, c), n: a.n, kind: a.kind, full: a.full})
+}
+
+// genSparseDivide scatters an integer column and a positive divisor by
+// the same unique positions, stride apart, into a vector stride times as
+// long, and divides (or takes the modulo of) one by the other. A slot no
+// position reaches is ε in both, its divisor a 0 stored behind the ε: the
+// quotient is ε there and must not fault, as a HAVING over a grouped
+// aggregate's empty groups must not.
+func (g *gen) genSparseDivide() {
+	a, ok := g.pickWhere(func(e entry) bool { return e.kind == vector.Int })
+	if !ok {
+		g.genDivide()
+		return
+	}
+	stride := 2 + g.r.Intn(3)
+	size := g.b.RangeN(0, a.n*stride, 1)
+	pos := g.b.Multiply(g.b.Range(a.ref), g.b.Constant(int64(stride)))
+	den := g.b.Add(g.b.Range(a.ref), g.b.Constant(1+g.r.Int63n(4)))
+	num, div := g.b.Scatter(a.ref, size, "", pos, ""), g.b.Scatter(den, size, "", pos, "")
+	op := g.b.Divide
+	if g.r.Intn(2) == 0 {
+		op = g.b.Modulo
+	}
+	g.push(entry{ref: op(num, div), n: a.n * stride, kind: vector.Int})
 }
 
 func (g *gen) genIntOp() {

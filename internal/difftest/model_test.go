@@ -7,10 +7,8 @@ import (
 	"testing"
 
 	"voodoo/internal/core"
-	"voodoo/internal/exec"
 	"voodoo/internal/interp"
 	"voodoo/internal/rel"
-	"voodoo/internal/storage"
 	"voodoo/internal/tpch"
 	"voodoo/internal/verify"
 )
@@ -67,39 +65,20 @@ func TestModelIsExact(t *testing.T) {
 	}
 }
 
-// modelRunner checks the static model of every program a TPC-H query
-// lowers, phase by phase, before the engine runs it.
-type modelRunner struct {
-	t        *testing.T
-	e        *rel.Engine
-	compared int
-}
-
-func (r *modelRunner) Catalog() *storage.Catalog { return r.e.Cat }
-
-func (r *modelRunner) Run(q rel.Query) (*rel.Result, *exec.Stats, error) {
-	prog, err := rel.Lower(q, r.e.Cat)
-	if err != nil {
-		return nil, nil, err
-	}
-	r.compared += checkModel(r.t, q.Name, prog, r.e.Cat)
-	return r.e.Run(q)
-}
-
 // TestModelIsExactTPCH checks the static model on every lowered TPC-H
 // program.
 func TestModelIsExactTPCH(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{SF: 0.002, Seed: 42})
 	for _, num := range tpch.QueryNumbers {
-		qf, err := tpch.Query(num)
+		q, err := tpch.Plan(num, cat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := &modelRunner{t: t, e: &rel.Engine{Cat: cat, Backend: rel.Interpreted}}
-		if _, _, err := qf(r); err != nil {
+		prog, err := rel.Lower(q, cat)
+		if err != nil {
 			t.Fatalf("q%d: %v", num, err)
 		}
-		if r.compared == 0 {
+		if checkModel(t, fmt.Sprintf("q%d", num), prog, cat) == 0 {
 			t.Errorf("q%d: no statement had a known model", num)
 		}
 	}

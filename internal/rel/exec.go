@@ -71,11 +71,6 @@ type Engine struct {
 	// plan Run reuses, which is the plan RunPrepared then executes (EXPLAIN
 	// tooling). Interpreted queries compile nothing and deliver none.
 	PlanSink func(*compile.Plan)
-	// BaseContext, when set, is the context Run (the context-less Runner
-	// entry point) executes under, so a TPC-H QueryFunc run through Run
-	// still honours cancellation and deadlines. RunPrepared ignores it: an
-	// explicit context wins.
-	BaseContext context.Context
 	// Pool, when set, recycles kernel buffers and interpreter
 	// intermediates across queries: each run draws its working memory
 	// from an arena of the pool and releases it when the result has been
@@ -87,21 +82,17 @@ type Engine struct {
 // Catalog implements Runner.
 func (e *Engine) Catalog() *storage.Catalog { return e.Cat }
 
-// Run lowers, executes and assembles one query under BaseContext (or the
-// background context). A compiling backend prepares each plan once per
-// catalog: a repeat of the query reuses the plan from the catalog's memo
-// (see prepared). Stats is nil unless CollectStats is set and the backend
-// is a compiling one.
+// Run lowers, executes and assembles one query under the background
+// context. A compiling backend prepares each plan once per catalog: a
+// repeat of the query reuses the plan from the catalog's memo (see
+// prepared). Stats is nil unless CollectStats is set and the backend is a
+// compiling one.
 func (e *Engine) Run(q Query) (res *Result, stats *exec.Stats, err error) {
-	ctx := context.Background()
-	if e.BaseContext != nil {
-		ctx = e.BaseContext
-	}
 	pr, err := e.prepared(q)
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.RunPrepared(ctx, pr)
+	return e.RunPrepared(context.Background(), pr)
 }
 
 // Prepared is a query lowered and (for the compiling backends) compiled,
@@ -226,11 +217,11 @@ func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, st
 		e.TraceSink(tr)
 	}
 
-	q := pr.q
+	q := &pr.q
 	res = pr.assemble(root)
 	release()
-	if q.OrderBy != nil {
-		sort.SliceStable(res.Rows, func(i, j int) bool { return q.OrderBy(res.Rows[i], res.Rows[j]) })
+	if len(q.OrderBy) > 0 {
+		sort.SliceStable(res.Rows, func(i, j int) bool { return q.Less(res.Rows[i], res.Rows[j]) })
 	}
 	if q.Limit > 0 && len(res.Rows) > q.Limit {
 		res.Rows = res.Rows[:q.Limit]

@@ -18,12 +18,20 @@ func hardeningQuery() Query {
 	}}
 }
 
+// runCtx prepares q and runs it under ctx.
+func runCtx(ctx context.Context, e *Engine, q Query) (*Result, *exec.Stats, error) {
+	pr, err := e.Prepare(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.RunPrepared(ctx, pr)
+}
+
 func TestEngineRunCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, e := range engines(testCatalog()) {
-		e.BaseContext = ctx
-		if _, _, err := e.Run(hardeningQuery()); !errors.Is(err, context.Canceled) {
+		if _, _, err := runCtx(ctx, e, hardeningQuery()); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
 	}
@@ -39,9 +47,8 @@ func TestEngineDeadlineLimit(t *testing.T) {
 		// the context to say so: on a loaded box its timer can fire well
 		// after the deadline, and until then Err is nil.
 		<-ctx.Done()
-		e.BaseContext = ctx
 		before := deadlines.Value()
-		_, _, err := e.Run(hardeningQuery())
+		_, _, err := runCtx(ctx, e, hardeningQuery())
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("%s: err = %v, want context.DeadlineExceeded", name, err)

@@ -224,7 +224,7 @@ func (l *lowerer) lower(r *node) *lowered {
 		case Filter:
 			r.lo = l.lowerFilter(x, r)
 		case Map:
-			r.lo = l.lowerMap(x, r)
+			r.lo = l.lowerMap(x, l.lower(r.in[0]))
 		case IndexJoin:
 			r.lo = l.lowerJoin(x, r)
 		case GroupAgg:
@@ -238,31 +238,36 @@ func (l *lowerer) lower(r *node) *lowered {
 // predicate: the result keeps the rows it holds true at.
 const keepCol = "__keep"
 
-// lowerRoot lowers the plan's root, a GroupAgg or a Filter over one, to
-// the aggregate's relation, the Filter's predicate one more column.
+// lowerRoot lowers the plan's root, a GroupAgg or a Filter over one, or a
+// Map over either, to the aggregate's relation, the Map's columns and the
+// Filter's predicate more columns of it.
 func (l *lowerer) lowerRoot(n Node) {
 	r := l.analyse(make([]byte, 0, 256), n)
+	m, mapped := n.(Map)
+	if mapped {
+		n, r = m.In, r.in[0]
+	}
 	f, filtered := n.(Filter)
 	if filtered {
 		n, r = f.In, r.in[0]
 	}
 	g, ok := n.(GroupAgg)
 	if !ok {
-		l.errf("the root must be a GroupAgg or a Filter over one, not %T", n)
+		l.errf("the root must be a GroupAgg or a Filter over one, or a Map over either, not %T", n)
 	}
 	l.root, l.keys, l.keep = l.lower(r), len(g.Keys), filtered
 	if filtered {
 		l.root.ref = l.b.Upsert(l.root.ref, keepCol, l.expr(l.root, f.Pred), "")
 	}
+	if mapped {
+		l.root = l.lowerMap(m, l.root)
+	}
 }
 
 func (l *lowerer) lowerScan(s Scan) *lowered {
-	t := l.cat.Table(s.Table)
-	if t == nil {
-		if qe := l.cat.QuarantineErr(s.Table); qe != nil {
-			panic(lowerErr{fmt.Errorf("rel: table %q is quarantined: %w", s.Table, qe)})
-		}
-		l.errf("no table %q", s.Table)
+	t, err := l.cat.Lookup(s.Table)
+	if err != nil {
+		panic(lowerErr{fmt.Errorf("rel: %w", err)})
 	}
 	v := l.b.Load(s.Table)
 	if len(s.Cols) == 0 {
@@ -395,8 +400,8 @@ func (l *lowerer) lowerFilter(f Filter, r *node) *lowered {
 	return &lowered{ref: out, cols: cols, origins: cur.origins, n: cur.n, live: cur.live}
 }
 
-func (l *lowerer) lowerMap(m Map, r *node) *lowered {
-	cur := l.lower(r.in[0])
+// lowerMap appends m's columns to cur, m's input.
+func (l *lowerer) lowerMap(m Map, cur *lowered) *lowered {
 	out := &lowered{ref: cur.ref, cols: cur.cols, origins: cur.origins, n: cur.n,
 		live: cur.live}
 	for _, ne := range m.Outs {
@@ -630,7 +635,7 @@ func (l *lowerer) lowerGroupAgg(g GroupAgg, r *node) *lowered {
 	if p.pushed {
 		cur = l.lower(p.in)
 	} else {
-		cur = l.lowerMap(p.in.n.(Map), p.in)
+		cur = l.lowerMap(p.in.n.(Map), l.lower(p.in.in[0]))
 	}
 	// Anchor every aggregate input on the liveness column: rows a filtered
 	// join dropped are ε there and must contribute nothing. (This also

@@ -63,7 +63,7 @@ func TestMemoKeepsCallerPostSteps(t *testing.T) {
 	all := mustRun(t, e, memoQuery())
 	hits := memoHitC.Value()
 	q := memoQuery()
-	q.OrderBy = func(a, b Row) bool { return a["s"] > b["s"] }
+	q.OrderBy = []OrderKey{{Col: "s", Desc: true}}
 	q.Limit = 1
 	top := mustRun(t, e, q)
 	if memoHitC.Value() != hits+1 {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"voodoo/internal/compile"
-	"voodoo/internal/exec"
 	"voodoo/internal/rel"
 	"voodoo/internal/storage"
 	"voodoo/internal/tpch"
@@ -16,17 +15,6 @@ import (
 )
 
 func tpchCatalog() *storage.Catalog { return tpch.Generate(tpch.Config{SF: 0.002, Seed: 42}) }
-
-// recorder runs queries on its engine and keeps their roots.
-type recorder struct {
-	*rel.Engine
-	roots []rel.Node
-}
-
-func (r *recorder) Run(q rel.Query) (*rel.Result, *exec.Stats, error) {
-	r.roots = append(r.roots, q.Root)
-	return r.Engine.Run(q)
-}
 
 // sameBits reports whether two results hold the same columns and rows,
 // every value bit for bit.
@@ -141,19 +129,21 @@ func TestMemoConcurrentEngines(t *testing.T) {
 // BenchmarkMemoKey encodes the roots of the 14 TPC-H queries, the work
 // every Run adds before its memo lookup.
 func BenchmarkMemoKey(b *testing.B) {
-	rec := &recorder{Engine: &rel.Engine{Cat: tpchCatalog()}}
+	cat := tpchCatalog()
+	var roots []rel.Node
 	for _, num := range tpch.QueryNumbers {
-		qf, _ := tpch.Query(num)
-		if _, _, err := qf(rec); err != nil {
+		q, err := tpch.Plan(num, cat)
+		if err != nil {
 			b.Fatal(err)
 		}
+		roots = append(roots, q.Root)
 	}
 	var buf []byte
 	b.ResetTimer()
 	for range b.N {
-		for _, r := range rec.roots {
+		for _, r := range roots {
 			buf, _ = rel.AppendNode(buf[:0], r)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rec.roots)), "ns/root")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(roots)), "ns/root")
 }

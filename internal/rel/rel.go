@@ -4,6 +4,11 @@
 // joins and group-bys, selection via controlled fold-selects, and no
 // order-by/limit inside the algebra (the paper omits those clauses in
 // Voodoo; this frontend applies them to the tiny result table afterwards).
+//
+// A Query is data: sql.Plan builds one from SQL text and tpch.Plan one
+// from a TPC-H query number, both computing every output column in the
+// plan. Engine.Prepare lowers and compiles it, and Engine.RunPrepared runs
+// it under the caller's context.
 package rel
 
 import (
@@ -172,14 +177,31 @@ func (GroupAgg) isNode()  {}
 
 // Query is a complete statement: a plan plus the post-algebra steps the
 // paper keeps outside Voodoo. The root is a GroupAgg, or a Filter over one
-// (an aggregate predicate, SQL's HAVING).
+// (an aggregate predicate, SQL's HAVING), or a Map over either (columns
+// computed from the aggregates).
 type Query struct {
 	Root Node
 	// Name labels the query in execution traces.
 	Name string
-	// OrderBy sorts the result rows (less function); Limit truncates.
-	OrderBy func(a, b Row) bool
+	// OrderBy sorts the result rows, the first key first; Limit truncates.
+	OrderBy []OrderKey
 	Limit   int
+}
+
+// OrderKey is one sort key: a result column, ascending unless Desc.
+type OrderKey struct {
+	Col  string
+	Desc bool
+}
+
+// Less reports whether row a sorts before row b under q's OrderBy.
+func (q *Query) Less(a, b Row) bool {
+	for _, k := range q.OrderBy {
+		if av, bv := a[k.Col], b[k.Col]; av != bv {
+			return (av < bv) != k.Desc
+		}
+	}
+	return false
 }
 
 // Row is one result row, keyed by output column name.

@@ -178,7 +178,7 @@ func TestGroupBy(t *testing.T) {
 				{Func: Avg, E: C("total"), As: "avg"},
 			},
 		},
-		OrderBy: func(a, b Row) bool { return a["prio"] < b["prio"] },
+		OrderBy: []OrderKey{{Col: "prio"}},
 	})
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3\n%s", len(res.Rows), res)
@@ -202,7 +202,7 @@ func TestJoinGroup(t *testing.T) {
 			Keys: []string{"nation"},
 			Aggs: []AggSpec{{Func: Sum, E: C("total"), As: "s"}},
 		},
-		OrderBy: func(a, b Row) bool { return a["nation"] < b["nation"] },
+		OrderBy: []OrderKey{{Col: "nation"}},
 	})
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2\n%s", len(res.Rows), res)
@@ -259,7 +259,7 @@ func TestHavingAndLimit(t *testing.T) {
 			},
 			Pred: B(Gt, C("s"), F(50)),
 		},
-		OrderBy: func(a, b Row) bool { return a["s"] > b["s"] },
+		OrderBy: []OrderKey{{Col: "s", Desc: true}},
 		Limit:   1,
 	})
 	if len(res.Rows) != 1 {
@@ -300,7 +300,7 @@ func TestDictionaryKeyDecode(t *testing.T) {
 			Keys: []string{"name"},
 			Aggs: []AggSpec{{Func: Sum, E: C("total"), As: "s"}},
 		},
-		OrderBy: func(a, b Row) bool { return a["name"] < b["name"] },
+		OrderBy: []OrderKey{{Col: "name"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +357,7 @@ func TestRandomGroupQueries(t *testing.T) {
 				Keys: []string{"g"},
 				Aggs: []AggSpec{{Func: Sum, E: C("v"), As: "s"}},
 			},
-			OrderBy: func(a, b Row) bool { return a["g"] < b["g"] },
+			OrderBy: []OrderKey{{Col: "g"}},
 		})
 		if len(res.Rows) != len(want) {
 			t.Fatalf("trial %d: %d groups, want %d", trial, len(res.Rows), len(want))
@@ -421,7 +421,7 @@ func TestRandomJoinQueries(t *testing.T) {
 					{Func: Count, As: "n"},
 				},
 			},
-			OrderBy: func(a, b Row) bool { return a["grp"] < b["grp"] },
+			OrderBy: []OrderKey{{Col: "grp"}},
 		}
 		res := runAll(t, cat, q)
 

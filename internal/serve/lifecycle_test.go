@@ -271,11 +271,21 @@ func TestDeadlineAwareAdmission(t *testing.T) {
 
 // TestDegradedModeServesHealthyTables: a catalog with a quarantined table
 // serves the healthy remainder, reports degraded health, and fails
-// queries touching the quarantined table fast with 503.
+// queries touching the quarantined table fast with 503, a TPC-H query
+// whose plan reads the table's size or dictionaries too.
 func TestDegradedModeServesHealthyTables(t *testing.T) {
-	cat := tpch.Generate(tpch.Config{SF: 0.01, Seed: 42})
+	gen := tpch.Generate(tpch.Config{SF: 0.01, Seed: 42})
+	cat := storage.NewCatalog()
+	for _, name := range gen.Tables() {
+		if name != "supplier" {
+			cat.Add(gen.Table(name))
+		}
+	}
 	cat.Quarantine("orders_gone", &storage.CorruptError{
 		Path: "orders_gone.vdb", Column: "okey", Offset: 128, Reason: "checksum mismatch",
+	})
+	cat.Quarantine("supplier", &storage.CorruptError{
+		Path: "supplier.vdb", Column: "s_suppkey", Offset: 64, Reason: "checksum mismatch",
 	})
 	_, srv := newLifecycleServer(t, Config{Cat: cat})
 
@@ -298,5 +308,10 @@ func TestDegradedModeServesHealthyTables(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("quarantined table query: status %d, want 503", resp.StatusCode)
+	}
+	for _, q := range []string{"9", "20"} {
+		if code, body := getBody(t, srv.URL+"/query?q="+q); code != http.StatusServiceUnavailable || !strings.Contains(body, "quarantined") {
+			t.Errorf("q=%s over a quarantined supplier: status %d body %s, want a 503 of kind quarantined", q, code, body)
+		}
 	}
 }

@@ -237,11 +237,14 @@ type queryError struct {
 	Kind  string `json:"kind"`
 }
 
-// sqlKey names a served SQL plan within its catalog's memo: the normalized
-// text plus the settings Prepare compiles it with. It is a type of its own,
-// so it never collides with the relational engine's keys.
-type sqlKey struct {
+// planKey names a served plan within its catalog's memo: the normalized
+// SQL text or the TPC-H query number (tpch.Plan plans a query from the
+// catalog alone, so the number stands for the plan on that catalog), plus
+// the settings Prepare compiles it with. It is a type of its own, so it
+// never collides with the relational engine's keys.
+type planKey struct {
 	sql    string
+	num    int
 	opt    compile.Options
 	verify bool // compilation runs the IR verifier
 }
@@ -365,34 +368,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	e := &rel.Engine{Cat: cat, Opt: s.cfg.Opt, Limits: s.cfg.Limits, Pool: s.pool}
 	e.TraceSink = func(t *trace.Trace) { rec.Traces = append(rec.Traces, t) }
 
-	// Both kinds of request run through runPlan: SQL keyed by its text, a
-	// TPC-H query by its number through a runner whose Run is runPlan, so
-	// the ratios Q8 and Q14 compute after Run keep working.
-	var res *rel.Result
+	// Both kinds of request are planned to a rel.Query on a memo miss and
+	// run through runPlan: SQL keyed by its text, a TPC-H query by its
+	// number.
+	key := planKey{num: qnum, opt: s.cfg.Opt, verify: verify.Enabled()}
+	var plan func() (rel.Query, error)
 	if qnum > 0 {
-		var qf tpch.QueryFunc
-		if qf, err = tpch.Query(qnum); err != nil {
-			rec.Fail(http.StatusBadRequest, "parse", err)
-			return
-		}
 		rec.SQL = fmt.Sprintf("TPC-H Q%d", qnum)
-		res, _, err = qf(&servedRunner{s: s, ctx: ctx, rec: rec, e: e,
-			key: tpchKey{num: qnum, opt: s.cfg.Opt, verify: verify.Enabled()}})
+		plan = func() (rel.Query, error) { return tpch.Plan(qnum, cat) }
 	} else {
-		key := sqlKey{sql: normalizeSQL(src), opt: s.cfg.Opt, verify: verify.Enabled()}
-		res, err = s.runPlan(ctx, rec, e, key, func() (*rel.Prepared, error) {
+		key.sql = normalizeSQL(src)
+		plan = func() (rel.Query, error) {
 			stmt, err := sql.Parse(src)
 			if err != nil {
-				return nil, parseError{err}
+				return rel.Query{}, parseError{err}
 			}
 			q, err := sql.Plan(stmt, cat)
-			if err != nil {
-				return nil, err
-			}
 			q.Name = src
-			return e.Prepare(q)
-		})
+			return q, err
+		}
 	}
+	res, err := s.runPlan(ctx, rec, e, key, plan)
 	if err != nil {
 		return
 	}
@@ -423,17 +419,21 @@ type parseError struct{ error }
 
 // runPlan is every request's one way to a result: it looks its plan up in
 // the catalog's memo under key (so a replaced table or a swapped catalog
-// takes the plan along), calls build on a miss, and runs the plan under
-// ctx. It fills rec's plan phases and execution time, counts the lookup,
+// takes the plan along), plans and prepares the query on a miss, and runs
+// the plan under ctx. It fills rec's plan phases and execution time, counts the lookup,
 // and registers rec for /queries once the plan is in hand. A failure is
 // recorded on rec with its status and kind, and returned.
-func (s *Server) runPlan(ctx context.Context, rec *telemetry.QueryRecord, e *rel.Engine, key any, build func() (*rel.Prepared, error)) (*rel.Result, error) {
+func (s *Server) runPlan(ctx context.Context, rec *telemetry.QueryRecord, e *rel.Engine, key planKey, plan func() (rel.Query, error)) (*rel.Result, error) {
 	var compileDur time.Duration
 	lookupStart := time.Now()
 	v, hit, evicted, err := e.Cat.Derived(key, func() (any, error) {
 		compileStart := time.Now()
 		defer func() { compileDur = time.Since(compileStart) }()
-		return build()
+		q, err := plan()
+		if err != nil {
+			return nil, err
+		}
+		return e.Prepare(q)
 	})
 	if hit {
 		s.mPlanHits.Inc()
@@ -476,33 +476,6 @@ func (s *Server) runPlan(ctx context.Context, rec *telemetry.QueryRecord, e *rel
 	return res, err
 }
 
-// tpchKey names a served TPC-H plan within its catalog's memo: the query
-// number plus the settings Prepare compiles it with. Every TPC-H query is
-// one plan, which its QueryFunc builds from the catalog alone, so the
-// number stands for the plan on that catalog.
-type tpchKey struct {
-	num    int
-	opt    compile.Options
-	verify bool // compilation runs the IR verifier
-}
-
-// servedRunner is the rel.Runner a served TPC-H QueryFunc runs through:
-// its Run resolves and runs the query's plan with runPlan.
-type servedRunner struct {
-	s   *Server
-	ctx context.Context
-	rec *telemetry.QueryRecord
-	e   *rel.Engine
-	key tpchKey
-}
-
-func (r *servedRunner) Run(q rel.Query) (*rel.Result, *exec.Stats, error) {
-	res, err := r.s.runPlan(r.ctx, r.rec, r.e, r.key, func() (*rel.Prepared, error) { return r.e.Prepare(q) })
-	return res, nil, err
-}
-
-func (r *servedRunner) Catalog() *storage.Catalog { return r.e.Cat }
-
 // requestQuery extracts the SQL text or TPC-H query number from the
 // request.
 func (s *Server) requestQuery(r *http.Request) (src string, qnum int, err error) {
@@ -511,7 +484,8 @@ func (s *Server) requestQuery(r *http.Request) (src string, qnum int, err error)
 		if err != nil || n <= 0 {
 			return "", 0, fmt.Errorf("malformed TPC-H query number %q", qs)
 		}
-		return "", n, nil
+		_, err = tpch.Query(n) // an unknown number is malformed too
+		return "", n, err
 	}
 	src = r.URL.Query().Get("sql")
 	if src == "" && r.Body != nil {

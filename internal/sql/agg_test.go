@@ -13,6 +13,7 @@ import (
 	"voodoo/internal/core"
 	"voodoo/internal/rel"
 	"voodoo/internal/storage"
+	"voodoo/internal/tpch"
 )
 
 // aggEngines are the four ways a query runs: the compiled plan in tiles and
@@ -72,7 +73,7 @@ func TestCountIgnoresInfAndNaN(t *testing.T) {
 	tbl.AddFloat("x", []float64{1, math.Inf(1), 3, math.NaN()})
 	tbl.AddInt("g", []int64{0, 0, 1, 1})
 	cat := storage.NewCatalog().Add(tbl)
-	byG := func(a, b rel.Row) bool { return a["g"] < b["g"] }
+	byG := []rel.OrderKey{{Col: "g"}}
 	grouped := rel.GroupAgg{In: rel.Scan{Table: "t", Cols: []string{"x", "g"}}, Keys: []string{"g"},
 		Aggs: []rel.AggSpec{
 			{Func: rel.Count, As: "n"},
@@ -188,6 +189,42 @@ func TestHavingOverAggregates(t *testing.T) {
 			}
 			if got := strings.Join(rows(res, 0), "|"); got != tc.want {
 				t.Errorf("%s on %s: got %q, want %q", tc.text, name, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestDivisionOverUnreachedSlots: a HAVING that divides two aggregates
+// divides only the groups the aggregate's relation holds. The relation has
+// one slot per key value, and a slot no row reached is ε with a zero count
+// stored behind it, where a compiled plan that divided would fail with
+// "integer division by zero" while the interpreter and HyPer answer. A
+// division never faults where its value is ε (DESIGN.md §8), a global
+// aggregate over no rows included.
+func TestDivisionOverUnreachedSlots(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{SF: 0.01, Seed: 42})
+	engines := aggEngines(cat, 0)
+	for _, tc := range []struct {
+		text string
+		rows int
+	}{
+		{"SELECT o_orderyear, SUM(o_custkey) AS s, COUNT(*) AS c FROM orders WHERE o_orderdate < 1500 GROUP BY o_orderyear HAVING s / c > 700", 5},
+		{"SELECT SUM(o_custkey) AS s, COUNT(*) AS c FROM orders WHERE o_orderdate < 0 HAVING s / c > 1", 0},
+	} {
+		q := planSQL(t, cat, tc.text)
+		var want []string
+		for _, name := range []string{"interp", "compiled", "compiled-interp", "hyper"} {
+			res, _, err := engines[name].Run(q)
+			if err != nil {
+				t.Errorf("%s on %s: %v", tc.text, name, err)
+				continue
+			}
+			got := rows(res, 0)
+			if want == nil {
+				want = got
+			}
+			if len(got) != tc.rows || !slices.Equal(got, want) {
+				t.Errorf("%s on %s: %q, want %d rows, the interpreter's %q", tc.text, name, got, tc.rows, want)
 			}
 		}
 	}

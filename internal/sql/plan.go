@@ -36,15 +36,11 @@ func (pl *planner) plan() (rel.Query, error) {
 	pl.tables = append([]string{pl.stmt.From}, tableNames(pl.stmt.Joins)...)
 	pl.needed = map[string]map[string]bool{}
 	for _, t := range pl.tables {
-		tb := pl.cat.Table(t)
-		if tb == nil {
-			// A quarantined table propagates its typed corruption error so
-			// the serving layer can answer 503 (data unavailable) instead
-			// of 400 (bad query).
-			if qe := pl.cat.QuarantineErr(t); qe != nil {
-				return q, fmt.Errorf("sql: table %q is quarantined: %w", t, qe)
-			}
-			return q, pl.errf("no table %q", t)
+		// A quarantined table propagates its typed corruption error so the
+		// serving layer can answer 503 (data unavailable), not 400.
+		tb, err := pl.cat.Lookup(t)
+		if err != nil {
+			return q, fmt.Errorf("sql: %w", err)
 		}
 		pl.needed[t] = map[string]bool{}
 		for _, d := range tb.Defs() {
@@ -214,26 +210,11 @@ func (pl *planner) plan() (rel.Query, error) {
 
 	// ORDER BY / LIMIT run on the assembled result (paper §5.2 drops them
 	// inside the algebra).
-	if len(pl.stmt.OrderBy) > 0 {
-		items := pl.stmt.OrderBy
-		for _, o := range items {
-			if !outNames[o.Col] && !contains(pl.stmt.GroupBy, o.Col) {
-				return q, pl.errf("ORDER BY column %q is not in the output", o.Col)
-			}
+	for _, o := range pl.stmt.OrderBy {
+		if !outNames[o.Col] && !contains(pl.stmt.GroupBy, o.Col) {
+			return q, pl.errf("ORDER BY column %q is not in the output", o.Col)
 		}
-		q.OrderBy = func(a, b rel.Row) bool {
-			for _, o := range items {
-				av, bv := a[o.Col], b[o.Col]
-				if av == bv {
-					continue
-				}
-				if o.Desc {
-					return av > bv
-				}
-				return av < bv
-			}
-			return false
-		}
+		q.OrderBy = append(q.OrderBy, rel.OrderKey{Col: o.Col, Desc: o.Desc})
 	}
 	q.Limit = pl.stmt.Limit
 	return q, nil

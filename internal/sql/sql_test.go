@@ -105,7 +105,11 @@ func TestQ6EquivalentSQL(t *testing.T) {
 		FROM lineitem
 		WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01'
 		  AND l_discount BETWEEN 0.0499 AND 0.0701 AND l_quantity < 24`)
-	want, _, err := tpch.Q6(&rel.Engine{Cat: cat, Backend: rel.Compiled})
+	q6, err := tpch.Plan(6, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := (&rel.Engine{Cat: cat, Backend: rel.Compiled}).Run(q6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,12 +159,6 @@ func (t *Table) Code(col, value string) (int64, bool) {
 	return int64(i), false
 }
 
-// CodeLowerBound returns the smallest code whose string is >= value.
-func (t *Table) CodeLowerBound(col, value string) int64 {
-	d, _ := t.Def(col)
-	return int64(sort.SearchStrings(d.Dict, value))
-}
-
 // Decode maps a dictionary code back to its string.
 func (t *Table) Decode(col string, code int64) string {
 	d, ok := t.Def(col)
@@ -274,6 +268,18 @@ func (c *Catalog) Add(t *Table) *Catalog {
 
 // Table returns the named table, or nil.
 func (c *Catalog) Table(name string) *Table { return c.tables[name] }
+
+// Lookup returns the named table, or an error saying why there is none,
+// wrapping the *CorruptError of a quarantined table.
+func (c *Catalog) Lookup(name string) (*Table, error) {
+	if t := c.tables[name]; t != nil {
+		return t, nil
+	}
+	if qe := c.quarantined[name]; qe != nil {
+		return nil, fmt.Errorf("table %q is quarantined: %w", name, qe)
+	}
+	return nil, fmt.Errorf("no table %q", name)
+}
 
 // Tables returns the table names in sorted order.
 func (c *Catalog) Tables() []string {

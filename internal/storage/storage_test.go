@@ -49,9 +49,6 @@ func TestDictionaryEncoding(t *testing.T) {
 	if got := tb.Decode("status", tb.Col("status").Int(3)); got != "P" {
 		t.Fatalf("row 3 status = %q, want P", got)
 	}
-	if lb := tb.CodeLowerBound("status", "G"); lb != 1 {
-		t.Fatalf("lower bound of G = %d, want 1 (O)", lb)
-	}
 }
 
 func TestCatalogLoadVector(t *testing.T) {

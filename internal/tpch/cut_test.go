@@ -248,34 +248,32 @@ func TestBigFragmentsSplit(t *testing.T) {
 // on: the failing fragment fails there, not on the interpreter.
 func TestSplitQ1FailsLikeOneWorker(t *testing.T) {
 	frag := fragmentNamed(t, 1, "group-fold", 64, 934)
-	qf, err := Query(1)
+	q1, err := Plan(1, cutCat())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// setup arms the engine and returns what the hook does mid-fragment.
+	// setup returns the run's context and what the hook does mid-fragment.
 	failures := []struct {
 		name  string
-		setup func(e *rel.Engine) (hook func())
+		setup func() (context.Context, func())
 		want  string
 		is    func(err error) bool
 	}{
-		{"cancel", func(e *rel.Engine) func() {
+		{"cancel", func() (context.Context, func()) {
 			ctx, cancel := context.WithCancel(context.Background())
 			t.Cleanup(cancel)
-			e.BaseContext = ctx
-			return cancel
+			return ctx, cancel
 		}, "context.Canceled", func(err error) bool { return errors.Is(err, context.Canceled) }},
-		{"panic", func(*rel.Engine) func() {
-			return func() { panic("injected mid-fragment bug") }
+		{"panic", func() (context.Context, func()) {
+			return context.Background(), func() { panic("injected mid-fragment bug") }
 		}, "*exec.PanicError in " + frag, func(err error) bool {
 			var pe *exec.PanicError
 			return errors.As(err, &pe) && pe.Fragment == frag
 		}},
-		{"deadline", func(e *rel.Engine) func() {
+		{"deadline", func() (context.Context, func()) {
 			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 			t.Cleanup(cancel)
-			e.BaseContext = ctx
-			return func() { time.Sleep(350 * time.Millisecond) }
+			return ctx, func() { time.Sleep(350 * time.Millisecond) }
 		}, "context.DeadlineExceeded", func(err error) bool { return errors.Is(err, context.DeadlineExceeded) }},
 	}
 	deadlines := metrics.Default.CounterVec("voodoo_resource_exhausted_total", "", "kind").With("deadline")
@@ -285,7 +283,11 @@ func TestSplitQ1FailsLikeOneWorker(t *testing.T) {
 		for _, workers := range []int{1, 2} {
 			pool := vector.NewPool(0)
 			e := &rel.Engine{Cat: cutCat(), Backend: rel.Compiled, Pool: pool, Opt: compile.Options{Workers: workers}}
-			hook := f.setup(e)
+			ctx, hook := f.setup()
+			pr, err := e.Prepare(q1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var claims, checkpoints atomic.Int64
 			faultinject.Set(faultinject.Hooks{
 				// After as many checkpoints as there are participants: the
@@ -303,7 +305,7 @@ func TestSplitQ1FailsLikeOneWorker(t *testing.T) {
 			})
 			i0, b0, _ := fragmentPaths()
 			d0 := deadlines.Value()
-			_, _, err := qf(e)
+			_, _, err = e.RunPrepared(ctx, pr)
 			faultinject.Clear()
 			i1, b1, _ := fragmentPaths()
 			if !f.is(err) {

@@ -6,39 +6,24 @@ import (
 	"sync"
 	"testing"
 
-	"voodoo/internal/exec"
 	"voodoo/internal/rel"
 	"voodoo/internal/vector"
 )
 
-// countingRunner counts the plans a QueryFunc runs.
-type countingRunner struct {
-	rel.Runner
-	runs int
-}
-
-func (c *countingRunner) Run(q rel.Query) (*rel.Result, *exec.Stats, error) {
-	c.runs++
-	return c.Runner.Run(q)
-}
-
-// TestOneRunPerQuery: every TPC-H query is one plan — its QueryFunc calls
-// Run exactly once, nested aggregates and all — and no query writes the
-// catalog it reads: the table list is the generator's after all 14 ran.
+// TestOneRunPerQuery: every TPC-H query is one plan, a rel.Query nested
+// aggregates and all, and no query writes the catalog it reads: the table
+// list is the generator's after all 14 planned and ran.
 func TestOneRunPerQuery(t *testing.T) {
 	cat := Generate(Config{SF: 0.002, Seed: 42})
 	tables := cat.Tables()
+	e := &rel.Engine{Cat: cat}
 	for _, num := range QueryNumbers {
-		qf, err := Query(num)
+		q, err := Plan(num, cat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := &countingRunner{Runner: &rel.Engine{Cat: cat}}
-		if _, _, err := qf(r); err != nil {
+		if _, _, err := e.Run(q); err != nil {
 			t.Fatalf("q%d: %v", num, err)
-		}
-		if r.runs != 1 {
-			t.Errorf("q%d ran %d plans, want 1", num, r.runs)
 		}
 	}
 	if got := cat.Tables(); !slices.Equal(got, tables) {

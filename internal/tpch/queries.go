@@ -2,13 +2,16 @@ package tpch
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"voodoo/internal/exec"
 	"voodoo/internal/rel"
+	"voodoo/internal/storage"
 )
 
 // QueryFunc executes one TPC-H query through a query runner (the Voodoo
-// engine or a baseline): one plan, one Run, whatever the query nests.
+// engine or a baseline).
 type QueryFunc func(e rel.Runner) (*rel.Result, *exec.Stats, error)
 
 // QueryNumbers lists the evaluated queries in paper order (Figure 13).
@@ -18,65 +21,97 @@ var QueryNumbers = []int{1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 15, 19, 20}
 // the rest).
 var GPUQueryNumbers = []int{1, 4, 5, 6, 8, 12, 19}
 
-// Query returns the QueryFunc for a TPC-H query number.
-func Query(num int) (QueryFunc, error) {
-	q, ok := map[int]QueryFunc{1: Q1, 4: Q4, 5: Q5, 6: Q6, 7: Q7, 8: Q8, 9: Q9, 10: Q10,
-		11: Q11, 12: Q12, 14: Q14, 15: Q15, 19: Q19, 20: Q20}[num]
+// planners build each query's plan from the catalog it runs on, whose
+// dictionaries and table sizes its literals come from. Every output column
+// is computed inside the plan.
+var planners = map[int]func(cat *storage.Catalog) rel.Query{1: q1, 4: q4, 5: q5, 6: q6, 7: q7,
+	8: q8, 9: q9, 10: q10, 11: q11, 12: q12, 14: q14, 15: q15, 19: q19, 20: q20}
+
+// Plan returns TPC-H query num planned for cat, as sql.Plan plans a
+// statement. A table whose size the plan reads must be in cat; lowering
+// reports the tables it scans.
+func Plan(num int, cat *storage.Catalog) (q rel.Query, err error) {
+	p, ok := planners[num]
 	if !ok {
+		return q, fmt.Errorf("tpch: query %d is not part of the evaluation", num)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			mt, ok := r.(missingTable)
+			if !ok {
+				panic(r)
+			}
+			err = fmt.Errorf("tpch: %w", mt.err)
+		}
+	}()
+	return p(cat), nil
+}
+
+// Query returns the QueryFunc for a TPC-H query number: its plan on the
+// runner's catalog, run once.
+func Query(num int) (QueryFunc, error) {
+	if _, ok := planners[num]; !ok {
 		return nil, fmt.Errorf("tpch: query %d is not part of the evaluation", num)
 	}
-	return q, nil
+	return func(e rel.Runner) (*rel.Result, *exec.Stats, error) {
+		q, err := Plan(num, e.Catalog())
+		if err != nil {
+			return nil, nil, err
+		}
+		return e.Run(q)
+	}, nil
+}
+
+// missingTable is the panic of a planner that reads the size of a table
+// the catalog lacks; Plan returns its error.
+type missingTable struct{ err error }
+
+// dict returns the sorted dictionary of a column, nil when the catalog has
+// no such table (lowering then reports why).
+func dict(cat *storage.Catalog, table, col string) []string {
+	if t := cat.Table(table); t != nil {
+		d, _ := t.Def(col)
+		return d.Dict
+	}
+	return nil
+}
+
+// rows returns a table's row count.
+func rows(cat *storage.Catalog, table string) int {
+	t, err := cat.Lookup(table)
+	if err != nil {
+		panic(missingTable{err})
+	}
+	return t.N
 }
 
 // code resolves a dictionary literal; a missing value yields -1, which
 // matches nothing.
-func code(e rel.Runner, table, col, val string) int64 {
-	t := e.Catalog().Table(table)
-	if t == nil {
-		return -1
+func code(cat *storage.Catalog, table, col, val string) int64 {
+	if i, ok := slices.BinarySearch(dict(cat, table, col), val); ok {
+		return int64(i)
 	}
-	c, ok := t.Code(col, val)
-	if !ok {
-		return -1
-	}
-	return c
+	return -1
 }
 
 // codesContaining collects the dictionary codes whose strings contain sub.
-func codesContaining(e rel.Runner, table, col, sub string) []int64 {
-	t := e.Catalog().Table(table)
-	if t == nil {
-		return nil
-	}
-	d, ok := t.Def(col)
-	if !ok {
-		return nil
-	}
+func codesContaining(cat *storage.Catalog, table, col, sub string) []int64 {
 	var out []int64
-	for i, s := range d.Dict {
-		if contains(s, sub) {
+	for i, s := range dict(cat, table, col) {
+		if strings.Contains(s, sub) {
 			out = append(out, int64(i))
 		}
 	}
 	return out
 }
 
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
 // prefixRange returns the inclusive dictionary code range of strings with
 // the given prefix (empty range when none).
-func prefixRange(e rel.Runner, table, col, prefix string) (int64, int64) {
-	t := e.Catalog().Table(table)
-	lo := t.CodeLowerBound(col, prefix)
-	hi := t.CodeLowerBound(col, prefix+"\xff") - 1
-	return lo, hi
+func prefixRange(cat *storage.Catalog, table, col, prefix string) (int64, int64) {
+	d := dict(cat, table, col)
+	lo, _ := slices.BinarySearch(d, prefix)
+	hi, _ := slices.BinarySearch(d, prefix+"\xff")
+	return int64(lo), int64(hi) - 1
 }
 
 // nationKey returns the n_nationkey of a nation name.
@@ -90,14 +125,7 @@ func nationKey(name string) int64 {
 }
 
 // regionKey returns the r_regionkey of a region name.
-func regionKey(name string) int64 {
-	for i, r := range regions {
-		if r == name {
-			return int64(i)
-		}
-	}
-	return -1
-}
+func regionKey(name string) int64 { return int64(slices.Index(regions, name)) }
 
 // revenue is l_extendedprice * (1 - l_discount).
 func revenue() rel.Expr {
@@ -105,10 +133,10 @@ func revenue() rel.Expr {
 		rel.B(rel.Sub, rel.F(1), rel.C("l_discount")))
 }
 
-// Q1: pricing summary report.
-func Q1(e rel.Runner) (*rel.Result, *exec.Stats, error) {
+// q1: pricing summary report.
+func q1(cat *storage.Catalog) rel.Query {
 	cutoff := Date("1998-12-01") - 90
-	q := rel.Query{
+	return rel.Query{
 		Root: rel.GroupAgg{
 			In: rel.Filter{
 				In: rel.Scan{Table: "lineitem", Cols: []string{
@@ -129,21 +157,15 @@ func Q1(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 				{Func: rel.Count, As: "count_order"},
 			},
 		},
-		OrderBy: func(a, b rel.Row) bool {
-			if a["l_returnflag"] != b["l_returnflag"] {
-				return a["l_returnflag"] < b["l_returnflag"]
-			}
-			return a["l_linestatus"] < b["l_linestatus"]
-		},
+		OrderBy: []rel.OrderKey{{Col: "l_returnflag"}, {Col: "l_linestatus"}},
 	}
-	return e.Run(q)
 }
 
-// Q4: order priority checking (EXISTS semi join).
-func Q4(e rel.Runner) (*rel.Result, *exec.Stats, error) {
+// q4: order priority checking (EXISTS semi join).
+func q4(cat *storage.Catalog) rel.Query {
 	lo := Date("1993-07-01")
 	hi := DateAdd(lo, 0, 3, 0)
-	q := rel.Query{
+	return rel.Query{
 		Root: rel.GroupAgg{
 			In: rel.IndexJoin{
 				Probe: rel.Filter{
@@ -165,13 +187,12 @@ func Q4(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 			Keys: []string{"o_orderpriority"},
 			Aggs: []rel.AggSpec{{Func: rel.Count, As: "order_count"}},
 		},
-		OrderBy: func(a, b rel.Row) bool { return a["o_orderpriority"] < b["o_orderpriority"] },
+		OrderBy: []rel.OrderKey{{Col: "o_orderpriority"}},
 	}
-	return e.Run(q)
 }
 
-// Q5: local supplier volume (six-table join).
-func Q5(e rel.Runner) (*rel.Result, *exec.Stats, error) {
+// q5: local supplier volume (six-table join).
+func q5(cat *storage.Catalog) rel.Query {
 	lo := Date("1994-01-01")
 	hi := DateAdd(lo, 1, 0, 0)
 	asiaNations := rel.IndexJoin{
@@ -179,7 +200,7 @@ func Q5(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 		ProbeKey: "n_regionkey",
 		Build: rel.Filter{
 			In:   rel.Scan{Table: "region", Cols: []string{"r_regionkey", "r_name"}},
-			Pred: rel.B(rel.Eq, rel.C("r_name"), rel.I(code(e, "region", "r_name", "ASIA"))),
+			Pred: rel.B(rel.Eq, rel.C("r_name"), rel.I(code(cat, "region", "r_name", "ASIA"))),
 		},
 		BuildKey: "r_regionkey",
 		Semi:     true,
@@ -216,7 +237,7 @@ func Q5(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 		BuildKey: "s_suppkey",
 		Cols:     []string{"s_nationkey"},
 	}
-	q := rel.Query{
+	return rel.Query{
 		Root: rel.GroupAgg{
 			In: rel.Filter{
 				In:   j3,
@@ -225,16 +246,15 @@ func Q5(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 			Keys: []string{"s_nationkey"},
 			Aggs: []rel.AggSpec{{Func: rel.Sum, E: revenue(), As: "revenue"}},
 		},
-		OrderBy: func(a, b rel.Row) bool { return a["revenue"] > b["revenue"] },
+		OrderBy: []rel.OrderKey{{Col: "revenue", Desc: true}},
 	}
-	return e.Run(q)
 }
 
-// Q6: forecasting revenue change.
-func Q6(e rel.Runner) (*rel.Result, *exec.Stats, error) {
+// q6: forecasting revenue change.
+func q6(cat *storage.Catalog) rel.Query {
 	lo := Date("1994-01-01")
 	hi := DateAdd(lo, 1, 0, 0)
-	q := rel.Query{Root: rel.GroupAgg{
+	return rel.Query{Root: rel.GroupAgg{
 		In: rel.Filter{
 			In: rel.Scan{Table: "lineitem", Cols: []string{
 				"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"}},
@@ -249,11 +269,10 @@ func Q6(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 		Aggs: []rel.AggSpec{{Func: rel.Sum,
 			E: rel.B(rel.Mul, rel.C("l_extendedprice"), rel.C("l_discount")), As: "revenue"}},
 	}}
-	return e.Run(q)
 }
 
-// Q7: volume shipping between France and Germany.
-func Q7(e rel.Runner) (*rel.Result, *exec.Stats, error) {
+// q7: volume shipping between France and Germany.
+func q7(cat *storage.Catalog) rel.Query {
 	fr, de := nationKey("FRANCE"), nationKey("GERMANY")
 	j := rel.IndexJoin{
 		Probe: rel.IndexJoin{
@@ -280,7 +299,7 @@ func Q7(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 		BuildKey: "s_suppkey",
 		Cols:     []string{"s_nationkey"},
 	}
-	q := rel.Query{
+	return rel.Query{
 		Root: rel.GroupAgg{
 			In: rel.Filter{
 				In: j,
@@ -295,18 +314,12 @@ func Q7(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 			Keys: []string{"s_nationkey", "c_nationkey", "l_shipyear"},
 			Aggs: []rel.AggSpec{{Func: rel.Sum, E: revenue(), As: "revenue"}},
 		},
-		OrderBy: func(a, b rel.Row) bool {
-			if a["s_nationkey"] != b["s_nationkey"] {
-				return a["s_nationkey"] < b["s_nationkey"]
-			}
-			return a["l_shipyear"] < b["l_shipyear"]
-		},
+		OrderBy: []rel.OrderKey{{Col: "s_nationkey"}, {Col: "l_shipyear"}},
 	}
-	return e.Run(q)
 }
 
-// Q8: national market share.
-func Q8(e rel.Runner) (*rel.Result, *exec.Stats, error) {
+// q8: national market share.
+func q8(cat *storage.Catalog) rel.Query {
 	brazil := nationKey("BRAZIL")
 	america := regionKey("AMERICA")
 	j := rel.IndexJoin{ // supplier nation for the case expression
@@ -321,7 +334,7 @@ func Q8(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 						Build: rel.Filter{
 							In: rel.Scan{Table: "part", Cols: []string{"p_partkey", "p_type"}},
 							Pred: rel.B(rel.Eq, rel.C("p_type"),
-								rel.I(code(e, "part", "p_type", "ECONOMY ANODIZED STEEL"))),
+								rel.I(code(cat, "part", "p_type", "ECONOMY ANODIZED STEEL"))),
 						},
 						BuildKey: "p_partkey",
 					},
@@ -350,8 +363,8 @@ func Q8(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 		BuildKey: "s_suppkey",
 		Cols:     []string{"s_nationkey"},
 	}
-	q := rel.Query{
-		Root: rel.GroupAgg{
+	return rel.Query{
+		Root: rel.Map{In: rel.GroupAgg{
 			In: rel.Map{
 				In: rel.Filter{In: j,
 					Pred: rel.B(rel.Eq, rel.C("n_regionkey"), rel.I(america))},
@@ -366,27 +379,16 @@ func Q8(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 				{Func: rel.Sum, E: rel.C("brazil_volume"), As: "brazil"},
 				{Func: rel.Sum, E: rel.C("volume"), As: "total"},
 			},
-		},
-		OrderBy: func(a, b rel.Row) bool { return a["o_orderyear"] < b["o_orderyear"] },
+		}, Outs: []rel.NamedExpr{{Name: "mkt_share", E: rel.B(rel.Div, rel.C("brazil"), rel.C("total"))}}},
+		OrderBy: []rel.OrderKey{{Col: "o_orderyear"}},
 	}
-	res, st, err := e.Run(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, r := range res.Rows {
-		if r["total"] != 0 {
-			r["mkt_share"] = r["brazil"] / r["total"]
-		}
-	}
-	res.Cols = append(res.Cols, "mkt_share")
-	return res, st, nil
 }
 
-// Q9: product type profit measure, joining partsupp through the dense
+// q9: product type profit measure, joining partsupp through the dense
 // composite id.
-func Q9(e rel.Runner) (*rel.Result, *exec.Stats, error) {
-	nSupp := e.Catalog().Table("supplier").N
-	greens := codesContaining(e, "part", "p_name", "green")
+func q9(cat *storage.Catalog) rel.Query {
+	nSupp := rows(cat, "supplier")
+	greens := codesContaining(cat, "part", "p_name", "green")
 	j := rel.IndexJoin{
 		Probe: rel.Map{
 			In: rel.IndexJoin{
@@ -419,7 +421,7 @@ func Q9(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 		BuildKey: "ps_comboid",
 		Cols:     []string{"ps_supplycost"},
 	}
-	q := rel.Query{
+	return rel.Query{
 		Root: rel.GroupAgg{
 			In: rel.Map{In: j, Outs: []rel.NamedExpr{{Name: "amount",
 				E: rel.B(rel.Sub, revenue(),
@@ -427,14 +429,8 @@ func Q9(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 			Keys: []string{"s_nationkey", "o_orderyear"},
 			Aggs: []rel.AggSpec{{Func: rel.Sum, E: rel.C("amount"), As: "sum_profit"}},
 		},
-		OrderBy: func(a, b rel.Row) bool {
-			if a["s_nationkey"] != b["s_nationkey"] {
-				return a["s_nationkey"] < b["s_nationkey"]
-			}
-			return a["o_orderyear"] > b["o_orderyear"]
-		},
+		OrderBy: []rel.OrderKey{{Col: "s_nationkey"}, {Col: "o_orderyear", Desc: true}},
 	}
-	return e.Run(q)
 }
 
 // comboExpr recovers the dense partsupp id from (l_partkey, l_suppkey):
@@ -458,18 +454,18 @@ func modExpr(e rel.Expr, m int64) rel.Expr {
 	return rel.Bin{Op: rel.Mod, L: e, R: rel.IntLit{V: m}}
 }
 
-// Q10: returned item reporting (top 20 customers by lost revenue).
-func Q10(e rel.Runner) (*rel.Result, *exec.Stats, error) {
+// q10: returned item reporting (top 20 customers by lost revenue).
+func q10(cat *storage.Catalog) rel.Query {
 	lo := Date("1993-10-01")
 	hi := DateAdd(lo, 0, 3, 0)
-	q := rel.Query{
+	return rel.Query{
 		Root: rel.GroupAgg{
 			In: rel.IndexJoin{
 				Probe: rel.Filter{
 					In: rel.Scan{Table: "lineitem", Cols: []string{
 						"l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"}},
 					Pred: rel.B(rel.Eq, rel.C("l_returnflag"),
-						rel.I(code(e, "lineitem", "l_returnflag", "R"))),
+						rel.I(code(cat, "lineitem", "l_returnflag", "R"))),
 				},
 				ProbeKey: "l_orderkey",
 				Build: rel.Filter{
@@ -485,16 +481,15 @@ func Q10(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 			Keys: []string{"o_custkey"},
 			Aggs: []rel.AggSpec{{Func: rel.Sum, E: revenue(), As: "revenue"}},
 		},
-		OrderBy: func(a, b rel.Row) bool { return a["revenue"] > b["revenue"] },
+		OrderBy: []rel.OrderKey{{Col: "revenue", Desc: true}},
 		Limit:   20,
 	}
-	return e.Run(q)
 }
 
-// Q11: important stock identification: the parts whose stock value is
+// q11: important stock identification: the parts whose stock value is
 // above a fraction of the total, a filter over a grouped aggregate that
 // reads a global one of the same join.
-func Q11(e rel.Runner) (*rel.Result, *exec.Stats, error) {
+func q11(cat *storage.Catalog) rel.Query {
 	germany := nationKey("GERMANY")
 	base := rel.IndexJoin{
 		Probe: rel.Scan{Table: "partsupp", Cols: []string{
@@ -509,7 +504,7 @@ func Q11(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 	}
 	value := rel.B(rel.Mul, rel.C("ps_supplycost"), rel.C("ps_availqty"))
 	total := rel.Agg{G: &rel.GroupAgg{In: base, Aggs: []rel.AggSpec{{Func: rel.Sum, E: value, As: "total"}}}}
-	return e.Run(rel.Query{
+	return rel.Query{
 		Root: rel.Filter{
 			In: rel.GroupAgg{
 				In:   base,
@@ -518,24 +513,24 @@ func Q11(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 			},
 			Pred: rel.B(rel.Gt, rel.C("value"), rel.B(rel.Mul, total, rel.F(0.0001))),
 		},
-		OrderBy: func(a, b rel.Row) bool { return a["value"] > b["value"] },
-	})
+		OrderBy: []rel.OrderKey{{Col: "value", Desc: true}},
+	}
 }
 
-// Q12: shipping modes and order priority.
-func Q12(e rel.Runner) (*rel.Result, *exec.Stats, error) {
+// q12: shipping modes and order priority.
+func q12(cat *storage.Catalog) rel.Query {
 	lo := Date("1994-01-01")
 	hi := DateAdd(lo, 1, 0, 0)
-	urgent := code(e, "orders", "o_orderpriority", "1-URGENT")
-	high := code(e, "orders", "o_orderpriority", "2-HIGH")
+	urgent := code(cat, "orders", "o_orderpriority", "1-URGENT")
+	high := code(cat, "orders", "o_orderpriority", "2-HIGH")
 	modes := []int64{
-		code(e, "lineitem", "l_shipmode", "MAIL"),
-		code(e, "lineitem", "l_shipmode", "SHIP"),
+		code(cat, "lineitem", "l_shipmode", "MAIL"),
+		code(cat, "lineitem", "l_shipmode", "SHIP"),
 	}
 	highPred := rel.B(rel.Or,
 		rel.B(rel.Eq, rel.C("o_orderpriority"), rel.I(urgent)),
 		rel.B(rel.Eq, rel.C("o_orderpriority"), rel.I(high)))
-	q := rel.Query{
+	return rel.Query{
 		Root: rel.GroupAgg{
 			In: rel.Map{
 				In: rel.IndexJoin{
@@ -569,17 +564,16 @@ func Q12(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 				{Func: rel.Sum, E: rel.C("low"), As: "low_line_count"},
 			},
 		},
-		OrderBy: func(a, b rel.Row) bool { return a["l_shipmode"] < b["l_shipmode"] },
+		OrderBy: []rel.OrderKey{{Col: "l_shipmode"}},
 	}
-	return e.Run(q)
 }
 
-// Q14: promotion effect.
-func Q14(e rel.Runner) (*rel.Result, *exec.Stats, error) {
+// q14: promotion effect.
+func q14(cat *storage.Catalog) rel.Query {
 	lo := Date("1995-09-01")
 	hi := DateAdd(lo, 0, 1, 0)
-	promoLo, promoHi := prefixRange(e, "part", "p_type", "PROMO")
-	q := rel.Query{Root: rel.GroupAgg{
+	promoLo, promoHi := prefixRange(cat, "part", "p_type", "PROMO")
+	return rel.Query{Root: rel.Map{In: rel.GroupAgg{
 		In: rel.Map{
 			In: rel.IndexJoin{
 				Probe: rel.Filter{
@@ -601,23 +595,13 @@ func Q14(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 			{Func: rel.Sum, E: rel.C("promo_rev"), As: "promo"},
 			{Func: rel.Sum, E: revenue(), As: "total"},
 		},
-	}}
-	res, st, err := e.Run(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, r := range res.Rows {
-		if r["total"] != 0 {
-			r["promo_revenue"] = 100 * r["promo"] / r["total"]
-		}
-	}
-	res.Cols = append(res.Cols, "promo_revenue")
-	return res, st, nil
+	}, Outs: []rel.NamedExpr{{Name: "promo_revenue",
+		E: rel.B(rel.Div, rel.B(rel.Mul, rel.F(100), rel.C("promo")), rel.C("total"))}}}}
 }
 
-// Q15: top supplier: the revenue view, filtered to the suppliers whose
+// q15: top supplier: the revenue view, filtered to the suppliers whose
 // revenue equals its maximum.
-func Q15(e rel.Runner) (*rel.Result, *exec.Stats, error) {
+func q15(cat *storage.Catalog) rel.Query {
 	lo := Date("1996-01-01")
 	hi := DateAdd(lo, 0, 3, 0)
 	view := rel.GroupAgg{
@@ -633,28 +617,28 @@ func Q15(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 	}
 	top := rel.Agg{G: &rel.GroupAgg{In: view,
 		Aggs: []rel.AggSpec{{Func: rel.Max, E: rel.C("total_revenue"), As: "max_revenue"}}}}
-	return e.Run(rel.Query{Root: rel.Filter{In: view,
-		Pred: rel.B(rel.Eq, rel.C("total_revenue"), top)}})
+	return rel.Query{Root: rel.Filter{In: view,
+		Pred: rel.B(rel.Eq, rel.C("total_revenue"), top)}}
 }
 
-// Q19: discounted revenue (disjunction of brand/container/quantity terms).
-func Q19(e rel.Runner) (*rel.Result, *exec.Stats, error) {
+// q19: discounted revenue (disjunction of brand/container/quantity terms).
+func q19(cat *storage.Catalog) rel.Query {
 	contCodes := func(names ...string) []int64 {
 		var out []int64
 		for _, n := range names {
-			out = append(out, code(e, "part", "p_container", n))
+			out = append(out, code(cat, "part", "p_container", n))
 		}
 		return out
 	}
 	air := []int64{
-		code(e, "lineitem", "l_shipmode", "AIR"),
-		code(e, "lineitem", "l_shipmode", "REG AIR"),
+		code(cat, "lineitem", "l_shipmode", "AIR"),
+		code(cat, "lineitem", "l_shipmode", "REG AIR"),
 	}
-	deliver := code(e, "lineitem", "l_shipinstruct", "DELIVER IN PERSON")
+	deliver := code(cat, "lineitem", "l_shipinstruct", "DELIVER IN PERSON")
 	term := func(brand string, conts []int64, qlo, qhi, slo, shi int64) rel.Expr {
 		return rel.B(rel.And,
 			rel.B(rel.And,
-				rel.B(rel.Eq, rel.C("p_brand"), rel.I(code(e, "part", "p_brand", brand))),
+				rel.B(rel.Eq, rel.C("p_brand"), rel.I(code(cat, "part", "p_brand", brand))),
 				rel.InList{E: rel.C("p_container"), Vs: conts}),
 			rel.B(rel.And,
 				rel.Between{E: rel.C("l_quantity"), Lo: rel.I(qlo), Hi: rel.I(qhi)},
@@ -669,7 +653,7 @@ func Q19(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 			rel.B(rel.Or,
 				term("Brand#23", contCodes("MED BAG", "MED BOX", "MED PKG", "MED PACK"), 10, 20, 1, 10),
 				term("Brand#34", contCodes("LG CASE", "LG BOX", "LG PACK", "LG PKG"), 20, 30, 1, 15))))
-	q := rel.Query{Root: rel.GroupAgg{
+	return rel.Query{Root: rel.GroupAgg{
 		In: rel.Filter{
 			In: rel.IndexJoin{
 				Probe: rel.Scan{Table: "lineitem", Cols: []string{
@@ -685,17 +669,16 @@ func Q19(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 		},
 		Aggs: []rel.AggSpec{{Func: rel.Sum, E: revenue(), As: "revenue"}},
 	}}
-	return e.Run(q)
 }
 
-// Q20: potential part promotion: forest parts' suppliers whose stock
+// q20: potential part promotion: forest parts' suppliers whose stock
 // exceeds half the quantity shipped, joined against the shipped quantity
 // per (part, supplier) combo as an aggregate.
-func Q20(e rel.Runner) (*rel.Result, *exec.Stats, error) {
+func q20(cat *storage.Catalog) rel.Query {
 	lo := Date("1994-01-01")
 	hi := DateAdd(lo, 1, 0, 0)
-	nSupp := e.Catalog().Table("supplier").N
-	nPart := e.Catalog().Table("part").N
+	nSupp := rows(cat, "supplier")
+	nPart := rows(cat, "part")
 	shipped := rel.GroupAgg{
 		In: rel.Map{
 			In: rel.Filter{
@@ -711,8 +694,8 @@ func Q20(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 		Domains: []rel.Domain{{Min: 0, Max: int64(nPart*SuppliersPerPart) - 1}},
 		Aggs:    []rel.AggSpec{{Func: rel.Sum, E: rel.C("l_quantity"), As: "qty"}},
 	}
-	fLo, fHi := prefixRange(e, "part", "p_name", "forest")
-	return e.Run(rel.Query{
+	fLo, fHi := prefixRange(cat, "part", "p_name", "forest")
+	return rel.Query{
 		Root: rel.GroupAgg{
 			In: rel.Filter{
 				In: rel.IndexJoin{
@@ -739,6 +722,6 @@ func Q20(e rel.Runner) (*rel.Result, *exec.Stats, error) {
 			Keys: []string{"ps_suppkey"},
 			Aggs: []rel.AggSpec{{Func: rel.Count, As: "n"}},
 		},
-		OrderBy: func(a, b rel.Row) bool { return a["ps_suppkey"] < b["ps_suppkey"] },
-	})
+		OrderBy: []rel.OrderKey{{Col: "ps_suppkey"}},
+	}
 }

@@ -4,7 +4,7 @@ import (
 	"slices"
 	"testing"
 
-	"voodoo/internal/exec"
+	"voodoo/internal/core"
 	"voodoo/internal/rel"
 	"voodoo/internal/sql"
 	"voodoo/internal/storage"
@@ -65,32 +65,12 @@ func TestServedPlansVerifyClean(t *testing.T) {
 	}
 }
 
-// rootRunner runs every query of a QueryFunc traced and records, per plan,
-// the key domain of its root and the steps of its run.
-type rootRunner struct {
-	e    *rel.Engine
-	runs []rootRun
-}
-
-type rootRun struct {
-	domain int
-	steps  []trace.Step
-}
-
-func (r *rootRunner) Catalog() *storage.Catalog { return r.e.Cat }
-
-func (r *rootRunner) Run(q rel.Query) (*rel.Result, *exec.Stats, error) {
-	run := rootRun{domain: keyDomain(r.e.Cat, q.Root)}
-	e := *r.e
-	e.TraceSink = func(tr *trace.Trace) { run.steps = tr.Steps }
-	res, st, err := e.Run(q)
-	r.runs = append(r.runs, run)
-	return res, st, err
-}
-
 // keyDomain is the number of key combinations of a root GroupAgg (or of
-// the GroupAgg under a root Filter): 1 for a global aggregate.
+// the GroupAgg under a root Filter or Map): 1 for a global aggregate.
 func keyDomain(cat *storage.Catalog, n rel.Node) int {
+	if m, ok := n.(rel.Map); ok {
+		n = m.In
+	}
 	if f, ok := n.(rel.Filter); ok {
 		n = f.In
 	}
@@ -147,40 +127,37 @@ func colDomain(cat *storage.Catalog, n rel.Node, col string) rel.Domain {
 // takes 3.38 MB for four rows, materializes under 0.5 MB.
 func TestCompactRoots(t *testing.T) {
 	cat := cutCat()
-	check := func(name string, runs []rootRun) {
-		if len(runs) == 0 {
-			t.Fatalf("%s ran no plan", name)
+	check := func(name string, q rel.Query) {
+		var steps []trace.Step
+		e := &rel.Engine{Cat: cat, Backend: rel.Compiled, TraceSink: func(tr *trace.Trace) { steps = tr.Steps }}
+		if _, _, err := e.Run(q); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		for _, run := range runs {
-			outputs, bytes := 0, int64(0)
-			for _, s := range run.steps {
-				bytes += s.MaterializedBytes
-				if s.Kind != trace.KindOutput {
-					continue
-				}
-				outputs++
-				if s.Items > int64(run.domain) {
-					t.Errorf("%s: output %s has %d items, over its key domain of %d", name, s.Name, s.Items, run.domain)
-				}
+		domain := keyDomain(cat, q.Root)
+		outputs, bytes := 0, int64(0)
+		for _, s := range steps {
+			bytes += s.MaterializedBytes
+			if s.Kind != trace.KindOutput {
+				continue
 			}
-			if outputs != 1 {
-				t.Errorf("%s: %d output steps, want the root relation alone", name, outputs)
+			outputs++
+			if s.Items > int64(domain) {
+				t.Errorf("%s: output %s has %d items, over its key domain of %d", name, s.Name, s.Items, domain)
 			}
-			if name == "q01" && bytes > 512<<10 {
-				t.Errorf("q01 materializes %d bytes, want at most 0.5 MB", bytes)
-			}
+		}
+		if outputs != 1 {
+			t.Errorf("%s: %d output steps, want the root relation alone", name, outputs)
+		}
+		if name == "q01" && bytes > 512<<10 {
+			t.Errorf("q01 materializes %d bytes, want at most 0.5 MB", bytes)
 		}
 	}
 	for _, num := range QueryNumbers {
-		qf, err := Query(num)
+		q, err := Plan(num, cat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := &rootRunner{e: &rel.Engine{Cat: cat, Backend: rel.Compiled}}
-		if _, _, err := qf(r); err != nil {
-			t.Fatalf("%s: %v", queryName(num), err)
-		}
-		check(queryName(num), r.runs)
+		check(queryName(num), q)
 	}
 	for _, text := range append(append(slices.Clone(concurrentSQL), shortSQL...), joinCountSQL) {
 		stmt, err := sql.Parse(text)
@@ -191,10 +168,43 @@ func TestCompactRoots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := &rootRunner{e: &rel.Engine{Cat: cat, Backend: rel.Compiled}}
-		if _, _, err := r.Run(q); err != nil {
-			t.Fatalf("%s: %v", text, err)
+		check(text, q)
+	}
+}
+
+// TestRatiosInPlan: Q8's mkt_share and Q14's promo_revenue are computed by
+// the plan that runs, not after it. The lowered program's one root is the
+// Upsert of the ratio, a Divide, and a step of the compiled run's trace
+// (what -explain-analyze prints) executes that root.
+func TestRatiosInPlan(t *testing.T) {
+	for num, col := range map[int]string{8: "mkt_share", 14: "promo_revenue"} {
+		q, err := Plan(num, testCat)
+		if err != nil {
+			t.Fatal(err)
 		}
-		check(text, r.runs)
+		prog, err := rel.Lower(q, testCat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots := prog.Roots()
+		if len(roots) != 1 {
+			t.Fatalf("q%d: %d roots, want 1", num, len(roots))
+		}
+		root := prog.Stmts[roots[0]]
+		if root.Op != core.OpUpsert || root.Out[0] != col || prog.Stmts[root.Args[1]].Op != core.OpDivide {
+			t.Errorf("q%d: root is %s of %v, want the Upsert of %s, a Divide", num, root.Op, root.Out, col)
+		}
+		var steps []trace.Step
+		e := &rel.Engine{Cat: testCat, TraceSink: func(tr *trace.Trace) { steps = tr.Steps }}
+		res, _, err := e.Run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(steps, func(s trace.Step) bool { return slices.Contains(s.Stmts, int(roots[0])) }) {
+			t.Errorf("q%d: no traced step runs the root v%d", num, roots[0])
+		}
+		if got := res.Cols[len(res.Cols)-1]; got != col {
+			t.Errorf("q%d: last column %q, want %q", num, got, col)
+		}
 	}
 }

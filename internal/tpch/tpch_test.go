@@ -167,7 +167,7 @@ func TestQ1MatchesDirectComputation(t *testing.T) {
 		a.n++
 	}
 	e := &rel.Engine{Cat: testCat, Backend: rel.Compiled}
-	res, _, err := Q1(e)
+	res, _, err := e.Run(q1(e.Catalog()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestQ6MatchesDirectComputation(t *testing.T) {
 		}
 	}
 	e := &rel.Engine{Cat: testCat, Backend: rel.Compiled}
-	res, _, err := Q6(e)
+	res, _, err := e.Run(q6(e.Catalog()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestQ4MatchesDirectComputation(t *testing.T) {
 		}
 	}
 	e := &rel.Engine{Cat: testCat, Backend: rel.Compiled}
-	res, _, err := Q4(e)
+	res, _, err := e.Run(q4(e.Catalog()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +262,11 @@ func TestSaveLoadCatalog(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &rel.Engine{Cat: back, Backend: rel.Compiled}
-	res, _, err := Q6(e)
+	res, _, err := e.Run(q6(e.Catalog()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig, _, _ := Q6(&rel.Engine{Cat: testCat, Backend: rel.Compiled})
+	orig, _, _ := (&rel.Engine{Cat: testCat, Backend: rel.Compiled}).Run(q6(testCat))
 	if math.Abs(res.Rows[0]["revenue"]-orig.Rows[0]["revenue"]) > 1e-9 {
 		t.Fatal("reloaded catalog gives different answer")
 	}
@@ -310,7 +310,7 @@ func TestQ12MatchesDirectComputation(t *testing.T) {
 			p.lo++
 		}
 	}
-	res, _, err := Q12(&rel.Engine{Cat: testCat, Backend: rel.Compiled})
+	res, _, err := (&rel.Engine{Cat: testCat, Backend: rel.Compiled}).Run(q12(testCat))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestQ15MatchesDirectComputation(t *testing.T) {
 			best = v
 		}
 	}
-	res, _, err := Q15(&rel.Engine{Cat: testCat, Backend: rel.Compiled})
+	res, _, err := (&rel.Engine{Cat: testCat, Backend: rel.Compiled}).Run(q15(testCat))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestQ11ThresholdSemantics(t *testing.T) {
 		}
 	}
 	for name, e := range freshEngines() {
-		res, _, err := Q11(e)
+		res, _, err := e.Run(q11(e.Catalog()))
 		if err != nil {
 			t.Fatal(err)
 		}

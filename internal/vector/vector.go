@@ -121,9 +121,11 @@ func (m RunMeta) Divide(x int64) (RunMeta, bool) {
 		// divisors would flip floor direction.)
 		return RunMeta{}, false
 	}
-	if m.From%x != 0 {
+	if m.From%x != 0 || m.From < 0 || m.StepNum < 0 {
 		// floor((from + floor(i*s))/x) folds into the step only when
 		// from is a multiple of x; typical control vectors start at 0.
+		// Division truncates, which is that floor only while no value
+		// is negative.
 		return RunMeta{}, false
 	}
 	out := RunMeta{From: m.From / x, StepNum: m.StepNum, StepDen: m.den() * x}

@@ -69,6 +69,17 @@ func TestRunMetaModuloLaw(t *testing.T) {
 	}
 }
 
+// TestRunMetaDivideOfNegatives: division truncates, so a control vector
+// with a negative value, -4, -3, … or 0, -1, …, is not its metadata with
+// the step divided (that floors: -2, -2 for -4/2, -3/2).
+func TestRunMetaDivideOfNegatives(t *testing.T) {
+	for _, m := range []RunMeta{Step(-4, 1), Step(0, -1)} {
+		if dm, ok := m.Divide(2); ok {
+			t.Errorf("%v / 2 folded into %v, want it materialized", m, dm)
+		}
+	}
+}
+
 func TestRunMetaDivideAfterModulo(t *testing.T) {
 	m := RunMeta{StepNum: 1, StepDen: 1, Cap: 4}
 	if _, ok := m.Divide(2); ok {
